@@ -210,7 +210,9 @@ impl Scenario {
                 .node_outage(2, 60.0, 80.0),
             // Buffers sized so a carrier can hold the whole disruption's
             // worth of bundles: the point of the scenario is partition
-            // tolerance, not buffer pressure.
+            // tolerance, not buffer pressure. The capacity is a bound —
+            // slots materialise as they fill (a node here peaks at tens of
+            // bundles, ≈12 KB), so 1024 reserves nothing per node.
             dtn: DtnParams {
                 buffer_capacity: 1024,
                 bundle_ttl: SimDuration::from_secs(300.0),

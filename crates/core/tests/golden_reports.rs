@@ -77,26 +77,39 @@ const PINS: &[&str] = &[
     "ProbFlood|sent=75 dlvd=7 dup=0 pdr=0.09333333333333334 delay=3.668832132403559 maxdelay=17.10116248617009 hops=5.7142857142857135 ctrl=957 ctrlB=30624 dtx=1265 rerr=0 drops=1835 nbr=3.8187499999999943",
 ];
 
-#[test]
-fn every_protocol_matches_its_pinned_report() {
-    assert_eq!(
-        PINS.len(),
-        ProtocolKind::ALL.len(),
-        "pin list out of sync with ProtocolKind::ALL — regenerate"
-    );
+/// Runs `scenario` under each of `kinds` and panics, naming `what`, with
+/// every fingerprint that differs from its pin.
+fn assert_pinned(
+    what: &str,
+    kinds: &[ProtocolKind],
+    pins: &[&str],
+    scenario: impl Fn() -> Scenario,
+    fingerprint: impl Fn(&Report) -> String,
+) {
+    assert_eq!(pins.len(), kinds.len(), "pin list out of sync — regenerate");
     let mut failures = Vec::new();
-    for (kind, pin) in ProtocolKind::ALL.into_iter().zip(PINS) {
-        let report = run_scenario(golden_scenario(), kind);
-        let got = fingerprint(&report);
+    for (&kind, pin) in kinds.iter().zip(pins) {
+        let got = fingerprint(&run_scenario(scenario(), kind));
         if got != *pin {
             failures.push(format!("{kind:?}:\n  pinned: {pin}\n  got:    {got}"));
         }
     }
     assert!(
         failures.is_empty(),
-        "golden reports diverged for {} protocol(s):\n{}",
+        "{what} for {} protocol(s):\n{}",
         failures.len(),
         failures.join("\n")
+    );
+}
+
+#[test]
+fn every_protocol_matches_its_pinned_report() {
+    assert_pinned(
+        "golden reports diverged",
+        &ProtocolKind::ALL,
+        PINS,
+        golden_scenario,
+        fingerprint,
     );
 }
 
@@ -105,29 +118,83 @@ fn every_protocol_matches_its_pinned_report() {
 /// so every protocol must still match its pre-fault-support pin exactly.
 #[test]
 fn empty_fault_plan_is_byte_identical_for_every_protocol() {
-    let mut failures = Vec::new();
-    for (kind, pin) in ProtocolKind::ALL.into_iter().zip(PINS) {
-        let scenario = golden_scenario().with_faults(vanet_core::FaultPlan::new());
-        let report = run_scenario(scenario, kind);
-        let got = fingerprint(&report);
-        if got != *pin {
-            failures.push(format!("{kind:?}:\n  pinned: {pin}\n  got:    {got}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "an empty FaultPlan changed the engine for {} protocol(s):\n{}",
-        failures.len(),
-        failures.join("\n")
+    assert_pinned(
+        "an empty FaultPlan changed the engine",
+        &ProtocolKind::ALL,
+        PINS,
+        || golden_scenario().with_faults(vanet_core::FaultPlan::new()),
+        fingerprint,
     );
 }
 
-/// Prints the pin list for pasting into `PINS`. Run with `--ignored`.
+/// The regime the repo benchmark's `dtn-epidemic` workload measures and the
+/// 30-vehicle pins above never reach: counterflow, buffer capacity 1024, a
+/// 20 s bundle TTL so `expire_due` retires bundles from t = 25 s on, and the
+/// scenario's node outage live from t = 20 s.
+fn disrupted_scenario() -> Scenario {
+    Scenario::disrupted_highway(60)
+        .with_seed(7)
+        .with_flows(8)
+        .with_dtn_ttl(SimDuration::from_secs(20.0))
+        .with_duration(SimDuration::from_secs(30.0))
+}
+
+/// [`fingerprint`] plus the six bundle metrics: slot order inside the
+/// `BundleBuffer` decides transmission order, and these counters are where a
+/// change to it shows first.
+fn dtn_fingerprint(r: &Report) -> String {
+    format!(
+        "{} stored={} fwd={} expired={} evicted={} custody={} peak={}",
+        fingerprint(r),
+        r.bundles_stored,
+        r.bundles_forwarded,
+        r.bundles_expired,
+        r.bundles_evicted,
+        r.custody_transfers,
+        r.buffer_peak
+    )
+}
+
+const DTN_KINDS: [ProtocolKind; 4] = [
+    ProtocolKind::Epidemic,
+    ProtocolKind::Prophet,
+    ProtocolKind::SprayWait,
+    ProtocolKind::ProbFlood,
+];
+
+/// Pinned [`dtn_fingerprint`]s on [`disrupted_scenario`], in `DTN_KINDS`
+/// order. Captured at seed 7 from the engine with fully preallocated buffer
+/// slots and a per-frame interference recount.
+const DTN_PINS: &[&str] = &[
+    "Epidemic|sent=200 dlvd=7 dup=0 pdr=0.035 delay=10.540918490786582 maxdelay=14.533402038005491 hops=3.285714285714286 ctrl=4481 ctrlB=219156 dtx=14748 rerr=0 drops=564 nbr=4.755000000000008 stored=1115 fwd=14748 expired=478 evicted=0 custody=162 peak=43",
+    "PRoPHET|sent=200 dlvd=10 dup=0 pdr=0.05 delay=3.4371400650727337 maxdelay=10.536183960462374 hops=1.6 ctrl=3712 ctrlB=511976 dtx=478 rerr=0 drops=88 nbr=4.754444444444448 stored=343 fwd=478 expired=82 evicted=0 custody=34 peak=25",
+    "SprayWait|sent=200 dlvd=13 dup=0 pdr=0.065 delay=4.895472825817613 maxdelay=16.8693320323818 hops=1.6153846153846154 ctrl=3963 ctrlB=163828 dtx=911 rerr=0 drops=149 nbr=4.759444444444449 stored=591 fwd=911 expired=138 evicted=0 custody=122 peak=30",
+    "ProbFlood|sent=200 dlvd=30 dup=0 pdr=0.15 delay=4.338794586049616 maxdelay=15.582766315181313 hops=2.3666666666666663 ctrl=1789 ctrlB=57248 dtx=12926 rerr=0 drops=12623 nbr=4.668888888888887 stored=2903 fwd=10429 expired=826 evicted=0 custody=0 peak=76",
+];
+
+#[test]
+fn dtn_protocols_match_their_pins_on_the_disrupted_highway() {
+    assert_pinned(
+        "disrupted-highway DTN reports diverged",
+        &DTN_KINDS,
+        DTN_PINS,
+        disrupted_scenario,
+        dtn_fingerprint,
+    );
+}
+
+/// Prints both pin lists for pasting into `PINS` and `DTN_PINS`. Run with
+/// `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate() {
     for kind in ProtocolKind::ALL {
         let report = run_scenario(golden_scenario(), kind);
         println!("    {:?},", fingerprint(&report));
+    }
+    println!();
+    for kind in DTN_KINDS {
+        let report = run_scenario(disrupted_scenario(), kind);
+        println!("    {:?},", dtn_fingerprint(&report));
     }
 }

@@ -42,6 +42,9 @@ pub struct SpatialGrid {
     // `incremental_updates_match_a_fresh_build`.
     buckets: HashMap<(i64, i64), Vec<(NodeId, Position)>>,
     len: usize,
+    /// Bumped by every [`SpatialGrid::update`]: equal generations of one
+    /// grid answer every query identically.
+    generation: u64,
 }
 
 impl SpatialGrid {
@@ -99,6 +102,7 @@ impl SpatialGrid {
             cell_m,
             buckets,
             len: nodes.len(),
+            generation: 0,
         }
     }
 
@@ -123,6 +127,7 @@ impl SpatialGrid {
     /// Panics if the node is not indexed at `old_pos` — callers must pass
     /// exactly the position the node was last built or updated with.
     pub fn update(&mut self, id: NodeId, old_pos: Position, new_pos: Position) {
+        self.generation += 1;
         let old_cell = Self::cell_of(self.cell_m, old_pos);
         let new_cell = Self::cell_of(self.cell_m, new_pos);
         if old_cell == new_cell {
@@ -149,6 +154,12 @@ impl SpatialGrid {
             .binary_search_by_key(&id, |&(i, _)| i)
             .unwrap_or_else(|i| i);
         new_bucket.insert(at, (id, new_pos));
+    }
+
+    /// How many [`SpatialGrid::update`]s this grid has absorbed: the medium
+    /// reuses a candidate query while this is unchanged.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of indexed nodes.

@@ -269,6 +269,36 @@ impl RecentIndex {
     }
 }
 
+/// What the snapshot, the candidate list and the interference counts were
+/// computed for: one instant, one sender position, one state of the grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BurstKey {
+    now: SimTime,
+    sender_pos: Position,
+    grid_generation: u64,
+}
+
+/// The state a same-instant, same-position run of frames (a summary-vector
+/// answer is tens of them) carries from one frame to the next. Between two
+/// such frames with nothing else booked the contention window gains exactly
+/// the earlier frame, at the sender's position, so every interference count
+/// — an integer — advances by one where the sender is within interference
+/// range and is otherwise unchanged: no rescan, same counts, same RNG draws.
+#[derive(Debug, Default)]
+struct Burst {
+    /// `None` when the next frame must start from a fresh snapshot.
+    key: Option<BurstKey>,
+    /// Frames in the run so far, the current one included.
+    frames: u32,
+    /// Snapshot entries within interference range of the sender (the frame
+    /// itself included).
+    sender_count: usize,
+    /// Per candidate, from the second frame on: `(frame, count)` — the
+    /// snapshot entries within interference range of that candidate as of
+    /// `frame`; frame 0 marks a candidate not yet counted in this run.
+    receiver_counts: Vec<(u32, usize)>,
+}
+
 /// The shared broadcast medium connecting all nodes.
 #[derive(Debug)]
 pub struct Medium {
@@ -282,7 +312,8 @@ pub struct Medium {
     /// per-receiver interference count is a scan of the (small) in-window
     /// set instead of re-filtering the whole `recent` deque per candidate.
     snapshot: Vec<Position>,
-    /// Reusable buffer for spatial-grid candidate queries.
+    /// The last spatial-grid candidate query, kept so the next frame of a
+    /// burst reuses it.
     candidates: Vec<(NodeId, Position)>,
     /// Scratch buffer for the grid query's run merge.
     candidate_scratch: Vec<(NodeId, Position)>,
@@ -291,6 +322,7 @@ pub struct Medium {
     /// How many fault zones are currently active — the transmit path's only
     /// cost when faults are disabled is comparing this against zero.
     active_fault_zones: usize,
+    burst: Burst,
     stats: MediumStats,
 }
 
@@ -314,6 +346,7 @@ impl Medium {
             // lint: allow(P1) — construction, once per simulation.
             fault_zones: Vec::new(),
             active_fault_zones: 0,
+            burst: Burst::default(),
             stats: MediumStats::default(),
         }
     }
@@ -364,6 +397,7 @@ impl Medium {
         self.candidates.reserve(expected_candidates);
         self.candidate_scratch.reserve(expected_candidates);
         self.snapshot.reserve(expected_candidates);
+        self.burst.receiver_counts.reserve(expected_candidates);
     }
 
     /// The largest distance at which a recent transmission can matter to any
@@ -424,7 +458,8 @@ impl Medium {
         // lint: allow(P1) — convenience form; the engine's warm path owns a
         // delivery buffer and calls the `_into` variants.
         let mut deliveries = Vec::new();
-        self.begin_transmission(now, sender_pos, packet);
+        // `nodes` is the caller's: nothing computed for it carries over.
+        self.begin_transmission(now, sender_pos, packet, None);
         self.deliver(now, sender, sender_pos, packet, nodes, rng, &mut deliveries);
         deliveries
     }
@@ -458,6 +493,14 @@ impl Medium {
     /// and fills it with this frame's deliveries. A driver that owns `out`
     /// and reuses it across calls pays no per-transmission heap allocation
     /// once the buffer has warmed up.
+    ///
+    /// Calls that repeat `now` and `sender_pos` back to back, with no
+    /// [`SpatialGrid::update`](crate::SpatialGrid::update) in between, are
+    /// one burst: the later frames reuse the first one's candidate list and
+    /// advance its interference counts instead of recomputing them, with
+    /// identical results. One medium is driven against one grid; the grid
+    /// is told apart by its update count only, so do not swap another one
+    /// in between two frames of the same instant.
     #[allow(clippy::too_many_arguments)]
     pub fn transmit_indexed_into(
         &mut self,
@@ -470,19 +513,31 @@ impl Medium {
         out: &mut Vec<Delivery>,
     ) {
         out.clear();
-        self.begin_transmission(now, sender_pos, packet);
-        let mut candidates = std::mem::take(&mut self.candidates);
-        let mut scratch = std::mem::take(&mut self.candidate_scratch);
-        grid.candidates_within_scratch(
+        let key = BurstKey {
+            now,
             sender_pos,
-            self.propagation.max_range(),
-            &mut candidates,
-            &mut scratch,
-        );
+            grid_generation: grid.generation(),
+        };
+        let continued = self.begin_transmission(now, sender_pos, packet, Some(key));
+        let mut candidates = std::mem::take(&mut self.candidates);
+        if !continued {
+            grid.candidates_within_scratch(
+                sender_pos,
+                self.propagation.max_range(),
+                &mut candidates,
+                &mut self.candidate_scratch,
+            );
+        }
         self.deliver(now, sender, sender_pos, packet, &candidates, rng, out);
-        candidates.clear();
         self.candidates = candidates;
-        self.candidate_scratch = scratch;
+    }
+
+    /// Forgets the burst state, so the next frame starts from a fresh
+    /// snapshot whatever its key: the reference the burst path is pinned
+    /// against.
+    #[cfg(test)]
+    fn forget_burst(&mut self) {
+        self.burst.key = None;
     }
 
     /// Books the transmission into the contention window and the statistics,
@@ -498,16 +553,36 @@ impl Medium {
     /// cells around the sender instead of a scan of every in-window
     /// transmission in the fleet; the predicates are unchanged, so the
     /// snapshot multiset — and every count derived from it — is identical.
-    fn begin_transmission(&mut self, now: SimTime, sender_pos: Position, packet: &Packet) {
+    ///
+    /// Returns whether this frame continues a burst: `key` equals the
+    /// previous frame's, so no other transmission was booked in between
+    /// (each one overwrites the key), time has not advanced and the grid has
+    /// not changed. The window is then the previous snapshot plus this
+    /// frame, and the previous candidate list still stands.
+    fn begin_transmission(
+        &mut self,
+        now: SimTime,
+        sender_pos: Position,
+        packet: &Packet,
+        key: Option<BurstKey>,
+    ) -> bool {
         let keep = self.config.mac.contention_window_s * 4.0;
         self.recent.push(now, sender_pos, keep);
         self.stats.transmissions.incr();
         self.stats.bytes_transmitted.add(packet.size_bytes() as u64);
+        if key.is_some() && key == self.burst.key {
+            self.snapshot.push(sender_pos);
+            self.burst.frames += 1;
+            return true;
+        }
+        self.burst.key = key;
+        self.burst.frames = 1;
         let window = self.config.mac.contention_window_s;
         let relevant = Self::relevant_range(self.propagation.as_ref());
         self.snapshot.clear();
         self.recent
             .collect_window(now, sender_pos, window, relevant, &mut self.snapshot);
+        false
     }
 
     /// Runs the propagation / contention / collision pipeline over the
@@ -529,19 +604,30 @@ impl Medium {
         // self-discount, so the scans can be skipped outright (the RNG draws
         // they feed still happen, so outcomes are identical).
         let snapshot_trivial = self.snapshot.len() <= 1;
+        // 1 for every frame that starts from a fresh snapshot; from 2 on the
+        // counts are carried instead of rescanned (see `Burst`).
+        let frame = self.burst.frames;
+        if frame == 2 {
+            self.burst.receiver_counts.clear();
+            self.burst.receiver_counts.resize(nodes.len(), (0, 0));
+        }
+        self.burst.sender_count = if frame > 1 {
+            // The sender is within any range of itself.
+            self.burst.sender_count + 1
+        } else if snapshot_trivial {
+            1
+        } else {
+            count_within(&self.snapshot, sender_pos, interference_range)
+        };
         // `begin_transmission` has already pushed this frame into the window
         // (and the snapshot), so discount it when counting contenders.
-        let contenders = if snapshot_trivial {
-            0
-        } else {
-            count_within(&self.snapshot, sender_pos, interference_range).saturating_sub(1)
-        };
+        let contenders = self.burst.sender_count.saturating_sub(1);
         let backoff = self.config.mac.sample_backoff(contenders, rng);
         let tx_delay = self.config.mac.transmission_delay(packet.size_bytes());
         let processing = vanet_sim::SimDuration::from_secs(self.config.mac.processing_delay_s);
         let range_filter = WithinFilter::new(self.propagation.max_range());
 
-        for &(node, pos) in nodes {
+        for (at, &(node, pos)) in nodes.iter().enumerate() {
             if node == sender {
                 continue;
             }
@@ -567,8 +653,19 @@ impl Medium {
             }
             let interferers = if snapshot_trivial {
                 0
-            } else {
+            } else if frame == 1 {
                 count_within(&self.snapshot, pos, interference_range).saturating_sub(1)
+            } else {
+                // Counted lazily, here, so only receivers that passed
+                // propagation pay a scan — once per burst.
+                let (counted_at, count) = &mut self.burst.receiver_counts[at];
+                if *counted_at == 0 {
+                    *count = count_within(&self.snapshot, pos, interference_range);
+                } else if within(sender_pos, pos, interference_range) {
+                    *count += (frame - *counted_at) as usize;
+                }
+                *counted_at = frame;
+                count.saturating_sub(1)
             };
             if !self.config.mac.sample_collision_survival(interferers, rng) {
                 self.stats.collision_losses.incr();
@@ -935,6 +1032,177 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A channel that reaches further than it interferes (`max_range` is
+    /// 3× nominal, interference 2×): the one shape where a burst's sender is
+    /// outside a receiver's interference range. No in-tree model has it; the
+    /// trait allows it.
+    #[derive(Debug)]
+    struct LongReach;
+
+    impl PropagationModel for LongReach {
+        fn reception_probability(&self, distance_m: f64) -> f64 {
+            if distance_m <= 180.0 {
+                0.8
+            } else {
+                0.0
+            }
+        }
+
+        fn nominal_range(&self) -> f64 {
+            60.0
+        }
+
+        fn max_range(&self) -> f64 {
+            180.0
+        }
+    }
+
+    /// Property: carrying the snapshot, the candidate list and the integer
+    /// interference counts across the frames of a burst changes nothing.
+    /// Two media on the same seeds see the same randomized mix — bursts of
+    /// 1–40 frames, unicast and broadcast, interleaved senders at distinct
+    /// and at shared positions, an active fault zone, unit-disk, shadowing
+    /// and long-reach channels, time standing still between bursts, and
+    /// grid updates between frames of one instant. One forgets its burst
+    /// state before every frame; deliveries, statistics and the next RNG
+    /// draw must be identical.
+    #[test]
+    fn burst_continuation_matches_a_fresh_snapshot_per_frame() {
+        let make = |channel: u64| {
+            let propagation: Box<dyn PropagationModel + Send> = match channel {
+                0 => Box::new(UnitDisk::new(120.0)),
+                1 => Box::new(LogNormalShadowing::new(120.0, 2.7, 4.0)),
+                _ => Box::new(LongReach),
+            };
+            let mut m = Medium::new(MediumConfig::default(), propagation);
+            let zone = m.add_fault_zone(Vec2::new(300.0, -50.0), Vec2::new(700.0, 50.0), 0.3);
+            m.set_fault_zone_active(zone, true);
+            m
+        };
+        let mut continued = 0;
+        for case in 0..24_u64 {
+            let mut plan = SimRng::new(0xb0057 + case);
+            let (mut carried, mut fresh) = (make(case % 3), make(case % 3));
+            let cell = carried.propagation().max_range();
+            // Forty nodes in clusters along a road; two share a position.
+            let mut nodes: Vec<(NodeId, Position)> = (0..40)
+                .map(|i| {
+                    let x = (i / 4) as f64 * 90.0 + plan.uniform_range(0.0, 60.0);
+                    (NodeId(i), Vec2::new(x, plan.uniform_range(-8.0, 8.0)))
+                })
+                .collect();
+            nodes[7].1 = nodes[6].1;
+            let mut grid = crate::SpatialGrid::build(cell, &nodes);
+            let (mut rng_a, mut rng_b) = (SimRng::new(case), SimRng::new(case));
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for _ in 0..60 {
+                if plan.chance(0.6) {
+                    now += vanet_sim::SimDuration::from_secs(plan.uniform_range(0.0, 0.02));
+                }
+                let sender = (plan.next_u64() % 40) as usize;
+                let frames = 1 + plan.next_u64() % 40;
+                for _ in 0..frames {
+                    // Now and then another sender cuts in, or a node moves
+                    // (possibly the sender) without time advancing.
+                    let from = if plan.chance(0.1) {
+                        (plan.next_u64() % 40) as usize
+                    } else {
+                        sender
+                    };
+                    if plan.chance(0.05) {
+                        let moved = (plan.next_u64() % 40) as usize;
+                        let to = nodes[moved].1 + Vec2::new(plan.uniform_range(-40.0, 40.0), 0.0);
+                        grid.update(nodes[moved].0, nodes[moved].1, to);
+                        nodes[moved].1 = to;
+                    }
+                    let (id, pos) = nodes[from];
+                    let packet = if plan.chance(0.5) {
+                        Packet::broadcast(id, PacketKind::Hello, 32)
+                    } else {
+                        let mut data = Packet::data(id, NodeId(0), 200);
+                        data.next_hop = Some(NodeId((plan.next_u64() % 40) as u32));
+                        data
+                    };
+                    let frames_before = carried.burst.frames;
+                    carried.transmit_indexed_into(
+                        now, id, pos, &packet, &grid, &mut rng_a, &mut out_a,
+                    );
+                    continued += usize::from(carried.burst.frames > frames_before);
+                    fresh.forget_burst();
+                    fresh.transmit_indexed_into(
+                        now, id, pos, &packet, &grid, &mut rng_b, &mut out_b,
+                    );
+                    assert_eq!(fresh.burst.frames, 1);
+                    assert_eq!(out_a, out_b, "case {case}: deliveries diverged");
+                }
+            }
+            assert_eq!(
+                carried.stats(),
+                fresh.stats(),
+                "case {case}: stats diverged"
+            );
+            assert_eq!(
+                rng_a.next_u64(),
+                rng_b.next_u64(),
+                "case {case}: RNG diverged"
+            );
+            assert!(carried.stats().collision_losses.value() > 0);
+            assert!(carried.stats().fault_losses.value() > 0);
+        }
+        assert!(continued > 10_000, "the burst path barely ran: {continued}");
+    }
+
+    /// The slice form takes arbitrary receivers, so nothing carries over it:
+    /// a frame after it starts fresh even at the same instant and position.
+    #[test]
+    fn slice_transmit_resets_the_burst() {
+        let mut m = medium_unit_disk(250.0);
+        let nodes = nodes_on_a_line(4, 100.0);
+        let grid = crate::SpatialGrid::build(250.0, &nodes);
+        let pkt = Packet::broadcast(NodeId(0), PacketKind::Hello, 0);
+        let mut rng = SimRng::new(14);
+        let mut out = Vec::new();
+        m.transmit_indexed_into(
+            SimTime::ZERO,
+            NodeId(0),
+            Vec2::ZERO,
+            &pkt,
+            &grid,
+            &mut rng,
+            &mut out,
+        );
+        m.transmit_indexed_into(
+            SimTime::ZERO,
+            NodeId(0),
+            Vec2::ZERO,
+            &pkt,
+            &grid,
+            &mut rng,
+            &mut out,
+        );
+        assert_eq!(m.burst.frames, 2);
+        m.transmit(
+            SimTime::ZERO,
+            NodeId(0),
+            Vec2::ZERO,
+            &pkt,
+            &nodes[..2],
+            &mut rng,
+        );
+        m.transmit_indexed_into(
+            SimTime::ZERO,
+            NodeId(0),
+            Vec2::ZERO,
+            &pkt,
+            &grid,
+            &mut rng,
+            &mut out,
+        );
+        assert_eq!(m.burst.frames, 1);
+        assert_eq!(out.len(), 2, "the full candidate list, not the slice");
     }
 
     #[test]

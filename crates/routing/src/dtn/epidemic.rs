@@ -43,7 +43,7 @@ impl Epidemic {
         from: NodeId,
         have: &[(NodeId, u64)],
     ) {
-        let mut outgoing: Vec<Packet> = Vec::new();
+        let occupancy = self.core.buffer.len();
         for bundle in self.core.buffer.iter() {
             if summary_contains(have, bundle.key()) {
                 continue;
@@ -51,11 +51,7 @@ impl Epidemic {
             if !bundle.packet.ttl_allows_forwarding() {
                 continue;
             }
-            outgoing.push(ctx.stamp(bundle.packet.forwarded_by(ctx.node, Some(from))));
-        }
-        let occupancy = self.core.buffer.len();
-        for packet in outgoing {
-            ctx.transmit(packet);
+            ctx.transmit(ctx.stamp(bundle.packet.forwarded_by(ctx.node, Some(from))));
             ctx.bundle_event(BundleOp::Forwarded, occupancy);
         }
     }

@@ -14,8 +14,9 @@
 //! | 20 | [`SprayAndWait`] | binary copy-ticket splitting, then direct-only wait |
 //! | 21 | [`ProbFlood`] | hop-gated probabilistic rebroadcast, plus carry |
 //!
-//! All four are built on the same substrate: a bounded, preallocated
-//! [`BundleBuffer`] with a pluggable [`DropPolicy`], lazy TTL expiry checked
+//! All four are built on the same substrate: a bounded [`BundleBuffer`]
+//! whose slots materialise on demand, with a pluggable [`DropPolicy`], lazy
+//! TTL expiry checked
 //! from the per-node maintenance deadline already riding the cancellable
 //! timer wheel, and a custody handshake ([`vanet_net::PacketKind::CustodyAck`])
 //! that lets a node release responsibility for a bundle once a downstream
@@ -56,7 +57,9 @@ use vanet_sim::{NodeId, SimDuration};
 /// protocol that never buffers a bundle never reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DtnParams {
-    /// Per-node bundle-buffer capacity.
+    /// Per-node bundle-buffer capacity: a bound, not a reservation. A
+    /// buffer holds ≈264 B per slot it has ever occupied at once and scans
+    /// only those, so a generous capacity costs nothing until it is used.
     pub buffer_capacity: usize,
     /// Bundle lifetime, measured from the bundle's creation time.
     pub bundle_ttl: SimDuration,

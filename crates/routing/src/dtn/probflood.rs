@@ -142,22 +142,12 @@ impl RoutingProtocol for ProbFlood {
         // A node we had not seen before is in range: re-offer the carried
         // bundles through the same hop gate, drawing the coin flips in slot
         // order so the RNG stream is deterministic.
-        let mut candidates: Vec<(u32, Packet)> = Vec::new();
-        for bundle in self.core.buffer.iter() {
-            if bundle.packet.ttl_allows_forwarding() {
-                candidates.push((bundle.packet.hops, bundle.packet.clone()));
-            }
-        }
-        let mut outgoing: Vec<Packet> = Vec::new();
-        for (hops, packet) in candidates {
-            if Self::gate(hops, ctx) {
-                outgoing.push(ctx.stamp(packet.forwarded_by(ctx.node, None)));
-            }
-        }
         let occupancy = self.core.buffer.len();
-        for packet in outgoing {
-            ctx.transmit(packet);
-            ctx.bundle_event(BundleOp::Forwarded, occupancy);
+        for bundle in self.core.buffer.iter() {
+            if bundle.packet.ttl_allows_forwarding() && Self::gate(bundle.packet.hops, ctx) {
+                ctx.transmit(ctx.stamp(bundle.packet.forwarded_by(ctx.node, None)));
+                ctx.bundle_event(BundleOp::Forwarded, occupancy);
+            }
         }
     }
 }

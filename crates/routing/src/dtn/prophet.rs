@@ -124,7 +124,7 @@ impl Prophet {
         // Forward bundles the peer lacks and is a better carrier for. The
         // peer's predictability for a destination comes from the same
         // (sorted) piggybacked table.
-        let mut outgoing: Vec<Packet> = Vec::new();
+        let occupancy = self.core.buffer.len();
         for bundle in self.core.buffer.iter() {
             if summary_contains(have, bundle.key()) {
                 continue;
@@ -141,13 +141,9 @@ impl Prophet {
                 .unwrap_or(0.0);
             let own_p = self.predictability(destination);
             if destination == from || peer_p > own_p {
-                outgoing.push(ctx.stamp(bundle.packet.forwarded_by(ctx.node, Some(from))));
+                ctx.transmit(ctx.stamp(bundle.packet.forwarded_by(ctx.node, Some(from))));
+                ctx.bundle_event(BundleOp::Forwarded, occupancy);
             }
-        }
-        let occupancy = self.core.buffer.len();
-        for packet in outgoing {
-            ctx.transmit(packet);
-            ctx.bundle_event(BundleOp::Forwarded, occupancy);
         }
     }
 

@@ -55,7 +55,7 @@ impl SprayAndWait {
         from: NodeId,
         have: &[(NodeId, u64)],
     ) {
-        let mut outgoing: Vec<Packet> = Vec::new();
+        let occupancy = self.core.buffer.len();
         for bundle in self.core.buffer.iter_mut() {
             if summary_contains(have, bundle.key()) {
                 continue;
@@ -63,25 +63,21 @@ impl SprayAndWait {
             if !bundle.packet.ttl_allows_forwarding() {
                 continue;
             }
-            if bundle.packet.destination == Some(from) {
+            let give = if bundle.packet.destination == Some(from) {
                 // Direct transmission: delivery never costs a ticket.
-                let mut copy = bundle.packet.forwarded_by(ctx.node, Some(from));
-                copy.copies = 1;
-                outgoing.push(copy);
+                1
             } else if bundle.copies > 1 {
                 // Spray phase: hand over half of the remaining tickets.
                 let give = bundle.copies / 2;
                 bundle.copies -= give;
-                let mut copy = bundle.packet.forwarded_by(ctx.node, Some(from));
-                copy.copies = give;
-                outgoing.push(copy);
-            }
-            // Wait phase (copies == 1): hold for the destination.
-        }
-        let occupancy = self.core.buffer.len();
-        for packet in outgoing {
-            let stamped = ctx.stamp(packet);
-            ctx.transmit(stamped);
+                give
+            } else {
+                // Wait phase (copies == 1): hold for the destination.
+                continue;
+            };
+            let mut copy = bundle.packet.forwarded_by(ctx.node, Some(from));
+            copy.copies = give;
+            ctx.transmit(ctx.stamp(copy));
             ctx.bundle_event(BundleOp::Forwarded, occupancy);
         }
     }
