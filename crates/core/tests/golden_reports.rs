@@ -13,7 +13,7 @@
 //! cargo test -p vanet-core --test golden_reports -- --ignored --nocapture regenerate
 //! ```
 
-use vanet_core::{run_scenario, ProtocolKind, Report, Scenario};
+use vanet_core::{run_scenario, ProtocolKind, Report, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -183,8 +183,41 @@ fn dtn_protocols_match_their_pins_on_the_disrupted_highway() {
     );
 }
 
-/// Prints both pin lists for pasting into `PINS` and `DTN_PINS`. Run with
-/// `--ignored`.
+/// The regime the repo benchmark's `highway-yan` workload measures and the
+/// 30-vehicle pins above never reach (mean degree 3.8, nothing delivered):
+/// the congested Table-I highway, 480 vehicles and ≈58 neighbours each, so
+/// every ticket hop ranks dozens of candidates by link stability. 8 s puts
+/// 3 s of live flows after the scenario's 5 s warm-up.
+fn congested_scenario() -> Scenario {
+    Scenario::highway_regime(TrafficRegime::Congested)
+        .with_seed(7)
+        .with_flows(32)
+        .with_duration(SimDuration::from_secs(8.0))
+}
+
+const YAN_KINDS: [ProtocolKind; 2] = [ProtocolKind::Yan, ProtocolKind::YanTbpss];
+
+/// Pinned [`fingerprint`]s on [`congested_scenario`], in `YAN_KINDS` order.
+/// Captured at seed 7 from the engine whose `expected_link_duration`
+/// evaluated `Normal::pdf` at every quadrature sample.
+const YAN_PINS: &[&str] = &[
+    "Yan|sent=96 dlvd=6 dup=0 pdr=0.0625 delay=0.3440361181262269 maxdelay=2.012383372964573 hops=2.5 ctrl=4296 ctrlB=142320 dtx=30 rerr=0 drops=21 nbr=58.03776041666673",
+    "Yan-TBPSS|sent=96 dlvd=3 dup=0 pdr=0.03125 delay=0.002247248680540418 maxdelay=0.004552204258257753 hops=1.0 ctrl=4298 ctrlB=142076 dtx=3 rerr=0 drops=24 nbr=58.04114583333327",
+];
+
+#[test]
+fn yan_variants_match_their_pins_on_the_congested_highway() {
+    assert_pinned(
+        "congested-highway ticket-probing reports diverged",
+        &YAN_KINDS,
+        YAN_PINS,
+        congested_scenario,
+        fingerprint,
+    );
+}
+
+/// Prints the pin lists for pasting into `PINS`, `DTN_PINS` and `YAN_PINS`.
+/// Run with `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate() {
@@ -196,5 +229,10 @@ fn regenerate() {
     for kind in DTN_KINDS {
         let report = run_scenario(disrupted_scenario(), kind);
         println!("    {:?},", dtn_fingerprint(&report));
+    }
+    println!();
+    for kind in YAN_KINDS {
+        let report = run_scenario(congested_scenario(), kind);
+        println!("    {:?},", fingerprint(&report));
     }
 }

@@ -14,8 +14,11 @@
 //! * [`receipt_probability`] — REAR's receipt probability from the log-normal
 //!   shadowing signal-strength model.
 
+// lint: hot-path
+
 use serde::{Deserialize, Serialize};
-use vanet_mobility::distributions::{std_normal_cdf, Normal};
+use std::sync::OnceLock;
+use vanet_mobility::distributions::std_normal_cdf;
 
 /// A probabilistic model of one link's remaining duration, built from the
 /// mobility information a node has about a neighbour (relative speed mean and
@@ -81,15 +84,72 @@ impl LinkDurationModel {
     }
 }
 
+/// Lifetimes are capped here, seconds: a link whose relative speed is
+/// (almost) zero is effectively unbounded.
+const CAP: f64 = 3_600.0;
+
+/// Half-width of the dead band around `v = 0` inside which the lifetime is
+/// the cap, m/s.
+const DEAD_BAND: f64 = 1e-3;
+
+/// The speed grid of [`expected_link_duration`]: `STEPS` equal steps across
+/// `mean ± SPAN·σ`, so `STEPS + 1` samples.
+const STEPS: usize = 2_000;
+const SPAN: f64 = 6.0;
+
+/// Constant-speed lifetime of a link at (clamped) separation `d0` when the
+/// relative speed is exactly `v`: `(r − d₀)/v` when separating (`v > 0`),
+/// `(r + d₀)/|v|` when closing, capped at [`CAP`], and the cap itself inside
+/// the dead band.
+#[inline]
+fn constant_speed_lifetime(d0: f64, v: f64, range: f64) -> f64 {
+    if v.abs() < DEAD_BAND {
+        CAP
+    } else if v > 0.0 {
+        ((range - d0) / v).min(CAP)
+    } else {
+        ((range + d0) / -v).min(CAP)
+    }
+}
+
+/// The standard-normal trapezoid weights on the fixed abscissae
+/// `z_k = −SPAN + 2·SPAN·k/STEPS` (`exp(−z_k²/2)`, endpoints halved) and
+/// their ascending-`k` sum. One table for the process: it is filled from the
+/// closed-form `z_k`, so every thread sees the same bits.
+fn quadrature_weights() -> &'static ([f64; STEPS + 1], f64) {
+    static TABLE: OnceLock<([f64; STEPS + 1], f64)> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut weights = [0.0; STEPS + 1];
+        for (k, w) in weights.iter_mut().enumerate() {
+            let z = -SPAN + 2.0 * SPAN * k as f64 / STEPS as f64;
+            *w = (-0.5 * z * z).exp();
+        }
+        weights[0] *= 0.5;
+        weights[STEPS] *= 0.5;
+        let total = weights.iter().sum();
+        (weights, total)
+    })
+}
+
 /// Expected link duration `E[T]` when the relative speed `V` is
 /// `Normal(mean, std)`: for each realisation `v`, the deterministic
 /// constant-speed lifetime is `(r − d₀)/v` when separating (`v > 0`) and
-/// `(r + d₀)/|v|` when closing; the expectation is taken numerically over the
-/// speed distribution (integrating the normal density on ±6σ), excluding a
-/// small dead band around `v = 0` where the lifetime is effectively unbounded
-/// and capped at `cap = 3600 s`.
+/// `(r + d₀)/|v|` when closing; the expectation is the trapezoid sum of that
+/// lifetime against the normal density over `mean ± 6σ` in 2,000 equal
+/// steps, excluding a small dead band around `v = 0` where the lifetime is
+/// effectively unbounded and capped at `cap = 3600 s`.
 ///
-/// Returns the cap when the relative speed is (almost) deterministically zero.
+/// The samples `v_k = mean − 6σ + k·(12σ/2000)` depend on the arguments, but
+/// their standardised abscissae `z_k = −6 + 12k/2000` do not, so the density
+/// weights `exp(−z_k²/2)` are the same 2,001 numbers on every call and come
+/// from a process-wide table; the normalising constant `1/(σ√2π)` is common
+/// to the weighted sum and the weight total and cancels in their quotient.
+/// A call is therefore one division per sample and no transcendental. The
+/// result agrees with the previous formulation — `Normal::pdf` evaluated at
+/// each `v_k` — to ≤ 1e-12 relative (that one took `exp` of the *rounded*
+/// `(v_k − mean)/σ`), and is a pure function of its arguments.
+///
+/// Returns the constant-speed lifetime at `mean` when `std == 0`.
 ///
 /// # Panics
 ///
@@ -98,39 +158,20 @@ impl LinkDurationModel {
 pub fn expected_link_duration(separation: f64, mean: f64, std: f64, range: f64) -> f64 {
     assert!(range > 0.0, "range must be positive");
     assert!(std >= 0.0, "std must be non-negative");
-    const CAP: f64 = 3_600.0;
     let d0 = separation.clamp(-range, range);
-    let lifetime = |v: f64| -> f64 {
-        if v.abs() < 1e-3 {
-            CAP
-        } else if v > 0.0 {
-            ((range - d0) / v).min(CAP)
-        } else {
-            ((range + d0) / -v).min(CAP)
-        }
-    };
     if std == 0.0 {
-        return lifetime(mean);
+        return constant_speed_lifetime(d0, mean, range);
     }
-    let dist = Normal::new(mean, std);
-    // Numerical expectation over ±6σ with Simpson-friendly uniform steps.
-    let lo = mean - 6.0 * std;
-    let hi = mean + 6.0 * std;
-    let steps = 2_000;
-    let h = (hi - lo) / steps as f64;
+    let lo = mean - SPAN * std;
+    let hi = mean + SPAN * std;
+    let h = (hi - lo) / STEPS as f64;
+    let (weights, total) = quadrature_weights();
     let mut acc = 0.0;
-    let mut weight = 0.0;
-    for k in 0..=steps {
+    for (k, w) in weights.iter().enumerate() {
         let v = lo + k as f64 * h;
-        let w = dist.pdf(v) * if k == 0 || k == steps { 0.5 } else { 1.0 };
-        acc += w * lifetime(v);
-        weight += w;
+        acc += w * constant_speed_lifetime(d0, v, range);
     }
-    if weight <= 0.0 {
-        CAP
-    } else {
-        acc / weight
-    }
+    acc / total
 }
 
 /// The *mean link duration* ("stability" in Yan et al.'s TBP-SS): the
@@ -144,16 +185,7 @@ pub fn expected_link_duration(separation: f64, mean: f64, std: f64, range: f64) 
 #[must_use]
 pub fn mean_link_duration(separation: f64, mean_relative_speed: f64, range: f64) -> f64 {
     assert!(range > 0.0, "range must be positive");
-    const CAP: f64 = 3_600.0;
-    let d0 = separation.clamp(-range, range);
-    let v = mean_relative_speed;
-    if v.abs() < 1e-3 {
-        CAP
-    } else if v > 0.0 {
-        ((range - d0) / v).min(CAP)
-    } else {
-        ((range + d0) / -v).min(CAP)
-    }
+    constant_speed_lifetime(separation.clamp(-range, range), mean_relative_speed, range)
 }
 
 /// Link availability `L(t) = P(link alive at t | alive now)` under a
@@ -248,8 +280,119 @@ pub fn receipt_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vanet_mobility::distributions::Normal;
+    use vanet_sim::SimRng;
 
     const R: f64 = 250.0;
+
+    /// The formulation [`expected_link_duration`] replaced, kept verbatim as
+    /// the oracle: `Normal::pdf` — one `exp`, one division — at every sample
+    /// of the same grid, and its own copy of the lifetime rule. Returns the
+    /// expectation and the weight sum it normalised by.
+    fn reference_expected_link_duration(
+        separation: f64,
+        mean: f64,
+        std: f64,
+        range: f64,
+    ) -> (f64, f64) {
+        let d0 = separation.clamp(-range, range);
+        let lifetime = |v: f64| -> f64 {
+            if v.abs() < 1e-3 {
+                3_600.0
+            } else if v > 0.0 {
+                ((range - d0) / v).min(3_600.0)
+            } else {
+                ((range + d0) / -v).min(3_600.0)
+            }
+        };
+        let dist = Normal::new(mean, std);
+        let lo = mean - 6.0 * std;
+        let hi = mean + 6.0 * std;
+        let steps = 2_000;
+        let h = (hi - lo) / steps as f64;
+        let mut acc = 0.0;
+        let mut weight = 0.0;
+        for k in 0..=steps {
+            let v = lo + k as f64 * h;
+            let w = dist.pdf(v) * if k == 0 || k == steps { 0.5 } else { 1.0 };
+            acc += w * lifetime(v);
+            weight += w;
+        }
+        (acc / weight, weight)
+    }
+
+    fn assert_agrees_with_reference(separation: f64, mean: f64, std: f64, range: f64) {
+        let table = expected_link_duration(separation, mean, std, range);
+        let (reference, _) = reference_expected_link_duration(separation, mean, std, range);
+        assert!(
+            (table - reference).abs() <= 1e-12 * reference.abs(),
+            "table {table:?} vs reference {reference:?} \
+             (separation {separation:?}, mean {mean:?}, std {std:?}, range {range:?})"
+        );
+    }
+
+    const STDS: [f64; 7] = [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0];
+    const RANGES: [f64; 3] = [120.0, 250.0, 500.0];
+
+    #[test]
+    fn table_kernel_agrees_with_per_sample_pdf_on_seeded_inputs() {
+        let mut rng = SimRng::new(0x7AB1E);
+        for _ in 0..2_000 {
+            let range = *rng.choose(&RANGES).unwrap();
+            let std = *rng.choose(&STDS).unwrap();
+            let separation = rng.uniform_range(-range, range);
+            let mean = rng.uniform_range(-60.0, 60.0);
+            assert_agrees_with_reference(separation, mean, std, range);
+        }
+    }
+
+    #[test]
+    fn table_kernel_agrees_with_per_sample_pdf_on_the_edges() {
+        for range in RANGES {
+            for std in STDS {
+                // `mean = 0` puts grid point 1000 on `v = 0`, inside the dead
+                // band (at `std = 1e-3` a third of the grid is inside it).
+                for mean in [0.0, -60.0, 60.0, 5e-4, -5e-4] {
+                    for separation in [-range, range, 0.0, 2.0 * range] {
+                        assert_agrees_with_reference(separation, mean, std, range);
+                    }
+                }
+                // The cap takes over where `|v| < gap / CAP`: put that speed on
+                // grid point `k`, then just either side of it.
+                let separation = 0.25 * range;
+                let cap_speed = (range - separation) / CAP;
+                for k in [900, 1_000, 1_100, 1_999] {
+                    let offset = -SPAN * std + k as f64 * (2.0 * SPAN * std / STEPS as f64);
+                    for nudge in [0.0, 1e-9, -1e-9] {
+                        let mean = cap_speed - offset + nudge;
+                        assert_agrees_with_reference(separation, mean, std, range);
+                        assert_agrees_with_reference(-separation, -mean, std, range);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_total_is_the_reference_weight_sum_without_its_normalising_constant() {
+        let (weights, total) = quadrature_weights();
+        assert_eq!(weights.len(), 2_001);
+        assert_eq!(weights[1_000], 1.0);
+        assert_eq!(weights[0], 0.5 * (-18.0f64).exp());
+        assert_eq!(weights[0], weights[2_000]);
+        // The reference rounds `(v_k − mean)/σ`, which costs it
+        // `ulp(mean)/σ` per abscissa, so it is held to 1e-14 where that is
+        // small: any σ around `mean = 0`, and the protocol's σ = 3 m/s.
+        let cases = STDS.map(|std| (0.0, std)).into_iter();
+        for (mean, std) in cases.chain([(17.5, 3.0), (-42.0, 3.0), (60.0, 10.0)]) {
+            let (_, weight) = reference_expected_link_duration(0.0, mean, std, R);
+            let scaled = weight * std * (2.0 * std::f64::consts::PI).sqrt();
+            assert!(
+                (total - scaled).abs() <= 1e-14 * total,
+                "table total {total:?} vs reference {scaled:?} (mean {mean:?}, std {std:?})"
+            );
+        }
+    }
 
     #[test]
     fn expected_duration_decreases_with_relative_speed() {
