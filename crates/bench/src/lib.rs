@@ -2,12 +2,10 @@
 //!
 //! Each `figN_*` function regenerates the data behind the corresponding
 //! figure of the paper; `table1` regenerates the category comparison. The
-//! binaries in `src/bin/` print the results, and the Criterion benches in
-//! `benches/` time the underlying models and run scaled-down versions of the
-//! same experiments so regressions in simulation cost are caught.
+//! binaries in `src/bin/` print the results.
 //!
 //! All generators accept a [`Effort`] knob: `Quick` keeps runs short enough
-//! for CI and Criterion; `Full` produces the numbers recorded in
+//! for CI; `Full` produces the numbers recorded in
 //! `EXPERIMENTS.md`.
 //!
 //! Every simulation-backed generator executes through the `vanet-runner`
@@ -15,13 +13,11 @@
 //! cores while staying byte-identical to a serial run; the per-cell
 //! [`vanet_runner::Summary`] statistics are available via the `*_campaign`
 //! variants, with the legacy mean-`Report` return types kept for the
-//! binaries and Criterion benches.
+//! binaries.
 
 #![warn(missing_docs)]
 
-use vanet_core::{
-    render_table, run_scenario, ExperimentCell, ProtocolKind, Report, Scenario, TrafficRegime,
-};
+use vanet_core::{render_table, ExperimentCell, ProtocolKind, Report, Scenario, TrafficRegime};
 use vanet_links::direction::{same_direction, DirectionGroup};
 use vanet_links::lifetime::{link_lifetime_constant_acceleration, link_lifetime_constant_speed};
 use vanet_links::probability::expected_link_duration;
@@ -32,7 +28,7 @@ use vanet_sim::SimDuration;
 /// How much work an experiment generator should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Short runs: suitable for CI and Criterion iterations.
+    /// Short runs: suitable for CI.
     Quick,
     /// The full runs recorded in EXPERIMENTS.md.
     Full,
@@ -278,16 +274,6 @@ pub fn table1(effort: Effort) -> Vec<ExperimentCell> {
 #[must_use]
 pub fn render(cells: &[ExperimentCell]) -> String {
     render_table(cells)
-}
-
-/// A single quick end-to-end run, used by the protocol benches.
-#[must_use]
-pub fn quick_run(kind: ProtocolKind, vehicles: usize, seed: u64) -> Report {
-    let scenario = Scenario::highway(vehicles)
-        .with_seed(seed)
-        .with_flows(2)
-        .with_duration(SimDuration::from_secs(15.0));
-    run_scenario(scenario, kind)
 }
 
 #[cfg(test)]

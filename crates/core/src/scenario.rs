@@ -387,16 +387,8 @@ impl Scenario {
     #[must_use]
     pub fn vehicle_count(&self) -> usize {
         match &self.layout {
-            RoadLayout::Highway(b) => {
-                // The builder stores the count; rebuild a tiny model to read it
-                // without exposing builder internals.
-                let mut rng = SimRng::new(0);
-                b.clone().build(&mut rng).states().len()
-            }
-            RoadLayout::Urban(b) => {
-                let mut rng = SimRng::new(0);
-                b.clone().build(&mut rng).states().len()
-            }
+            RoadLayout::Highway(b) => b.vehicle_count(),
+            RoadLayout::Urban(b) => b.vehicle_count(),
         }
     }
 

@@ -9,7 +9,7 @@
 //! over its tap ([`Simulation<T: Telemetry>`](crate::Simulation)), every
 //! hook has an empty inline default, and the [`NoTelemetry`] instantiation
 //! monomorphises to exactly the pre-telemetry code. The golden reports for
-//! all 21 protocols and the `--bench-gate` perf smoke pin that down.
+//! all 21 protocols pin that down.
 //!
 //! [`WindowedTap`] is the shipped implementation: it accumulates the hooks
 //! into preallocated fixed-interval [`WindowRecord`] counters (sealed by a

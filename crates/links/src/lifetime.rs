@@ -11,10 +11,8 @@
 //! along the direction of travel; speeds and accelerations are signed scalars
 //! along the same axis (the 1-D highway abstraction of Fig. 3).
 
-use serde::{Deserialize, Serialize};
-
 /// Which side of the range window the link breaks on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkBreakSide {
     /// The link breaks with vehicle `i` ahead of `j` (`d_t = +r`), i.e.
     /// `I(i,j) = 1`.
@@ -40,7 +38,7 @@ impl LinkBreakSide {
 }
 
 /// The predicted lifetime of a communication link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkLifetime {
     /// Time until the link breaks, in seconds (`f64::INFINITY` if never).
     pub duration_s: f64,

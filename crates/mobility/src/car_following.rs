@@ -5,10 +5,8 @@
 //! Table I talks about (mobility prediction becomes inaccurate) can actually
 //! be generated by raising the vehicle density.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Intelligent Driver Model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdmParams {
     /// Maximum acceleration, m/s².
     pub max_acceleration: f64,
@@ -92,7 +90,7 @@ impl IdmParams {
 }
 
 /// Information about the vehicle immediately ahead in the same lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeaderInfo {
     /// Bumper-to-bumper gap in metres.
     pub gap: f64,

@@ -1,11 +1,10 @@
 //! 2-D geometry primitives: vectors, positions, velocities and headings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 2-D vector in metres (or metres/second when used as a velocity).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component.
     pub x: f64,
@@ -229,7 +228,7 @@ impl WithinFilter {
 }
 
 /// A compass-free heading: the direction of travel as a unit vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heading(Vec2);
 
 impl Heading {

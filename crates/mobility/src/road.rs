@@ -5,10 +5,9 @@
 //! direction traffic flows on them and how they connect at intersections.
 
 use crate::geometry::{Heading, Position, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Direction of traffic flow on a directed road segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadDirection {
     /// Traffic travels from the segment start towards its end.
     Forward,
@@ -28,7 +27,7 @@ impl RoadDirection {
 }
 
 /// One lane of a road segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lane {
     /// Index of the lane within its segment (0 = rightmost).
     pub index: usize,
@@ -41,7 +40,7 @@ pub struct Lane {
 }
 
 /// A straight road segment between two endpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadSegment {
     /// Identifier of the segment within its network.
     pub id: usize,
@@ -140,7 +139,7 @@ impl RoadSegment {
 }
 
 /// A graph of road segments joined at shared endpoints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoadNetwork {
     segments: Vec<RoadSegment>,
 }

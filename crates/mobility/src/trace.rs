@@ -7,11 +7,10 @@
 
 use crate::geometry::{Position, Velocity};
 use crate::model::MobilityModel;
-use serde::{Deserialize, Serialize};
 use vanet_sim::{NodeId, SimTime};
 
 /// One recorded sample: where a vehicle was at a given time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Sample timestamp.
     pub time: SimTime,
@@ -24,7 +23,7 @@ pub struct TraceSample {
 }
 
 /// A time-ordered collection of [`TraceSample`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MobilityTrace {
     samples: Vec<TraceSample>,
 }

@@ -1,11 +1,10 @@
 //! Vehicle state: the kinematic snapshot every other subsystem consumes.
 
 use crate::geometry::{Heading, Position, Velocity};
-use serde::{Deserialize, Serialize};
 use vanet_sim::NodeId;
 
 /// The kind of a mobile (or fixed) node in the scenario.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum VehicleKind {
     /// A private car: the default VANET participant.
     #[default]
@@ -28,7 +27,7 @@ impl VehicleKind {
 }
 
 /// Kinematic state of one vehicle at the current simulation instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleState {
     /// The node this state belongs to.
     pub id: NodeId,

@@ -11,11 +11,10 @@
 //!   number of concurrent transmissions heard at the receiver. This is the
 //!   mechanism behind the broadcast-storm degradation of flooding protocols.
 
-use serde::{Deserialize, Serialize};
 use vanet_sim::{SimDuration, SimRng};
 
 /// Parameters of the simplified MAC layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacParams {
     /// Link data rate in bits per second (6 Mb/s DSRC default).
     pub data_rate_bps: f64,

@@ -11,14 +11,13 @@
 use crate::channel::PropagationModel;
 use crate::mac::MacParams;
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use vanet_mobility::geometry::{distance, within, WithinFilter};
 use vanet_mobility::Position;
 use vanet_sim::{Counter, NodeId, SimRng, SimTime};
 
 /// Configuration of the medium.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediumConfig {
     /// MAC parameters.
     pub mac: MacParams,
@@ -38,7 +37,7 @@ impl Default for MediumConfig {
 }
 
 /// One frame delivery produced by [`Medium::transmit`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Delivery {
     /// The node receiving the frame.
     pub receiver: NodeId,
@@ -52,7 +51,7 @@ pub struct Delivery {
 }
 
 /// Aggregate statistics collected by the medium.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MediumStats {
     /// Frames handed to the medium for transmission.
     pub transmissions: Counter,

@@ -2,12 +2,11 @@
 //! routing families (RREQ/RREP/RERR, HELLO beacons, probe tickets, zone
 //! location requests, acknowledgements).
 
-use serde::{Deserialize, Serialize};
 use vanet_mobility::{Position, Velocity};
 use vanet_sim::{FlowId, NodeId, PacketId, SeqNo, SimTime};
 
 /// Geographic addressing information carried by position-based protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoAddress {
     /// Last known position of the destination.
     pub position: Position,
@@ -20,7 +19,7 @@ pub struct GeoAddress {
 pub type RouteRecord = Vec<NodeId>;
 
 /// The kind of a packet, together with kind-specific header fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {
     /// Application data.
     Data,
@@ -172,7 +171,7 @@ impl PacketKind {
 /// A packet is either *unicast* (has a `next_hop`) or *broadcast*
 /// (`next_hop == None`), and carries an optional final `destination`
 /// (broadcast floods such as HELLO have none).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Unique identifier (assigned by the originating node).
     pub id: PacketId,

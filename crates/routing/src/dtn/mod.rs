@@ -45,7 +45,6 @@ pub use prophet::Prophet;
 pub use spray::SprayAndWait;
 
 use crate::protocol::{BundleOp, DropReason, ProtocolContext};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use vanet_net::{Packet, PacketKind};
 use vanet_sim::{NodeId, SimDuration};
@@ -55,7 +54,7 @@ use vanet_sim::{NodeId, SimDuration};
 ///
 /// The default values leave the 17 connected-path protocols untouched: a
 /// protocol that never buffers a bundle never reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtnParams {
     /// Per-node bundle-buffer capacity: a bound, not a reservation. A
     /// buffer holds ≈264 B per slot it has ever occupied at once and scans

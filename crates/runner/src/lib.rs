@@ -58,23 +58,18 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bench;
 pub mod campaign;
 pub mod catalog;
 pub mod engine;
 pub mod export;
 pub mod journal;
 pub mod manifest;
+mod rss;
 pub mod scenario_spec;
 pub mod summary;
 pub mod telemetry;
 
 pub use analysis::{metric_value, run_analyze, welch_t_test, AnalyzeReport, WelchResult};
-pub use bench::{
-    gate_events_per_sec, peak_rss_bytes, render_bench_json, render_fleet_bench_json,
-    run_fleet_bench, run_hotpath_bench, run_hotpath_bench_tapped, BenchOutcome, BenchRun,
-    FleetBenchOutcome, FleetRun,
-};
 pub use campaign::{protocol_by_name, CampaignSpec, Job};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
@@ -83,6 +78,7 @@ pub use export::{
 };
 pub use journal::{Journal, JournalEntry, QuarantineEntry, JOURNAL_FILE};
 pub use manifest::{ManifestEntry, MANIFEST_FILE};
+pub use rss::peak_rss_bytes;
 pub use scenario_spec::ScenarioParseError;
 pub use summary::{t_critical_95, Summary, SummaryStat, METRIC_NAMES};
 pub use telemetry::{TelemetryEntry, TelemetryLog, TELEMETRY_FILE};

@@ -351,7 +351,7 @@ fn faulted_campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn killed_faulted_campaign_resumes_byte_identically() {
-    // The acceptance criterion: terminate a campaign mid-run (simulated by
+    // The acceptance test: terminate a campaign mid-run (simulated by
     // truncating the journal mid-line, as a crash mid-write would), then a
     // resume must produce exports byte-identical to an uninterrupted run.
     let plan = faulted_plan();

@@ -335,7 +335,6 @@ fn analyze_produces_csv_and_significance_verdicts_from_a_real_campaign() {
 
     let significance =
         run_analyze(&["--journal".to_owned(), dir_arg.clone()]).expect("significance mode");
-    assert_eq!(significance.regressions, 0);
     assert!(significance.text.contains("greedy vs flooding"));
     assert!(
         significance.text.contains("significant at 95%"),

@@ -218,3 +218,27 @@ fn aodv_rerr_rate_limit_bounds_churn() {
         unlimited.route_errors
     );
 }
+
+/// The one scale no benchmark workload reaches: the 1,000,000-node build
+/// (arena slab, SoA kinematics, calendar tier, pre-sized grid) completes and
+/// runs. `megacity` grows the city with the fleet, so the neighbourhood size
+/// must stay near the 10k city's (36.2 there, 41.1 here: less boundary).
+/// Two minutes of host time in release, so opt-in:
+/// `cargo test --release --test end_to_end -- --ignored`.
+#[test]
+#[ignore = "1M nodes: run explicitly, in release"]
+fn megacity_1m_builds_and_runs_one_second() {
+    let run = |vehicles: usize| {
+        let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(1.0));
+        let mut sim = Simulation::new(scenario, ProtocolKind::Greedy);
+        let report = sim.run();
+        (sim.processed_events(), report.avg_neighbors)
+    };
+    let (_, reference) = run(10_000);
+    let (events, avg_neighbors) = run(1_000_000);
+    assert!(events > 0);
+    assert!(
+        (0.8..1.25).contains(&(avg_neighbors / reference)),
+        "density not preserved: {avg_neighbors:.1} neighbours at 1M vs {reference:.1} at 10k"
+    );
+}
