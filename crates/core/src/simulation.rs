@@ -287,8 +287,10 @@ impl<T: Telemetry> Simulation<T> {
             ((node_count as f64 / area) * std::f64::consts::PI * max_range * max_range)
                 .ceil()
                 .min(node_count as f64);
-        // A 3×3-cell grid query covers 9 r² ≈ 2.9 π r², so the candidate
-        // buffers see roughly three neighbourhoods' worth of entries.
+        // A grid query returns the in-range nodes only — one neighbourhood.
+        // The factor of three is headroom: vehicles bunch well above the
+        // uniform estimate (platoons, junctions), and the medium sizes its
+        // contention-window snapshot from the same figure.
         let expected_candidates = (expected_neighbors * 3.0) as usize + 16;
         medium.reserve_for_neighborhood(expected_candidates);
         let neighbor_arena = NeighborArena::with_block_capacity(NeighborArena::blocks_for(

@@ -183,11 +183,14 @@ fn dtn_protocols_match_their_pins_on_the_disrupted_highway() {
     );
 }
 
-/// The regime the repo benchmark's `highway-yan` workload measures and the
-/// 30-vehicle pins above never reach (mean degree 3.8, nothing delivered):
-/// the congested Table-I highway, 480 vehicles and ≈58 neighbours each, so
-/// every ticket hop ranks dozens of candidates by link stability. 8 s puts
-/// 3 s of live flows after the scenario's 5 s warm-up.
+/// The regime the repo benchmark's `highway-yan` and `highway-aodv` workloads
+/// measure and the 30-vehicle pins above never reach (mean degree 3.8, a
+/// 3-entry contention window, nothing delivered): the congested Table-I
+/// highway, 480 vehicles and ≈58 neighbours each, so every ticket hop ranks
+/// dozens of candidates by link stability and every RREQ or data flood is a
+/// broadcast storm — contention windows of 50 and more entries, the regime
+/// the medium's interference counts are sized for. 8 s puts 3 s of live
+/// flows after the scenario's 5 s warm-up.
 fn congested_scenario() -> Scenario {
     Scenario::highway_regime(TrafficRegime::Congested)
         .with_seed(7)
@@ -195,28 +198,38 @@ fn congested_scenario() -> Scenario {
         .with_duration(SimDuration::from_secs(8.0))
 }
 
-const YAN_KINDS: [ProtocolKind; 2] = [ProtocolKind::Yan, ProtocolKind::YanTbpss];
+const CONGESTED_KINDS: [ProtocolKind; 4] = [
+    ProtocolKind::Yan,
+    ProtocolKind::YanTbpss,
+    ProtocolKind::Aodv,
+    ProtocolKind::Flooding,
+];
 
-/// Pinned [`fingerprint`]s on [`congested_scenario`], in `YAN_KINDS` order.
-/// Captured at seed 7 from the engine whose `expected_link_duration`
-/// evaluated `Normal::pdf` at every quadrature sample.
-const YAN_PINS: &[&str] = &[
+/// Pinned [`fingerprint`]s on [`congested_scenario`], in `CONGESTED_KINDS`
+/// order. Captured at seed 7: the two ticket-probing lines from the engine
+/// whose `expected_link_duration` evaluated `Normal::pdf` at every quadrature
+/// sample, the two storm lines from the engine whose interference count
+/// branched per window entry and called `powi` per receiver.
+const CONGESTED_PINS: &[&str] = &[
     "Yan|sent=96 dlvd=6 dup=0 pdr=0.0625 delay=0.3440361181262269 maxdelay=2.012383372964573 hops=2.5 ctrl=4296 ctrlB=142320 dtx=30 rerr=0 drops=21 nbr=58.03776041666673",
     "Yan-TBPSS|sent=96 dlvd=3 dup=0 pdr=0.03125 delay=0.002247248680540418 maxdelay=0.004552204258257753 hops=1.0 ctrl=4298 ctrlB=142076 dtx=3 rerr=0 drops=24 nbr=58.04114583333327",
+    "AODV|sent=96 dlvd=2 dup=2 pdr=0.020833333333333332 delay=0.008032546026759402 maxdelay=0.008327361118486643 hops=4.5 ctrl=26919 ctrlB=1481224 dtx=17 rerr=0 drops=127836 nbr=58.07968750000001",
+    "Flooding|sent=96 dlvd=85 dup=0 pdr=0.8854166666666666 delay=0.049953376428885365 maxdelay=0.1780082161615093 hops=7.6000000000000005 ctrl=0 ctrlB=0 dtx=39888 rerr=0 drops=219442 nbr=21.52421875000002",
 ];
 
 #[test]
-fn yan_variants_match_their_pins_on_the_congested_highway() {
+fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
     assert_pinned(
-        "congested-highway ticket-probing reports diverged",
-        &YAN_KINDS,
-        YAN_PINS,
+        "congested-highway reports diverged",
+        &CONGESTED_KINDS,
+        CONGESTED_PINS,
         congested_scenario,
         fingerprint,
     );
 }
 
-/// Prints the pin lists for pasting into `PINS`, `DTN_PINS` and `YAN_PINS`.
+/// Prints the pin lists for pasting into `PINS`, `DTN_PINS` and
+/// `CONGESTED_PINS`.
 /// Run with `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
@@ -231,7 +244,7 @@ fn regenerate() {
         println!("    {:?},", dtn_fingerprint(&report));
     }
     println!();
-    for kind in YAN_KINDS {
+    for kind in CONGESTED_KINDS {
         let report = run_scenario(congested_scenario(), kind);
         println!("    {:?},", fingerprint(&report));
     }

@@ -79,7 +79,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
              Reports must be byte-identical across workers, shards, resumes and\n\
              engine rewrites, so nothing the simulation can observe may depend on\n\
              HashMap/HashSet iteration order (which is seeded per-process). D1\n\
-             flags (a) every HashMap/HashSet declaration and (b) every unordered\n\
+             flags (a) every HashMap/HashSet declaration (and `CellMap`, the\n\
+             net crate's alias for one) and (b) every unordered\n\
              iteration (`for .. in`, `.iter()`, `.keys()`, `.values()`,\n\
              `.drain()`, `.retain()`, ...) over one, in the sim-visible crates\n\
              (core, net, routing, sim, mobility, links). Fix: use BTreeMap /\n\
@@ -124,7 +125,7 @@ pub fn explain(code: &str) -> Option<&'static str> {
              Files carrying the `// lint: hot-path` header implement the\n\
              zero-allocation steady-state event path (PRs 2/3/6 measured every\n\
              allocation removed from it). P1 flags allocating calls —\n\
-             `Vec::new`, `with_capacity`, `collect`, `format!`, `vec!`,\n\
+             `Vec::new`, `with_capacity[_and_hasher]`, `collect`, `format!`, `vec!`,\n\
              `to_vec`, `to_owned`, `to_string`, `clone`, `Box::new` — in such\n\
              files. Setup-path allocations (build/reset/convenience forms) are\n\
              fine but must be audited: `// lint: allow(P1) — <why not on the\n\
@@ -342,7 +343,9 @@ fn push_unless_allowed(
     });
 }
 
-const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+/// `CellMap` is `vanet_net::grid`'s alias for a `HashMap` keyed by grid cell;
+/// named here so the alias does not hide its users from D1.
+const UNORDERED_TYPES: [&str; 3] = ["HashMap", "HashSet", "CellMap"];
 const UNORDERED_ITER_METHODS: [&str; 10] = [
     "iter",
     "iter_mut",
@@ -680,12 +683,12 @@ fn check_p1(
             .any(|&(ty, m)| t == ty && path_call_is(toks, i, m))
         {
             hit = Some(format!("{t}::{}", toks[i + 3].text));
-        } else if t == "with_capacity"
+        } else if (t == "with_capacity" || t == "with_capacity_and_hasher")
             && toks.get(i + 1).map(|x| x.text) == Some("(")
             && i >= 2
             && toks[i - 1].text == ":"
         {
-            hit = Some(format!("{}::with_capacity", toks[i.saturating_sub(3)].text));
+            hit = Some(format!("{}::{t}", toks[i.saturating_sub(3)].text));
         } else if ALLOC_METHODS.contains(&t)
             && i >= 1
             && toks[i - 1].text == "."
@@ -805,6 +808,12 @@ mod tests {
         assert_eq!(found, vec!["D1", "D1"]);
         // Same file in a non-sim-visible crate: clean.
         assert!(rules_of("crates/runner/src/x.rs", src).is_empty());
+        // The net crate's alias is an unordered container too; defining the
+        // alias is not a declaration.
+        let aliased = src.replace("HashMap<u32, u64>", "CellMap<u64>");
+        assert_eq!(rules_of("crates/core/src/x.rs", &aliased), vec!["D1", "D1"]);
+        let alias = "type CellMap<V> = HashMap<(i64, i64), V>;\n";
+        assert!(rules_of("crates/net/src/x.rs", alias).is_empty());
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn d5_exempts_binaries() {
 #[test]
 fn p1_true_positive_found() {
     let f = scan_fixture("p1_true.rs", SIM_PATH);
-    assert_eq!(rules_of(&f), vec!["P1"], "{f:?}");
+    assert_eq!(rules_of(&f), vec!["P1", "P1"], "{f:?}");
 }
 
 #[test]

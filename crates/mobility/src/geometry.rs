@@ -225,6 +225,33 @@ impl WithinFilter {
         }
         distance(a, b) <= self.threshold
     }
+
+    /// How many of `points` are within the threshold of `center` — equal to
+    /// counting the points that pass [`WithinFilter::check`].
+    ///
+    /// The interference pipeline asks this of a whole contention window per
+    /// receiver, so the loop carries no data-dependent branch: it sums the
+    /// two band comparisons over the slice and, when every point fell on
+    /// one side of the band, the accept sum is the answer. A point inside
+    /// the band (or one whose squared distance is NaN) leaves the sums short
+    /// of the slice length, and only then is the slice recounted entry by
+    /// entry with `check`.
+    #[must_use]
+    pub fn count(&self, points: &[Position], center: Position) -> usize {
+        if self.threshold < 0.0 {
+            return 0;
+        }
+        let (mut accepted, mut rejected) = (0usize, 0usize);
+        for &p in points {
+            let d2 = (p - center).norm_sq();
+            accepted += usize::from(d2 <= self.accept_below);
+            rejected += usize::from(d2 >= self.reject_above);
+        }
+        if accepted + rejected == points.len() {
+            return accepted;
+        }
+        points.iter().filter(|&&p| self.check(p, center)).count()
+    }
 }
 
 /// A compass-free heading: the direction of travel as a unit vector.
@@ -392,5 +419,88 @@ mod tests {
         assert!(within(a, a, 0.0));
         assert!(!within(a, b, 0.0));
         assert!(!within(a, b, -1.0));
+    }
+
+    #[test]
+    fn count_agrees_with_per_entry_check() {
+        let reference = |filter: &WithinFilter, points: &[Vec2], center: Vec2| {
+            points.iter().filter(|p| filter.check(**p, center)).count()
+        };
+        // Whether some point falls between the two fast bounds, where only
+        // the exact comparison decides and `count` must recount.
+        let any_in_band = |filter: &WithinFilter, points: &[Vec2], center: Vec2| {
+            points.iter().any(|&p| {
+                let d2 = (p - center).norm_sq();
+                d2 > filter.accept_below && d2 < filter.reject_above
+            })
+        };
+        const THRESHOLDS: [f64; 4] = [120.0, 250.0, 500.0, 751.0];
+
+        // The same Weyl sequence as above: slices of 0–200 points scattered
+        // over a box a little wider than the range circle.
+        let mut x = 0.5_f64;
+        let mut next = move || {
+            x = (x + std::f64::consts::FRAC_1_SQRT_2) % 1.0;
+            x
+        };
+        let mut points = Vec::new();
+        for case in 0..2_400 {
+            let threshold = THRESHOLDS[case % 4];
+            let filter = WithinFilter::new(threshold);
+            let center = Vec2::new(next() * 4_000.0 - 2_000.0, next() * 4_000.0 - 2_000.0);
+            points.clear();
+            for _ in 0..(next() * 201.0) as usize {
+                let offset = Vec2::new(next() - 0.5, next() - 0.5) * (threshold * 2.6);
+                points.push(center + offset);
+            }
+            assert!(!any_in_band(&filter, &points, center));
+            let expected = reference(&filter, &points, center);
+            assert_eq!(
+                filter.count(&points, center),
+                expected,
+                "count() diverged on case {case}: {} points, threshold {threshold}",
+                points.len()
+            );
+            assert!(points.len() < 8 || (0 < expected && expected < points.len()));
+        }
+
+        // Adversarial: points exactly on the threshold and a hair either
+        // side of it. At ±1e-10 they sit inside the band, so the fast sums
+        // cannot decide and the per-entry recount must; at ±1e-8 they are
+        // outside it and the fast return must still be right.
+        for threshold in THRESHOLDS {
+            let filter = WithinFilter::new(threshold);
+            let center = Vec2::new(17.0, -3.0);
+            let at = |scale: f64| center + Vec2::new(threshold * scale, 0.0);
+            let inner = [at(0.5), at(1.0 - 1e-8), at(-0.25)];
+            let outer = [at(1.0 + 1e-8), at(2.0)];
+            let band = [at(1.0), at(1.0 - 1e-10), at(1.0 + 1e-10), at(-1.0)];
+            assert!(!any_in_band(&filter, &inner, center));
+            assert!(!any_in_band(&filter, &outer, center));
+            assert_eq!(filter.count(&inner, center), 3);
+            assert_eq!(filter.count(&outer, center), 0);
+            for &edge in &band {
+                let mixed = [inner[0], edge, outer[0], inner[1], edge];
+                assert!(any_in_band(&filter, &mixed, center));
+                let expected = reference(&filter, &mixed, center);
+                assert_eq!(filter.count(&mixed, center), expected);
+                // On or inside the threshold counts; beyond it does not.
+                let within_edge = distance(edge, center) <= threshold;
+                assert_eq!(expected, 2 + 2 * usize::from(within_edge));
+            }
+            assert_eq!(reference(&filter, &band, center), 3);
+            assert_eq!(filter.count(&band, center), 3);
+        }
+
+        // Degenerate inputs decide as `check` does.
+        let cloud = [Vec2::ZERO, Vec2::new(1.0, 1.0), Vec2::new(300.0, 0.0)];
+        assert_eq!(WithinFilter::new(-1.0).count(&cloud, Vec2::ZERO), 0);
+        assert_eq!(WithinFilter::new(0.0).count(&cloud, Vec2::ZERO), 1);
+        assert_eq!(WithinFilter::new(250.0).count(&[], Vec2::ZERO), 0);
+        let with_nan = [Vec2::ZERO, Vec2::new(f64::NAN, 0.0), Vec2::new(10.0, 0.0)];
+        let filter = WithinFilter::new(250.0);
+        assert_eq!(reference(&filter, &with_nan, Vec2::ZERO), 2);
+        assert_eq!(filter.count(&with_nan, Vec2::ZERO), 2);
+        assert_eq!(filter.count(&cloud, Vec2::new(f64::NAN, 0.0)), 0);
     }
 }

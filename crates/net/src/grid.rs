@@ -1,17 +1,18 @@
 //! A uniform-grid spatial index over node positions.
 //!
-//! [`Medium::transmit`](crate::Medium::transmit) historically scanned *every*
-//! node in the simulation for each frame, so per-transmission cost grew with
-//! total fleet size even though a frame can only reach nodes within the
+//! [`Medium::transmit`](crate::Medium::transmit) scans *every* node it is
+//! handed for each frame, so its per-transmission cost grows with total
+//! fleet size even though a frame can only reach nodes within the
 //! propagation model's maximum range. [`SpatialGrid`] hashes nodes into square
 //! cells sized to that range; a range query then inspects only the 3×3 block
 //! of cells around the transmitter, making the cost proportional to the local
 //! node density instead of the global population.
 //!
-//! Queries return candidates sorted by [`NodeId`], which is exactly the order
-//! the simulation driver used to iterate the full node list in. Keeping that
-//! order is what lets the indexed transmit path consume the RNG identically
-//! to the exhaustive scan and therefore reproduce its results bit for bit.
+//! A query returns exactly the nodes within the radius — the banded range
+//! test of [`WithinFilter`] is applied while the block is gathered — sorted
+//! by [`NodeId`], which is the set the exhaustive scan keeps and the order it
+//! visits it in. That is what lets the indexed transmit path consume the RNG
+//! identically to the exhaustive scan and reproduce its results bit for bit.
 //!
 //! The grid is maintained *incrementally*: [`SpatialGrid::update`] moves one
 //! node between cells (or adjusts its stored position in place when the cell
@@ -19,9 +20,9 @@
 //! per node that actually moved instead of a full rebuild plus a collected
 //! position `Vec`. Buckets are kept sorted by [`NodeId`] — ordered inserts
 //! and removes cost a few-hundred-byte `memmove` on a cell's occupants, and
-//! in exchange a range query is a k-way merge of nine already-sorted runs
-//! instead of a copy-then-sort of the whole 3×3 block, which used to be a
-//! measurable slice of every transmission at fleet scale.
+//! in exchange a range query is a merge of at most nine already-sorted runs,
+//! each holding only its bucket's in-range nodes (a third to two thirds of
+//! the 3×3 block), instead of a copy-then-sort of the whole block.
 //! A full [`SpatialGrid::build`] is only needed when the cell size changes —
 //! in the simulation the cell size is the propagation model's maximum range,
 //! fixed for the lifetime of a run.
@@ -29,8 +30,52 @@
 // lint: hot-path
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use vanet_mobility::geometry::WithinFilter;
 use vanet_mobility::Position;
 use vanet_sim::NodeId;
+
+/// The cell of a `cell_m`-sized uniform grid that `pos` falls in.
+pub(crate) fn cell_of(cell_m: f64, pos: Position) -> (i64, i64) {
+    (
+        (pos.x / cell_m).floor() as i64,
+        (pos.y / cell_m).floor() as i64,
+    )
+}
+
+/// A map keyed by grid cell: the storage behind [`SpatialGrid`] and the
+/// medium's recent-transmission index. Every transmission looks up the nine
+/// cells around its sender in each, so the hash is a measurable part of the
+/// frame: [`CellHasher`] is two multiplies per key where the standard
+/// library's SipHash is a keyed, DoS-resistant construction — protection
+/// that buys nothing for keys the simulator computes itself from node
+/// positions. It is also fixed, so map layout does not vary from one process
+/// to the next (the maps' users still let no iteration order reach a result:
+/// see the allows at each use).
+pub(crate) type CellMap<V> = HashMap<(i64, i64), V, BuildHasherDefault<CellHasher>>;
+
+/// An Fx-style multiplicative hasher for [`CellMap`] keys: per 64-bit word
+/// (an `i64` coordinate arrives through `write_u64`), rotate, xor, multiply
+/// by an odd constant.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A uniform grid of square cells indexing node positions.
 #[derive(Debug, Clone, Default)]
@@ -40,7 +85,7 @@ pub struct SpatialGrid {
     // each bucket is kept NodeId-sorted, so map order never reaches a query
     // result; pinned by `candidates_are_sorted_by_node_id` and
     // `incremental_updates_match_a_fresh_build`.
-    buckets: HashMap<(i64, i64), Vec<(NodeId, Position)>>,
+    buckets: CellMap<Vec<(NodeId, Position)>>,
     len: usize,
     /// Bumped by every [`SpatialGrid::update`]: equal generations of one
     /// grid answer every query identically.
@@ -69,16 +114,18 @@ impl SpatialGrid {
         // ~log(occupancy) reallocations per cell.
         // lint: allow(D1) — build-time scratch; only per-cell counts leave
         // it (below), never an ordering.
-        // lint: allow(P1) — build() runs once per run (cell size is fixed);
-        // the steady state goes through `update`.
-        let mut occupancy: HashMap<(i64, i64), usize> = HashMap::with_capacity(nodes.len());
+        let mut occupancy: CellMap<usize> =
+            // lint: allow(P1) — build() runs once per run (cell size is
+            // fixed); the steady state goes through `update`.
+            CellMap::with_capacity_and_hasher(nodes.len(), Default::default());
         for &(_, pos) in nodes {
-            *occupancy.entry(Self::cell_of(cell_m, pos)).or_insert(0) += 1;
+            *occupancy.entry(cell_of(cell_m, pos)).or_insert(0) += 1;
         }
         // lint: allow(D1) — see the field declaration: keyed lookup only,
         // buckets individually sorted before any query can observe them.
-        let mut buckets: HashMap<(i64, i64), Vec<(NodeId, Position)>> =
-            HashMap::with_capacity(occupancy.len()); // lint: allow(P1) — build-time, exact size
+        let mut buckets: CellMap<Vec<(NodeId, Position)>> =
+            // lint: allow(P1) — build-time, exact size.
+            CellMap::with_capacity_and_hasher(occupancy.len(), Default::default());
 
         // lint: allow(D1) — insertion order into a map is unobservable; each
         // (cell, count) lands at its own key.
@@ -88,7 +135,7 @@ impl SpatialGrid {
         }
         for &(id, pos) in nodes {
             buckets
-                .entry(Self::cell_of(cell_m, pos))
+                .entry(cell_of(cell_m, pos))
                 .or_default()
                 .push((id, pos));
         }
@@ -106,13 +153,6 @@ impl SpatialGrid {
         }
     }
 
-    fn cell_of(cell_m: f64, pos: Position) -> (i64, i64) {
-        (
-            (pos.x / cell_m).floor() as i64,
-            (pos.y / cell_m).floor() as i64,
-        )
-    }
-
     /// Moves one indexed node from `old_pos` to `new_pos`.
     ///
     /// When both positions hash to the same cell the stored position is
@@ -128,8 +168,8 @@ impl SpatialGrid {
     /// exactly the position the node was last built or updated with.
     pub fn update(&mut self, id: NodeId, old_pos: Position, new_pos: Position) {
         self.generation += 1;
-        let old_cell = Self::cell_of(self.cell_m, old_pos);
-        let new_cell = Self::cell_of(self.cell_m, new_pos);
+        let old_cell = cell_of(self.cell_m, old_pos);
+        let new_cell = cell_of(self.cell_m, new_pos);
         if old_cell == new_cell {
             let bucket = self
                 .buckets
@@ -180,8 +220,9 @@ impl SpatialGrid {
         self.cell_m
     }
 
-    /// Every indexed node within `radius_m` of `center` — plus possibly a few
-    /// just beyond it (cell-corner over-approximation) — sorted by node id.
+    /// Exactly the indexed nodes `within(center, position, radius_m)`, sorted
+    /// by node id. Allocates its buffers: the form for tests and one-off
+    /// queries.
     ///
     /// # Panics
     ///
@@ -189,42 +230,25 @@ impl SpatialGrid {
     /// would miss nodes further than one cell away.
     #[must_use]
     pub fn candidates_within(&self, center: Position, radius_m: f64) -> Vec<(NodeId, Position)> {
-        // lint: allow(P1) — convenience form; warm paths use the `_into` /
-        // `_scratch` variants with caller-owned buffers.
-        let mut out = Vec::new();
-        self.candidates_within_into(center, radius_m, &mut out);
+        // lint: allow(P1) — convenience form; the transmit path owns both
+        // buffers and calls `candidates_within_scratch`.
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        self.candidates_within_scratch(center, radius_m, &mut out, &mut scratch);
         out
     }
 
-    /// Convenience form of [`SpatialGrid::candidates_within_scratch`] that
-    /// allocates its own merge scratch: clears `out` and fills it with the
-    /// candidates. Warm-path callers should hold a scratch buffer and use
-    /// the `_scratch` form instead.
+    /// Clears `out` and fills it with exactly the indexed nodes
+    /// `within(center, position, radius_m)`, in ascending id order. Both
+    /// buffers are the caller's, so nothing is allocated once they have
+    /// warmed up — the form the transmit hot path uses.
     ///
-    /// # Panics
-    ///
-    /// Panics if `radius_m` exceeds the grid's cell size.
-    pub fn candidates_within_into(
-        &self,
-        center: Position,
-        radius_m: f64,
-        out: &mut Vec<(NodeId, Position)>,
-    ) {
-        // lint: allow(P1) — convenience form; warm paths hold a scratch
-        // buffer and call `candidates_within_scratch` directly.
-        let mut scratch = Vec::new();
-        self.candidates_within_scratch(center, radius_m, out, &mut scratch);
-    }
-
-    /// Like [`SpatialGrid::candidates_within_into`], with a caller-owned
-    /// scratch buffer so the internal merge allocates nothing once both
-    /// buffers have warmed up — the form the transmit hot path uses.
-    ///
-    /// The buckets of the 3×3 block are individually id-sorted; the block is
-    /// gathered once and then merged bottom-up, pairs of runs at a time,
-    /// ping-ponging between `out` and `scratch`. Ids are unique across
-    /// buckets, so the result is exactly the ascending sequence a
-    /// copy-then-sort would produce, at a fraction of the comparisons.
+    /// The buckets of the 3×3 block are individually id-sorted. Each is
+    /// gathered through the banded range test, so only in-range nodes — a
+    /// third to two thirds of the block — enter the merge; the surviving
+    /// runs are then merged bottom-up, pairs at a time, ping-ponging between
+    /// `out` and `scratch`. Ids are unique across buckets, so the result is
+    /// exactly the ascending sequence a filter-copy-sort would produce, at a
+    /// fraction of the comparisons.
     ///
     /// # Panics
     ///
@@ -242,15 +266,22 @@ impl SpatialGrid {
             self.cell_m
         );
         out.clear();
-        let (cx, cy) = Self::cell_of(self.cell_m, center);
-        // Gather: concatenate the non-empty buckets, recording run bounds.
+        let (cx, cy) = cell_of(self.cell_m, center);
+        // Gather: concatenate the in-range part of each bucket, recording
+        // the bounds of the non-empty runs.
+        let in_range = WithinFilter::new(radius_m);
         let mut bounds = [0usize; 10];
         let mut runs = 0;
         for dx in -1..=1 {
             for dy in -1..=1 {
                 if let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy)) {
-                    if !bucket.is_empty() {
-                        out.extend_from_slice(bucket);
+                    let start = out.len();
+                    out.extend(
+                        bucket
+                            .iter()
+                            .filter(|&&(_, pos)| in_range.check(center, pos)),
+                    );
+                    if out.len() > start {
                         runs += 1;
                         bounds[runs] = out.len();
                     }
@@ -321,17 +352,15 @@ mod tests {
         let grid = SpatialGrid::build(250.0, &nodes);
         assert_eq!(grid.len(), 300);
         for &(_, center) in nodes.iter().step_by(17) {
-            let candidates = grid.candidates_within(center, 250.0);
-            let expect: Vec<NodeId> = nodes
-                .iter()
-                .filter(|&&(_, p)| distance(center, p) <= 250.0)
-                .map(|&(id, _)| id)
-                .collect();
-            for id in &expect {
-                assert!(
-                    candidates.iter().any(|(c, _)| c == id),
-                    "node {id:?} within range but missing from grid query"
-                );
+            // Exactly those, and in the node list's (ascending id) order;
+            // also at a radius smaller than the cell.
+            for radius in [250.0, 90.0] {
+                let expect: Vec<(NodeId, Position)> = nodes
+                    .iter()
+                    .copied()
+                    .filter(|&(_, p)| distance(center, p) <= radius)
+                    .collect();
+                assert_eq!(grid.candidates_within(center, radius), expect);
             }
         }
     }

@@ -9,9 +9,10 @@
 // lint: hot-path
 
 use crate::channel::PropagationModel;
+use crate::grid::{cell_of, CellMap};
 use crate::mac::MacParams;
 use crate::packet::Packet;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use vanet_mobility::geometry::{distance, within, WithinFilter};
 use vanet_mobility::Position;
 use vanet_sim::{Counter, NodeId, SimRng, SimTime};
@@ -127,14 +128,11 @@ impl FaultZone {
 
 /// Number of `positions` within `range` of `center` (the interference count
 /// against a per-transmission snapshot of the contention window). Uses the
-/// banded squared-distance comparison — decision-identical to
-/// `distance(p, center) <= range` without the per-entry `hypot`.
+/// banded squared-distance count — decision-identical to
+/// `distance(p, center) <= range` per entry, without the `hypot` and without
+/// a branch per entry.
 fn count_within(positions: &[Position], center: Position, range: f64) -> usize {
-    let filter = WithinFilter::new(range);
-    positions
-        .iter()
-        .filter(|&&p| filter.check(p, center))
-        .count()
+    WithinFilter::new(range).count(positions, center)
 }
 
 /// A coarse uniform-grid index over recent transmissions.
@@ -158,7 +156,7 @@ struct RecentIndex {
     // so only counts (and predicate-filtered positions, gathered in the
     // deterministic dx/dy block order) ever leave the map; pinned by
     // `recent_index_counts_match_a_flat_scan`.
-    cells: HashMap<(i64, i64), VecDeque<(SimTime, Position)>>,
+    cells: CellMap<VecDeque<(SimTime, Position)>>,
 }
 
 impl RecentIndex {
@@ -173,17 +171,10 @@ impl RecentIndex {
         self.cells.clear();
     }
 
-    fn cell_of(&self, pos: Position) -> (i64, i64) {
-        (
-            (pos.x / self.cell_m).floor() as i64,
-            (pos.y / self.cell_m).floor() as i64,
-        )
-    }
-
     /// Records a transmission and prunes that cell's entries older than
     /// `keep` (entries arrive in time order, so pruning is front-pops).
     fn push(&mut self, now: SimTime, pos: Position, keep: f64) {
-        let cell = self.cells.entry(self.cell_of(pos)).or_default();
+        let cell = self.cells.entry(cell_of(self.cell_m, pos)).or_default();
         while let Some((t, _)) = cell.front() {
             if now.saturating_since(*t).as_secs() > keep {
                 cell.pop_front();
@@ -215,7 +206,7 @@ impl RecentIndex {
             self.cell_m
         );
         let filter = WithinFilter::new(radius);
-        let (cx, cy) = self.cell_of(center);
+        let (cx, cy) = cell_of(self.cell_m, center);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 if let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) {
@@ -248,7 +239,7 @@ impl RecentIndex {
             self.cell_m
         );
         let filter = WithinFilter::new(radius);
-        let (cx, cy) = self.cell_of(center);
+        let (cx, cy) = cell_of(self.cell_m, center);
         let mut count = 0;
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -298,6 +289,28 @@ struct Burst {
     receiver_counts: Vec<(u32, usize)>,
 }
 
+/// `MacParams::survival_probability(k)` by interferer count `k`, computed
+/// once per count: in a broadcast storm every receiver of every frame asks
+/// for `(1 − p)^k` with `k` in the dozens, and a `powi` per receiver is a
+/// measurable slice of the delivery loop. Entries are that same call's
+/// results — identical bits — and the MAC parameters are fixed when the
+/// medium is built, so they cannot go stale. The table grows to the largest
+/// count seen (never beyond the snapshot's length) and then stands.
+#[derive(Debug, Default)]
+struct SurvivalTable {
+    by_interferers: Vec<f64>,
+}
+
+impl SurvivalTable {
+    fn get(&mut self, mac: &MacParams, interferers: usize) -> f64 {
+        while self.by_interferers.len() <= interferers {
+            let next = mac.survival_probability(self.by_interferers.len());
+            self.by_interferers.push(next);
+        }
+        self.by_interferers[interferers]
+    }
+}
+
 /// The shared broadcast medium connecting all nodes.
 #[derive(Debug)]
 pub struct Medium {
@@ -322,6 +335,7 @@ pub struct Medium {
     /// cost when faults are disabled is comparing this against zero.
     active_fault_zones: usize,
     burst: Burst,
+    survival: SurvivalTable,
     stats: MediumStats,
 }
 
@@ -346,6 +360,7 @@ impl Medium {
             fault_zones: Vec::new(),
             active_fault_zones: 0,
             burst: Burst::default(),
+            survival: SurvivalTable::default(),
             stats: MediumStats::default(),
         }
     }
@@ -387,8 +402,9 @@ impl Medium {
         self.active_fault_zones
     }
 
-    /// Pre-sizes the per-transmission scratch buffers for a neighbourhood of
-    /// `expected_candidates` nodes (the typical 3×3-cell grid query result).
+    /// Pre-sizes the per-transmission scratch buffers — the grid query's
+    /// result and merge scratch, the contention-window snapshot, the burst
+    /// counts — for `expected_candidates` entries each.
     /// Purely a capacity hint — the buffers grow on demand regardless — but
     /// reserving up front means a fleet-scale run's first transmissions don't
     /// pay a reallocation ramp while the caches are already cold.
@@ -466,32 +482,16 @@ impl Medium {
     /// Like [`Medium::transmit`], but takes the candidate receivers from a
     /// [`SpatialGrid`](crate::SpatialGrid) instead of scanning every node, so
     /// the cost scales with local density rather than total fleet size.
+    /// Clears `out` and fills it with this frame's deliveries: a driver that
+    /// owns `out` and reuses it across calls pays no per-transmission heap
+    /// allocation once the buffer has warmed up.
     ///
     /// The grid must be built with a cell size of at least
-    /// [`PropagationModel::max_range`]. Candidates are processed in ascending
-    /// node-id order — the same order `transmit` sees when its `nodes` slice
-    /// is id-sorted — so both paths draw identically from `rng` and produce
-    /// identical deliveries.
-    pub fn transmit_indexed(
-        &mut self,
-        now: SimTime,
-        sender: NodeId,
-        sender_pos: Position,
-        packet: &Packet,
-        grid: &crate::SpatialGrid,
-        rng: &mut SimRng,
-    ) -> Vec<Delivery> {
-        // lint: allow(P1) — convenience form; warm-path callers reuse a
-        // buffer via `transmit_indexed_into`.
-        let mut deliveries = Vec::new();
-        self.transmit_indexed_into(now, sender, sender_pos, packet, grid, rng, &mut deliveries);
-        deliveries
-    }
-
-    /// The allocation-free form of [`Medium::transmit_indexed`]: clears `out`
-    /// and fills it with this frame's deliveries. A driver that owns `out`
-    /// and reuses it across calls pays no per-transmission heap allocation
-    /// once the buffer has warmed up.
+    /// [`PropagationModel::max_range`]. Its query returns exactly the nodes
+    /// in range, in ascending node-id order — the nodes `transmit` keeps and
+    /// the order it sees them in when its `nodes` slice is id-sorted — so
+    /// both paths draw identically from `rng` and produce identical
+    /// deliveries (pinned by `indexed_transmit_matches_the_exhaustive_scan`).
     ///
     /// Calls that repeat `now` and `sender_pos` back to back, with no
     /// [`SpatialGrid::update`](crate::SpatialGrid::update) in between, are
@@ -630,9 +630,10 @@ impl Medium {
             if node == sender {
                 continue;
             }
-            // Cheap banded reject first — a 3×3-cell candidate block holds
-            // roughly twice as many nodes as the range circle, so most
-            // candidates leave here without paying for an exact distance.
+            // The grid query has already applied this test, so on the
+            // indexed path every candidate passes; the slice form hands in
+            // arbitrary nodes and relies on it. A node that fails it has
+            // touched no counter and no RNG draw.
             if !range_filter.check(sender_pos, pos) {
                 continue;
             }
@@ -666,7 +667,9 @@ impl Medium {
                 *counted_at = frame;
                 count.saturating_sub(1)
             };
-            if !self.config.mac.sample_collision_survival(interferers, rng) {
+            // `chance` draws nothing for a probability of 1, so a receiver
+            // with no interferer consumes no randomness here.
+            if !rng.chance(self.survival.get(&self.config.mac, interferers)) {
                 self.stats.collision_losses.incr();
                 continue;
             }
@@ -1152,6 +1155,113 @@ mod tests {
             assert!(carried.stats().fault_losses.value() > 0);
         }
         assert!(continued > 10_000, "the burst path barely ran: {continued}");
+    }
+
+    /// The indexed path against the exhaustive scan its docs say it equals:
+    /// one medium is handed every node, id-sorted, through the slice form;
+    /// its twin asks the grid. Fleets of 60–400 nodes at highway (a 15 m
+    /// strip) and city (a square) densities, unit-disk and shadowing
+    /// channels, broadcast and unicast frames, short bursts, nodes moving
+    /// between frames, an active fault zone, and frames packed tightly
+    /// enough that the contention window holds 50 and more entries — the
+    /// broadcast-storm regime. Deliveries, statistics and the next RNG draw
+    /// must agree after every frame; a grid query that dropped an in-range
+    /// node or kept one out of id order would show here first.
+    #[test]
+    fn indexed_transmit_matches_the_exhaustive_scan() {
+        // (nodes, extent along x, extent along y) in metres.
+        let fleets = [
+            (60, 1_000.0, 15.0),
+            (240, 2_000.0, 15.0),
+            (400, 4_000.0, 15.0),
+            (150, 700.0, 700.0),
+            (400, 1_200.0, 1_200.0),
+        ];
+        let mut storm_frames = 0;
+        for (case, &(count, width, height)) in fleets.iter().enumerate() {
+            for shadowing in [false, true] {
+                let make = || {
+                    let propagation: Box<dyn PropagationModel + Send> = if shadowing {
+                        Box::new(LogNormalShadowing::new(250.0, 2.7, 4.0))
+                    } else {
+                        Box::new(UnitDisk::new(250.0))
+                    };
+                    let mut m = Medium::new(MediumConfig::default(), propagation);
+                    let zone =
+                        m.add_fault_zone(Vec2::ZERO, Vec2::new(width / 2.0, height / 2.0), 0.3);
+                    m.set_fault_zone_active(zone, true);
+                    m
+                };
+                let (mut scanned, mut indexed) = (make(), make());
+                let mut plan = SimRng::new(0x5ca9 + case as u64);
+                let mut nodes: Vec<(NodeId, Position)> = (0..count)
+                    .map(|i| {
+                        let x = plan.uniform_range(0.0, width);
+                        (NodeId(i), Vec2::new(x, plan.uniform_range(0.0, height)))
+                    })
+                    .collect();
+                let mut grid = crate::SpatialGrid::build(indexed.propagation().max_range(), &nodes);
+                let (mut rng_a, mut rng_b) = (SimRng::new(77), SimRng::new(77));
+                let mut out = Vec::new();
+                let mut now = SimTime::ZERO;
+                for _ in 0..300 {
+                    // ~20 µs apart: hundreds of frames per 10 ms window.
+                    now += vanet_sim::SimDuration::from_secs(plan.uniform_range(0.0, 4e-5));
+                    if plan.chance(0.1) {
+                        let moved = plan.uniform_usize(nodes.len());
+                        let to = Vec2::new(
+                            plan.uniform_range(0.0, width),
+                            plan.uniform_range(0.0, height),
+                        );
+                        grid.update(nodes[moved].0, nodes[moved].1, to);
+                        nodes[moved].1 = to;
+                    }
+                    let (id, pos) = nodes[plan.uniform_usize(nodes.len())];
+                    let packet = if plan.chance(0.7) {
+                        Packet::broadcast(id, PacketKind::Hello, 32)
+                    } else {
+                        let mut data = Packet::data(id, NodeId(0), 200);
+                        data.next_hop = Some(nodes[plan.uniform_usize(nodes.len())].0);
+                        data
+                    };
+                    for _ in 0..1 + plan.uniform_usize(3) {
+                        let expected = scanned.transmit(now, id, pos, &packet, &nodes, &mut rng_a);
+                        indexed.transmit_indexed_into(
+                            now, id, pos, &packet, &grid, &mut rng_b, &mut out,
+                        );
+                        assert_eq!(out, expected, "case {case}: deliveries diverged");
+                        assert_eq!(indexed.stats(), scanned.stats(), "case {case}");
+                        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "case {case}");
+                        storm_frames += usize::from(indexed.snapshot.len() >= 50);
+                    }
+                }
+                let stats = indexed.stats();
+                assert!(stats.deliveries.value() > 0);
+                assert!(stats.collision_losses.value() > 0);
+                assert!(stats.fault_losses.value() > 0);
+                assert_eq!(stats.propagation_losses.value() > 0, shadowing);
+            }
+        }
+        assert!(
+            storm_frames > 4_000,
+            "too few storm-sized windows: {storm_frames}"
+        );
+    }
+
+    #[test]
+    fn survival_table_holds_the_direct_results_bit_for_bit() {
+        for mac in [MacParams::default(), MacParams::ideal()] {
+            let mut table = SurvivalTable::default();
+            // Out of order first, so the table fills past the asked entry.
+            for k in [512, 0, 40].into_iter().chain(0..=512) {
+                assert_eq!(
+                    table.get(&mac, k).to_bits(),
+                    mac.survival_probability(k).to_bits(),
+                    "k = {k}"
+                );
+            }
+            assert_eq!(table.by_interferers.len(), 513);
+        }
     }
 
     /// The slice form takes arbitrary receivers, so nothing carries over it:
