@@ -27,9 +27,9 @@ pub struct Flow {
     pub destination: NodeId,
 }
 
-/// Scheduler payload. Frames are behind `Arc` so a broadcast delivered to N
-/// receivers schedules N refcount bumps instead of N deep packet clones, and
-/// the heap entries stay a pointer wide.
+/// Scheduler payload. Packets never ride in it — a frame in flight is an
+/// index into the slab, a backbone packet sits behind an `Arc` — so queue
+/// entries stay 16 bytes of payload.
 #[derive(Debug)]
 enum Event {
     MobilityStep,
@@ -39,11 +39,11 @@ enum Event {
     Maintain(NodeId),
     Beacon(NodeId),
     FlowSend(usize),
-    PacketArrival {
-        receiver: NodeId,
-        packet: Arc<Packet>,
-        intended: bool,
-    },
+    /// A transmitted frame reaching its receivers: index into the in-flight
+    /// slab (see [`Frame`]). One queued entry stands for every reception
+    /// still to come; each reception is still one processed event, at
+    /// exactly its own `(time, seq)`.
+    Frame(u32),
     BackboneArrival {
         receiver: NodeId,
         packet: Arc<Packet>,
@@ -53,6 +53,32 @@ enum Event {
     /// `(time, seq)` discipline as everything else, so runs with a fault
     /// plan are deterministic across runs, workers and shards.
     Fault(usize),
+}
+
+/// One reception of an in-flight frame.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    arrival: SimTime,
+    /// The sequence number an event scheduled for this reception alone would
+    /// carry: the frame's first reserved number plus the reception's index
+    /// in the medium's delivery order.
+    seq: u64,
+    receiver: NodeId,
+    intended: bool,
+}
+
+/// A transmitted frame and the receptions it still owes, soonest first. The
+/// frame is queued once, under its next reception's `(arrival, seq)` key;
+/// [`Simulation::deliver_frame`] hands the packet to receiver after receiver
+/// for as long as the scheduler confirms nothing else is due in between.
+/// Slots are recycled through `free_frames`, `hops` keeping its allocation.
+#[derive(Debug, Default)]
+struct Frame {
+    /// `None` while the slot is free.
+    packet: Option<Packet>,
+    hops: Vec<Hop>,
+    /// Index into `hops` of the next reception.
+    next: usize,
 }
 
 /// One pre-resolved fault transition (what `Event::Fault` executes).
@@ -130,6 +156,11 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     action_scratch: Vec<Action>,
     /// Reusable buffer for `Medium::transmit_indexed_into`.
     delivery_buf: Vec<Delivery>,
+    /// Frames in flight, indexed by `Event::Frame`; grows to the largest
+    /// number ever in flight at once (tens to hundreds) and stays there.
+    frames: Vec<Frame>,
+    /// Slots of `frames` whose frame has been fully delivered.
+    free_frames: Vec<u32>,
     /// Reusable buffer for expired-neighbour ids during a maintenance event
     /// (ping-ponged around `dispatch`, so purges allocate nothing).
     lost_scratch: Vec<NodeId>,
@@ -396,6 +427,8 @@ impl<T: Telemetry> Simulation<T> {
             sink: ActionSink::with_capacity(32),
             action_scratch: Vec::with_capacity(32),
             delivery_buf: Vec::with_capacity(expected_neighbors as usize + 16),
+            frames: Vec::new(),
+            free_frames: Vec::new(),
             lost_scratch: Vec::with_capacity(64),
             fault_timeline,
             node_down: vec![false; node_count],
@@ -403,18 +436,34 @@ impl<T: Telemetry> Simulation<T> {
             telemetry,
         };
         // Beacons and per-node maintenance deadlines go through the
-        // scheduler's timer wheel: one slot per interval instead of one heap
-        // entry per node.
-        sim.scheduler.enable_batching(sim.beacon_config.interval);
-        // Packet arrivals land a MAC processing + contention delay ahead of
-        // now (sub-millisecond to a few tens of milliseconds), far denser
-        // than the wheel's beacon intervals: they get the calendar-queue
-        // tier — O(1) ring pushes instead of heap sifts. Anything beyond the
-        // 64 ms window falls back to the heap with ordering unchanged. The
-        // bucket width sits *below* the MAC's fixed processing + minimum
-        // backoff delay (0.5 ms), so a new arrival always lands in a
-        // not-yet-activated bucket and the sorted-splice slow path for
-        // already-activated buckets never runs in steady state.
+        // scheduler's timer wheel: a slot push instead of one heap entry per
+        // node. The shortest delay a timer on it re-arms with is a tick for
+        // a maintenance deadline and, for a beacon, its interval jittered
+        // down by half the jitter fraction (every node runs the same
+        // protocol, so the first one's interval is the fleet's). A slot just
+        // narrower than that means a timer fired from the activated, already
+        // sorted slot always re-arms into a later one — an append, never a
+        // splice into a fleet-sized vector (`Simulation::wheel_splices` stays
+        // 0). Just narrower, not half: the fleet's first beacons then fill
+        // one slot front to back, where two half-width slots growing in turn
+        // make every doubling of either a copy (set-up 7–15 % slower at
+        // 10k–100k nodes, the run no faster).
+        let beacon_interval = sim.nodes.first().and_then(|n| n.protocol.beacon_interval());
+        let shortest_rearm = beacon_interval.map_or(sim.scenario.tick_interval, |interval| {
+            let shortest_beacon = interval * (1.0 - sim.beacon_config.jitter_fraction / 2.0);
+            shortest_beacon.min(sim.scenario.tick_interval)
+        });
+        sim.scheduler.enable_batching(shortest_rearm * 0.99);
+        // Frames land a MAC processing + contention delay ahead of now
+        // (sub-millisecond to a few tens of milliseconds), far denser than
+        // the wheel's slots: they get the calendar-queue tier — O(1) ring
+        // pushes instead of heap sifts. Anything beyond the 64 ms window
+        // falls back to the heap with ordering unchanged. The bucket width
+        // sits *below* the MAC's fixed processing + minimum backoff delay
+        // (0.5 ms), so a new frame always lands in a not-yet-activated
+        // bucket; only a frame re-queued between two of its own receptions
+        // (under a microsecond apart) splices into the activated bucket,
+        // next to its head.
         sim.scheduler
             .enable_calendar(SimDuration::from_secs(0.000_25), 256);
         sim.build_grid();
@@ -496,57 +545,24 @@ impl<T: Telemetry> Simulation<T> {
         self.nodes.len()
     }
 
-    /// Number of scheduler events processed so far.
+    /// Number of scheduler events processed so far. Every reception of a
+    /// frame is one event, however few queue entries carried them.
     #[must_use]
     pub fn processed_events(&self) -> u64 {
         self.scheduler.processed_events()
     }
 
-    /// How often (in events) the run loop warms the cache for upcoming
-    /// events, and how many upcoming events it previews each time.
-    const WARM_STRIDE: u32 = 8;
-    const WARM_LOOKAHEAD: usize = 16;
-
-    /// Touches the per-node state the next few events will need. Event
-    /// handling is a serial chain of dependent cache misses over hundreds of
-    /// megabytes of per-node tables at fleet scale; issuing the next events'
-    /// loads a few microseconds early lets those misses overlap instead of
-    /// serialising. Purely a cache hint — `black_box` just keeps the reads
-    /// alive — so behaviour is untouched.
-    fn warm_upcoming(&self) {
-        let mut warm = 0usize;
-        for event in self.scheduler.peek_upcoming(Self::WARM_LOOKAHEAD) {
-            match event {
-                Event::PacketArrival {
-                    receiver, packet, ..
-                } => {
-                    // Walk the exact arena blocks the arrival's neighbour
-                    // refresh will touch (handle, key scan, entry slot).
-                    warm ^= self
-                        .neighbor_arena
-                        .warm_for(&self.nodes[receiver.index()].neighbors, packet.prev_hop);
-                }
-                Event::BackboneArrival { receiver, .. } => {
-                    warm ^= self.nodes[receiver.index()].neighbors.len();
-                }
-                Event::Beacon(id) | Event::Maintain(id) => {
-                    warm ^= self.nodes[id.index()].neighbors.len();
-                }
-                Event::MobilityStep | Event::FlowSend(_) | Event::Fault(_) => {}
-            }
-        }
-        std::hint::black_box(warm);
+    /// How many beacon or maintenance timers had to be spliced into the
+    /// timer wheel's already-sorted slot (see
+    /// [`Scheduler::wheel_splices`]); 0 when the slot width fits the run.
+    #[must_use]
+    pub fn wheel_splices(&self) -> u64 {
+        self.scheduler.wheel_splices()
     }
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(&mut self) -> Report {
-        let mut until_warm = 0u32;
         while let Some((now, event)) = self.scheduler.next_event() {
-            if until_warm == 0 {
-                until_warm = Self::WARM_STRIDE;
-                self.warm_upcoming();
-            }
-            until_warm -= 1;
             self.telemetry.on_event(now, self.medium.stats());
             self.handle_event(now, event);
         }
@@ -657,42 +673,7 @@ impl<T: Telemetry> Simulation<T> {
                 self.scheduler
                     .schedule_after(self.scenario.packet_interval, Event::FlowSend(flow_idx));
             }
-            Event::PacketArrival {
-                receiver,
-                packet,
-                intended,
-            } => {
-                let idx = self.node_index(receiver);
-                // A frame arriving at a node whose radio a fault disabled is
-                // silently lost: no reception, no neighbour refresh — the
-                // protocol only ever observes the outage as missing frames
-                // and expiring neighbour leases.
-                if self.node_is_down(idx) {
-                    self.telemetry.on_fault_drop(now, self.positions[idx]);
-                    return;
-                }
-                // Every received frame refreshes the neighbour entry for its
-                // transmitter (overhearing counts as neighbour awareness).
-                if let (Some(pos), Some(vel)) = (packet.sender_position, packet.sender_velocity) {
-                    let lifetime = self.beacon_config.lifetime;
-                    let gained = self.neighbor_arena.observe(
-                        &mut self.nodes[idx].neighbors,
-                        packet.prev_hop,
-                        pos,
-                        vel,
-                        now,
-                        lifetime,
-                    );
-                    if gained {
-                        self.telemetry.on_neighbor_gained(now);
-                    }
-                }
-                self.telemetry.on_receive(now, self.positions[idx]);
-                if packet.kind == PacketKind::Hello {
-                    return;
-                }
-                self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, &packet, !intended));
-            }
+            Event::Frame(slot) => self.deliver_frame(now, slot),
             Event::BackboneArrival { receiver, packet } => {
                 let idx = self.node_index(receiver);
                 if self.node_is_down(idx) {
@@ -730,6 +711,76 @@ impl<T: Telemetry> Simulation<T> {
                 }
             }
         }
+    }
+
+    /// Delivers frame `slot`'s next reception, due `now`, and every later one
+    /// for as long as [`Scheduler::advance_if_next`] confirms it is the next
+    /// event of the whole simulation. When something else is due first — a
+    /// timer, a fault, another frame's reception, an event a handler here
+    /// just scheduled — or the horizon falls in between, the frame goes back
+    /// into the queue under its next reception's own key and resumes when
+    /// that surfaces: the receptions fire in exactly the `(time, seq)` order
+    /// they would as individually scheduled events.
+    fn deliver_frame(&mut self, mut now: SimTime, slot: u32) {
+        // Out of the slab while handlers run: a reception may transmit, and
+        // that claims a slot and may grow the slab.
+        let mut frame = std::mem::take(&mut self.frames[slot as usize]);
+        let packet = frame.packet.take().expect("a queued frame holds a packet");
+        loop {
+            let hop = frame.hops[frame.next];
+            frame.next += 1;
+            self.receive(now, hop.receiver, &packet, hop.intended);
+            let Some(next) = frame.hops.get(frame.next) else {
+                break;
+            };
+            if !self.scheduler.advance_if_next(next.arrival, next.seq) {
+                self.scheduler
+                    .schedule_keyed(next.arrival, next.seq, Event::Frame(slot));
+                frame.packet = Some(packet);
+                self.frames[slot as usize] = frame;
+                return;
+            }
+            now = next.arrival;
+            self.telemetry.on_event(now, self.medium.stats());
+        }
+        frame.hops.clear();
+        frame.next = 0;
+        self.frames[slot as usize] = frame;
+        self.free_frames.push(slot);
+    }
+
+    /// One reception: `packet` finishes arriving at `receiver`.
+    fn receive(&mut self, now: SimTime, receiver: NodeId, packet: &Packet, intended: bool) {
+        let idx = self.node_index(receiver);
+        // A frame arriving at a node whose radio a fault disabled is
+        // silently lost: no reception, no neighbour refresh — the
+        // protocol only ever observes the outage as missing frames
+        // and expiring neighbour leases.
+        if self.node_is_down(idx) {
+            self.telemetry.on_fault_drop(now, self.positions[idx]);
+            return;
+        }
+        // Every received frame refreshes the neighbour entry for its
+        // transmitter (overhearing counts as neighbour awareness).
+        if let (Some(pos), Some(vel)) = (packet.sender_position, packet.sender_velocity) {
+            let lifetime = self.beacon_config.lifetime;
+            let gained = self.neighbor_arena.observe(
+                &mut self.nodes[idx].neighbors,
+                packet.prev_hop,
+                pos,
+                vel,
+                now,
+                lifetime,
+            );
+            if gained {
+                self.telemetry.on_neighbor_gained(now);
+            }
+        }
+        self.telemetry.on_receive(now, self.positions[idx]);
+        if packet.kind == PacketKind::Hello {
+            return;
+        }
+        self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, packet, !intended));
     }
 
     /// Runs one protocol callback with the shared [`ActionSink`] in the
@@ -787,21 +838,33 @@ impl<T: Telemetry> Simulation<T> {
             &mut deliveries,
         );
         if !deliveries.is_empty() {
-            // One shared frame for every receiver: N refcount bumps, not N
-            // deep clones.
-            let shared = Arc::new(packet);
-            for d in &deliveries {
-                self.scheduler
-                    .schedule_at(
-                        d.arrival,
-                        Event::PacketArrival {
-                            receiver: d.receiver,
-                            packet: Arc::clone(&shared),
-                            intended: d.intended,
-                        },
-                    )
-                    .expect("arrival is never in the past");
-            }
+            // One queue entry for the whole frame. Reception `i` (in the
+            // medium's delivery order) keeps the sequence number its own
+            // event would have drawn, and the receptions are walked in
+            // `(arrival, seq)` order — they differ only by propagation
+            // delay, under a microsecond.
+            let first_seq = self.scheduler.reserve_seqs(deliveries.len() as u64);
+            let slot = self.free_frames.pop().unwrap_or_else(|| {
+                self.frames.push(Frame::default());
+                u32::try_from(self.frames.len() - 1).expect("fewer than 2^32 frames in flight")
+            });
+            let frame = &mut self.frames[slot as usize];
+            frame.packet = Some(packet);
+            frame
+                .hops
+                .extend(deliveries.iter().zip(first_seq..).map(|(d, seq)| Hop {
+                    arrival: d.arrival,
+                    seq,
+                    receiver: d.receiver,
+                    intended: d.intended,
+                }));
+            frame
+                .hops
+                .sort_unstable_by_key(|hop| (hop.arrival, hop.seq));
+            let head = frame.hops[0];
+            debug_assert!(head.arrival >= now, "arrival is never in the past");
+            self.scheduler
+                .schedule_keyed(head.arrival, head.seq, Event::Frame(slot));
         }
         deliveries.clear();
         self.delivery_buf = deliveries;

@@ -9,9 +9,13 @@
 //! * **visibility** — disruptions actually disrupt (a total burst blackout
 //!   delivers nothing; outages and jams register in telemetry);
 //! * **additivity** — fault machinery is inert until a fault fires (pinned
-//!   separately by the goldens in `golden_reports.rs`).
+//!   separately by the goldens in `golden_reports.rs`);
+//! * **ordering** — a transition takes effect between exactly the two
+//!   receptions it falls between, pinned by report and event count.
 
-use vanet_core::{run_scenario, FaultPlan, ProtocolKind, Scenario, Simulation, WindowedTap};
+use vanet_core::{
+    run_scenario, FaultPlan, ProtocolKind, Report, Scenario, Simulation, WindowedTap,
+};
 use vanet_sim::SimDuration;
 
 fn faulty_scenario() -> Scenario {
@@ -43,6 +47,55 @@ fn same_seed_and_fault_plan_is_byte_identical_across_runs() {
         assert_eq!(
             first, second,
             "{kind:?} diverged under an identical fault plan"
+        );
+    }
+}
+
+/// The report fields a shifted fault transition moves, plus the number of
+/// scheduler events processed (floats in `Debug` form, so equal strings mean
+/// bit-identical values).
+fn fingerprint(r: &Report, events: u64) -> String {
+    format!(
+        "{}|sent={} dlvd={} dup={} pdr={:?} delay={:?} hops={:?} ctrl={} ctrlB={} dtx={} \
+         drops={} nbr={:?} stored={} fwd={} events={events}",
+        r.protocol,
+        r.data_sent,
+        r.data_delivered,
+        r.duplicate_deliveries,
+        r.delivery_ratio,
+        r.avg_delay_s,
+        r.avg_hops,
+        r.control_packets,
+        r.control_bytes,
+        r.data_transmissions,
+        r.drops,
+        r.avg_neighbors,
+        r.bundles_stored,
+        r.bundles_forwarded
+    )
+}
+
+const FAULTY_KINDS: [ProtocolKind; 2] = [ProtocolKind::Flooding, ProtocolKind::Epidemic];
+
+/// Pinned [`fingerprint`]s of [`faulty_scenario`], in `FAULTY_KINDS` order.
+/// The node outage, RSU outage, jam and burst windows all open and close
+/// while frames are in flight, so a transition that slipped past even one
+/// reception of such a frame would move these. Captured at seed 11 from the
+/// engine that scheduled every reception as an event of its own.
+const FAULTY_PINS: [&str; 2] = [
+    "Flooding|sent=45 dlvd=15 dup=0 pdr=0.3333333333333333 delay=0.002412063894330648 hops=0.7999999999999999 ctrl=0 ctrlB=0 dtx=333 drops=716 nbr=1.7865384615384612 stored=0 fwd=0 events=1632",
+    "Epidemic|sent=45 dlvd=8 dup=0 pdr=0.17777777777777778 delay=3.9245246722664735 hops=2.25 ctrl=1196 ctrlB=41892 dtx=1029 drops=19 nbr=3.369230769230767 stored=222 fwd=1029 events=4904",
+];
+
+#[test]
+fn faulted_runs_match_their_pinned_reports_and_event_counts() {
+    for (kind, pin) in FAULTY_KINDS.into_iter().zip(FAULTY_PINS) {
+        let mut sim = Simulation::new(faulty_scenario(), kind);
+        let report = sim.run();
+        assert_eq!(
+            fingerprint(&report, sim.processed_events()),
+            pin,
+            "{kind:?} under the fault plan diverged from its pin"
         );
     }
 }

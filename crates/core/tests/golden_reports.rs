@@ -13,7 +13,7 @@
 //! cargo test -p vanet-core --test golden_reports -- --ignored --nocapture regenerate
 //! ```
 
-use vanet_core::{run_scenario, ProtocolKind, Report, Scenario, TrafficRegime};
+use vanet_core::{ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -77,6 +77,14 @@ const PINS: &[&str] = &[
     "ProbFlood|sent=75 dlvd=7 dup=0 pdr=0.09333333333333334 delay=3.668832132403559 maxdelay=17.10116248617009 hops=5.7142857142857135 ctrl=957 ctrlB=30624 dtx=1265 rerr=0 drops=1835 nbr=3.8187499999999943",
 ];
 
+/// Runs `scenario` under `kind`; returns the report and the number of
+/// scheduler events the run processed.
+fn run_counted(scenario: Scenario, kind: ProtocolKind) -> (Report, u64) {
+    let mut sim = Simulation::new(scenario, kind);
+    let report = sim.run();
+    (report, sim.processed_events())
+}
+
 /// Runs `scenario` under each of `kinds` and panics, naming `what`, with
 /// every fingerprint that differs from its pin.
 fn assert_pinned(
@@ -84,12 +92,13 @@ fn assert_pinned(
     kinds: &[ProtocolKind],
     pins: &[&str],
     scenario: impl Fn() -> Scenario,
-    fingerprint: impl Fn(&Report) -> String,
+    fingerprint: impl Fn(&Report, u64) -> String,
 ) {
     assert_eq!(pins.len(), kinds.len(), "pin list out of sync — regenerate");
     let mut failures = Vec::new();
     for (&kind, pin) in kinds.iter().zip(pins) {
-        let got = fingerprint(&run_scenario(scenario(), kind));
+        let (report, events) = run_counted(scenario(), kind);
+        let got = fingerprint(&report, events);
         if got != *pin {
             failures.push(format!("{kind:?}:\n  pinned: {pin}\n  got:    {got}"));
         }
@@ -109,7 +118,7 @@ fn every_protocol_matches_its_pinned_report() {
         &ProtocolKind::ALL,
         PINS,
         golden_scenario,
-        fingerprint,
+        |r, _| fingerprint(r),
     );
 }
 
@@ -123,7 +132,7 @@ fn empty_fault_plan_is_byte_identical_for_every_protocol() {
         &ProtocolKind::ALL,
         PINS,
         || golden_scenario().with_faults(vanet_core::FaultPlan::new()),
-        fingerprint,
+        |r, _| fingerprint(r),
     );
 }
 
@@ -179,7 +188,7 @@ fn dtn_protocols_match_their_pins_on_the_disrupted_highway() {
         &DTN_KINDS,
         DTN_PINS,
         disrupted_scenario,
-        dtn_fingerprint,
+        |r, _| dtn_fingerprint(r),
     );
 }
 
@@ -198,6 +207,14 @@ fn congested_scenario() -> Scenario {
         .with_duration(SimDuration::from_secs(8.0))
 }
 
+/// [`fingerprint`] plus the number of scheduler events processed: every
+/// frame here reaches dozens of receivers a fraction of a microsecond apart,
+/// and each of those receptions is one event whichever way the engine queues
+/// them.
+fn congested_fingerprint(r: &Report, events: u64) -> String {
+    format!("{} events={events}", fingerprint(r))
+}
+
 const CONGESTED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Yan,
     ProtocolKind::YanTbpss,
@@ -205,16 +222,16 @@ const CONGESTED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Flooding,
 ];
 
-/// Pinned [`fingerprint`]s on [`congested_scenario`], in `CONGESTED_KINDS`
-/// order. Captured at seed 7: the two ticket-probing lines from the engine
+/// Pinned [`congested_fingerprint`]s on [`congested_scenario`], in
+/// `CONGESTED_KINDS` order. Captured at seed 7: the two ticket-probing lines from the engine
 /// whose `expected_link_duration` evaluated `Normal::pdf` at every quadrature
 /// sample, the two storm lines from the engine whose interference count
 /// branched per window entry and called `powi` per receiver.
 const CONGESTED_PINS: &[&str] = &[
-    "Yan|sent=96 dlvd=6 dup=0 pdr=0.0625 delay=0.3440361181262269 maxdelay=2.012383372964573 hops=2.5 ctrl=4296 ctrlB=142320 dtx=30 rerr=0 drops=21 nbr=58.03776041666673",
-    "Yan-TBPSS|sent=96 dlvd=3 dup=0 pdr=0.03125 delay=0.002247248680540418 maxdelay=0.004552204258257753 hops=1.0 ctrl=4298 ctrlB=142076 dtx=3 rerr=0 drops=24 nbr=58.04114583333327",
-    "AODV|sent=96 dlvd=2 dup=2 pdr=0.020833333333333332 delay=0.008032546026759402 maxdelay=0.008327361118486643 hops=4.5 ctrl=26919 ctrlB=1481224 dtx=17 rerr=0 drops=127836 nbr=58.07968750000001",
-    "Flooding|sent=96 dlvd=85 dup=0 pdr=0.8854166666666666 delay=0.049953376428885365 maxdelay=0.1780082161615093 hops=7.6000000000000005 ctrl=0 ctrlB=0 dtx=39888 rerr=0 drops=219442 nbr=21.52421875000002",
+    "Yan|sent=96 dlvd=6 dup=0 pdr=0.0625 delay=0.3440361181262269 maxdelay=2.012383372964573 hops=2.5 ctrl=4296 ctrlB=142320 dtx=30 rerr=0 drops=21 nbr=58.03776041666673 events=234365",
+    "Yan-TBPSS|sent=96 dlvd=3 dup=0 pdr=0.03125 delay=0.002247248680540418 maxdelay=0.004552204258257753 hops=1.0 ctrl=4298 ctrlB=142076 dtx=3 rerr=0 drops=24 nbr=58.04114583333327 events=233383",
+    "AODV|sent=96 dlvd=2 dup=2 pdr=0.020833333333333332 delay=0.008032546026759402 maxdelay=0.008327361118486643 hops=4.5 ctrl=26919 ctrlB=1481224 dtx=17 rerr=0 drops=127836 nbr=58.07968750000001 events=339352",
+    "Flooding|sent=96 dlvd=85 dup=0 pdr=0.8854166666666666 delay=0.049953376428885365 maxdelay=0.1780082161615093 hops=7.6000000000000005 ctrl=0 ctrlB=0 dtx=39888 rerr=0 drops=219442 nbr=21.52421875000002 events=263271",
 ];
 
 #[test]
@@ -224,7 +241,7 @@ fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
         &CONGESTED_KINDS,
         CONGESTED_PINS,
         congested_scenario,
-        fingerprint,
+        congested_fingerprint,
     );
 }
 
@@ -235,17 +252,17 @@ fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
 #[ignore = "generator, not a check"]
 fn regenerate() {
     for kind in ProtocolKind::ALL {
-        let report = run_scenario(golden_scenario(), kind);
+        let (report, _) = run_counted(golden_scenario(), kind);
         println!("    {:?},", fingerprint(&report));
     }
     println!();
     for kind in DTN_KINDS {
-        let report = run_scenario(disrupted_scenario(), kind);
+        let (report, _) = run_counted(disrupted_scenario(), kind);
         println!("    {:?},", dtn_fingerprint(&report));
     }
     println!();
     for kind in CONGESTED_KINDS {
-        let report = run_scenario(congested_scenario(), kind);
-        println!("    {:?},", fingerprint(&report));
+        let (report, events) = run_counted(congested_scenario(), kind);
+        println!("    {:?},", congested_fingerprint(&report, events));
     }
 }

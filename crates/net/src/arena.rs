@@ -2,8 +2,8 @@
 //!
 //! [`NeighborTable`] gives every node two heap `Vec`s (plus an inline key
 //! mirror sized for the worst case); at fleet scale that is millions of
-//! scattered allocations, and the warmed `observe` path — the hottest call
-//! in the megacity bench — still pays a dependent cache miss into each
+//! scattered allocations, and the `observe` path — the hottest call
+//! in the megacity bench — pays a dependent cache miss into each
 //! node's own little heap islands. [`NeighborArena`] replaces all of that
 //! with **one contiguous slab** shared by the whole fleet: entries live in
 //! fixed-size blocks (index-linked, ascending by [`NodeId`] across a node's
@@ -462,28 +462,6 @@ impl NeighborArena {
             block: table.head,
             pos: 0,
         }
-    }
-
-    /// Cache-warming probe mirroring [`NeighborTable::warm_for`]: walks the
-    /// chain's key lines and the entry slot a coming `observe` for `id`
-    /// will touch, folded into a value the caller can `black_box`.
-    #[must_use]
-    pub fn warm_for(&self, table: &ArenaTable, id: NodeId) -> usize {
-        let mut acc = 0usize;
-        let mut cur = table.head;
-        while cur != NIL {
-            let blk = &self.blocks[cur as usize];
-            let n = blk.len as usize;
-            if id <= blk.keys[n - 1] {
-                return match blk.keys[..n].iter().position(|&k| k == id) {
-                    Some(i) => acc ^ (blk.entries[i].last_heard.as_secs().to_bits() as usize),
-                    None => acc ^ n,
-                };
-            }
-            acc ^= n;
-            cur = blk.next;
-        }
-        acc
     }
 
     /// A read-only [`NeighborView`] of one node's table, the form protocols

@@ -1,15 +1,16 @@
-//! A fixed-bucket calendar queue for the near-future event tier (in-flight
-//! packet arrivals).
+//! A fixed-bucket calendar queue for the near-future event tier (frames in
+//! flight).
 //!
 //! The [`TimerWheel`](crate::TimerWheel) batches *periodic* timers whose
-//! deadlines sit a slot width or more apart; the few thousand sub-millisecond
-//! in-flight arrivals between a transmission and its deliveries are a
-//! different population: dense, very near future, never cancelled. Keeping
-//! them in the binary heap costs `O(log Q)` pointer-chasing comparisons per
-//! arrival. [`CalendarQueue`] instead hashes them into a fixed ring of
-//! `buckets` buckets each `bucket` wide: scheduling is an `O(1)` push into a
-//! contiguous vector, and a bucket is sorted once when the clock reaches it,
-//! so the per-event cost is an amortised in-cache sort of one small bucket.
+//! deadlines sit a slot width or more apart; the frames in flight between a
+//! transmission and its receptions are a different population: dense, very
+//! near future (sub-millisecond to tens of milliseconds), never cancelled.
+//! Keeping them in the binary heap costs `O(log Q)` pointer-chasing
+//! comparisons per entry. [`CalendarQueue`] instead hashes them into a fixed
+//! ring of `buckets` buckets each `bucket` wide: scheduling is an `O(1)` push
+//! into a contiguous vector, and a bucket is sorted once when the clock
+//! reaches it, so the per-entry cost is an amortised in-cache sort of one
+//! small bucket.
 //!
 //! Events beyond the ring's window (`buckets × bucket` ahead of the ring
 //! base) are rejected by [`CalendarQueue::accepts`] and belong in the heap;
@@ -180,13 +181,6 @@ impl<E> CalendarQueue<E> {
         let entry = self.current.pop()?;
         self.len -= 1;
         Some((entry.time, entry.event))
-    }
-
-    /// The next `k` entries of the activated bucket, soonest first (exact
-    /// for the activated bucket; later buckets are not previewed). Advisory,
-    /// for cache-warming passes over upcoming events.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.current.iter().rev().take(k).map(|entry| &entry.event)
     }
 
     /// Drops all pending entries; ring capacity is retained.

@@ -118,11 +118,12 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time` with a caller-assigned tie-break sequence
     /// number. Used by [`Scheduler`](crate::Scheduler), which shares one
-    /// sequence counter between this heap and its batched timer wheel so that
-    /// the merged pop order is identical to a single queue's.
+    /// sequence counter between this heap and its other tiers so that the
+    /// merged pop order is identical to a single queue's.
     ///
-    /// `seq` must be strictly larger than any sequence number already used,
-    /// or same-time ordering becomes unspecified.
+    /// `seq` must differ from every sequence number already used (it need
+    /// not be the largest: the scheduler queues reserved numbers late), or
+    /// same-time ordering becomes unspecified.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.next_seq = self.next_seq.max(seq + 1);
         self.live += 1;
@@ -200,16 +201,6 @@ impl<E> EventQueue<E> {
             self.live = self.live.saturating_sub(1);
             return Some((entry.time, entry.event));
         }
-    }
-
-    /// An approximate preview of events that will pop soon: the first `k`
-    /// entries of the underlying heap array. The heap's array order is not
-    /// sorted, but its prefix is heavily biased towards the smallest keys,
-    /// which is exactly what a cache-warming pass wants — callers use this
-    /// to touch the state upcoming events will need so the misses overlap
-    /// instead of serialising. Purely advisory: no ordering guarantee.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.heap.iter().take(k).map(|entry| &entry.event)
     }
 
     /// Drops all events, leaving the queue empty. Handles issued before the

@@ -56,18 +56,31 @@ enum Tier {
 
 /// A discrete-event scheduler combining a clock, an event queue, an optional
 /// batched timer wheel for high-volume periodic events, and an optional
-/// calendar queue for dense near-future events (in-flight packet arrivals).
+/// calendar queue for dense near-future events (frames in flight).
 ///
 /// All three tiers share one sequence counter, and [`Scheduler::next_event`]
 /// pops whichever holds the smallest `(time, seq)` key — so enabling
 /// batching or the calendar never changes the order events fire in, only the
 /// cost of scheduling them.
+///
+/// A caller whose one action fans out into a *run* of events (a radio frame
+/// reaching its receivers) need not queue them all: it reserves their
+/// sequence numbers ([`Scheduler::reserve_seqs`]), queues one entry under
+/// the run's smallest key ([`Scheduler::schedule_keyed`]) and, after firing
+/// each member, asks [`Scheduler::advance_if_next`] whether the next
+/// member's key is still ahead of everything pending — continuing inline if
+/// so, re-queuing the entry under that key if not. Either way the members
+/// fire exactly where individually scheduled events would have.
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
     now: SimTime,
     queue: EventQueue<E>,
     wheel: Option<TimerWheel<E>>,
     calendar: Option<CalendarQueue<E>>,
+    /// The merged head of the three tiers, when known: filled by
+    /// [`Scheduler::peek_merged`], cleared by every pop and cancel and by a
+    /// push that lands in front of it (a push behind it cannot change it).
+    head: Option<(SimTime, u64, Tier)>,
     seq: u64,
     processed: u64,
     horizon: Option<SimTime>,
@@ -94,6 +107,7 @@ impl<E> Scheduler<E> {
             queue: EventQueue::new(),
             wheel: None,
             calendar: None,
+            head: None,
             seq: 0,
             processed: 0,
             horizon: None,
@@ -136,7 +150,10 @@ impl<E> Scheduler<E> {
 
     /// Enables the batched timer wheel with `slot`-wide buckets. Call once,
     /// before the first [`Scheduler::schedule_batched_after`]; pick the slot
-    /// close to the period of the batched events (e.g. the beacon interval).
+    /// strictly below the shortest delay a batched event re-arms with (a
+    /// beacon jittered by ±5 % re-arms 0.95 intervals ahead at the least), so
+    /// that a re-armed timer never lands back in the slot it fired from — see [`TimerWheel`]'s module docs and
+    /// [`Scheduler::wheel_splices`].
     ///
     /// # Panics
     ///
@@ -164,9 +181,25 @@ impl<E> Scheduler<E> {
         }
     }
 
+    /// How many batched pushes landed in the wheel's already-activated slot
+    /// (see [`TimerWheel::spliced`]); zero without a wheel.
+    #[must_use]
+    pub fn wheel_splices(&self) -> u64 {
+        self.wheel.as_ref().map_or(0, TimerWheel::spliced)
+    }
+
+    /// Forgets the cached head if an entry about to be pushed under
+    /// `(time, seq)` precedes it.
+    fn forget_head_behind(&mut self, time: SimTime, seq: u64) {
+        if self.head.is_some_and(|(t, s, _)| (time, seq) < (t, s)) {
+            self.head = None;
+        }
+    }
+
     /// Routes `(time, seq, event)` to the calendar when it is enabled and
     /// `time` is inside its window, to the heap otherwise.
     fn push_near(&mut self, time: SimTime, seq: u64, event: E) {
+        self.forget_head_behind(time, seq);
         if let Some(cal) = &mut self.calendar {
             cal.reanchor(self.now);
             if cal.accepts(time) {
@@ -178,9 +211,55 @@ impl<E> Scheduler<E> {
     }
 
     fn next_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
+        self.reserve_seqs(1)
+    }
+
+    /// Reserves `n` consecutive sequence numbers — the ones `n` back-to-back
+    /// `schedule_*` calls would have drawn — and returns the first. The
+    /// caller owns them: each may key at most one entry, queued with
+    /// [`Scheduler::schedule_keyed`] or fired through
+    /// [`Scheduler::advance_if_next`].
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules `event` under the exact key `(time, seq)`, `seq` having been
+    /// reserved with [`Scheduler::reserve_seqs`]. It fires where an event
+    /// scheduled at `time` by the call that drew `seq` would have.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `time` is before the clock or `seq` was never
+    /// reserved.
+    pub fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(time >= self.now, "keyed event scheduled in the past");
+        debug_assert!(seq < self.seq, "keyed event with an unreserved seq");
+        self.push_near(time, seq, event);
+    }
+
+    /// Fires the event keyed `(time, seq)` in place, without it ever having
+    /// been queued: returns `true` — with the clock advanced to `time` and
+    /// one more event counted as processed, exactly as if
+    /// [`Scheduler::next_event`] had popped it — iff no pending event
+    /// precedes that key and `time` lies within the horizon. On `false`
+    /// nothing changed; queue the event with [`Scheduler::schedule_keyed`]
+    /// and it surfaces in its turn.
+    pub fn advance_if_next(&mut self, time: SimTime, seq: u64) -> bool {
+        if self.horizon.is_some_and(|h| time > h) {
+            return false;
+        }
+        if self
+            .peek_merged()
+            .is_some_and(|(t, s, _)| (t, s) < (time, seq))
+        {
+            return false;
+        }
+        debug_assert!(time >= self.now, "keyed event lies in the past");
+        self.now = time;
+        self.processed += 1;
+        true
     }
 
     /// Schedules an event at an absolute time.
@@ -220,6 +299,7 @@ impl<E> Scheduler<E> {
     pub fn schedule_batched_after(&mut self, delay: SimDuration, event: E) {
         let time = self.now + delay;
         let seq = self.next_seq();
+        self.forget_head_behind(time, seq);
         match &mut self.wheel {
             Some(wheel) if wheel.accepts(time) => wheel.push(time, seq, event),
             _ => self.queue.push_with_seq(time, seq, event),
@@ -229,9 +309,10 @@ impl<E> Scheduler<E> {
     /// Schedules an event `delay` after the current time, returning a handle
     /// that can be used to cancel it.
     pub fn schedule_after_cancellable(&mut self, delay: SimDuration, event: E) -> EventHandle {
+        let time = self.now + delay;
         let seq = self.next_seq();
-        self.queue
-            .push_cancellable_with_seq(self.now + delay, seq, event)
+        self.forget_head_behind(time, seq);
+        self.queue.push_cancellable_with_seq(time, seq, event)
     }
 
     /// Like [`Scheduler::schedule_batched_after`], returning a handle that
@@ -247,6 +328,7 @@ impl<E> Scheduler<E> {
     ) -> TimerHandle {
         let time = self.now + delay;
         let seq = self.next_seq();
+        self.forget_head_behind(time, seq);
         match &mut self.wheel {
             Some(wheel) if wheel.accepts(time) => {
                 TimerHandle::Wheel(wheel.push_cancellable(time, seq, event))
@@ -257,6 +339,7 @@ impl<E> Scheduler<E> {
 
     /// Cancels a previously scheduled event.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
+        self.head = None;
         self.queue.cancel(handle)
     }
 
@@ -264,6 +347,7 @@ impl<E> Scheduler<E> {
     /// [`Scheduler::schedule_batched_after_cancellable`]. Cancelling an
     /// already-fired or already-cancelled timer is a no-op returning `false`.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
+        self.head = None;
         match handle {
             TimerHandle::Heap(h) => self.queue.cancel(h),
             TimerHandle::Wheel(h) => self.wheel.as_mut().is_some_and(|w| w.cancel(h)),
@@ -272,8 +356,12 @@ impl<E> Scheduler<E> {
 
     /// The `(time, seq)` key of the next pending event across the heap, the
     /// wheel and the calendar, plus which tier holds it. Seq keys are
-    /// globally unique, so the three-way minimum is unambiguous.
+    /// globally unique, so the three-way minimum is unambiguous. The answer
+    /// is cached until something can have changed it.
     fn peek_merged(&mut self) -> Option<(SimTime, u64, Tier)> {
+        if self.head.is_some() {
+            return self.head;
+        }
         let mut best: Option<(SimTime, u64, Tier)> =
             self.queue.peek_key().map(|(t, s)| (t, s, Tier::Heap));
         if let Some((t, s)) = self.wheel.as_mut().and_then(TimerWheel::peek) {
@@ -286,6 +374,7 @@ impl<E> Scheduler<E> {
                 best = Some((t, s, Tier::Calendar));
             }
         }
+        self.head = best;
         best
     }
 
@@ -306,6 +395,7 @@ impl<E> Scheduler<E> {
                 return None;
             }
         }
+        self.head = None;
         let (time, event) = match tier {
             Tier::Wheel => self.wheel.as_mut().expect("peek said wheel").pop()?,
             Tier::Calendar => self.calendar.as_mut().expect("peek said calendar").pop()?,
@@ -318,27 +408,6 @@ impl<E> Scheduler<E> {
         self.now = time;
         self.processed += 1;
         Some((time, event))
-    }
-
-    /// An advisory preview of events likely to pop soon, drawn from the
-    /// heap's array prefix, the wheel's activated slot and the calendar's
-    /// activated bucket (see [`EventQueue::peek_upcoming`],
-    /// [`TimerWheel::peek_upcoming`] and [`CalendarQueue::peek_upcoming`]).
-    /// No ordering guarantee — intended for cache-warming the state the
-    /// next few events will touch.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.queue
-            .peek_upcoming(k)
-            .chain(
-                self.wheel
-                    .iter()
-                    .flat_map(move |wheel| wheel.peek_upcoming(k)),
-            )
-            .chain(
-                self.calendar
-                    .iter()
-                    .flat_map(move |cal| cal.peek_upcoming(k)),
-            )
     }
 
     /// Advances the clock to `time` without processing events.
@@ -359,6 +428,7 @@ impl<E> Scheduler<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
+        self.head = None;
         self.queue.clear();
         if let Some(wheel) = &mut self.wheel {
             wheel.clear();
@@ -531,6 +601,319 @@ mod tests {
             }
         }
         assert_eq!(plain.processed_events(), tiered.processed_events());
+    }
+
+    /// What the keyed-run property test queues: a stand-alone event, or (in
+    /// the keyed scheduler only) a whole run standing in for its members.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fired {
+        Plain(u32),
+        Run(usize),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Handle {
+        Event(EventHandle),
+        Timer(TimerHandle),
+    }
+
+    /// A keyed run: its members as `(time, seq, payload)` in key order, and
+    /// the index of the next one to fire.
+    struct KeyedRun {
+        members: Vec<(SimTime, u64, u32)>,
+        next: usize,
+    }
+
+    /// One of the two schedulers of
+    /// `a_keyed_run_continued_inline_fires_exactly_like_individual_entries`
+    /// with the handlers that drive it. Everything a handler does is a
+    /// function of the payload that fired and of counters that advance with
+    /// the fire sequence, so the two drivers issue the same calls for as
+    /// long as they fire in the same order.
+    struct RunDriver {
+        sched: Scheduler<Fired>,
+        /// `false`: the reference, one `schedule_at` per member.
+        keyed: bool,
+        runs: Vec<KeyedRun>,
+        log: Vec<(SimTime, u32)>,
+        next_payload: u32,
+        /// Payloads scheduled and neither fired nor cancelled.
+        live: usize,
+        handles: Vec<Handle>,
+        inline: usize,
+        requeued: usize,
+        tied_in_front: usize,
+        tied_behind: usize,
+    }
+
+    /// Hop spacing: a power of two, so sums of multiples are exact and equal
+    /// multiples give bit-equal times.
+    const QUANTUM: f64 = 1.0 / 4_194_304.0;
+    const TARGET_FIRES: usize = 6_000;
+
+    impl RunDriver {
+        fn new(keyed: bool, horizon: Option<SimTime>) -> Self {
+            let mut sched = horizon.map_or_else(Scheduler::new, Scheduler::with_horizon);
+            sched.enable_batching(SimDuration::from_secs(0.01));
+            sched.enable_calendar(SimDuration::from_secs(0.000_25), 256);
+            let mut driver = RunDriver {
+                sched,
+                keyed,
+                runs: Vec::new(),
+                log: Vec::new(),
+                next_payload: 0,
+                live: 0,
+                handles: Vec::new(),
+                inline: 0,
+                requeued: 0,
+                tied_in_front: 0,
+                tied_behind: 0,
+            };
+            for i in 0..8 {
+                let payload = Fired::Plain(driver.payload());
+                driver
+                    .sched
+                    .schedule_after(SimDuration::from_secs(0.001 * f64::from(i)), payload);
+            }
+            driver
+        }
+
+        /// A fresh payload, counted as scheduled.
+        fn payload(&mut self) -> u32 {
+            self.next_payload += 1;
+            self.live += 1;
+            self.next_payload
+        }
+
+        /// Schedules a run whose member `i` fires `delays[i]` from now. The
+        /// reference draws one seq per member in index order; the keyed side
+        /// reserves the same numbers and queues the smallest key only.
+        fn start_run(&mut self, delays: &[f64]) {
+            let now = self.sched.now();
+            let times: Vec<SimTime> = delays
+                .iter()
+                .map(|&d| now + SimDuration::from_secs(d))
+                .collect();
+            if self.keyed {
+                let first = self.sched.reserve_seqs(times.len() as u64);
+                let mut members: Vec<(SimTime, u64, u32)> = times
+                    .iter()
+                    .zip(first..)
+                    .map(|(&time, seq)| (time, seq, self.payload()))
+                    .collect();
+                members.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
+                let (time, seq, _) = members[0];
+                self.sched
+                    .schedule_keyed(time, seq, Fired::Run(self.runs.len()));
+                self.runs.push(KeyedRun { members, next: 0 });
+            } else {
+                for &time in &times {
+                    let payload = Fired::Plain(self.payload());
+                    self.sched.schedule_at(time, payload).unwrap();
+                }
+            }
+        }
+
+        /// A foreign event at exactly `delay` from now, through the tier
+        /// `tier` selects: calendar/heap by distance, or the wheel.
+        fn foreign(&mut self, delay: f64, tier: usize) {
+            let payload = Fired::Plain(self.payload());
+            let delay = SimDuration::from_secs(delay);
+            match tier {
+                0 => self.sched.schedule_after(delay, payload),
+                1 => self.sched.schedule_batched_after(delay, payload),
+                _ => {
+                    let handle = self.sched.schedule_after_cancellable(delay, payload);
+                    self.handles.push(Handle::Event(handle));
+                }
+            }
+        }
+
+        fn fire(&mut self, time: SimTime, payload: u32) {
+            assert_eq!(self.sched.now(), time, "clock after firing {payload}");
+            self.log.push((time, payload));
+            self.live -= 1;
+            let mut rng = crate::SimRng::new(0x5eed ^ u64::from(payload));
+            let spawning = self.log.len() + self.live < TARGET_FIRES && self.live < 400;
+            let roll = if self.live < 40 {
+                rng.uniform_usize(4)
+            } else {
+                rng.uniform_usize(16)
+            };
+            match roll {
+                // One run of 1–60 members, ties inside it, and foreign
+                // events at members' exact times on both sides of the
+                // tie-break (a lower seq fires first, a higher one after).
+                0 | 1 if spawning => {
+                    let base = 0.0005 + QUANTUM * rng.uniform_usize(2_000) as f64;
+                    let delays: Vec<f64> = (0..1 + rng.uniform_usize(60))
+                        .map(|_| base + QUANTUM * rng.uniform_usize(8) as f64)
+                        .collect();
+                    if rng.chance(0.5) {
+                        let member = rng.uniform_usize(delays.len());
+                        self.foreign(delays[member], rng.uniform_usize(3));
+                        self.tied_in_front += 1;
+                    }
+                    self.start_run(&delays);
+                    if rng.chance(0.5) {
+                        let member = rng.uniform_usize(delays.len());
+                        self.foreign(delays[member], rng.uniform_usize(3));
+                        self.tied_behind += 1;
+                    }
+                }
+                // Two runs whose members alternate one by one.
+                2 if spawning => {
+                    let base = 0.0005 + QUANTUM * rng.uniform_usize(2_000) as f64;
+                    let n = 2 + rng.uniform_usize(20);
+                    let even: Vec<f64> = (0..n).map(|k| base + QUANTUM * (2 * k) as f64).collect();
+                    let odd: Vec<f64> = (0..n)
+                        .map(|k| base + QUANTUM * (2 * k + 1) as f64)
+                        .collect();
+                    self.start_run(&even);
+                    self.start_run(&odd);
+                }
+                // A handler scheduling at zero delay and half a millisecond
+                // out, mid-run as often as not.
+                3 | 4 if spawning => {
+                    self.foreign(0.0, 0);
+                    self.foreign(0.0005, 0);
+                }
+                // A far heap event and a wheel timer.
+                5 if spawning => {
+                    self.foreign(0.2 + rng.uniform(), 0);
+                    self.foreign(0.01 + 0.02 * rng.uniform(), 1);
+                }
+                // A cancellable timer a few quanta out — the head of the
+                // queue more often than not — on the heap or the wheel.
+                6 | 7 if spawning => {
+                    let delay = SimDuration::from_secs(QUANTUM * rng.uniform_usize(6) as f64);
+                    let payload = Fired::Plain(self.payload());
+                    let handle = if rng.chance(0.5) {
+                        Handle::Event(self.sched.schedule_after_cancellable(delay, payload))
+                    } else {
+                        Handle::Timer(
+                            self.sched
+                                .schedule_batched_after_cancellable(delay, payload),
+                        )
+                    };
+                    self.handles.push(handle);
+                }
+                // Cancel the most recent cancellable timer, fired or not.
+                8..=10 => {
+                    let cancelled = match self.handles.pop() {
+                        Some(Handle::Event(handle)) => self.sched.cancel(handle),
+                        Some(Handle::Timer(handle)) => self.sched.cancel_timer(handle),
+                        None => false,
+                    };
+                    if cancelled {
+                        self.live -= 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Pops and handles one queue entry; `false` once nothing is left
+        /// within the horizon.
+        fn step(&mut self) -> bool {
+            let Some((mut time, fired)) = self.sched.next_event() else {
+                return false;
+            };
+            match fired {
+                Fired::Plain(payload) => self.fire(time, payload),
+                Fired::Run(run) => loop {
+                    let keyed = &mut self.runs[run];
+                    let (due, _, payload) = keyed.members[keyed.next];
+                    assert_eq!(due, time, "run {run} surfaced at the wrong time");
+                    keyed.next += 1;
+                    let following = keyed.members.get(keyed.next).copied();
+                    self.fire(time, payload);
+                    let Some((next_time, next_seq, _)) = following else {
+                        break;
+                    };
+                    if self.sched.advance_if_next(next_time, next_seq) {
+                        self.inline += 1;
+                        time = next_time;
+                    } else {
+                        self.requeued += 1;
+                        self.sched
+                            .schedule_keyed(next_time, next_seq, Fired::Run(run));
+                        break;
+                    }
+                },
+            }
+            true
+        }
+
+        fn run_to_end(mut self) -> Self {
+            while self.step() {}
+            self
+        }
+
+        /// Members of keyed runs not fired yet, beyond the one entry each
+        /// such run keeps queued.
+        fn unqueued_members(&self) -> usize {
+            self.runs
+                .iter()
+                .map(|run| (run.members.len() - run.next).saturating_sub(1))
+                .sum()
+        }
+    }
+
+    #[test]
+    fn a_keyed_run_continued_inline_fires_exactly_like_individual_entries() {
+        let assert_same = |reference: &RunDriver, keyed: &RunDriver| {
+            if let Some(at) = (0..reference.log.len().max(keyed.log.len()))
+                .find(|&i| reference.log.get(i) != keyed.log.get(i))
+            {
+                panic!(
+                    "fire {at} diverged: reference {:?}, keyed {:?}",
+                    reference.log.get(at),
+                    keyed.log.get(at)
+                );
+            }
+            assert_eq!(reference.sched.now(), keyed.sched.now());
+            assert_eq!(
+                reference.sched.processed_events(),
+                reference.log.len() as u64
+            );
+            assert_eq!(keyed.sched.processed_events(), keyed.log.len() as u64);
+            assert_eq!(
+                reference.sched.pending_events(),
+                keyed.sched.pending_events() + keyed.unqueued_members(),
+                "every unfired member is pending once"
+            );
+        };
+
+        // No horizon: both drain completely.
+        let reference = RunDriver::new(false, None).run_to_end();
+        let keyed = RunDriver::new(true, None).run_to_end();
+        assert_same(&reference, &keyed);
+        assert!(reference.sched.is_idle() && keyed.sched.is_idle());
+        assert!(reference.log.len() >= TARGET_FIRES, "the script ran dry");
+        // The script must have exercised what it is here for.
+        assert!(keyed.inline > 1_000, "inline {}", keyed.inline);
+        assert!(keyed.requeued > 300, "requeued {}", keyed.requeued);
+        assert!(keyed.tied_in_front > 50 && keyed.tied_behind > 50);
+        assert!(
+            keyed.log.windows(2).filter(|w| w[0].0 == w[1].0).count() > 500,
+            "exact ties are the point"
+        );
+
+        // A horizon falling inside a run: stop at a member that has a later
+        // member of the same run still to come.
+        let horizon = keyed
+            .runs
+            .iter()
+            .filter(|run| run.members.len() > 20 && run.members[0].0 < run.members[19].0)
+            .nth(40)
+            .map(|run| run.members[0].0)
+            .expect("the script has long runs");
+        let reference = RunDriver::new(false, Some(horizon)).run_to_end();
+        let keyed = RunDriver::new(true, Some(horizon)).run_to_end();
+        assert_same(&reference, &keyed);
+        assert_eq!(reference.sched.now(), horizon);
+        assert!(keyed.unqueued_members() > 0 && !keyed.sched.is_idle());
     }
 
     #[test]

@@ -3,10 +3,18 @@
 //!
 //! A fleet of N periodically-firing nodes costs the binary-heap scheduler
 //! `O(log Q)` per timer with `Q ≈ N` pending entries. [`TimerWheel`] instead
-//! hashes timers into slots one period wide: scheduling is an `O(1)` push
-//! into the slot's vector, and a slot is sorted once when the clock reaches
-//! it. The wheel also keeps those N long-lived timers *out* of the main heap,
+//! hashes timers into fixed-width slots: scheduling is an `O(1)` push into
+//! the slot's vector, and a slot is sorted once when the clock reaches it.
+//! The wheel also keeps those N long-lived timers *out* of the main heap,
 //! which shrinks every remaining heap operation.
+//!
+//! Slot width: strictly *below* the shortest delay any timer on the wheel
+//! re-arms with. A timer that fires from the activated slot and re-arms less
+//! than a slot width ahead can land back in that slot, which is already
+//! sorted — the push becomes a `Vec::insert` into a fleet-sized vector
+//! instead of an append. A beacon of period `T` jittered by ±5 % re-arms as
+//! little as `0.95 T` ahead, so a slot of `T` splices and a slot of `0.94 T`
+//! never does; [`TimerWheel::spliced`] counts the slow-path pushes.
 //!
 //! Originally the wheel only batched beacons; it is now a general deadline
 //! wheel: any event type can ride it, and [`TimerWheel::push_cancellable`]
@@ -63,6 +71,8 @@ pub struct TimerWheel<E> {
     cancelled: Vec<bool>,
     /// Live (non-cancelled) entries.
     len: usize,
+    /// Pushes that had to splice into the already-sorted activated slot.
+    spliced: u64,
 }
 
 impl<E> TimerWheel<E> {
@@ -85,6 +95,7 @@ impl<E> TimerWheel<E> {
             current: Vec::new(),
             cancelled: Vec::new(),
             len: 0,
+            spliced: 0,
         }
     }
 
@@ -117,12 +128,21 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
+    /// How many pushes landed in the already-activated slot and were spliced
+    /// into its sorted remainder — an `O(slot)` `memmove` each. Zero in
+    /// steady state when the slot width follows the module-level rule.
+    #[must_use]
+    pub fn spliced(&self) -> u64 {
+        self.spliced
+    }
+
     fn insert(&mut self, entry: Entry<E>) {
         self.len += 1;
         let idx = self.slot_index(entry.time);
         if idx < self.base {
             // The slot is already activated (or the wheel has advanced past
             // it): splice into the sorted remainder so ordering holds.
+            self.spliced += 1;
             let key = entry.key();
             let pos = self.current.partition_point(|e| e.key() > key);
             self.current.insert(pos, entry);
@@ -225,13 +245,6 @@ impl<E> TimerWheel<E> {
         }
         self.len -= 1;
         Some((entry.time, entry.event))
-    }
-
-    /// The next `k` entries of the activated slot, soonest first (exact for
-    /// the current slot; later slots are not previewed). Advisory, for
-    /// cache-warming passes over upcoming events.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.current.iter().rev().take(k).map(|entry| &entry.event)
     }
 
     /// Drops all pending entries. Handles issued before the clear become
@@ -337,6 +350,39 @@ mod tests {
         assert_eq!(w.len(), 1);
         let fired: Vec<u32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
         assert_eq!(fired, vec![6]);
+    }
+
+    /// 200 beacons of period 1 s, each re-armed `[0.95, 1.05]` s after it
+    /// fires, for ten periods; returns how many pushes spliced.
+    fn splices_with_slot(slot: f64) -> u64 {
+        let mut rng = crate::SimRng::new(3);
+        let mut w = TimerWheel::new(SimDuration::from_secs(slot));
+        let mut seq = 0u64;
+        for node in 0..200u32 {
+            w.push(t(rng.uniform()), seq, node);
+            seq += 1;
+        }
+        let mut last = SimTime::ZERO;
+        while let Some((time, node)) = w.pop() {
+            assert!(time >= last, "pop order holds whatever the slot width");
+            last = time;
+            if time.as_secs() < 10.0 {
+                let rearm = SimDuration::from_secs(rng.uniform_range(0.95, 1.05));
+                w.push(time + rearm, seq, node);
+                seq += 1;
+            }
+        }
+        w.spliced()
+    }
+
+    #[test]
+    fn a_slot_below_the_shortest_rearm_never_splices() {
+        assert_eq!(splices_with_slot(0.94), 0);
+        assert!(
+            splices_with_slot(1.0) > 0,
+            "a beacon fired early in a full-interval slot and re-armed 0.95 s \
+             ahead lands back in the activated slot"
+        );
     }
 
     #[test]
