@@ -197,7 +197,9 @@ impl CampaignPlan {
     }
 
     /// The fully seeded job for replication `replicate` of cell `cell`:
-    /// the single place the `base seed + replicate` convention lives.
+    /// the single place the `base seed + replicate` convention lives. The
+    /// sum wraps, so a base seed near `u64::MAX` (a spec string can ask for
+    /// one) still yields distinct seeds instead of an overflow panic.
     ///
     /// # Panics
     ///
@@ -211,7 +213,7 @@ impl CampaignPlan {
             scenario: spec
                 .scenario
                 .clone()
-                .with_seed(spec.scenario.seed + replicate as u64),
+                .with_seed(spec.scenario.seed.wrapping_add(replicate as u64)),
             protocol: spec.protocol,
         }
     }
@@ -340,6 +342,21 @@ mod tests {
                 .key()
         );
         assert_eq!(a.job(0, 0).key_hex().len(), 16);
+    }
+
+    #[test]
+    fn replicate_seeds_wrap_past_the_largest_base_seed() {
+        let plan = CampaignPlan::new("edge").cell_with(
+            "l",
+            tiny(u64::MAX),
+            ProtocolKind::Greedy,
+            ReplicationPolicy::Fixed(3),
+        );
+        let jobs = plan.initial_jobs();
+        let seeds: Vec<u64> = jobs.iter().map(|j| j.scenario.seed).collect();
+        assert_eq!(seeds, vec![u64::MAX, 0, 1]);
+        let keys: Vec<u64> = jobs.iter().map(PlanJob::key).collect();
+        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
     }
 
     #[test]

@@ -320,9 +320,9 @@ pub struct ProtocolContext<'a> {
     pub now: SimTime,
     /// The node's own kinematic state.
     pub state: &'a VehicleState,
-    /// The node's neighbour table (maintained by the beaconing service):
-    /// a read-only view over either the reference [`vanet_net::NeighborTable`]
-    /// or the fleet-shared [`vanet_net::NeighborArena`].
+    /// The node's neighbour table (maintained by the beaconing service): a
+    /// read-only view of its entries in the fleet-shared
+    /// [`vanet_net::NeighborArena`].
     pub neighbors: NeighborView<'a>,
     /// Nominal radio range in metres.
     pub range_m: f64,

@@ -125,7 +125,9 @@ impl CampaignSpec {
                     jobs.push(Job {
                         cell,
                         replicate,
-                        scenario: scenario.clone().with_seed(scenario.seed + replicate as u64),
+                        scenario: scenario
+                            .clone()
+                            .with_seed(scenario.seed.wrapping_add(replicate as u64)),
                         protocol,
                     });
                 }

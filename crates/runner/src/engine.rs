@@ -308,11 +308,10 @@ impl Runner {
             .and_then(|dir| match Journal::open(dir) {
                 Ok(journal) => Some(journal),
                 Err(error) => {
-                    // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                    eprintln!(
-                        "[vanet-runner] warning: cannot open journal in {dir:?}: {error}; \
+                    report_line(format_args!(
+                        "warning: cannot open journal in {dir:?}: {error}; \
                      continuing without resume or caching"
-                    );
+                    ));
                     None
                 }
             });
@@ -326,21 +325,20 @@ impl Runner {
                     Ok(Some(previous)) => {
                         for warning in manifest::diff(&previous, &manifest::manifest_entries(plan))
                         {
-                            // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                            eprintln!("[vanet-runner] warning: {warning}");
+                            report_line(format_args!("warning: {warning}"));
                         }
                     }
                     Ok(None) => {}
-                    // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                    Err(error) => eprintln!(
-                        "[vanet-runner] warning: cannot read manifest in {dir:?}: {error}; \
+                    Err(error) => report_line(format_args!(
+                        "warning: cannot read manifest in {dir:?}: {error}; \
                          skipping plan-drift check"
-                    ),
+                    )),
                 }
             }
             if let Err(error) = manifest::write(dir, plan) {
-                // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                eprintln!("[vanet-runner] warning: cannot write manifest in {dir:?}: {error}");
+                report_line(format_args!(
+                    "warning: cannot write manifest in {dir:?}: {error}"
+                ));
             }
         }
         let telemetry_log = self.telemetry.and_then(|_| {
@@ -350,11 +348,10 @@ impl Runner {
             match TelemetryLog::open(dir) {
                 Ok(log) => Some(log),
                 Err(error) => {
-                    // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                    eprintln!(
-                        "[vanet-runner] warning: cannot open telemetry log in {dir:?}: {error}; \
+                    report_line(format_args!(
+                        "warning: cannot open telemetry log in {dir:?}: {error}; \
                          continuing without the tap"
-                    );
+                    ));
                     None
                 }
             }
@@ -387,16 +384,15 @@ impl Runner {
                 None => String::new(),
                 Some(j) => format!(", journal cache: {} jobs", j.len()),
             };
-            // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-            eprintln!(
-                "[vanet-runner] campaign '{}': {} cells, {} initial jobs on {} workers{}{}",
+            report_line(format_args!(
+                "campaign '{}': {} cells, {} initial jobs on {} workers{}{}",
                 plan.name,
                 kept.len(),
                 plan.initial_job_count(),
                 self.workers,
                 shard_note,
                 journal_note
-            );
+            ));
         }
         let started = Instant::now();
         // stderr is locked per line so concurrent workers never interleave
@@ -498,13 +494,12 @@ impl Runner {
                                     if telemetry_writable.load(Ordering::Relaxed) {
                                         if let Err(error) = tlog.record(&entry) {
                                             if telemetry_writable.swap(false, Ordering::Relaxed) {
-                                                // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                                                eprintln!(
-                                                    "[vanet-runner] warning: cannot append to \
+                                                report_line(format_args!(
+                                                    "warning: cannot append to \
                                                      telemetry log {:?}: {error}; further \
                                                      telemetry writes disabled",
                                                     tlog.path()
-                                                );
+                                                ));
                                             }
                                         }
                                     }
@@ -527,13 +522,12 @@ impl Runner {
                                         };
                                         if let Err(error) = j.record(&record) {
                                             if journal_writable.swap(false, Ordering::Relaxed) {
-                                                // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                                                eprintln!(
-                                                    "[vanet-runner] warning: cannot append to \
+                                                report_line(format_args!(
+                                                    "warning: cannot append to \
                                                      journal {:?}: {error}; further journal \
                                                      writes disabled",
                                                     j.path()
-                                                );
+                                                ));
                                             }
                                         }
                                     }
@@ -570,15 +564,14 @@ impl Runner {
                     Err((backoff_s, error)) => {
                         let job = &round[slot];
                         frozen[job.cell] = true;
-                        // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                        eprintln!(
-                            "[vanet-runner] warning: quarantined {} on {} (seed {}) after {} \
+                        report_line(format_args!(
+                            "warning: quarantined {} on {} (seed {}) after {} \
                              attempt(s): {error}",
                             job.protocol,
                             plan.cells[job.cell].label,
                             job.scenario.seed,
                             allowed_attempts
-                        );
+                        ));
                         let entry = QuarantineEntry {
                             key: job.key(),
                             campaign: plan.name.clone(),
@@ -592,12 +585,11 @@ impl Runner {
                             if journal_writable.load(Ordering::Relaxed) {
                                 if let Err(io_error) = j.record_quarantine(&entry) {
                                     if journal_writable.swap(false, Ordering::Relaxed) {
-                                        // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-                                        eprintln!(
-                                            "[vanet-runner] warning: cannot append to journal \
+                                        report_line(format_args!(
+                                            "warning: cannot append to journal \
                                              {:?}: {io_error}; further journal writes disabled",
                                             j.path()
-                                        );
+                                        ));
                                     }
                                 }
                             }
@@ -644,15 +636,14 @@ impl Runner {
             } else {
                 format!(", {} quarantined", quarantined.len())
             };
-            // lint: allow(D5) — operator-facing degradation warning on an IO/journal failure path; never on the sim path and never on stdout (exports stay parseable).
-            eprintln!(
-                "[vanet-runner] campaign '{}' finished: {} jobs executed, {} cached{}, {:.2}s",
+            report_line(format_args!(
+                "campaign '{}' finished: {} jobs executed, {} cached{}, {:.2}s",
                 plan.name,
                 executed,
                 cached,
                 quarantine_note,
                 elapsed.as_secs_f64()
-            );
+            ));
         }
         CampaignResults {
             campaign: plan.name.clone(),
@@ -664,6 +655,15 @@ impl Runner {
             quarantined,
         }
     }
+}
+
+/// Every line the engine says to the operator — progress, and warnings when
+/// a journal, manifest or telemetry file degrades — goes through here, to
+/// stderr, so exports on stdout stay parseable. `--quiet` is decided by the
+/// caller.
+fn report_line(message: std::fmt::Arguments<'_>) {
+    // lint: allow(D5) — the one operator-facing print of the campaign layer; never on the sim path and never on stdout.
+    eprintln!("[vanet-runner] {message}");
 }
 
 /// Renders a caught panic payload as the single line stored in quarantine

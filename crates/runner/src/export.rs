@@ -311,6 +311,8 @@ pub fn render_jsonl(results: &CampaignResults) -> String {
 /// A parsed JSON value (the subset JSONL exports, journals and telemetry
 /// logs use).
 pub(crate) enum Json {
+    /// A token of digits only that fits `u64`, kept exact.
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -327,9 +329,26 @@ impl Json {
 
     pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
+            // Nearest-even, exactly what parsing the same digits as `f64` gives.
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
+    }
+
+    /// A non-negative integer, exactly: seeds and counters above 2^53 do not
+    /// survive a trip through `f64`, and `-1`, `1.5` or `1e3` in an integer
+    /// field is a malformed line, not a value to round.
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// [`Json::as_u64`] narrowed to an index or a count.
+    pub(crate) fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     pub(crate) fn as_str(&self) -> Option<&str> {
@@ -512,11 +531,14 @@ impl<'a> JsonParser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        match token.parse::<u64>() {
+            Ok(n) => Ok(Json::Int(n)),
+            Err(_) => token
+                .parse()
+                .map(Json::Num)
+                .map_err(|_| format!("bad number at byte {start}")),
+        }
     }
 }
 
@@ -544,9 +566,8 @@ pub fn parse_jsonl(input: &str) -> Result<ParsedCampaign, ExportError> {
             .ok_or_else(|| malformed(lineno, format!("unknown protocol {protocol_name:?}")))?;
         let replications = value
             .get("replications")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| malformed(lineno, "missing replications"))?
-            as usize;
+            .and_then(Json::as_usize)
+            .ok_or_else(|| malformed(lineno, "missing replications"))?;
         let metrics = value
             .get("metrics")
             .ok_or_else(|| malformed(lineno, "missing metrics object"))?;
@@ -649,6 +670,11 @@ mod tests {
         let parsed = parse_jsonl(&render_jsonl(&results)).unwrap();
         assert_eq!(parsed.campaign, "fake");
         assert_eq!(parsed.cells, results.cells);
+        for bad in ["-1", "1.5", "1e3"] {
+            let text = render_jsonl(&results)
+                .replace("\"replications\":3", &format!("\"replications\":{bad}"));
+            assert!(parse_jsonl(&text).is_err(), "replications {bad}");
+        }
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub fn parse_entry(line: &str) -> Result<JournalEntry, String> {
     let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
     let seed = value
         .get("seed")
-        .and_then(super::export::Json::as_f64)
-        .ok_or("missing seed")? as u64;
+        .and_then(super::export::Json::as_u64)
+        .ok_or("missing seed")?;
     let report_value = value.get("report").ok_or("missing report object")?;
     let rtext = |key: &str| -> Result<String, String> {
         report_value
@@ -128,7 +128,12 @@ pub fn parse_entry(line: &str) -> Result<JournalEntry, String> {
             .and_then(super::export::Json::as_f64)
             .ok_or_else(|| format!("missing report field {key:?}"))
     };
-    let int = |key: &str| -> Result<u64, String> { Ok(num(key)? as u64) };
+    let int = |key: &str| -> Result<u64, String> {
+        report_value
+            .get(key)
+            .and_then(super::export::Json::as_u64)
+            .ok_or_else(|| format!("missing report counter {key:?}"))
+    };
     let report = Report {
         protocol: rtext("protocol")?,
         scenario: rtext("scenario")?,
@@ -228,11 +233,11 @@ pub fn parse_quarantine(line: &str) -> Result<QuarantineEntry, String> {
             .map(str::to_owned)
             .ok_or_else(|| format!("missing string field {key:?}"))
     };
-    let num = |key: &str| -> Result<f64, String> {
+    let int = |key: &str| -> Result<u64, String> {
         value
             .get(key)
-            .and_then(super::export::Json::as_f64)
-            .ok_or_else(|| format!("missing field {key:?}"))
+            .and_then(super::export::Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key:?}"))
     };
     let key_hex = text("key")?;
     let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
@@ -247,8 +252,8 @@ pub fn parse_quarantine(line: &str) -> Result<QuarantineEntry, String> {
         key,
         campaign: text("campaign")?,
         label: text("label")?,
-        seed: num("seed")? as u64,
-        attempts: num("attempts")? as u32,
+        seed: int("seed")?,
+        attempts: u32::try_from(int("attempts")?).map_err(|_| "attempts out of range")?,
         backoff_s,
         error: text("error")?,
     })
@@ -437,6 +442,20 @@ mod tests {
         let e = entry();
         let parsed = parse_entry(&render_entry(&e)).expect("rendered entry parses");
         assert_eq!(parsed, e, "journal round-trip must be lossless");
+        // Above 2^53 a seed or a counter is exact only if never read as f64.
+        let mut big = entry();
+        big.seed = u64::MAX - 1;
+        big.report.control_bytes = (1 << 53) + 1;
+        let line = render_entry(&big);
+        assert_eq!(parse_entry(&line), Ok(big));
+        // Anything but a non-negative integer token in an integer field is a
+        // malformed line, not a value to round.
+        for bad in ["-1", "1.5", "1e3"] {
+            let seed = line.replace("\"seed\":18446744073709551614", &format!("\"seed\":{bad}"));
+            assert!(parse_entry(&seed).is_err(), "seed {bad}: {seed}");
+            let counter = line.replace("\"drops\":9", &format!("\"drops\":{bad}"));
+            assert!(parse_entry(&counter).is_err(), "drops {bad}: {counter}");
+        }
     }
 
     #[test]
@@ -487,6 +506,18 @@ mod tests {
         assert!(line.contains("\"quarantined\":true"));
         let parsed = parse_quarantine(&line).expect("rendered quarantine parses");
         assert_eq!(parsed, q, "quarantine round-trip must be lossless");
+        let mut big = quarantine();
+        big.seed = u64::MAX - 1;
+        let big_line = render_quarantine(&big);
+        assert_eq!(parse_quarantine(&big_line), Ok(big));
+        for bad in ["-1", "1.5", "1e3", "4294967296"] {
+            let attempts = line.replace("\"attempts\":3", &format!("\"attempts\":{bad}"));
+            assert!(parse_quarantine(&attempts).is_err(), "attempts {bad}");
+        }
+        for bad in ["-1", "1.5", "1e3"] {
+            let seed = line.replace("\"seed\":42", &format!("\"seed\":{bad}"));
+            assert!(parse_quarantine(&seed).is_err(), "seed {bad}");
+        }
         // A quarantine line is not a report line and vice versa.
         assert!(parse_entry(&line).is_err());
         assert!(parse_quarantine(&render_entry(&entry())).is_err());

@@ -92,8 +92,8 @@ pub fn parse_entry(line: &str) -> Result<ManifestEntry, String> {
     };
     let cell = value
         .get("cell")
-        .and_then(Json::as_f64)
-        .ok_or("missing cell index")? as usize;
+        .and_then(Json::as_usize)
+        .ok_or("missing cell index")?;
     let hash_hex = text("hash")?;
     let hash = u64::from_str_radix(&hash_hex, 16).map_err(|_| format!("bad hash {hash_hex:?}"))?;
     Ok(ManifestEntry {
@@ -221,6 +221,11 @@ mod tests {
         for entry in manifest_entries(&plan()) {
             let parsed = parse_entry(&render_entry(&entry)).expect("rendered entry parses");
             assert_eq!(parsed, entry);
+        }
+        let line = render_entry(&manifest_entries(&plan())[1]);
+        for bad in ["-1", "1.5", "1e3"] {
+            let cell = line.replace("\"cell\":1", &format!("\"cell\":{bad}"));
+            assert!(parse_entry(&cell).is_err(), "cell {bad}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! Shared by the `vanet-campaign` CLI and the catalog so campaigns can be
 //! parameterised from the command line without a configuration file. Parsing
 //! returns a [`ScenarioParseError`] naming the field that was wrong, which
-//! the CLI prints verbatim; [`parse_opt`] is the legacy `Option` shim.
+//! the CLI prints verbatim.
 
 use vanet_core::{FaultPlan, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
@@ -260,13 +260,6 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
     Ok(scenario)
 }
 
-/// The legacy `Option` shim over [`parse`], for callers that only care
-/// whether the specifier is valid.
-#[must_use]
-pub fn parse_opt(spec: &str) -> Option<Scenario> {
-    parse(spec).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +280,21 @@ mod tests {
         assert_eq!(s.rsu_count, 4);
         assert_eq!(s.flows, 5);
         assert_eq!(s.seed, 9);
+        // The largest seed a specifier can name still expands into jobs:
+        // replicate seeds wrap instead of overflowing.
+        let top = parse("highway-12:seed=18446744073709551615").unwrap();
+        let plan = vanet_core::CampaignPlan::new("edge").cell_with(
+            "l",
+            top,
+            vanet_core::ProtocolKind::Greedy,
+            vanet_core::ReplicationPolicy::Fixed(2),
+        );
+        let seeds: Vec<u64> = plan
+            .initial_jobs()
+            .iter()
+            .map(|j| j.scenario.seed)
+            .collect();
+        assert_eq!(seeds, vec![u64::MAX, 0]);
     }
 
     #[test]
@@ -384,13 +392,5 @@ mod tests {
         assert!(err.message.contains("invalid fault plan"), "{err}");
         let err = parse("highway-20:fault=burst:1.5").unwrap_err();
         assert!(err.message.contains("invalid fault plan"), "{err}");
-    }
-
-    #[test]
-    fn option_shim_mirrors_the_result() {
-        assert!(parse_opt("highway-40").is_some());
-        assert!(parse_opt("highway-").is_none());
-        assert!(parse_opt("moon-base").is_none());
-        assert!(parse_opt("sparse:warp=9").is_none());
     }
 }

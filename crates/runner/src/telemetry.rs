@@ -246,6 +246,12 @@ pub fn parse_entry(line: &str) -> Result<TelemetryEntry, String> {
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("missing number field {key:?}"))
     };
+    let int = |key: &str| -> Result<u64, String> {
+        value
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key:?}"))
+    };
     let key_hex = text("key")?;
     let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
     let cols_value = value.get("cols").ok_or("missing cols object")?;
@@ -268,9 +274,10 @@ pub fn parse_entry(line: &str) -> Result<TelemetryEntry, String> {
         key,
         campaign: text("campaign")?,
         label: text("label")?,
-        seed: num("seed")? as u64,
+        seed: int("seed")?,
         window_s: num("window_s")?,
-        regions_per_axis: num("regions_per_axis")? as usize,
+        regions_per_axis: usize::try_from(int("regions_per_axis")?)
+            .map_err(|_| "regions_per_axis out of range")?,
         cols,
     })
 }
@@ -434,6 +441,20 @@ mod tests {
         let e = entry();
         let parsed = parse_entry(&render_entry(&e)).expect("rendered entry parses");
         assert_eq!(parsed, e, "telemetry round-trip must be lossless");
+        // Above 2^53 a seed is exact only if never read as f64.
+        let mut big = entry();
+        big.seed = u64::MAX - 1;
+        assert_eq!(parse_entry(&render_entry(&big)), Ok(big));
+        let line = render_entry(&e);
+        for bad in ["-1", "1.5", "1e3"] {
+            let seed = line.replace("\"seed\":42", &format!("\"seed\":{bad}"));
+            assert!(parse_entry(&seed).is_err(), "seed {bad}");
+            let regions = line.replace(
+                "\"regions_per_axis\":2",
+                &format!("\"regions_per_axis\":{bad}"),
+            );
+            assert!(parse_entry(&regions).is_err(), "regions_per_axis {bad}");
+        }
     }
 
     #[test]

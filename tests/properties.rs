@@ -206,7 +206,7 @@ fn greedy_next_hop_always_makes_progress() {
             rng.uniform_range(-2_000.0, 2_000.0),
         );
         let own_distance = distance(own, dest);
-        if let Some(next) = table.greedy_next_hop(dest, own_distance) {
+        if let Some(next) = table.view().greedy_next_hop(dest, own_distance) {
             assert!(distance(next.position, dest) < own_distance);
         } else {
             // Local maximum: indeed no neighbour is closer.
