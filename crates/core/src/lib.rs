@@ -35,7 +35,7 @@ pub use experiment::{
     ExperimentCell,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultPlanError};
-pub use metrics::{Metrics, Report};
+pub use metrics::{Metrics, Report, ReportField};
 pub use plan::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};
 pub use scenario::{ChannelModel, RoadLayout, Scenario, TrafficRegime};
 pub use simulation::{run_scenario, Flow, Simulation};

@@ -173,7 +173,7 @@ impl Metrics {
 }
 
 /// The summary report of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
     /// Protocol name.
     pub protocol: String,
@@ -223,7 +223,71 @@ pub struct Report {
     pub buffer_peak: u64,
 }
 
+/// One metric of a [`Report`] — its name in every export, journal line and
+/// CLI flag, a getter and a setter — by kind, so an exact event count is
+/// never read or written through `f64`.
+#[derive(Debug, Clone, Copy)]
+pub enum ReportField {
+    /// An exact event count.
+    Count(&'static str, fn(&Report) -> u64, fn(&mut Report, u64)),
+    /// A real-valued statistic.
+    Real(&'static str, fn(&Report) -> f64, fn(&mut Report, f64)),
+}
+
+impl ReportField {
+    /// The metric's name.
+    #[must_use]
+    pub const fn name(&self) -> &'static str {
+        match self {
+            ReportField::Count(name, ..) | ReportField::Real(name, ..) => name,
+        }
+    }
+
+    /// The metric's value on `report` as a sample for statistics (counts
+    /// widen to `f64`).
+    #[must_use]
+    pub fn value(&self, report: &Report) -> f64 {
+        match self {
+            ReportField::Count(_, get, _) => get(report) as f64,
+            ReportField::Real(_, get, _) => get(report),
+        }
+    }
+}
+
+macro_rules! report_fields {
+    ($($kind:ident $field:ident),* $(,)?) => {
+        [$(ReportField::$kind(stringify!($field), |r| r.$field, |r, value| r.$field = value)),*]
+    };
+}
+
 impl Report {
+    /// Every metric of a report, in export order — the one list the journal
+    /// codec, the campaign summaries and the analysis pass are driven from.
+    /// A new metric is a struct field plus one row here.
+    pub const FIELDS: [ReportField; 21] = report_fields![
+        Count data_sent,
+        Count data_delivered,
+        Count duplicate_deliveries,
+        Real delivery_ratio,
+        Real avg_delay_s,
+        Real max_delay_s,
+        Real avg_hops,
+        Count control_packets,
+        Count control_bytes,
+        Count data_transmissions,
+        Real control_per_delivered,
+        Real transmissions_per_delivered,
+        Count route_errors,
+        Count drops,
+        Real avg_neighbors,
+        Count bundles_stored,
+        Count bundles_forwarded,
+        Count bundles_expired,
+        Count bundles_evicted,
+        Count custody_transfers,
+        Count buffer_peak,
+    ];
+
     /// Header for a fixed-width table of reports.
     #[must_use]
     pub fn table_header() -> String {
@@ -370,6 +434,38 @@ mod tests {
         assert_eq!(r.bundles_expired, 1);
         assert_eq!(r.custody_transfers, 1);
         assert_eq!(r.buffer_peak, 2, "peak is the max occupancy, not the last");
+    }
+
+    #[test]
+    fn report_fields_name_and_address_every_metric_once() {
+        assert_eq!(Report::FIELDS.len(), 21);
+        let mut report = Report::default();
+        for (i, field) in Report::FIELDS.iter().enumerate() {
+            assert!(
+                Report::FIELDS[..i].iter().all(|f| f.name() != field.name()),
+                "{} listed twice",
+                field.name()
+            );
+            // Each setter writes a marker that its own getter, and no other
+            // field's, reads back.
+            match field {
+                ReportField::Count(_, get, set) => {
+                    set(&mut report, 1 + i as u64);
+                    assert_eq!(get(&report), 1 + i as u64);
+                }
+                ReportField::Real(_, get, set) => {
+                    set(&mut report, 1.0 + i as f64);
+                    assert_eq!(get(&report), 1.0 + i as f64);
+                }
+            }
+            for (j, other) in Report::FIELDS.iter().enumerate() {
+                let expected = if j <= i { 1.0 + j as f64 } else { 0.0 };
+                assert_eq!(other.value(&report), expected, "{}", other.name());
+            }
+        }
+        // The table's names and kinds are the struct's.
+        assert_eq!((report.data_sent, report.buffer_peak), (1, 21));
+        assert_eq!(report.delivery_ratio, 4.0);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! Everything here is read-only over artifacts the runner already writes;
 //! the analysis can run long after the campaign, on another machine.
 
+use crate::export::csv_quote;
 use crate::journal::{self, JOURNAL_FILE};
+use crate::record;
 use crate::summary::{t_critical_95, SummaryStat, METRIC_NAMES};
 use crate::telemetry::{self, TELEMETRY_FILE};
 use std::path::Path;
@@ -35,30 +37,8 @@ pub struct AnalyzeReport {
 /// Reads one of [`METRIC_NAMES`] off a single report.
 #[must_use]
 pub fn metric_value(report: &Report, name: &str) -> Option<f64> {
-    Some(match name {
-        "data_sent" => report.data_sent as f64,
-        "data_delivered" => report.data_delivered as f64,
-        "duplicate_deliveries" => report.duplicate_deliveries as f64,
-        "delivery_ratio" => report.delivery_ratio,
-        "avg_delay_s" => report.avg_delay_s,
-        "max_delay_s" => report.max_delay_s,
-        "avg_hops" => report.avg_hops,
-        "control_packets" => report.control_packets as f64,
-        "control_bytes" => report.control_bytes as f64,
-        "data_transmissions" => report.data_transmissions as f64,
-        "control_per_delivered" => report.control_per_delivered,
-        "transmissions_per_delivered" => report.transmissions_per_delivered,
-        "route_errors" => report.route_errors as f64,
-        "drops" => report.drops as f64,
-        "avg_neighbors" => report.avg_neighbors,
-        "bundles_stored" => report.bundles_stored as f64,
-        "bundles_forwarded" => report.bundles_forwarded as f64,
-        "bundles_expired" => report.bundles_expired as f64,
-        "bundles_evicted" => report.bundles_evicted as f64,
-        "custody_transfers" => report.custody_transfers as f64,
-        "buffer_peak" => report.buffer_peak as f64,
-        _ => return None,
-    })
+    let field = Report::FIELDS.iter().find(|field| field.name() == name)?;
+    Some(field.value(report))
 }
 
 /// The result of one Welch's t-test between two samples.
@@ -116,29 +96,6 @@ struct Group {
     values: Vec<f64>,
 }
 
-/// Collects the journal's live quarantine entries with the same last-wins
-/// semantics as `Journal::open`: a report line for a key heals (removes) any
-/// quarantine for it, and a re-quarantine replaces the earlier record.
-fn load_quarantines(text: &str) -> Vec<journal::QuarantineEntry> {
-    let mut reported: Vec<u64> = Vec::new();
-    let mut quarantines: Vec<journal::QuarantineEntry> = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Ok(entry) = journal::parse_entry(line) {
-            quarantines.retain(|q| q.key != entry.key);
-            reported.push(entry.key);
-        } else if let Ok(q) = journal::parse_quarantine(line) {
-            if !reported.contains(&q.key) {
-                quarantines.retain(|e| e.key != q.key);
-                quarantines.push(q);
-            }
-        }
-    }
-    quarantines
-}
-
 fn load_journal_groups(text: &str, metric: &str) -> Result<Vec<Group>, String> {
     // Group by label, keeping (seed, value) so replicate order is the
     // label's seed order — deterministic regardless of journal line order.
@@ -151,13 +108,8 @@ fn load_journal_groups(text: &str, metric: &str) -> Result<Vec<Group>, String> {
         seeded: Vec<(u64, f64)>,
     }
     let mut groups: Vec<Raw> = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(entry) = journal::parse_entry(line) else {
-            continue; // interrupted write — same tolerance as resume
-        };
+    // Unreadable lines are skipped — same tolerance as resume.
+    for entry in record::records(text, journal::parse_entry).0 {
         let value = metric_value(&entry.report, metric)
             .ok_or_else(|| format!("unknown metric {metric:?} (see METRIC_NAMES)"))?;
         let protocol = entry.report.protocol.clone();
@@ -197,7 +149,7 @@ fn significance_report(dir: &Path, metric: &str) -> Result<String, String> {
     let path = dir.join(JOURNAL_FILE);
     let text = std::fs::read_to_string(&path)
         .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
-    let quarantines = load_quarantines(&text);
+    let quarantines = journal::replay(&text).0.quarantined;
     let groups = load_journal_groups(&text, metric)?;
     if groups.is_empty() && quarantines.is_empty() {
         return Err(format!("{} holds no parseable entries", path.display()));
@@ -269,15 +221,7 @@ fn timeseries_csv(dir: &Path) -> Result<String, String> {
     let path = dir.join(TELEMETRY_FILE);
     let text = std::fs::read_to_string(&path)
         .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Ok(entry) = telemetry::parse_entry(line) {
-            entries.push(entry);
-        }
-    }
+    let (entries, _) = record::records(&text, telemetry::parse_entry);
     if entries.is_empty() {
         return Err(format!("{} holds no parseable entries", path.display()));
     }
@@ -294,7 +238,7 @@ fn timeseries_csv(dir: &Path) -> Result<String, String> {
             let mut row = format!(
                 "{:016x},{},{},{},{}",
                 entry.key,
-                entry.label,
+                csv_quote(&entry.label),
                 entry.seed,
                 window,
                 window as f64 * entry.window_s
@@ -317,13 +261,7 @@ fn regions_csv(dir: &Path) -> Result<String, String> {
         .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
     let mut out = "key,label,seed,region,rx,ry,sent,received,drops\n".to_owned();
     let mut any = false;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(entry) = telemetry::parse_entry(line) else {
-            continue;
-        };
+    for entry in record::records(&text, telemetry::parse_entry).0 {
         let (sent, received, drops) = match (
             entry.col("region_sent"),
             entry.col("region_received"),
@@ -338,7 +276,7 @@ fn regions_csv(dir: &Path) -> Result<String, String> {
             out.push_str(&format!(
                 "{:016x},{},{},{},{},{},{},{},{}\n",
                 entry.key,
-                entry.label,
+                csv_quote(&entry.label),
                 entry.seed,
                 region,
                 region % per_axis,

@@ -380,18 +380,29 @@ impl Runner {
                 None => String::new(),
                 Some((index, count)) => format!(" (shard {index}/{count})"),
             };
-            let journal_note = match &journal {
-                None => String::new(),
-                Some(j) => format!(", journal cache: {} jobs", j.len()),
+            // Lines a resume could not read mean jobs that silently re-run;
+            // say so, but only then.
+            let skipped_note = |what: &str, skipped: usize| match skipped {
+                0 => String::new(),
+                1 => format!(", {what}1 unreadable line skipped"),
+                n => format!(", {what}{n} unreadable lines skipped"),
             };
+            let journal_note = journal.as_ref().map_or(String::new(), |j| {
+                let skipped = skipped_note("", j.skipped_lines());
+                format!(", journal cache: {} jobs{skipped}", j.len())
+            });
+            let telemetry_note = telemetry_log.as_ref().map_or(String::new(), |log| {
+                skipped_note("telemetry log: ", log.skipped_lines())
+            });
             report_line(format_args!(
-                "campaign '{}': {} cells, {} initial jobs on {} workers{}{}",
+                "campaign '{}': {} cells, {} initial jobs on {} workers{}{}{}",
                 plan.name,
                 kept.len(),
                 plan.initial_job_count(),
                 self.workers,
                 shard_note,
-                journal_note
+                journal_note,
+                telemetry_note
             ));
         }
         let started = Instant::now();
@@ -773,7 +784,7 @@ mod tests {
         assert_eq!(cell.label, "hw");
         assert_eq!(cell.protocol, ProtocolKind::Flooding);
         assert_eq!(cell.summary.replications, 2);
-        assert!(cell.summary.data_sent.mean > 0.0);
+        assert!(cell.summary.metric("data_sent").unwrap().mean > 0.0);
         assert_eq!(results.total_runs(), 2);
         assert_eq!(results.executed_jobs, 2);
         assert_eq!(results.cached_jobs, 0);

@@ -1,14 +1,14 @@
 //! Campaign result exports: fixed-width tables, CSV and JSONL.
 //!
-//! CSV and JSONL are written *and* parsed here (the environment has no serde
-//! runtime, so the JSON emitter/parser is a self-contained ~100-line
-//! recursive-descent affair). Render → parse is lossless for every statistic:
-//! floats are formatted with Rust's shortest-round-trip `Display`, so
-//! `parse(render(r))` reproduces the exact same bits — the round-trip
-//! integration tests rely on that.
+//! CSV and JSONL are written *and* parsed here; a JSONL line is one cell,
+//! read and written through [`crate::record`]. Render → parse is lossless
+//! for every statistic: floats are formatted with Rust's shortest-round-trip
+//! `Display`, so `parse(render(r))` reproduces the exact same bits — the
+//! round-trip integration tests rely on that.
 
 use crate::campaign::protocol_by_name;
 use crate::engine::{CampaignResults, CellSummary};
+use crate::record::{self, Line};
 use crate::summary::{Summary, SummaryStat, METRIC_NAMES};
 
 /// A campaign reconstructed from an export (no execution metadata).
@@ -47,7 +47,7 @@ impl std::fmt::Display for ExportError {
 
 impl std::error::Error for ExportError {}
 
-pub(crate) fn malformed(line: usize, reason: impl Into<String>) -> ExportError {
+fn malformed(line: usize, reason: impl Into<String>) -> ExportError {
     ExportError::Malformed {
         line,
         reason: reason.into(),
@@ -81,19 +81,19 @@ pub fn render_table(results: &CampaignResults) -> String {
         "tx/dlvd"
     ));
     for cell in &results.cells {
-        let s = &cell.summary;
+        let stat = |name: &str| cell.summary.metric(name).expect("a METRIC_NAMES entry");
         out.push_str(&format!(
             "{:<18} {:<10} {:>3} {:>7.3} {:>7.3} {:>9.1} {:>8.1} {:>7.2} {:>10.1} {:>9.1}\n",
             cell.label,
             cell.protocol.name(),
-            s.replications,
-            s.delivery_ratio.mean,
-            s.delivery_ratio.ci95,
-            s.avg_delay_s.mean * 1e3,
-            s.avg_delay_s.ci95 * 1e3,
-            s.avg_hops.mean,
-            s.control_per_delivered.mean,
-            s.transmissions_per_delivered.mean,
+            cell.summary.replications,
+            stat("delivery_ratio").mean,
+            stat("delivery_ratio").ci95,
+            stat("avg_delay_s").mean * 1e3,
+            stat("avg_delay_s").ci95 * 1e3,
+            stat("avg_hops").mean,
+            stat("control_per_delivered").mean,
+            stat("transmissions_per_delivered").mean,
         ));
     }
     if !results.quarantined.is_empty() {
@@ -137,7 +137,7 @@ pub fn csv_header() -> String {
 
 /// Quotes a CSV field when it contains a comma, quote or newline
 /// (RFC 4180: wrap in quotes, double any embedded quotes).
-fn csv_quote(field: &str) -> String {
+pub(crate) fn csv_quote(field: &str) -> String {
     if field.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -261,285 +261,66 @@ pub fn parse_csv(input: &str) -> Result<ParsedCampaign, ExportError> {
 
 // ---------------------------------------------------------------- jsonl --
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_stat(stat: &SummaryStat) -> String {
-    format!(
-        "{{\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{},\"ci95\":{}}}",
-        stat.mean, stat.std_dev, stat.min, stat.max, stat.ci95
-    )
-}
-
 /// Renders every cell as one JSON object per line.
 #[must_use]
 pub fn render_jsonl(results: &CampaignResults) -> String {
     let mut out = String::new();
     for cell in &results.cells {
-        let metrics: Vec<String> = cell
-            .summary
-            .metrics()
-            .into_iter()
-            .map(|(name, stat)| format!("\"{name}\":{}", json_stat(stat)))
-            .collect();
-        out.push_str(&format!(
-            "{{\"campaign\":\"{}\",\"label\":\"{}\",\"scenario\":\"{}\",\"protocol\":\"{}\",\"replications\":{},\"metrics\":{{{}}}}}\n",
-            json_escape(&results.campaign),
-            json_escape(&cell.label),
-            json_escape(&cell.scenario),
-            json_escape(cell.protocol.name()),
-            cell.summary.replications,
-            metrics.join(",")
-        ));
+        let mut metrics = Line::default();
+        for (name, stat) in cell.summary.metrics() {
+            metrics.obj(
+                name,
+                Line::default()
+                    .f64("mean", stat.mean)
+                    .f64("std_dev", stat.std_dev)
+                    .f64("min", stat.min)
+                    .f64("max", stat.max)
+                    .f64("ci95", stat.ci95),
+            );
+        }
+        let line = Line::default()
+            .str("campaign", &results.campaign)
+            .str("label", &cell.label)
+            .str("scenario", &cell.scenario)
+            .str("protocol", cell.protocol.name())
+            .u64("replications", cell.summary.replications as u64)
+            .obj("metrics", &metrics)
+            .finish();
+        out.push_str(&line);
+        out.push('\n');
     }
     out
 }
 
-/// A parsed JSON value (the subset JSONL exports, journals and telemetry
-/// logs use).
-pub(crate) enum Json {
-    /// A token of digits only that fits `u64`, kept exact.
-    Int(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+fn parse_cell(line: &str) -> Result<(String, CellSummary), String> {
+    let line = record::parse(line)?;
+    let protocol_name = line.str("protocol")?;
+    let protocol = protocol_by_name(protocol_name)
+        .ok_or_else(|| format!("unknown protocol {protocol_name:?}"))?;
+    let metrics = line.obj("metrics")?;
+    let mut summary = Summary {
+        replications: line.int("replications")?,
+        ..Summary::default()
+    };
+    for metric in METRIC_NAMES {
+        let stat = metrics.obj(metric)?;
+        *summary
+            .metric_mut(metric)
+            .expect("METRIC_NAMES is exhaustive") = SummaryStat {
+            mean: stat.f64("mean")?,
+            std_dev: stat.f64("std_dev")?,
+            min: stat.f64("min")?,
+            max: stat.f64("max")?,
+            ci95: stat.f64("ci95")?,
+        };
     }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            // Nearest-even, exactly what parsing the same digits as `f64` gives.
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// A non-negative integer, exactly: seeds and counters above 2^53 do not
-    /// survive a trip through `f64`, and `-1`, `1.5` or `1e3` in an integer
-    /// field is a malformed line, not a value to round.
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// [`Json::as_u64`] narrowed to an index or a count.
-    pub(crate) fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn entries(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-}
-
-/// A minimal recursive-descent JSON parser over the export subset
-/// (objects, arrays, strings, numbers).
-pub(crate) struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    pub(crate) fn new(input: &'a str) -> Self {
-        JsonParser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            // Booleans surface as numbers (1/0): nothing in the export subset
-            // needs to distinguish `true` from `1` on the read path.
-            Some(b't') => self.literal(b"true", Json::Num(1.0)),
-            Some(b'f') => self.literal(b"false", Json::Num(0.0)),
-            other => Err(format!("unexpected token {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &[u8], value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("unexpected token at byte {}", self.pos))
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match token.parse::<u64>() {
-            Ok(n) => Ok(Json::Int(n)),
-            Err(_) => token
-                .parse()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number at byte {start}")),
-        }
-    }
+    let cell = CellSummary {
+        label: line.str("label")?.to_owned(),
+        scenario: line.str("scenario")?.to_owned(),
+        protocol,
+        summary,
+    };
+    Ok((line.str("campaign")?.to_owned(), cell))
 }
 
 /// Parses a JSONL export produced by [`render_jsonl`].
@@ -547,59 +328,12 @@ pub fn parse_jsonl(input: &str) -> Result<ParsedCampaign, ExportError> {
     let mut campaign = None;
     let mut cells = Vec::new();
     for (idx, line) in input.lines().enumerate() {
-        let lineno = idx + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let mut parser = JsonParser::new(line);
-        let value = parser.value().map_err(|e| malformed(lineno, e))?;
-        let field_str = |key: &str| -> Result<String, ExportError> {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| malformed(lineno, format!("missing string field {key:?}")))
-        };
-        campaign.get_or_insert(field_str("campaign")?);
-        let protocol_name = field_str("protocol")?;
-        let protocol = protocol_by_name(&protocol_name)
-            .ok_or_else(|| malformed(lineno, format!("unknown protocol {protocol_name:?}")))?;
-        let replications = value
-            .get("replications")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| malformed(lineno, "missing replications"))?;
-        let metrics = value
-            .get("metrics")
-            .ok_or_else(|| malformed(lineno, "missing metrics object"))?;
-        let mut summary = Summary {
-            replications,
-            ..Summary::default()
-        };
-        for metric in METRIC_NAMES {
-            let obj = metrics
-                .get(metric)
-                .ok_or_else(|| malformed(lineno, format!("missing metric {metric:?}")))?;
-            let num = |key: &str| -> Result<f64, ExportError> {
-                obj.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| malformed(lineno, format!("missing {metric}.{key}")))
-            };
-            *summary
-                .metric_mut(metric)
-                .expect("METRIC_NAMES is exhaustive") = SummaryStat {
-                mean: num("mean")?,
-                std_dev: num("std_dev")?,
-                min: num("min")?,
-                max: num("max")?,
-                ci95: num("ci95")?,
-            };
-        }
-        cells.push(CellSummary {
-            label: field_str("label")?,
-            scenario: field_str("scenario")?,
-            protocol,
-            summary,
-        });
+        let (name, cell) = parse_cell(line).map_err(|reason| malformed(idx + 1, reason))?;
+        campaign.get_or_insert(name);
+        cells.push(cell);
     }
     Ok(ParsedCampaign {
         campaign: campaign.ok_or(ExportError::Empty)?,
@@ -670,11 +404,6 @@ mod tests {
         let parsed = parse_jsonl(&render_jsonl(&results)).unwrap();
         assert_eq!(parsed.campaign, "fake");
         assert_eq!(parsed.cells, results.cells);
-        for bad in ["-1", "1.5", "1e3"] {
-            let text = render_jsonl(&results)
-                .replace("\"replications\":3", &format!("\"replications\":{bad}"));
-            assert!(parse_jsonl(&text).is_err(), "replications {bad}");
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! line is self-contained: the job's stable content key (from
 //! [`PlanJob::key`](vanet_core::PlanJob::key), a hash of the fully seeded
 //! scenario and the protocol), a little bookkeeping, and the complete
-//! [`Report`] with floats rendered in shortest-round-trip form — so
-//! `parse(render(r))` reproduces the exact bits and resumed campaigns stay
-//! byte-identical to cold runs.
+//! [`Report`] — every [`Report::FIELDS`] metric, bit-exact through
+//! [`crate::record`], so resumed campaigns stay byte-identical to cold runs.
 //!
 //! On open, every parseable line becomes a cache entry keyed by the content
 //! hash. Jobs whose key is already present are not re-executed; because keys
@@ -21,19 +20,22 @@
 //! * **cell-level caching** — editing a plan invalidates exactly the cells
 //!   whose scenario or protocol changed; untouched cells replay from disk.
 //!
-//! A line interrupted mid-write (the crash that makes resuming worthwhile)
-//! fails to parse and is skipped — its job simply re-runs.
+//! A line the codec cannot read — typically one write interrupted by the
+//! crash that makes resuming worthwhile — is skipped and counted
+//! ([`Journal::skipped_lines`]); its job simply re-runs.
 
-use crate::export::{json_escape, JsonParser};
+use crate::record::{self, AppendLog, Line};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use vanet_core::Report;
+use std::path::Path;
+use vanet_core::{Report, ReportField};
 
 /// Name of the journal file inside a journal directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
+
+/// The first this-many [`Report::FIELDS`] predate the DTN layer. Journal
+/// lines written before it lack the later ones (the bundle counters), which
+/// then read as zero; every earlier field is required.
+const PRE_DTN_FIELDS: usize = 15;
 
 /// One completed job as persisted in the journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,121 +53,56 @@ pub struct JournalEntry {
     pub report: Report,
 }
 
-/// Renders one journal line (no trailing newline). Floats use Rust's
-/// shortest-round-trip `Display`, so parsing reproduces the exact bits.
+/// Renders one journal line (no trailing newline): the bookkeeping fields,
+/// then the report's names and every [`Report::FIELDS`] metric in order.
 #[must_use]
 pub fn render_entry(entry: &JournalEntry) -> String {
-    let r = &entry.report;
-    format!(
-        "{{\"key\":\"{:016x}\",\"campaign\":\"{}\",\"label\":\"{}\",\"seed\":{},\
-         \"report\":{{\"protocol\":\"{}\",\"scenario\":\"{}\",\"data_sent\":{},\
-         \"data_delivered\":{},\"duplicate_deliveries\":{},\"delivery_ratio\":{},\
-         \"avg_delay_s\":{},\"max_delay_s\":{},\"avg_hops\":{},\"control_packets\":{},\
-         \"control_bytes\":{},\"data_transmissions\":{},\"control_per_delivered\":{},\
-         \"transmissions_per_delivered\":{},\"route_errors\":{},\"drops\":{},\
-         \"avg_neighbors\":{},\"bundles_stored\":{},\"bundles_forwarded\":{},\
-         \"bundles_expired\":{},\"bundles_evicted\":{},\"custody_transfers\":{},\
-         \"buffer_peak\":{}}}}}",
-        entry.key,
-        json_escape(&entry.campaign),
-        json_escape(&entry.label),
-        entry.seed,
-        json_escape(&r.protocol),
-        json_escape(&r.scenario),
-        r.data_sent,
-        r.data_delivered,
-        r.duplicate_deliveries,
-        r.delivery_ratio,
-        r.avg_delay_s,
-        r.max_delay_s,
-        r.avg_hops,
-        r.control_packets,
-        r.control_bytes,
-        r.data_transmissions,
-        r.control_per_delivered,
-        r.transmissions_per_delivered,
-        r.route_errors,
-        r.drops,
-        r.avg_neighbors,
-        r.bundles_stored,
-        r.bundles_forwarded,
-        r.bundles_expired,
-        r.bundles_evicted,
-        r.custody_transfers,
-        r.buffer_peak,
-    )
+    let mut report = Line::default();
+    report
+        .str("protocol", &entry.report.protocol)
+        .str("scenario", &entry.report.scenario);
+    for field in &Report::FIELDS {
+        match field {
+            ReportField::Count(name, get, _) => report.u64(name, get(&entry.report)),
+            ReportField::Real(name, get, _) => report.f64(name, get(&entry.report)),
+        };
+    }
+    Line::default()
+        .hex16("key", entry.key)
+        .str("campaign", &entry.campaign)
+        .str("label", &entry.label)
+        .u64("seed", entry.seed)
+        .obj("report", &report)
+        .finish()
 }
 
 /// Parses one journal line. Returns a description of the first problem for
 /// malformed lines (the caller decides whether that is fatal — the journal
 /// loader treats it as "interrupted write, re-run the job").
 pub fn parse_entry(line: &str) -> Result<JournalEntry, String> {
-    let value = JsonParser::new(line).value()?;
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(super::export::Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field {key:?}"))
+    let line = record::parse(line)?;
+    let fields = line.obj("report")?;
+    let mut report = Report {
+        protocol: fields.str("protocol")?.to_owned(),
+        scenario: fields.str("scenario")?.to_owned(),
+        ..Report::default()
     };
-    let key_hex = text("key")?;
-    let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
-    let seed = value
-        .get("seed")
-        .and_then(super::export::Json::as_u64)
-        .ok_or("missing seed")?;
-    let report_value = value.get("report").ok_or("missing report object")?;
-    let rtext = |key: &str| -> Result<String, String> {
-        report_value
-            .get(key)
-            .and_then(super::export::Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing report field {key:?}"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        report_value
-            .get(key)
-            .and_then(super::export::Json::as_f64)
-            .ok_or_else(|| format!("missing report field {key:?}"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        report_value
-            .get(key)
-            .and_then(super::export::Json::as_u64)
-            .ok_or_else(|| format!("missing report counter {key:?}"))
-    };
-    let report = Report {
-        protocol: rtext("protocol")?,
-        scenario: rtext("scenario")?,
-        data_sent: int("data_sent")?,
-        data_delivered: int("data_delivered")?,
-        duplicate_deliveries: int("duplicate_deliveries")?,
-        delivery_ratio: num("delivery_ratio")?,
-        avg_delay_s: num("avg_delay_s")?,
-        max_delay_s: num("max_delay_s")?,
-        avg_hops: num("avg_hops")?,
-        control_packets: int("control_packets")?,
-        control_bytes: int("control_bytes")?,
-        data_transmissions: int("data_transmissions")?,
-        control_per_delivered: num("control_per_delivered")?,
-        transmissions_per_delivered: num("transmissions_per_delivered")?,
-        route_errors: int("route_errors")?,
-        drops: int("drops")?,
-        avg_neighbors: num("avg_neighbors")?,
-        // Bundle counters postdate the journal format: absent in lines
-        // written before the DTN layer, so they default to zero.
-        bundles_stored: int("bundles_stored").unwrap_or(0),
-        bundles_forwarded: int("bundles_forwarded").unwrap_or(0),
-        bundles_expired: int("bundles_expired").unwrap_or(0),
-        bundles_evicted: int("bundles_evicted").unwrap_or(0),
-        custody_transfers: int("custody_transfers").unwrap_or(0),
-        buffer_peak: int("buffer_peak").unwrap_or(0),
-    };
+    for (index, field) in Report::FIELDS.iter().enumerate() {
+        match field {
+            ReportField::Count(name, _, set) if index < PRE_DTN_FIELDS => {
+                set(&mut report, fields.int(name)?);
+            }
+            ReportField::Count(name, _, set) => {
+                set(&mut report, fields.opt_u64(name)?.unwrap_or(0));
+            }
+            ReportField::Real(name, _, set) => set(&mut report, fields.f64(name)?),
+        }
+    }
     Ok(JournalEntry {
-        key,
-        campaign: text("campaign")?,
-        label: text("label")?,
-        seed,
+        key: line.hex16("key")?,
+        campaign: line.str("campaign")?.to_owned(),
+        label: line.str("label")?.to_owned(),
+        seed: line.int("seed")?,
         report,
     })
 }
@@ -196,78 +133,76 @@ pub struct QuarantineEntry {
 /// marker distinguishes it from a report line.
 #[must_use]
 pub fn render_quarantine(entry: &QuarantineEntry) -> String {
-    let backoff = entry
-        .backoff_s
-        .iter()
-        .map(|b| b.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"key\":\"{:016x}\",\"quarantined\":true,\"campaign\":\"{}\",\"label\":\"{}\",\
-         \"seed\":{},\"attempts\":{},\"backoff_s\":[{}],\"error\":\"{}\"}}",
-        entry.key,
-        json_escape(&entry.campaign),
-        json_escape(&entry.label),
-        entry.seed,
-        entry.attempts,
-        backoff,
-        json_escape(&entry.error),
-    )
+    Line::default()
+        .hex16("key", entry.key)
+        .flag("quarantined")
+        .str("campaign", &entry.campaign)
+        .str("label", &entry.label)
+        .u64("seed", entry.seed)
+        .u64("attempts", u64::from(entry.attempts))
+        .f64s("backoff_s", &entry.backoff_s)
+        .str("error", &entry.error)
+        .finish()
 }
 
 /// Parses one quarantine line (a line carrying the `"quarantined":true`
 /// marker). Returns a description of the first problem for malformed lines.
 pub fn parse_quarantine(line: &str) -> Result<QuarantineEntry, String> {
-    let value = JsonParser::new(line).value()?;
-    if value
-        .get("quarantined")
-        .and_then(super::export::Json::as_f64)
-        != Some(1.0)
-    {
+    let line = record::parse(line)?;
+    if !line.flag("quarantined") {
         return Err("missing quarantined marker".to_owned());
     }
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(super::export::Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field {key:?}"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(super::export::Json::as_u64)
-            .ok_or_else(|| format!("missing integer field {key:?}"))
-    };
-    let key_hex = text("key")?;
-    let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
-    let backoff_s = value
-        .get("backoff_s")
-        .and_then(super::export::Json::as_array)
-        .ok_or("missing backoff_s array")?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| "bad backoff_s element".to_owned()))
-        .collect::<Result<Vec<f64>, String>>()?;
     Ok(QuarantineEntry {
-        key,
-        campaign: text("campaign")?,
-        label: text("label")?,
-        seed: int("seed")?,
-        attempts: u32::try_from(int("attempts")?).map_err(|_| "attempts out of range")?,
-        backoff_s,
-        error: text("error")?,
+        key: line.hex16("key")?,
+        campaign: line.str("campaign")?.to_owned(),
+        label: line.str("label")?.to_owned(),
+        seed: line.int("seed")?,
+        attempts: line.int("attempts")?,
+        backoff_s: line.f64s("backoff_s")?.to_vec(),
+        error: line.str("error")?.to_owned(),
     })
+}
+
+/// What a journal file says once every line has been applied in order.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// The cached report of every completed job, by content key.
+    pub(crate) reports: HashMap<u64, Report>,
+    /// The live quarantines, in file order.
+    pub(crate) quarantined: Vec<QuarantineEntry>,
+}
+
+/// Replays a journal file's text, last line wins per key: a report line
+/// heals an earlier quarantine (the job succeeded on a later attempt or
+/// under a raised retry budget), a re-quarantine replaces the earlier
+/// record, and a quarantine line supersedes nothing — a cached report for
+/// the same key always takes precedence. Also returns the number of
+/// unreadable lines skipped.
+pub(crate) fn replay(text: &str) -> (Replay, usize) {
+    let mut state = Replay::default();
+    let (_, skipped) = record::records(text, |line| {
+        if let Ok(entry) = parse_entry(line) {
+            state.quarantined.retain(|q| q.key != entry.key);
+            state.reports.insert(entry.key, entry.report);
+        } else {
+            let entry = parse_quarantine(line)?;
+            if !state.reports.contains_key(&entry.key) {
+                state.quarantined.retain(|q| q.key != entry.key);
+                state.quarantined.push(entry);
+            }
+        }
+        Ok(())
+    });
+    (state, skipped)
 }
 
 /// An open journal: the cache loaded from disk plus an append handle for
 /// streaming new completions.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     cache: HashMap<u64, Report>,
     quarantine: HashMap<u64, QuarantineEntry>,
-    file: Mutex<File>,
-    skipped_lines: usize,
+    log: AppendLog,
 }
 
 impl Journal {
@@ -276,55 +211,18 @@ impl Journal {
     /// Unparseable lines — typically one interrupted final write — are
     /// counted and skipped, not fatal.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Journal> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(JOURNAL_FILE);
-        let mut cache = HashMap::new();
-        let mut quarantine: HashMap<u64, QuarantineEntry> = HashMap::new();
-        let mut skipped_lines = 0;
-        let mut needs_newline = false;
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            // Last-wins per key: a report line heals an earlier quarantine
-            // (the job succeeded on a later attempt or under a raised retry
-            // budget), and a quarantine line supersedes nothing — a cached
-            // report for the same key always takes precedence.
-            for line in existing.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Ok(entry) = parse_entry(line) {
-                    quarantine.remove(&entry.key);
-                    cache.insert(entry.key, entry.report);
-                } else if let Ok(entry) = parse_quarantine(line) {
-                    if !cache.contains_key(&entry.key) {
-                        quarantine.insert(entry.key, entry);
-                    }
-                } else {
-                    skipped_lines += 1;
-                }
-            }
-            // A file not ending in '\n' was interrupted mid-write; appending
-            // straight after would glue the first new record onto the partial
-            // line and corrupt it too.
-            needs_newline = !existing.is_empty() && !existing.ends_with('\n');
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if needs_newline {
-            writeln!(file)?;
-        }
+        let (log, state) = AppendLog::open(dir.as_ref(), JOURNAL_FILE, replay)?;
         Ok(Journal {
-            path,
-            cache,
-            quarantine,
-            file: Mutex::new(file),
-            skipped_lines,
+            cache: state.reports,
+            quarantine: state.quarantined.into_iter().map(|q| (q.key, q)).collect(),
+            log,
         })
     }
 
     /// The journal file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of cached job results loaded at open time.
@@ -342,7 +240,7 @@ impl Journal {
     /// Number of unparseable lines skipped at open time.
     #[must_use]
     pub fn skipped_lines(&self) -> usize {
-        self.skipped_lines
+        self.log.skipped_lines()
     }
 
     /// Number of quarantined jobs loaded at open time.
@@ -364,34 +262,23 @@ impl Journal {
         self.quarantine.get(&key)
     }
 
-    /// Appends a completed job and flushes, so a crash immediately after
-    /// loses at most the line being written. Safe to call from worker
-    /// threads; the line and its newline go down in one `write` on the
-    /// append-mode handle, so concurrent shard *processes* sharing a journal
-    /// directory cannot interleave within a record either.
+    /// Appends a completed job; see [`AppendLog::append`] for the crash- and
+    /// shard-safety of the write.
     pub fn record(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        let mut line = render_entry(entry);
-        line.push('\n');
-        let mut file = self.file.lock().expect("journal file lock poisoned");
-        file.write_all(line.as_bytes())?;
-        file.flush()
+        self.log.append(render_entry(entry))
     }
 
-    /// Appends a quarantine record and flushes; same atomicity guarantees as
+    /// Appends a quarantine record, with the same guarantees as
     /// [`Journal::record`].
     pub fn record_quarantine(&self, entry: &QuarantineEntry) -> std::io::Result<()> {
-        let mut line = render_quarantine(entry);
-        line.push('\n');
-        let mut file = self.file.lock().expect("journal file lock poisoned");
-        file.write_all(line.as_bytes())?;
-        file.flush()
+        self.log.append(render_quarantine(entry))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::record::temp_dir;
 
     fn report() -> Report {
         Report {
@@ -431,12 +318,6 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("vanet-journal-{tag}-{}-{n}", std::process::id()))
-    }
-
     #[test]
     fn entry_round_trips_exactly() {
         let e = entry();
@@ -446,16 +327,7 @@ mod tests {
         let mut big = entry();
         big.seed = u64::MAX - 1;
         big.report.control_bytes = (1 << 53) + 1;
-        let line = render_entry(&big);
-        assert_eq!(parse_entry(&line), Ok(big));
-        // Anything but a non-negative integer token in an integer field is a
-        // malformed line, not a value to round.
-        for bad in ["-1", "1.5", "1e3"] {
-            let seed = line.replace("\"seed\":18446744073709551614", &format!("\"seed\":{bad}"));
-            assert!(parse_entry(&seed).is_err(), "seed {bad}: {seed}");
-            let counter = line.replace("\"drops\":9", &format!("\"drops\":{bad}"));
-            assert!(parse_entry(&counter).is_err(), "drops {bad}: {counter}");
-        }
+        assert_eq!(parse_entry(&render_entry(&big)), Ok(big));
     }
 
     #[test]
@@ -510,14 +382,8 @@ mod tests {
         big.seed = u64::MAX - 1;
         let big_line = render_quarantine(&big);
         assert_eq!(parse_quarantine(&big_line), Ok(big));
-        for bad in ["-1", "1.5", "1e3", "4294967296"] {
-            let attempts = line.replace("\"attempts\":3", &format!("\"attempts\":{bad}"));
-            assert!(parse_quarantine(&attempts).is_err(), "attempts {bad}");
-        }
-        for bad in ["-1", "1.5", "1e3"] {
-            let seed = line.replace("\"seed\":42", &format!("\"seed\":{bad}"));
-            assert!(parse_quarantine(&seed).is_err(), "seed {bad}");
-        }
+        let too_many = line.replace("\"attempts\":3", "\"attempts\":4294967296");
+        assert!(parse_quarantine(&too_many).is_err(), "attempts is a u32");
         // A quarantine line is not a report line and vice versa.
         assert!(parse_entry(&line).is_err());
         assert!(parse_quarantine(&render_entry(&entry())).is_err());

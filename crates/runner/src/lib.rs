@@ -23,6 +23,9 @@
 //! * results export as fixed-width tables, CSV and JSONL
 //!   ([`render_table`], [`render_csv`], [`render_jsonl`]) and parse back
 //!   losslessly ([`parse_csv`], [`parse_jsonl`]);
+//! * [`record`] is the one JSONL codec and append-log under the journal, the
+//!   telemetry log, the manifest and the JSONL export — strict on read, so a
+//!   corrupt line is skipped and re-run, never replayed;
 //! * [`catalog`] names the standard campaigns, and the `vanet-campaign`
 //!   binary runs named or parameterised campaigns from the command line
 //!   (`--resume DIR` for journals, `--ci-target` for adaptive replication).
@@ -64,6 +67,7 @@ pub mod engine;
 pub mod export;
 pub mod journal;
 pub mod manifest;
+pub mod record;
 mod rss;
 pub mod scenario_spec;
 pub mod summary;

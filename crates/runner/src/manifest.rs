@@ -11,7 +11,7 @@
 //! diffed against the current plan and any drift — edited, added, removed
 //! or relabelled cells — is reported before the campaign starts.
 
-use crate::export::{json_escape, Json, JsonParser};
+use crate::record::{self, Line};
 use std::path::{Path, PathBuf};
 use vanet_core::{CampaignPlan, PlanCell};
 use vanet_sim::StableHasher;
@@ -68,41 +68,26 @@ pub fn manifest_entries(plan: &CampaignPlan) -> Vec<ManifestEntry> {
 /// Renders one manifest line (no trailing newline).
 #[must_use]
 pub fn render_entry(entry: &ManifestEntry) -> String {
-    format!(
-        "{{\"cell\":{},\"campaign\":\"{}\",\"label\":\"{}\",\"protocol\":\"{}\",\
-         \"scenario\":\"{}\",\"hash\":\"{:016x}\"}}",
-        entry.cell,
-        json_escape(&entry.campaign),
-        json_escape(&entry.label),
-        json_escape(&entry.protocol),
-        json_escape(&entry.scenario),
-        entry.hash,
-    )
+    Line::default()
+        .u64("cell", entry.cell as u64)
+        .str("campaign", &entry.campaign)
+        .str("label", &entry.label)
+        .str("protocol", &entry.protocol)
+        .str("scenario", &entry.scenario)
+        .hex16("hash", entry.hash)
+        .finish()
 }
 
 /// Parses one manifest line.
 pub fn parse_entry(line: &str) -> Result<ManifestEntry, String> {
-    let value = JsonParser::new(line).value()?;
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field {key:?}"))
-    };
-    let cell = value
-        .get("cell")
-        .and_then(Json::as_usize)
-        .ok_or("missing cell index")?;
-    let hash_hex = text("hash")?;
-    let hash = u64::from_str_radix(&hash_hex, 16).map_err(|_| format!("bad hash {hash_hex:?}"))?;
+    let line = record::parse(line)?;
     Ok(ManifestEntry {
-        cell,
-        campaign: text("campaign")?,
-        label: text("label")?,
-        protocol: text("protocol")?,
-        scenario: text("scenario")?,
-        hash,
+        cell: line.int("cell")?,
+        campaign: line.str("campaign")?.to_owned(),
+        label: line.str("label")?.to_owned(),
+        protocol: line.str("protocol")?.to_owned(),
+        scenario: line.str("scenario")?.to_owned(),
+        hash: line.hex16("hash")?,
     })
 }
 
@@ -112,7 +97,7 @@ pub fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(MANIFEST_FILE)
 }
 
-/// Loads the manifest previously written in `dir`, if any. Unparseable
+/// Loads the manifest previously written in `dir`, if any. Unreadable
 /// lines are skipped (an interrupted write only costs that line's drift
 /// context, never the run).
 pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Option<Vec<ManifestEntry>>> {
@@ -120,16 +105,7 @@ pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Option<Vec<ManifestEntry>>
     let Ok(existing) = std::fs::read_to_string(&path) else {
         return Ok(None);
     };
-    let mut entries = Vec::new();
-    for line in existing.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Ok(entry) = parse_entry(line) {
-            entries.push(entry);
-        }
-    }
-    Ok(Some(entries))
+    Ok(Some(record::records(&existing, parse_entry).0))
 }
 
 /// Rewrites the manifest in `dir` to describe `plan`.
@@ -191,7 +167,7 @@ pub fn diff(previous: &[ManifestEntry], current: &[ManifestEntry]) -> Vec<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::record::temp_dir;
     use vanet_core::{ProtocolKind, ReplicationPolicy, Scenario};
 
     fn plan() -> CampaignPlan {
@@ -210,22 +186,11 @@ mod tests {
             )
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("vanet-manifest-{tag}-{}-{n}", std::process::id()))
-    }
-
     #[test]
     fn entries_round_trip_exactly() {
         for entry in manifest_entries(&plan()) {
             let parsed = parse_entry(&render_entry(&entry)).expect("rendered entry parses");
             assert_eq!(parsed, entry);
-        }
-        let line = render_entry(&manifest_entries(&plan())[1]);
-        for bad in ["-1", "1.5", "1e3"] {
-            let cell = line.replace("\"cell\":1", &format!("\"cell\":{bad}"));
-            assert!(parse_entry(&cell).is_err(), "cell {bad}");
         }
     }
 

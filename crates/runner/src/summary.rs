@@ -7,7 +7,7 @@
 //! confidence interval of the mean (Student's t for small replication
 //! counts), which is what the paper-style evaluation tables actually need.
 
-use vanet_core::Report;
+use vanet_core::{Report, ReportField};
 
 /// Five-number statistical summary of one metric over the replications.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -88,188 +88,64 @@ impl SummaryStat {
     }
 }
 
-/// Names of the metrics a [`Summary`] carries, in export order.
-pub const METRIC_NAMES: [&str; 21] = [
-    "data_sent",
-    "data_delivered",
-    "duplicate_deliveries",
-    "delivery_ratio",
-    "avg_delay_s",
-    "max_delay_s",
-    "avg_hops",
-    "control_packets",
-    "control_bytes",
-    "data_transmissions",
-    "control_per_delivered",
-    "transmissions_per_delivered",
-    "route_errors",
-    "drops",
-    "avg_neighbors",
-    "bundles_stored",
-    "bundles_forwarded",
-    "bundles_expired",
-    "bundles_evicted",
-    "custody_transfers",
-    "buffer_peak",
-];
+/// Names of the metrics a [`Summary`] carries, in export order: the names
+/// of [`Report::FIELDS`].
+pub const METRIC_NAMES: [&str; Report::FIELDS.len()] = {
+    let mut names = [""; Report::FIELDS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = Report::FIELDS[i].name();
+        i += 1;
+    }
+    names
+};
+
+/// A metric's position in [`METRIC_NAMES`] (and so in [`Report::FIELDS`]).
+fn slot(name: &str) -> Option<usize> {
+    METRIC_NAMES.iter().position(|n| *n == name)
+}
 
 /// Per-metric statistical summary of one experiment cell's replications.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Summary {
     /// Number of replications summarised.
     pub replications: usize,
-    /// Data packets originated.
-    pub data_sent: SummaryStat,
-    /// Unique data packets delivered.
-    pub data_delivered: SummaryStat,
-    /// Duplicate deliveries.
-    pub duplicate_deliveries: SummaryStat,
-    /// Packet delivery ratio.
-    pub delivery_ratio: SummaryStat,
-    /// Mean end-to-end delay, seconds.
-    pub avg_delay_s: SummaryStat,
-    /// Maximum end-to-end delay, seconds.
-    pub max_delay_s: SummaryStat,
-    /// Mean hop count of delivered packets.
-    pub avg_hops: SummaryStat,
-    /// Control packets transmitted.
-    pub control_packets: SummaryStat,
-    /// Control bytes transmitted.
-    pub control_bytes: SummaryStat,
-    /// Data-packet transmissions (every hop).
-    pub data_transmissions: SummaryStat,
-    /// Control packets per delivered data packet.
-    pub control_per_delivered: SummaryStat,
-    /// Total transmissions per delivered data packet.
-    pub transmissions_per_delivered: SummaryStat,
-    /// Route-error packets.
-    pub route_errors: SummaryStat,
-    /// Packet drops at the routing layer.
-    pub drops: SummaryStat,
-    /// Average neighbour count.
-    pub avg_neighbors: SummaryStat,
-    /// Bundles stored into DTN buffers.
-    pub bundles_stored: SummaryStat,
-    /// Bundle copies forwarded on neighbour contact.
-    pub bundles_forwarded: SummaryStat,
-    /// Bundles whose TTL ran out in a buffer.
-    pub bundles_expired: SummaryStat,
-    /// Bundles evicted under buffer pressure.
-    pub bundles_evicted: SummaryStat,
-    /// Custody hand-overs.
-    pub custody_transfers: SummaryStat,
-    /// Peak bundle-buffer occupancy at any node.
-    pub buffer_peak: SummaryStat,
+    /// One stat per [`Report::FIELDS`] metric, in that order.
+    pub(crate) stats: [SummaryStat; Report::FIELDS.len()],
 }
 
 impl Summary {
     /// Summarises a set of per-seed reports. Returns `None` for an empty set.
     #[must_use]
     pub fn from_reports(reports: &[Report]) -> Option<Summary> {
-        if reports.is_empty() {
-            return None;
-        }
-        let stat_u = |f: &dyn Fn(&Report) -> u64| -> SummaryStat {
-            let values: Vec<f64> = reports.iter().map(|r| f(r) as f64).collect();
-            SummaryStat::from_values(&values).expect("reports is non-empty")
-        };
-        let stat_f = |f: &dyn Fn(&Report) -> f64| -> SummaryStat {
-            let values: Vec<f64> = reports.iter().map(f).collect();
-            SummaryStat::from_values(&values).expect("reports is non-empty")
-        };
-        Some(Summary {
+        let mut summary = Summary {
             replications: reports.len(),
-            data_sent: stat_u(&|r| r.data_sent),
-            data_delivered: stat_u(&|r| r.data_delivered),
-            duplicate_deliveries: stat_u(&|r| r.duplicate_deliveries),
-            delivery_ratio: stat_f(&|r| r.delivery_ratio),
-            avg_delay_s: stat_f(&|r| r.avg_delay_s),
-            max_delay_s: stat_f(&|r| r.max_delay_s),
-            avg_hops: stat_f(&|r| r.avg_hops),
-            control_packets: stat_u(&|r| r.control_packets),
-            control_bytes: stat_u(&|r| r.control_bytes),
-            data_transmissions: stat_u(&|r| r.data_transmissions),
-            control_per_delivered: stat_f(&|r| r.control_per_delivered),
-            transmissions_per_delivered: stat_f(&|r| r.transmissions_per_delivered),
-            route_errors: stat_u(&|r| r.route_errors),
-            drops: stat_u(&|r| r.drops),
-            avg_neighbors: stat_f(&|r| r.avg_neighbors),
-            bundles_stored: stat_u(&|r| r.bundles_stored),
-            bundles_forwarded: stat_u(&|r| r.bundles_forwarded),
-            bundles_expired: stat_u(&|r| r.bundles_expired),
-            bundles_evicted: stat_u(&|r| r.bundles_evicted),
-            custody_transfers: stat_u(&|r| r.custody_transfers),
-            buffer_peak: stat_u(&|r| r.buffer_peak),
-        })
+            ..Summary::default()
+        };
+        let mut values = Vec::with_capacity(reports.len());
+        for (stat, field) in summary.stats.iter_mut().zip(&Report::FIELDS) {
+            values.clear();
+            values.extend(reports.iter().map(|report| field.value(report)));
+            *stat = SummaryStat::from_values(&values)?;
+        }
+        Some(summary)
     }
 
     /// The metrics in [`METRIC_NAMES`] order.
     #[must_use]
-    pub fn metrics(&self) -> [(&'static str, &SummaryStat); 21] {
-        [
-            ("data_sent", &self.data_sent),
-            ("data_delivered", &self.data_delivered),
-            ("duplicate_deliveries", &self.duplicate_deliveries),
-            ("delivery_ratio", &self.delivery_ratio),
-            ("avg_delay_s", &self.avg_delay_s),
-            ("max_delay_s", &self.max_delay_s),
-            ("avg_hops", &self.avg_hops),
-            ("control_packets", &self.control_packets),
-            ("control_bytes", &self.control_bytes),
-            ("data_transmissions", &self.data_transmissions),
-            ("control_per_delivered", &self.control_per_delivered),
-            (
-                "transmissions_per_delivered",
-                &self.transmissions_per_delivered,
-            ),
-            ("route_errors", &self.route_errors),
-            ("drops", &self.drops),
-            ("avg_neighbors", &self.avg_neighbors),
-            ("bundles_stored", &self.bundles_stored),
-            ("bundles_forwarded", &self.bundles_forwarded),
-            ("bundles_expired", &self.bundles_expired),
-            ("bundles_evicted", &self.bundles_evicted),
-            ("custody_transfers", &self.custody_transfers),
-            ("buffer_peak", &self.buffer_peak),
-        ]
+    pub fn metrics(&self) -> [(&'static str, &SummaryStat); Report::FIELDS.len()] {
+        std::array::from_fn(|i| (METRIC_NAMES[i], &self.stats[i]))
     }
 
     /// Looks a metric up by its [`METRIC_NAMES`] name.
     #[must_use]
     pub fn metric(&self, name: &str) -> Option<&SummaryStat> {
-        self.metrics()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+        Some(&self.stats[slot(name)?])
     }
 
     /// Mutable lookup, used when reconstructing a summary from an export.
     pub(crate) fn metric_mut(&mut self, name: &str) -> Option<&mut SummaryStat> {
-        let stat = match name {
-            "data_sent" => &mut self.data_sent,
-            "data_delivered" => &mut self.data_delivered,
-            "duplicate_deliveries" => &mut self.duplicate_deliveries,
-            "delivery_ratio" => &mut self.delivery_ratio,
-            "avg_delay_s" => &mut self.avg_delay_s,
-            "max_delay_s" => &mut self.max_delay_s,
-            "avg_hops" => &mut self.avg_hops,
-            "control_packets" => &mut self.control_packets,
-            "control_bytes" => &mut self.control_bytes,
-            "data_transmissions" => &mut self.data_transmissions,
-            "control_per_delivered" => &mut self.control_per_delivered,
-            "transmissions_per_delivered" => &mut self.transmissions_per_delivered,
-            "route_errors" => &mut self.route_errors,
-            "drops" => &mut self.drops,
-            "avg_neighbors" => &mut self.avg_neighbors,
-            "bundles_stored" => &mut self.bundles_stored,
-            "bundles_forwarded" => &mut self.bundles_forwarded,
-            "bundles_expired" => &mut self.bundles_expired,
-            "bundles_evicted" => &mut self.bundles_evicted,
-            "custody_transfers" => &mut self.custody_transfers,
-            "buffer_peak" => &mut self.buffer_peak,
-            _ => return None,
-        };
-        Some(stat)
+        Some(&mut self.stats[slot(name)?])
     }
 
     /// Collapses the summary back to a mean-only [`Report`], matching the
@@ -277,32 +153,18 @@ impl Summary {
     /// figure generators can keep their return types.
     #[must_use]
     pub fn mean_report(&self, protocol: impl Into<String>, scenario: impl Into<String>) -> Report {
-        let round = |s: &SummaryStat| s.mean.round() as u64;
-        Report {
+        let mut report = Report {
             protocol: protocol.into(),
             scenario: scenario.into(),
-            data_sent: round(&self.data_sent),
-            data_delivered: round(&self.data_delivered),
-            duplicate_deliveries: round(&self.duplicate_deliveries),
-            delivery_ratio: self.delivery_ratio.mean,
-            avg_delay_s: self.avg_delay_s.mean,
-            max_delay_s: self.max_delay_s.mean,
-            avg_hops: self.avg_hops.mean,
-            control_packets: round(&self.control_packets),
-            control_bytes: round(&self.control_bytes),
-            data_transmissions: round(&self.data_transmissions),
-            control_per_delivered: self.control_per_delivered.mean,
-            transmissions_per_delivered: self.transmissions_per_delivered.mean,
-            route_errors: round(&self.route_errors),
-            drops: round(&self.drops),
-            avg_neighbors: self.avg_neighbors.mean,
-            bundles_stored: round(&self.bundles_stored),
-            bundles_forwarded: round(&self.bundles_forwarded),
-            bundles_expired: round(&self.bundles_expired),
-            bundles_evicted: round(&self.bundles_evicted),
-            custody_transfers: round(&self.custody_transfers),
-            buffer_peak: round(&self.buffer_peak),
+            ..Report::default()
+        };
+        for (stat, field) in self.stats.iter().zip(&Report::FIELDS) {
+            match field {
+                ReportField::Count(_, _, set) => set(&mut report, stat.mean.round() as u64),
+                ReportField::Real(_, _, set) => set(&mut report, stat.mean),
+            }
         }
+        report
     }
 }
 
@@ -344,24 +206,26 @@ mod tests {
 
     #[test]
     fn metric_lookup_covers_all_names() {
-        let mut summary = Summary::default();
-        // metric() and metric_mut() must both resolve every exported name
-        // and address the same field — the export parsers write through
-        // metric_mut, so a gap here would silently zero a parsed metric.
-        for (i, name) in METRIC_NAMES.iter().enumerate() {
-            let marker = 1.0 + i as f64;
-            summary
-                .metric_mut(name)
-                .unwrap_or_else(|| panic!("{name} missing from metric_mut"))
-                .mean = marker;
-            assert_eq!(
-                summary
-                    .metric(name)
-                    .unwrap_or_else(|| panic!("{name} missing"))
-                    .mean,
-                marker,
-                "metric() and metric_mut() disagree for {name}"
-            );
+        // One name per `Report::FIELDS` row, and `metric()`, `metric_mut()`,
+        // `metrics()`, `from_reports()` and `mean_report()` all address the
+        // same slot for it — the export parsers write through `metric_mut`,
+        // so a gap here would silently zero a parsed metric.
+        let mut report = Report::default();
+        for (i, field) in Report::FIELDS.iter().enumerate() {
+            match field {
+                ReportField::Count(_, _, set) => set(&mut report, 10 + i as u64),
+                ReportField::Real(_, _, set) => set(&mut report, 10.5 + i as f64),
+            }
+        }
+        let mut summary = Summary::from_reports(&[report.clone()]).unwrap();
+        assert_eq!(summary.mean_report("", ""), report);
+        for (i, field) in Report::FIELDS.iter().enumerate() {
+            let name = METRIC_NAMES[i];
+            assert_eq!(name, field.name());
+            assert_eq!(summary.metric(name).unwrap().mean, field.value(&report));
+            assert_eq!(summary.metrics()[i], (name, summary.metric(name).unwrap()));
+            summary.metric_mut(name).unwrap().mean = -1.0;
+            assert_eq!(summary.metric(name).unwrap().mean, -1.0, "{name}");
         }
         assert!(summary.metric("nope").is_none());
         assert!(summary.metric_mut("nope").is_none());

@@ -9,20 +9,16 @@
 //! bucket) — so a line is self-describing and an analysis pass can project
 //! any column without touching the rest.
 //!
-//! The file follows the journal's persistence contract exactly: keyed by
-//! the job's stable content hash, append-only, one `write` per record,
-//! floats in shortest-round-trip form, unparseable lines (an interrupted
-//! final write) skipped and counted at open so the affected job simply
+//! The file follows the journal's persistence contract exactly — keyed by
+//! the job's stable content hash, one [`AppendLog`] line per record,
+//! unreadable lines skipped and counted at open so the affected job simply
 //! re-runs. [`TelemetryLog::contains`] is the resume check: a job is only a
 //! cache hit when *both* its report and its telemetry line survived.
 
-use crate::export::{json_escape, Json, JsonParser};
+use crate::record::{self, AppendLog, Line};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use vanet_core::{WindowedTap, DROP_REASON_NAMES};
+use std::path::Path;
+use vanet_core::{RegionRecord, WindowRecord, WindowedTap, DROP_REASON_NAMES};
 
 /// Name of the telemetry log inside a journal directory.
 pub const TELEMETRY_FILE: &str = "telemetry.jsonl";
@@ -48,113 +44,77 @@ pub struct TelemetryEntry {
     pub cols: Vec<(String, Vec<f64>)>,
 }
 
+/// A column: its name and how it reads off one window or region record.
+type Col<T> = (&'static str, fn(&T) -> f64);
+
+/// The per-window columns before the `drop_*` block, in canonical order.
+const WINDOW_COLS: [Col<WindowRecord>; 7] = [
+    ("originations", |w| w.originations as f64),
+    ("deliveries", |w| w.deliveries as f64),
+    ("delay_sum_s", |w| w.delay_sum_s),
+    ("sent_data", |w| w.sent_data as f64),
+    ("sent_control", |w| w.sent_control as f64),
+    ("bytes_sent", |w| w.bytes_sent as f64),
+    ("received", |w| w.received as f64),
+];
+
+/// The per-window columns after the `drop_*` block, in canonical order.
+const WINDOW_COLS_AFTER_DROPS: [Col<WindowRecord>; 16] = [
+    ("fault_drops", |w| w.fault_drops as f64),
+    ("outages", |w| w.outages as f64),
+    ("neighbors_lost", |w| w.neighbors_lost as f64),
+    ("neighbors_gained", |w| w.neighbors_gained as f64),
+    ("medium_transmissions", |w| {
+        w.medium.transmissions.value() as f64
+    }),
+    ("medium_deliveries", |w| w.medium.deliveries.value() as f64),
+    ("medium_propagation_losses", |w| {
+        w.medium.propagation_losses.value() as f64
+    }),
+    ("medium_collision_losses", |w| {
+        w.medium.collision_losses.value() as f64
+    }),
+    ("medium_fault_losses", |w| {
+        w.medium.fault_losses.value() as f64
+    }),
+    ("medium_bytes", |w| {
+        w.medium.bytes_transmitted.value() as f64
+    }),
+    ("bundles_stored", |w| w.bundles_stored as f64),
+    ("bundles_forwarded", |w| w.bundles_forwarded as f64),
+    ("bundles_expired", |w| w.bundles_expired as f64),
+    ("bundles_evicted", |w| w.bundles_evicted as f64),
+    ("custody_transfers", |w| w.custody_transfers as f64),
+    ("buffer_peak", |w| w.buffer_peak as f64),
+];
+
+/// The per-region columns, in canonical order.
+const REGION_COLS: [Col<RegionRecord>; 3] = [
+    ("region_sent", |r| r.sent as f64),
+    ("region_received", |r| r.received as f64),
+    ("region_drops", |r| r.drops as f64),
+];
+
 impl TelemetryEntry {
     /// Projects a sealed tap into the canonical column layout.
     #[must_use]
     pub fn from_tap(key: u64, campaign: &str, label: &str, seed: u64, tap: &WindowedTap) -> Self {
         let windows = tap.windows();
-        let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..windows.len()).map(f).collect() };
-        let mut cols: Vec<(String, Vec<f64>)> = vec![
+        let window_col = |&(name, read): &Col<WindowRecord>| {
             (
-                "originations".to_owned(),
-                col(&|i| windows[i].originations as f64),
-            ),
-            (
-                "deliveries".to_owned(),
-                col(&|i| windows[i].deliveries as f64),
-            ),
-            ("delay_sum_s".to_owned(), col(&|i| windows[i].delay_sum_s)),
-            (
-                "sent_data".to_owned(),
-                col(&|i| windows[i].sent_data as f64),
-            ),
-            (
-                "sent_control".to_owned(),
-                col(&|i| windows[i].sent_control as f64),
-            ),
-            (
-                "bytes_sent".to_owned(),
-                col(&|i| windows[i].bytes_sent as f64),
-            ),
-            ("received".to_owned(), col(&|i| windows[i].received as f64)),
-        ];
+                name.to_owned(),
+                windows.iter().map(read).collect::<Vec<_>>(),
+            )
+        };
+        let mut cols: Vec<(String, Vec<f64>)> = WINDOW_COLS.iter().map(window_col).collect();
         for (d, name) in DROP_REASON_NAMES.iter().enumerate() {
-            cols.push((format!("drop_{name}"), col(&|i| windows[i].drops[d] as f64)));
+            let drops = windows.iter().map(|w| w.drops[d] as f64).collect();
+            cols.push((format!("drop_{name}"), drops));
         }
-        cols.push((
-            "fault_drops".to_owned(),
-            col(&|i| windows[i].fault_drops as f64),
-        ));
-        cols.push(("outages".to_owned(), col(&|i| windows[i].outages as f64)));
-        cols.push((
-            "neighbors_lost".to_owned(),
-            col(&|i| windows[i].neighbors_lost as f64),
-        ));
-        cols.push((
-            "neighbors_gained".to_owned(),
-            col(&|i| windows[i].neighbors_gained as f64),
-        ));
-        cols.push((
-            "medium_transmissions".to_owned(),
-            col(&|i| windows[i].medium.transmissions.value() as f64),
-        ));
-        cols.push((
-            "medium_deliveries".to_owned(),
-            col(&|i| windows[i].medium.deliveries.value() as f64),
-        ));
-        cols.push((
-            "medium_propagation_losses".to_owned(),
-            col(&|i| windows[i].medium.propagation_losses.value() as f64),
-        ));
-        cols.push((
-            "medium_collision_losses".to_owned(),
-            col(&|i| windows[i].medium.collision_losses.value() as f64),
-        ));
-        cols.push((
-            "medium_fault_losses".to_owned(),
-            col(&|i| windows[i].medium.fault_losses.value() as f64),
-        ));
-        cols.push((
-            "medium_bytes".to_owned(),
-            col(&|i| windows[i].medium.bytes_transmitted.value() as f64),
-        ));
-        cols.push((
-            "bundles_stored".to_owned(),
-            col(&|i| windows[i].bundles_stored as f64),
-        ));
-        cols.push((
-            "bundles_forwarded".to_owned(),
-            col(&|i| windows[i].bundles_forwarded as f64),
-        ));
-        cols.push((
-            "bundles_expired".to_owned(),
-            col(&|i| windows[i].bundles_expired as f64),
-        ));
-        cols.push((
-            "bundles_evicted".to_owned(),
-            col(&|i| windows[i].bundles_evicted as f64),
-        ));
-        cols.push((
-            "custody_transfers".to_owned(),
-            col(&|i| windows[i].custody_transfers as f64),
-        ));
-        cols.push((
-            "buffer_peak".to_owned(),
-            col(&|i| windows[i].buffer_peak as f64),
-        ));
-        let regions = tap.regions();
-        cols.push((
-            "region_sent".to_owned(),
-            regions.iter().map(|r| r.sent as f64).collect(),
-        ));
-        cols.push((
-            "region_received".to_owned(),
-            regions.iter().map(|r| r.received as f64).collect(),
-        ));
-        cols.push((
-            "region_drops".to_owned(),
-            regions.iter().map(|r| r.drops as f64).collect(),
-        ));
+        cols.extend(WINDOW_COLS_AFTER_DROPS.iter().map(window_col));
+        for (name, read) in REGION_COLS {
+            cols.push((name.to_owned(), tap.regions().iter().map(read).collect()));
+        }
         TelemetryEntry {
             key,
             campaign: campaign.to_owned(),
@@ -193,91 +153,61 @@ impl TelemetryEntry {
     }
 }
 
-fn render_numbers(values: &[f64]) -> String {
-    let mut out = String::with_capacity(values.len() * 4 + 2);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-    out
-}
-
-/// Renders one telemetry line (no trailing newline). Floats use Rust's
-/// shortest-round-trip `Display`, so parsing reproduces the exact bits.
+/// Renders one telemetry line (no trailing newline).
 #[must_use]
 pub fn render_entry(entry: &TelemetryEntry) -> String {
-    let cols: Vec<String> = entry
-        .cols
-        .iter()
-        .map(|(name, values)| format!("\"{}\":{}", json_escape(name), render_numbers(values)))
-        .collect();
-    format!(
-        "{{\"key\":\"{:016x}\",\"campaign\":\"{}\",\"label\":\"{}\",\"seed\":{},\
-         \"window_s\":{},\"regions_per_axis\":{},\"cols\":{{{}}}}}",
-        entry.key,
-        json_escape(&entry.campaign),
-        json_escape(&entry.label),
-        entry.seed,
-        entry.window_s,
-        entry.regions_per_axis,
-        cols.join(",")
-    )
+    let mut cols = Line::default();
+    for (name, values) in &entry.cols {
+        cols.f64s(name, values);
+    }
+    Line::default()
+        .hex16("key", entry.key)
+        .str("campaign", &entry.campaign)
+        .str("label", &entry.label)
+        .u64("seed", entry.seed)
+        .f64("window_s", entry.window_s)
+        .u64("regions_per_axis", entry.regions_per_axis as u64)
+        .obj("cols", &cols)
+        .finish()
 }
 
 /// Parses one telemetry line (the inverse of [`render_entry`]). Malformed
 /// lines yield a description; the log loader treats that as "interrupted
-/// write, re-run the job".
+/// write, re-run the job". The shape is part of the format: every
+/// per-window column has one length and every `region_*` column has
+/// `regions_per_axis`² values, so readers may index any column by window
+/// or region without checking.
 pub fn parse_entry(line: &str) -> Result<TelemetryEntry, String> {
-    let value = JsonParser::new(line).value()?;
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field {key:?}"))
-    };
-    let num = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing number field {key:?}"))
-    };
-    let int = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing integer field {key:?}"))
-    };
-    let key_hex = text("key")?;
-    let key = u64::from_str_radix(&key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
-    let cols_value = value.get("cols").ok_or("missing cols object")?;
-    let pairs = cols_value.entries().ok_or("cols is not an object")?;
-    let mut cols = Vec::with_capacity(pairs.len());
-    for (name, col) in pairs {
-        let items = col
-            .as_array()
-            .ok_or_else(|| format!("column {name:?} is not an array"))?;
-        let mut values = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(
-                item.as_f64()
-                    .ok_or_else(|| format!("column {name:?} holds a non-number"))?,
-            );
+    let line = record::parse(line)?;
+    let regions_per_axis: usize = line.int("regions_per_axis")?;
+    let regions = regions_per_axis
+        .checked_mul(regions_per_axis)
+        .ok_or("regions_per_axis out of range")?;
+    let fields = line.obj("cols")?;
+    let mut cols: Vec<(String, Vec<f64>)> = Vec::new();
+    let mut windows = None;
+    for name in fields.keys() {
+        let values = fields.f64s(name)?;
+        let expected = if name.starts_with("region_") {
+            regions
+        } else {
+            *windows.get_or_insert(values.len())
+        };
+        if values.len() != expected {
+            return Err(format!(
+                "column {name:?} has {} values, expected {expected}",
+                values.len()
+            ));
         }
-        cols.push((name.clone(), values));
+        cols.push((name.to_owned(), values.to_vec()));
     }
     Ok(TelemetryEntry {
-        key,
-        campaign: text("campaign")?,
-        label: text("label")?,
-        seed: int("seed")?,
-        window_s: num("window_s")?,
-        regions_per_axis: usize::try_from(int("regions_per_axis")?)
-            .map_err(|_| "regions_per_axis out of range")?,
+        key: line.hex16("key")?,
+        campaign: line.str("campaign")?.to_owned(),
+        label: line.str("label")?.to_owned(),
+        seed: line.int("seed")?,
+        window_s: line.f64("window_s")?,
+        regions_per_axis,
         cols,
     })
 }
@@ -286,11 +216,9 @@ pub fn parse_entry(line: &str) -> Result<TelemetryEntry, String> {
 /// per key wins) plus an append handle for streaming new completions.
 #[derive(Debug)]
 pub struct TelemetryLog {
-    path: PathBuf,
     entries: Vec<TelemetryEntry>,
     index: HashMap<u64, usize>,
-    file: Mutex<File>,
-    skipped_lines: usize,
+    log: AppendLog,
 }
 
 impl TelemetryLog {
@@ -299,50 +227,31 @@ impl TelemetryLog {
     /// are counted and skipped — the matching job re-runs, like a truncated
     /// journal line.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<TelemetryLog> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(TELEMETRY_FILE);
+        let (log, loaded) = AppendLog::open(dir.as_ref(), TELEMETRY_FILE, |text| {
+            record::records(text, parse_entry)
+        })?;
         let mut entries: Vec<TelemetryEntry> = Vec::new();
         let mut index = HashMap::new();
-        let mut skipped_lines = 0;
-        let mut needs_newline = false;
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            for line in existing.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_entry(line) {
-                    Ok(entry) => match index.get(&entry.key) {
-                        Some(&at) => entries[at] = entry,
-                        None => {
-                            index.insert(entry.key, entries.len());
-                            entries.push(entry);
-                        }
-                    },
-                    Err(_) => skipped_lines += 1,
+        for entry in loaded {
+            match index.get(&entry.key) {
+                Some(&at) => entries[at] = entry,
+                None => {
+                    index.insert(entry.key, entries.len());
+                    entries.push(entry);
                 }
             }
-            // Same interrupted-write repair as the journal: never glue a new
-            // record onto a partial final line.
-            needs_newline = !existing.is_empty() && !existing.ends_with('\n');
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if needs_newline {
-            writeln!(file)?;
         }
         Ok(TelemetryLog {
-            path,
             entries,
             index,
-            file: Mutex::new(file),
-            skipped_lines,
+            log,
         })
     }
 
     /// The telemetry file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of entries loaded at open time.
@@ -360,7 +269,7 @@ impl TelemetryLog {
     /// Number of unparseable lines skipped at open time.
     #[must_use]
     pub fn skipped_lines(&self) -> usize {
-        self.skipped_lines
+        self.log.skipped_lines()
     }
 
     /// Whether a job's telemetry line survived (the resume check).
@@ -381,22 +290,17 @@ impl TelemetryLog {
         &self.entries
     }
 
-    /// Appends one entry and flushes — the line and its newline go down in
-    /// a single `write` on an append-mode handle, mirroring the journal's
-    /// crash- and shard-safety contract.
+    /// Appends one entry under the journal's crash- and shard-safety
+    /// contract ([`AppendLog::append`]).
     pub fn record(&self, entry: &TelemetryEntry) -> std::io::Result<()> {
-        let mut line = render_entry(entry);
-        line.push('\n');
-        let mut file = self.file.lock().expect("telemetry file lock poisoned");
-        file.write_all(line.as_bytes())?;
-        file.flush()
+        self.log.append(render_entry(entry))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::record::temp_dir;
     use vanet_core::{MediumStats, Position, Telemetry, WindowedTap};
     use vanet_sim::{SimDuration, SimTime};
 
@@ -430,12 +334,6 @@ mod tests {
         )
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("vanet-telemetry-{tag}-{}-{n}", std::process::id()))
-    }
-
     #[test]
     fn entry_round_trips_exactly() {
         let e = entry();
@@ -445,16 +343,6 @@ mod tests {
         let mut big = entry();
         big.seed = u64::MAX - 1;
         assert_eq!(parse_entry(&render_entry(&big)), Ok(big));
-        let line = render_entry(&e);
-        for bad in ["-1", "1.5", "1e3"] {
-            let seed = line.replace("\"seed\":42", &format!("\"seed\":{bad}"));
-            assert!(parse_entry(&seed).is_err(), "seed {bad}");
-            let regions = line.replace(
-                "\"regions_per_axis\":2",
-                &format!("\"regions_per_axis\":{bad}"),
-            );
-            assert!(parse_entry(&regions).is_err(), "regions_per_axis {bad}");
-        }
     }
 
     #[test]

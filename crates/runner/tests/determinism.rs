@@ -53,11 +53,13 @@ fn summaries_carry_real_spread_information() {
     for cell in &results.cells {
         let s = &cell.summary;
         assert_eq!(s.replications, 3);
-        assert!(s.data_sent.mean > 0.0, "no traffic in {}", cell.label);
-        assert!(s.delivery_ratio.min <= s.delivery_ratio.mean + 1e-12);
-        assert!(s.delivery_ratio.mean <= s.delivery_ratio.max + 1e-12);
-        assert!(s.delivery_ratio.std_dev >= 0.0);
-        assert!(s.delivery_ratio.ci95 >= 0.0);
+        let sent = s.metric("data_sent").expect("a metric name");
+        assert!(sent.mean > 0.0, "no traffic in {}", cell.label);
+        let pdr = s.metric("delivery_ratio").expect("a metric name");
+        assert!(pdr.min <= pdr.mean + 1e-12);
+        assert!(pdr.mean <= pdr.max + 1e-12);
+        assert!(pdr.std_dev >= 0.0);
+        assert!(pdr.ci95 >= 0.0);
     }
     // Across three different seeds at least one metric must actually vary —
     // if every std-dev were zero the replication seeds would not be applied.
