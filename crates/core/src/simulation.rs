@@ -14,7 +14,9 @@ use vanet_net::{
     Packet, PacketKind, SpatialGrid, UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol, TableLocationService};
-use vanet_sim::{FlowId, NodeId, PacketIdAllocator, Scheduler, SimDuration, SimRng, SimTime};
+use vanet_sim::{
+    EventKey, FlowId, NodeId, PacketIdAllocator, Scheduler, SimDuration, SimRng, SimTime,
+};
 
 /// One constant-bit-rate application flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +44,7 @@ enum Event {
     /// A transmitted frame reaching its receivers: index into the in-flight
     /// slab (see [`Frame`]). One queued entry stands for every reception
     /// still to come; each reception is still one processed event, at
-    /// exactly its own `(time, seq)`.
+    /// exactly its own [`EventKey`].
     Frame(u32),
     BackboneArrival {
         receiver: NodeId,
@@ -58,17 +60,16 @@ enum Event {
 /// One reception of an in-flight frame.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
-    arrival: SimTime,
-    /// The sequence number an event scheduled for this reception alone would
-    /// carry: the frame's first reserved number plus the reception's index
-    /// in the medium's delivery order.
-    seq: u64,
+    /// The arrival time and the sequence number an event scheduled for this
+    /// reception alone would carry: the frame's first reserved number plus
+    /// the reception's index in the medium's delivery order.
+    key: EventKey,
     receiver: NodeId,
     intended: bool,
 }
 
 /// A transmitted frame and the receptions it still owes, soonest first. The
-/// frame is queued once, under its next reception's `(arrival, seq)` key;
+/// frame is queued once, under its next reception's key;
 /// [`Simulation::deliver_frame`] hands the packet to receiver after receiver
 /// for as long as the scheduler confirms nothing else is due in between.
 /// Slots are recycled through `free_frames`, `hops` keeping its allocation.
@@ -719,8 +720,8 @@ impl<T: Telemetry> Simulation<T> {
     /// timer, a fault, another frame's reception, an event a handler here
     /// just scheduled — or the horizon falls in between, the frame goes back
     /// into the queue under its next reception's own key and resumes when
-    /// that surfaces: the receptions fire in exactly the `(time, seq)` order
-    /// they would as individually scheduled events.
+    /// that surfaces: the receptions fire in exactly the key order they would
+    /// as individually scheduled events.
     fn deliver_frame(&mut self, mut now: SimTime, slot: u32) {
         // Out of the slab while handlers run: a reception may transmit, and
         // that claims a slot and may grow the slab.
@@ -733,14 +734,13 @@ impl<T: Telemetry> Simulation<T> {
             let Some(next) = frame.hops.get(frame.next) else {
                 break;
             };
-            if !self.scheduler.advance_if_next(next.arrival, next.seq) {
-                self.scheduler
-                    .schedule_keyed(next.arrival, next.seq, Event::Frame(slot));
+            if !self.scheduler.advance_if_next(next.key) {
+                self.scheduler.schedule_keyed(next.key, Event::Frame(slot));
                 frame.packet = Some(packet);
                 self.frames[slot as usize] = frame;
                 return;
             }
-            now = next.arrival;
+            now = next.key.time();
             self.telemetry.on_event(now, self.medium.stats());
         }
         frame.hops.clear();
@@ -840,9 +840,9 @@ impl<T: Telemetry> Simulation<T> {
         if !deliveries.is_empty() {
             // One queue entry for the whole frame. Reception `i` (in the
             // medium's delivery order) keeps the sequence number its own
-            // event would have drawn, and the receptions are walked in
-            // `(arrival, seq)` order — they differ only by propagation
-            // delay, under a microsecond.
+            // event would have drawn, and the receptions are walked in key
+            // order — they differ only by propagation delay, under a
+            // microsecond.
             let first_seq = self.scheduler.reserve_seqs(deliveries.len() as u64);
             let slot = self.free_frames.pop().unwrap_or_else(|| {
                 self.frames.push(Frame::default());
@@ -853,18 +853,14 @@ impl<T: Telemetry> Simulation<T> {
             frame
                 .hops
                 .extend(deliveries.iter().zip(first_seq..).map(|(d, seq)| Hop {
-                    arrival: d.arrival,
-                    seq,
+                    key: EventKey::new(d.arrival, seq),
                     receiver: d.receiver,
                     intended: d.intended,
                 }));
-            frame
-                .hops
-                .sort_unstable_by_key(|hop| (hop.arrival, hop.seq));
-            let head = frame.hops[0];
-            debug_assert!(head.arrival >= now, "arrival is never in the past");
-            self.scheduler
-                .schedule_keyed(head.arrival, head.seq, Event::Frame(slot));
+            frame.hops.sort_unstable_by_key(|hop| hop.key);
+            let head = frame.hops[0].key;
+            debug_assert!(head.time() >= now, "arrival is never in the past");
+            self.scheduler.schedule_keyed(head, Event::Frame(slot));
         }
         deliveries.clear();
         self.delivery_buf = deliveries;

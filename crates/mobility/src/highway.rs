@@ -10,8 +10,9 @@
 use crate::car_following::{IdmParams, LeaderInfo};
 use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
-use crate::model::{MobilityModel, RegionBounds};
+use crate::model::{state_by_id, MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
+use std::cmp::Ordering;
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
 /// Configuration and builder for a [`HighwayModel`].
@@ -215,10 +216,20 @@ impl HighwayBuilder {
             vehicles,
             states: Vec::new(),
             lane_count,
+            lane_order: Vec::new(),
+            accels: Vec::new(),
         };
         model.refresh_states();
         model
     }
+}
+
+/// The `(s, index)` order of two vehicles, which is the order within a lane.
+fn lane_cmp(vehicles: &[HighwayVehicle], a: usize, b: usize) -> Ordering {
+    vehicles[a]
+        .s
+        .total_cmp(&vehicles[b].s)
+        .then_with(|| a.cmp(&b))
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -235,12 +246,29 @@ struct HighwayVehicle {
 }
 
 /// A multi-lane (optionally bidirectional) ring highway.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HighwayModel {
     config: HighwayBuilder,
     vehicles: Vec<HighwayVehicle>,
     states: Vec<VehicleState>,
     lane_count: usize,
+    /// Scratch of [`MobilityModel::step`], rebuilt at its top: per lane, the
+    /// indices of the vehicles in it, sorted by `(s, index)`. Stale between
+    /// steps (the integration moves `s`), so nothing else may read it.
+    lane_order: Vec<Vec<usize>>,
+    /// Scratch of [`MobilityModel::step`]: one acceleration per vehicle.
+    accels: Vec<f64>,
+}
+
+/// Two models are equal when their vehicles are; the step's scratch is not
+/// part of a model's state.
+impl PartialEq for HighwayModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.vehicles == other.vehicles
+            && self.states == other.states
+            && self.lane_count == other.lane_count
+    }
 }
 
 impl HighwayModel {
@@ -295,19 +323,113 @@ impl HighwayModel {
         self.config.counterflow && !self.lane_is_eastbound(lane)
     }
 
+    /// Gap in metres from vehicle `idx` to vehicle `j` in the travel
+    /// direction of a lane (`reversed`: decreasing `s`).
+    fn gap_between(&self, idx: usize, j: usize, reversed: bool) -> f64 {
+        let (me, other) = (self.vehicles[idx].s, self.vehicles[j].s);
+        if reversed {
+            self.ring_gap(other, me)
+        } else {
+            self.ring_gap(me, other)
+        }
+    }
+
+    /// Rebuilds `lane_order` from the vehicles' current lanes and positions.
+    fn derive_lane_order(&mut self) {
+        self.lane_order.resize_with(self.lane_count, Vec::new);
+        for lane in &mut self.lane_order {
+            lane.clear();
+        }
+        for (idx, v) in self.vehicles.iter().enumerate() {
+            self.lane_order[v.lane].push(idx);
+        }
+        let vehicles = &self.vehicles;
+        for lane in &mut self.lane_order {
+            lane.sort_unstable_by(|&a, &b| lane_cmp(vehicles, a, b));
+        }
+    }
+
+    /// Where vehicle `idx` sits, or would sit, in `lane`'s order.
+    fn lane_position(&self, idx: usize, lane: usize) -> usize {
+        self.lane_order[lane].partition_point(|&j| lane_cmp(&self.vehicles, j, idx).is_lt())
+    }
+
+    /// The first positive gap from `idx` along `walk`, as `(gap, index)`.
+    /// The computed gap must never decrease along the walk; entries whose
+    /// gap rounds to the same value resolve to the lowest index, which is
+    /// the one a scan of the fleet in index order keeps.
+    fn first_ahead(
+        &self,
+        idx: usize,
+        reversed: bool,
+        walk: impl Iterator<Item = usize>,
+    ) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        for j in walk {
+            let gap = self.gap_between(idx, j, reversed);
+            match best {
+                None if gap <= 0.0 => {}
+                None => best = Some((gap, j)),
+                Some((g, b)) if gap == g => best = Some((g, b.min(j))),
+                Some(_) => break,
+            }
+        }
+        best
+    }
+
+    /// The `(gap, index)` of the vehicle nearest ahead of `idx` in `lane`
+    /// (which need not be `idx`'s own), read off `lane_order`. Vehicles at
+    /// exactly `idx`'s position are beside it, not ahead (gap 0). Of the
+    /// others, those further along in the travel direction are reached
+    /// without crossing the ring's seam and those behind across it; within
+    /// each group the computed gap grows monotonically with distance, so
+    /// each is searched from its near end — the successor and, wrapping,
+    /// the lane's first entry; on a reversed lane the predecessor and the
+    /// last. Across the groups rounding can reorder two gaps that differ by
+    /// less than an ulp of the ring length, hence both candidates.
+    fn nearest_ahead(&self, idx: usize, lane: usize) -> Option<(f64, usize)> {
+        let order = &self.lane_order[lane];
+        let s = self.vehicles[idx].s;
+        let below = &order[..order.partition_point(|&j| self.vehicles[j].s < s)];
+        let above = &order[order.partition_point(|&j| self.vehicles[j].s <= s)..];
+        let (direct, wrapped) = if self.lane_reversed(lane) {
+            (
+                self.first_ahead(idx, true, below.iter().rev().copied()),
+                self.first_ahead(idx, true, above.iter().rev().copied()),
+            )
+        } else {
+            (
+                self.first_ahead(idx, false, above.iter().copied()),
+                self.first_ahead(idx, false, below.iter().copied()),
+            )
+        };
+        match (direct, wrapped) {
+            (Some(a), Some(b)) => Some(if b < a { b } else { a }),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The vehicle `idx` would follow in `lane`, as the car-following law
+    /// sees it. Valid only while `lane_order` is (inside `step`).
     fn leader_of(&self, idx: usize, lane: usize) -> Option<LeaderInfo> {
         let me = &self.vehicles[idx];
+        self.nearest_ahead(idx, lane).map(|(gap, j)| LeaderInfo {
+            gap: (gap - self.vehicles[j].idm.vehicle_length).max(0.01),
+            approach_rate: me.speed - self.vehicles[j].speed,
+        })
+    }
+
+    /// The search `nearest_ahead` replaces: every vehicle of the fleet, in
+    /// index order, keeping the first smallest positive gap.
+    #[cfg(test)]
+    fn nearest_ahead_scan(&self, idx: usize, lane: usize) -> Option<(f64, usize)> {
         let reversed = self.lane_reversed(lane);
         let mut best: Option<(f64, usize)> = None;
         for (j, other) in self.vehicles.iter().enumerate() {
             if j == idx || other.lane != lane {
                 continue;
             }
-            let gap = if reversed {
-                self.ring_gap(other.s, me.s)
-            } else {
-                self.ring_gap(me.s, other.s)
-            };
+            let gap = self.gap_between(idx, j, reversed);
             if gap <= 0.0 {
                 continue;
             }
@@ -316,10 +438,7 @@ impl HighwayModel {
                 _ => best = Some((gap, j)),
             }
         }
-        best.map(|(gap, j)| LeaderInfo {
-            gap: (gap - self.vehicles[j].idm.vehicle_length).max(0.01),
-            approach_rate: me.speed - self.vehicles[j].speed,
-        })
+        best
     }
 
     fn try_lane_change(&mut self, idx: usize, rng: &mut SimRng) {
@@ -334,12 +453,12 @@ impl HighwayModel {
         }
         // Candidate lanes: adjacent lanes on the same carriageway.
         let eastbound = self.lane_is_eastbound(current_lane);
-        let candidates: Vec<usize> = [current_lane.wrapping_sub(1), current_lane + 1]
-            .into_iter()
-            .filter(|&l| l < self.lane_count && self.lane_is_eastbound(l) == eastbound)
-            .collect();
+        let candidates = [current_lane.wrapping_sub(1), current_lane + 1];
         let mut best: Option<(usize, f64)> = None;
-        for &cand in &candidates {
+        for cand in candidates {
+            if cand >= self.lane_count || self.lane_is_eastbound(cand) != eastbound {
+                continue;
+            }
             let gap = self.leader_of(idx, cand).map_or(f64::INFINITY, |l| l.gap);
             if gap > 30.0 {
                 match best {
@@ -349,28 +468,33 @@ impl HighwayModel {
             }
         }
         if let Some((lane, _)) = best {
+            // The vehicles after `idx` in this pass must see the move.
+            let from = self.lane_position(idx, current_lane);
+            debug_assert_eq!(self.lane_order[current_lane][from], idx);
+            self.lane_order[current_lane].remove(from);
+            let to = self.lane_position(idx, lane);
+            self.lane_order[lane].insert(to, idx);
             self.vehicles[idx].lane = lane;
         }
     }
 
     fn refresh_states(&mut self) {
-        self.states = self
-            .vehicles
-            .iter()
-            .map(|v| {
-                let heading = self.heading_of_lane(v.lane);
-                VehicleState {
-                    id: v.id,
-                    kind: v.kind,
-                    position: Vec2::new(v.s, self.lane_y(v.lane)),
-                    velocity: heading.unit() * v.speed,
-                    acceleration: v.acceleration,
-                    heading,
-                    lane: v.lane,
-                    desired_speed: v.desired_speed,
-                }
-            })
-            .collect();
+        let mut states = std::mem::take(&mut self.states);
+        states.clear();
+        states.extend(self.vehicles.iter().map(|v| {
+            let heading = self.heading_of_lane(v.lane);
+            VehicleState {
+                id: v.id,
+                kind: v.kind,
+                position: Vec2::new(v.s, self.lane_y(v.lane)),
+                velocity: heading.unit() * v.speed,
+                acceleration: v.acceleration,
+                heading,
+                lane: v.lane,
+                desired_speed: v.desired_speed,
+            }
+        }));
+        self.states = states;
     }
 
     /// Mean speed over all vehicles, m/s.
@@ -389,23 +513,23 @@ impl MobilityModel for HighwayModel {
         if dt <= 0.0 {
             return;
         }
+        self.derive_lane_order();
         if self.config.lane_change_enabled {
             for idx in 0..self.vehicles.len() {
                 self.try_lane_change(idx, rng);
             }
         }
         // Compute accelerations from the current snapshot, then integrate.
-        let accels: Vec<f64> = (0..self.vehicles.len())
-            .map(|idx| {
-                let v = &self.vehicles[idx];
-                let leader = self.leader_of(idx, v.lane);
-                v.idm.acceleration(v.speed, v.desired_speed, leader)
-            })
-            .collect();
+        let mut accels = std::mem::take(&mut self.accels);
+        accels.clear();
+        accels.extend(self.vehicles.iter().enumerate().map(|(idx, v)| {
+            let leader = self.leader_of(idx, v.lane);
+            v.idm.acceleration(v.speed, v.desired_speed, leader)
+        }));
         let length = self.config.length_m;
         let counterflow = self.config.counterflow;
         let eastbound_lanes = self.config.lanes_per_direction;
-        for (v, a) in self.vehicles.iter_mut().zip(accels) {
+        for (v, &a) in self.vehicles.iter_mut().zip(&accels) {
             v.acceleration = a;
             v.speed = (v.speed + a * dt).clamp(0.0, self.config.speed_limit_mps);
             if counterflow && v.lane >= eastbound_lanes {
@@ -420,6 +544,7 @@ impl MobilityModel for HighwayModel {
                 }
             }
         }
+        self.accels = accels;
         self.refresh_states();
     }
 
@@ -428,7 +553,7 @@ impl MobilityModel for HighwayModel {
     }
 
     fn state(&self, id: NodeId) -> Option<&VehicleState> {
-        self.states.iter().find(|s| s.id == id)
+        state_by_id(&self.states, id)
     }
 
     fn bounds(&self) -> RegionBounds {
@@ -597,6 +722,232 @@ mod tests {
             b.step(SimDuration::from_secs(0.5), &mut rb);
         }
         assert_eq!(a.states(), b.states());
+    }
+
+    const RING_M: f64 = 4_000.0;
+
+    /// A fleet placed by hand on three lanes a side: `lanes_used` of the six
+    /// hold every vehicle (the rest stay empty), and positions come from a
+    /// coarse grid (duplicates abound), from the ring's seam, or from
+    /// anywhere. `lane_order` is derived, as at the top of a step.
+    fn placed_fleet(rng: &mut SimRng, vehicles: usize, counterflow: bool) -> HighwayModel {
+        let mut hw = HighwayBuilder::new()
+            .length_m(RING_M)
+            .lanes_per_direction(3)
+            .vehicles(vehicles)
+            .counterflow(counterflow)
+            .build(rng);
+        let seam = [
+            0.0,
+            5e-324,
+            1.0,
+            1.0 + f64::EPSILON,
+            RING_M - 1.0,
+            RING_M - RING_M * f64::EPSILON / 2.0,
+            RING_M,
+        ];
+        let lanes_used = 1 + rng.uniform_usize(hw.lane_count);
+        for v in &mut hw.vehicles {
+            v.lane = rng.uniform_usize(lanes_used);
+            v.s = match rng.uniform_usize(10) {
+                0..=4 => rng.uniform_usize(40) as f64 * (RING_M / 40.0),
+                5 | 6 => seam[rng.uniform_usize(seam.len())],
+                _ => rng.uniform_range(0.0, RING_M),
+            };
+        }
+        hw.derive_lane_order();
+        hw
+    }
+
+    fn bits(found: Option<(f64, usize)>) -> Option<(u64, usize)> {
+        found.map(|(gap, j)| (gap.to_bits(), j))
+    }
+
+    #[test]
+    fn lane_order_finds_the_leader_the_fleet_scan_finds() {
+        let mut rng = SimRng::new(0x1ead);
+        let (mut some, mut none, mut tied) = (0, 0, 0);
+        for round in 0..120 {
+            let vehicles = match round % 4 {
+                0 => 1 + rng.uniform_usize(6),
+                _ => 1 + rng.uniform_usize(300),
+            };
+            let hw = placed_fleet(&mut rng, vehicles, round % 2 == 1);
+            assert!(round % 4 != 0 || hw.lane_order.iter().any(|lane| lane.len() <= 1));
+            for idx in 0..vehicles {
+                for lane in 0..hw.lane_count {
+                    let found = hw.nearest_ahead(idx, lane);
+                    assert_eq!(
+                        bits(found),
+                        bits(hw.nearest_ahead_scan(idx, lane)),
+                        "round {round}: vehicle {idx} (s = {:e}) looking into lane {lane}",
+                        hw.vehicles[idx].s
+                    );
+                    match found {
+                        None => none += 1,
+                        Some((gap, j)) => {
+                            some += 1;
+                            let same_gap = |&k: &usize| {
+                                k != j && hw.gap_between(idx, k, hw.lane_reversed(lane)) == gap
+                            };
+                            tied += usize::from(hw.lane_order[lane].iter().any(same_gap));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(some > 50_000 && none > 1_000 && tied > 5_000);
+    }
+
+    /// Across the seam the gap is a sum rounded at the scale of the ring, so
+    /// it can come out *below* the gap to a vehicle that is reached without
+    /// crossing and is nearer by less than that rounding. The scan takes the
+    /// smaller computed gap, and so must the lane-order search: the
+    /// successor alone is not enough.
+    #[test]
+    fn a_gap_across_the_seam_can_round_below_a_nearer_one() {
+        let mut rng = SimRng::new(1);
+        let mut hw = HighwayBuilder::new()
+            .length_m(RING_M)
+            .vehicles(3)
+            .counterflow(true)
+            .build(&mut rng);
+        let westbound = hw.config.lanes_per_direction;
+        for (v, s) in hw
+            .vehicles
+            .iter_mut()
+            .zip([1.0 + f64::EPSILON, 0.0, RING_M])
+        {
+            v.lane = westbound;
+            v.s = s;
+        }
+        hw.derive_lane_order();
+        // Travelling towards decreasing `s`, vehicle 1 is 1 m + 1 ulp ahead
+        // of vehicle 0 and vehicle 2, across the seam, an exact 1 m + 1 ulp
+        // too — computed as 1 m.
+        assert_eq!(hw.gap_between(0, 1, true), 1.0 + f64::EPSILON);
+        assert_eq!(hw.gap_between(0, 2, true), 1.0);
+        assert_eq!(hw.nearest_ahead_scan(0, westbound), Some((1.0, 2)));
+        assert_eq!(hw.nearest_ahead(0, westbound), Some((1.0, 2)));
+    }
+
+    /// `leader_of` as it was before lane order.
+    fn leader_by_scan(hw: &HighwayModel, idx: usize, lane: usize) -> Option<LeaderInfo> {
+        hw.nearest_ahead_scan(idx, lane).map(|(gap, j)| LeaderInfo {
+            gap: (gap - hw.vehicles[j].idm.vehicle_length).max(0.01),
+            approach_rate: hw.vehicles[idx].speed - hw.vehicles[j].speed,
+        })
+    }
+
+    /// `HighwayModel::step` as it was before lane order: every leader found
+    /// by scanning the fleet, every buffer allocated afresh.
+    fn step_by_scan(hw: &mut HighwayModel, dt: f64, rng: &mut SimRng) {
+        if hw.config.lane_change_enabled {
+            for idx in 0..hw.vehicles.len() {
+                let me = &hw.vehicles[idx];
+                let current_lane = me.lane;
+                let blocked = leader_by_scan(hw, idx, current_lane)
+                    .is_some_and(|l| l.gap < 20.0 && me.speed < me.desired_speed * 0.8);
+                if !blocked || !rng.chance(0.3) {
+                    continue;
+                }
+                let eastbound = hw.lane_is_eastbound(current_lane);
+                let candidates: Vec<usize> = [current_lane.wrapping_sub(1), current_lane + 1]
+                    .into_iter()
+                    .filter(|&l| l < hw.lane_count && hw.lane_is_eastbound(l) == eastbound)
+                    .collect();
+                let mut best: Option<(usize, f64)> = None;
+                for &cand in &candidates {
+                    let gap = leader_by_scan(hw, idx, cand).map_or(f64::INFINITY, |l| l.gap);
+                    if gap > 30.0 {
+                        match best {
+                            Some((_, g)) if g >= gap => {}
+                            _ => best = Some((cand, gap)),
+                        }
+                    }
+                }
+                if let Some((lane, _)) = best {
+                    hw.vehicles[idx].lane = lane;
+                }
+            }
+        }
+        let accels: Vec<f64> = (0..hw.vehicles.len())
+            .map(|idx| {
+                let v = &hw.vehicles[idx];
+                v.idm
+                    .acceleration(v.speed, v.desired_speed, leader_by_scan(hw, idx, v.lane))
+            })
+            .collect();
+        let length = hw.config.length_m;
+        for (v, a) in hw.vehicles.iter_mut().zip(accels) {
+            v.acceleration = a;
+            v.speed = (v.speed + a * dt).clamp(0.0, hw.config.speed_limit_mps);
+            if hw.config.counterflow && v.lane >= hw.config.lanes_per_direction {
+                v.s -= v.speed * dt;
+                while v.s < 0.0 {
+                    v.s += length;
+                }
+            } else {
+                v.s += v.speed * dt;
+                while v.s >= length {
+                    v.s -= length;
+                }
+            }
+        }
+        hw.refresh_states();
+    }
+
+    #[test]
+    fn two_hundred_steps_match_the_fleet_scan_bit_for_bit() {
+        for counterflow in [false, true] {
+            let mut rng = SimRng::new(0xd1ff);
+            // Dense enough to block: lane changes happen throughout.
+            let mut by_order = HighwayBuilder::new()
+                .length_m(1_500.0)
+                .lanes_per_direction(3)
+                .vehicles(280)
+                .buses(12)
+                .counterflow(counterflow)
+                .build(&mut rng);
+            let mut by_scan = by_order.clone();
+            let (mut rng_order, mut rng_scan) = (SimRng::new(77), SimRng::new(77));
+            let mut lane_changes = 0;
+            for step in 0..200 {
+                let lanes: Vec<usize> = by_scan.vehicles.iter().map(|v| v.lane).collect();
+                by_order.step(SimDuration::from_secs(0.5), &mut rng_order);
+                step_by_scan(&mut by_scan, 0.5, &mut rng_scan);
+                for (a, b) in by_order.vehicles.iter().zip(&by_scan.vehicles) {
+                    let state = |v: &HighwayVehicle| {
+                        (
+                            v.lane,
+                            v.s.to_bits(),
+                            v.speed.to_bits(),
+                            v.acceleration.to_bits(),
+                        )
+                    };
+                    assert_eq!(state(a), state(b), "step {step}, vehicle {}", a.id);
+                }
+                assert_eq!(by_order, by_scan, "step {step}");
+                assert_eq!(rng_order.next_u64(), rng_scan.next_u64(), "step {step}");
+                lane_changes += lanes
+                    .iter()
+                    .zip(&by_scan.vehicles)
+                    .filter(|(&lane, v)| lane != v.lane)
+                    .count();
+            }
+            assert!(lane_changes > 100, "{lane_changes} lane changes");
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_step_scratch() {
+        let mut stepped = build(25, 7);
+        stepped.step(SimDuration::from_secs(0.5), &mut SimRng::new(8));
+        let mut bare = stepped.clone();
+        bare.lane_order.clear();
+        bare.accels.clear();
+        assert_ne!(stepped.lane_order, bare.lane_order);
+        assert_eq!(stepped, bare);
     }
 
     #[test]

@@ -81,6 +81,13 @@ pub trait MobilityModel {
     }
 }
 
+/// Looks `id` up in a snapshot whose ids are consecutive from its first
+/// entry's — how both models in this crate number their vehicles.
+pub(crate) fn state_by_id(states: &[VehicleState], id: NodeId) -> Option<&VehicleState> {
+    let offset = id.0.checked_sub(states.first()?.id.0)?;
+    states.get(offset as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 
 use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
-use crate::model::{MobilityModel, RegionBounds};
+use crate::model::{state_by_id, MobilityModel, RegionBounds};
 use crate::road::RoadNetwork;
 use crate::vehicle::{VehicleKind, VehicleState};
 use vanet_sim::{NodeId, SimDuration, SimRng};
@@ -356,7 +356,7 @@ impl MobilityModel for UrbanGridModel {
     }
 
     fn state(&self, id: NodeId) -> Option<&VehicleState> {
-        self.states.iter().find(|s| s.id == id)
+        state_by_id(&self.states, id)
     }
 
     fn bounds(&self) -> RegionBounds {

@@ -123,6 +123,11 @@ impl RoutingTable {
 pub struct SeenCache {
     seen: BTreeMap<(NodeId, u64), SimTime>,
     horizon: f64,
+    /// Lower bound on the oldest timestamp in `seen` (meaningless while it is
+    /// empty). Lowered on insert, left alone when a live key is refreshed,
+    /// tightened to the exact minimum by every sweep: while `now` is within
+    /// the horizon of it, no entry can have expired and no sweep is needed.
+    oldest: SimTime,
 }
 
 impl SeenCache {
@@ -132,13 +137,21 @@ impl SeenCache {
         SeenCache {
             seen: BTreeMap::new(),
             horizon: horizon_s.max(0.0),
+            oldest: SimTime::ZERO,
         }
     }
 
     /// Records `(origin, id)` at `now`; returns `true` if it was *already*
     /// present (i.e. the packet is a duplicate).
     pub fn check_and_insert(&mut self, origin: NodeId, id: u64, now: SimTime) -> bool {
-        self.evict(now);
+        if expired(self.horizon, self.oldest, now) {
+            self.evict(now);
+        }
+        self.oldest = if self.seen.is_empty() {
+            now
+        } else {
+            self.oldest.min(now)
+        };
         self.seen.insert((origin, id), now).is_some()
     }
 
@@ -150,8 +163,15 @@ impl SeenCache {
 
     fn evict(&mut self, now: SimTime) {
         let horizon = self.horizon;
-        self.seen
-            .retain(|_, t| now.saturating_since(*t).as_secs() <= horizon);
+        let mut oldest = SimTime::MAX;
+        self.seen.retain(|_, t| {
+            let keep = !expired(horizon, *t, now);
+            if keep {
+                oldest = oldest.min(*t);
+            }
+            keep
+        });
+        self.oldest = oldest;
     }
 
     /// Number of remembered entries.
@@ -165,6 +185,13 @@ impl SeenCache {
     pub fn is_empty(&self) -> bool {
         self.seen.is_empty()
     }
+}
+
+/// Whether a [`SeenCache`] entry stamped `seen_at` is forgotten by `now`.
+/// Never `true` for a later stamp when it is `false` for an earlier one,
+/// which is what lets the cache's `oldest` bound stand in for every entry.
+fn expired(horizon: f64, seen_at: SimTime, now: SimTime) -> bool {
+    now.saturating_since(seen_at).as_secs() > horizon
 }
 
 /// Packets buffered while a route is being discovered, per destination.
@@ -336,6 +363,63 @@ mod tests {
         assert!(!c.check_and_insert(NodeId(1), 11, SimTime::from_secs(20.0)));
         assert!(!c.contains(NodeId(1), 10));
         assert_eq!(c.len(), 1);
+    }
+
+    /// `SeenCache` as it was: a full sweep on every call.
+    struct EagerSeenCache {
+        seen: BTreeMap<(NodeId, u64), SimTime>,
+        horizon: f64,
+    }
+
+    impl EagerSeenCache {
+        fn check_and_insert(&mut self, origin: NodeId, id: u64, now: SimTime) -> bool {
+            let horizon = self.horizon;
+            self.seen
+                .retain(|_, t| now.saturating_since(*t).as_secs() <= horizon);
+            self.seen.insert((origin, id), now).is_some()
+        }
+    }
+
+    #[test]
+    fn seen_cache_sweeping_lazily_answers_as_sweeping_on_every_call() {
+        let mut rng = vanet_sim::SimRng::new(0x5ee2);
+        let mut lazy = SeenCache::new(2.0);
+        let mut eager = EagerSeenCache {
+            seen: BTreeMap::new(),
+            horizon: 2.0,
+        };
+        let mut now = 0.0_f64;
+        let (mut duplicates, mut shrank, mut emptied) = (0, 0, 0);
+        for call in 0..10_000 {
+            // Mostly small steps (bursts of one flood), some long silences
+            // that forget everything, and the odd step back in time.
+            now = match rng.uniform_usize(40) {
+                0 => now + rng.uniform_range(2.0, 6.0),
+                1 => (now - rng.uniform_range(0.0, 1.0)).max(0.0),
+                _ => now + rng.uniform_range(0.0, 0.05),
+            };
+            // Few enough keys that live ones are refreshed all the time.
+            let origin = NodeId(rng.uniform_usize(12) as u32);
+            let id = rng.uniform_usize(6) as u64;
+            let at = SimTime::from_secs(now);
+            let before = eager.seen.len();
+            let expected = eager.check_and_insert(origin, id, at);
+            assert_eq!(
+                lazy.check_and_insert(origin, id, at),
+                expected,
+                "call {call}"
+            );
+            assert_eq!(lazy.len(), eager.seen.len(), "call {call}");
+            assert!(eager.seen.keys().all(|&(o, i)| lazy.contains(o, i)));
+            duplicates += usize::from(expected);
+            shrank += usize::from(eager.seen.len() < before);
+            emptied += usize::from(eager.seen.len() == 1 && before > 1);
+        }
+        assert!(duplicates > 1_000, "refreshes of a live key: {duplicates}");
+        assert!(
+            shrank > 100 && emptied > 20,
+            "{shrank} sweeps, {emptied} full"
+        );
     }
 
     #[test]

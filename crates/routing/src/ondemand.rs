@@ -264,7 +264,7 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
                 hop_count,
                 path,
                 metric,
-            } => (*target, *request_id, *hop_count, path.clone(), *metric),
+            } => (*target, *request_id, *hop_count, path, *metric),
             _ => unreachable!("handle_rreq called with a non-RREQ packet"),
         };
         let origin = packet.source;
@@ -332,7 +332,7 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
             ctx.drop_packet(packet, DropReason::OutOfZone);
             return;
         }
-        let mut new_path = path;
+        let mut new_path = path.clone();
         new_path.push(ctx.node);
         let mut fwd = packet.forwarded_by(ctx.node, None);
         fwd.kind = PacketKind::RouteRequest {

@@ -16,33 +16,27 @@
 //! base) are rejected by [`CalendarQueue::accepts`] and belong in the heap;
 //! the scheduler's merge keeps fire order identical either way.
 //!
-//! Determinism: every entry carries the scheduler-wide `(time, seq)` key —
-//! the same key the event heap and the timer wheel order by.
+//! Determinism: every entry carries the scheduler-wide [`EventKey`] — the
+//! same key the event heap and the timer wheel order by.
 //! [`CalendarQueue::peek`] always exposes the smallest key in the ring, so
 //! the scheduler's three-way merge pops events in exactly the order a single
 //! heap would have, byte identical, including same-timestamp tie-breaks.
 
 // lint: hot-path
 
+use crate::event::EventKey;
 use crate::time::{SimDuration, SimTime};
 
-/// One calendar entry: the `(time, seq)` ordering key plus the payload.
-/// Arrivals are never cancelled, so there is no tombstone bookkeeping.
+/// One calendar entry: the ordering key plus the payload. Arrivals are
+/// never cancelled, so there is no tombstone bookkeeping.
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
 /// A fixed-size calendar queue merged against the event heap and timer wheel
-/// by `(time, seq)` key.
+/// by [`EventKey`].
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
     bucket_s: f64,
@@ -95,7 +89,7 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Whether `time` falls inside the ring's current window. Anything later
-    /// must go to the heap; the `(time, seq)` merge keeps order identical.
+    /// must go to the heap; the merge by key keeps order identical.
     #[must_use]
     pub fn accepts(&self, time: SimTime) -> bool {
         self.bucket_index(time) - self.base < self.buckets.len() as i64
@@ -124,20 +118,19 @@ impl<E> CalendarQueue<E> {
         self.len == 0
     }
 
-    /// Schedules `event` at `time` with ordering key `(time, seq)`.
+    /// Schedules `event` under `key`, at `key.time()`.
     ///
     /// Callers must check [`CalendarQueue::accepts`] first; in debug builds a
     /// push beyond the window panics (in release it would fold into an
     /// occupied ring bucket and corrupt the order).
-    pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
+    pub fn push(&mut self, key: EventKey, event: E) {
         self.len += 1;
-        let idx = self.bucket_index(time);
+        let entry = Entry { key, event };
+        let idx = self.bucket_index(key.time());
         if idx < self.base {
             // The bucket is already activated (or the ring has advanced past
             // it): splice into the sorted remainder so ordering holds.
-            let entry = Entry { time, seq, event };
-            let key = entry.key();
-            let pos = self.current.partition_point(|e| e.key() > key);
+            let pos = self.current.partition_point(|e| e.key > entry.key);
             self.current.insert(pos, entry);
             return;
         }
@@ -146,7 +139,7 @@ impl<E> CalendarQueue<E> {
             "push beyond the calendar window; check accepts() first"
         );
         let slot = self.ring_slot(idx);
-        self.buckets[slot].push(Entry { time, seq, event });
+        self.buckets[slot].push(entry);
     }
 
     /// Activates ring buckets until `current` holds an entry or the calendar
@@ -163,16 +156,16 @@ impl<E> CalendarQueue<E> {
             self.base += 1;
             if !self.current.is_empty() {
                 self.current
-                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
             }
         }
     }
 
-    /// The `(time, seq)` key of the earliest pending entry.
+    /// The key of the earliest pending entry.
     #[must_use]
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+    pub fn peek(&mut self) -> Option<EventKey> {
         self.advance();
-        self.current.last().map(Entry::key)
+        self.current.last().map(|e| e.key)
     }
 
     /// Removes and returns the earliest pending entry.
@@ -180,7 +173,7 @@ impl<E> CalendarQueue<E> {
         self.advance();
         let entry = self.current.pop()?;
         self.len -= 1;
-        Some((entry.time, entry.event))
+        Some((entry.key.time(), entry.event))
     }
 
     /// Drops all pending entries; ring capacity is retained.
@@ -201,6 +194,10 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    fn k(secs: f64, seq: u64) -> EventKey {
+        EventKey::new(t(secs), seq)
+    }
+
     fn cal() -> CalendarQueue<&'static str> {
         CalendarQueue::new(SimDuration::from_secs(0.001), 64)
     }
@@ -208,10 +205,10 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut c = cal();
-        c.push(t(0.0105), 3, "c");
-        c.push(t(0.0002), 1, "a");
-        c.push(t(0.0105), 2, "b");
-        c.push(t(0.0041), 0, "z");
+        c.push(k(0.0105, 3), "c");
+        c.push(k(0.0002, 1), "a");
+        c.push(k(0.0105, 2), "b");
+        c.push(k(0.0041, 0), "z");
         let order: Vec<&str> = std::iter::from_fn(|| c.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "z", "b", "c"]);
         assert!(c.is_empty());
@@ -220,12 +217,12 @@ mod tests {
     #[test]
     fn push_into_activated_bucket_keeps_order() {
         let mut c = cal();
-        c.push(t(0.0002), 0, "first");
-        c.push(t(0.0008), 1, "third");
+        c.push(k(0.0002, 0), "first");
+        c.push(k(0.0008, 1), "third");
         assert_eq!(c.pop().unwrap().1, "first");
         // Bucket 0 is activated and half-drained; a late arrival for it must
         // still fire in key order.
-        c.push(t(0.0005), 2, "second");
+        c.push(k(0.0005, 2), "second");
         assert_eq!(c.pop().unwrap().1, "second");
         assert_eq!(c.pop().unwrap().1, "third");
     }
@@ -252,7 +249,7 @@ mod tests {
                 let time = now + 0.001 * f64::from(i);
                 c.reanchor(t(now));
                 assert!(c.accepts(t(time)));
-                c.push(t(time), seq, if lap % 2 == 0 { "even" } else { "odd" });
+                c.push(k(time, seq), if lap % 2 == 0 { "even" } else { "odd" });
                 seq += 1;
             }
             while let Some((time, _)) = c.pop() {
@@ -267,21 +264,21 @@ mod tests {
     #[test]
     fn reanchor_moves_an_idle_ring_forward() {
         let mut c = cal();
-        c.push(t(0.001), 0, "early");
+        c.push(k(0.001, 0), "early");
         assert_eq!(c.pop().unwrap().1, "early");
         // Idle gap far beyond the window: without reanchoring, a near-future
         // event would be rejected.
         assert!(!c.accepts(t(10.0)));
         c.reanchor(t(10.0));
         assert!(c.accepts(t(10.0005)));
-        c.push(t(10.0005), 1, "late");
+        c.push(k(10.0005, 1), "late");
         assert_eq!(c.pop().unwrap().1, "late");
     }
 
     #[test]
     fn reanchor_is_a_noop_while_entries_are_pending() {
         let mut c = cal();
-        c.push(t(0.0005), 0, "pending");
+        c.push(k(0.0005, 0), "pending");
         c.reanchor(t(0.050));
         assert_eq!(c.pop().unwrap().1, "pending");
     }
@@ -289,8 +286,8 @@ mod tests {
     #[test]
     fn clear_empties_calendar() {
         let mut c = cal();
-        c.push(t(0.001), 0, "x");
-        c.push(t(0.002), 1, "y");
+        c.push(k(0.001, 0), "x");
+        c.push(k(0.002, 1), "y");
         c.clear();
         assert!(c.is_empty());
         assert!(c.pop().is_none());

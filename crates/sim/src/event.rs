@@ -5,6 +5,9 @@
 //! sequence number makes processing order deterministic when several events
 //! share the same timestamp — essential for reproducible simulations where two
 //! runs with the same seed must produce byte-identical results.
+//!
+//! [`EventKey`] is that order as one value: every tier of the scheduler and
+//! every caller that sorts events compares keys, never `(time, seq)` tuples.
 
 // lint: hot-path
 
@@ -13,13 +16,45 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::num::NonZeroU32;
 
-/// A scheduled entry: the time, insertion sequence and payload.
+/// The position of an event in the fire order: its time
+/// ([`SimTime::order_key`]) and, below it, the sequence number that breaks
+/// ties between events of one instant. Keys compare — two integer compares,
+/// no float, no panic path — exactly as `(time, seq)` tuples would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey {
+    // Field order is the derived lexicographic order: time first.
+    time: u64,
+    seq: u64,
+}
+
+impl EventKey {
+    /// The key of the event firing at `time` with tie-break number `seq`.
+    #[must_use]
+    pub fn new(time: SimTime, seq: u64) -> Self {
+        EventKey {
+            time: time.order_key(),
+            seq,
+        }
+    }
+
+    /// When the event fires (`-0.0` reads back as `0.0`).
+    #[must_use]
+    pub fn time(self) -> SimTime {
+        SimTime::from_order_key(self.time)
+    }
+
+    /// The tie-break sequence number.
+    #[must_use]
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
+}
+
+/// A scheduled entry: its place in the fire order and the payload.
 #[derive(Debug, Clone)]
 pub struct EventEntry<E> {
-    /// When the event fires.
-    pub time: SimTime,
-    /// Insertion order, used as a deterministic tie-breaker.
-    pub seq: u64,
+    /// When the event fires, and the insertion order that breaks ties.
+    pub key: EventKey,
     /// The event payload.
     pub event: E,
     /// Cancellation flag index plus one (see
@@ -31,7 +66,7 @@ pub struct EventEntry<E> {
 
 impl<E> PartialEq for EventEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -45,11 +80,8 @@ impl<E> PartialOrd for EventEntry<E> {
 
 impl<E> Ord for EventEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: reverse so the earliest time pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap: reverse so the earliest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -112,24 +144,22 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.push_with_seq(time, seq, event);
+        self.push_keyed(EventKey::new(time, self.next_seq), event);
     }
 
-    /// Schedules `event` at `time` with a caller-assigned tie-break sequence
-    /// number. Used by [`Scheduler`](crate::Scheduler), which shares one
-    /// sequence counter between this heap and its other tiers so that the
-    /// merged pop order is identical to a single queue's.
+    /// Schedules `event` under a caller-assigned key. Used by
+    /// [`Scheduler`](crate::Scheduler), which shares one sequence counter
+    /// between this heap and its other tiers so that the merged pop order is
+    /// identical to a single queue's.
     ///
-    /// `seq` must differ from every sequence number already used (it need
-    /// not be the largest: the scheduler queues reserved numbers late), or
-    /// same-time ordering becomes unspecified.
-    pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
-        self.next_seq = self.next_seq.max(seq + 1);
+    /// The key's sequence number must differ from every one already used (it
+    /// need not be the largest: the scheduler queues reserved numbers late),
+    /// or same-time ordering becomes unspecified.
+    pub fn push_keyed(&mut self, key: EventKey, event: E) {
+        self.next_seq = self.next_seq.max(key.seq() + 1);
         self.live += 1;
         self.heap.push(EventEntry {
-            time,
-            seq,
+            key,
             event,
             handle: None,
         });
@@ -138,20 +168,18 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `time` and returns a handle that can later be
     /// passed to [`EventQueue::cancel`].
     pub fn push_cancellable(&mut self, time: SimTime, event: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.push_cancellable_with_seq(time, seq, event)
+        self.push_cancellable_keyed(EventKey::new(time, self.next_seq), event)
     }
 
-    /// Like [`EventQueue::push_with_seq`], returning a cancellation handle.
-    pub fn push_cancellable_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventHandle {
-        self.next_seq = self.next_seq.max(seq + 1);
+    /// Like [`EventQueue::push_keyed`], returning a cancellation handle.
+    pub fn push_cancellable_keyed(&mut self, key: EventKey, event: E) -> EventHandle {
+        self.next_seq = self.next_seq.max(key.seq() + 1);
         self.live += 1;
         let idx = self.cancelled.len();
         self.cancelled.push(false);
         let tag = u32::try_from(idx + 1).expect("more than u32::MAX cancellable events");
         self.heap.push(EventEntry {
-            time,
-            seq,
+            key,
             event,
             handle: NonZeroU32::new(tag),
         });
@@ -175,15 +203,15 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.drop_cancelled_head();
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|e| e.key.time())
     }
 
-    /// Returns the `(time, seq)` key of the next live event without removing
-    /// it — the key the scheduler merges against its timer wheel.
+    /// Returns the key of the next live event without removing it — the key
+    /// the scheduler merges against its other tiers.
     #[must_use]
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    pub fn peek_key(&mut self) -> Option<EventKey> {
         self.drop_cancelled_head();
-        self.heap.peek().map(|e| (e.time, e.seq))
+        self.heap.peek().map(|e| e.key)
     }
 
     /// Removes and returns the next live event.
@@ -199,7 +227,7 @@ impl<E> EventQueue<E> {
                 self.cancelled[idx] = true;
             }
             self.live = self.live.saturating_sub(1);
-            return Some((entry.time, entry.event));
+            return Some((entry.key.time(), entry.event));
         }
     }
 
@@ -249,6 +277,33 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn event_keys_order_as_time_seq_tuples() {
+        let mut rng = crate::SimRng::new(0xe7e7);
+        // A handful of times, negative ones and both zeros included, so that
+        // half the pairs tie on time and fall through to `seq`.
+        let times = [-2.5, -0.0, 0.0, 1e-9, 0.25, 0.25 + f64::EPSILON, 7.0, 1e12];
+        for _ in 0..20_000 {
+            let mut draw = || {
+                let time = if rng.chance(0.8) {
+                    times[rng.uniform_usize(times.len())]
+                } else {
+                    rng.uniform_range(-10.0, 10.0)
+                };
+                (time, rng.next_u64() >> rng.uniform_usize(64))
+            };
+            let (a, b) = (draw(), draw());
+            let by_tuple =
+                a.0.partial_cmp(&b.0)
+                    .expect("no NaN drawn")
+                    .then(a.1.cmp(&b.1));
+            let key = |(time, seq)| EventKey::new(SimTime::from_secs(time), seq);
+            assert_eq!(key(a).cmp(&key(b)), by_tuple, "{a:?} {b:?}");
+            assert_eq!(key(a).seq(), a.1);
+            assert_eq!(key(a).time().as_secs(), a.0);
+        }
     }
 
     #[test]

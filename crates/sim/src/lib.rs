@@ -39,7 +39,7 @@ pub mod window;
 
 pub use calendar::CalendarQueue;
 pub use error::SimError;
-pub use event::{EventEntry, EventHandle, EventQueue};
+pub use event::{EventEntry, EventHandle, EventKey, EventQueue};
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
 pub use pool::{available_workers, parallel_map_indexed, parallel_map_with_progress};

@@ -24,7 +24,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::error::SimError;
-use crate::event::{EventHandle, EventQueue};
+use crate::event::{EventHandle, EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerWheel, WheelHandle};
 
@@ -59,7 +59,7 @@ enum Tier {
 /// calendar queue for dense near-future events (frames in flight).
 ///
 /// All three tiers share one sequence counter, and [`Scheduler::next_event`]
-/// pops whichever holds the smallest `(time, seq)` key — so enabling
+/// pops whichever holds the smallest [`EventKey`] — so enabling
 /// batching or the calendar never changes the order events fire in, only the
 /// cost of scheduling them.
 ///
@@ -80,7 +80,7 @@ pub struct Scheduler<E> {
     /// The merged head of the three tiers, when known: filled by
     /// [`Scheduler::peek_merged`], cleared by every pop and cancel and by a
     /// push that lands in front of it (a push behind it cannot change it).
-    head: Option<(SimTime, u64, Tier)>,
+    head: Option<(EventKey, Tier)>,
     seq: u64,
     processed: u64,
     horizon: Option<SimTime>,
@@ -170,7 +170,7 @@ impl<E> Scheduler<E> {
     /// calendar's window (`buckets × bucket` ahead) through the ring instead
     /// of the heap; anything further out still goes to the heap. Fire order
     /// is identical either way — the calendar shares the scheduler-wide
-    /// `(time, seq)` keys and `next_event` merges all tiers by that key.
+    /// [`EventKey`]s and `next_event` merges all tiers by that key.
     ///
     /// # Panics
     ///
@@ -188,30 +188,34 @@ impl<E> Scheduler<E> {
         self.wheel.as_ref().map_or(0, TimerWheel::spliced)
     }
 
-    /// Forgets the cached head if an entry about to be pushed under
-    /// `(time, seq)` precedes it.
-    fn forget_head_behind(&mut self, time: SimTime, seq: u64) {
-        if self.head.is_some_and(|(t, s, _)| (time, seq) < (t, s)) {
+    /// Draws the next sequence number for an event at `time` and forgets the
+    /// cached head if the new key precedes it.
+    fn next_key(&mut self, time: SimTime) -> EventKey {
+        let key = EventKey::new(time, self.reserve_seqs(1));
+        self.forget_head_behind(key);
+        key
+    }
+
+    /// Forgets the cached head if an entry about to be pushed under `key`
+    /// precedes it.
+    fn forget_head_behind(&mut self, key: EventKey) {
+        if self.head.is_some_and(|(head, _)| key < head) {
             self.head = None;
         }
     }
 
-    /// Routes `(time, seq, event)` to the calendar when it is enabled and
-    /// `time` is inside its window, to the heap otherwise.
-    fn push_near(&mut self, time: SimTime, seq: u64, event: E) {
-        self.forget_head_behind(time, seq);
+    /// Routes `event` to the calendar when it is enabled and the key's time
+    /// is inside its window, to the heap otherwise. The caller has already
+    /// dealt with the cached head.
+    fn push_near(&mut self, key: EventKey, event: E) {
         if let Some(cal) = &mut self.calendar {
             cal.reanchor(self.now);
-            if cal.accepts(time) {
-                cal.push(time, seq, event);
+            if cal.accepts(key.time()) {
+                cal.push(key, event);
                 return;
             }
         }
-        self.queue.push_with_seq(time, seq, event);
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.reserve_seqs(1)
+        self.queue.push_keyed(key, event);
     }
 
     /// Reserves `n` consecutive sequence numbers — the ones `n` back-to-back
@@ -225,35 +229,35 @@ impl<E> Scheduler<E> {
         first
     }
 
-    /// Schedules `event` under the exact key `(time, seq)`, `seq` having been
+    /// Schedules `event` under exactly `key`, whose sequence number was
     /// reserved with [`Scheduler::reserve_seqs`]. It fires where an event
-    /// scheduled at `time` by the call that drew `seq` would have.
+    /// scheduled at `key.time()` by the call that drew that number would
+    /// have.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if `time` is before the clock or `seq` was never
-    /// reserved.
-    pub fn schedule_keyed(&mut self, time: SimTime, seq: u64, event: E) {
-        debug_assert!(time >= self.now, "keyed event scheduled in the past");
-        debug_assert!(seq < self.seq, "keyed event with an unreserved seq");
-        self.push_near(time, seq, event);
+    /// Debug builds panic if the key's time is before the clock or its
+    /// sequence number was never reserved.
+    pub fn schedule_keyed(&mut self, key: EventKey, event: E) {
+        debug_assert!(key.time() >= self.now, "keyed event scheduled in the past");
+        debug_assert!(key.seq() < self.seq, "keyed event with an unreserved seq");
+        self.forget_head_behind(key);
+        self.push_near(key, event);
     }
 
-    /// Fires the event keyed `(time, seq)` in place, without it ever having
-    /// been queued: returns `true` — with the clock advanced to `time` and
+    /// Fires the event keyed `key` in place, without it ever having been
+    /// queued: returns `true` — with the clock advanced to `key.time()` and
     /// one more event counted as processed, exactly as if
     /// [`Scheduler::next_event`] had popped it — iff no pending event
-    /// precedes that key and `time` lies within the horizon. On `false`
+    /// precedes that key and its time lies within the horizon. On `false`
     /// nothing changed; queue the event with [`Scheduler::schedule_keyed`]
     /// and it surfaces in its turn.
-    pub fn advance_if_next(&mut self, time: SimTime, seq: u64) -> bool {
+    pub fn advance_if_next(&mut self, key: EventKey) -> bool {
+        let time = key.time();
         if self.horizon.is_some_and(|h| time > h) {
             return false;
         }
-        if self
-            .peek_merged()
-            .is_some_and(|(t, s, _)| (t, s) < (time, seq))
-        {
+        if self.peek_merged().is_some_and(|(head, _)| head < key) {
             return false;
         }
         debug_assert!(time >= self.now, "keyed event lies in the past");
@@ -275,15 +279,15 @@ impl<E> Scheduler<E> {
                 requested: time,
             });
         }
-        let seq = self.next_seq();
-        self.push_near(time, seq, event);
+        let key = self.next_key(time);
+        self.push_near(key, event);
         Ok(())
     }
 
     /// Schedules an event `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        let seq = self.next_seq();
-        self.push_near(self.now + delay, seq, event);
+        let key = self.next_key(self.now + delay);
+        self.push_near(key, event);
     }
 
     /// Schedules an event `delay` after the current time through the batched
@@ -295,24 +299,21 @@ impl<E> Scheduler<E> {
     /// slots ([`TimerWheel::MAX_SLOTS_AHEAD`]).
     ///
     /// Fire order is identical either way — the wheel shares the queue's
-    /// sequence counter and `next_event` merges the two by `(time, seq)`.
+    /// sequence counter and `next_event` merges the two by [`EventKey`].
     pub fn schedule_batched_after(&mut self, delay: SimDuration, event: E) {
         let time = self.now + delay;
-        let seq = self.next_seq();
-        self.forget_head_behind(time, seq);
+        let key = self.next_key(time);
         match &mut self.wheel {
-            Some(wheel) if wheel.accepts(time) => wheel.push(time, seq, event),
-            _ => self.queue.push_with_seq(time, seq, event),
+            Some(wheel) if wheel.accepts(time) => wheel.push(key, event),
+            _ => self.queue.push_keyed(key, event),
         }
     }
 
     /// Schedules an event `delay` after the current time, returning a handle
     /// that can be used to cancel it.
     pub fn schedule_after_cancellable(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        let time = self.now + delay;
-        let seq = self.next_seq();
-        self.forget_head_behind(time, seq);
-        self.queue.push_cancellable_with_seq(time, seq, event)
+        let key = self.next_key(self.now + delay);
+        self.queue.push_cancellable_keyed(key, event)
     }
 
     /// Like [`Scheduler::schedule_batched_after`], returning a handle that
@@ -327,13 +328,12 @@ impl<E> Scheduler<E> {
         event: E,
     ) -> TimerHandle {
         let time = self.now + delay;
-        let seq = self.next_seq();
-        self.forget_head_behind(time, seq);
+        let key = self.next_key(time);
         match &mut self.wheel {
             Some(wheel) if wheel.accepts(time) => {
-                TimerHandle::Wheel(wheel.push_cancellable(time, seq, event))
+                TimerHandle::Wheel(wheel.push_cancellable(key, event))
             }
-            _ => TimerHandle::Heap(self.queue.push_cancellable_with_seq(time, seq, event)),
+            _ => TimerHandle::Heap(self.queue.push_cancellable_keyed(key, event)),
         }
     }
 
@@ -354,24 +354,23 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The `(time, seq)` key of the next pending event across the heap, the
-    /// wheel and the calendar, plus which tier holds it. Seq keys are
-    /// globally unique, so the three-way minimum is unambiguous. The answer
-    /// is cached until something can have changed it.
-    fn peek_merged(&mut self) -> Option<(SimTime, u64, Tier)> {
+    /// The key of the next pending event across the heap, the wheel and the
+    /// calendar, plus which tier holds it. Sequence numbers are globally
+    /// unique, so the three-way minimum is unambiguous. The answer is cached
+    /// until something can have changed it.
+    fn peek_merged(&mut self) -> Option<(EventKey, Tier)> {
         if self.head.is_some() {
             return self.head;
         }
-        let mut best: Option<(SimTime, u64, Tier)> =
-            self.queue.peek_key().map(|(t, s)| (t, s, Tier::Heap));
-        if let Some((t, s)) = self.wheel.as_mut().and_then(TimerWheel::peek) {
-            if !best.is_some_and(|(bt, bs, _)| (bt, bs) <= (t, s)) {
-                best = Some((t, s, Tier::Wheel));
+        let mut best = self.queue.peek_key().map(|key| (key, Tier::Heap));
+        if let Some(key) = self.wheel.as_mut().and_then(TimerWheel::peek) {
+            if !best.is_some_and(|(b, _)| b <= key) {
+                best = Some((key, Tier::Wheel));
             }
         }
-        if let Some((t, s)) = self.calendar.as_mut().and_then(CalendarQueue::peek) {
-            if !best.is_some_and(|(bt, bs, _)| (bt, bs) <= (t, s)) {
-                best = Some((t, s, Tier::Calendar));
+        if let Some(key) = self.calendar.as_mut().and_then(CalendarQueue::peek) {
+            if !best.is_some_and(|(b, _)| b <= key) {
+                best = Some((key, Tier::Calendar));
             }
         }
         self.head = best;
@@ -381,7 +380,7 @@ impl<E> Scheduler<E> {
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_merged().map(|(time, _, _)| time)
+        self.peek_merged().map(|(key, _)| key.time())
     }
 
     /// Pops the next event and advances the clock to its time.
@@ -389,9 +388,9 @@ impl<E> Scheduler<E> {
     /// Returns `None` when the queue is empty or the next event lies beyond
     /// the configured horizon.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        let (next_time, _, tier) = self.peek_merged()?;
+        let (next, tier) = self.peek_merged()?;
         if let Some(h) = self.horizon {
-            if next_time > h {
+            if next.time() > h {
                 return None;
             }
         }
@@ -575,7 +574,7 @@ mod tests {
             };
             let d = SimDuration::from_secs(t);
             // Every path consumes exactly one seq per event, so the two
-            // schedulers' `(time, seq)` keys stay comparable.
+            // schedulers' keys stay comparable.
             plain.schedule_after(d, i);
             if roll >= 0.9 {
                 tiered.schedule_batched_after(d, i);
@@ -617,10 +616,10 @@ mod tests {
         Timer(TimerHandle),
     }
 
-    /// A keyed run: its members as `(time, seq, payload)` in key order, and
-    /// the index of the next one to fire.
+    /// A keyed run: its members as `(key, payload)` in key order, and the
+    /// index of the next one to fire.
     struct KeyedRun {
-        members: Vec<(SimTime, u64, u32)>,
+        members: Vec<(EventKey, u32)>,
         next: usize,
     }
 
@@ -696,15 +695,16 @@ mod tests {
                 .collect();
             if self.keyed {
                 let first = self.sched.reserve_seqs(times.len() as u64);
-                let mut members: Vec<(SimTime, u64, u32)> = times
+                let mut members: Vec<(EventKey, u32)> = times
                     .iter()
                     .zip(first..)
-                    .map(|(&time, seq)| (time, seq, self.payload()))
+                    .map(|(&time, seq)| (EventKey::new(time, seq), self.payload()))
                     .collect();
-                members.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-                let (time, seq, _) = members[0];
+                members.sort_unstable_by_key(|&(key, _)| key);
+                let keys: Vec<EventKey> = members.iter().map(|&(key, _)| key).collect();
+                assert_eq!(keys, tuple_sorted(keys.clone()), "the frame sort");
                 self.sched
-                    .schedule_keyed(time, seq, Fired::Run(self.runs.len()));
+                    .schedule_keyed(members[0].0, Fired::Run(self.runs.len()));
                 self.runs.push(KeyedRun { members, next: 0 });
             } else {
                 for &time in &times {
@@ -823,21 +823,20 @@ mod tests {
                 Fired::Plain(payload) => self.fire(time, payload),
                 Fired::Run(run) => loop {
                     let keyed = &mut self.runs[run];
-                    let (due, _, payload) = keyed.members[keyed.next];
-                    assert_eq!(due, time, "run {run} surfaced at the wrong time");
+                    let (due, payload) = keyed.members[keyed.next];
+                    assert_eq!(due.time(), time, "run {run} surfaced at the wrong time");
                     keyed.next += 1;
                     let following = keyed.members.get(keyed.next).copied();
                     self.fire(time, payload);
-                    let Some((next_time, next_seq, _)) = following else {
+                    let Some((next, _)) = following else {
                         break;
                     };
-                    if self.sched.advance_if_next(next_time, next_seq) {
+                    if self.sched.advance_if_next(next) {
                         self.inline += 1;
-                        time = next_time;
+                        time = next.time();
                     } else {
                         self.requeued += 1;
-                        self.sched
-                            .schedule_keyed(next_time, next_seq, Fired::Run(run));
+                        self.sched.schedule_keyed(next, Fired::Run(run));
                         break;
                     }
                 },
@@ -858,6 +857,82 @@ mod tests {
                 .map(|run| (run.members.len() - run.next).saturating_sub(1))
                 .sum()
         }
+    }
+
+    /// `keys` in `(time, seq)` tuple order, the floats compared as floats,
+    /// through a stable sort: what every key sort has to reproduce.
+    fn tuple_sorted(mut keys: Vec<EventKey>) -> Vec<EventKey> {
+        keys.sort_by(|a, b| {
+            let (ta, tb) = (a.time().as_secs(), b.time().as_secs());
+            ta.partial_cmp(&tb)
+                .expect("no NaN time")
+                .then(a.seq().cmp(&b.seq()))
+        });
+        keys
+    }
+
+    #[test]
+    fn every_tier_sorts_as_a_tuple_key_sort_does() {
+        // 6,000 entries on a coarse time grid (ties abound), their sequence
+        // numbers shuffled so that arrival order says nothing about rank.
+        let mut rng = crate::SimRng::new(0x7157);
+        let mut seqs: Vec<u64> = (0..6_000).collect();
+        rng.shuffle(&mut seqs);
+        let keys: Vec<EventKey> = seqs
+            .iter()
+            .map(|&seq| {
+                let time = (rng.uniform_range(0.0, 20.0) * 16.0).round() / 16.0;
+                EventKey::new(SimTime::from_secs(time), seq)
+            })
+            .collect();
+        let expected = tuple_sorted(keys.clone());
+        assert!(
+            expected
+                .windows(2)
+                .filter(|w| w[0].time() == w[1].time())
+                .count()
+                > 5_000
+        );
+
+        // Each structure pops `(time, payload)`; the payload is the seq.
+        let rekey = |(time, seq)| EventKey::new(time, seq);
+        let mut wheel = TimerWheel::new(SimDuration::from_secs(0.94));
+        let mut calendar = CalendarQueue::new(SimDuration::from_secs(0.01), 2_048);
+        let mut heap = EventQueue::new();
+        for &key in &keys {
+            wheel.push(key, key.seq());
+            assert!(calendar.accepts(key.time()));
+            calendar.push(key, key.seq());
+            heap.push_keyed(key, key.seq());
+        }
+        let popped: Vec<EventKey> = std::iter::from_fn(|| wheel.pop()).map(rekey).collect();
+        assert_eq!(popped, expected, "timer wheel");
+        let popped: Vec<EventKey> = std::iter::from_fn(|| calendar.pop()).map(rekey).collect();
+        assert_eq!(popped, expected, "calendar queue");
+        let popped: Vec<EventKey> = std::iter::from_fn(|| heap.pop()).map(rekey).collect();
+        assert_eq!(popped, expected, "event heap");
+
+        // Entries spliced into an activated slot or bucket keep the order.
+        let (early, late) = keys.split_at(3_000);
+        let mut wheel = TimerWheel::new(SimDuration::from_secs(50.0));
+        let mut calendar = CalendarQueue::new(SimDuration::from_secs(50.0), 2);
+        for &key in late {
+            wheel.push(key, key.seq());
+            calendar.push(key, key.seq());
+        }
+        let floor = wheel.peek().expect("3,000 entries pending");
+        assert_eq!(calendar.peek(), Some(floor));
+        let spliced: Vec<EventKey> = early.iter().copied().filter(|&k| k > floor).collect();
+        for &key in &spliced {
+            wheel.push(key, key.seq());
+            calendar.push(key, key.seq());
+        }
+        assert_eq!(wheel.spliced(), spliced.len() as u64);
+        let expected = tuple_sorted(late.iter().chain(&spliced).copied().collect());
+        let popped: Vec<EventKey> = std::iter::from_fn(|| wheel.pop()).map(rekey).collect();
+        assert_eq!(popped, expected, "timer wheel, spliced");
+        let popped: Vec<EventKey> = std::iter::from_fn(|| calendar.pop()).map(rekey).collect();
+        assert_eq!(popped, expected, "calendar queue, spliced");
     }
 
     #[test]
@@ -905,9 +980,11 @@ mod tests {
         let horizon = keyed
             .runs
             .iter()
-            .filter(|run| run.members.len() > 20 && run.members[0].0 < run.members[19].0)
+            .filter(|run| {
+                run.members.len() > 20 && run.members[0].0.time() < run.members[19].0.time()
+            })
             .nth(40)
-            .map(|run| run.members[0].0)
+            .map(|run| run.members[0].0.time())
             .expect("the script has long runs");
         let reference = RunDriver::new(false, Some(horizon)).run_to_end();
         let keyed = RunDriver::new(true, Some(horizon)).run_to_end();

@@ -20,6 +20,18 @@ pub struct SimTime(f64);
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimDuration(f64);
 
+const SIGN_BIT: u64 = 1 << 63;
+
+/// Maps non-NaN seconds to an integer with the same order: non-negative
+/// values get their sign bit set, negative values have every bit flipped
+/// (a larger magnitude is a smaller value). Adding `0.0` first turns `-0.0`
+/// into `0.0`, so the two zeros share a key as they share a rank.
+fn order_key(secs: f64) -> u64 {
+    debug_assert!(!secs.is_nan(), "NaN has no place in the time order");
+    let bits = (secs + 0.0).to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | SIGN_BIT)
+}
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
@@ -65,6 +77,25 @@ impl SimTime {
         } else {
             SimDuration(self.0 - earlier.0)
         }
+    }
+
+    /// The time as an integer that orders exactly as the time does: the
+    /// sign-folded IEEE-754 bit pattern of the seconds, `-0.0` counted as
+    /// `0.0`. Two times compare as their keys do, negatives included, so a
+    /// sort or a heap can order events by integer compares alone (see
+    /// [`EventKey`](crate::EventKey)).
+    #[must_use]
+    pub fn order_key(self) -> u64 {
+        order_key(self.0)
+    }
+
+    /// The time [`SimTime::order_key`] was taken from (`-0.0` comes back as
+    /// `0.0`, which compares equal to it).
+    #[must_use]
+    pub(crate) fn from_order_key(key: u64) -> SimTime {
+        // Undo the fold: a key with the top bit set was a non-negative value.
+        let mask = (((!key) as i64 >> 63) as u64) | SIGN_BIT;
+        SimTime(f64::from_bits(key ^ mask))
     }
 
     /// Returns the later of two times.
@@ -172,9 +203,7 @@ impl Eq for SimTime {}
 
 impl Ord for SimTime {
     fn cmp(&self, other: &Self) -> Ordering {
-        // lint: allow(F1) — SimTime IS the total-order wrapper: every
-        // constructor rejects NaN, so partial_cmp is total here.
-        self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
+        self.order_key().cmp(&other.order_key())
     }
 }
 
@@ -188,11 +217,7 @@ impl Eq for SimDuration {}
 
 impl Ord for SimDuration {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            // lint: allow(F1) — SimDuration IS the total-order wrapper:
-            // every constructor rejects NaN, so partial_cmp is total here.
-            .partial_cmp(&other.0)
-            .expect("SimDuration is never NaN")
+        order_key(self.0).cmp(&order_key(other.0))
     }
 }
 
@@ -346,6 +371,90 @@ mod tests {
                 SimTime::from_secs(3.0)
             ]
         );
+    }
+
+    /// The order `SimTime` had before `order_key`: the floats' own.
+    fn float_order(a: f64, b: f64) -> Ordering {
+        a.partial_cmp(&b).expect("no NaN among the test values")
+    }
+
+    fn assert_orders_as_floats(a: f64, b: f64) {
+        let (ta, tb) = (SimTime(a), SimTime(b));
+        let expected = float_order(a, b);
+        assert_eq!(ta.order_key().cmp(&tb.order_key()), expected, "{a:e} {b:e}");
+        assert_eq!(ta.cmp(&tb), expected, "{a:e} {b:e}");
+        assert_eq!(ta == tb, expected == Ordering::Equal, "{a:e} {b:e}");
+        if a >= 0.0 && b >= 0.0 {
+            assert_eq!(SimDuration(a).cmp(&SimDuration(b)), expected, "{a:e} {b:e}");
+        }
+    }
+
+    #[test]
+    fn order_key_orders_exactly_as_the_floats_do() {
+        // Ascending, the two zeros the only equal neighbours.
+        let edges = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1e300,
+            -2.0,
+            -1.0 - f64::EPSILON,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            1e300,
+            SimTime::MAX.as_secs(),
+            f64::INFINITY,
+        ];
+        for pair in edges.windows(2) {
+            let (lo, hi) = (SimTime(pair[0]).order_key(), SimTime(pair[1]).order_key());
+            if pair[0] == pair[1] {
+                assert_eq!(lo, hi, "-0.0 and 0.0 share a key");
+            } else {
+                assert!(lo < hi, "{:e} < {:e}", pair[0], pair[1]);
+            }
+        }
+        for &a in &edges {
+            for &b in &edges {
+                assert_orders_as_floats(a, b);
+            }
+            let back = SimTime::from_order_key(SimTime(a).order_key()).as_secs();
+            assert_eq!(back, a);
+            assert_eq!(back.to_bits(), (a + 0.0).to_bits(), "only -0.0 changes");
+        }
+
+        // 100 k pairs: any two bit patterns, and neighbours a few ulps apart
+        // (two random patterns almost never share an exponent).
+        let mut rng = crate::SimRng::new(0x0de2);
+        for _ in 0..50_000 {
+            let a = f64::from_bits(rng.next_u64());
+            let b = f64::from_bits(rng.next_u64());
+            let near = f64::from_bits(a.to_bits() ^ (rng.next_u64() & 7));
+            if a.is_nan() || b.is_nan() || near.is_nan() {
+                continue;
+            }
+            assert_orders_as_floats(a, b);
+            assert_orders_as_floats(a, near);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_time_panics() {
+        let _ = SimTime::from_secs(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn nan_duration_panics() {
+        let _ = SimDuration::from_secs(f64::NAN);
     }
 
     #[test]

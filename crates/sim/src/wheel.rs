@@ -22,32 +22,26 @@
 //! (tombstone flag, reaped when the entry surfaces) — the primitive lease-
 //! style timers need when a deadline is superseded before it fires.
 //!
-//! Determinism: every entry carries the scheduler-wide `(time, seq)` key, the
+//! Determinism: every entry carries the scheduler-wide [`EventKey`], the
 //! same key the event heap orders by. [`TimerWheel::peek`] always exposes the
 //! smallest key in the wheel, so the scheduler's two-way merge of wheel and
 //! heap pops events in exactly the order a single queue would have — byte
 //! identical, including same-timestamp tie-breaks.
 
+use crate::event::EventKey;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
 
-/// One wheel entry: the `(time, seq)` ordering key, the payload, and the
-/// index of its cancellation flag (if cancellable).
+/// One wheel entry: the ordering key, the payload, and the index of its
+/// cancellation flag (if cancellable).
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
     /// Cancellation flag index plus one; niche-packed to 4 bytes because a
     /// fleet's worth of entries lands in every slot.
     handle: Option<NonZeroU32>,
-}
-
-impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
 }
 
 /// A handle that can be used to cancel a deadline scheduled on the wheel.
@@ -55,7 +49,7 @@ impl<E> Entry<E> {
 pub struct WheelHandle(usize);
 
 /// A timer wheel whose slots are `slot` wide, merged against the event heap
-/// by `(time, seq)` key.
+/// by [`EventKey`].
 #[derive(Debug, Clone)]
 pub struct TimerWheel<E> {
     slot_s: f64,
@@ -101,8 +95,8 @@ impl<E> TimerWheel<E> {
 
     /// How many slots the wheel will allocate ahead of its base. Entries
     /// further out should live in the scheduler's heap instead (see
-    /// [`TimerWheel::accepts`]); the merge by `(time, seq)` keeps order
-    /// identical either way.
+    /// [`TimerWheel::accepts`]); the merge by key keeps order identical
+    /// either way.
     pub const MAX_SLOTS_AHEAD: i64 = 4_096;
 
     fn slot_index(&self, time: SimTime) -> i64 {
@@ -138,13 +132,12 @@ impl<E> TimerWheel<E> {
 
     fn insert(&mut self, entry: Entry<E>) {
         self.len += 1;
-        let idx = self.slot_index(entry.time);
+        let idx = self.slot_index(entry.key.time());
         if idx < self.base {
             // The slot is already activated (or the wheel has advanced past
             // it): splice into the sorted remainder so ordering holds.
             self.spliced += 1;
-            let key = entry.key();
-            let pos = self.current.partition_point(|e| e.key() > key);
+            let pos = self.current.partition_point(|e| e.key > entry.key);
             self.current.insert(pos, entry);
             return;
         }
@@ -155,17 +148,16 @@ impl<E> TimerWheel<E> {
         self.slots[offset].push(entry);
     }
 
-    /// Schedules `event` at `time` with ordering key `(time, seq)`.
-    pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
+    /// Schedules `event` under `key`, at `key.time()`.
+    pub fn push(&mut self, key: EventKey, event: E) {
         self.insert(Entry {
-            time,
-            seq,
+            key,
             event,
             handle: None,
         });
     }
 
-    /// Schedules `event` at `time` and returns a handle that can later be
+    /// Schedules `event` under `key` and returns a handle that can later be
     /// passed to [`TimerWheel::cancel`].
     ///
     /// Each cancellable push allocates one flag slot for the wheel's
@@ -173,13 +165,12 @@ impl<E> TimerWheel<E> {
     /// uses), so this suits timers that are cancelled occasionally — a
     /// workload that re-arms per entry at high frequency should prefer a
     /// supersede-on-fire scheme over per-renewal cancellation.
-    pub fn push_cancellable(&mut self, time: SimTime, seq: u64, event: E) -> WheelHandle {
+    pub fn push_cancellable(&mut self, key: EventKey, event: E) -> WheelHandle {
         let handle = self.cancelled.len();
         self.cancelled.push(false);
         let tag = u32::try_from(handle + 1).expect("more than u32::MAX cancellable deadlines");
         self.insert(Entry {
-            time,
-            seq,
+            key,
             event,
             handle: NonZeroU32::new(tag),
         });
@@ -222,17 +213,17 @@ impl<E> TimerWheel<E> {
             };
             self.base += 1;
             if !slot.is_empty() {
-                slot.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                slot.sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
                 self.current = slot;
             }
         }
     }
 
-    /// The `(time, seq)` key of the earliest pending entry.
+    /// The key of the earliest pending entry.
     #[must_use]
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+    pub fn peek(&mut self) -> Option<EventKey> {
         self.advance();
-        self.current.last().map(Entry::key)
+        self.current.last().map(|e| e.key)
     }
 
     /// Removes and returns the earliest pending entry.
@@ -244,7 +235,7 @@ impl<E> TimerWheel<E> {
             self.cancelled[tag.get() as usize - 1] = true;
         }
         self.len -= 1;
-        Some((entry.time, entry.event))
+        Some((entry.key.time(), entry.event))
     }
 
     /// Drops all pending entries. Handles issued before the clear become
@@ -268,13 +259,17 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    fn k(secs: f64, seq: u64) -> EventKey {
+        EventKey::new(t(secs), seq)
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        w.push(t(2.5), 3, "c");
-        w.push(t(0.5), 1, "a");
-        w.push(t(2.5), 2, "b");
-        w.push(t(1.1), 0, "z");
+        w.push(k(2.5, 3), "c");
+        w.push(k(0.5, 1), "a");
+        w.push(k(2.5, 2), "b");
+        w.push(k(1.1, 0), "z");
         let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "z", "b", "c"]);
         assert!(w.is_empty());
@@ -283,12 +278,12 @@ mod tests {
     #[test]
     fn push_into_activated_slot_keeps_order() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        w.push(t(0.2), 0, "first");
-        w.push(t(0.8), 1, "third");
+        w.push(k(0.2, 0), "first");
+        w.push(k(0.8, 1), "third");
         assert_eq!(w.pop().unwrap().1, "first");
         // Slot 0 is activated and half-drained; a late arrival for it must
         // still fire in key order.
-        w.push(t(0.5), 2, "second");
+        w.push(k(0.5, 2), "second");
         assert_eq!(w.pop().unwrap().1, "second");
         assert_eq!(w.pop().unwrap().1, "third");
     }
@@ -296,10 +291,10 @@ mod tests {
     #[test]
     fn sparse_far_future_slots() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        w.push(t(100.0), 0, "far");
-        w.push(t(3.0), 1, "near");
+        w.push(k(100.0, 0), "far");
+        w.push(k(3.0, 1), "near");
         assert_eq!(w.len(), 2);
-        assert_eq!(w.peek(), Some((t(3.0), 1)));
+        assert_eq!(w.peek(), Some(k(3.0, 1)));
         assert_eq!(w.pop().unwrap().1, "near");
         assert_eq!(w.pop().unwrap().1, "far");
         assert!(w.pop().is_none());
@@ -308,8 +303,8 @@ mod tests {
     #[test]
     fn cancellation_revokes_a_pending_deadline() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(1.0), 0, "lease");
-        w.push(t(2.0), 1, "keep");
+        let h = w.push_cancellable(k(1.0, 0), "lease");
+        w.push(k(2.0, 1), "keep");
         assert_eq!(w.len(), 2);
         assert!(w.cancel(h));
         assert!(!w.cancel(h), "double cancel is a no-op");
@@ -321,7 +316,7 @@ mod tests {
     #[test]
     fn cancel_after_fire_is_noop() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(0.5), 0, "x");
+        let h = w.push_cancellable(k(0.5, 0), "x");
         assert_eq!(w.pop().unwrap().1, "x");
         assert!(!w.cancel(h));
         assert!(w.is_empty());
@@ -330,10 +325,10 @@ mod tests {
     #[test]
     fn peek_skips_cancelled_entries() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(0.5), 0, "dead");
-        w.push(t(1.5), 1, "live");
+        let h = w.push_cancellable(k(0.5, 0), "dead");
+        w.push(k(1.5, 1), "live");
         w.cancel(h);
-        assert_eq!(w.peek(), Some((t(1.5), 1)));
+        assert_eq!(w.peek(), Some(k(1.5, 1)));
         assert_eq!(w.pop().unwrap().1, "live");
     }
 
@@ -342,10 +337,10 @@ mod tests {
         // The neighbour-lease shape: each renewal cancels the previous
         // deadline and schedules a later one.
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let mut handle = w.push_cancellable(t(3.0), 0, 3u32);
+        let mut handle = w.push_cancellable(k(3.0, 0), 3u32);
         for (seq, deadline) in [(1u64, 4.0), (2, 5.0), (3, 6.0)] {
             assert!(w.cancel(handle));
-            handle = w.push_cancellable(t(deadline), seq, deadline as u32);
+            handle = w.push_cancellable(k(deadline, seq), deadline as u32);
         }
         assert_eq!(w.len(), 1);
         let fired: Vec<u32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
@@ -359,7 +354,7 @@ mod tests {
         let mut w = TimerWheel::new(SimDuration::from_secs(slot));
         let mut seq = 0u64;
         for node in 0..200u32 {
-            w.push(t(rng.uniform()), seq, node);
+            w.push(k(rng.uniform(), seq), node);
             seq += 1;
         }
         let mut last = SimTime::ZERO;
@@ -368,7 +363,7 @@ mod tests {
             last = time;
             if time.as_secs() < 10.0 {
                 let rearm = SimDuration::from_secs(rng.uniform_range(0.95, 1.05));
-                w.push(time + rearm, seq, node);
+                w.push(EventKey::new(time + rearm, seq), node);
                 seq += 1;
             }
         }
@@ -388,8 +383,8 @@ mod tests {
     #[test]
     fn clear_empties_wheel() {
         let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        w.push(t(1.0), 0, 1);
-        let h = w.push_cancellable(t(2.0), 1, 2);
+        w.push(k(1.0, 0), 1);
+        let h = w.push_cancellable(k(2.0, 1), 2);
         w.clear();
         assert!(w.is_empty());
         assert!(w.pop().is_none());
