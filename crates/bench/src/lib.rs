@@ -5,8 +5,9 @@
 //! binaries in `src/bin/` print the results.
 //!
 //! All generators accept a [`Effort`] knob: `Quick` keeps runs short enough
-//! for CI; `Full` produces the numbers recorded in
-//! `EXPERIMENTS.md`.
+//! for CI; `Full` runs the paper-scale densities and durations (the
+//! binaries' `--full`, README "The campaign CLI"). No full-effort results
+//! are committed.
 //!
 //! Every simulation-backed generator executes through the `vanet-runner`
 //! campaign engine, so figure regeneration parallelises across all available
@@ -30,7 +31,7 @@ use vanet_sim::SimDuration;
 pub enum Effort {
     /// Short runs: suitable for CI.
     Quick,
-    /// The full runs recorded in EXPERIMENTS.md.
+    /// Paper-scale densities and durations (the binaries' `--full`).
     Full,
 }
 
@@ -339,8 +340,7 @@ mod tests {
     #[test]
     fn fig6_zone_is_no_more_expensive_than_flooding() {
         // On the small quick grid the corridor prunes little, so allow parity;
-        // the strict reduction is asserted by the urban integration test and
-        // the full-effort run recorded in EXPERIMENTS.md.
+        // the strict reduction is asserted by the urban integration test.
         let rows = fig6_geographic(Effort::Quick);
         assert_eq!(rows.len(), 3);
         let flooding = &rows[0];

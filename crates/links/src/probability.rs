@@ -173,6 +173,201 @@ pub fn expected_link_duration(separation: f64, mean: f64, std: f64, range: f64) 
     acc / total
 }
 
+/// Ratio of the largest to the smallest `|v|` inside one block of
+/// [`expected_link_duration_bracket`]. On a block the gap between chord and
+/// Jensen is at most `(g − 1)²/4g` of the block's term — 12.5 % here — and
+/// the block count goes as `1/ln g`; chosen by measurement on `highway-yan`
+/// (CHANGES.md, PR 24).
+const BLOCK_GROWTH: f64 = 2.0;
+
+/// Relative widening of both ends of the bracket, which makes it a statement
+/// about the kernel's *floating-point* sum: 2,001 ordered adds of positive
+/// terms round to ≈ 1e-13 of their value at worst, and the bracket's own
+/// prefix-sum differences and mean speeds are good to ≈ 1e-9 at worst. (With
+/// the margin at 0 the kernel left the bracket by at most 4e-15 of its value
+/// over 3 M seeded inputs.)
+const BRACKET_MARGIN: f64 = 1e-7;
+
+/// Largest grid speed, m/s, the bracket's rounding analysis covers: the
+/// kernel's `v_k` carry an absolute error of about `ulp(|mean| + 6σ)`, which
+/// has to stay small against [`DEAD_BAND`], the smallest speed ever divided
+/// by.
+const BRACKET_MAX_SPEED: f64 = 1e3;
+
+/// Prefix sums over [`quadrature_weights`] for the bracket:
+/// `weight[k] = Σ_{i<k} w_i` and `moment[k] = Σ_{i<k} i·w_i`.
+struct WeightPrefixes {
+    weight: [f64; STEPS + 2],
+    moment: [f64; STEPS + 2],
+}
+
+impl WeightPrefixes {
+    /// `Σ w_i` over the samples `first..end` and their weighted mean index
+    /// (NaN for an empty block).
+    fn block(&self, first: usize, end: usize) -> (f64, f64) {
+        // Deep in the right tail a prefix difference subtracts two sums 1e9
+        // times the result. The weights are symmetric about `STEPS / 2` (to
+        // ≈ 1e-14, `z_k` being rounded), so take the mirror image, whose
+        // prefixes are as small as the block itself.
+        let mirrored = first > STEPS / 2;
+        let (first, end) = if mirrored {
+            (STEPS + 1 - end, STEPS + 1 - first)
+        } else {
+            (first, end)
+        };
+        let weight = self.weight[end] - self.weight[first];
+        let mean = (self.moment[end] - self.moment[first]) / weight;
+        (weight, if mirrored { STEPS as f64 - mean } else { mean })
+    }
+}
+
+/// The bracket's prefix sums, one table for the process, filled on first use
+/// from [`quadrature_weights`].
+fn weight_prefixes() -> &'static WeightPrefixes {
+    static TABLE: OnceLock<WeightPrefixes> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let (weights, _) = quadrature_weights();
+        let mut table = WeightPrefixes {
+            weight: [0.0; STEPS + 2],
+            moment: [0.0; STEPS + 2],
+        };
+        for (k, w) in weights.iter().enumerate() {
+            table.weight[k + 1] = table.weight[k] + w;
+            table.moment[k + 1] = table.moment[k] + k as f64 * w;
+        }
+        table
+    })
+}
+
+/// The smallest `k` in `from..to` for which `holds(k)`, or `to` when there is
+/// none; `holds` must be monotone in `k` (false … false, true … true).
+fn first_index(mut from: usize, mut to: usize, holds: impl Fn(usize) -> bool) -> usize {
+    while from < to {
+        let mid = from + (to - from) / 2;
+        if holds(mid) {
+            to = mid;
+        } else {
+            from = mid + 1;
+        }
+    }
+    from
+}
+
+/// Lower and upper bound on `Σ w_k · gap/|v_k|` over the samples
+/// `first..end` of the grid `v_k = lo + k·h`, all on one side of zero and
+/// none capped. The samples are cut into blocks whose `|v|` changes by a
+/// factor `ratio` ([`BLOCK_GROWTH`] walking away from zero, its reciprocal
+/// walking towards it); `gap/x` is convex in `x > 0`, so on a block of
+/// weight `W` and weighted mean speed `x̄` Jensen gives `W·gap/x̄` from below
+/// and the chord through the end samples `x_a`, `x_b`, which at `x̄` is
+/// `gap·(x_a + x_b − x̄)/(x_a·x_b)`, from above. A one-sample block is the
+/// kernel's own term.
+fn bracket_uncapped_side(
+    lo: f64,
+    h: f64,
+    gap: f64,
+    ratio: f64,
+    mut first: usize,
+    end: usize,
+) -> (f64, f64) {
+    let (weights, _) = quadrature_weights();
+    let sums = weight_prefixes();
+    let speed = |k: f64| lo + k * h;
+    let (mut lower, mut upper) = (0.0, 0.0);
+    while first < end {
+        let v_first = speed(first as f64);
+        // Saturating cast: a zero `h` (subnormal σ) makes the quotient +∞.
+        let block_end = (((v_first * ratio - lo) / h).ceil() as usize).clamp(first + 1, end);
+        if block_end == first + 1 {
+            let term = weights[first] * (gap / v_first.abs());
+            lower += term;
+            upper += term;
+        } else {
+            let last = block_end - 1;
+            let (weight, mean_index) = sums.block(first, block_end);
+            // Clamped so that a rounded prefix difference cannot put the
+            // mean speed outside the block.
+            let x_mean = speed(mean_index.clamp(first as f64, last as f64)).abs();
+            let x_first = v_first.abs();
+            let x_last = speed(last as f64).abs();
+            lower += weight * (gap / x_mean);
+            upper += weight * (gap * (x_first + x_last - x_mean) / (x_first * x_last));
+        }
+        first = block_end;
+    }
+    (lower, upper)
+}
+
+/// A bracket `(lo, hi)` with `lo ≤ expected_link_duration(..) ≤ hi` for the
+/// same arguments, at the cost of ≈ 60 divisions instead of 2,001: enough to
+/// tell which of many links can be among the few longest-lived without
+/// integrating the rest.
+///
+/// It walks the kernel's own grid. Binary searches on the computed `v_k` and
+/// the computed quotients (all monotone in `k`) find the index ranges the
+/// kernel treats alike: closing and uncapped, capped (the closing side's
+/// capped tail, the dead band, the separating side's capped head —
+/// `CAP · Σw` from the prefix sums), separating and uncapped. The two
+/// uncapped ranges are bounded block by block
+/// (`bracket_uncapped_side`), the sum is normalised like the kernel's
+/// and widened by [`BRACKET_MARGIN`] either way.
+///
+/// `std == 0` returns the kernel's value twice. Outside the domain the
+/// rounding analysis covers — a non-finite argument, or a grid reaching
+/// beyond 1,000 m/s — the bracket is `(0, ∞)`, which still holds and never
+/// rules a link out. Neither end is ever NaN.
+///
+/// # Panics
+///
+/// Panics if `range <= 0` or `std < 0`, as the kernel does.
+#[must_use]
+pub fn expected_link_duration_bracket(
+    separation: f64,
+    mean: f64,
+    std: f64,
+    range: f64,
+) -> (f64, f64) {
+    assert!(range > 0.0, "range must be positive");
+    assert!(std >= 0.0, "std must be non-negative");
+    let d0 = separation.clamp(-range, range);
+    if std == 0.0 {
+        let lifetime = constant_speed_lifetime(d0, mean, range);
+        return (lifetime, lifetime);
+    }
+    let lo = mean - SPAN * std;
+    let hi = mean + SPAN * std;
+    let in_domain = lo.abs() <= BRACKET_MAX_SPEED
+        && hi.abs() <= BRACKET_MAX_SPEED
+        && d0.is_finite()
+        && range.is_finite();
+    if !in_domain {
+        return (0.0, f64::INFINITY);
+    }
+    let h = (hi - lo) / STEPS as f64;
+    let speed = |k: usize| lo + k as f64 * h;
+    let (closing_gap, separating_gap) = (range + d0, range - d0);
+    let samples = STEPS + 1;
+    // Closing is `v ≤ −DEAD_BAND`, separating `v ≥ DEAD_BAND`; a side's
+    // quotient reaches the cap next to the dead band first.
+    let dead_first = first_index(0, samples, |k| speed(k) > -DEAD_BAND);
+    let separating_first = first_index(dead_first, samples, |k| speed(k) >= DEAD_BAND);
+    let capped_first = first_index(0, dead_first, |k| closing_gap / -speed(k) >= CAP);
+    let capped_end = first_index(separating_first, samples, |k| {
+        separating_gap / speed(k) < CAP
+    });
+    let (capped_weight, _) = weight_prefixes().block(capped_first, capped_end);
+    let (closing_lower, closing_upper) =
+        bracket_uncapped_side(lo, h, closing_gap, 1.0 / BLOCK_GROWTH, 0, capped_first);
+    let (separating_lower, separating_upper) =
+        bracket_uncapped_side(lo, h, separating_gap, BLOCK_GROWTH, capped_end, samples);
+    let capped = CAP * capped_weight;
+    let (_, total) = quadrature_weights();
+    (
+        (closing_lower + capped + separating_lower) / total * (1.0 - BRACKET_MARGIN),
+        (closing_upper + capped + separating_upper) / total * (1.0 + BRACKET_MARGIN),
+    )
+}
+
 /// The *mean link duration* ("stability" in Yan et al.'s TBP-SS): the
 /// deterministic lifetime evaluated at the mean relative speed. Cheaper than
 /// the full expectation and the quantity the ticket-based probing algorithm
@@ -391,6 +586,149 @@ mod tests {
                 "table total {total:?} vs reference {scaled:?} (mean {mean:?}, std {std:?})"
             );
         }
+    }
+
+    /// `lo ≤ kernel ≤ hi`; returns the bracket's width relative to the
+    /// kernel's value.
+    fn assert_bracket_holds(separation: f64, mean: f64, std: f64, range: f64) -> f64 {
+        let value = expected_link_duration(separation, mean, std, range);
+        let (lo, hi) = expected_link_duration_bracket(separation, mean, std, range);
+        assert!(
+            lo <= value && value <= hi,
+            "bracket ({lo:?}, {hi:?}) misses {value:?} \
+             (separation {separation:?}, mean {mean:?}, std {std:?}, range {range:?})"
+        );
+        if value == 0.0 {
+            assert_eq!((lo, hi), (0.0, 0.0));
+            return 0.0;
+        }
+        (hi - lo) / value
+    }
+
+    const BRACKET_RANGES: [f64; 3] = [100.0, 250.0, 1_000.0];
+
+    /// The widest bracket any test input may produce, as a share of the
+    /// kernel's value: a block's chord and Jensen terms differ by at most
+    /// `(g − 1)²/4g` — 12.5 % at `BLOCK_GROWTH = 2` — and the margin adds
+    /// 2e-7. The seeded set below peaks at 12.46 %, the edges at 11.9 %.
+    const WIDEST_BRACKET: f64 = 0.125 + 1e-6;
+
+    #[test]
+    fn bracket_contains_the_kernel_on_seeded_inputs() {
+        let mut rng = SimRng::new(0xB2AC4E7);
+        let mut widest: f64 = 0.0;
+        for _ in 0..24_000 {
+            let range = *rng.choose(&BRACKET_RANGES).unwrap();
+            let std = *rng.choose(&STDS).unwrap();
+            let separation = rng.uniform_range(-range, range);
+            let mean = rng.uniform_range(-60.0, 60.0);
+            widest = widest.max(assert_bracket_holds(separation, mean, std, range));
+        }
+        assert!(widest <= WIDEST_BRACKET, "widest bracket {widest:?}");
+        // Not vacuous either: the set does reach the loose end.
+        assert!(widest > 0.05, "widest bracket {widest:?}");
+    }
+
+    #[test]
+    fn bracket_contains_the_kernel_on_the_edges() {
+        let mut widest: f64 = 0.0;
+        let mut check = |separation: f64, mean: f64, std: f64, range: f64| {
+            widest = widest.max(assert_bracket_holds(separation, mean, std, range));
+        };
+        for range in BRACKET_RANGES {
+            for std in STDS {
+                // `±range`: a zero numerator on one side. `mean = 0`: grid
+                // point 1000 on `v = 0` (at `std = 1e-3` a third of the grid
+                // inside the dead band). `±6σ`: zero on the grid's last
+                // sample, where a weight is 1e-8 of the prefix sum beside it.
+                // `±7σ`, `±60`: the whole grid on one side of zero.
+                let means = [0.0, 5e-4, 6.0 * std, 7.0 * std, 60.0, 2.5 * std];
+                for mean in means.into_iter().flat_map(|m| [m, -m]) {
+                    for separation in [-range, range, 0.0, 0.3 * range, -2.0 * range] {
+                        check(separation, mean, std, range);
+                    }
+                }
+                // The cap takes over where `|v| < gap / CAP`: put that speed
+                // on grid point `k`, then just either side of it.
+                let separation = 0.25 * range;
+                let cap_speed = (range - separation) / CAP;
+                for k in [0, 1, 900, 1_000, 1_100, 1_999, 2_000] {
+                    let offset = -SPAN * std + k as f64 * (2.0 * SPAN * std / STEPS as f64);
+                    for nudge in [0.0, 1e-9, -1e-9] {
+                        let mean = cap_speed - offset + nudge;
+                        check(separation, mean, std, range);
+                        check(-separation, -mean, std, range);
+                    }
+                }
+            }
+            // A grid too fine for `lo + k·h` to resolve, and one whose step
+            // underflows to zero.
+            for std in [1e-15, 1e-300, 5e-324] {
+                for mean in [-30.0, -1e-3, 0.0, 2e-3, 30.0] {
+                    check(0.5 * range, mean, std, range);
+                }
+            }
+        }
+        assert!(widest <= WIDEST_BRACKET, "widest bracket {widest:?}");
+    }
+
+    #[test]
+    fn bracket_is_the_kernel_value_twice_without_variance() {
+        for mean in [-20.0, -5e-4, 0.0, 1e-3, 5.0, f64::NAN, f64::INFINITY] {
+            let value = expected_link_duration(-50.0, mean, 0.0, R);
+            let bracket = expected_link_duration_bracket(-50.0, mean, 0.0, R);
+            assert_eq!(bracket, (value, value), "mean {mean:?}");
+        }
+    }
+
+    #[test]
+    fn bracket_outside_its_domain_is_everything_and_never_nan() {
+        let everything = (0.0, f64::INFINITY);
+        for (separation, mean, std, range) in [
+            (f64::NAN, 5.0, 3.0, R),
+            (10.0, f64::NAN, 3.0, R),
+            (10.0, f64::INFINITY, 3.0, R),
+            (10.0, f64::NEG_INFINITY, 3.0, R),
+            (10.0, 5.0, f64::INFINITY, R),
+            (10.0, f64::INFINITY, f64::INFINITY, R),
+            (10.0, 5.0, 3.0, f64::INFINITY),
+            (10.0, 2e3, 3.0, R),
+            (10.0, 0.0, 1e9, R),
+        ] {
+            let bracket = expected_link_duration_bracket(separation, mean, std, range);
+            assert_eq!(
+                bracket, everything,
+                "({separation}, {mean}, {std}, {range})"
+            );
+            // The kernel accepts all of these; the bracket still holds.
+            let value = expected_link_duration(separation, mean, std, range);
+            assert!((0.0..f64::INFINITY).contains(&value), "kernel {value:?}");
+        }
+        // Just inside the domain the bracket is finite again.
+        let (lo, hi) = expected_link_duration_bracket(10.0, 900.0, 10.0, R);
+        assert!(0.0 < lo && hi < 1.0, "({lo:?}, {hi:?})");
+        assert_bracket_holds(10.0, 900.0, 10.0, R);
+        assert_bracket_holds(10.0, 0.0, 160.0, R);
+    }
+
+    #[test]
+    fn mirrored_blocks_rest_on_symmetric_weights() {
+        let (weights, _) = quadrature_weights();
+        for k in 0..=STEPS / 2 {
+            let (left, right) = (weights[k], weights[STEPS - k]);
+            assert!((left - right).abs() <= 1e-13 * left, "k {k}");
+        }
+        // A block and its mirror image agree, and a one-sample block in
+        // either tail is that sample's weight to the last few bits.
+        let sums = weight_prefixes();
+        for (first, end) in [(0, 1), (3, 40), (990, 1_000), (400, 1_001)] {
+            let (weight, mean) = sums.block(first, end);
+            let (mirror_weight, mirror_mean) = sums.block(STEPS + 1 - end, STEPS + 1 - first);
+            assert!((weight - mirror_weight).abs() <= 1e-12 * weight);
+            assert!((mean + mirror_mean - STEPS as f64).abs() <= 1e-9);
+        }
+        let (last, mean) = sums.block(STEPS, STEPS + 1);
+        assert_eq!((last, mean), (weights[STEPS], STEPS as f64));
     }
 
     #[test]

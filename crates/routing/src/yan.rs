@@ -12,7 +12,9 @@
 use crate::common::{PendingBuffer, SeenCache};
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
 use std::collections::BTreeMap;
-use vanet_links::probability::{expected_link_duration, mean_link_duration};
+use vanet_links::probability::{
+    expected_link_duration, expected_link_duration_bracket, mean_link_duration,
+};
 use vanet_mobility::geometry::distance;
 use vanet_net::{NeighborInfo, Packet, PacketKind, RouteRecord};
 use vanet_sim::{NodeId, SeqNo, SimDuration, SimTime};
@@ -91,6 +93,10 @@ pub struct Yan {
     /// The next hops [`Yan::rank_candidates`] last selected, best first;
     /// holds at most `max_branches` entries and is reused across tickets.
     best: Vec<(NodeId, f64)>,
+    /// Candidates ranked so far, and those of them whose stability was
+    /// computed rather than ruled out by its bracket.
+    scored: u64,
+    integrated: u64,
 }
 
 impl Yan {
@@ -112,6 +118,8 @@ impl Yan {
             last_probe: BTreeMap::new(),
             my_seq: SeqNo(0),
             best: Vec::new(),
+            scored: 0,
+            integrated: 0,
         }
     }
 
@@ -121,19 +129,35 @@ impl Yan {
         self.routes.len()
     }
 
+    /// `(scored, integrated)`: how many eligible next hops the ticket
+    /// rankings have compared so far, and for how many of them the stability
+    /// itself was computed — the rest were ruled out by a bracket that could
+    /// not reach the `max_branches` best.
+    #[must_use]
+    pub fn scoring_counts(&self) -> (u64, u64) {
+        (self.scored, self.integrated)
+    }
+
+    /// What the stability of the link to a neighbour is computed from: the
+    /// separation (the current distance, at most the range) and the relative
+    /// speed. Both are unsigned — the speed is the magnitude of the relative
+    /// velocity — so every neighbour is scored as if it were separating at
+    /// that speed towards the range boundary, whether or not it is in fact
+    /// closing in (ROADMAP item 3(b)).
+    fn link_kinematics(ctx: &ProtocolContext<'_>, neighbor: &NeighborInfo) -> (f64, f64) {
+        let separation = distance(ctx.position(), neighbor.position).min(ctx.range_m);
+        let relative = (ctx.velocity() - neighbor.velocity).norm();
+        (separation, relative)
+    }
+
     /// Stability of the link between this node and a neighbour, under the
-    /// configured metric. Both arguments are unsigned — the separation is the
-    /// current distance to the neighbour (at most the range) and the speed is
-    /// the magnitude of the relative velocity — so every neighbour is scored
-    /// as if it were separating at that speed towards the range boundary,
-    /// whether or not it is in fact closing in (ROADMAP item 4(c)).
+    /// configured metric.
     fn link_stability(
         config: &YanConfig,
         ctx: &ProtocolContext<'_>,
         neighbor: &NeighborInfo,
     ) -> f64 {
-        let separation = distance(ctx.position(), neighbor.position).min(ctx.range_m);
-        let relative = (ctx.velocity() - neighbor.velocity).norm();
+        let (separation, relative) = Self::link_kinematics(ctx, neighbor);
         match config.metric {
             TicketMetric::ExpectedDuration => {
                 expected_link_duration(separation, relative, config.relative_speed_std, ctx.range_m)
@@ -142,34 +166,99 @@ impl Yan {
         }
     }
 
+    /// A bracket `(lo, hi)` around [`Yan::link_stability`] of the same
+    /// arguments, far cheaper than the expectation it bounds; the mean
+    /// duration is cheap already and is its own bracket.
+    fn link_stability_bracket(
+        config: &YanConfig,
+        ctx: &ProtocolContext<'_>,
+        neighbor: &NeighborInfo,
+    ) -> (f64, f64) {
+        let (separation, relative) = Self::link_kinematics(ctx, neighbor);
+        match config.metric {
+            TicketMetric::ExpectedDuration => expected_link_duration_bracket(
+                separation,
+                relative,
+                config.relative_speed_std,
+                ctx.range_m,
+            ),
+            TicketMetric::MeanDuration => {
+                let stability = mean_link_duration(separation, relative, ctx.range_m);
+                (stability, stability)
+            }
+        }
+    }
+
+    /// Puts `(id, value)` into `best` — at most `limit ≥ 1` entries, largest
+    /// value first — behind every kept entry whose value is at least as
+    /// large, so of two equal ones the earlier stays ahead.
+    fn keep_best(best: &mut Vec<(NodeId, f64)>, limit: usize, id: NodeId, value: f64) {
+        let rank = best.partition_point(|kept| kept.1.total_cmp(&value).is_ge());
+        if rank < limit {
+            best.truncate(limit - 1);
+            best.insert(rank, (id, value));
+        }
+    }
+
     /// Fills `self.best` with up to `max_branches` candidate next hops for a
     /// ticket heading to `dest`, most stable link first (of two equally
     /// stable ones, the earlier neighbour), excluding nodes already on the
     /// path. Candidates must make geographic progress when the destination's
     /// position is known (terminates the probe).
+    ///
+    /// With more eligible neighbours than places, a first pass brackets every
+    /// one's stability and takes the `max_branches`-th largest lower bound as
+    /// the floor; a neighbour whose upper bound is below the floor has that
+    /// many others strictly above it and is passed over without computing
+    /// its stability. Everyone else is scored and ranked in neighbour order,
+    /// so ids, order, tie rule and stabilities are those of scoring everyone.
     fn rank_candidates(&mut self, ctx: &ProtocolContext<'_>, dest: NodeId, path: &[NodeId]) {
-        let Yan { config, best, .. } = self;
+        let Yan {
+            config,
+            best,
+            scored,
+            integrated,
+            ..
+        } = self;
         let limit = config.max_branches as usize;
+        best.clear();
+        if limit == 0 {
+            return;
+        }
         let goal = ctx.location.position_of(dest);
         let own_progress = goal.map(|p| distance(ctx.position(), p));
-        best.clear();
-        for n in ctx.neighbors.iter() {
-            if path.contains(&n.id) || n.id == ctx.node {
+        // Each eligible neighbour with the upper bound on its stability. Not
+        // kept on `self`: every vehicle has a `Yan` and few of them rank.
+        let mut eligible: Vec<(&NeighborInfo, f64)> = ctx
+            .neighbors
+            .iter()
+            .filter(|n| !path.contains(&n.id) && n.id != ctx.node)
+            .filter(|n| {
+                goal.zip(own_progress).map_or(true, |(p, own)| {
+                    n.id == dest || distance(n.position, p) < own
+                })
+            })
+            .map(|n| (n, f64::INFINITY))
+            .collect();
+        let mut floor = f64::NEG_INFINITY;
+        if eligible.len() > limit {
+            // `best` holds the largest lower bounds for the length of this
+            // pass; the last of them is the floor.
+            for (n, upper) in &mut eligible {
+                let (lower, hi) = Self::link_stability_bracket(config, ctx, n);
+                *upper = hi;
+                Self::keep_best(best, limit, n.id, lower);
+            }
+            floor = best[limit - 1].1;
+            best.clear();
+        }
+        *scored += eligible.len() as u64;
+        for &(n, upper) in &eligible {
+            if upper < floor {
                 continue;
             }
-            let progresses = goal.zip(own_progress).map_or(true, |(p, own)| {
-                n.id == dest || distance(n.position, p) < own
-            });
-            if !progresses {
-                continue;
-            }
-            let stability = Self::link_stability(config, ctx, n);
-            // Behind every kept candidate that is at least as stable.
-            let rank = best.partition_point(|kept| kept.1.total_cmp(&stability).is_ge());
-            if rank < limit {
-                best.truncate(limit - 1);
-                best.insert(rank, (n.id, stability));
-            }
+            *integrated += 1;
+            Self::keep_best(best, limit, n.id, Self::link_stability(config, ctx, n));
         }
     }
 
@@ -217,16 +306,18 @@ impl Yan {
             return;
         }
         // Source routing: follow the embedded route if present.
-        if let Some(route) = packet.source_route.clone() {
-            if let Some(idx) = route.iter().position(|&n| n == ctx.node) {
-                if idx + 1 < route.len() {
-                    let next = route[idx + 1];
+        if let Some(route) = packet.source_route.as_deref() {
+            let next = route
+                .iter()
+                .position(|&n| n == ctx.node)
+                .and_then(|idx| route.get(idx + 1).copied());
+            match next {
+                Some(next) => {
                     let fwd = ctx.stamp(packet.forwarded_by(ctx.node, Some(next)));
                     ctx.transmit(fwd);
-                    return;
                 }
+                None => ctx.drop_packet(&packet, DropReason::NoRoute),
             }
-            ctx.drop_packet(&packet, DropReason::NoRoute);
             return;
         }
         // At the source: attach a cached route or probe for one.
@@ -283,7 +374,7 @@ impl Yan {
             return;
         }
         // Split the remaining tickets among the best candidate next hops.
-        let new_path = path_through_me();
+        let mut new_path = path_through_me();
         self.rank_candidates(ctx, target, &new_path);
         if self.best.is_empty() {
             ctx.drop_packet(packet, DropReason::NoRoute);
@@ -291,13 +382,19 @@ impl Yan {
         }
         let branches = self.best.len().min(tickets as usize).max(1);
         let share = (tickets / branches as u32).max(1);
-        for &(next, stability) in &self.best[..branches] {
+        for (branch, &(next, stability)) in self.best[..branches].iter().enumerate() {
+            // The last branch takes the path itself.
+            let path = if branch + 1 == branches {
+                std::mem::take(&mut new_path)
+            } else {
+                new_path.clone()
+            };
             let mut fwd = packet.forwarded_by(ctx.node, Some(next));
             fwd.kind = PacketKind::Ticket {
                 target,
                 probe_id,
                 tickets: share,
-                path: new_path.clone(),
+                path,
                 metric: metric.min(stability),
             };
             let stamped = ctx.stamp(fwd);
@@ -530,14 +627,15 @@ mod tests {
         acc / weight
     }
 
-    /// Candidate selection as it was: score every eligible neighbour with
-    /// the per-sample-`pdf` kernel, stable-sort descending, truncate.
-    fn collect_sort_truncate(
-        config: &YanConfig,
+    /// Candidate selection the plain way: score every eligible neighbour,
+    /// stable-sort descending, truncate.
+    fn score_everyone(
+        limit: u32,
         ctx: &ProtocolContext<'_>,
         dest: NodeId,
         path: &[NodeId],
-    ) -> Vec<NodeId> {
+        score: impl Fn(&NeighborInfo) -> f64,
+    ) -> Vec<(NodeId, f64)> {
         let dest_pos = ctx.location.position_of(dest);
         let own_progress = dest_pos.map(|p| distance(ctx.position(), p));
         let mut scored: Vec<(NodeId, f64)> = ctx
@@ -548,28 +646,46 @@ mod tests {
                 (Some(p), Some(own)) => n.id == dest || distance(n.position, p) < own,
                 _ => true,
             })
-            .map(|n| {
-                let separation = distance(ctx.position(), n.position).min(ctx.range_m);
-                let relative = (ctx.velocity() - n.velocity).norm();
-                let std = config.relative_speed_std;
-                (
-                    n.id,
-                    per_sample_pdf_duration(separation, relative, std, ctx.range_m),
-                )
-            })
+            .map(|n| (n.id, score(n)))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        scored.truncate(config.max_branches as usize);
-        scored.into_iter().map(|(id, _)| id).collect()
+        scored.truncate(limit as usize);
+        scored
     }
 
+    /// [`Yan::rank_candidates`] against scoring everyone with
+    /// [`Yan::link_stability`]: the same ids in the same order carrying the
+    /// same bits. Returns the ranking's `(scored, integrated)`.
+    fn assert_ranks_like_scoring_everyone(
+        config: YanConfig,
+        ctx: &ProtocolContext<'_>,
+        path: &[NodeId],
+        what: &str,
+    ) -> (u64, u64) {
+        let mut yan = Yan::with_config(config);
+        yan.rank_candidates(ctx, NodeId(999), path);
+        let bits = |ranked: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+            ranked.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+        };
+        let everyone = score_everyone(config.max_branches, ctx, NodeId(999), path, |n| {
+            Yan::link_stability(&config, ctx, n)
+        });
+        assert_eq!(bits(&yan.best), bits(&everyone), "{what}");
+        yan.scoring_counts()
+    }
+
+    const METRICS: [TicketMetric; 2] = [TicketMetric::ExpectedDuration, TicketMetric::MeanDuration];
+
     /// Ordering, not the float, is what the goldens rest on: on seeded
-    /// highway-like neighbourhoods the incremental top-k over the table
-    /// kernel must pick the ids, in the order, that sorting every score of
-    /// the per-sample-`pdf` kernel picked.
+    /// highway-like neighbourhoods the bracketed top-k over the table kernel
+    /// must pick the ids, in the order, that sorting every score of the
+    /// per-sample-`pdf` kernel picked — and, under either metric, exactly
+    /// what scoring every neighbour with the kernel in use picks, to the bit,
+    /// while computing at most a quarter of those scores.
     #[test]
     fn ranking_matches_sorting_under_the_per_sample_pdf_kernel() {
         let mut rng = SimRng::new(0x71C4E7);
+        let (mut scored, mut integrated) = (0, 0);
         for case in 0..1_000u32 {
             let mut h = Harness::new(0, 0.0);
             h.state.velocity = Vec2::new(rng.uniform_range(0.0, 30.0), 0.0);
@@ -595,20 +711,98 @@ mod tests {
                         .observe(twin, position, velocity, SimTime::ZERO, ttl);
                 }
             }
-            let config = YanConfig {
-                max_branches: [1, 2, 2, 3, 5][case as usize % 5],
-                ..YanConfig::default()
-            };
-            let mut yan = Yan::with_config(config);
+            let max_branches = [1, 2, 2, 3, 5][case as usize % 5];
             let path = [NodeId(0), NodeId(1 + case % neighbors)];
             let ctx = h.ctx(1.0);
+            for metric in METRICS {
+                let config = YanConfig {
+                    max_branches,
+                    metric,
+                    ..YanConfig::default()
+                };
+                let what = format!("case {case}, {metric:?}");
+                let counts = assert_ranks_like_scoring_everyone(config, &ctx, &path, &what);
+                // The mean duration is its own bracket and rules out all but
+                // ties; the pruning claim is about the expectation.
+                if metric == TicketMetric::ExpectedDuration {
+                    scored += counts.0;
+                    integrated += counts.1;
+                }
+            }
+            let mut yan = Yan::with_config(YanConfig {
+                max_branches,
+                ..YanConfig::default()
+            });
             yan.rank_candidates(&ctx, NodeId(999), &path);
             let ranked: Vec<NodeId> = yan.best.iter().map(|&(id, _)| id).collect();
+            let std = yan.config.relative_speed_std;
+            let sorted = score_everyone(max_branches, &ctx, NodeId(999), &path, |n| {
+                let separation = distance(ctx.position(), n.position).min(ctx.range_m);
+                let relative = (ctx.velocity() - n.velocity).norm();
+                per_sample_pdf_duration(separation, relative, std, ctx.range_m)
+            });
+            let sorted: Vec<NodeId> = sorted.into_iter().map(|(id, _)| id).collect();
+            assert_eq!(ranked, sorted, "case {case}");
+        }
+        assert!(scored > 25_000, "scored {scored}");
+        assert!(
+            4 * integrated <= scored,
+            "{integrated} stabilities computed for {scored} candidates"
+        );
+    }
+
+    /// Where there is nothing to rule out the ranking computes no bracket and
+    /// scores everyone it is offered; a neighbour whose beacon carried a NaN
+    /// velocity (the kernel scores it at the cap) is never ruled out.
+    #[test]
+    fn ranking_of_sparse_empty_and_nan_neighbourhoods_scores_everyone_eligible() {
+        let mut rng = SimRng::new(0x5BA25E);
+        for case in 0..200u32 {
+            let mut h = Harness::new(0, 0.0);
+            h.location
+                .set(NodeId(999), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+            // 0–7 neighbours, some behind (ineligible), against up to 5 places.
+            let neighbors = case % 8;
+            for id in 1..=neighbors {
+                h.add_neighbor(
+                    id,
+                    rng.uniform_range(-250.0, 250.0),
+                    rng.uniform_range(-30.0, 30.0),
+                );
+            }
+            if case % 3 == 0 {
+                let ttl = SimDuration::from_secs(10.0);
+                let position = Vec2::new(rng.uniform_range(0.0, 250.0), 3.5);
+                let velocity = Vec2::new(f64::NAN, 0.0);
+                h.neighbors
+                    .observe(NodeId(50), position, velocity, SimTime::ZERO, ttl);
+            }
+            let ctx = h.ctx(1.0);
             assert_eq!(
-                ranked,
-                collect_sort_truncate(&config, &ctx, NodeId(999), &path),
-                "case {case}"
+                ctx.neighbors.iter().any(|n| n.velocity.x.is_nan()),
+                case % 3 == 0
             );
+            let eligible = score_everyone(u32::MAX, &ctx, NodeId(999), &[NodeId(0)], |_| 0.0).len();
+            for metric in METRICS {
+                for max_branches in [0, 1, 2, 5] {
+                    let config = YanConfig {
+                        max_branches,
+                        metric,
+                        ..YanConfig::default()
+                    };
+                    let what = format!("case {case}, {metric:?}, {max_branches} branches");
+                    let (scored, integrated) =
+                        assert_ranks_like_scoring_everyone(config, &ctx, &[NodeId(0)], &what);
+                    if max_branches == 0 {
+                        assert_eq!((scored, integrated), (0, 0), "{what}");
+                    } else {
+                        assert_eq!(scored, eligible as u64, "{what}");
+                    }
+                    if eligible <= max_branches as usize {
+                        assert_eq!(integrated, scored, "{what}");
+                    }
+                }
+            }
         }
     }
 
