@@ -10,8 +10,8 @@ use crate::telemetry::{NoTelemetry, Telemetry};
 use std::sync::Arc;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState, Velocity};
 use vanet_net::{
-    ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig, NeighborArena,
-    Packet, PacketKind, SpatialGrid, UnitDisk,
+    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig,
+    NeighborArena, Packet, PacketKind, SpatialGrid, UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol, TableLocationService};
 use vanet_sim::{
@@ -120,10 +120,10 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     mobility: Box<dyn MobilityModel + Send>,
     mobility_rng: SimRng,
     nodes: Vec<NodeRuntime>,
-    /// Fleet-shared neighbour storage: every node's entries live in one
-    /// contiguous slab of index-linked blocks instead of a `Vec` per node,
-    /// so neighbour walks stay inside a few hot cache lines per node and
-    /// start-up makes one allocation instead of a million.
+    /// Fleet-shared neighbour storage: every node's entries live in two
+    /// slabs (index-linked key blocks, one payload per neighbour) instead of
+    /// a `Vec` per node, so start-up makes two allocations instead of a
+    /// million.
     neighbor_arena: NeighborArena,
     /// Structure-of-arrays kinematics, indexed by `NodeId::index()`. The
     /// full per-node `VehicleState` backs protocol contexts; positions and
@@ -325,6 +325,9 @@ impl<T: Telemetry> Simulation<T> {
         // contention-window snapshot from the same figure.
         let expected_candidates = (expected_neighbors * 3.0) as usize + 16;
         medium.reserve_for_neighborhood(expected_candidates);
+        // Room for a spill block per node on top of its expected chain, each
+        // block with a payload slot per key: neither slab doubles mid-run,
+        // and reserving first-touches nothing.
         let neighbor_arena = NeighborArena::with_block_capacity(NeighborArena::blocks_for(
             node_count,
             expected_neighbors,
@@ -559,6 +562,16 @@ impl<T: Telemetry> Simulation<T> {
     #[must_use]
     pub fn wheel_splices(&self) -> u64 {
         self.scheduler.wheel_splices()
+    }
+
+    /// The neighbour arena's live and free key blocks and payload slots
+    /// ([`NeighborArena::occupancy`]), and the entries the nodes' tables
+    /// hold between them — equal to the live slots while the arena's books
+    /// balance.
+    #[must_use]
+    pub fn neighbor_occupancy(&self) -> (ArenaOccupancy, usize) {
+        let held = self.nodes.iter().map(|n| n.neighbors.len()).sum();
+        (self.neighbor_arena.occupancy(), held)
     }
 
     /// Runs the simulation to completion and returns the report.

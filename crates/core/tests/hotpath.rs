@@ -49,6 +49,18 @@ fn megacity_10k_smoke_is_deterministic_and_bounded() {
         0,
         "a beacon or maintenance timer re-armed into the wheel's sorted slot"
     );
+    // The neighbour arena's books: one live payload slot per entry the
+    // nodes' tables hold. Key blocks split in half and take inserts in
+    // random id order, so they settle near the B-tree fill of ln 2 (0.682
+    // here: 408,495 entries in 18,715 blocks); far outside it, splits or
+    // frees have gone wrong.
+    let (occupancy, held) = sim.neighbor_occupancy();
+    assert_eq!(occupancy.slots_live, held, "{occupancy:?}");
+    assert!(
+        (0.6..0.8).contains(&occupancy.key_fill()),
+        "key-block fill {:.3} outside its band: {occupancy:?}",
+        occupancy.key_fill()
+    );
     // Generous bound (debug builds are ~10-20x slower than release); the
     // point is that the stress tier cannot silently become quadratic.
     assert!(

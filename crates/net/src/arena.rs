@@ -1,13 +1,16 @@
-//! The neighbour store: one slab for the whole fleet.
+//! The neighbour store: two slabs for the whole fleet.
 //!
-//! [`NeighborArena`] holds every node's neighbour entries in **one
-//! contiguous slab**: entries live in fixed-size blocks (index-linked,
-//! ascending by [`NodeId`] across a node's chain), a node holds a 16-byte
-//! [`ArenaTable`] handle instead of owning storage, and blocks freed by
-//! neighbour churn go on a free list for O(1) reuse. `observe` — the hottest
-//! call on the beacon plane — and the purge walk touch a handful of adjacent
-//! cache lines in one region the hardware prefetcher understands, and the
-//! fleet's node array stays dense.
+//! [`NeighborArena`] holds every node's neighbour entries in **two
+//! contiguous slabs**. Small *key blocks* carry a node's neighbour ids
+//! (index-linked, ascending by [`NodeId`] across the node's chain), and
+//! beside each id the index of its entry in one dense *payload slab* that
+//! holds exactly one [`NeighborInfo`] per live neighbour. A node holds a
+//! 16-byte [`ArenaTable`] handle instead of owning storage, and key blocks
+//! and payload slots freed by neighbour churn go on free lists for O(1)
+//! reuse. `observe` — the hottest call on the beacon plane — walks a
+//! couple of 264-byte key blocks and then touches one payload: a refresh
+//! overwrites it in place, an insert shifts 4-byte keys and slot indices,
+//! and a split moves no payload at all.
 //!
 //! Expiry is *lazy*: a handle carries [`ArenaTable::next_deadline`], a
 //! conservative lower bound on the earliest `expires_at` of any live entry
@@ -18,70 +21,67 @@
 //! activity, not fleet size.
 //!
 //! Protocols never mutate neighbour state, so they read through
-//! [`NeighborView`], a copyable handle-plus-slab pair with the read API
+//! [`NeighborView`], a copyable handle-plus-arena pair with the read API
 //! (`contains` / `get` / `iter` / `closest_to` / `greedy_next_hop`) in the
 //! ascending-id iteration order the deterministic driver depends on.
 //!
 //! This is the only implementation. What it is checked against is a
 //! test-only naive model at the bottom of this file (a `BTreeMap` per node,
-//! sharing no code with the slab): the property tests here and in
+//! sharing no code with the slabs): the property tests here and in
 //! `neighbor.rs` drive both through randomised churn and pin identical
 //! observe results, iteration order, loss observations and deadline
-//! evolution.
+//! evolution, and check after every tick that both slabs' books balance.
 
 // lint: hot-path
 
 use crate::neighbor::NeighborInfo;
 use vanet_mobility::geometry::distance;
-use vanet_mobility::{Position, Vec2, Velocity};
+use vanet_mobility::{Position, Velocity};
 use vanet_sim::{NodeId, SimDuration, SimTime};
 
-/// Entries per block. Thirty-two 56-byte entries keep a realistic urban
-/// density (~50 neighbours) to a two-to-three block chain, so a lookup's
-/// pointer-chase is bounded by a couple of dependent loads; the compact key
-/// mirror at the front of the block means the in-block scan touches two
-/// cache lines before any payload is read. (Narrower blocks were measured
-/// slower: with 8 entries the same density chained ~7 scattered blocks and
-/// the dependent misses dominated the refresh path.)
-const BLOCK_ENTRIES: usize = 32;
+/// Keys per block. An urban neighbourhood (~40 neighbours) is a two-block
+/// chain, so a lookup is a couple of dependent loads before the payload.
+/// Measured against 32: 16 (longer chains) read 1.04× on `city10k-greedy`
+/// and 0.97× on `city100k-greedy`; 64 (longer scans and shifts, a larger
+/// first touch) read 0.99× and 1.13×, with 24 MiB more at 100k nodes.
+const BLOCK_KEYS: usize = 32;
 
-/// Null block index (the slab can therefore hold up to `u32::MAX - 1`
-/// blocks, far beyond any fleet this simulates).
+/// Null index for both slabs (each can therefore hold up to `u32::MAX - 1`
+/// elements, far beyond any fleet this simulates).
 const NIL: u32 = u32::MAX;
 
-/// Filler for unoccupied entry slots; never observable through the API.
-const EMPTY_INFO: NeighborInfo = NeighborInfo {
-    id: NodeId(0),
-    position: Vec2::ZERO,
-    velocity: Vec2::ZERO,
-    last_heard: SimTime::ZERO,
-    expires_at: SimTime::ZERO,
-};
-
-/// One slab block: up to [`BLOCK_ENTRIES`] entries sorted ascending by id,
-/// with the ids mirrored in a compact key array so lookups scan keys
-/// without striding through payloads.
+/// One key block: up to [`BLOCK_KEYS`] ids ascending, each paired with the
+/// payload slot of its entry.
 #[derive(Debug, Clone)]
-struct Block {
-    /// `keys[i] == entries[i].id` for `i < len`.
-    keys: [NodeId; BLOCK_ENTRIES],
-    /// Occupied entry count (≥ 1 for every block linked into a chain).
+struct KeyBlock {
+    /// Occupied key count (≥ 1 for every block linked into a chain).
     len: u32,
     /// Next block in this node's chain, or — for blocks on the free list —
     /// the next free block. [`NIL`] terminates both lists.
     next: u32,
-    /// Entry payloads.
-    entries: [NeighborInfo; BLOCK_ENTRIES],
+    /// Ascending ids; the first `len` are live.
+    keys: [NodeId; BLOCK_KEYS],
+    /// `slot[i]` indexes the payload of `keys[i]`.
+    slot: [u32; BLOCK_KEYS],
 }
 
-impl Block {
-    fn empty() -> Self {
-        Block {
-            keys: [NodeId(0); BLOCK_ENTRIES],
-            len: 0,
-            next: NIL,
-            entries: [EMPTY_INFO; BLOCK_ENTRIES],
-        }
+impl KeyBlock {
+    const EMPTY: KeyBlock = KeyBlock {
+        len: 0,
+        next: NIL,
+        keys: [NodeId(0); BLOCK_KEYS],
+        slot: [0; BLOCK_KEYS],
+    };
+
+    /// Inserts `(id, slot)` at `at`, shifting the keys above it up by one.
+    /// The block must have room.
+    fn put(&mut self, at: usize, id: NodeId, slot: u32) {
+        let n = self.len as usize;
+        self.keys.copy_within(at..n, at + 1);
+        self.slot.copy_within(at..n, at + 1);
+        self.keys[at] = id;
+        self.slot[at] = slot;
+        self.len += 1;
     }
 }
 
@@ -136,18 +136,50 @@ impl ArenaTable {
     }
 }
 
-/// The shared neighbour-state slab: one `Vec<Block>` for the whole fleet,
-/// with an intrusive free list recycling blocks vacated by churn.
+/// How full the arena's two slabs are ([`NeighborArena::occupancy`]). Live
+/// plus free is each slab's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArenaOccupancy {
+    /// Key blocks linked into some node's chain.
+    pub blocks_live: usize,
+    /// Key blocks parked on the free list.
+    pub blocks_free: usize,
+    /// Payload slots holding a live neighbour entry: the sum of every
+    /// handle's length.
+    pub slots_live: usize,
+    /// Payload slots parked on the free list.
+    pub slots_free: usize,
+}
+
+impl ArenaOccupancy {
+    /// Live entries per live key-block position (0 for an empty arena): how
+    /// much of the key slab the chains actually use.
+    #[must_use]
+    pub fn key_fill(&self) -> f64 {
+        if self.blocks_live == 0 {
+            return 0.0;
+        }
+        self.slots_live as f64 / (self.blocks_live * BLOCK_KEYS) as f64
+    }
+}
+
+/// The shared neighbour-state slabs: one `Vec<KeyBlock>` and one
+/// `Vec<NeighborInfo>` for the whole fleet, each with an intrusive free list
+/// recycling what churn vacates.
 #[derive(Debug, Clone)]
 pub struct NeighborArena {
-    blocks: Vec<Block>,
-    free_head: u32,
-    free_len: usize,
+    blocks: Vec<KeyBlock>,
+    free_block: u32,
+    free_blocks: usize,
+    payload: Vec<NeighborInfo>,
+    /// Head of the free payload slots. A freed slot is never observable, so
+    /// its `id` field holds the link to the next one.
+    free_slot: u32,
+    free_slots: usize,
 }
 
 impl Default for NeighborArena {
-    /// An empty free list is `free_head == NIL`, not `0`, so this cannot be
-    /// derived.
+    /// An empty free list is `NIL`, not `0`, so this cannot be derived.
     fn default() -> Self {
         Self::new()
     }
@@ -157,74 +189,84 @@ impl NeighborArena {
     /// Creates an empty arena.
     #[must_use]
     pub fn new() -> Self {
-        NeighborArena {
-            // lint: allow(P1) — construction, once per simulation; the slab
-            // itself is what makes the steady state alloc-free.
-            blocks: Vec::new(),
-            free_head: NIL,
-            free_len: 0,
-        }
+        Self::with_block_capacity(0)
     }
 
-    /// Creates an arena with room for `blocks` blocks before the slab has
-    /// to reallocate — sized from the scenario's node count and expected
-    /// neighbour density so fleet start-up never pays a doubling ramp over
-    /// a multi-gigabyte slab.
+    /// Creates an arena with room for `blocks` full key blocks — that many
+    /// blocks, and a payload slot for each of their keys — before either
+    /// slab has to reallocate. Sized from the scenario's node count and
+    /// expected neighbour density, so neither slab doubles mid-run (a
+    /// doubling briefly holds both buffers). Reserving touches nothing: a
+    /// slab's pages are first touched as it grows into them.
     #[must_use]
     pub fn with_block_capacity(blocks: usize) -> Self {
+        let slots = blocks.saturating_mul(BLOCK_KEYS);
+        // lint: allow(P1) — pre-sizing at scenario setup (nothing for `new`):
+        // each slab's one allocation, so the steady state never reallocates.
+        let (key_blocks, payload) = (Vec::with_capacity(blocks), Vec::with_capacity(slots));
         NeighborArena {
-            // lint: allow(P1) — pre-sizing at scenario setup: this is the
-            // one allocation that prevents the doubling ramp later.
-            blocks: Vec::with_capacity(blocks),
-            free_head: NIL,
-            free_len: 0,
+            blocks: key_blocks,
+            free_block: NIL,
+            free_blocks: 0,
+            payload,
+            free_slot: NIL,
+            free_slots: 0,
         }
     }
 
-    /// How many blocks a fleet of `nodes` nodes needs if each averages
+    /// How many key blocks a fleet of `nodes` nodes needs if each averages
     /// `expected_neighbors` entries (rounded up per node, plus one spill
     /// block each).
     #[must_use]
     pub fn blocks_for(nodes: usize, expected_neighbors: f64) -> usize {
-        let per_node = (expected_neighbors.max(0.0) / BLOCK_ENTRIES as f64).ceil() as usize + 1;
+        let per_node = (expected_neighbors.max(0.0) / BLOCK_KEYS as f64).ceil() as usize + 1;
         nodes.saturating_mul(per_node)
     }
 
-    /// Total slab blocks (live + free).
+    /// Live and free key blocks and payload slots.
     #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Blocks currently parked on the free list.
-    #[must_use]
-    pub fn free_blocks(&self) -> usize {
-        self.free_len
+    pub fn occupancy(&self) -> ArenaOccupancy {
+        ArenaOccupancy {
+            blocks_live: self.blocks.len() - self.free_blocks,
+            blocks_free: self.free_blocks,
+            slots_live: self.payload.len() - self.free_slots,
+            slots_free: self.free_slots,
+        }
     }
 
     fn alloc_block(&mut self) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
+        if self.free_block != NIL {
+            let idx = self.free_block;
             let b = &mut self.blocks[idx as usize];
-            self.free_head = b.next;
-            self.free_len -= 1;
+            self.free_block = b.next;
+            self.free_blocks -= 1;
             b.len = 0;
             b.next = NIL;
             idx
         } else {
-            let idx = u32::try_from(self.blocks.len()).expect("arena slab outgrew u32 indices");
-            assert!(idx != NIL, "arena slab outgrew u32 indices");
-            self.blocks.push(Block::empty());
+            let idx = u32::try_from(self.blocks.len()).expect("key slab outgrew u32 indices");
+            assert!(idx != NIL, "key slab outgrew u32 indices");
+            self.blocks.push(KeyBlock::EMPTY);
             idx
         }
     }
 
-    fn free_block(&mut self, idx: u32) {
-        let b = &mut self.blocks[idx as usize];
-        b.len = 0;
-        b.next = self.free_head;
-        self.free_head = idx;
-        self.free_len += 1;
+    /// Stores `info` in a free payload slot (the most recently freed, else
+    /// a new one at the end of the slab) and returns its index.
+    fn alloc_slot(&mut self, info: NeighborInfo) -> u32 {
+        if self.free_slot != NIL {
+            let idx = self.free_slot;
+            let entry = &mut self.payload[idx as usize];
+            self.free_slot = entry.id.0;
+            self.free_slots -= 1;
+            *entry = info;
+            idx
+        } else {
+            let idx = u32::try_from(self.payload.len()).expect("payload slab outgrew u32 indices");
+            assert!(idx != NIL, "payload slab outgrew u32 indices");
+            self.payload.push(info);
+            idx
+        }
     }
 
     /// Inserts or refreshes a neighbour from a received beacon. Returns
@@ -258,18 +300,17 @@ impl NeighborArena {
         inserted
     }
 
-    /// Inserts `info` keeping the chain sorted ascending by id, or replaces
-    /// the existing entry in place. Full blocks split in half (classic
-    /// unrolled-list insert); appends past a full tail block link a fresh
-    /// block instead, which keeps the monotonically-growing case dense.
+    /// Overwrites the payload of `info.id` if it is live, else stores it in
+    /// a new slot and inserts its key keeping the chain sorted ascending by
+    /// id. Full blocks split in half (classic unrolled-list insert); appends
+    /// past a full tail block link a fresh block instead, which keeps the
+    /// monotonically-growing case dense.
     fn upsert(&mut self, table: &mut ArenaTable, info: NeighborInfo) -> bool {
         let id = info.id;
         if table.head == NIL {
             let nb = self.alloc_block();
-            let blk = &mut self.blocks[nb as usize];
-            blk.keys[0] = id;
-            blk.entries[0] = info;
-            blk.len = 1;
+            let slot = self.alloc_slot(info);
+            self.blocks[nb as usize].put(0, id, slot);
             table.head = nb;
             table.len = 1;
             return true;
@@ -287,74 +328,49 @@ impl NeighborArena {
         let n = blk.len as usize;
         let pos = blk.keys[..n].iter().position(|&k| k >= id).unwrap_or(n);
         if pos < n && blk.keys[pos] == id {
-            self.blocks[cur as usize].entries[pos] = info;
+            let slot = blk.slot[pos];
+            self.payload[slot as usize] = info;
             return false;
         }
         table.len += 1;
-        if n < BLOCK_ENTRIES {
-            let blk = &mut self.blocks[cur as usize];
-            for i in (pos..n).rev() {
-                blk.keys[i + 1] = blk.keys[i];
-                blk.entries[i + 1] = blk.entries[i];
-            }
-            blk.keys[pos] = id;
-            blk.entries[pos] = info;
-            blk.len += 1;
+        let slot = self.alloc_slot(info);
+        if n < BLOCK_KEYS {
+            self.blocks[cur as usize].put(pos, id, slot);
             return true;
         }
-        if pos == BLOCK_ENTRIES {
+        let nb = self.alloc_block();
+        if pos == BLOCK_KEYS {
             // Appending past a full tail block (the selection loop only
-            // leaves pos == n on the tail): link a fresh block.
-            let nb = self.alloc_block();
-            let blk = &mut self.blocks[nb as usize];
-            blk.keys[0] = id;
-            blk.entries[0] = info;
-            blk.len = 1;
+            // leaves pos == n on the tail): link the fresh block.
+            self.blocks[nb as usize].put(0, id, slot);
             self.blocks[cur as usize].next = nb;
             return true;
         }
-        // Split: upper half moves to a recycled/new block linked after cur.
-        const HALF: usize = BLOCK_ENTRIES / 2;
-        let nb = self.alloc_block();
-        let mut upper_keys = [NodeId(0); HALF];
-        let mut upper_entries = [EMPTY_INFO; HALF];
-        {
-            let blk = &mut self.blocks[cur as usize];
-            upper_keys.copy_from_slice(&blk.keys[HALF..]);
-            upper_entries.copy_from_slice(&blk.entries[HALF..]);
-            blk.len = HALF as u32;
-        }
-        let old_next = self.blocks[cur as usize].next;
-        {
-            let blk = &mut self.blocks[nb as usize];
-            blk.keys[..HALF].copy_from_slice(&upper_keys);
-            blk.entries[..HALF].copy_from_slice(&upper_entries);
-            blk.len = HALF as u32;
-            blk.next = old_next;
-        }
-        self.blocks[cur as usize].next = nb;
-        let (target, at) = if pos <= HALF {
-            (cur, pos)
+        // Split: the upper half of the keys moves to the fresh block, linked
+        // after cur; their payloads stay where they are.
+        const HALF: usize = BLOCK_KEYS / 2;
+        let full = &mut self.blocks[cur as usize];
+        let mut upper = KeyBlock::EMPTY;
+        upper.keys[..HALF].copy_from_slice(&full.keys[HALF..]);
+        upper.slot[..HALF].copy_from_slice(&full.slot[HALF..]);
+        upper.len = HALF as u32;
+        upper.next = full.next;
+        full.len = HALF as u32;
+        full.next = nb;
+        if pos <= HALF {
+            full.put(pos, id, slot);
         } else {
-            (nb, pos - HALF)
-        };
-        let blk = &mut self.blocks[target as usize];
-        let n = blk.len as usize;
-        for i in (at..n).rev() {
-            blk.keys[i + 1] = blk.keys[i];
-            blk.entries[i + 1] = blk.entries[i];
+            upper.put(pos - HALF, id, slot);
         }
-        blk.keys[at] = id;
-        blk.entries[at] = info;
-        blk.len += 1;
+        self.blocks[nb as usize] = upper;
         true
     }
 
     /// Lazy purge: removes entries with `expires_at < now` and appends their
     /// ids (ascending) to `out`. O(1) while [`ArenaTable::next_deadline`]
-    /// has not fallen due; otherwise one chain scan that frees emptied
-    /// blocks to the free list and tightens the bound to the exact earliest
-    /// `expires_at` of the survivors.
+    /// has not fallen due; otherwise one chain scan that frees expired
+    /// payload slots and emptied key blocks to their free lists and tightens
+    /// the bound to the exact earliest `expires_at` of the survivors.
     pub fn purge_due(&mut self, table: &mut ArenaTable, now: SimTime, out: &mut Vec<NodeId>) {
         if table.next_deadline >= now {
             return;
@@ -373,27 +389,33 @@ impl NeighborArena {
             let n = blk.len as usize;
             let mut write = 0;
             for read in 0..n {
-                let e = blk.entries[read];
-                if e.expires_at < now {
-                    out.push(e.id);
+                let slot = blk.slot[read];
+                let entry = &mut self.payload[slot as usize];
+                if entry.expires_at < now {
+                    out.push(entry.id);
+                    entry.id = NodeId(self.free_slot);
+                    self.free_slot = slot;
+                    self.free_slots += 1;
                 } else {
-                    if e.expires_at < earliest {
-                        earliest = e.expires_at;
+                    if entry.expires_at < earliest {
+                        earliest = entry.expires_at;
                     }
                     blk.keys[write] = blk.keys[read];
-                    blk.entries[write] = e;
+                    blk.slot[write] = slot;
                     write += 1;
                 }
             }
             blk.len = write as u32;
             live += write as u32;
             if write == 0 {
+                blk.next = self.free_block;
+                self.free_block = cur;
+                self.free_blocks += 1;
                 if prev == NIL {
                     table.head = next;
                 } else {
                     self.blocks[prev as usize].next = next;
                 }
-                self.free_block(cur);
             } else {
                 prev = cur;
             }
@@ -405,7 +427,7 @@ impl NeighborArena {
 
     /// Looks up a neighbour.
     #[must_use]
-    pub fn get<'a>(&'a self, table: &ArenaTable, id: NodeId) -> Option<&'a NeighborInfo> {
+    pub(crate) fn get<'a>(&'a self, table: &ArenaTable, id: NodeId) -> Option<&'a NeighborInfo> {
         let mut cur = table.head;
         while cur != NIL {
             let blk = &self.blocks[cur as usize];
@@ -414,7 +436,7 @@ impl NeighborArena {
                 return blk.keys[..n]
                     .iter()
                     .position(|&k| k == id)
-                    .map(|i| &blk.entries[i]);
+                    .map(|i| &self.payload[blk.slot[i] as usize]);
             }
             cur = blk.next;
         }
@@ -423,13 +445,13 @@ impl NeighborArena {
 
     /// Whether `id` is currently a neighbour.
     #[must_use]
-    pub fn contains(&self, table: &ArenaTable, id: NodeId) -> bool {
+    pub(crate) fn contains(&self, table: &ArenaTable, id: NodeId) -> bool {
         self.get(table, id).is_some()
     }
 
     /// All of the node's neighbours, ascending by id.
     #[must_use]
-    pub fn iter<'a>(&'a self, table: &ArenaTable) -> ArenaIter<'a> {
+    pub(crate) fn iter<'a>(&'a self, table: &ArenaTable) -> ArenaIter<'a> {
         ArenaIter {
             arena: self,
             block: table.head,
@@ -460,7 +482,7 @@ impl<'a> Iterator for ArenaIter<'a> {
         while self.block != NIL {
             let blk = &self.arena.blocks[self.block as usize];
             if self.pos < blk.len as usize {
-                let item = &blk.entries[self.pos];
+                let item = &self.arena.payload[blk.slot[self.pos] as usize];
                 self.pos += 1;
                 return Some(item);
             }
@@ -471,9 +493,10 @@ impl<'a> Iterator for ArenaIter<'a> {
     }
 }
 
-/// A copyable, read-only view of one node's neighbour set: the slab and the
-/// node's handle into it. This is what `ProtocolContext` hands to protocols;
-/// iteration is ascending by id, which fixes the tie-break in `closest_to`.
+/// A copyable, read-only view of one node's neighbour set: the arena and
+/// the node's handle into it. This is what `ProtocolContext` hands to
+/// protocols; iteration is ascending by id, which fixes the tie-break in
+/// `closest_to`.
 #[derive(Debug, Clone, Copy)]
 pub struct NeighborView<'a> {
     arena: &'a NeighborArena,
@@ -528,7 +551,7 @@ impl<'a> NeighborView<'a> {
     }
 }
 
-/// The reference the slab is checked against: a deliberately naive
+/// The reference the slabs are checked against: a deliberately naive
 /// per-node neighbour set, sharing no code with [`NeighborArena`].
 #[cfg(test)]
 pub(crate) mod naive {
@@ -626,6 +649,7 @@ pub(crate) mod naive {
 mod tests {
     use super::naive::NaiveTable;
     use super::*;
+    use vanet_mobility::Vec2;
     use vanet_sim::SimRng;
 
     fn obs(
@@ -646,17 +670,58 @@ mod tests {
         )
     }
 
-    /// Blocks linked from `t`'s chain and the entries a walk of it yields.
-    fn chain_census(arena: &NeighborArena, t: &ArenaTable) -> (usize, usize) {
-        let (mut blocks, mut entries) = (0, 0);
-        let mut cur = t.head;
-        while cur != NIL {
-            let blk = &arena.blocks[cur as usize];
-            blocks += 1;
-            entries += blk.len as usize;
-            cur = blk.next;
+    /// The books law of both slabs, with `handles` the arena's every live
+    /// handle: each key block is on the free list or on exactly one live
+    /// chain; each payload slot is on the free list or referenced by exactly
+    /// one key; a handle's cached length is what a walk of its chain yields;
+    /// and the referenced slots number the handles' lengths summed, which is
+    /// what `occupancy` reports as live.
+    fn assert_books_balance(arena: &NeighborArena, handles: &[ArenaTable], at: &str) {
+        let mut block_refs = vec![0u32; arena.blocks.len()];
+        let mut slot_refs = vec![0u32; arena.payload.len()];
+        let mut held = 0;
+        for t in handles {
+            let mut walked = 0;
+            let mut cur = t.head;
+            while cur != NIL {
+                let blk = &arena.blocks[cur as usize];
+                block_refs[cur as usize] += 1;
+                for &slot in &blk.slot[..blk.len as usize] {
+                    slot_refs[slot as usize] += 1;
+                }
+                walked += blk.len as usize;
+                cur = blk.next;
+            }
+            assert_eq!(t.len(), walked, "{at}: cached length is not the chain's");
+            held += walked;
         }
-        (blocks, entries)
+        let (mut free_blocks, mut cur) = (0, arena.free_block);
+        while cur != NIL {
+            block_refs[cur as usize] += 1;
+            free_blocks += 1;
+            cur = arena.blocks[cur as usize].next;
+        }
+        let (mut free_slots, mut cur) = (0, arena.free_slot);
+        while cur != NIL {
+            slot_refs[cur as usize] += 1;
+            free_slots += 1;
+            cur = arena.payload[cur as usize].id.0;
+        }
+        assert!(
+            block_refs.iter().all(|&r| r == 1),
+            "{at}: a key block is not on exactly one chain or the free list"
+        );
+        assert!(
+            slot_refs.iter().all(|&r| r == 1),
+            "{at}: a payload slot is not under exactly one key or on the free list"
+        );
+        let occupancy = arena.occupancy();
+        assert_eq!(
+            (occupancy.blocks_free, occupancy.slots_free),
+            (free_blocks, free_slots),
+            "{at}: free-list counts diverged from the lists"
+        );
+        assert_eq!(occupancy.slots_live, held, "{at}: live slots ≠ Σ lengths");
     }
 
     #[test]
@@ -678,10 +743,15 @@ mod tests {
     fn a_defaulted_arena_is_a_new_arena() {
         let mut arena = NeighborArena::default();
         let mut t = ArenaTable::default();
-        assert_eq!(arena.free_blocks(), 0);
+        assert_eq!(arena.occupancy(), ArenaOccupancy::default());
         assert!(obs(&mut arena, &mut t, 5, 50.0, 0.0, 3.0));
         assert_eq!(arena.get(&t, NodeId(5)).unwrap().position.x, 50.0);
-        assert_eq!((arena.block_count(), arena.free_blocks()), (1, 0));
+        let one = ArenaOccupancy {
+            blocks_live: 1,
+            slots_live: 1,
+            ..ArenaOccupancy::default()
+        };
+        assert_eq!(arena.occupancy(), one);
     }
 
     #[test]
@@ -689,7 +759,7 @@ mod tests {
         let mut arena = NeighborArena::new();
         let mut t = ArenaTable::new();
         // 3× the block size, inserted in a scrambled order, forces splits.
-        let mut ids: Vec<u32> = (0..(3 * BLOCK_ENTRIES as u32)).collect();
+        let mut ids: Vec<u32> = (0..(3 * BLOCK_KEYS as u32)).collect();
         let mut rng = SimRng::new(9);
         for i in (1..ids.len()).rev() {
             ids.swap(i, rng.uniform_usize(i + 1));
@@ -698,32 +768,43 @@ mod tests {
             obs(&mut arena, &mut t, id, f64::from(id), 0.0, 3.0);
         }
         let seen: Vec<u32> = arena.iter(&t).map(|n| n.id.0).collect();
-        let expect: Vec<u32> = (0..(3 * BLOCK_ENTRIES as u32)).collect();
+        let expect: Vec<u32> = (0..(3 * BLOCK_KEYS as u32)).collect();
         assert_eq!(seen, expect);
         assert_eq!(t.len(), expect.len());
+        assert_books_balance(&arena, &[t], "after the spills");
     }
 
+    /// Churn reuses freed key blocks *and* payload slots: neither slab grows.
     #[test]
     fn freed_blocks_are_reused_across_tables() {
         let mut arena = NeighborArena::new();
         let mut a = ArenaTable::new();
         let mut b = ArenaTable::new();
-        for id in 0..(2 * BLOCK_ENTRIES as u32) {
+        let count = 2 * BLOCK_KEYS as u32;
+        for id in 0..count {
             obs(&mut arena, &mut a, id, 0.0, 0.0, 1.0);
         }
-        let grown = arena.block_count();
-        // Expire everything in `a`; its blocks go to the free list...
+        let grown = (arena.blocks.len(), arena.payload.len());
+        assert_eq!(grown.1, count as usize);
+        // Expire everything in `a`; its blocks and slots go to the free lists...
         let mut lost = Vec::new();
         arena.purge_due(&mut a, SimTime::from_secs(5.0), &mut lost);
-        assert_eq!(lost.len(), 2 * BLOCK_ENTRIES);
+        assert_eq!(lost.len(), count as usize);
         assert!(a.is_empty());
-        assert!(arena.free_blocks() > 0);
-        // ...and table `b` recycles them without growing the slab.
-        for id in 0..(2 * BLOCK_ENTRIES as u32) {
+        let drained = arena.occupancy();
+        assert_eq!((drained.blocks_live, drained.slots_live), (0, 0));
+        assert_eq!((drained.blocks_free, drained.slots_free), grown);
+        // ...and table `b` recycles them.
+        for id in 0..count {
             obs(&mut arena, &mut b, id, 0.0, 6.0, 1.0);
         }
-        assert_eq!(arena.block_count(), grown, "churn must reuse freed blocks");
-        assert_eq!(arena.free_blocks(), 0);
+        assert_eq!(
+            (arena.blocks.len(), arena.payload.len()),
+            grown,
+            "churn must reuse freed key blocks and payload slots"
+        );
+        assert_eq!(arena.occupancy().slots_free, 0);
+        assert_books_balance(&arena, &[a, b], "after the reuse");
     }
 
     /// Randomised churn (observes and lazy purges) drives the arena and the
@@ -731,9 +812,7 @@ mod tests {
     /// iteration order and the deadline bound must stay identical. Several
     /// handles share one arena so chain interleaving and free-list reuse are
     /// exercised the way the fleet driver exercises them. After every tick
-    /// the slab's books must balance: every block is on the free list or on
-    /// exactly one live chain, and a handle's cached length is what a walk
-    /// of its chain yields.
+    /// both slabs' books must balance ([`assert_books_balance`]).
     #[test]
     fn arena_matches_reference_table_under_randomized_churn() {
         let mut rng = SimRng::new(0xa7e4a);
@@ -758,7 +837,6 @@ mod tests {
                     let ir = refs[w].observe(id, pos, vel, at, lifetime);
                     assert_eq!(ia, ir, "case {case} tick {tick}: insert flag diverged");
                 }
-                let mut linked = 0;
                 for w in 0..tables {
                     scratch_a.clear();
                     scratch_r.clear();
@@ -776,15 +854,8 @@ mod tests {
                         refs[w].next_deadline,
                         "case {case} tick {tick}: deadline bound diverged"
                     );
-                    let (blocks, entries) = chain_census(&arena, &handles[w]);
-                    assert_eq!(handles[w].len(), entries, "case {case} tick {tick}");
-                    linked += blocks;
                 }
-                assert_eq!(
-                    arena.block_count(),
-                    arena.free_blocks() + linked,
-                    "case {case} tick {tick}: a block is neither live nor free"
-                );
+                assert_books_balance(&arena, &handles, &format!("case {case} tick {tick}"));
             }
         }
     }

@@ -36,7 +36,7 @@ pub mod medium;
 pub mod neighbor;
 pub mod packet;
 
-pub use arena::{ArenaTable, NeighborArena, NeighborView};
+pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView};
 pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
 pub use grid::SpatialGrid;
 pub use mac::MacParams;

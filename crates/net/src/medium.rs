@@ -47,8 +47,6 @@ pub struct Delivery {
     /// Whether this receiver was the intended link-layer destination
     /// (`false` for frames merely overheard in promiscuous mode).
     pub intended: bool,
-    /// Distance between sender and receiver at transmission time, metres.
-    pub distance_m: f64,
 }
 
 /// Aggregate statistics collected by the medium.
@@ -696,7 +694,6 @@ impl Medium {
                 receiver: node,
                 arrival,
                 intended,
-                distance_m: d,
             });
         }
     }

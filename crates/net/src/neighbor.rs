@@ -264,7 +264,9 @@ mod tests {
                 life,
             );
         }
-        assert!(t.arena.block_count() >= 3);
+        let grown = t.arena.occupancy();
+        assert!(grown.blocks_live >= 3);
+        assert_eq!(grown.slots_live, count as usize);
         assert_eq!(ids(&t), (0..count).collect::<Vec<_>>());
         assert_eq!(t.view().get(NodeId(70)).unwrap().position.x, 70.0);
         // Refresh one entry past the purge horizon, purge the rest.
@@ -279,18 +281,29 @@ mod tests {
         t.purge_due(SimTime::from_secs(4.0), &mut lost);
         assert_eq!(lost.len(), count as usize - 1);
         assert_eq!(ids(&t), vec![7], "only the refreshed entry survives");
-        assert_eq!(t.arena.block_count() - t.arena.free_blocks(), 1);
-        // Back down to one block: inserts on either side still land in order.
+        let shrunk = t.arena.occupancy();
+        assert_eq!((shrunk.blocks_live, shrunk.slots_live), (1, 1));
+        assert_eq!(shrunk.slots_free, count as usize - 1);
+        // Back down to one block: inserts on either side still land in
+        // order, in recycled payload slots.
         for id in [3, 90] {
             t.observe(
                 NodeId(id),
-                Vec2::ZERO,
+                Vec2::new(f64::from(id), 0.0),
                 Vec2::ZERO,
                 SimTime::from_secs(4.0),
                 life,
             );
         }
         assert_eq!(ids(&t), vec![3, 7, 90], "ascending after shrink");
+        assert_eq!(t.view().get(NodeId(90)).unwrap().position.x, 90.0);
+        let regrown = t.arena.occupancy();
+        assert_eq!((regrown.blocks_live, regrown.slots_live), (1, 3));
+        assert_eq!(
+            regrown.slots_live + regrown.slots_free,
+            count as usize,
+            "regrowth must reuse freed slots"
+        );
     }
 
     #[test]

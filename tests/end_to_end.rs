@@ -220,11 +220,13 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 }
 
 /// The one scale no benchmark workload reaches: the 1,000,000-node build
-/// (arena slab, SoA kinematics, calendar tier, pre-sized grid) completes and
-/// runs. `megacity` grows the city with the fleet, so the neighbourhood size
-/// must stay near the 10k city's (36.2 there, 41.1 here: less boundary).
+/// (neighbour arena, SoA kinematics, calendar tier, pre-sized grid)
+/// completes and runs. `megacity` grows the city with the fleet, so the
+/// neighbourhood size must stay near the 10k city's (36.2 there, 41.1 here:
+/// less boundary), and the neighbour arena's books must balance at a scale
+/// nothing else exercises: one live payload slot per entry the tables hold.
 /// Two minutes of host time in release, so opt-in:
-/// `cargo test --release --test end_to_end -- --ignored`.
+/// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
 #[ignore = "1M nodes: run explicitly, in release"]
 fn megacity_1m_builds_and_runs_one_second() {
@@ -232,6 +234,15 @@ fn megacity_1m_builds_and_runs_one_second() {
         let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(1.0));
         let mut sim = Simulation::new(scenario, ProtocolKind::Greedy);
         let report = sim.run();
+        let (occupancy, held) = sim.neighbor_occupancy();
+        assert_eq!(
+            occupancy.slots_live, held,
+            "{vehicles} nodes: {occupancy:?}"
+        );
+        println!(
+            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}",
+            occupancy.key_fill()
+        );
         (sim.processed_events(), report.avg_neighbors)
     };
     let (_, reference) = run(10_000);
