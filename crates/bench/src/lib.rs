@@ -1,29 +1,29 @@
 //! # vanet-bench — experiment generators for every figure and table
 //!
 //! Each `figN_*` function regenerates the data behind the corresponding
-//! figure of the paper; `table1` regenerates the category comparison. The
-//! binaries in `src/bin/` print the results.
+//! figure of the paper; [`table1_campaign`] regenerates the category
+//! comparison. The binaries in `src/bin/` print the results.
 //!
 //! All generators accept a [`Effort`] knob: `Quick` keeps runs short enough
 //! for CI; `Full` runs the paper-scale densities and durations (the
 //! binaries' `--full`, README "The campaign CLI"). No full-effort results
 //! are committed.
 //!
-//! Every simulation-backed generator executes through the `vanet-runner`
-//! campaign engine, so figure regeneration parallelises across all available
-//! cores while staying byte-identical to a serial run; the per-cell
-//! [`vanet_runner::Summary`] statistics are available via the `*_campaign`
-//! variants, with the legacy mean-`Report` return types kept for the
-//! binaries.
+//! Every simulation-backed generator is a [`CampaignPlan`] executed by
+//! [`Runner::run_plan`], so figure regeneration parallelises across all
+//! available cores while staying byte-identical to a serial run. The figure
+//! generators reduce each cell to its mean [`Report`]
+//! ([`vanet_runner::CellSummary::mean_report`]); [`table1_campaign`] returns
+//! the full per-cell [`vanet_runner::Summary`] statistics.
 
 #![warn(missing_docs)]
 
-use vanet_core::{render_table, ExperimentCell, ProtocolKind, Report, Scenario, TrafficRegime};
+use vanet_core::{ProtocolKind, Report, Scenario, TrafficRegime};
 use vanet_links::direction::{same_direction, DirectionGroup};
 use vanet_links::lifetime::{link_lifetime_constant_acceleration, link_lifetime_constant_speed};
 use vanet_links::probability::expected_link_duration;
 use vanet_mobility::Vec2;
-use vanet_runner::{CampaignPlan, CampaignResults, CampaignSpec, ReplicationPolicy, Runner};
+use vanet_runner::{CampaignPlan, CampaignResults, CellSummary, ReplicationPolicy, Runner};
 use vanet_sim::SimDuration;
 
 /// How much work an experiment generator should do.
@@ -51,6 +51,15 @@ impl Effort {
     }
 }
 
+/// A catalog campaign (the single source of truth for its grid) at
+/// `effort`'s scale, with `effort`'s seed count in every cell.
+fn catalog_plan(name: &str, effort: Effort) -> CampaignPlan {
+    vanet_runner::campaign_by_name(name, effort == Effort::Full)
+        .unwrap_or_else(|| panic!("{name} is a catalog campaign"))
+        .to_plan()
+        .with_replication(ReplicationPolicy::Fixed(effort.seeds()))
+}
+
 /// Figure 1 — the taxonomy, rendered as one line per category.
 #[must_use]
 pub fn fig1_taxonomy() -> Vec<String> {
@@ -62,22 +71,12 @@ pub fn fig1_taxonomy() -> Vec<String> {
 /// storm behind Fig. 2's flood).
 #[must_use]
 pub fn fig2_discovery(effort: Effort) -> Vec<(usize, Report)> {
-    // Single source of truth: the runner catalog defines the Fig. 2 grid;
-    // only the replication count is an Effort concern of this crate.
-    let spec = vanet_runner::campaign_by_name("fig2", effort == Effort::Full)
-        .expect("fig2 is a catalog campaign")
-        .replications(effort.seeds());
-    let sizes: Vec<usize> = spec
-        .scenarios
+    let plan = catalog_plan("fig2", effort);
+    let results = Runner::new().run_plan(&plan);
+    plan.cells
         .iter()
-        .map(|(_, s)| s.vehicle_count())
-        .collect();
-    Runner::new()
-        .run(&spec)
-        .cells
-        .iter()
-        .zip(sizes)
-        .map(|(cell, n)| (n, cell.mean_report()))
+        .zip(&results.cells)
+        .map(|(cell, result)| (cell.scenario.vehicle_count(), result.mean_report()))
         .collect()
 }
 
@@ -225,56 +224,20 @@ pub fn fig5_rsu(effort: Effort) -> Vec<(String, Report)> {
 /// greedy forwarding.
 #[must_use]
 pub fn fig6_geographic(effort: Effort) -> Vec<Report> {
-    // Single source of truth: the runner catalog defines the Fig. 6 grid.
-    let spec = vanet_runner::campaign_by_name("fig6", effort == Effort::Full)
-        .expect("fig6 is a catalog campaign")
-        .replications(effort.seeds());
     Runner::new()
-        .run(&spec)
+        .run_plan(&catalog_plan("fig6", effort))
         .cells
         .iter()
-        .map(vanet_runner::CellSummary::mean_report)
+        .map(CellSummary::mean_report)
         .collect()
 }
 
-/// The Table-I campaign spec: one representative protocol per category over
-/// the three traffic regimes.
-#[must_use]
-pub fn table1_spec(effort: Effort) -> CampaignSpec {
-    // Single source of truth: the runner catalog defines the Table-I grid;
-    // only the replication count is an Effort concern of this crate.
-    vanet_runner::campaign_by_name("table1", effort == Effort::Full)
-        .expect("table1 is a catalog campaign")
-        .replications(effort.seeds())
-}
-
-/// Table I with full per-cell statistics (mean, std-dev, min/max, 95% CI).
+/// Table I — one representative protocol per category over the three
+/// traffic regimes, with full per-cell statistics (mean, std-dev, min/max,
+/// 95% CI).
 #[must_use]
 pub fn table1_campaign(effort: Effort) -> CampaignResults {
-    Runner::new().run(&table1_spec(effort))
-}
-
-/// Table I — the category comparison over the three traffic regimes, one
-/// representative protocol per category, reduced to mean reports.
-#[must_use]
-pub fn table1(effort: Effort) -> Vec<ExperimentCell> {
-    let results = table1_campaign(effort);
-    results
-        .cells
-        .iter()
-        .map(|cell| ExperimentCell {
-            protocol: cell.protocol,
-            label: cell.label.clone(),
-            report: cell.mean_report(),
-            seeds: cell.summary.replications,
-        })
-        .collect()
-}
-
-/// Renders Table I cells as text (re-exported convenience).
-#[must_use]
-pub fn render(cells: &[ExperimentCell]) -> String {
-    render_table(cells)
+    Runner::new().run_plan(&catalog_plan("table1", effort))
 }
 
 #[cfg(test)]
@@ -350,25 +313,10 @@ mod tests {
 
     #[test]
     fn table1_covers_regimes_and_categories() {
-        let cells = table1(Effort::Quick);
-        assert_eq!(cells.len(), 18);
-        let text = render(&cells);
+        let results = table1_campaign(Effort::Quick);
+        assert_eq!(results.cells.len(), 18);
+        let text = vanet_runner::render_table(&results);
         assert!(text.contains("AODV") && text.contains("DRR") && text.contains("Yan"));
         assert!(text.contains("Epidemic"), "DTN representative in Table I");
-    }
-
-    #[test]
-    fn table1_through_runner_matches_serial_matrix() {
-        // The campaign engine's reduction must be byte-identical to the
-        // single-threaded run_matrix path.
-        let spec = table1_spec(Effort::Quick);
-        let from_runner = table1(Effort::Quick);
-        let serial = vanet_core::run_matrix_with_workers(
-            &spec.scenarios,
-            &spec.protocols,
-            Effort::Quick.seeds(),
-            1,
-        );
-        assert_eq!(from_runner, serial);
     }
 }

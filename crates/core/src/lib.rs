@@ -1,10 +1,11 @@
-//! # vanet-core — scenarios, simulation driver, metrics and experiments
+//! # vanet-core — scenarios, simulation driver, metrics and campaign plans
 //!
 //! The integration layer of the workspace: it wires the mobility substrate
 //! (`vanet-mobility`), the wireless network (`vanet-net`), the analytic link
 //! models (`vanet-links`) and the routing protocols (`vanet-routing`) into a
-//! runnable discrete-event simulation, and provides the experiment harness
-//! used to regenerate every figure and table of the paper.
+//! runnable discrete-event simulation, and declares campaigns as a
+//! [`CampaignPlan`]. Plans are executed and reduced by `vanet-runner`, which
+//! regenerates every figure and table of the paper.
 //!
 //! # Example
 //!
@@ -21,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod experiment;
 pub mod fault;
 pub mod metrics;
 pub mod plan;
@@ -30,10 +30,6 @@ pub mod simulation;
 pub mod taxonomy;
 pub mod telemetry;
 
-pub use experiment::{
-    average_reports, render_csv, render_table, run_averaged, run_matrix, run_matrix_with_workers,
-    ExperimentCell,
-};
 pub use fault::{Fault, FaultKind, FaultPlan, FaultPlanError};
 pub use metrics::{Metrics, Report, ReportField};
 pub use plan::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};

@@ -1,16 +1,15 @@
-//! Declarative campaign plans: the redesigned experiment orchestration API.
+//! Declarative campaign plans: the one description of an experiment sweep.
 //!
 //! A [`CampaignPlan`] is a list of explicit *cells* — each a labelled
-//! (scenario, protocol, replication policy) binding — rather than the uniform
-//! (scenario grid × protocol list) cross product the old `CampaignSpec`
-//! forced. That makes mixed comparisons (Fig. 5's "AODV without RSUs vs DRR
-//! with increasing RSU counts") one plan instead of several specs, while
-//! [`CampaignPlan::cross_product`] preserves the old behaviour for uniform
+//! (scenario, protocol, replication policy) binding — rather than a uniform
+//! (scenario grid × protocol list) cross product. That makes mixed
+//! comparisons (Fig. 5's "AODV without RSUs vs DRR with increasing RSU
+//! counts") one plan, while [`CampaignPlan::cross_product`] covers uniform
 //! sweeps.
 //!
 //! The plan also owns the campaign layer's two determinism conventions, so
-//! every consumer (the `vanet-runner` engine, `run_matrix`, figure
-//! generators) agrees by construction:
+//! everything that runs or caches a plan (the `vanet-runner` engine, its
+//! journal) agrees by construction:
 //!
 //! * **seeding** — replication `r` of a cell runs the cell's scenario with
 //!   seed `scenario.seed + r` ([`CampaignPlan::job`]);
@@ -25,8 +24,7 @@ use vanet_sim::StableHasher;
 /// How many replications a cell runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplicationPolicy {
-    /// Exactly `n` replications (clamped to at least 1). Results are
-    /// byte-identical to the legacy cross-product path for the same count.
+    /// Exactly `n` replications (clamped to at least 1).
     Fixed(usize),
     /// Keep adding replications until the 95% confidence interval of the
     /// chosen summary metric is narrow enough (or `max` is reached).
@@ -153,11 +151,9 @@ impl CampaignPlan {
         self
     }
 
-    /// The uniform (scenario grid × protocol list) expansion the old
-    /// `CampaignSpec` produced: scenario-major cell order, every protocol on
-    /// every scenario, `replications` fixed seeds per cell. Cell numbering
-    /// and seeding are identical to the legacy path, which is what keeps
-    /// `Fixed`-policy results byte-identical through the redesign.
+    /// The uniform (scenario grid × protocol list) sweep: scenario-major
+    /// cell order, every protocol on every scenario, `replications` fixed
+    /// seeds per cell.
     #[must_use]
     pub fn cross_product(
         name: impl Into<String>,
@@ -289,7 +285,7 @@ mod tests {
         assert_eq!(plan.cells[2].label, "b");
         let jobs = plan.initial_jobs();
         assert_eq!(jobs.len(), 12);
-        // Cell-major, seeds base + replicate — the legacy convention.
+        // Cell-major, seeds base + replicate.
         assert_eq!(jobs[0].cell, 0);
         assert_eq!(jobs[0].scenario.seed, 100);
         assert_eq!(jobs[2].scenario.seed, 102);

@@ -27,7 +27,8 @@
 //!                         fails the run)
 //!   --ci-target W         adaptive replication: keep adding seeds per cell
 //!                         until the 95% CI half-width of --ci-metric is <= W
-//!                         (min replications = --seeds, cap = --ci-max)
+//!                         (min replications = --seeds but at least 2,
+//!                         cap = --ci-max)
 //!   --ci-metric NAME      metric watched by --ci-target
 //!                         (default delivery_ratio)
 //!   --ci-max N            replication cap per cell for --ci-target
@@ -178,11 +179,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .collect();
             }
             "--seeds" => {
-                args.seeds = Some(
-                    value("--seeds")?
-                        .parse()
-                        .map_err(|_| "--seeds needs an integer".to_owned())?,
-                );
+                let seeds: usize = value("--seeds")?
+                    .parse()
+                    .map_err(|_| "--seeds needs an integer".to_owned())?;
+                if seeds == 0 {
+                    return Err("--seeds must be at least 1".to_owned());
+                }
+                args.seeds = Some(seeds);
             }
             "--workers" => {
                 args.workers = Some(
@@ -301,9 +304,13 @@ fn build_plan(args: &Args) -> Result<CampaignPlan, String> {
     let mut plan = spec.to_plan();
     if let Some(target_width) = args.ci_target {
         let min = args.seeds.unwrap_or(3);
-        if args.ci_max < min {
+        // A confidence width needs two samples, so the policy never runs
+        // fewer than two seeds whatever --seeds says.
+        let effective_min = min.max(2);
+        if args.ci_max < effective_min {
             return Err(format!(
-                "--ci-max {} is below the minimum replication count {min} (--seeds)",
+                "--ci-max {} is below the minimum replication count {effective_min} \
+                 (--seeds, and at least 2 for --ci-target)",
                 args.ci_max
             ));
         }
@@ -440,7 +447,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, split_scenarios, usage};
+    use super::{build_plan, parse_args, split_scenarios, usage};
 
     #[test]
     fn scenario_splitting_keeps_multi_option_specs_together() {
@@ -478,5 +485,27 @@ mod tests {
             );
         }
         assert!(!usage().contains("bench"), "{}", usage());
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn zero_seeds_are_rejected() {
+        assert_eq!(
+            parse_args(&argv("--seeds 0")).err(),
+            Some("--seeds must be at least 1".to_owned())
+        );
+    }
+
+    #[test]
+    fn ci_max_is_checked_against_the_effective_minimum() {
+        // --ci-target runs at least two seeds per cell, so a cap of one
+        // cannot be honoured even when --seeds asks for one.
+        let plan = |line: &str| build_plan(&parse_args(&argv(line)).expect("flags parse"));
+        let error = plan("--ci-target 0.1 --seeds 1 --ci-max 1").expect_err("cap below 2");
+        assert!(error.contains("--ci-max 1 is below"), "{error}");
+        assert!(plan("--ci-target 0.1 --seeds 1 --ci-max 2").is_ok());
     }
 }

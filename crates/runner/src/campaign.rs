@@ -1,26 +1,18 @@
-//! Legacy campaign specification: the (scenario grid × protocols × seeds)
-//! cube, superseded by [`CampaignPlan`].
+//! The uniform campaign builder: a (scenario grid × protocols × seeds)
+//! cube that converts to a [`CampaignPlan`].
 //!
 //! A [`CampaignSpec`] names a set of labelled scenarios, a set of protocols
-//! and a replication count, and expands into a flat list of independent
-//! [`Job`]s. Each job's seed is fixed at expansion time
-//! (`scenario.seed + replicate`, the same convention as
-//! `vanet_core::run_averaged`), which is what makes parallel execution
-//! trivially deterministic: a job's result depends only on the job, never on
-//! which worker runs it or when.
-//!
-//! **Deprecated in favour of [`CampaignPlan`]**: a spec can only apply every
-//! protocol to every scenario uniformly with a fixed replication count. It is
-//! kept as a convenience wrapper for exactly that shape — the engine converts
-//! it via [`CampaignSpec::to_plan`] (which preserves cell numbering, seeding
-//! and therefore byte-identical results) and all new capabilities (per-cell
-//! protocol bindings, adaptive replication, journals) exist only on the plan
-//! side.
+//! and a replication count; [`CampaignSpec::to_plan`] turns it into the
+//! equivalent [`CampaignPlan`] (scenario-major cells, `Fixed` replication),
+//! which is what the engine runs and which owns job expansion and seeding.
+//! The builder stays because the catalog ([`crate::campaign_by_name`]) and
+//! the CLI's `--scenarios × --protocols` campaigns are written in it, and the
+//! repo benchmark builds its campaign workload from
+//! `campaign_by_name(..).to_plan()`.
 
 use vanet_core::{CampaignPlan, ProtocolKind, Scenario};
 
 /// A declarative description of one uniform cross-product campaign.
-/// Superseded by [`CampaignPlan`]; see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name (used in exports and progress output).
@@ -31,19 +23,6 @@ pub struct CampaignSpec {
     pub protocols: Vec<ProtocolKind>,
     /// Seed replications per (scenario, protocol) cell.
     pub replications: usize,
-}
-
-/// One independent unit of work: a single simulation run.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Index of the (scenario × protocol) cell this job belongs to.
-    pub cell: usize,
-    /// Replication index within the cell (0-based).
-    pub replicate: usize,
-    /// The fully seeded scenario to run.
-    pub scenario: Scenario,
-    /// The protocol to run it with.
-    pub protocol: ProtocolKind,
 }
 
 impl CampaignSpec {
@@ -79,30 +58,8 @@ impl CampaignSpec {
         self
     }
 
-    /// Number of (scenario × protocol) cells.
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.scenarios.len() * self.protocols.len()
-    }
-
-    /// Number of individual simulation jobs.
-    #[must_use]
-    pub fn job_count(&self) -> usize {
-        self.cell_count() * self.replications.max(1)
-    }
-
-    /// The label, scenario and protocol of cell `index` (cells are
-    /// scenario-major); the single place the cell numbering is decoded.
-    #[must_use]
-    pub fn cell(&self, index: usize) -> (&str, &Scenario, ProtocolKind) {
-        let per_scenario = self.protocols.len();
-        let (label, scenario) = &self.scenarios[index / per_scenario];
-        (label, scenario, self.protocols[index % per_scenario])
-    }
-
     /// Converts the spec to the equivalent [`CampaignPlan`]: one `Fixed`
-    /// cell per (scenario, protocol) pair in the same scenario-major order,
-    /// so plan execution reproduces spec execution byte-identically.
+    /// cell per (scenario, protocol) pair, in scenario-major order.
     #[must_use]
     pub fn to_plan(&self) -> CampaignPlan {
         CampaignPlan::cross_product(
@@ -111,30 +68,6 @@ impl CampaignSpec {
             &self.protocols,
             self.replications.max(1),
         )
-    }
-
-    /// Expands the campaign into its flat, cell-major job list.
-    #[must_use]
-    pub fn jobs(&self) -> Vec<Job> {
-        let replications = self.replications.max(1);
-        let mut jobs = Vec::with_capacity(self.job_count());
-        let mut cell = 0;
-        for (_, scenario) in &self.scenarios {
-            for &protocol in &self.protocols {
-                for replicate in 0..replications {
-                    jobs.push(Job {
-                        cell,
-                        replicate,
-                        scenario: scenario
-                            .clone()
-                            .with_seed(scenario.seed.wrapping_add(replicate as u64)),
-                        protocol,
-                    });
-                }
-                cell += 1;
-            }
-        }
-        jobs
     }
 }
 
@@ -150,54 +83,6 @@ pub fn protocol_by_name(name: &str) -> Option<ProtocolKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vanet_sim::SimDuration;
-
-    fn spec() -> CampaignSpec {
-        CampaignSpec::new("test")
-            .scenario("a", Scenario::highway(10).with_seed(100))
-            .scenario("b", Scenario::urban(10).with_seed(200))
-            .protocols([ProtocolKind::Aodv, ProtocolKind::Greedy])
-            .replications(3)
-    }
-
-    #[test]
-    fn job_expansion_is_cell_major_and_seeded() {
-        let spec = spec();
-        assert_eq!(spec.cell_count(), 4);
-        assert_eq!(spec.job_count(), 12);
-        let jobs = spec.jobs();
-        assert_eq!(jobs.len(), 12);
-        // First cell: scenario "a" with AODV, seeds 100..103.
-        for (r, job) in jobs[..3].iter().enumerate() {
-            assert_eq!(job.cell, 0);
-            assert_eq!(job.replicate, r);
-            assert_eq!(job.scenario.seed, 100 + r as u64);
-            assert_eq!(job.protocol, ProtocolKind::Aodv);
-        }
-        // Cells are numbered scenario-major.
-        assert_eq!(jobs[3].cell, 1);
-        assert_eq!(jobs[3].protocol, ProtocolKind::Greedy);
-        assert_eq!(jobs[6].cell, 2);
-        assert_eq!(jobs[6].scenario.seed, 200);
-        let (label, scenario, protocol) = spec.cell(2);
-        assert_eq!(
-            (label, scenario.seed, protocol),
-            ("b", 200, ProtocolKind::Aodv)
-        );
-    }
-
-    #[test]
-    fn replications_clamp_to_one() {
-        let spec = CampaignSpec::new("x")
-            .scenario(
-                "a",
-                Scenario::highway(4).with_duration(SimDuration::from_secs(1.0)),
-            )
-            .protocols([ProtocolKind::Flooding])
-            .replications(0);
-        assert_eq!(spec.job_count(), 1);
-        assert_eq!(spec.jobs().len(), 1);
-    }
 
     #[test]
     fn protocol_names_round_trip() {
@@ -225,18 +110,43 @@ mod tests {
 
     #[test]
     fn spec_converts_to_equivalent_plan() {
-        let spec = spec();
+        let spec = CampaignSpec::new("test")
+            .scenario("a", Scenario::highway(10).with_seed(100))
+            .scenario("b", Scenario::urban(10).with_seed(200))
+            .protocols([ProtocolKind::Aodv, ProtocolKind::Greedy])
+            .replications(3);
         let plan = spec.to_plan();
-        assert_eq!(plan.name, spec.name);
-        assert_eq!(plan.cells.len(), spec.cell_count());
-        assert_eq!(plan.initial_job_count(), spec.job_count());
-        // Same cell numbering, labels, protocols and job seeding.
-        let plan_jobs = plan.initial_jobs();
-        for (job, plan_job) in spec.jobs().iter().zip(&plan_jobs) {
-            assert_eq!(job.cell, plan_job.cell);
-            assert_eq!(job.replicate, plan_job.replicate);
-            assert_eq!(job.scenario, plan_job.scenario);
-            assert_eq!(job.protocol, plan_job.protocol);
-        }
+        assert_eq!(plan.name, "test");
+        // Cells are scenario-major: every protocol on "a", then on "b".
+        let cells: Vec<(&str, ProtocolKind)> = plan
+            .cells
+            .iter()
+            .map(|c| (c.label.as_str(), c.protocol))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ("a", ProtocolKind::Aodv),
+                ("a", ProtocolKind::Greedy),
+                ("b", ProtocolKind::Aodv),
+                ("b", ProtocolKind::Greedy),
+            ]
+        );
+        // Cell-major jobs seeded `base seed + replicate`.
+        let jobs = plan.initial_jobs();
+        let job_cells: Vec<usize> = jobs.iter().map(|job| job.cell).collect();
+        assert_eq!(job_cells, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+        let seeds: Vec<u64> = jobs.iter().map(|job| job.scenario.seed).collect();
+        assert_eq!(
+            seeds,
+            [100, 101, 102, 100, 101, 102, 200, 201, 202, 200, 201, 202]
+        );
+        // A replication count of zero still runs one seed.
+        let one = CampaignSpec::new("x")
+            .scenario("a", Scenario::highway(4))
+            .protocols([ProtocolKind::Flooding])
+            .replications(0)
+            .to_plan();
+        assert_eq!(one.initial_job_count(), 1);
     }
 }

@@ -166,7 +166,10 @@ mod tests {
             for full in [false, true] {
                 let spec = campaign_by_name(name, full)
                     .unwrap_or_else(|| panic!("catalog entry {name} missing"));
-                assert!(spec.job_count() > 0, "{name} expands to zero jobs");
+                assert!(
+                    spec.to_plan().initial_job_count() > 0,
+                    "{name} expands to zero jobs"
+                );
             }
         }
         assert!(campaign_by_name("nope", false).is_none());

@@ -19,7 +19,6 @@
 //! from the cache instead of executed, which is both crash-resume and
 //! cell-level caching (see `crate::journal`).
 
-use crate::campaign::CampaignSpec;
 use crate::journal::{Journal, JournalEntry, QuarantineEntry};
 use crate::manifest;
 use crate::summary::{t_critical_95, Summary};
@@ -70,7 +69,7 @@ pub struct CellSummary {
 }
 
 impl CellSummary {
-    /// Collapses the cell to a mean-only [`Report`] (legacy reduction).
+    /// Collapses the cell to a mean-only [`Report`] ([`Summary::mean_report`]).
     #[must_use]
     pub fn mean_report(&self) -> Report {
         self.summary
@@ -248,22 +247,6 @@ impl Runner {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs a legacy cross-product [`CampaignSpec`] by converting it to a
-    /// [`CampaignPlan`] — results are byte-identical to the pre-plan engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec has no scenarios or no protocols.
-    #[must_use]
-    pub fn run(&self, spec: &CampaignSpec) -> CampaignResults {
-        assert!(
-            !spec.scenarios.is_empty() && !spec.protocols.is_empty(),
-            "campaign '{}' has an empty scenario or protocol set",
-            spec.name
-        );
-        self.run_plan(&spec.to_plan())
     }
 
     /// Runs every cell of `plan` and aggregates per-cell summaries.
@@ -764,21 +747,20 @@ mod tests {
     use vanet_core::Scenario;
     use vanet_sim::SimDuration;
 
-    fn tiny_spec() -> CampaignSpec {
-        CampaignSpec::new("tiny")
-            .scenario(
-                "hw",
-                Scenario::highway(10)
-                    .with_flows(2)
-                    .with_duration(SimDuration::from_secs(10.0)),
-            )
-            .protocols([ProtocolKind::Flooding])
-            .replications(2)
+    fn tiny_plan() -> CampaignPlan {
+        CampaignPlan::new("tiny").cell_with(
+            "hw",
+            Scenario::highway(10)
+                .with_flows(2)
+                .with_duration(SimDuration::from_secs(10.0)),
+            ProtocolKind::Flooding,
+            ReplicationPolicy::Fixed(2),
+        )
     }
 
     #[test]
     fn runs_and_aggregates() {
-        let results = Runner::new().with_workers(2).run(&tiny_spec());
+        let results = Runner::new().with_workers(2).run_plan(&tiny_plan());
         assert_eq!(results.cells.len(), 1);
         let cell = &results.cells[0];
         assert_eq!(cell.label, "hw");
@@ -791,9 +773,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty scenario or protocol set")]
+    #[should_panic(expected = "has no cells")]
     fn empty_spec_panics() {
-        let _ = Runner::new().run(&CampaignSpec::new("empty"));
+        // A spec with scenarios but no protocols converts to an empty plan.
+        let spec = crate::CampaignSpec::new("empty").scenario("hw", Scenario::highway(4));
+        let _ = Runner::new().run_plan(&spec.to_plan());
     }
 
     #[test]
@@ -814,35 +798,34 @@ mod tests {
         let _ = Runner::new().run_plan(&plan);
     }
 
-    fn shard_spec() -> CampaignSpec {
-        CampaignSpec::new("sharded")
-            .scenario(
-                "a",
-                Scenario::highway(8)
-                    .with_flows(1)
-                    .with_duration(SimDuration::from_secs(5.0)),
-            )
-            .scenario(
-                "b",
-                Scenario::highway(12)
-                    .with_flows(1)
-                    .with_duration(SimDuration::from_secs(5.0)),
-            )
-            .protocols([ProtocolKind::Flooding, ProtocolKind::Greedy])
-            .replications(2)
+    fn shard_plan() -> CampaignPlan {
+        let scenario = |vehicles| {
+            Scenario::highway(vehicles)
+                .with_flows(1)
+                .with_duration(SimDuration::from_secs(5.0))
+        };
+        CampaignPlan::cross_product(
+            "sharded",
+            &[
+                ("a".to_owned(), scenario(8)),
+                ("b".to_owned(), scenario(12)),
+            ],
+            &[ProtocolKind::Flooding, ProtocolKind::Greedy],
+            2,
+        )
     }
 
     #[test]
     fn shards_are_disjoint_and_cover_the_full_campaign() {
-        let spec = shard_spec();
-        let full = Runner::new().with_workers(2).run(&spec);
+        let plan = shard_plan();
+        let full = Runner::new().with_workers(2).run_plan(&plan);
         let count = 3;
         let mut union: Vec<CellSummary> = Vec::new();
         for index in 0..count {
             let shard = Runner::new()
                 .with_workers(2)
                 .with_shard(index, count)
-                .run(&spec);
+                .run_plan(&plan);
             for cell in shard.cells {
                 assert!(
                     !union
@@ -1011,7 +994,7 @@ mod tests {
         let results = Runner::new()
             .with_workers(2)
             .with_journal(&path)
-            .run(&tiny_spec());
+            .run_plan(&tiny_plan());
         assert_eq!(results.cells.len(), 1);
         assert_eq!(results.executed_jobs, 2);
         std::fs::remove_file(&path).ok();

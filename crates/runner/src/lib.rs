@@ -7,17 +7,19 @@
 //! * [`CampaignPlan`] (from `vanet-core`, re-exported here) declares a
 //!   campaign as explicit per-cell (label, scenario, protocol,
 //!   [`ReplicationPolicy`]) bindings — mixed comparisons are one plan — with
-//!   [`CampaignPlan::cross_product`] covering the uniform sweeps the legacy
-//!   [`CampaignSpec`] described;
-//! * [`Runner`] executes plans on a work-stealing `std::thread` pool sized
-//!   to the available cores, streaming progress to stderr; with
+//!   [`CampaignPlan::cross_product`] (or the [`CampaignSpec`] builder the
+//!   catalog is written in) covering uniform sweeps;
+//! * [`Runner::run_plan`] is the one way a campaign runs — the CLI, the
+//!   figure generators and the examples all execute their plans there — on
+//!   a work-stealing `std::thread` pool sized to the available cores,
+//!   streaming progress to stderr; with
 //!   [`Runner::with_journal`] every completed job is persisted to a
 //!   content-hash-keyed [`Journal`], so interrupted campaigns resume
 //!   executing only the missing jobs and edited plans re-run only changed
 //!   cells;
 //! * [`ReplicationPolicy::ConfidenceWidth`] keeps adding seeds to a cell
 //!   until the 95% CI of a chosen metric is narrow enough, while
-//!   [`ReplicationPolicy::Fixed`] stays byte-identical to the legacy path;
+//!   [`ReplicationPolicy::Fixed`] runs exactly `n` seeds;
 //! * every cell is reduced to a [`Summary`] carrying mean, std-dev, min/max
 //!   and 95% confidence intervals per metric;
 //! * results export as fixed-width tables, CSV and JSONL
@@ -74,7 +76,7 @@ pub mod summary;
 pub mod telemetry;
 
 pub use analysis::{metric_value, run_analyze, welch_t_test, AnalyzeReport, WelchResult};
-pub use campaign::{protocol_by_name, CampaignSpec, Job};
+pub use campaign::{protocol_by_name, CampaignSpec};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
 pub use export::{
@@ -86,6 +88,6 @@ pub use rss::peak_rss_bytes;
 pub use scenario_spec::ScenarioParseError;
 pub use summary::{t_critical_95, Summary, SummaryStat, METRIC_NAMES};
 pub use telemetry::{TelemetryEntry, TelemetryLog, TELEMETRY_FILE};
-// The plan types live in vanet-core (so the experiment harness shares the
-// same conventions) but are part of this crate's primary API.
+// The plan types live in vanet-core (beside the scenarios they bind) but are
+// part of this crate's primary API.
 pub use vanet_core::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};

@@ -1,11 +1,11 @@
 //! Statistical summaries of replicated simulation runs.
 //!
-//! The old `average_reports` reduction collapsed a set of per-seed
-//! [`Report`]s to a bare mean, throwing away every notion of spread. A
-//! [`Summary`] instead carries, for every metric, the sample mean, sample
-//! standard deviation, minimum, maximum and the half-width of the 95%
-//! confidence interval of the mean (Student's t for small replication
-//! counts), which is what the paper-style evaluation tables actually need.
+//! A [`Summary`] is the one reduction of a cell's per-seed [`Report`]s: for
+//! every metric it carries the sample mean, sample standard deviation,
+//! minimum, maximum and the half-width of the 95% confidence interval of the
+//! mean (Student's t for small replication counts), which is what the
+//! paper-style evaluation tables need. [`Summary::mean_report`] collapses it
+//! back to a typical-run [`Report`] for callers that want the mean alone.
 
 use vanet_core::{Report, ReportField};
 
@@ -148,9 +148,9 @@ impl Summary {
         Some(&mut self.stats[slot(name)?])
     }
 
-    /// Collapses the summary back to a mean-only [`Report`], matching the
-    /// rounding behaviour of `vanet_core::average_reports` so existing
-    /// figure generators can keep their return types.
+    /// Collapses the summary back to a mean-only [`Report`]: real metrics
+    /// are the plain mean, count metrics the mean rounded to the nearest
+    /// integer (half away from zero), so the result reads as a typical run.
     #[must_use]
     pub fn mean_report(&self, protocol: impl Into<String>, scenario: impl Into<String>) -> Report {
         let mut report = Report {
@@ -229,5 +229,52 @@ mod tests {
         }
         assert!(summary.metric("nope").is_none());
         assert!(summary.metric_mut("nope").is_none());
+    }
+
+    fn tiny_run(seed: u64) -> Report {
+        vanet_core::run_scenario(
+            vanet_core::Scenario::highway(20)
+                .with_seed(seed)
+                .with_flows(2)
+                .with_duration(vanet_sim::SimDuration::from_secs(15.0)),
+            vanet_core::ProtocolKind::Greedy,
+        )
+    }
+
+    #[test]
+    fn mean_of_one_report_is_that_report() {
+        let r = tiny_run(1);
+        let summary = Summary::from_reports(std::slice::from_ref(&r)).unwrap();
+        assert_eq!(
+            summary.mean_report(r.protocol.clone(), r.scenario.clone()),
+            r
+        );
+    }
+
+    #[test]
+    fn mean_of_two_seeds_lies_between_them() {
+        let (a, b) = (tiny_run(1), tiny_run(2));
+        let mean = Summary::from_reports(&[a.clone(), b.clone()])
+            .unwrap()
+            .mean_report("", "");
+        let lo = a.delivery_ratio.min(b.delivery_ratio);
+        let hi = a.delivery_ratio.max(b.delivery_ratio);
+        assert!(mean.delivery_ratio >= lo - 1e-12 && mean.delivery_ratio <= hi + 1e-12);
+    }
+
+    #[test]
+    fn count_means_round_half_away_from_zero() {
+        let one = Report {
+            data_sent: 1,
+            ..Report::default()
+        };
+        let two = Report {
+            data_sent: 2,
+            ..Report::default()
+        };
+        let mean = Summary::from_reports(&[one, two])
+            .unwrap()
+            .mean_report("", "");
+        assert_eq!(mean.data_sent, 2, "a count mean of 1.5 rounds to 2");
     }
 }

@@ -279,15 +279,10 @@ impl TelemetryLog {
     }
 
     /// Looks an entry up by its content key.
+    #[cfg(test)]
     #[must_use]
     pub fn get(&self, key: u64) -> Option<&TelemetryEntry> {
         self.index.get(&key).map(|&at| &self.entries[at])
-    }
-
-    /// Every loaded entry, in file order.
-    #[must_use]
-    pub fn entries(&self) -> &[TelemetryEntry] {
-        &self.entries
     }
 
     /// Appends one entry under the journal's crash- and shard-safety

@@ -3,34 +3,35 @@
 //! subsystem.
 
 use vanet_core::{ProtocolKind, Scenario};
-use vanet_runner::{parse_csv, parse_jsonl, render_csv, render_jsonl, CampaignSpec, Runner};
+use vanet_runner::{parse_csv, parse_jsonl, render_csv, render_jsonl, CampaignPlan, Runner};
 use vanet_sim::SimDuration;
 
 /// A 2-scenario × 2-protocol × 3-seed campaign, small enough for CI.
-fn campaign() -> CampaignSpec {
-    CampaignSpec::new("determinism")
-        .scenario(
-            "highway",
-            Scenario::highway(20)
-                .with_flows(2)
-                .with_duration(SimDuration::from_secs(15.0)),
-        )
-        .scenario(
-            "urban",
-            Scenario::urban(20)
-                .with_flows(2)
-                .with_duration(SimDuration::from_secs(15.0)),
-        )
-        .protocols([ProtocolKind::Aodv, ProtocolKind::Greedy])
-        .replications(3)
+fn campaign() -> CampaignPlan {
+    let duration = SimDuration::from_secs(15.0);
+    CampaignPlan::cross_product(
+        "determinism",
+        &[
+            (
+                "highway".to_owned(),
+                Scenario::highway(20).with_flows(2).with_duration(duration),
+            ),
+            (
+                "urban".to_owned(),
+                Scenario::urban(20).with_flows(2).with_duration(duration),
+            ),
+        ],
+        &[ProtocolKind::Aodv, ProtocolKind::Greedy],
+        3,
+    )
 }
 
 #[test]
 fn campaign_is_deterministic_across_worker_counts() {
-    let spec = campaign();
-    let serial = Runner::new().with_workers(1).run(&spec);
+    let plan = campaign();
+    let serial = Runner::new().with_workers(1).run_plan(&plan);
     for workers in [2, 4, 8] {
-        let parallel = Runner::new().with_workers(workers).run(&spec);
+        let parallel = Runner::new().with_workers(workers).run_plan(&plan);
         assert_eq!(
             serial.cells, parallel.cells,
             "{workers}-worker campaign diverged from the serial run"
@@ -48,7 +49,7 @@ fn campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn summaries_carry_real_spread_information() {
-    let results = Runner::new().run(&campaign());
+    let results = Runner::new().run_plan(&campaign());
     assert_eq!(results.cells.len(), 4);
     for cell in &results.cells {
         let s = &cell.summary;
@@ -76,7 +77,7 @@ fn summaries_carry_real_spread_information() {
 
 #[test]
 fn jsonl_and_csv_round_trip_the_cells() {
-    let results = Runner::new().run(&campaign());
+    let results = Runner::new().run_plan(&campaign());
 
     let jsonl = render_jsonl(&results);
     assert_eq!(jsonl.lines().count(), results.cells.len());

@@ -1,5 +1,5 @@
-//! Integration tests for the CampaignPlan v2 acceptance criteria: the
-//! golden `Fixed`-policy equivalence with the legacy cross-product path,
+//! Integration tests for the campaign engine's acceptance criteria: a
+//! `Fixed`-policy campaign against a hand-rolled serial golden,
 //! journal-based resume executing only missing jobs, cell-level caching of
 //! edited plans, and adaptive (`ConfidenceWidth`) replication — all
 //! byte-identical to cold serial runs.
@@ -52,16 +52,16 @@ fn mixed_plan() -> CampaignPlan {
 
 #[test]
 fn fixed_policy_plan_is_byte_identical_to_legacy_spec_path() {
-    // Golden: the redesigned engine must reproduce the CampaignSpec
-    // cross-product results exactly. The reference is computed with a
-    // hand-rolled serial loop over the legacy job expansion — fully
-    // independent of run_plan's scheduling, journaling and rounds.
+    // Golden: a CampaignSpec cross product run through run_plan must
+    // reproduce a hand-rolled serial loop over (scenario, protocol,
+    // base seed + replicate) exactly — a reference fully independent of
+    // the plan's job expansion, run_plan's scheduling, journaling and rounds.
     let spec = CampaignSpec::new("golden")
         .scenario("hw", tiny(12, 100))
         .scenario("hw2", tiny(16, 200))
         .protocols([ProtocolKind::Flooding, ProtocolKind::Greedy])
         .replications(2);
-    let results = Runner::new().with_workers(4).run(&spec);
+    let results = Runner::new().with_workers(4).run_plan(&spec.to_plan());
 
     let mut expected = Vec::new();
     for (label, scenario) in &spec.scenarios {
@@ -87,7 +87,7 @@ fn fixed_policy_plan_is_byte_identical_to_legacy_spec_path() {
         assert_eq!(cell.protocol, *protocol);
         assert_eq!(
             &cell.summary, summary,
-            "cell {label}/{protocol} diverged from the legacy serial reduction"
+            "cell {label}/{protocol} diverged from the serial reduction"
         );
     }
 }

@@ -42,7 +42,7 @@ pub use error::SimError;
 pub use event::{EventEntry, EventHandle, EventKey, EventQueue};
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
-pub use pool::{available_workers, parallel_map_indexed, parallel_map_with_progress};
+pub use pool::{available_workers, parallel_map_with_progress};
 pub use rng::SimRng;
 pub use scheduler::{Clock, Scheduler, TimerHandle};
 pub use stats::{Counter, Histogram, RunningStats, TimeWeightedAverage};

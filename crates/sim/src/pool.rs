@@ -20,22 +20,13 @@ pub fn available_workers() -> usize {
 }
 
 /// Runs `f(i)` for every `i in 0..n` on `workers` threads and returns the
-/// results in index order.
+/// results in index order, invoking `progress(job, done, total)` after each
+/// job completes (from the worker that ran it), where `done` is the number of
+/// jobs finished so far including this one.
 ///
 /// With `workers <= 1` the jobs run serially on the calling thread; the
 /// results are identical either way because each job depends only on its
 /// index. Panics in `f` propagate to the caller.
-pub fn parallel_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with_progress(n, workers, f, |_, _, _| {})
-}
-
-/// Like [`parallel_map_indexed`], but invokes `progress(job, done, total)`
-/// after each job completes (from the worker that ran it), where `done` is
-/// the number of jobs finished so far including this one.
 pub fn parallel_map_with_progress<T, F, P>(n: usize, workers: usize, f: F, progress: P) -> Vec<T>
 where
     T: Send,
@@ -84,22 +75,25 @@ where
 mod tests {
     use super::*;
 
+    fn no_progress(_: usize, _: usize, _: usize) {}
+
     #[test]
     fn results_are_in_job_order() {
-        let out = parallel_map_indexed(100, 8, |i| i * i);
+        let out = parallel_map_with_progress(100, 8, |i| i * i, no_progress);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = parallel_map_indexed(37, 1, |i| i as u64 * 0x9e37_79b9);
-        let parallel = parallel_map_indexed(37, 6, |i| i as u64 * 0x9e37_79b9);
+        let job = |i: usize| i as u64 * 0x9e37_79b9;
+        let serial = parallel_map_with_progress(37, 1, job, no_progress);
+        let parallel = parallel_map_with_progress(37, 6, job, no_progress);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<u8> = parallel_map_indexed(0, 4, |_| unreachable!());
+        let out: Vec<u8> = parallel_map_with_progress(0, 4, |_| unreachable!(), no_progress);
         assert!(out.is_empty());
     }
 

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example protocol_comparison`
 
-use vanet::core::{render_table, run_matrix, ProtocolKind, Scenario, TrafficRegime};
+use vanet::core::{CampaignPlan, ProtocolKind, Scenario, TrafficRegime};
 use vanet::sim::SimDuration;
+use vanet_runner::{render_table, Runner};
 
 fn main() {
     let scenarios: Vec<(String, Scenario)> = TrafficRegime::ALL
@@ -21,8 +22,13 @@ fn main() {
         .collect();
 
     println!("Representative protocol per category, 3 traffic regimes, 60 s each\n");
-    let cells = run_matrix(&scenarios, &ProtocolKind::REPRESENTATIVES, 2);
-    println!("{}", render_table(&cells));
+    let plan = CampaignPlan::cross_product(
+        "protocol-comparison",
+        &scenarios,
+        &ProtocolKind::REPRESENTATIVES,
+        2,
+    );
+    println!("{}", render_table(&Runner::new().run_plan(&plan)));
 
     println!("Categories (Fig. 1 taxonomy):");
     for line in vanet::core::taxonomy_lines() {

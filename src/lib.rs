@@ -15,7 +15,7 @@
 //! * [`links`] — link lifetime (Eq. 1–4), direction decomposition and the
 //!   probability models of Sec. VII;
 //! * [`routing`] — the seventeen protocol implementations;
-//! * [`core`] — scenarios, the simulation driver, metrics and experiments.
+//! * [`core`] — scenarios, the simulation driver, metrics and campaign plans.
 //!
 //! # Quickstart
 //!
@@ -42,8 +42,8 @@ pub use vanet_sim as sim;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use vanet_core::{
-        run_averaged, run_scenario, CampaignPlan, ChannelModel, ProtocolKind, ReplicationPolicy,
-        Report, Scenario, Simulation, TrafficRegime,
+        run_scenario, CampaignPlan, ChannelModel, ProtocolKind, ReplicationPolicy, Report,
+        Scenario, Simulation, TrafficRegime,
     };
     pub use vanet_links::{
         link_lifetime_constant_speed, link_lifetime_planar, path_lifetime, LinkLifetime,
