@@ -108,39 +108,46 @@ mod tests {
         assert_eq!(protocol_by_name("nope"), None);
     }
 
-    #[test]
-    fn spec_converts_to_equivalent_plan() {
-        let spec = CampaignSpec::new("test")
+    fn spec() -> CampaignSpec {
+        CampaignSpec::new("test")
             .scenario("a", Scenario::highway(10).with_seed(100))
             .scenario("b", Scenario::urban(10).with_seed(200))
             .protocols([ProtocolKind::Aodv, ProtocolKind::Greedy])
-            .replications(3);
-        let plan = spec.to_plan();
-        assert_eq!(plan.name, "test");
-        // Cells are scenario-major: every protocol on "a", then on "b".
-        let cells: Vec<(&str, ProtocolKind)> = plan
-            .cells
-            .iter()
-            .map(|c| (c.label.as_str(), c.protocol))
-            .collect();
+            .replications(3)
+    }
+
+    #[test]
+    fn job_expansion_is_cell_major_and_seeded() {
+        let jobs = spec().to_plan().initial_jobs();
+        // Cell-major jobs seeded `base seed + replicate`.
+        let job_cells: Vec<(usize, usize)> =
+            jobs.iter().map(|job| (job.cell, job.replicate)).collect();
         assert_eq!(
-            cells,
+            job_cells,
             [
-                ("a", ProtocolKind::Aodv),
-                ("a", ProtocolKind::Greedy),
-                ("b", ProtocolKind::Aodv),
-                ("b", ProtocolKind::Greedy),
+                (0, 0),
+                (0, 1),
+                (0, 2),
+                (1, 0),
+                (1, 1),
+                (1, 2),
+                (2, 0),
+                (2, 1),
+                (2, 2),
+                (3, 0),
+                (3, 1),
+                (3, 2),
             ]
         );
-        // Cell-major jobs seeded `base seed + replicate`.
-        let jobs = plan.initial_jobs();
-        let job_cells: Vec<usize> = jobs.iter().map(|job| job.cell).collect();
-        assert_eq!(job_cells, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
         let seeds: Vec<u64> = jobs.iter().map(|job| job.scenario.seed).collect();
         assert_eq!(
             seeds,
             [100, 101, 102, 100, 101, 102, 200, 201, 202, 200, 201, 202]
         );
+    }
+
+    #[test]
+    fn replications_clamp_to_one() {
         // A replication count of zero still runs one seed.
         let one = CampaignSpec::new("x")
             .scenario("a", Scenario::highway(4))
@@ -148,5 +155,28 @@ mod tests {
             .replications(0)
             .to_plan();
         assert_eq!(one.initial_job_count(), 1);
+        assert_eq!(one.initial_jobs().len(), 1);
+    }
+
+    #[test]
+    fn spec_converts_to_equivalent_plan() {
+        let plan = spec().to_plan();
+        assert_eq!(plan.name, "test");
+        assert_eq!(plan.initial_job_count(), 12);
+        // Cells are scenario-major: every protocol on "a", then on "b".
+        let cells: Vec<(&str, u64, ProtocolKind)> = plan
+            .cells
+            .iter()
+            .map(|c| (c.label.as_str(), c.scenario.seed, c.protocol))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ("a", 100, ProtocolKind::Aodv),
+                ("a", 100, ProtocolKind::Greedy),
+                ("b", 200, ProtocolKind::Aodv),
+                ("b", 200, ProtocolKind::Greedy),
+            ]
+        );
     }
 }

@@ -194,6 +194,10 @@ mod tests {
     #[test]
     fn empty_sample_is_none() {
         assert_eq!(SummaryStat::from_values(&[]), None);
+    }
+
+    #[test]
+    fn mean_of_no_reports_is_none() {
         assert_eq!(Summary::from_reports(&[]), None);
     }
 
