@@ -13,7 +13,7 @@
 //! cargo test -p vanet-core --test golden_reports -- --ignored --nocapture regenerate
 //! ```
 
-use vanet_core::{ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
+use vanet_core::{ChannelModel, ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -245,8 +245,42 @@ fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
     );
 }
 
-/// Prints the pin lists for pasting into `PINS`, `DTN_PINS` and
-/// `CONGESTED_PINS`.
+/// [`congested_scenario`] on the log-normal shadowing channel, cut to one
+/// second of live flows: the only whole-simulation run on a channel whose
+/// reception inside `max_range` is not certain, so every candidate copy
+/// draws its propagation outcome before its collision outcome.
+fn shadowed_scenario() -> Scenario {
+    congested_scenario()
+        .with_channel(ChannelModel::Shadowing {
+            alpha: 2.7,
+            sigma_db: 4.0,
+        })
+        .with_duration(SimDuration::from_secs(6.0))
+}
+
+const SHADOWED_KINDS: [ProtocolKind; 2] = [ProtocolKind::Yan, ProtocolKind::Aodv];
+
+/// Pinned [`congested_fingerprint`]s on [`shadowed_scenario`], in
+/// `SHADOWED_KINDS` order. Captured at seed 7 from the engine that counted
+/// every receiver's interferers before its collision draw.
+const SHADOWED_PINS: &[&str] = &[
+    "Yan|sent=32 dlvd=1 dup=0 pdr=0.03125 delay=0.0042868875436932186 maxdelay=0.0042868875436932186 hops=1.0 ctrl=3068 ctrlB=99172 dtx=1 rerr=0 drops=6 nbr=72.1708333333332 events=176768",
+    "AODV|sent=32 dlvd=0 dup=0 pdr=0.0 delay=0.0 maxdelay=0.0 hops=0.0 ctrl=15707 ctrlB=763168 dtx=2 rerr=0 drops=70787 nbr=73.89999999999996 events=238657",
+];
+
+#[test]
+fn yan_and_aodv_match_their_pins_on_the_shadowed_congested_highway() {
+    assert_pinned(
+        "shadowed congested-highway reports diverged",
+        &SHADOWED_KINDS,
+        SHADOWED_PINS,
+        shadowed_scenario,
+        congested_fingerprint,
+    );
+}
+
+/// Prints the pin lists for pasting into `PINS`, `DTN_PINS`,
+/// `CONGESTED_PINS` and `SHADOWED_PINS`.
 /// Run with `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
@@ -263,6 +297,11 @@ fn regenerate() {
     println!();
     for kind in CONGESTED_KINDS {
         let (report, events) = run_counted(congested_scenario(), kind);
+        println!("    {:?},", congested_fingerprint(&report, events));
+    }
+    println!();
+    for kind in SHADOWED_KINDS {
+        let (report, events) = run_counted(shadowed_scenario(), kind);
         println!("    {:?},", congested_fingerprint(&report, events));
     }
 }
