@@ -10,8 +10,8 @@ use crate::telemetry::{NoTelemetry, Telemetry};
 use std::sync::Arc;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState, Velocity};
 use vanet_net::{
-    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig,
-    NeighborArena, Packet, PacketKind, SpatialGrid, UnitDisk,
+    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, InterferenceCounts, LogNormalShadowing,
+    Medium, MediumConfig, NeighborArena, Packet, PacketKind, SpatialGrid, UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol, TableLocationService};
 use vanet_sim::{
@@ -572,6 +572,14 @@ impl<T: Telemetry> Simulation<T> {
     pub fn neighbor_occupancy(&self) -> (ArenaOccupancy, usize) {
         let held = self.nodes.iter().map(|n| n.neighbors.len()).sum();
         (self.neighbor_arena.occupancy(), held)
+    }
+
+    /// How the medium reached its collision decisions
+    /// ([`Medium::interference_counts`]): burst frames, and the receivers
+    /// the survival bracket decided without counting their window.
+    #[must_use]
+    pub fn interference_counts(&self) -> InterferenceCounts {
+        self.medium.interference_counts()
     }
 
     /// Runs the simulation to completion and returns the report.

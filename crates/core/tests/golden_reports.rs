@@ -14,6 +14,7 @@
 //! ```
 
 use vanet_core::{ChannelModel, ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
+use vanet_net::InterferenceCounts;
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -242,6 +243,33 @@ fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
         CONGESTED_PINS,
         congested_scenario,
         congested_fingerprint,
+    );
+}
+
+/// The medium's collision self-metric on the AODV storm of
+/// [`congested_scenario`], pinned exactly: the survival bracket decides most
+/// receivers' collision draws without counting their contention window, and
+/// a change to when it applies or falls back shows here even while every
+/// report stays byte-identical.
+#[test]
+fn the_survival_bracket_decides_most_of_the_congested_aodv_storm() {
+    let mut sim = Simulation::new(congested_scenario(), ProtocolKind::Aodv);
+    sim.run();
+    let counts = sim.interference_counts();
+    assert_eq!(
+        counts,
+        InterferenceCounts {
+            frames: 26_936,
+            continued: 2,
+            receivers: 1_559_047,
+            bracketed: 1_458_126,
+            decided: 1_182_335,
+            scanned: 340_229,
+        }
+    );
+    assert!(
+        counts.decided as f64 >= 0.7 * counts.receivers as f64,
+        "{counts:?}"
     );
 }
 

@@ -36,6 +36,17 @@ pub trait PropagationModel: Debug {
     fn max_range(&self) -> f64 {
         self.nominal_range() * 1.5
     }
+
+    /// Whether reception is certain within `max_range`: the contract is
+    /// that for every `distance_m <= self.max_range()` the reception
+    /// probability is exactly 1, so [`PropagationModel::sample_reception`]
+    /// returns `true` and draws nothing from the RNG. The medium reads it
+    /// once per frame and, when it holds, skips the call and computes a
+    /// copy's distance only if the copy survives to be delivered. Defaults
+    /// to `false`, which is always correct.
+    fn certain_within_max_range(&self) -> bool {
+        false
+    }
 }
 
 /// Deterministic unit-disk model: received iff within `range` metres.
@@ -72,6 +83,11 @@ impl PropagationModel for UnitDisk {
 
     fn max_range(&self) -> f64 {
         self.range_m
+    }
+
+    /// `max_range` is the range itself, inside which the probability is 1.
+    fn certain_within_max_range(&self) -> bool {
+        true
     }
 }
 
@@ -213,6 +229,23 @@ mod tests {
         assert_eq!(m.reception_probability(250.1), 0.0);
         assert_eq!(m.nominal_range(), 250.0);
         assert_eq!(m.max_range(), 250.0);
+    }
+
+    /// Only the unit disk claims certain reception within `max_range`, and
+    /// it honours the claim: probability 1 up to and at `max_range`, and
+    /// `sample_reception` leaves the RNG where it was.
+    #[test]
+    fn only_the_unit_disk_is_certain_within_max_range() {
+        let disk = UnitDisk::new(250.0);
+        assert!(disk.certain_within_max_range());
+        let (mut rng, mut twin) = (SimRng::new(3), SimRng::new(3));
+        for d in [0.0, 1e-9, 125.0, 249.999_999, disk.max_range()] {
+            assert_eq!(disk.reception_probability(d), 1.0, "d = {d}");
+            assert!(disk.sample_reception(d, &mut rng));
+        }
+        assert_eq!(rng.next_u64(), twin.next_u64());
+        assert!(!FreeSpacePathLoss::new(250.0, 2.7).certain_within_max_range());
+        assert!(!LogNormalShadowing::new(250.0, 2.7, 4.0).certain_within_max_range());
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView};
 pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
 pub use grid::SpatialGrid;
 pub use mac::MacParams;
-pub use medium::{Delivery, Medium, MediumConfig, MediumStats};
+pub use medium::{Delivery, InterferenceCounts, Medium, MediumConfig, MediumStats};
 pub use neighbor::{BeaconConfig, NeighborInfo, NeighborTable};
 pub use packet::{GeoAddress, Packet, PacketKind, RouteRecord};

@@ -103,6 +103,31 @@ impl MediumStats {
     }
 }
 
+/// How the medium reached its collision decisions
+/// ([`Medium::interference_counts`]): an engine self-metric for the burst
+/// path and the survival bracket. Counts accumulate over the medium's
+/// lifetime; [`Medium::reset_stats`] leaves them alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct InterferenceCounts {
+    /// Frames through the delivery pipeline.
+    pub frames: u64,
+    /// Of those, frames that continued a burst: their interference counts
+    /// were carried from the previous frame, not taken from a fresh
+    /// snapshot. `continued / frames` is the burst-continuation hit rate.
+    pub continued: u64,
+    /// Receivers of fresh-snapshot frames that reached the collision draw.
+    pub receivers: u64,
+    /// Of those, receivers of frames whose survival bracket applied.
+    pub bracketed: u64,
+    /// Of those, receivers whose draw the bracket decided on its own.
+    pub decided: u64,
+    /// Receivers of fresh-snapshot frames whose contention window was
+    /// counted entry by entry: the bracket's fallbacks plus every receiver
+    /// of a frame it did not apply to (a frame alone in its window needs no
+    /// count).
+    pub scanned: u64,
+}
+
 /// A rectangular extra-loss overlay installed by the fault subsystem: while
 /// active, receivers standing inside `min..=max` lose each frame copy with
 /// probability `loss` (after propagation and collision have been resolved).
@@ -307,6 +332,18 @@ impl SurvivalTable {
         }
         self.by_interferers[interferers]
     }
+
+    /// The least and the greatest entry for `lo..=hi` interferers, filling
+    /// the table that far. `powi` is not assumed monotone: both come from a
+    /// scan of the entries.
+    fn bounds(&mut self, mac: &MacParams, lo: usize, hi: usize) -> (f64, f64) {
+        self.get(mac, hi);
+        self.by_interferers[lo..=hi]
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), &q| {
+                (min.min(q), max.max(q))
+            })
+    }
 }
 
 /// The shared broadcast medium connecting all nodes.
@@ -335,12 +372,23 @@ pub struct Medium {
     burst: Burst,
     survival: SurvivalTable,
     stats: MediumStats,
+    interference: InterferenceCounts,
 }
 
 impl Medium {
     /// Creates a medium with the given configuration and propagation model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the MAC's collision probability is not in `[0, 1]` (NaN
+    /// included): the survival probability `(1 − p)^k` would not be one.
     #[must_use]
     pub fn new(config: MediumConfig, propagation: Box<dyn PropagationModel + Send>) -> Self {
+        let p = config.mac.collision_probability;
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "collision probability must be in [0, 1], got {p}"
+        );
         let mut recent = RecentIndex::default();
         recent.reset(Self::relevant_range(propagation.as_ref()));
         Medium {
@@ -360,6 +408,7 @@ impl Medium {
             burst: Burst::default(),
             survival: SurvivalTable::default(),
             stats: MediumStats::default(),
+            interference: InterferenceCounts::default(),
         }
     }
 
@@ -439,6 +488,13 @@ impl Medium {
     #[must_use]
     pub fn stats(&self) -> &MediumStats {
         &self.stats
+    }
+
+    /// How the collision decisions were reached so far: burst frames, and
+    /// the receivers the survival bracket decided without a count.
+    #[must_use]
+    pub fn interference_counts(&self) -> InterferenceCounts {
+        self.interference
     }
 
     /// Resets the accumulated statistics.
@@ -584,8 +640,209 @@ impl Medium {
 
     /// Runs the propagation / contention / collision pipeline over the
     /// candidate receivers, in slice order, appending to `out`.
+    ///
+    /// A receiver's interference count only feeds one `chance` draw on
+    /// `(1 − p)^k`, so on a fresh frame whose counts all lie inside a
+    /// bracket of non-degenerate survival probabilities
+    /// ([`Medium::survival_bracket`]) the uniform is drawn first and the
+    /// window is counted only when it lands between the bracket's ends —
+    /// the same draw, the same comparison, the same outcome.
     #[allow(clippy::too_many_arguments)]
     fn deliver(
+        &mut self,
+        now: SimTime,
+        sender: NodeId,
+        sender_pos: Position,
+        packet: &Packet,
+        nodes: &[(NodeId, Position)],
+        rng: &mut SimRng,
+        out: &mut Vec<Delivery>,
+    ) {
+        let interference_range = self.propagation.nominal_range() * 2.0;
+        // The snapshot always contains this frame's own entry; when it is
+        // the only one, every interference count below is 0 after the
+        // self-discount, so the scans can be skipped outright (the RNG draws
+        // they feed still happen, so outcomes are identical).
+        let snapshot_trivial = self.snapshot.len() <= 1;
+        // 1 for every frame that starts from a fresh snapshot; from 2 on the
+        // counts are carried instead of rescanned (see `Burst`).
+        let frame = self.burst.frames;
+        if frame == 2 {
+            self.burst.receiver_counts.clear();
+            self.burst.receiver_counts.resize(nodes.len(), (0, 0));
+        }
+        self.burst.sender_count = if frame > 1 {
+            // The sender is within any range of itself.
+            self.burst.sender_count + 1
+        } else if snapshot_trivial {
+            1
+        } else {
+            count_within(&self.snapshot, sender_pos, interference_range)
+        };
+        // `begin_transmission` has already pushed this frame into the window
+        // (and the snapshot), so discount it when counting contenders.
+        let contenders = self.burst.sender_count.saturating_sub(1);
+        let backoff = self.config.mac.sample_backoff(contenders, rng);
+        let tx_delay = self.config.mac.transmission_delay(packet.size_bytes());
+        let processing = vanet_sim::SimDuration::from_secs(self.config.mac.processing_delay_s);
+        let range_filter = WithinFilter::new(self.propagation.max_range());
+        // On a channel certain of reception within `max_range`,
+        // `sample_reception` returns true without a draw for every candidate
+        // that passes `range_filter`: it is not called, and the distance is
+        // computed only for delivered copies.
+        let certain = self.propagation.certain_within_max_range();
+        let bracket = if frame == 1 && !snapshot_trivial {
+            self.survival_bracket(sender_pos)
+        } else {
+            None
+        };
+        let (mut reached, mut decided, mut scanned) = (0, 0, 0);
+
+        for (at, &(node, pos)) in nodes.iter().enumerate() {
+            if node == sender {
+                continue;
+            }
+            // The grid query has already applied this test, so on the
+            // indexed path every candidate passes; the slice form hands in
+            // arbitrary nodes and relies on it. A node that fails it has
+            // touched no counter and no RNG draw.
+            if !range_filter.check(sender_pos, pos) {
+                continue;
+            }
+            // Unicast frames are only *delivered* to the intended next hop
+            // unless promiscuous overhearing is enabled.
+            let intended = match packet.next_hop {
+                None => true,
+                Some(h) => h == node,
+            };
+            if !intended && !self.config.promiscuous {
+                continue;
+            }
+            let sampled_distance = (!certain).then(|| distance(sender_pos, pos));
+            if let Some(d) = sampled_distance {
+                if !self.propagation.sample_reception(d, rng) {
+                    self.stats.propagation_losses.incr();
+                    continue;
+                }
+            }
+            reached += 1;
+            let survives = if let Some((q_min, q_max)) = bracket {
+                // Every count in range makes `chance` draw exactly once and
+                // compare `u < (1 − p)^k`: draw first, count only when `u`
+                // falls between the bracket's ends.
+                let u = rng.uniform();
+                if u < q_min || u >= q_max {
+                    decided += 1;
+                    u < q_min
+                } else {
+                    scanned += 1;
+                    let count = count_within(&self.snapshot, pos, interference_range);
+                    u < self.survival.get(&self.config.mac, count - 1)
+                }
+            } else {
+                let interferers = if snapshot_trivial {
+                    0
+                } else if frame == 1 {
+                    scanned += 1;
+                    count_within(&self.snapshot, pos, interference_range).saturating_sub(1)
+                } else {
+                    // Counted lazily, here, so only receivers that passed
+                    // propagation pay a scan — once per burst.
+                    let (counted_at, count) = &mut self.burst.receiver_counts[at];
+                    if *counted_at == 0 {
+                        *count = count_within(&self.snapshot, pos, interference_range);
+                    } else if within(sender_pos, pos, interference_range) {
+                        *count += (frame - *counted_at) as usize;
+                    }
+                    *counted_at = frame;
+                    count.saturating_sub(1)
+                };
+                // `chance` draws nothing for a probability of 1, so a
+                // receiver with no interferer consumes no randomness here.
+                rng.chance(self.survival.get(&self.config.mac, interferers))
+            };
+            if !survives {
+                self.stats.collision_losses.incr();
+                continue;
+            }
+            // Fault overlay: one combined-survival draw per candidate that
+            // stands inside at least one active zone. With no active zones
+            // this is a single integer compare and zero RNG draws, keeping
+            // fault-free runs byte-identical.
+            if self.active_fault_zones > 0 {
+                let mut survive = 1.0;
+                for zone in &self.fault_zones {
+                    if zone.active && zone.covers(pos) {
+                        survive *= 1.0 - zone.loss;
+                    }
+                }
+                if survive < 1.0 && rng.uniform() >= survive {
+                    self.stats.fault_losses.incr();
+                    continue;
+                }
+            }
+            let d = sampled_distance.unwrap_or_else(|| distance(sender_pos, pos));
+            let arrival =
+                now + processing + backoff + tx_delay + self.config.mac.propagation_delay(d);
+            self.stats.deliveries.incr();
+            out.push(Delivery {
+                receiver: node,
+                arrival,
+                intended,
+            });
+        }
+        let counts = &mut self.interference;
+        counts.frames += 1;
+        if frame > 1 {
+            counts.continued += 1;
+        } else {
+            counts.receivers += reached;
+            if bracket.is_some() {
+                counts.bracketed += reached;
+            }
+            counts.decided += decided;
+            counts.scanned += scanned;
+        }
+    }
+
+    /// The survival bracket of a fresh frame: the least and the greatest
+    /// `(1 − p)^k` over every interferer count `k` any of its receivers can
+    /// have, or `None` when some count in that range has a survival
+    /// probability of 0 or 1, on which `chance` would not draw.
+    ///
+    /// The range: a receiver passed the `max_range` filter, so by the
+    /// triangle inequality every snapshot entry within
+    /// `2·nominal·(1 − 1e-6) − max_range` of the sender (the *core*, this
+    /// frame's own entry included) is within `2·nominal·(1 − 1e-6)` of the
+    /// receiver. That is inside interference range by far more than the
+    /// ±1e-9 band in which `WithinFilter` decides exactly, so the receiver's
+    /// count includes the whole core, and it cannot exceed the snapshot.
+    /// Less this frame's own entry, `k` lies in `core − 1 ..= len − 1`. A
+    /// channel that reaches as far as it interferes has a negative core
+    /// radius, an empty core and no bracket.
+    fn survival_bracket(&mut self, sender_pos: Position) -> Option<(f64, f64)> {
+        let lo = self.core_count(sender_pos).checked_sub(1)?;
+        let hi = self.snapshot.len() - 1;
+        let (q_min, q_max) = self.survival.bounds(&self.config.mac, lo, hi);
+        (q_min > 0.0 && q_max < 1.0).then_some((q_min, q_max))
+    }
+
+    /// The size of the snapshot's core for a frame sent from `sender_pos`:
+    /// the entries every one of its receivers counts (see
+    /// [`Medium::survival_bracket`]).
+    fn core_count(&self, sender_pos: Position) -> usize {
+        let nominal = self.propagation.nominal_range();
+        let core_radius = 2.0 * nominal * (1.0 - 1e-6) - self.propagation.max_range();
+        count_within(&self.snapshot, sender_pos, core_radius)
+    }
+
+    /// [`Medium::deliver`] as it was before the survival bracket and the
+    /// deferred distance, kept verbatim: every receiver of a fresh frame is
+    /// counted against the whole snapshot, and every candidate's distance
+    /// is computed and sampled. The reference the bracket is pinned against.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn deliver_counting_every_receiver(
         &mut self,
         now: SimTime,
         sender: NodeId,
@@ -709,7 +966,7 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{LogNormalShadowing, UnitDisk};
+    use crate::channel::{FreeSpacePathLoss, LogNormalShadowing, UnitDisk};
     use crate::packet::{Packet, PacketKind};
     use vanet_mobility::Vec2;
 
@@ -1245,6 +1502,289 @@ mod tests {
         );
     }
 
+    /// [`Medium::transmit_indexed_into`] through the pre-bracket pipeline,
+    /// [`Medium::deliver_counting_every_receiver`]: the twin the survival
+    /// bracket and the deferred distance are pinned against.
+    #[allow(clippy::too_many_arguments)]
+    fn transmit_counting_every_receiver(
+        m: &mut Medium,
+        now: SimTime,
+        sender: NodeId,
+        sender_pos: Position,
+        packet: &Packet,
+        grid: &crate::SpatialGrid,
+        rng: &mut SimRng,
+        out: &mut Vec<Delivery>,
+    ) {
+        out.clear();
+        let key = BurstKey {
+            now,
+            sender_pos,
+            grid_generation: grid.generation(),
+        };
+        let continued = m.begin_transmission(now, sender_pos, packet, Some(key));
+        let mut candidates = std::mem::take(&mut m.candidates);
+        if !continued {
+            grid.candidates_within_scratch(
+                sender_pos,
+                m.propagation.max_range(),
+                &mut candidates,
+                &mut m.candidate_scratch,
+            );
+        }
+        m.deliver_counting_every_receiver(now, sender, sender_pos, packet, &candidates, rng, out);
+        m.candidates = candidates;
+    }
+
+    /// One collision probability and channel of
+    /// [`bracket_against_the_reference`]: the bracketed medium's counts and
+    /// the widest contention window it saw.
+    struct BracketRun {
+        p: f64,
+        channel: usize,
+        counts: InterferenceCounts,
+        widest: usize,
+    }
+
+    /// Drives a medium and its twin on the pre-bracket pipeline through
+    /// randomised storms: for every collision probability in {0, 0.06, 0.5,
+    /// 0.9999} and every channel (unit disk, shadowing, free space, long
+    /// reach), `cases` fleets of 60–400 nodes on highway strips and city
+    /// squares, each sending `frames` groups of one to three frames ~`gap_s`
+    /// apart — broadcast and unicast, bursts, nodes moving between frames,
+    /// an active fault zone. Deliveries, statistics and the next RNG draw
+    /// must agree after every frame.
+    fn bracket_against_the_reference(cases: usize, frames: usize, gap_s: f64) -> Vec<BracketRun> {
+        // (nodes, extent along x, extent along y) in metres.
+        let fleets = [
+            (60, 1_000.0, 15.0),
+            (240, 2_000.0, 15.0),
+            (400, 3_000.0, 15.0),
+            (150, 700.0, 700.0),
+            (400, 1_200.0, 1_200.0),
+        ];
+        let mut runs = Vec::new();
+        for (pi, p) in [0.0, 0.06, 0.5, 0.9999].into_iter().enumerate() {
+            for channel in 0..4 {
+                let make = || {
+                    let propagation: Box<dyn PropagationModel + Send> = match channel {
+                        0 => Box::new(UnitDisk::new(250.0)),
+                        1 => Box::new(LogNormalShadowing::new(250.0, 2.7, 4.0)),
+                        2 => Box::new(FreeSpacePathLoss::new(250.0, 2.7)),
+                        _ => Box::new(LongReach),
+                    };
+                    let mac = MacParams {
+                        collision_probability: p,
+                        ..MacParams::default()
+                    };
+                    let mut m = Medium::new(
+                        MediumConfig {
+                            mac,
+                            promiscuous: true,
+                        },
+                        propagation,
+                    );
+                    let zone = m.add_fault_zone(Vec2::ZERO, Vec2::new(400.0, 300.0), 0.3);
+                    m.set_fault_zone_active(zone, true);
+                    m
+                };
+                let (mut reference, mut bracketed) = (make(), make());
+                let seed = (pi * 4 + channel) as u64;
+                let (mut rng_a, mut rng_b) = (SimRng::new(seed), SimRng::new(seed));
+                let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+                let mut now = SimTime::ZERO;
+                let mut widest = 0;
+                for case in 0..cases {
+                    let (count, width, height) = fleets[(case + pi + channel) % fleets.len()];
+                    let mut plan = SimRng::new(0xb4ac + 16 * case as u64 + seed);
+                    let mut nodes: Vec<(NodeId, Position)> = (0..count)
+                        .map(|i| {
+                            let x = plan.uniform_range(0.0, width);
+                            (NodeId(i), Vec2::new(x, plan.uniform_range(0.0, height)))
+                        })
+                        .collect();
+                    let max_range = bracketed.propagation().max_range();
+                    let mut grid = crate::SpatialGrid::build(max_range, &nodes);
+                    // A fresh window for every fleet.
+                    now += vanet_sim::SimDuration::from_secs(1.0);
+                    for _ in 0..frames {
+                        now +=
+                            vanet_sim::SimDuration::from_secs(plan.uniform_range(0.0, 2.0 * gap_s));
+                        if plan.chance(0.1) {
+                            let moved = plan.uniform_usize(nodes.len());
+                            let to = Vec2::new(
+                                plan.uniform_range(0.0, width),
+                                plan.uniform_range(0.0, height),
+                            );
+                            grid.update(nodes[moved].0, nodes[moved].1, to);
+                            nodes[moved].1 = to;
+                        }
+                        let (id, pos) = nodes[plan.uniform_usize(nodes.len())];
+                        let packet = if plan.chance(0.7) {
+                            Packet::broadcast(id, PacketKind::Hello, 32)
+                        } else {
+                            let mut data = Packet::data(id, NodeId(0), 200);
+                            data.next_hop = Some(nodes[plan.uniform_usize(nodes.len())].0);
+                            data
+                        };
+                        for _ in 0..1 + plan.uniform_usize(3) {
+                            transmit_counting_every_receiver(
+                                &mut reference,
+                                now,
+                                id,
+                                pos,
+                                &packet,
+                                &grid,
+                                &mut rng_a,
+                                &mut out_a,
+                            );
+                            bracketed.transmit_indexed_into(
+                                now, id, pos, &packet, &grid, &mut rng_b, &mut out_b,
+                            );
+                            let what = format!("p = {p}, channel {channel}, case {case}");
+                            assert_eq!(out_a, out_b, "{what}: deliveries diverged");
+                            assert_eq!(reference.stats(), bracketed.stats(), "{what}");
+                            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{what}");
+                            widest = widest.max(bracketed.snapshot.len());
+                        }
+                    }
+                }
+                let stats = bracketed.stats();
+                assert!(stats.deliveries.value() > 0 || p > 0.9);
+                assert_eq!(stats.collision_losses.value() > 0, p > 0.0);
+                runs.push(BracketRun {
+                    p,
+                    channel,
+                    counts: bracketed.interference_counts(),
+                    widest,
+                });
+            }
+        }
+        runs
+    }
+
+    /// The property, and that it was not vacuous: storm-sized windows
+    /// everywhere; the bracket off wherever it cannot apply (an ideal MAC,
+    /// shadowing and long reach, whose core radius is negative); and where
+    /// it can, it decided receivers, fell back to a count and was switched
+    /// off for frames with a non-trivial window (too few core entries, or
+    /// `(1 − p)^k` underflowing to 0 at p = 0.9999).
+    fn assert_bracket_coverage(runs: &[BracketRun], min_window: usize) {
+        let (mut decided, mut fell_back, mut off) = (0, 0, 0);
+        for run in runs {
+            let c = run.counts;
+            let what = format!("p = {}, channel {}: {c:?}", run.p, run.channel);
+            assert!(run.widest >= min_window, "{what}, widest {}", run.widest);
+            assert!(c.continued > 0, "{what}");
+            let certain_core = run.channel == 0 || run.channel == 2;
+            if run.p == 0.0 || !certain_core {
+                assert_eq!(c.bracketed, 0, "{what}");
+            } else {
+                assert!(c.decided > 0, "{what}");
+            }
+            if run.p > 0.9 && certain_core {
+                assert!(run.widest > 81, "no underflow at p = 0.9999: {what}");
+            }
+            decided += c.decided;
+            fell_back += c.bracketed - c.decided;
+            off += c.scanned - (c.bracketed - c.decided);
+        }
+        assert!(decided > 0 && fell_back > 0 && off > 0);
+    }
+
+    /// The survival bracket and the deferred distance against the verbatim
+    /// pre-bracket pipeline on storms of 50 and more window entries.
+    #[test]
+    fn survival_bracket_matches_counting_every_receiver() {
+        let runs = bracket_against_the_reference(2, 150, 2e-5);
+        assert_bracket_coverage(&runs, 50);
+    }
+
+    /// The same property at ten times the cases and windows of 200 and more
+    /// entries; run in release with `cargo test --release -p vanet-net --
+    /// --ignored`.
+    #[test]
+    #[ignore = "heavy: ten times the cases; run in release"]
+    fn survival_bracket_matches_counting_every_receiver_heavy() {
+        let runs = bracket_against_the_reference(20, 400, 5e-6);
+        assert_bracket_coverage(&runs, 200);
+    }
+
+    /// The bracket's lower end is geometry: receivers exactly at
+    /// `max_range` and window entries exactly at the core radius on the
+    /// far side of the sender are as far apart as the triangle inequality
+    /// allows, and each receiver's exact count still holds the whole core.
+    #[test]
+    fn every_receiver_counts_the_whole_core() {
+        let range = 250.0;
+        let core_radius = 2.0 * range * (1.0 - 1e-6) - range;
+        let pkt = Packet::broadcast(NodeId(0), PacketKind::Hello, 32);
+        for center in [Vec2::ZERO, Vec2::new(98_765.25, -43_210.5)] {
+            let mut m = Medium::new(MediumConfig::default(), Box::new(UnitDisk::new(range)));
+            let mut rng = SimRng::new(21);
+            let mut receivers = Vec::new();
+            for i in 0..24 {
+                let angle = f64::from(i) * std::f64::consts::TAU / 24.0;
+                let dir = Vec2::new(angle.cos(), angle.sin());
+                receivers.push((NodeId(i + 1), center + dir * range));
+                let opposite = center - dir * core_radius;
+                m.transmit(
+                    SimTime::ZERO,
+                    NodeId(100 + i),
+                    opposite,
+                    &pkt,
+                    &[],
+                    &mut rng,
+                );
+            }
+            m.transmit(SimTime::ZERO, NodeId(0), center, &pkt, &receivers, &mut rng);
+            let core = m.core_count(center);
+            assert!(core > 12, "too few entries in the core: {core}");
+            let in_range = WithinFilter::new(range);
+            let mut checked = 0;
+            for &(node, pos) in &receivers {
+                if in_range.check(center, pos) {
+                    checked += 1;
+                    let count = count_within(&m.snapshot, pos, 2.0 * range);
+                    assert!(count >= core, "{node:?}: counts {count} of the {core} core");
+                }
+            }
+            assert!(checked > 12, "too few receivers at max_range: {checked}");
+        }
+    }
+
+    fn medium_with_collision_probability(p: f64) -> Medium {
+        let mac = MacParams {
+            collision_probability: p,
+            ..MacParams::default()
+        };
+        Medium::new(
+            MediumConfig {
+                mac,
+                promiscuous: true,
+            },
+            Box::new(UnitDisk::new(250.0)),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "collision probability must be in [0, 1]")]
+    fn medium_rejects_a_collision_probability_above_one() {
+        let _ = medium_with_collision_probability(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "collision probability must be in [0, 1]")]
+    fn medium_rejects_a_negative_collision_probability() {
+        let _ = medium_with_collision_probability(-0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "collision probability must be in [0, 1]")]
+    fn medium_rejects_a_nan_collision_probability() {
+        let _ = medium_with_collision_probability(f64::NAN);
+    }
+
     #[test]
     fn survival_table_holds_the_direct_results_bit_for_bit() {
         for mac in [MacParams::default(), MacParams::ideal()] {
@@ -1258,6 +1798,30 @@ mod tests {
                 );
             }
             assert_eq!(table.by_interferers.len(), 513);
+        }
+    }
+
+    /// `bounds` is the least and the greatest direct result over its range,
+    /// and fills the table to the range's end.
+    #[test]
+    fn survival_bounds_span_the_direct_results() {
+        for p in [0.0, 0.06, 0.5, 0.9999, 1.0] {
+            let mac = MacParams {
+                collision_probability: p,
+                ..MacParams::default()
+            };
+            let mut table = SurvivalTable::default();
+            for (lo, hi) in [(0, 0), (3, 40), (1, 120), (60, 90)] {
+                let direct: Vec<f64> = (lo..=hi).map(|k| mac.survival_probability(k)).collect();
+                let min = direct.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = direct.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(
+                    table.bounds(&mac, lo, hi),
+                    (min, max),
+                    "p = {p}, {lo}..={hi}"
+                );
+                assert!(table.by_interferers.len() > hi);
+            }
         }
     }
 
