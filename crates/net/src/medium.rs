@@ -248,38 +248,6 @@ impl RecentIndex {
             }
         }
     }
-
-    /// Counts transmissions within `window` seconds before `now` and within
-    /// `radius` of `center` — allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` exceeds the cell size.
-    fn count_window(&self, now: SimTime, center: Position, window: f64, radius: f64) -> usize {
-        assert!(
-            radius <= self.cell_m,
-            "query radius {radius} exceeds recent-index cell size {}",
-            self.cell_m
-        );
-        let filter = WithinFilter::new(radius);
-        let (cx, cy) = cell_of(self.cell_m, center);
-        let mut count = 0;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(cell) = self.cells.get(&(cx + dx, cy + dy)) {
-                    for &(t, p) in cell.iter().rev() {
-                        if now.saturating_since(t).as_secs() > window {
-                            break;
-                        }
-                        if filter.check(p, center) {
-                            count += 1;
-                        }
-                    }
-                }
-            }
-        }
-        count
-    }
 }
 
 /// What the snapshot, the candidate list and the interference counts were
@@ -351,8 +319,8 @@ impl SurvivalTable {
 pub struct Medium {
     config: MediumConfig,
     propagation: Box<dyn PropagationModel + Send>,
-    /// Recent transmissions, spatially bucketed. Used for the interference
-    /// snapshot and to estimate channel load.
+    /// Recent transmissions, spatially bucketed, from which each frame's
+    /// interference snapshot is taken.
     recent: RecentIndex,
     /// Positions of the transmissions inside the contention window at the
     /// time of the current frame — snapshotted once per transmission so the
@@ -466,8 +434,7 @@ impl Medium {
     /// receiver of a frame: every receiver lies within `max_range` of the
     /// sender, interference reaches `2 × nominal_range`, and the extra metre
     /// of slack dwarfs any floating-point rounding. Doubles as the recent-
-    /// index cell size, so 3×3-cell queries cover both the snapshot radius
-    /// and the smaller `channel_load` radius.
+    /// index cell size, so a 3×3-cell query covers the snapshot radius.
     fn relevant_range(propagation: &(dyn PropagationModel + Send)) -> f64 {
         propagation.max_range() + propagation.nominal_range() * 2.0 + 1.0
     }
@@ -500,16 +467,6 @@ impl Medium {
     /// Resets the accumulated statistics.
     pub fn reset_stats(&mut self) {
         self.stats = MediumStats::default();
-    }
-
-    /// Number of transmissions in the contention window around `now` within
-    /// interference range (2× nominal range) of `position`.
-    #[must_use]
-    pub fn channel_load(&self, now: SimTime, position: Position) -> usize {
-        let window = self.config.mac.contention_window_s;
-        let interference_range = self.propagation.nominal_range() * 2.0;
-        self.recent
-            .count_window(now, position, window, interference_range)
     }
 
     /// Transmits `packet` from `sender` at `sender_pos` to every node in
@@ -1068,22 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_load_counts_recent_nearby_transmissions() {
-        let mut m = Medium::new(MediumConfig::default(), Box::new(UnitDisk::new(250.0)));
-        let nodes = nodes_on_a_line(2, 100.0);
-        let pkt = Packet::broadcast(NodeId(0), PacketKind::Hello, 0);
-        let mut rng = SimRng::new(6);
-        for _ in 0..5 {
-            m.transmit(SimTime::ZERO, NodeId(0), Vec2::ZERO, &pkt, &nodes, &mut rng);
-        }
-        assert_eq!(m.channel_load(SimTime::ZERO, Vec2::ZERO), 5);
-        // Far away, the same transmissions do not count.
-        assert_eq!(m.channel_load(SimTime::ZERO, Vec2::new(10_000.0, 0.0)), 0);
-        // Long after, they have been pruned from the window.
-        assert_eq!(m.channel_load(SimTime::from_secs(10.0), Vec2::ZERO), 0);
-    }
-
-    #[test]
     fn collisions_increase_with_simultaneous_transmissions() {
         let mut m = Medium::new(
             MediumConfig {
@@ -1238,11 +1179,14 @@ mod tests {
     }
 
     /// The order-insensitivity property behind the `RecentIndex` D1 allow:
-    /// after a randomised stream of transmissions, both the window *counts*
-    /// and the collected window positions equal a brute-force scan over a
-    /// flat, insertion-ordered log — map order never reaches either.
+    /// after a randomised stream of transmissions, the collected window
+    /// positions equal, as a multiset, a brute-force scan over a flat,
+    /// insertion-ordered log — so every count taken over them does too, and
+    /// map order never reaches either.
     #[test]
     fn recent_index_counts_match_a_flat_scan() {
+        let by_coordinates =
+            |a: &Position, b: &Position| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y));
         let cell = 250.0;
         let keep = 2.0;
         let mut rng = SimRng::new(0x5eed);
@@ -1268,23 +1212,20 @@ mod tests {
                 let window = rng.uniform_range(0.1, keep);
                 let radius = rng.uniform_range(10.0, cell);
                 let filter = WithinFilter::new(radius);
-                let expected = flat
+                let mut expected: Vec<Position> = flat
                     .iter()
                     .filter(|&&(t, p)| {
                         now.saturating_since(t).as_secs() <= window && filter.check(p, center)
                     })
-                    .count();
-                assert_eq!(
-                    index.count_window(now, center, window, radius),
-                    expected,
-                    "case {case}: bucketed count diverged from the flat scan"
-                );
+                    .map(|&(_, p)| p)
+                    .collect();
                 let mut collected = Vec::new();
                 index.collect_window(now, center, window, radius, &mut collected);
+                expected.sort_by(by_coordinates);
+                collected.sort_by(by_coordinates);
                 assert_eq!(
-                    collected.len(),
-                    expected,
-                    "case {case}: collected window size diverged from the flat scan"
+                    collected, expected,
+                    "case {case}: collected window diverged from the flat scan"
                 );
             }
         }

@@ -17,7 +17,7 @@
 //! All four are built on the same substrate: a bounded [`BundleBuffer`]
 //! whose slots materialise on demand, with a pluggable [`DropPolicy`], lazy
 //! TTL expiry checked
-//! from the per-node maintenance deadline already riding the cancellable
+//! from the per-node maintenance deadline already riding the batched
 //! timer wheel, and a custody handshake ([`vanet_net::PacketKind::CustodyAck`])
 //! that lets a node release responsibility for a bundle once a downstream
 //! node has taken it — releasing it for `NoCustodyFirst` eviction.

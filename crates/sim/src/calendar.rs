@@ -1,10 +1,10 @@
 //! A fixed-bucket calendar queue for the near-future event tier (frames in
 //! flight).
 //!
-//! The [`TimerWheel`](crate::TimerWheel) batches *periodic* timers whose
-//! deadlines sit a slot width or more apart; the frames in flight between a
-//! transmission and its receptions are a different population: dense, very
-//! near future (sub-millisecond to tens of milliseconds), never cancelled.
+//! The [`TimerWheel`](crate::wheel::TimerWheel) batches *periodic* timers
+//! whose deadlines sit a slot width or more apart; the frames in flight
+//! between a transmission and its receptions are a different population:
+//! dense and very near future (sub-millisecond to tens of milliseconds).
 //! Keeping them in the binary heap costs `O(log Q)` pointer-chasing
 //! comparisons per entry. [`CalendarQueue`] instead hashes them into a fixed
 //! ring of `buckets` buckets each `bucket` wide: scheduling is an `O(1)` push
@@ -27,8 +27,7 @@
 use crate::event::EventKey;
 use crate::time::{SimDuration, SimTime};
 
-/// One calendar entry: the ordering key plus the payload. Arrivals are
-/// never cancelled, so there is no tombstone bookkeeping.
+/// One calendar entry: the ordering key plus the payload.
 #[derive(Debug, Clone)]
 struct Entry<E> {
     key: EventKey,
@@ -112,12 +111,6 @@ impl<E> CalendarQueue<E> {
         self.len
     }
 
-    /// Whether no entries are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Schedules `event` under `key`, at `key.time()`.
     ///
     /// Callers must check [`CalendarQueue::accepts`] first; in debug builds a
@@ -175,15 +168,6 @@ impl<E> CalendarQueue<E> {
         self.len -= 1;
         Some((entry.key.time(), entry.event))
     }
-
-    /// Drops all pending entries; ring capacity is retained.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.current.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +195,7 @@ mod tests {
         c.push(k(0.0041, 0), "z");
         let order: Vec<&str> = std::iter::from_fn(|| c.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "z", "b", "c"]);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -281,15 +265,5 @@ mod tests {
         c.push(k(0.0005, 0), "pending");
         c.reanchor(t(0.050));
         assert_eq!(c.pop().unwrap().1, "pending");
-    }
-
-    #[test]
-    fn clear_empties_calendar() {
-        let mut c = cal();
-        c.push(k(0.001, 0), "x");
-        c.push(k(0.002, 1), "y");
-        c.clear();
-        assert!(c.is_empty());
-        assert!(c.pop().is_none());
     }
 }

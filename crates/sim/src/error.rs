@@ -14,13 +14,6 @@ pub enum SimError {
         /// The (invalid) requested time.
         requested: SimTime,
     },
-    /// The simulation ran out of events before reaching the requested time.
-    ExhaustedEvents {
-        /// The time of the last processed event.
-        last: SimTime,
-    },
-    /// A configuration value was invalid.
-    InvalidConfig(String),
 }
 
 impl fmt::Display for SimError {
@@ -30,10 +23,6 @@ impl fmt::Display for SimError {
                 f,
                 "event scheduled in the past: now {now}, requested {requested}"
             ),
-            SimError::ExhaustedEvents { last } => {
-                write!(f, "event queue exhausted at {last}")
-            }
-            SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }
@@ -53,14 +42,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("past"));
         assert!(msg.contains("2.0"));
-
-        let e = SimError::InvalidConfig("bad".into());
-        assert!(e.to_string().contains("bad"));
-
-        let e = SimError::ExhaustedEvents {
-            last: SimTime::from_secs(3.0),
-        };
-        assert!(e.to_string().contains("exhausted"));
     }
 
     #[test]

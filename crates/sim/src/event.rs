@@ -1,4 +1,4 @@
-//! The deterministic event queue.
+//! The deterministic event order.
 //!
 //! Events are ordered primarily by their firing time, and secondarily by a
 //! monotonically increasing sequence number assigned at insertion. The
@@ -13,8 +13,6 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::num::NonZeroU32;
 
 /// The position of an event in the fire order: its time
 /// ([`SimTime::order_key`]) and, below it, the sequence number that breaks
@@ -50,18 +48,14 @@ impl EventKey {
     }
 }
 
-/// A scheduled entry: its place in the fire order and the payload.
+/// A heap entry of the [`Scheduler`](crate::Scheduler): its place in the
+/// fire order and the payload.
 #[derive(Debug, Clone)]
-pub struct EventEntry<E> {
+pub(crate) struct EventEntry<E> {
     /// When the event fires, and the insertion order that breaks ties.
-    pub key: EventKey,
+    pub(crate) key: EventKey,
     /// The event payload.
-    pub event: E,
-    /// Cancellation flag index plus one (see
-    /// [`EventQueue::push_cancellable`]); `NonZeroU32` keeps the niche-packed
-    /// option at 4 bytes, which matters when millions of entries flow through
-    /// the heap per simulated second.
-    handle: Option<NonZeroU32>,
+    pub(crate) event: E,
 }
 
 impl<E> PartialEq for EventEntry<E> {
@@ -85,198 +79,35 @@ impl<E> Ord for EventEntry<E> {
     }
 }
 
-/// A handle that can be used to cancel a scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(usize);
-
-/// A deterministic priority queue of timed events.
-///
-/// # Example
-///
-/// ```
-/// use vanet_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(5.0), "late");
-/// q.push(SimTime::from_secs(5.0), "late-too, but inserted second");
-/// q.push(SimTime::from_secs(1.0), "early");
-/// assert_eq!(q.pop().unwrap().1, "early");
-/// assert_eq!(q.pop().unwrap().1, "late");
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<EventEntry<E>>,
-    next_seq: u64,
-    cancelled: Vec<bool>,
-    live: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            // lint: allow(P1) — construction, once per queue.
-            cancelled: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Number of live (non-cancelled) events in the queue.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the queue holds no live events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        self.push_keyed(EventKey::new(time, self.next_seq), event);
-    }
-
-    /// Schedules `event` under a caller-assigned key. Used by
-    /// [`Scheduler`](crate::Scheduler), which shares one sequence counter
-    /// between this heap and its other tiers so that the merged pop order is
-    /// identical to a single queue's.
-    ///
-    /// The key's sequence number must differ from every one already used (it
-    /// need not be the largest: the scheduler queues reserved numbers late),
-    /// or same-time ordering becomes unspecified.
-    pub fn push_keyed(&mut self, key: EventKey, event: E) {
-        self.next_seq = self.next_seq.max(key.seq() + 1);
-        self.live += 1;
-        self.heap.push(EventEntry {
-            key,
-            event,
-            handle: None,
-        });
-    }
-
-    /// Schedules `event` at `time` and returns a handle that can later be
-    /// passed to [`EventQueue::cancel`].
-    pub fn push_cancellable(&mut self, time: SimTime, event: E) -> EventHandle {
-        self.push_cancellable_keyed(EventKey::new(time, self.next_seq), event)
-    }
-
-    /// Like [`EventQueue::push_keyed`], returning a cancellation handle.
-    pub fn push_cancellable_keyed(&mut self, key: EventKey, event: E) -> EventHandle {
-        self.next_seq = self.next_seq.max(key.seq() + 1);
-        self.live += 1;
-        let idx = self.cancelled.len();
-        self.cancelled.push(false);
-        let tag = u32::try_from(idx + 1).expect("more than u32::MAX cancellable events");
-        self.heap.push(EventEntry {
-            key,
-            event,
-            handle: NonZeroU32::new(tag),
-        });
-        EventHandle(idx)
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op and returns `false`.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.cancelled.get_mut(handle.0) {
-            Some(flag) if !*flag => {
-                *flag = true;
-                self.live = self.live.saturating_sub(1);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Returns the time of the next live event without removing it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|e| e.key.time())
-    }
-
-    /// Returns the key of the next live event without removing it — the key
-    /// the scheduler merges against its other tiers.
-    #[must_use]
-    pub fn peek_key(&mut self) -> Option<EventKey> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|e| e.key)
-    }
-
-    /// Removes and returns the next live event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            if let Some(tag) = entry.handle {
-                let idx = tag.get() as usize - 1;
-                if self.cancelled[idx] {
-                    continue;
-                }
-                // Mark fired so a later cancel() is a no-op.
-                self.cancelled[idx] = true;
-            }
-            self.live = self.live.saturating_sub(1);
-            return Some((entry.key.time(), entry.event));
-        }
-    }
-
-    /// Drops all events, leaving the queue empty. Handles issued before the
-    /// clear become permanently dead (their flags are tombstoned, not
-    /// recycled, so they can never alias an event pushed afterwards).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for flag in &mut self.cancelled {
-            *flag = true;
-        }
-        self.live = 0;
-    }
-
-    fn drop_cancelled_head(&mut self) {
-        while let Some(entry) = self.heap.peek() {
-            match entry.handle {
-                Some(tag) if self.cancelled[tag.get() as usize - 1] => {
-                    self.heap.pop();
-                }
-                _ => break,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use std::collections::BinaryHeap;
+
+    /// Pops `entries`, given as `(time, seq)`, off a heap and returns their
+    /// payloads — their index in `entries` — in fire order.
+    fn fire_order(entries: &[(f64, u64)]) -> Vec<usize> {
+        let mut heap: BinaryHeap<EventEntry<usize>> = entries
+            .iter()
+            .enumerate()
+            .map(|(event, &(time, seq))| EventEntry {
+                key: EventKey::new(SimTime::from_secs(time), seq),
+                event,
+            })
+            .collect();
+        std::iter::from_fn(|| heap.pop().map(|e| e.event)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3.0), 3);
-        q.push(SimTime::from_secs(1.0), 1);
-        q.push(SimTime::from_secs(2.0), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(fire_order(&[(3.0, 0), (1.0, 1), (2.0, 2)]), vec![1, 2, 0]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        for i in 0..10 {
-            q.push(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let ties: Vec<(f64, u64)> = (0..10).map(|seq| (1.0, seq)).collect();
+        assert_eq!(fire_order(&ties), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -304,58 +135,5 @@ mod tests {
             assert_eq!(key(a).seq(), a.1);
             assert_eq!(key(a).time().as_secs(), a.0);
         }
-    }
-
-    #[test]
-    fn cancellation_removes_event() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), "keep");
-        let h = q.push_cancellable(SimTime::from_secs(0.5), "drop");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "keep");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let h = q.push_cancellable(SimTime::from_secs(0.5), "x");
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.push_cancellable(SimTime::from_secs(1.0), "a");
-        q.push(SimTime::from_secs(2.0), "b");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), 1);
-        q.push(SimTime::from_secs(2.0), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(SimTime::from_secs(1.0), 1);
-        let h = q.push_cancellable(SimTime::from_secs(2.0), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(h);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert_eq!(q.len(), 0);
     }
 }

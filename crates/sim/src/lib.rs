@@ -1,8 +1,8 @@
 //! # vanet-sim — deterministic discrete-event simulation kernel
 //!
 //! This crate provides the simulation substrate used by every other crate in
-//! the `vanet` workspace: simulation time, a deterministic event queue, a
-//! scheduler, seeded random-number streams and a small statistics toolkit.
+//! the `vanet` workspace: simulation time, a deterministic event scheduler,
+//! seeded random-number streams and a small statistics toolkit.
 //!
 //! The kernel is intentionally independent of any networking or mobility
 //! concept so that it can be unit-tested in isolation and reused for both the
@@ -12,21 +12,21 @@
 //! # Example
 //!
 //! ```
-//! use vanet_sim::{EventQueue, SimTime};
+//! use vanet_sim::{Scheduler, SimTime};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_secs(2.0), "world");
-//! queue.push(SimTime::from_secs(1.0), "hello");
-//! let (t, msg) = queue.pop().unwrap();
+//! let mut scheduler = Scheduler::new();
+//! scheduler.schedule_at(SimTime::from_secs(2.0), "world").unwrap();
+//! scheduler.schedule_at(SimTime::from_secs(1.0), "hello").unwrap();
+//! let (t, msg) = scheduler.next_event().unwrap();
 //! assert_eq!(t, SimTime::from_secs(1.0));
 //! assert_eq!(msg, "hello");
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod calendar;
+mod calendar;
 pub mod error;
-pub mod event;
+mod event;
 pub mod hash;
 pub mod ids;
 pub mod pool;
@@ -34,18 +34,16 @@ pub mod rng;
 pub mod scheduler;
 pub mod stats;
 pub mod time;
-pub mod wheel;
+mod wheel;
 pub mod window;
 
-pub use calendar::CalendarQueue;
 pub use error::SimError;
-pub use event::{EventEntry, EventHandle, EventKey, EventQueue};
+pub use event::EventKey;
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
 pub use pool::{available_workers, parallel_map_with_progress};
 pub use rng::SimRng;
-pub use scheduler::{Clock, Scheduler, TimerHandle};
-pub use stats::{Counter, Histogram, RunningStats, TimeWeightedAverage};
+pub use scheduler::Scheduler;
+pub use stats::{Counter, RunningStats};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerWheel, WheelHandle};
 pub use window::WindowClock;

@@ -24,27 +24,10 @@
 
 use crate::calendar::CalendarQueue;
 use crate::error::SimError;
-use crate::event::{EventHandle, EventKey, EventQueue};
+use crate::event::{EventEntry, EventKey};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{TimerWheel, WheelHandle};
-
-/// A cancellation handle for a batched timer: depending on how far out the
-/// deadline was, the entry landed on the wheel or fell back to the heap (see
-/// [`Scheduler::schedule_batched_after_cancellable`]); the handle remembers
-/// which, so [`Scheduler::cancel_timer`] revokes it either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TimerHandle {
-    /// The timer lives in the event heap.
-    Heap(EventHandle),
-    /// The timer lives on the batched wheel.
-    Wheel(WheelHandle),
-}
-
-/// Read-only access to the current simulation time.
-pub trait Clock {
-    /// The current simulation time.
-    fn now(&self) -> SimTime;
-}
+use crate::wheel::TimerWheel;
+use std::collections::BinaryHeap;
 
 /// Which tier holds the next pending event (see [`Scheduler::peek_merged`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +37,7 @@ enum Tier {
     Calendar,
 }
 
-/// A discrete-event scheduler combining a clock, an event queue, an optional
+/// A discrete-event scheduler combining a clock, an event heap, an optional
 /// batched timer wheel for high-volume periodic events, and an optional
 /// calendar queue for dense near-future events (frames in flight).
 ///
@@ -74,12 +57,13 @@ enum Tier {
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: EventQueue<E>,
+    /// Whatever neither the wheel nor the calendar takes.
+    heap: BinaryHeap<EventEntry<E>>,
     wheel: Option<TimerWheel<E>>,
     calendar: Option<CalendarQueue<E>>,
     /// The merged head of the three tiers, when known: filled by
-    /// [`Scheduler::peek_merged`], cleared by every pop and cancel and by a
-    /// push that lands in front of it (a push behind it cannot change it).
+    /// [`Scheduler::peek_merged`], cleared by every pop and by a push that
+    /// lands in front of it (a push behind it cannot change it).
     head: Option<(EventKey, Tier)>,
     seq: u64,
     processed: u64,
@@ -92,19 +76,13 @@ impl<E> Default for Scheduler<E> {
     }
 }
 
-impl<E> Clock for Scheduler<E> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-}
-
 impl<E> Scheduler<E> {
     /// Creates a scheduler with the clock at time zero.
     #[must_use]
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            heap: BinaryHeap::new(),
             wheel: None,
             calendar: None,
             head: None,
@@ -137,22 +115,17 @@ impl<E> Scheduler<E> {
     /// Number of events still pending.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
             + self.wheel.as_ref().map_or(0, TimerWheel::len)
             + self.calendar.as_ref().map_or(0, CalendarQueue::len)
-    }
-
-    /// Whether no events remain.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.pending_events() == 0
     }
 
     /// Enables the batched timer wheel with `slot`-wide buckets. Call once,
     /// before the first [`Scheduler::schedule_batched_after`]; pick the slot
     /// strictly below the shortest delay a batched event re-arms with (a
     /// beacon jittered by ±5 % re-arms 0.95 intervals ahead at the least), so
-    /// that a re-armed timer never lands back in the slot it fired from — see [`TimerWheel`]'s module docs and
+    /// that a re-armed timer never lands back in the slot it fired from — see
+    /// the slot rule in the timer wheel's module docs and
     /// [`Scheduler::wheel_splices`].
     ///
     /// # Panics
@@ -182,7 +155,7 @@ impl<E> Scheduler<E> {
     }
 
     /// How many batched pushes landed in the wheel's already-activated slot
-    /// (see [`TimerWheel::spliced`]); zero without a wheel.
+    /// and were spliced into its sorted remainder; zero without a wheel.
     #[must_use]
     pub fn wheel_splices(&self) -> u64 {
         self.wheel.as_ref().map_or(0, TimerWheel::spliced)
@@ -215,7 +188,7 @@ impl<E> Scheduler<E> {
                 return;
             }
         }
-        self.queue.push_keyed(key, event);
+        self.heap.push(EventEntry { key, event });
     }
 
     /// Reserves `n` consecutive sequence numbers — the ones `n` back-to-back
@@ -296,61 +269,16 @@ impl<E> Scheduler<E> {
     /// dominate the heap — i.e. events landing within a few slot widths of
     /// now. Falls back to the heap when batching is disabled or the delay is
     /// so far ahead that bucketing it would allocate a long run of empty
-    /// slots ([`TimerWheel::MAX_SLOTS_AHEAD`]).
+    /// slots (the wheel's `MAX_SLOTS_AHEAD`).
     ///
-    /// Fire order is identical either way — the wheel shares the queue's
+    /// Fire order is identical either way — the wheel shares the scheduler's
     /// sequence counter and `next_event` merges the two by [`EventKey`].
     pub fn schedule_batched_after(&mut self, delay: SimDuration, event: E) {
         let time = self.now + delay;
         let key = self.next_key(time);
         match &mut self.wheel {
             Some(wheel) if wheel.accepts(time) => wheel.push(key, event),
-            _ => self.queue.push_keyed(key, event),
-        }
-    }
-
-    /// Schedules an event `delay` after the current time, returning a handle
-    /// that can be used to cancel it.
-    pub fn schedule_after_cancellable(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        let key = self.next_key(self.now + delay);
-        self.queue.push_cancellable_keyed(key, event)
-    }
-
-    /// Like [`Scheduler::schedule_batched_after`], returning a handle that
-    /// revokes the deadline in O(1) — the lease pattern: re-arming a timer
-    /// cancels the superseded deadline instead of letting it fire and be
-    /// filtered by the consumer. The entry rides the wheel when it accepts
-    /// the deadline and falls back to the heap otherwise; fire order is
-    /// identical either way.
-    pub fn schedule_batched_after_cancellable(
-        &mut self,
-        delay: SimDuration,
-        event: E,
-    ) -> TimerHandle {
-        let time = self.now + delay;
-        let key = self.next_key(time);
-        match &mut self.wheel {
-            Some(wheel) if wheel.accepts(time) => {
-                TimerHandle::Wheel(wheel.push_cancellable(key, event))
-            }
-            _ => TimerHandle::Heap(self.queue.push_cancellable_keyed(key, event)),
-        }
-    }
-
-    /// Cancels a previously scheduled event.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.head = None;
-        self.queue.cancel(handle)
-    }
-
-    /// Cancels a batched timer scheduled with
-    /// [`Scheduler::schedule_batched_after_cancellable`]. Cancelling an
-    /// already-fired or already-cancelled timer is a no-op returning `false`.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.head = None;
-        match handle {
-            TimerHandle::Heap(h) => self.queue.cancel(h),
-            TimerHandle::Wheel(h) => self.wheel.as_mut().is_some_and(|w| w.cancel(h)),
+            _ => self.heap.push(EventEntry { key, event }),
         }
     }
 
@@ -362,7 +290,7 @@ impl<E> Scheduler<E> {
         if self.head.is_some() {
             return self.head;
         }
-        let mut best = self.queue.peek_key().map(|key| (key, Tier::Heap));
+        let mut best = self.heap.peek().map(|e| (e.key, Tier::Heap));
         if let Some(key) = self.wheel.as_mut().and_then(TimerWheel::peek) {
             if !best.is_some_and(|(b, _)| b <= key) {
                 best = Some((key, Tier::Wheel));
@@ -375,12 +303,6 @@ impl<E> Scheduler<E> {
         }
         self.head = best;
         best
-    }
-
-    /// Time of the next pending event, if any.
-    #[must_use]
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_merged().map(|(key, _)| key.time())
     }
 
     /// Pops the next event and advances the clock to its time.
@@ -398,7 +320,7 @@ impl<E> Scheduler<E> {
         let (time, event) = match tier {
             Tier::Wheel => self.wheel.as_mut().expect("peek said wheel").pop()?,
             Tier::Calendar => self.calendar.as_mut().expect("peek said calendar").pop()?,
-            Tier::Heap => self.queue.pop()?,
+            Tier::Heap => self.heap.pop().map(|e| (e.key.time(), e.event))?,
         };
         debug_assert!(
             time >= self.now,
@@ -407,34 +329,6 @@ impl<E> Scheduler<E> {
         self.now = time;
         self.processed += 1;
         Some((time, event))
-    }
-
-    /// Advances the clock to `time` without processing events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduledInPast`] if `time` is before the clock.
-    pub fn advance_to(&mut self, time: SimTime) -> Result<(), SimError> {
-        if time < self.now {
-            return Err(SimError::ScheduledInPast {
-                now: self.now,
-                requested: time,
-            });
-        }
-        self.now = time;
-        Ok(())
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.head = None;
-        self.queue.clear();
-        if let Some(wheel) = &mut self.wheel {
-            wheel.clear();
-        }
-        if let Some(cal) = &mut self.calendar {
-            cal.clear();
-        }
     }
 }
 
@@ -446,7 +340,6 @@ mod tests {
     enum Ev {
         A,
         B,
-        C,
     }
 
     #[test]
@@ -486,24 +379,6 @@ mod tests {
             "event beyond horizon must not fire"
         );
         assert_eq!(s.pending_events(), 1);
-    }
-
-    #[test]
-    fn cancellable_events() {
-        let mut s = Scheduler::new();
-        let h = s.schedule_after_cancellable(SimDuration::from_secs(1.0), Ev::A);
-        s.schedule_after(SimDuration::from_secs(2.0), Ev::C);
-        assert!(s.cancel(h));
-        let (_, e) = s.next_event().unwrap();
-        assert_eq!(e, Ev::C);
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut s: Scheduler<Ev> = Scheduler::new();
-        s.advance_to(SimTime::from_secs(10.0)).unwrap();
-        assert_eq!(s.now(), SimTime::from_secs(10.0));
-        assert!(s.advance_to(SimTime::from_secs(5.0)).is_err());
     }
 
     #[test]
@@ -610,12 +485,6 @@ mod tests {
         Run(usize),
     }
 
-    #[derive(Debug, Clone, Copy)]
-    enum Handle {
-        Event(EventHandle),
-        Timer(TimerHandle),
-    }
-
     /// A keyed run: its members as `(key, payload)` in key order, and the
     /// index of the next one to fire.
     struct KeyedRun {
@@ -636,9 +505,8 @@ mod tests {
         runs: Vec<KeyedRun>,
         log: Vec<(SimTime, u32)>,
         next_payload: u32,
-        /// Payloads scheduled and neither fired nor cancelled.
+        /// Payloads scheduled and not fired yet.
         live: usize,
-        handles: Vec<Handle>,
         inline: usize,
         requeued: usize,
         tied_in_front: usize,
@@ -662,7 +530,6 @@ mod tests {
                 log: Vec::new(),
                 next_payload: 0,
                 live: 0,
-                handles: Vec::new(),
                 inline: 0,
                 requeued: 0,
                 tied_in_front: 0,
@@ -714,18 +581,15 @@ mod tests {
             }
         }
 
-        /// A foreign event at exactly `delay` from now, through the tier
-        /// `tier` selects: calendar/heap by distance, or the wheel.
-        fn foreign(&mut self, delay: f64, tier: usize) {
+        /// A foreign event at exactly `delay` from now: on the wheel if
+        /// `batched`, on the calendar or the heap by distance otherwise.
+        fn foreign(&mut self, delay: f64, batched: bool) {
             let payload = Fired::Plain(self.payload());
             let delay = SimDuration::from_secs(delay);
-            match tier {
-                0 => self.sched.schedule_after(delay, payload),
-                1 => self.sched.schedule_batched_after(delay, payload),
-                _ => {
-                    let handle = self.sched.schedule_after_cancellable(delay, payload);
-                    self.handles.push(Handle::Event(handle));
-                }
+            if batched {
+                self.sched.schedule_batched_after(delay, payload);
+            } else {
+                self.sched.schedule_after(delay, payload);
             }
         }
 
@@ -751,13 +615,13 @@ mod tests {
                         .collect();
                     if rng.chance(0.5) {
                         let member = rng.uniform_usize(delays.len());
-                        self.foreign(delays[member], rng.uniform_usize(3));
+                        self.foreign(delays[member], rng.chance(0.5));
                         self.tied_in_front += 1;
                     }
                     self.start_run(&delays);
                     if rng.chance(0.5) {
                         let member = rng.uniform_usize(delays.len());
-                        self.foreign(delays[member], rng.uniform_usize(3));
+                        self.foreign(delays[member], rng.chance(0.5));
                         self.tied_behind += 1;
                     }
                 }
@@ -775,39 +639,19 @@ mod tests {
                 // A handler scheduling at zero delay and half a millisecond
                 // out, mid-run as often as not.
                 3 | 4 if spawning => {
-                    self.foreign(0.0, 0);
-                    self.foreign(0.0005, 0);
+                    self.foreign(0.0, false);
+                    self.foreign(0.0005, false);
                 }
                 // A far heap event and a wheel timer.
                 5 if spawning => {
-                    self.foreign(0.2 + rng.uniform(), 0);
-                    self.foreign(0.01 + 0.02 * rng.uniform(), 1);
+                    self.foreign(0.2 + rng.uniform(), false);
+                    self.foreign(0.01 + 0.02 * rng.uniform(), true);
                 }
-                // A cancellable timer a few quanta out — the head of the
-                // queue more often than not — on the heap or the wheel.
+                // A timer a few quanta out — the head of the queue more
+                // often than not — on the calendar or the wheel.
                 6 | 7 if spawning => {
-                    let delay = SimDuration::from_secs(QUANTUM * rng.uniform_usize(6) as f64);
-                    let payload = Fired::Plain(self.payload());
-                    let handle = if rng.chance(0.5) {
-                        Handle::Event(self.sched.schedule_after_cancellable(delay, payload))
-                    } else {
-                        Handle::Timer(
-                            self.sched
-                                .schedule_batched_after_cancellable(delay, payload),
-                        )
-                    };
-                    self.handles.push(handle);
-                }
-                // Cancel the most recent cancellable timer, fired or not.
-                8..=10 => {
-                    let cancelled = match self.handles.pop() {
-                        Some(Handle::Event(handle)) => self.sched.cancel(handle),
-                        Some(Handle::Timer(handle)) => self.sched.cancel_timer(handle),
-                        None => false,
-                    };
-                    if cancelled {
-                        self.live -= 1;
-                    }
+                    let delay = QUANTUM * rng.uniform_usize(6) as f64;
+                    self.foreign(delay, rng.chance(0.5));
                 }
                 _ => {}
             }
@@ -898,18 +742,23 @@ mod tests {
         let rekey = |(time, seq)| EventKey::new(time, seq);
         let mut wheel = TimerWheel::new(SimDuration::from_secs(0.94));
         let mut calendar = CalendarQueue::new(SimDuration::from_secs(0.01), 2_048);
-        let mut heap = EventQueue::new();
+        let mut heap = BinaryHeap::new();
         for &key in &keys {
             wheel.push(key, key.seq());
             assert!(calendar.accepts(key.time()));
             calendar.push(key, key.seq());
-            heap.push_keyed(key, key.seq());
+            heap.push(EventEntry {
+                key,
+                event: key.seq(),
+            });
         }
         let popped: Vec<EventKey> = std::iter::from_fn(|| wheel.pop()).map(rekey).collect();
         assert_eq!(popped, expected, "timer wheel");
         let popped: Vec<EventKey> = std::iter::from_fn(|| calendar.pop()).map(rekey).collect();
         assert_eq!(popped, expected, "calendar queue");
-        let popped: Vec<EventKey> = std::iter::from_fn(|| heap.pop()).map(rekey).collect();
+        let popped: Vec<EventKey> = std::iter::from_fn(|| heap.pop())
+            .map(|e| rekey((e.key.time(), e.event)))
+            .collect();
         assert_eq!(popped, expected, "event heap");
 
         // Entries spliced into an activated slot or bucket keep the order.
@@ -964,7 +813,8 @@ mod tests {
         let reference = RunDriver::new(false, None).run_to_end();
         let keyed = RunDriver::new(true, None).run_to_end();
         assert_same(&reference, &keyed);
-        assert!(reference.sched.is_idle() && keyed.sched.is_idle());
+        assert_eq!(reference.sched.pending_events(), 0);
+        assert_eq!(keyed.sched.pending_events(), 0);
         assert!(reference.log.len() >= TARGET_FIRES, "the script ran dry");
         // The script must have exercised what it is here for.
         assert!(keyed.inline > 1_000, "inline {}", keyed.inline);
@@ -990,7 +840,7 @@ mod tests {
         let keyed = RunDriver::new(true, Some(horizon)).run_to_end();
         assert_same(&reference, &keyed);
         assert_eq!(reference.sched.now(), horizon);
-        assert!(keyed.unqueued_members() > 0 && !keyed.sched.is_idle());
+        assert!(keyed.unqueued_members() > 0 && keyed.sched.pending_events() > 0);
     }
 
     #[test]
@@ -1025,52 +875,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_cancellable_timers_cancel_on_wheel_and_heap() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_batching(SimDuration::from_secs(1.0));
-        // Near deadline lands on the wheel, far deadline falls back to heap.
-        let near = s.schedule_batched_after_cancellable(SimDuration::from_secs(1.0), 1);
-        let far = s.schedule_batched_after_cancellable(SimDuration::from_secs(100_000.0), 2);
-        assert!(matches!(near, TimerHandle::Wheel(_)));
-        assert!(matches!(far, TimerHandle::Heap(_)));
-        s.schedule_after(SimDuration::from_secs(2.0), 3);
-        assert!(s.cancel_timer(near));
-        assert!(s.cancel_timer(far));
-        assert!(!s.cancel_timer(near), "double cancel is a no-op");
-        assert_eq!(s.next_event().unwrap().1, 3);
-        assert!(s.next_event().is_none());
-    }
-
-    #[test]
-    fn renewed_lease_fires_once_at_the_latest_deadline() {
-        let mut s: Scheduler<&str> = Scheduler::new();
-        s.enable_batching(SimDuration::from_secs(1.0));
-        let mut lease = s.schedule_batched_after_cancellable(SimDuration::from_secs(3.0), "lease");
-        for _ in 0..3 {
-            assert!(s.cancel_timer(lease));
-            lease = s.schedule_batched_after_cancellable(SimDuration::from_secs(4.0), "lease");
-        }
-        let (time, event) = s.next_event().unwrap();
-        assert_eq!(event, "lease");
-        assert_eq!(time, SimTime::from_secs(4.0));
-        assert!(s.next_event().is_none());
-    }
-
-    #[test]
     fn batching_without_enable_falls_back_to_heap() {
         let mut s: Scheduler<Ev> = Scheduler::new();
         s.schedule_batched_after(SimDuration::from_secs(1.0), Ev::A);
         assert_eq!(s.pending_events(), 1);
         assert_eq!(s.next_event().unwrap().1, Ev::A);
-    }
-
-    #[test]
-    fn is_idle_and_clear() {
-        let mut s = Scheduler::new();
-        assert!(s.is_idle());
-        s.schedule_after(SimDuration::from_secs(1.0), Ev::A);
-        assert!(!s.is_idle());
-        s.clear();
-        assert!(s.is_idle());
     }
 }

@@ -17,24 +17,50 @@ use vanet::links::{path_lifetime, path_reliability};
 use vanet::mobility::geometry::distance;
 use vanet::mobility::Vec2;
 use vanet::net::NeighborTable;
-use vanet::sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
+use vanet::sim::{NodeId, Scheduler, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 128;
 
+/// The scheduler's three tiers merged, seen through the public API: a random
+/// mix of absolute-time events (calendar or heap, by distance) and batched
+/// timers (wheel, or heap when too far out) on a coarse time grid, so that
+/// ties abound. Pops must come in non-decreasing time, and equal times in
+/// scheduling order — the payload is the scheduling index.
 #[test]
 fn event_queue_pops_in_nondecreasing_time_order() {
     let mut rng = SimRng::new(0xE0E0);
     for _ in 0..CASES {
         let count = 1 + rng.uniform_usize(199);
-        let mut queue = EventQueue::new();
+        let mut scheduler = Scheduler::new();
+        scheduler.enable_batching(SimDuration::from_secs(0.1));
+        scheduler.enable_calendar(SimDuration::from_secs(0.01), 64);
         for i in 0..count {
-            queue.push(SimTime::from_secs(rng.uniform_range(0.0, 1e6)), i);
+            // Quarter-second steps over 0–1,000 s: near ones land in the
+            // calendar's window, far ones beyond the wheel's.
+            let steps = if rng.chance(0.5) {
+                rng.uniform_usize(4)
+            } else {
+                rng.uniform_usize(4_000)
+            };
+            let secs = 0.25 * steps as f64;
+            if rng.chance(0.5) {
+                scheduler.schedule_at(SimTime::from_secs(secs), i).unwrap();
+            } else {
+                scheduler.schedule_batched_after(SimDuration::from_secs(secs), i);
+            }
         }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = queue.pop() {
-            assert!(t >= last);
-            last = t;
+        let mut last: Option<(SimTime, usize)> = None;
+        while let Some((t, i)) = scheduler.next_event() {
+            if let Some((last_t, last_i)) = last {
+                assert!(t >= last_t, "popped {t} after {last_t}");
+                assert!(
+                    t > last_t || i > last_i,
+                    "tie at {t} fired {i} after {last_i}"
+                );
+            }
+            last = Some((t, i));
         }
+        assert_eq!(scheduler.processed_events(), count as u64);
     }
 }
 
