@@ -8,12 +8,12 @@ use crate::scenario::{ChannelModel, Scenario};
 use crate::taxonomy::ProtocolKind;
 use crate::telemetry::{NoTelemetry, Telemetry};
 use std::sync::Arc;
-use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState, Velocity};
+use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
     ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, InterferenceCounts, LogNormalShadowing,
     Medium, MediumConfig, NeighborArena, Packet, PacketKind, SpatialGrid, UnitDisk,
 };
-use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol, TableLocationService};
+use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
     EventKey, FlowId, NodeId, PacketIdAllocator, Scheduler, SimDuration, SimRng, SimTime,
 };
@@ -97,12 +97,11 @@ enum FaultAction {
     Poison,
 }
 
-/// Per-node control state. Kinematics live in the simulation's
-/// structure-of-arrays (`states`/`positions`/`velocities`) and neighbour
-/// entries in the shared [`NeighborArena`], so this stays a few dozen bytes
-/// and the fleet's node array is cache-dense.
+/// Per-node control state, at the node's [`NodeId::index`]. Kinematics live
+/// in the simulation's `states` and neighbour entries in the shared
+/// [`NeighborArena`], so this stays a few dozen bytes and the fleet's node
+/// array is cache-dense.
 struct NodeRuntime {
-    id: NodeId,
     protocol: Box<dyn RoutingProtocol + Send>,
     /// Handle into the fleet-shared neighbour arena.
     neighbors: ArenaTable,
@@ -125,14 +124,11 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     /// a `Vec` per node, so start-up makes two allocations instead of a
     /// million.
     neighbor_arena: NeighborArena,
-    /// Structure-of-arrays kinematics, indexed by `NodeId::index()`. The
-    /// full per-node `VehicleState` backs protocol contexts; positions and
-    /// velocities are mirrored in dense arrays so the transmit / grid /
-    /// telemetry hot paths read 16-byte entries instead of striding over
-    /// whole node runtimes.
+    /// Every node's kinematics — vehicles, then RSUs — indexed by
+    /// `NodeId::index()`: the only copy the driver keeps. The mobility step
+    /// writes each vehicle's entry once; the medium, grid and telemetry read
+    /// positions from it, and protocols see it as `ProtocolContext::fleet`.
     states: Vec<VehicleState>,
-    positions: Vec<Position>,
-    velocities: Vec<Velocity>,
     rsu_ids: Vec<NodeId>,
     bus_ids: Vec<NodeId>,
     medium: Medium,
@@ -144,7 +140,6 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     /// changed mid-run, which it never does).
     grid: SpatialGrid,
     scheduler: Scheduler<Event>,
-    location: TableLocationService,
     packet_ids: PacketIdAllocator,
     metrics: Metrics,
     flows: Vec<Flow>,
@@ -229,6 +224,16 @@ impl<T: Telemetry> Simulation<T> {
 
         let mobility = scenario.build_mobility(&mut mobility_rng);
         let vehicle_states: Vec<VehicleState> = mobility.states().to_vec();
+        // `states`, `nodes` and every per-node table are indexed by id, and
+        // RSUs are numbered after the vehicles.
+        for (i, state) in vehicle_states.iter().enumerate() {
+            assert!(
+                state.id.index() == i,
+                "scenario '{}': vehicle {i} has id {}; vehicle ids must run 0, 1, 2, ...",
+                scenario.name,
+                state.id.0
+            );
+        }
         let bounds = mobility.bounds();
         telemetry.on_start(bounds.min, bounds.max, scenario.duration);
 
@@ -246,29 +251,22 @@ impl<T: Telemetry> Simulation<T> {
         }
 
         let node_count = vehicle_count + rsu_states.len();
-        let mut location = TableLocationService::new();
         let mut nodes = Vec::with_capacity(node_count);
         let mut states = Vec::with_capacity(node_count);
-        let mut positions = Vec::with_capacity(node_count);
-        let mut velocities = Vec::with_capacity(node_count);
         let mut rsu_ids = Vec::new();
         let mut bus_ids = Vec::new();
         for state in vehicle_states.iter().chain(rsu_states.iter()) {
-            location.set(state.id, state.position, state.velocity);
             match state.kind {
                 VehicleKind::RoadSideUnit => rsu_ids.push(state.id),
                 VehicleKind::Bus => bus_ids.push(state.id),
                 VehicleKind::Car => {}
             }
             nodes.push(NodeRuntime {
-                id: state.id,
                 protocol: factory(),
                 neighbors: ArenaTable::new(),
                 rng: master.derive_index("node", u64::from(state.id.0)),
             });
             states.push(*state);
-            positions.push(state.position);
-            velocities.push(state.velocity);
         }
         let protocol_name = nodes
             .first()
@@ -415,14 +413,11 @@ impl<T: Telemetry> Simulation<T> {
             nodes,
             neighbor_arena,
             states,
-            positions,
-            velocities,
             rsu_ids,
             bus_ids,
             medium,
             medium_rng,
             grid: SpatialGrid::default(),
-            location,
             packet_ids: PacketIdAllocator::new(),
             metrics: Metrics::new(),
             flows,
@@ -481,12 +476,8 @@ impl<T: Telemetry> Simulation<T> {
     /// candidate nodes in exactly the order the old exhaustive scan visited
     /// them.
     fn build_grid(&mut self) {
-        let positions: Vec<(NodeId, Position)> = self
-            .positions
-            .iter()
-            .enumerate()
-            .map(|(i, &pos)| (NodeId(i as u32), pos))
-            .collect();
+        let positions: Vec<(NodeId, Position)> =
+            self.states.iter().map(|s| (s.id, s.position)).collect();
         self.grid = SpatialGrid::build(self.medium.propagation().max_range(), &positions);
     }
 
@@ -497,14 +488,14 @@ impl<T: Telemetry> Simulation<T> {
         // order so same-timestamp wheel entries fire in exactly the order
         // the old fleet-wide `Tick` loop visited the nodes.
         for i in 0..self.nodes.len() {
-            let id = self.nodes[i].id;
+            let id = NodeId(i as u32);
             self.scheduler
                 .schedule_batched_after(self.scenario.tick_interval, Event::Maintain(id));
         }
         for i in 0..self.nodes.len() {
             if let Some(interval) = self.nodes[i].protocol.beacon_interval() {
                 let jitter = interval * traffic_rng.uniform_range(0.0, 1.0);
-                let id = self.nodes[i].id;
+                let id = NodeId(i as u32);
                 self.scheduler
                     .schedule_batched_after(jitter, Event::Beacon(id));
             }
@@ -628,15 +619,11 @@ impl<T: Telemetry> Simulation<T> {
                 // per-step position collect, no rebuild. RSUs are not part
                 // of the mobility model and simply stay in their cells.
                 for state in self.mobility.states() {
-                    let idx = state.id.index();
-                    let old_pos = self.positions[idx];
-                    if old_pos != state.position {
-                        self.grid.update(state.id, old_pos, state.position);
+                    let slot = &mut self.states[state.id.index()];
+                    if slot.position != state.position {
+                        self.grid.update(state.id, slot.position, state.position);
                     }
-                    self.states[idx] = *state;
-                    self.positions[idx] = state.position;
-                    self.velocities[idx] = state.velocity;
-                    self.location.set(state.id, state.position, state.velocity);
+                    *slot = *state;
                 }
                 self.scheduler
                     .schedule_after(self.scenario.mobility_step, Event::MobilityStep);
@@ -673,8 +660,8 @@ impl<T: Telemetry> Simulation<T> {
                 let mut hello = Packet::broadcast(node_id, PacketKind::Hello, 0);
                 hello.id = self.packet_ids.allocate();
                 hello.created_at = now;
-                hello.sender_position = Some(self.positions[idx]);
-                hello.sender_velocity = Some(self.velocities[idx]);
+                hello.sender_position = Some(self.states[idx].position);
+                hello.sender_velocity = Some(self.states[idx].velocity);
                 self.transmit(idx, now, hello);
                 let jitter = 1.0
                     + self.beacon_config.jitter_fraction * (self.nodes[idx].rng.uniform() - 0.5);
@@ -699,7 +686,7 @@ impl<T: Telemetry> Simulation<T> {
             Event::BackboneArrival { receiver, packet } => {
                 let idx = self.node_index(receiver);
                 if self.node_is_down(idx) {
-                    self.telemetry.on_fault_drop(now, self.positions[idx]);
+                    self.telemetry.on_fault_drop(now, self.states[idx].position);
                     return;
                 }
                 self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, &packet, false));
@@ -778,7 +765,7 @@ impl<T: Telemetry> Simulation<T> {
         // protocol only ever observes the outage as missing frames
         // and expiring neighbour leases.
         if self.node_is_down(idx) {
-            self.telemetry.on_fault_drop(now, self.positions[idx]);
+            self.telemetry.on_fault_drop(now, self.states[idx].position);
             return;
         }
         // Every received frame refreshes the neighbour entry for its
@@ -797,7 +784,7 @@ impl<T: Telemetry> Simulation<T> {
                 self.telemetry.on_neighbor_gained(now);
             }
         }
-        self.telemetry.on_receive(now, self.positions[idx]);
+        self.telemetry.on_receive(now, self.states[idx].position);
         if packet.kind == PacketKind::Hello {
             return;
         }
@@ -814,14 +801,13 @@ impl<T: Telemetry> Simulation<T> {
         let range_m = self.scenario.radio_range_m;
         let node = &mut self.nodes[idx];
         let mut ctx = ProtocolContext {
-            node: node.id,
+            node: NodeId(idx as u32),
             now,
-            state: &self.states[idx],
+            fleet: &self.states,
             neighbors: self.neighbor_arena.view(&node.neighbors),
             range_m,
             rsu_ids: &self.rsu_ids,
             bus_ids: &self.bus_ids,
-            location: &self.location,
             rng: &mut node.rng,
             packet_ids: &mut self.packet_ids,
             actions: &mut self.sink,
@@ -836,7 +822,7 @@ impl<T: Telemetry> Simulation<T> {
         // were powered off.
         if self.node_is_down(sender_idx) {
             self.telemetry
-                .on_fault_drop(now, self.positions[sender_idx]);
+                .on_fault_drop(now, self.states[sender_idx].position);
             return;
         }
         self.metrics.record_transmission(
@@ -844,8 +830,8 @@ impl<T: Telemetry> Simulation<T> {
             packet.size_bytes(),
             packet.is_control(),
         );
-        let sender_id = self.nodes[sender_idx].id;
-        let sender_pos = self.positions[sender_idx];
+        let sender_id = NodeId(sender_idx as u32);
+        let sender_pos = self.states[sender_idx].position;
         self.telemetry
             .on_transmit(now, sender_pos, packet.size_bytes(), packet.is_control());
         let mut deliveries = std::mem::take(&mut self.delivery_buf);
@@ -887,10 +873,11 @@ impl<T: Telemetry> Simulation<T> {
         self.delivery_buf = deliveries;
     }
 
+    /// Whether `id` is a road-side unit; an id outside the fleet is not.
     fn is_rsu(&self, id: NodeId) -> bool {
-        // `rsu_ids` ascends by construction (vehicles are numbered before
-        // RSUs and both in id order), so membership is a binary search.
-        self.rsu_ids.binary_search(&id).is_ok()
+        self.states
+            .get(id.index())
+            .is_some_and(|s| s.kind == VehicleKind::RoadSideUnit)
     }
 
     /// Drains the sink (ping-ponging its buffer with `action_scratch`, so no
@@ -918,14 +905,14 @@ impl<T: Telemetry> Simulation<T> {
                 Action::Drop { reason, .. } => {
                     self.metrics.record_drop(reason);
                     self.telemetry
-                        .on_drop(now, self.positions[node_idx], reason);
+                        .on_drop(now, self.states[node_idx].position, reason);
                 }
                 Action::Bundle { op, occupancy } => {
                     self.metrics.record_bundle(op, occupancy);
                     self.telemetry.on_bundle(now, op, occupancy);
                 }
                 Action::BackboneSend { to, packet } => {
-                    let from = self.nodes[node_idx].id;
+                    let from = NodeId(node_idx as u32);
                     // A down RSU is detached from the wired backbone too, so
                     // the send fails through the protocol's normal no-route
                     // path (short-circuit: fault-free runs check nothing;
@@ -949,7 +936,7 @@ impl<T: Telemetry> Simulation<T> {
                         self.metrics.record_drop(vanet_routing::DropReason::NoRoute);
                         self.telemetry.on_drop(
                             now,
-                            self.positions[node_idx],
+                            self.states[node_idx].position,
                             vanet_routing::DropReason::NoRoute,
                         );
                     }
@@ -1021,6 +1008,21 @@ mod tests {
         assert_eq!(sim.node_count(), 24);
         assert_eq!(sim.rsu_ids().len(), 4);
         assert_eq!(sim.flows().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "scenario 'offset': vehicle 0 has id 5; vehicle ids must run 0, 1, 2"
+    )]
+    fn vehicle_ids_that_do_not_start_at_zero_are_rejected() {
+        let mut scenario = quick_scenario(10, 1);
+        scenario.name = "offset".into();
+        scenario.layout = crate::scenario::RoadLayout::Highway(
+            vanet_mobility::HighwayBuilder::new()
+                .vehicles(10)
+                .first_node_id(5),
+        );
+        let _ = run_scenario(scenario, ProtocolKind::Greedy);
     }
 
     #[test]

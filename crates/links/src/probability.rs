@@ -310,7 +310,7 @@ fn bracket_uncapped_side(
 /// `CAP · Σw` from the prefix sums), separating and uncapped. The two
 /// uncapped ranges are bounded block by block
 /// (`bracket_uncapped_side`), the sum is normalised like the kernel's
-/// and widened by [`BRACKET_MARGIN`] either way.
+/// and widened by `BRACKET_MARGIN` either way.
 ///
 /// `std == 0` returns the kernel's value twice. Outside the domain the
 /// rounding analysis covers — a non-finite argument, or a grid reaching

@@ -10,7 +10,7 @@
 use crate::car_following::{IdmParams, LeaderInfo};
 use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
-use crate::model::{state_by_id, MobilityModel, RegionBounds};
+use crate::model::{MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
 use std::cmp::Ordering;
 use vanet_sim::{NodeId, SimDuration, SimRng};
@@ -153,8 +153,9 @@ impl HighwayBuilder {
     }
 
     /// Sets the node id assigned to the first vehicle (subsequent vehicles get
-    /// consecutive ids). Useful when vehicles coexist with RSUs that occupy a
-    /// separate id range.
+    /// consecutive ids). `vanet-core`'s simulation indexes every node by id
+    /// and numbers RSUs after the vehicles, so it rejects anything but the
+    /// default, 0.
     #[must_use]
     pub fn first_node_id(mut self, id: u32) -> Self {
         self.first_node_id = id;
@@ -550,10 +551,6 @@ impl MobilityModel for HighwayModel {
 
     fn states(&self) -> &[VehicleState] {
         &self.states
-    }
-
-    fn state(&self, id: NodeId) -> Option<&VehicleState> {
-        state_by_id(&self.states, id)
     }
 
     fn bounds(&self) -> RegionBounds {
@@ -964,10 +961,11 @@ mod tests {
 
     #[test]
     fn state_lookup_by_id() {
+        // Ids run from 0 by default, so a vehicle's id is its snapshot index.
         let hw = build(10, 10);
-        assert!(hw.state(NodeId(3)).is_some());
-        assert!(hw.state(NodeId(999)).is_none());
-        assert!(hw.position(NodeId(3)).is_some());
+        for (i, s) in hw.states().iter().enumerate() {
+            assert_eq!(s.id.index(), i);
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! * vehicle state and kinds ([`VehicleState`], [`VehicleKind`]);
 //! * scenario generators: a multi-lane bidirectional [`highway`] and a
 //!   Manhattan-grid [`urban`] network, with IDM-style car-following so that
-//!   congestion emerges from density rather than being scripted;
-//! * mobility traces for recording and replaying trajectories.
+//!   congestion emerges from density rather than being scripted.
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@ pub mod geometry;
 pub mod highway;
 pub mod model;
 pub mod road;
-pub mod trace;
 pub mod urban;
 pub mod vehicle;
 
@@ -49,6 +47,5 @@ pub use geometry::{Heading, Position, Vec2, Velocity};
 pub use highway::{HighwayBuilder, HighwayModel};
 pub use model::{MobilityModel, RegionBounds};
 pub use road::{Lane, RoadDirection, RoadNetwork, RoadSegment};
-pub use trace::{MobilityTrace, TraceSample};
 pub use urban::{UrbanGridBuilder, UrbanGridModel};
 pub use vehicle::{VehicleKind, VehicleState};

@@ -2,7 +2,7 @@
 
 use crate::geometry::Position;
 use crate::vehicle::VehicleState;
-use vanet_sim::{NodeId, SimDuration, SimRng};
+use vanet_sim::{SimDuration, SimRng};
 
 /// Axis-aligned bounding box of the simulated region, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -59,9 +59,6 @@ pub trait MobilityModel {
     /// Snapshot of every vehicle's current state.
     fn states(&self) -> &[VehicleState];
 
-    /// State of one vehicle, if it exists in this model.
-    fn state(&self, id: NodeId) -> Option<&VehicleState>;
-
     /// Bounding box of the simulated region.
     fn bounds(&self) -> RegionBounds;
 
@@ -74,18 +71,6 @@ pub trait MobilityModel {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Position of one vehicle, if known.
-    fn position(&self, id: NodeId) -> Option<Position> {
-        self.state(id).map(|s| s.position)
-    }
-}
-
-/// Looks `id` up in a snapshot whose ids are consecutive from its first
-/// entry's — how both models in this crate number their vehicles.
-pub(crate) fn state_by_id(states: &[VehicleState], id: NodeId) -> Option<&VehicleState> {
-    let offset = id.0.checked_sub(states.first()?.id.0)?;
-    states.get(offset as usize)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
-use crate::model::{state_by_id, MobilityModel, RegionBounds};
+use crate::model::{MobilityModel, RegionBounds};
 use crate::road::RoadNetwork;
 use crate::vehicle::{VehicleKind, VehicleState};
 use vanet_sim::{NodeId, SimDuration, SimRng};
@@ -109,7 +109,10 @@ impl UrbanGridBuilder {
         self
     }
 
-    /// Sets the node id assigned to the first vehicle.
+    /// Sets the node id assigned to the first vehicle (subsequent vehicles get
+    /// consecutive ids). `vanet-core`'s simulation indexes every node by id
+    /// and numbers RSUs after the vehicles, so it rejects anything but the
+    /// default, 0.
     #[must_use]
     pub fn first_node_id(mut self, id: u32) -> Self {
         self.first_node_id = id;
@@ -353,10 +356,6 @@ impl MobilityModel for UrbanGridModel {
 
     fn states(&self) -> &[VehicleState] {
         &self.states
-    }
-
-    fn state(&self, id: NodeId) -> Option<&VehicleState> {
-        state_by_id(&self.states, id)
     }
 
     fn bounds(&self) -> RegionBounds {

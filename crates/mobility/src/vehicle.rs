@@ -18,14 +18,6 @@ pub enum VehicleKind {
     RoadSideUnit,
 }
 
-impl VehicleKind {
-    /// Whether this node kind ever moves.
-    #[must_use]
-    pub fn is_mobile(self) -> bool {
-        !matches!(self, VehicleKind::RoadSideUnit)
-    }
-}
-
 /// Kinematic state of one vehicle at the current simulation instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleState {
@@ -69,24 +61,6 @@ impl VehicleState {
         self.velocity.norm()
     }
 
-    /// Distance to another vehicle, in metres.
-    #[must_use]
-    pub fn distance_to(&self, other: &VehicleState) -> f64 {
-        crate::geometry::distance(self.position, other.position)
-    }
-
-    /// Whether the two vehicles travel in broadly the same direction
-    /// (velocity dot product positive). Stationary nodes are considered to be
-    /// travelling in every direction (always `true`), matching the role of a
-    /// road-side unit as a direction-agnostic relay.
-    #[must_use]
-    pub fn same_direction_as(&self, other: &VehicleState) -> bool {
-        if self.speed() == 0.0 || other.speed() == 0.0 {
-            return true;
-        }
-        self.velocity.dot(other.velocity) > 0.0
-    }
-
     /// Relative speed magnitude |v_i − v_j| in m/s.
     #[must_use]
     pub fn relative_speed(&self, other: &VehicleState) -> f64 {
@@ -113,31 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_mobility() {
-        assert!(VehicleKind::Car.is_mobile());
-        assert!(VehicleKind::Bus.is_mobile());
-        assert!(!VehicleKind::RoadSideUnit.is_mobile());
-        assert_eq!(VehicleKind::default(), VehicleKind::Car);
-    }
-
-    #[test]
     fn speed_and_distance() {
         let a = car(1, (0.0, 0.0), (3.0, 4.0));
         let b = car(2, (30.0, 40.0), (0.0, 0.0));
         assert_eq!(a.speed(), 5.0);
-        assert_eq!(a.distance_to(&b), 50.0);
+        assert_eq!(crate::geometry::distance(a.position, b.position), 50.0);
         assert_eq!(a.relative_speed(&b), 5.0);
-    }
-
-    #[test]
-    fn direction_comparison() {
-        let east = car(1, (0.0, 0.0), (20.0, 0.0));
-        let east2 = car(2, (100.0, 0.0), (25.0, 1.0));
-        let west = car(3, (200.0, 0.0), (-20.0, 0.0));
-        assert!(east.same_direction_as(&east2));
-        assert!(!east.same_direction_as(&west));
-        let stopped = car(4, (0.0, 0.0), (0.0, 0.0));
-        assert!(stopped.same_direction_as(&west), "stationary matches all");
     }
 
     #[test]
@@ -146,5 +101,6 @@ mod tests {
         assert_eq!(s.speed(), 0.0);
         assert_eq!(s.position, Vec2::new(1.0, 2.0));
         assert_eq!(s.kind, VehicleKind::RoadSideUnit);
+        assert_eq!(VehicleKind::default(), VehicleKind::Car);
     }
 }

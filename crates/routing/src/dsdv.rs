@@ -167,46 +167,8 @@ impl RoutingProtocol for Dsdv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketIdAllocator, SimRng};
-
-    struct Harness {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Harness {
-        fn new(id: u32) -> Self {
-            Harness {
-                state: VehicleState::stationary(NodeId(id), VehicleKind::Car, Vec2::ZERO),
-                neighbors: NeighborTable::new(),
-                rng: SimRng::new(1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
-        }
-
-        fn ctx(&mut self, now: f64) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now: SimTime::from_secs(now),
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
-    }
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
 
     #[test]
     fn periodic_updates_are_rate_limited() {

@@ -114,46 +114,9 @@ impl RoutingProtocol for Epidemic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, DropReason, NoLocationService};
-    use vanet_mobility::{VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketId, PacketIdAllocator, SimRng, SimTime};
-
-    fn make_ctx_parts(
-        node: u32,
-    ) -> (
-        VehicleState,
-        NeighborTable,
-        SimRng,
-        PacketIdAllocator,
-        ActionSink,
-    ) {
-        (
-            VehicleState::stationary(NodeId(node), VehicleKind::Car, vanet_mobility::Vec2::ZERO),
-            NeighborTable::new(),
-            SimRng::new(1),
-            PacketIdAllocator::new(),
-            ActionSink::new(),
-        )
-    }
-
-    macro_rules! ctx {
-        ($node:expr, $state:expr, $nbrs:expr, $rng:expr, $ids:expr, $sink:expr) => {
-            ProtocolContext {
-                node: NodeId($node),
-                now: SimTime::ZERO,
-                state: &$state,
-                neighbors: (&$nbrs).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut $rng,
-                packet_ids: &mut $ids,
-                actions: &mut $sink,
-            }
-        };
-    }
+    use crate::protocol::{Action, DropReason};
+    use crate::testkit::Harness;
+    use vanet_sim::PacketId;
 
     fn data_packet(id: u64, src: u32, dst: u32) -> Packet {
         let mut p = Packet::data(NodeId(src), NodeId(dst), 100);
@@ -164,8 +127,8 @@ mod tests {
     #[test]
     fn originate_stores_instead_of_transmitting() {
         let mut proto = Epidemic::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
-        let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+        let mut h = Harness::new(0);
+        let mut ctx = h.ctx(0.0);
         proto.originate(&mut ctx, data_packet(1, 0, 9));
         let actions = ctx.take_actions();
         assert!(actions.iter().all(|a| !matches!(a, Action::Transmit(_))));
@@ -182,9 +145,9 @@ mod tests {
     #[test]
     fn summary_vector_triggers_transfer_of_missing_bundles() {
         let mut proto = Epidemic::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
@@ -199,7 +162,7 @@ mod tests {
         );
         sv.id = PacketId(50);
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &sv, false);
             ctx.take_actions()
         };
@@ -227,7 +190,7 @@ mod tests {
             predictabilities: vec![],
         };
         let none = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &sv_full, false);
             ctx.take_actions()
         };
@@ -237,10 +200,10 @@ mod tests {
     #[test]
     fn receiver_takes_custody_and_acks_then_destination_ack_retires_the_bundle() {
         let mut proto = Epidemic::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(4);
+        let mut h = Harness::new(4);
         let incoming = data_packet(7, 0, 9).forwarded_by(NodeId(0), Some(NodeId(4)));
         let actions = {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &incoming, false);
             ctx.take_actions()
         };
@@ -271,7 +234,7 @@ mod tests {
         dest_ack.id = PacketId(90);
         dest_ack.next_hop = Some(NodeId(4));
         let retire = {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &dest_ack, false);
             ctx.take_actions()
         };
@@ -288,16 +251,16 @@ mod tests {
     #[test]
     fn delivery_at_destination_is_deduplicated() {
         let mut proto = Epidemic::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(9);
+        let mut h = Harness::new(9);
         let incoming = data_packet(3, 0, 9).forwarded_by(NodeId(2), Some(NodeId(9)));
         let first = {
-            let mut ctx = ctx!(9, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &incoming, false);
             ctx.take_actions()
         };
         assert!(first.iter().any(|a| matches!(a, Action::Deliver(_))));
         let second = {
-            let mut ctx = ctx!(9, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &incoming, false);
             ctx.take_actions()
         };
@@ -314,15 +277,14 @@ mod tests {
     #[test]
     fn expired_bundles_are_discarded_on_tick() {
         let mut proto = Epidemic::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
-            ctx.now = SimTime::from_secs(31.0); // default TTL is 30 s
+            let mut ctx = h.ctx(31.0); // default TTL is 30 s
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
@@ -339,22 +301,16 @@ mod tests {
     #[test]
     fn ticks_broadcast_summary_only_with_neighbors() {
         let mut proto = Epidemic::default();
-        let (state, mut nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         let silent = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
         assert!(silent.is_empty(), "no neighbours, no summary");
-        nbrs.observe(
-            NodeId(5),
-            vanet_mobility::Vec2::new(10.0, 0.0),
-            vanet_mobility::Vec2::ZERO,
-            SimTime::ZERO,
-            SimDuration::from_secs(10.0),
-        );
+        h.add_neighbor(5, 10.0, 0.0);
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };

@@ -155,46 +155,9 @@ impl RoutingProtocol for ProbFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketId, PacketIdAllocator, SimRng, SimTime};
-
-    fn make_ctx_parts(
-        node: u32,
-    ) -> (
-        VehicleState,
-        NeighborTable,
-        SimRng,
-        PacketIdAllocator,
-        ActionSink,
-    ) {
-        (
-            VehicleState::stationary(NodeId(node), VehicleKind::Car, Vec2::ZERO),
-            NeighborTable::new(),
-            SimRng::new(1),
-            PacketIdAllocator::new(),
-            ActionSink::new(),
-        )
-    }
-
-    macro_rules! ctx {
-        ($node:expr, $state:expr, $nbrs:expr, $rng:expr, $ids:expr, $sink:expr) => {
-            ProtocolContext {
-                node: NodeId($node),
-                now: SimTime::ZERO,
-                state: &$state,
-                neighbors: (&$nbrs).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut $rng,
-                packet_ids: &mut $ids,
-                actions: &mut $sink,
-            }
-        };
-    }
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_sim::PacketId;
 
     fn data_packet(id: u64, src: u32, dst: u32) -> Packet {
         let mut p = Packet::data(NodeId(src), NodeId(dst), 100);
@@ -205,10 +168,10 @@ mod tests {
     #[test]
     fn near_source_packets_always_rebroadcast_and_are_carried() {
         let mut proto = ProbFlood::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
+        let mut h = Harness::new(2);
         let pkt = data_packet(1, 0, 9).forwarded_by(NodeId(0), None); // hops = 1 < MIN_HOPS
         let actions = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             ctx.take_actions()
         };
@@ -230,11 +193,11 @@ mod tests {
         let mut relayed = 0;
         let mut suppressed = 0;
         let mut proto = ProbFlood::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
+        let mut h = Harness::new(2);
         for id in 0..200 {
             let mut pkt = data_packet(id, 0, 9);
             pkt.hops = 5;
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             if ctx
                 .take_actions()
@@ -253,16 +216,16 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_and_destination_delivers() {
         let mut proto = ProbFlood::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(9);
+        let mut h = Harness::new(9);
         let pkt = data_packet(1, 0, 9).forwarded_by(NodeId(0), None);
         let first = {
-            let mut ctx = ctx!(9, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             ctx.take_actions()
         };
         assert!(first.iter().any(|a| matches!(a, Action::Deliver(_))));
         let second = {
-            let mut ctx = ctx!(9, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             ctx.take_actions()
         };
@@ -278,32 +241,26 @@ mod tests {
     #[test]
     fn fresh_contact_triggers_carried_rebroadcast() {
         let mut proto = ProbFlood::default();
-        let (state, mut nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
+        let mut h = Harness::new(2);
         // Carry a near-source bundle (hops < MIN_HOPS: the contact
         // rebroadcast is then deterministic).
         let pkt = data_packet(1, 0, 9).forwarded_by(NodeId(0), None);
         {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             ctx.take_actions();
         }
         // No neighbours yet: a tick does nothing.
         let silent = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
         assert!(silent.is_empty());
         // A new neighbour appears: the carried bundle is re-offered.
-        nbrs.observe(
-            NodeId(7),
-            Vec2::new(10.0, 0.0),
-            Vec2::ZERO,
-            SimTime::ZERO,
-            SimDuration::from_secs(10.0),
-        );
+        h.add_neighbor(7, 10.0, 0.0);
         let actions = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
@@ -317,7 +274,7 @@ mod tests {
         )));
         // The same neighbour next tick is not a fresh contact.
         let again = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };

@@ -213,46 +213,9 @@ impl RoutingProtocol for Prophet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketId, PacketIdAllocator, SimRng};
-
-    fn make_ctx_parts(
-        node: u32,
-    ) -> (
-        VehicleState,
-        NeighborTable,
-        SimRng,
-        PacketIdAllocator,
-        ActionSink,
-    ) {
-        (
-            VehicleState::stationary(NodeId(node), VehicleKind::Car, Vec2::ZERO),
-            NeighborTable::new(),
-            SimRng::new(1),
-            PacketIdAllocator::new(),
-            ActionSink::new(),
-        )
-    }
-
-    macro_rules! ctx {
-        ($node:expr, $state:expr, $nbrs:expr, $rng:expr, $ids:expr, $sink:expr) => {
-            ProtocolContext {
-                node: NodeId($node),
-                now: SimTime::ZERO,
-                state: &$state,
-                neighbors: (&$nbrs).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut $rng,
-                packet_ids: &mut $ids,
-                actions: &mut $sink,
-            }
-        };
-    }
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_sim::PacketId;
 
     fn data_packet(id: u64, src: u32, dst: u32) -> Packet {
         let mut p = Packet::data(NodeId(src), NodeId(dst), 100);
@@ -260,23 +223,13 @@ mod tests {
         p
     }
 
-    fn observe(nbrs: &mut NeighborTable, id: u32) {
-        nbrs.observe(
-            NodeId(id),
-            Vec2::new(10.0, 0.0),
-            Vec2::ZERO,
-            SimTime::ZERO,
-            SimDuration::from_secs(10.0),
-        );
-    }
-
     #[test]
     fn encounters_grow_predictability_and_aging_shrinks_it() {
         let mut proto = Prophet::default();
-        let (state, mut nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
-        observe(&mut nbrs, 5);
+        let mut h = Harness::new(0);
+        h.add_neighbor(5, 10.0, 0.0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions();
         }
@@ -284,8 +237,7 @@ mod tests {
         assert!((after_meet - P_INIT).abs() < 1e-12);
         // Still in contact next tick: no re-encounter bump, just aging.
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
-            ctx.now = SimTime::from_secs(10.0);
+            let mut ctx = h.ctx(10.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions();
         }
@@ -297,10 +249,10 @@ mod tests {
     #[test]
     fn transitive_update_learns_through_a_relay() {
         let mut proto = Prophet::default();
-        let (state, mut nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
-        observe(&mut nbrs, 5);
+        let mut h = Harness::new(0);
+        h.add_neighbor(5, 10.0, 0.0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx); // meet node 5: P(5) = 0.75
             ctx.take_actions();
         }
@@ -315,7 +267,7 @@ mod tests {
         );
         sv.id = PacketId(50);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &sv, false);
             ctx.take_actions();
         }
@@ -326,9 +278,9 @@ mod tests {
     #[test]
     fn forwards_only_to_better_carriers() {
         let mut proto = Prophet::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
@@ -343,7 +295,7 @@ mod tests {
         );
         weak.id = PacketId(50);
         let none = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &weak, false);
             ctx.take_actions()
         };
@@ -362,7 +314,7 @@ mod tests {
         );
         strong.id = PacketId(51);
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &strong, false);
             ctx.take_actions()
         };
@@ -379,9 +331,9 @@ mod tests {
     #[test]
     fn destination_contact_always_receives_the_bundle() {
         let mut proto = Prophet::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
@@ -397,7 +349,7 @@ mod tests {
         );
         sv.id = PacketId(52);
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &sv, false);
             ctx.take_actions()
         };
@@ -414,11 +366,11 @@ mod tests {
     #[test]
     fn summary_vector_piggybacks_sorted_predictabilities() {
         let mut proto = Prophet::default();
-        let (state, mut nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
-        observe(&mut nbrs, 7);
-        observe(&mut nbrs, 3);
+        let mut h = Harness::new(0);
+        h.add_neighbor(7, 10.0, 0.0);
+        h.add_neighbor(3, 10.0, 0.0);
         let actions = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };

@@ -138,46 +138,9 @@ impl RoutingProtocol for SprayAndWait {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketId, PacketIdAllocator, SimRng, SimTime};
-
-    fn make_ctx_parts(
-        node: u32,
-    ) -> (
-        VehicleState,
-        NeighborTable,
-        SimRng,
-        PacketIdAllocator,
-        ActionSink,
-    ) {
-        (
-            VehicleState::stationary(NodeId(node), VehicleKind::Car, Vec2::ZERO),
-            NeighborTable::new(),
-            SimRng::new(1),
-            PacketIdAllocator::new(),
-            ActionSink::new(),
-        )
-    }
-
-    macro_rules! ctx {
-        ($node:expr, $state:expr, $nbrs:expr, $rng:expr, $ids:expr, $sink:expr) => {
-            ProtocolContext {
-                node: NodeId($node),
-                now: SimTime::ZERO,
-                state: &$state,
-                neighbors: (&$nbrs).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut $rng,
-                packet_ids: &mut $ids,
-                actions: &mut $sink,
-            }
-        };
-    }
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_sim::PacketId;
 
     fn data_packet(id: u64, src: u32, dst: u32) -> Packet {
         let mut p = Packet::data(NodeId(src), NodeId(dst), 100);
@@ -201,9 +164,9 @@ mod tests {
     #[test]
     fn binary_splitting_halves_tickets_until_wait_phase() {
         let mut proto = SprayAndWait::default(); // L = 8
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
@@ -211,7 +174,7 @@ mod tests {
         // Three relays in sequence: 8 → 4 → 2 → 1.
         for (peer, expect_give, expect_keep) in [(5, 4, 4), (6, 2, 2), (7, 1, 1)] {
             let actions = {
-                let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+                let mut ctx = h.ctx(0.0);
                 proto.on_packet(&mut ctx, &empty_sv(peer, 50 + u64::from(peer)), false);
                 ctx.take_actions()
             };
@@ -228,7 +191,7 @@ mod tests {
         }
         // Wait phase: a further relay contact gets nothing.
         let none = {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &empty_sv(8, 60), false);
             ctx.take_actions()
         };
@@ -238,26 +201,26 @@ mod tests {
     #[test]
     fn wait_phase_still_delivers_directly_to_the_destination() {
         let mut proto = SprayAndWait::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(4);
+        let mut h = Harness::new(4);
         // Receive a wait-phase copy (1 ticket).
         let mut incoming = data_packet(3, 0, 9).forwarded_by(NodeId(0), Some(NodeId(4)));
         incoming.copies = 1;
         {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &incoming, false);
             ctx.take_actions();
         }
         assert_eq!(proto.tickets(NodeId(0), 3), Some(1));
         // A relay's summary vector gets nothing...
         let none = {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &empty_sv(6, 61), false);
             ctx.take_actions()
         };
         assert!(none.iter().all(|a| !matches!(a, Action::Transmit(_))));
         // ...but the destination's summary vector gets the bundle.
         let actions = {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &empty_sv(9, 62), false);
             ctx.take_actions()
         };
@@ -274,11 +237,11 @@ mod tests {
     #[test]
     fn received_tickets_arrive_on_the_packet() {
         let mut proto = SprayAndWait::default();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(4);
+        let mut h = Harness::new(4);
         let mut incoming = data_packet(3, 0, 9).forwarded_by(NodeId(0), Some(NodeId(4)));
         incoming.copies = 4;
         {
-            let mut ctx = ctx!(4, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &incoming, false);
             ctx.take_actions();
         }

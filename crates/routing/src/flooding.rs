@@ -201,47 +201,10 @@ impl RoutingProtocol for Biswas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{VehicleKind, VehicleState};
-    use vanet_net::{NeighborTable, PacketKind};
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_net::PacketKind;
     use vanet_sim::NodeId;
-    use vanet_sim::{PacketIdAllocator, SimRng};
-
-    fn make_ctx_parts(
-        node: u32,
-    ) -> (
-        VehicleState,
-        NeighborTable,
-        SimRng,
-        PacketIdAllocator,
-        ActionSink,
-    ) {
-        (
-            VehicleState::stationary(NodeId(node), VehicleKind::Car, vanet_mobility::Vec2::ZERO),
-            NeighborTable::new(),
-            SimRng::new(1),
-            PacketIdAllocator::new(),
-            ActionSink::new(),
-        )
-    }
-
-    macro_rules! ctx {
-        ($node:expr, $state:expr, $nbrs:expr, $rng:expr, $ids:expr, $sink:expr) => {
-            ProtocolContext {
-                node: NodeId($node),
-                now: SimTime::ZERO,
-                state: &$state,
-                neighbors: (&$nbrs).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut $rng,
-                packet_ids: &mut $ids,
-                actions: &mut $sink,
-            }
-        };
-    }
 
     fn data_packet(id: u64, src: u32, dst: u32) -> Packet {
         let mut p = Packet::data(NodeId(src), NodeId(dst), 100);
@@ -252,8 +215,8 @@ mod tests {
     #[test]
     fn flooding_rebroadcasts_new_packets_once() {
         let mut proto = Flooding::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
-        let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+        let mut h = Harness::new(2);
+        let mut ctx = h.ctx(0.0);
         let pkt = data_packet(1, 0, 9);
         proto.on_packet(&mut ctx, &pkt, false);
         let first = ctx.take_actions();
@@ -272,8 +235,8 @@ mod tests {
     #[test]
     fn flooding_delivers_at_destination() {
         let mut proto = Flooding::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(9);
-        let mut ctx = ctx!(9, state, nbrs, rng, ids, sink);
+        let mut h = Harness::new(9);
+        let mut ctx = h.ctx(0.0);
         proto.on_packet(&mut ctx, &data_packet(1, 0, 9), false);
         let actions = ctx.take_actions();
         assert_eq!(actions.len(), 1);
@@ -283,8 +246,8 @@ mod tests {
     #[test]
     fn flooding_respects_ttl() {
         let mut proto = Flooding::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
-        let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+        let mut h = Harness::new(2);
+        let mut ctx = h.ctx(0.0);
         let mut pkt = data_packet(1, 0, 9);
         pkt.ttl = 0;
         proto.on_packet(&mut ctx, &pkt, false);
@@ -301,8 +264,8 @@ mod tests {
     #[test]
     fn flooding_originate_broadcasts() {
         let mut proto = Flooding::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
-        let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+        let mut h = Harness::new(0);
+        let mut ctx = h.ctx(0.0);
         proto.originate(&mut ctx, data_packet(1, 0, 9));
         let actions = ctx.take_actions();
         match &actions[0] {
@@ -317,10 +280,10 @@ mod tests {
     #[test]
     fn biswas_retries_until_ack_overheard() {
         let mut proto = Biswas::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(2);
+        let mut h = Harness::new(2);
         let pkt = data_packet(1, 0, 9);
         let actions = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_packet(&mut ctx, &pkt, false);
             ctx.take_actions()
         };
@@ -329,7 +292,7 @@ mod tests {
 
         // Tick before the deadline: nothing happens.
         let none = {
-            let mut ctx = ctx!(2, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
@@ -337,8 +300,7 @@ mod tests {
 
         // Tick after the deadline: the packet is retransmitted.
         let retries = {
-            let mut later = ctx!(2, state, nbrs, rng, ids, sink);
-            later.now = SimTime::from_secs(2.0);
+            let mut later = h.ctx(2.0);
             proto.on_tick(&mut later);
             later.take_actions()
         };
@@ -354,8 +316,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let mut again = ctx!(2, state, nbrs, rng, ids, sink);
-        again.now = SimTime::from_secs(2.5);
+        let mut again = h.ctx(2.5);
         proto.on_packet(&mut again, &overheard_copy, true);
         assert_eq!(proto.pending_acks(), 0);
     }
@@ -363,17 +324,16 @@ mod tests {
     #[test]
     fn biswas_gives_up_after_max_retries() {
         let mut proto = Biswas::new();
-        let (state, nbrs, mut rng, mut ids, mut sink) = make_ctx_parts(0);
+        let mut h = Harness::new(0);
         {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
+            let mut ctx = h.ctx(0.0);
             proto.originate(&mut ctx, data_packet(1, 0, 9));
             ctx.take_actions();
         }
         assert_eq!(proto.pending_acks(), 1);
         let mut transmissions = 0;
         for i in 1..12 {
-            let mut ctx = ctx!(0, state, nbrs, rng, ids, sink);
-            ctx.now = SimTime::from_secs(i as f64 * 1.5);
+            let mut ctx = h.ctx(i as f64 * 1.5);
             proto.on_tick(&mut ctx);
             transmissions += ctx.take_actions().len();
         }

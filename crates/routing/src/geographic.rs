@@ -98,7 +98,7 @@ impl<S: NextHopScorer> GeoRouting<S> {
     fn destination_position(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> Option<Position> {
         packet
             .destination
-            .and_then(|d| ctx.location.position_of(d))
+            .and_then(|d| ctx.position_of(d))
             .or(packet.geo.map(|g| g.position))
     }
 
@@ -465,67 +465,22 @@ pub fn gvgrid() -> GvGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, TableLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{NodeId, PacketIdAllocator, SimRng};
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Vec2, VehicleKind};
+    use vanet_sim::NodeId;
 
-    struct Harness {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        location: TableLocationService,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Harness {
-        fn new(id: u32, x: f64) -> Self {
-            let mut state =
-                VehicleState::stationary(NodeId(id), VehicleKind::Car, Vec2::new(x, 0.0));
-            state.velocity = Vec2::new(20.0, 0.0);
-            Harness {
-                state,
-                neighbors: NeighborTable::new(),
-                location: TableLocationService::new(),
-                rng: SimRng::new(1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
-        }
-
-        fn add_neighbor(&mut self, id: u32, x: f64, vx: f64) {
-            self.neighbors.observe(
-                NodeId(id),
-                Vec2::new(x, 0.0),
-                Vec2::new(vx, 0.0),
-                SimTime::ZERO,
-                SimDuration::from_secs(10.0),
-            );
-        }
-
-        fn ctx(&mut self, now: f64) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now: SimTime::from_secs(now),
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &self.location,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
+    /// Car 0 at the origin, driving east at 20 m/s.
+    fn eastbound() -> Harness {
+        let mut h = Harness::new(0);
+        h.place(0, VehicleKind::Car, Vec2::ZERO, Vec2::new(20.0, 0.0));
+        h
     }
 
     #[test]
     fn greedy_forwards_to_closest_progressing_neighbor() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(1_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(1_000.0, 0.0), Vec2::ZERO);
         h.add_neighbor(1, 100.0, 20.0);
         h.add_neighbor(2, 200.0, 20.0);
         h.add_neighbor(3, -100.0, 20.0); // backwards, never chosen
@@ -544,9 +499,8 @@ mod tests {
 
     #[test]
     fn greedy_prefers_neighbors_moving_towards_destination_on_ties() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(1_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(1_000.0, 0.0), Vec2::ZERO);
         // Two neighbours at the same progress; one drives towards the
         // destination, the other away.
         h.add_neighbor(1, 150.0, -20.0);
@@ -565,9 +519,8 @@ mod tests {
 
     #[test]
     fn local_maximum_carries_then_drops() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(1_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(1_000.0, 0.0), Vec2::ZERO);
         h.add_neighbor(3, -100.0, 20.0); // only a backwards neighbour
         let mut proto = greedy();
         let actions = {
@@ -603,9 +556,8 @@ mod tests {
 
     #[test]
     fn carried_packet_is_sent_when_a_neighbor_appears() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(1_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(1_000.0, 0.0), Vec2::ZERO);
         let mut proto = greedy();
         {
             let mut ctx = h.ctx(1.0);
@@ -624,8 +576,8 @@ mod tests {
 
     #[test]
     fn direct_delivery_to_neighbor_destination() {
-        let mut h = Harness::new(0, 0.0);
-        h.location.set(NodeId(9), Vec2::new(150.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(150.0, 0.0), Vec2::ZERO);
         h.add_neighbor(9, 150.0, 20.0);
         let mut proto = greedy();
         let actions = {
@@ -638,7 +590,7 @@ mod tests {
 
     #[test]
     fn unknown_destination_position_is_a_drop() {
-        let mut h = Harness::new(0, 0.0);
+        let mut h = eastbound();
         let mut proto = greedy();
         let actions = {
             let mut ctx = h.ctx(1.0);
@@ -656,15 +608,8 @@ mod tests {
 
     #[test]
     fn rear_prefers_reliable_links() {
-        let h_state = |x: f64| {
-            let mut s = VehicleState::stationary(NodeId(0), VehicleKind::Car, Vec2::new(x, 0.0));
-            s.velocity = Vec2::new(20.0, 0.0);
-            s
-        };
-        let mut h = Harness::new(0, 0.0);
-        h.state = h_state(0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, Vec2::new(2_000.0, 0.0), Vec2::ZERO);
         // A close reliable neighbour and a distant marginal one.
         h.add_neighbor(1, 120.0, 20.0);
         h.add_neighbor(2, 245.0, 20.0);
@@ -689,8 +634,8 @@ mod tests {
         let scorer = CarScorer::default();
         let dest = Vec2::new(3_000.0, 0.0);
         // Sparse neighbourhood.
-        let mut sparse = Harness::new(0, 0.0);
-        sparse.location.set(NodeId(9), dest, Vec2::ZERO);
+        let mut sparse = eastbound();
+        sparse.place(9, VehicleKind::Car, dest, Vec2::ZERO);
         sparse.add_neighbor(1, 200.0, 20.0);
         let sparse_score = {
             let ctx = sparse.ctx(1.0);
@@ -698,8 +643,8 @@ mod tests {
             scorer.score(&ctx, &n, dest).unwrap()
         };
         // Dense neighbourhood.
-        let mut dense = Harness::new(0, 0.0);
-        dense.location.set(NodeId(9), dest, Vec2::ZERO);
+        let mut dense = eastbound();
+        dense.place(9, VehicleKind::Car, dest, Vec2::ZERO);
         for i in 1..30 {
             dense.add_neighbor(i, 10.0 * i as f64, 20.0);
         }
@@ -718,8 +663,8 @@ mod tests {
     fn gvgrid_penalises_unstable_links() {
         let scorer = GvGridScorer::default();
         let dest = Vec2::new(3_000.0, 0.0);
-        let mut h = Harness::new(0, 0.0);
-        h.location.set(NodeId(9), dest, Vec2::ZERO);
+        let mut h = eastbound();
+        h.place(9, VehicleKind::Car, dest, Vec2::ZERO);
         h.add_neighbor(1, 200.0, 20.0); // same direction as us (20 m/s)
         h.add_neighbor(2, 200.0, -20.0); // opposite direction
         let (stable, unstable) = {

@@ -76,11 +76,7 @@ impl Drr {
         ctx.rsu_ids
             .iter()
             .filter(|&&r| r != ctx.node)
-            .filter_map(|&r| {
-                ctx.location
-                    .position_of(r)
-                    .map(|p| (r, distance(p, target)))
-            })
+            .filter_map(|&r| ctx.position_of(r).map(|p| (r, distance(p, target))))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(r, _)| r)
     }
@@ -90,11 +86,7 @@ impl Drr {
         ctx.rsu_ids
             .iter()
             .filter(|&&r| r != ctx.node)
-            .filter_map(|&r| {
-                ctx.location
-                    .position_of(r)
-                    .map(|p| (r, distance(p, ctx.position())))
-            })
+            .filter_map(|&r| ctx.position_of(r).map(|p| (r, distance(p, ctx.position()))))
             .filter(|(_, d)| *d <= ctx.range_m)
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(r, _)| r)
@@ -106,7 +98,7 @@ impl Drr {
             return;
         };
         // Deliver directly if the destination is in radio range of this RSU.
-        if let Some(dest_pos) = ctx.location.position_of(dest) {
+        if let Some(dest_pos) = ctx.position_of(dest) {
             if distance(dest_pos, ctx.position()) <= ctx.range_m {
                 let fwd = ctx.stamp(packet.forwarded_by(ctx.node, Some(dest)));
                 ctx.transmit(fwd);
@@ -117,7 +109,6 @@ impl Drr {
             if let Some(better_rsu) = Self::closest_rsu_to(ctx, dest_pos) {
                 let own_distance = distance(ctx.position(), dest_pos);
                 let their_distance = ctx
-                    .location
                     .position_of(better_rsu)
                     .map_or(f64::INFINITY, |p| distance(p, dest_pos));
                 if their_distance + 1.0 < own_distance {
@@ -154,7 +145,7 @@ impl Drr {
         }
         // Otherwise forward greedily towards the nearest RSU.
         if let Some(rsu) = Self::closest_rsu_to(ctx, ctx.position()) {
-            if let Some(rsu_pos) = ctx.location.position_of(rsu) {
+            if let Some(rsu_pos) = ctx.position_of(rsu) {
                 let own = distance(ctx.position(), rsu_pos);
                 if let Some(next) = ctx.neighbors.greedy_next_hop(rsu_pos, own) {
                     let next_id = next.id;
@@ -399,61 +390,20 @@ impl RoutingProtocol for BusFerry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, TableLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketIdAllocator, SimRng};
-
-    struct Harness {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        location: TableLocationService,
-        rsus: Vec<NodeId>,
-        buses: Vec<NodeId>,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Harness {
-        fn new(id: u32, pos: Vec2, kind: VehicleKind) -> Self {
-            Harness {
-                state: VehicleState::stationary(NodeId(id), kind, pos),
-                neighbors: NeighborTable::new(),
-                location: TableLocationService::new(),
-                rsus: Vec::new(),
-                buses: Vec::new(),
-                rng: SimRng::new(1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
-        }
-
-        fn ctx(&mut self, now: f64) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now: SimTime::from_secs(now),
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &self.rsus,
-                bus_ids: &self.buses,
-                location: &self.location,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
-    }
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Vec2, VehicleKind};
 
     #[test]
     fn vehicle_hands_packets_to_rsu_in_range() {
-        let mut h = Harness::new(0, Vec2::ZERO, VehicleKind::Car);
-        h.rsus = vec![NodeId(100)];
-        h.location
-            .set(NodeId(100), Vec2::new(150.0, 0.0), Vec2::ZERO);
-        h.location
-            .set(NodeId(9), Vec2::new(5_000.0, 0.0), Vec2::ZERO);
+        let mut h = Harness::new(0);
+        h.place(
+            100,
+            VehicleKind::RoadSideUnit,
+            Vec2::new(150.0, 0.0),
+            Vec2::ZERO,
+        );
+        h.place(9, VehicleKind::Car, Vec2::new(5_000.0, 0.0), Vec2::ZERO);
         let mut drr = Drr::new();
         let actions = {
             let mut ctx = h.ctx(1.0);
@@ -465,12 +415,15 @@ mod tests {
 
     #[test]
     fn rsu_ships_packets_over_backbone_to_rsu_near_destination() {
-        let mut h = Harness::new(100, Vec2::ZERO, VehicleKind::RoadSideUnit);
-        h.rsus = vec![NodeId(100), NodeId(101)];
-        h.location
-            .set(NodeId(101), Vec2::new(5_000.0, 0.0), Vec2::ZERO);
-        h.location
-            .set(NodeId(9), Vec2::new(5_100.0, 0.0), Vec2::ZERO);
+        let mut h = Harness::new(100);
+        h.place(100, VehicleKind::RoadSideUnit, Vec2::ZERO, Vec2::ZERO);
+        h.place(
+            101,
+            VehicleKind::RoadSideUnit,
+            Vec2::new(5_000.0, 0.0),
+            Vec2::ZERO,
+        );
+        h.place(9, VehicleKind::Car, Vec2::new(5_100.0, 0.0), Vec2::ZERO);
         let mut drr = Drr::new();
         let actions = {
             let mut ctx = h.ctx(1.0);
@@ -485,11 +438,10 @@ mod tests {
 
     #[test]
     fn rsu_delivers_directly_or_buffers_until_destination_arrives() {
-        let mut h = Harness::new(100, Vec2::ZERO, VehicleKind::RoadSideUnit);
-        h.rsus = vec![NodeId(100)];
+        let mut h = Harness::new(100);
+        h.place(100, VehicleKind::RoadSideUnit, Vec2::ZERO, Vec2::ZERO);
         // Destination far away: the RSU buffers.
-        h.location
-            .set(NodeId(9), Vec2::new(5_000.0, 0.0), Vec2::ZERO);
+        h.place(9, VehicleKind::Car, Vec2::new(5_000.0, 0.0), Vec2::ZERO);
         let mut drr = Drr::new();
         let buffered = {
             let mut ctx = h.ctx(1.0);
@@ -499,7 +451,7 @@ mod tests {
         assert!(buffered.is_empty());
         assert_eq!(drr.buffered_packets(), 1);
         // The destination drives into range: the next tick delivers it.
-        h.location.set(NodeId(9), Vec2::new(100.0, 0.0), Vec2::ZERO);
+        h.place(9, VehicleKind::Car, Vec2::new(100.0, 0.0), Vec2::ZERO);
         let actions = {
             let mut ctx = h.ctx(5.0);
             drr.on_tick(&mut ctx);
@@ -511,10 +463,9 @@ mod tests {
 
     #[test]
     fn rsu_buffer_expires_packets() {
-        let mut h = Harness::new(100, Vec2::ZERO, VehicleKind::RoadSideUnit);
-        h.rsus = vec![NodeId(100)];
-        h.location
-            .set(NodeId(9), Vec2::new(5_000.0, 0.0), Vec2::ZERO);
+        let mut h = Harness::new(100);
+        h.place(100, VehicleKind::RoadSideUnit, Vec2::ZERO, Vec2::ZERO);
+        h.place(9, VehicleKind::Car, Vec2::new(5_000.0, 0.0), Vec2::ZERO);
         let mut drr = Drr::new();
         {
             let mut ctx = h.ctx(1.0);
@@ -537,15 +488,14 @@ mod tests {
     #[test]
     fn car_hands_packets_to_a_bus_and_bus_delivers() {
         // The car sees a bus but not the destination.
-        let mut car = Harness::new(0, Vec2::ZERO, VehicleKind::Car);
-        car.buses = vec![NodeId(50)];
-        car.neighbors.observe(
-            NodeId(50),
+        let mut car = Harness::new(0);
+        car.place(
+            50,
+            VehicleKind::Bus,
             Vec2::new(100.0, 0.0),
             Vec2::new(10.0, 0.0),
-            SimTime::ZERO,
-            SimDuration::from_secs(10.0),
         );
+        car.add_neighbor(50, 100.0, 10.0);
         let mut proto_car = BusFerry::new();
         let handed = {
             let mut ctx = car.ctx(1.0);
@@ -555,8 +505,8 @@ mod tests {
         assert!(matches!(&handed[0], Action::Transmit(p) if p.next_hop == Some(NodeId(50))));
 
         // The bus carries the packet until the destination shows up.
-        let mut bus = Harness::new(50, Vec2::new(100.0, 0.0), VehicleKind::Bus);
-        bus.buses = vec![NodeId(50)];
+        let mut bus = Harness::new(50);
+        bus.place(50, VehicleKind::Bus, Vec2::new(100.0, 0.0), Vec2::ZERO);
         let mut proto_bus = BusFerry::new();
         let carried = {
             let mut ctx = bus.ctx(2.0);
@@ -583,7 +533,7 @@ mod tests {
 
     #[test]
     fn car_without_bus_carries_up_to_capacity() {
-        let mut car = Harness::new(0, Vec2::ZERO, VehicleKind::Car);
+        let mut car = Harness::new(0);
         let mut proto = BusFerry::with_config(BusFerryConfig {
             car_buffer_capacity: 2,
             ..BusFerryConfig::default()

@@ -39,6 +39,8 @@ pub mod infrastructure;
 pub mod mobility_protocols;
 pub mod ondemand;
 pub mod protocol;
+#[cfg(test)]
+pub(crate) mod testkit;
 pub mod yan;
 pub mod zone;
 
@@ -60,8 +62,7 @@ pub use mobility_protocols::{
 };
 pub use ondemand::{DiscoveryPolicy, OnDemandConfig, OnDemandRouting};
 pub use protocol::{
-    Action, ActionSink, BundleOp, Category, DropReason, LocationService, NoLocationService,
-    ProtocolContext, RoutingProtocol, TableLocationService,
+    Action, ActionSink, BundleOp, Category, DropReason, ProtocolContext, RoutingProtocol,
 };
 pub use yan::{TicketMetric, Yan, YanConfig};
 pub use zone::{in_corridor, rover, Rover, RoverPolicy, Zone};

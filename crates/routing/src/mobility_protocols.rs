@@ -220,7 +220,7 @@ impl DiscoveryPolicy for AbediPolicy {
         let mut score = 0.0;
         if let Some(v) = packet.sender_velocity {
             // Direction: most important — same direction as this node.
-            if v.dot(ctx.velocity()) > 0.0 || v.norm() == 0.0 || ctx.state.speed() == 0.0 {
+            if v.dot(ctx.velocity()) > 0.0 || v.norm() == 0.0 || ctx.state().speed() == 0.0 {
                 score += self.direction_weight;
             }
             // Speed similarity: small relative speed is better.
@@ -255,16 +255,22 @@ pub fn abedi() -> Abedi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{NoLocationService, RoutingProtocol};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::{GeoAddress, NeighborTable, PacketKind};
-    use vanet_sim::{NodeId, PacketIdAllocator, SimRng, SimTime};
+    use crate::protocol::RoutingProtocol;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Vec2, VehicleKind};
+    use vanet_net::{GeoAddress, PacketKind};
+    use vanet_sim::NodeId;
 
-    fn moving_state(id: u32, x: f64, vx: f64) -> VehicleState {
-        let mut s = VehicleState::stationary(NodeId(id), VehicleKind::Car, Vec2::new(x, 0.0));
-        s.velocity = Vec2::new(vx, 0.0);
-        s.desired_speed = vx.abs();
-        s
+    /// Car 1 at x = 100 m, driving east at 30 m/s.
+    fn eastbound() -> Harness {
+        let mut h = Harness::new(1);
+        h.place(
+            1,
+            VehicleKind::Car,
+            Vec2::new(100.0, 0.0),
+            Vec2::new(30.0, 0.0),
+        );
+        h
     }
 
     fn rreq_with_mobility(from: u32, pos: Vec2, vel: Vec2) -> Packet {
@@ -284,37 +290,11 @@ mod tests {
         p
     }
 
-    fn ctx_for<'a>(
-        state: &'a VehicleState,
-        neighbors: &'a NeighborTable,
-        rng: &'a mut SimRng,
-        ids: &'a mut PacketIdAllocator,
-        sink: &'a mut crate::protocol::ActionSink,
-    ) -> ProtocolContext<'a> {
-        ProtocolContext {
-            node: state.id,
-            now: SimTime::from_secs(1.0),
-            state,
-            neighbors: neighbors.into(),
-            range_m: 250.0,
-            rsu_ids: &[],
-            bus_ids: &[],
-            location: &NoLocationService,
-            rng,
-            packet_ids: ids,
-            actions: sink,
-        }
-    }
-
     #[test]
     fn pbr_scores_stable_links_higher() {
         let policy = PbrPolicy::default();
-        let state = moving_state(1, 100.0, 30.0);
-        let neighbors = NeighborTable::new();
-        let mut rng = SimRng::new(1);
-        let mut ids = PacketIdAllocator::new();
-        let mut sink = crate::protocol::ActionSink::new();
-        let ctx = ctx_for(&state, &neighbors, &mut rng, &mut ids, &mut sink);
+        let mut h = eastbound();
+        let ctx = h.ctx(1.0);
         // Same-direction neighbour just behind: long lifetime.
         let same = rreq_with_mobility(2, Vec2::new(50.0, 0.0), Vec2::new(29.0, 0.0));
         // Opposite-direction neighbour: short lifetime.
@@ -334,12 +314,8 @@ mod tests {
     #[test]
     fn pbr_without_mobility_information_is_pessimistic() {
         let policy = PbrPolicy::default();
-        let state = moving_state(1, 100.0, 30.0);
-        let neighbors = NeighborTable::new();
-        let mut rng = SimRng::new(1);
-        let mut ids = PacketIdAllocator::new();
-        let mut sink = crate::protocol::ActionSink::new();
-        let ctx = ctx_for(&state, &neighbors, &mut rng, &mut ids, &mut sink);
+        let mut h = eastbound();
+        let ctx = h.ctx(1.0);
         let mut bare = rreq_with_mobility(2, Vec2::ZERO, Vec2::ZERO);
         bare.sender_position = None;
         bare.sender_velocity = None;
@@ -349,12 +325,8 @@ mod tests {
     #[test]
     fn taleb_filters_cross_group_forwarding() {
         let policy = TalebPolicy::default();
-        let state = moving_state(1, 100.0, 30.0);
-        let neighbors = NeighborTable::new();
-        let mut rng = SimRng::new(1);
-        let mut ids = PacketIdAllocator::new();
-        let mut sink = crate::protocol::ActionSink::new();
-        let ctx = ctx_for(&state, &neighbors, &mut rng, &mut ids, &mut sink);
+        let mut h = eastbound();
+        let ctx = h.ctx(1.0);
         let same_group = rreq_with_mobility(2, Vec2::new(50.0, 0.0), Vec2::new(25.0, 0.0));
         let other_group = rreq_with_mobility(3, Vec2::new(50.0, 4.0), Vec2::new(-25.0, 0.0));
         assert!(policy.should_forward_request(&ctx, &same_group));
@@ -372,12 +344,8 @@ mod tests {
     #[test]
     fn abedi_weights_direction_over_position_over_speed() {
         let policy = AbediPolicy::default();
-        let state = moving_state(1, 100.0, 30.0);
-        let neighbors = NeighborTable::new();
-        let mut rng = SimRng::new(1);
-        let mut ids = PacketIdAllocator::new();
-        let mut sink = crate::protocol::ActionSink::new();
-        let ctx = ctx_for(&state, &neighbors, &mut rng, &mut ids, &mut sink);
+        let mut h = eastbound();
+        let ctx = h.ctx(1.0);
 
         let mut same_dir = rreq_with_mobility(2, Vec2::new(200.0, 0.0), Vec2::new(28.0, 0.0));
         same_dir.geo = Some(GeoAddress {

@@ -203,7 +203,7 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
         });
         rreq.destination = Some(dest);
         rreq.ttl = self.config.rreq_ttl;
-        if let Some(pos) = ctx.location.position_of(dest) {
+        if let Some(pos) = ctx.position_of(dest) {
             rreq.geo = Some(GeoAddress {
                 position: pos,
                 zone_radius: ctx.range_m,
@@ -537,91 +537,51 @@ impl<P: DiscoveryPolicy> RoutingProtocol for OnDemandRouting<P> {
 mod tests {
     use super::*;
     use crate::aodv::{Aodv, AodvPolicy};
-    use crate::protocol::{Action, ActionSink, NoLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketIdAllocator, SimRng};
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Vec2, VehicleKind};
 
-    /// Environment for one simulated node; the protocol instance lives in a
-    /// separate vector so the context borrow and the protocol borrow stay
-    /// disjoint.
-    struct Env {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Env {
-        fn new(id: u32, x: f64) -> Self {
-            Env {
-                state: VehicleState::stationary(NodeId(id), VehicleKind::Car, Vec2::new(x, 0.0)),
-                neighbors: NeighborTable::new(),
-                rng: SimRng::new(u64::from(id) + 1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
+    /// Cars standing on the x axis, node `i` at `xs[i]`, and one AODV
+    /// instance per node.
+    fn line_network(xs: &[f64]) -> (Harness, Vec<Aodv>) {
+        let mut h = Harness::new(0);
+        for (i, &x) in xs.iter().enumerate() {
+            h.place(i as u32, VehicleKind::Car, Vec2::new(x, 0.0), Vec2::ZERO);
         }
-
-        fn ctx(&mut self, now: SimTime) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now,
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &NoLocationService,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
-    }
-
-    fn line_network(xs: &[f64]) -> (Vec<Env>, Vec<Aodv>) {
-        let envs: Vec<Env> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| Env::new(i as u32, x))
-            .collect();
-        let protos: Vec<Aodv> = xs
+        let protos = xs
             .iter()
             .map(|_| Aodv::new(AodvPolicy::default()))
             .collect();
-        (envs, protos)
+        (h, protos)
     }
 
     /// Drives a hand-made topology: every Transmit is delivered to the nodes
     /// within 250 m of the sender.
     fn run_exchange(
-        envs: &mut [Env],
+        h: &mut Harness,
         protos: &mut [Aodv],
         mut in_flight: Vec<(usize, Packet)>,
     ) -> Vec<Packet> {
         let mut delivered = Vec::new();
-        let now = SimTime::from_secs(1.0);
         let mut rounds = 0;
         while !in_flight.is_empty() && rounds < 50 {
             rounds += 1;
             let mut next_round = Vec::new();
             for (sender_idx, packet) in in_flight.drain(..) {
-                let sender_pos = envs[sender_idx].state.position;
-                for r in 0..envs.len() {
+                let sender_pos = h.fleet[sender_idx].position;
+                for (r, proto) in protos.iter_mut().enumerate() {
                     if r == sender_idx {
                         continue;
                     }
-                    let dist = (envs[r].state.position - sender_pos).norm();
+                    let dist = (h.fleet[r].position - sender_pos).norm();
                     if dist > 250.0 {
                         continue;
                     }
-                    let intended =
-                        packet.next_hop.is_none() || packet.next_hop == Some(envs[r].state.id);
+                    h.node = h.fleet[r].id;
+                    let intended = packet.next_hop.is_none() || packet.next_hop == Some(h.node);
                     let actions = {
-                        let mut ctx = envs[r].ctx(now);
-                        protos[r].on_packet(&mut ctx, &packet, !intended);
+                        let mut ctx = h.ctx(1.0);
+                        proto.on_packet(&mut ctx, &packet, !intended);
                         ctx.take_actions()
                     };
                     for a in actions {
@@ -641,7 +601,7 @@ mod tests {
     #[test]
     fn aodv_discovers_a_two_hop_route_and_delivers() {
         // Nodes at 0, 200, 400 m: 0 and 2 are out of range of each other.
-        let (mut envs, mut protos) = line_network(&[0.0, 200.0, 400.0]);
+        let (mut h, mut protos) = line_network(&[0.0, 200.0, 400.0]);
         let data = {
             let mut p = Packet::data(NodeId(0), NodeId(2), 256);
             p.id = vanet_sim::PacketId(1000);
@@ -649,7 +609,7 @@ mod tests {
         };
         // Originate on node 0: no route yet, so it buffers and emits a RREQ.
         let actions = {
-            let mut ctx = envs[0].ctx(SimTime::from_secs(1.0));
+            let mut ctx = h.ctx(1.0);
             protos[0].originate(&mut ctx, data);
             ctx.take_actions()
         };
@@ -661,7 +621,7 @@ mod tests {
             }
             other => panic!("expected RREQ transmit, got {other:?}"),
         };
-        let delivered = run_exchange(&mut envs, &mut protos, vec![(0, rreq)]);
+        let delivered = run_exchange(&mut h, &mut protos, vec![(0, rreq)]);
         assert_eq!(delivered.len(), 1, "the buffered data packet must arrive");
         assert_eq!(delivered[0].destination, Some(NodeId(2)));
         assert_eq!(delivered[0].source, NodeId(0));
@@ -680,7 +640,7 @@ mod tests {
 
     #[test]
     fn data_with_known_route_is_unicast_immediately() {
-        let mut env = Env::new(0, 0.0);
+        let mut env = Harness::new(0);
         let mut proto = Aodv::new(AodvPolicy::default());
         // Learn a reverse route to node 2 from an RREQ it originated.
         let mut rreq_from_dest = Packet::broadcast(
@@ -697,14 +657,14 @@ mod tests {
         rreq_from_dest.id = vanet_sim::PacketId(55);
         rreq_from_dest.prev_hop = NodeId(2);
         {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.on_packet(&mut ctx, &rreq_from_dest, false);
             ctx.take_actions();
         }
         // The reverse route to 2 now exists, so data goes straight out unicast.
         let data = Packet::data(NodeId(0), NodeId(2), 100);
         let actions = {
-            let mut ctx = env.ctx(SimTime::from_secs(1.5));
+            let mut ctx = env.ctx(1.5);
             proto.originate(&mut ctx, data);
             ctx.take_actions()
         };
@@ -720,7 +680,7 @@ mod tests {
 
     #[test]
     fn neighbor_loss_invalidates_routes_and_emits_rerr() {
-        let mut env = Env::new(1, 0.0);
+        let mut env = Harness::new(1);
         let mut proto = Aodv::new(AodvPolicy::default());
         // Learn a route to 5 via 3 from an RREQ originated by 5.
         let mut rreq = Packet::broadcast(
@@ -737,7 +697,7 @@ mod tests {
         rreq.prev_hop = NodeId(3);
         rreq.id = vanet_sim::PacketId(77);
         {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.on_packet(&mut ctx, &rreq, false);
             ctx.take_actions();
         }
@@ -746,7 +706,7 @@ mod tests {
             .route(NodeId(5), SimTime::from_secs(1.0))
             .is_some());
         let actions = {
-            let mut ctx = env.ctx(SimTime::from_secs(2.0));
+            let mut ctx = env.ctx(2.0);
             proto.on_neighbor_lost(&mut ctx, NodeId(3));
             ctx.take_actions()
         };
@@ -768,17 +728,17 @@ mod tests {
 
     #[test]
     fn discovery_is_rate_limited() {
-        let mut env = Env::new(0, 0.0);
+        let mut env = Harness::new(0);
         let mut proto = Aodv::new(AodvPolicy::default());
         let d1 = Packet::data(NodeId(0), NodeId(7), 10);
         let d2 = Packet::data(NodeId(0), NodeId(7), 10);
         let a1 = {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.originate(&mut ctx, d1);
             ctx.take_actions()
         };
         let a2 = {
-            let mut ctx = env.ctx(SimTime::from_secs(1.5));
+            let mut ctx = env.ctx(1.5);
             proto.originate(&mut ctx, d2);
             ctx.take_actions()
         };
@@ -791,7 +751,7 @@ mod tests {
 
     #[test]
     fn rerr_origination_is_rate_limited_per_destination() {
-        let mut env = Env::new(1, 0.0);
+        let mut env = Harness::new(1);
         let mut proto = Aodv::new(AodvPolicy::default());
         // An intermediate node with no route: forwarding data it cannot
         // route re-originates a RERR — but only once per destination per
@@ -810,13 +770,13 @@ mod tests {
                 .count()
         };
         let first = {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.on_packet(&mut ctx, &incoming(1), false);
             ctx.take_actions()
         };
         assert_eq!(count_rerrs(&first), 1, "first failure reports the error");
         let second = {
-            let mut ctx = env.ctx(SimTime::from_secs(1.2));
+            let mut ctx = env.ctx(1.2);
             proto.on_packet(&mut ctx, &incoming(2), false);
             ctx.take_actions()
         };
@@ -832,7 +792,7 @@ mod tests {
             "the packet itself is still dropped"
         );
         let third = {
-            let mut ctx = env.ctx(SimTime::from_secs(6.5));
+            let mut ctx = env.ctx(6.5);
             proto.on_packet(&mut ctx, &incoming(3), false);
             ctx.take_actions()
         };
@@ -841,16 +801,16 @@ mod tests {
 
     #[test]
     fn pending_packets_expire_on_tick() {
-        let mut env = Env::new(0, 0.0);
+        let mut env = Harness::new(0);
         let mut proto = Aodv::new(AodvPolicy::default());
         let data = Packet::data(NodeId(0), NodeId(7), 10);
         {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.originate(&mut ctx, data);
             ctx.take_actions();
         }
         let actions = {
-            let mut ctx = env.ctx(SimTime::from_secs(60.0));
+            let mut ctx = env.ctx(60.0);
             proto.on_tick(&mut ctx);
             ctx.take_actions()
         };
@@ -865,11 +825,11 @@ mod tests {
 
     #[test]
     fn rerr_at_source_triggers_rediscovery() {
-        let mut env = Env::new(0, 0.0);
+        let mut env = Harness::new(0);
         let mut proto = Aodv::new(AodvPolicy::default());
         // Originate data (starts a discovery and buffers the packet).
         {
-            let mut ctx = env.ctx(SimTime::from_secs(1.0));
+            let mut ctx = env.ctx(1.0);
             proto.originate(&mut ctx, Packet::data(NodeId(0), NodeId(7), 10));
             ctx.take_actions();
         }
@@ -886,7 +846,7 @@ mod tests {
         rerr.destination = Some(NodeId(0));
         rerr.prev_hop = NodeId(3);
         let actions = {
-            let mut ctx = env.ctx(SimTime::from_secs(5.0));
+            let mut ctx = env.ctx(5.0);
             proto.on_packet(&mut ctx, &rerr, false);
             ctx.take_actions()
         };

@@ -10,7 +10,7 @@
 //! across callbacks, a protocol reaction allocates nothing in steady state.
 
 use std::fmt;
-use vanet_mobility::{Position, VehicleState, Velocity};
+use vanet_mobility::{Position, VehicleKind, VehicleState, Velocity};
 use vanet_net::{NeighborView, Packet};
 use vanet_sim::{NodeId, PacketId, PacketIdAllocator, SimDuration, SimRng, SimTime};
 
@@ -241,98 +241,28 @@ impl ActionSink {
     }
 }
 
-/// An idealised location service (the "GPS + digital map" assumption the
-/// geographic and probability protocols make): returns the current position
-/// and velocity of any node.
-pub trait LocationService {
-    /// Current position of `node`, if known.
-    fn position_of(&self, node: NodeId) -> Option<Position>;
-
-    /// Current velocity of `node`, if known.
-    fn velocity_of(&self, node: NodeId) -> Option<Velocity>;
-}
-
-/// A location service that knows nothing (used by protocols that do not rely
-/// on positions, and in unit tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoLocationService;
-
-impl LocationService for NoLocationService {
-    fn position_of(&self, _node: NodeId) -> Option<Position> {
-        None
-    }
-
-    fn velocity_of(&self, _node: NodeId) -> Option<Velocity> {
-        None
-    }
-}
-
-/// A location service backed by a static table of positions/velocities.
-#[derive(Debug, Clone, Default)]
-pub struct TableLocationService {
-    /// Dense storage indexed by [`NodeId::index`]: node ids are allocated
-    /// contiguously from zero, and the driver refreshes every node's entry
-    /// each mobility step — an O(1) slot write instead of a descent through
-    /// a fleet-sized ordered map.
-    entries: Vec<Option<(Position, Velocity)>>,
-}
-
-impl TableLocationService {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the position and velocity of a node.
-    pub fn set(&mut self, node: NodeId, position: Position, velocity: Velocity) {
-        let at = node.index();
-        if at >= self.entries.len() {
-            self.entries.resize(at + 1, None);
-        }
-        self.entries[at] = Some((position, velocity));
-    }
-}
-
-impl LocationService for TableLocationService {
-    fn position_of(&self, node: NodeId) -> Option<Position> {
-        self.entries
-            .get(node.index())
-            .copied()
-            .flatten()
-            .map(|e| e.0)
-    }
-
-    fn velocity_of(&self, node: NodeId) -> Option<Velocity> {
-        self.entries
-            .get(node.index())
-            .copied()
-            .flatten()
-            .map(|e| e.1)
-    }
-}
-
 /// Everything a protocol may consult when reacting to an event.
 pub struct ProtocolContext<'a> {
     /// The node this protocol instance runs on.
     pub node: NodeId,
     /// Current simulation time.
     pub now: SimTime,
-    /// The node's own kinematic state.
-    pub state: &'a VehicleState,
+    /// Every node's current kinematic state (vehicles, then road-side
+    /// units), indexed by [`NodeId::index`]: the ideal "GPS + digital map"
+    /// the geographic and probability protocols assume. The driver's own
+    /// store, lent for the callback; this node's entry is
+    /// [`ProtocolContext::state`].
+    pub fleet: &'a [VehicleState],
     /// The node's neighbour table (maintained by the beaconing service): a
     /// read-only view of its entries in the fleet-shared
     /// [`vanet_net::NeighborArena`].
     pub neighbors: NeighborView<'a>,
     /// Nominal radio range in metres.
     pub range_m: f64,
-    /// Ids of the road-side units deployed in the scenario, sorted ascending
-    /// (membership checks binary-search this slice).
+    /// Ids of the road-side units deployed in the scenario, sorted ascending.
     pub rsu_ids: &'a [NodeId],
     /// Ids of the bus (message-ferry) nodes, sorted ascending.
     pub bus_ids: &'a [NodeId],
-    /// The location service (ideal GPS / digital map).
-    pub location: &'a dyn LocationService,
     /// Deterministic randomness for jitter and tie-breaking.
     pub rng: &'a mut SimRng,
     /// Allocator for fresh packet ids (control packets created by protocols).
@@ -342,29 +272,40 @@ pub struct ProtocolContext<'a> {
 }
 
 impl<'a> ProtocolContext<'a> {
+    /// This node's own kinematic state.
+    #[must_use]
+    pub fn state(&self) -> &'a VehicleState {
+        &self.fleet[self.node.index()]
+    }
+
+    /// Current position of node `id`, or `None` for an id outside the fleet.
+    #[must_use]
+    pub fn position_of(&self, id: NodeId) -> Option<Position> {
+        self.fleet.get(id.index()).map(|s| s.position)
+    }
+
     /// Own current position.
     #[must_use]
     pub fn position(&self) -> Position {
-        self.state.position
+        self.state().position
     }
 
     /// Own current velocity.
     #[must_use]
     pub fn velocity(&self) -> Velocity {
-        self.state.velocity
+        self.state().velocity
     }
 
-    /// Whether this node is a road-side unit (`rsu_ids` is id-sorted by
-    /// construction, so membership is a binary search).
+    /// Whether this node is a road-side unit.
     #[must_use]
     pub fn is_rsu(&self) -> bool {
-        self.rsu_ids.binary_search(&self.node).is_ok()
+        self.state().kind == VehicleKind::RoadSideUnit
     }
 
     /// Whether this node is a bus (message ferry).
     #[must_use]
     pub fn is_bus(&self) -> bool {
-        self.bus_ids.binary_search(&self.node).is_ok()
+        self.state().kind == VehicleKind::Bus
     }
 
     /// Queues a frame for transmission (shorthand for `actions.transmit`).
@@ -405,8 +346,8 @@ impl<'a> ProtocolContext<'a> {
         let mut p = Packet::broadcast(self.node, kind, 0);
         p.id = self.packet_ids.allocate();
         p.created_at = self.now;
-        p.sender_position = Some(self.state.position);
-        p.sender_velocity = Some(self.state.velocity);
+        p.sender_position = Some(self.position());
+        p.sender_velocity = Some(self.velocity());
         p
     }
 
@@ -415,8 +356,8 @@ impl<'a> ProtocolContext<'a> {
     /// frame carries).
     #[must_use]
     pub fn stamp(&self, mut packet: Packet) -> Packet {
-        packet.sender_position = Some(self.state.position);
-        packet.sender_velocity = Some(self.state.velocity);
+        packet.sender_position = Some(self.position());
+        packet.sender_velocity = Some(self.velocity());
         packet
     }
 }
@@ -460,7 +401,7 @@ pub trait RoutingProtocol: fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vanet_net::NeighborTable;
+    use crate::testkit::Harness;
 
     #[test]
     fn category_display_and_order() {
@@ -522,28 +463,8 @@ mod tests {
 
     #[test]
     fn take_actions_returns_only_the_current_callbacks_actions() {
-        let state = VehicleState::stationary(
-            NodeId(3),
-            vanet_mobility::VehicleKind::Car,
-            Position::new(0.0, 0.0),
-        );
-        let neighbors = NeighborTable::new();
-        let mut rng = SimRng::new(1);
-        let mut ids = PacketIdAllocator::new();
-        let mut sink = ActionSink::new();
-        let mut ctx = ProtocolContext {
-            node: NodeId(3),
-            now: SimTime::ZERO,
-            state: &state,
-            neighbors: (&neighbors).into(),
-            range_m: 250.0,
-            rsu_ids: &[],
-            bus_ids: &[],
-            location: &NoLocationService,
-            rng: &mut rng,
-            packet_ids: &mut ids,
-            actions: &mut sink,
-        };
+        let mut h = Harness::new(3);
+        let mut ctx = h.ctx(0.0);
         let mut proto = crate::flooding::Flooding::new();
         let pkt = {
             let mut p = Packet::data(NodeId(0), NodeId(9), 32);
@@ -568,13 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn table_location_service() {
-        let mut svc = TableLocationService::new();
-        assert!(svc.position_of(NodeId(1)).is_none());
-        svc.set(NodeId(1), Position::new(10.0, 0.0), Velocity::new(1.0, 0.0));
-        assert_eq!(svc.position_of(NodeId(1)).unwrap().x, 10.0);
-        assert_eq!(svc.velocity_of(NodeId(1)).unwrap().x, 1.0);
-        assert!(NoLocationService.position_of(NodeId(1)).is_none());
-        assert!(NoLocationService.velocity_of(NodeId(1)).is_none());
+    fn context_reads_the_fleet() {
+        let mut h = Harness::new(1);
+        h.place(
+            1,
+            VehicleKind::Bus,
+            Position::new(10.0, 0.0),
+            Velocity::new(1.0, 0.0),
+        );
+        h.place(
+            4,
+            VehicleKind::RoadSideUnit,
+            Position::new(0.0, 5.0),
+            Velocity::ZERO,
+        );
+        let ctx = h.ctx(0.0);
+        assert_eq!(ctx.state().id, NodeId(1));
+        assert_eq!(ctx.position(), Position::new(10.0, 0.0));
+        assert_eq!(ctx.velocity(), Velocity::new(1.0, 0.0));
+        assert!(ctx.is_bus() && !ctx.is_rsu());
+        assert_eq!(ctx.rsu_ids, [NodeId(4)]);
+        assert_eq!(ctx.position_of(NodeId(1)), Some(Position::new(10.0, 0.0)));
+        assert_eq!(ctx.position_of(NodeId(4)), Some(Position::new(0.0, 5.0)));
+        assert!(ctx.position_of(NodeId(5)).is_none(), "past the fleet");
     }
 }

@@ -225,7 +225,7 @@ impl Yan {
         if limit == 0 {
             return;
         }
-        let goal = ctx.location.position_of(dest);
+        let goal = ctx.position_of(dest);
         let own_progress = goal.map(|p| distance(ctx.position(), p));
         // Each eligible neighbour with the upper bound on its stability. Not
         // kept on `self`: every vehicle has a `Yan` and few of them rank.
@@ -501,67 +501,27 @@ impl RoutingProtocol for Yan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, TableLocationService};
-    use vanet_mobility::{Normal, Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{PacketIdAllocator, SimRng};
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Normal, Vec2, VehicleKind};
+    use vanet_sim::SimRng;
 
-    struct Harness {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        location: TableLocationService,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Harness {
-        fn new(id: u32, x: f64) -> Self {
-            let mut state =
-                VehicleState::stationary(NodeId(id), VehicleKind::Car, Vec2::new(x, 0.0));
-            state.velocity = Vec2::new(25.0, 0.0);
-            Harness {
-                state,
-                neighbors: NeighborTable::new(),
-                location: TableLocationService::new(),
-                rng: SimRng::new(1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
-        }
-
-        fn add_neighbor(&mut self, id: u32, x: f64, vx: f64) {
-            self.neighbors.observe(
-                NodeId(id),
-                Vec2::new(x, 0.0),
-                Vec2::new(vx, 0.0),
-                SimTime::ZERO,
-                SimDuration::from_secs(10.0),
-            );
-        }
-
-        fn ctx(&mut self, now: f64) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now: SimTime::from_secs(now),
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &self.location,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
+    /// Car `id` at `x` on the x axis, driving east at 25 m/s.
+    fn eastbound(id: u32, x: f64) -> Harness {
+        let mut h = Harness::new(id);
+        h.place(
+            id,
+            VehicleKind::Car,
+            Vec2::new(x, 0.0),
+            Vec2::new(25.0, 0.0),
+        );
+        h
     }
 
     #[test]
     fn probing_issues_tickets_to_stable_progressing_neighbors() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound(0, 0.0);
+        h.place(9, VehicleKind::Car, Vec2::new(2_000.0, 0.0), Vec2::ZERO);
         h.add_neighbor(1, 150.0, 25.0); // stable, progressing
         h.add_neighbor(2, 150.0, -25.0); // unstable (opposite), progressing
         h.add_neighbor(3, -150.0, 25.0); // behind, filtered out
@@ -636,7 +596,7 @@ mod tests {
         path: &[NodeId],
         score: impl Fn(&NeighborInfo) -> f64,
     ) -> Vec<(NodeId, f64)> {
-        let dest_pos = ctx.location.position_of(dest);
+        let dest_pos = ctx.position_of(dest);
         let own_progress = dest_pos.map(|p| distance(ctx.position(), p));
         let mut scored: Vec<(NodeId, f64)> = ctx
             .neighbors
@@ -687,13 +647,12 @@ mod tests {
         let mut rng = SimRng::new(0x71C4E7);
         let (mut scored, mut integrated) = (0, 0);
         for case in 0..1_000u32 {
-            let mut h = Harness::new(0, 0.0);
-            h.state.velocity = Vec2::new(rng.uniform_range(0.0, 30.0), 0.0);
+            let mut h = eastbound(0, 0.0);
+            h.fleet[0].velocity = Vec2::new(rng.uniform_range(0.0, 30.0), 0.0);
             // One case in four probes blind: no progress filter, every
             // neighbour is scored.
             if case % 4 != 0 {
-                h.location
-                    .set(NodeId(999), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+                h.place(999, VehicleKind::Car, Vec2::new(2_000.0, 0.0), Vec2::ZERO);
             }
             let neighbors = 40 + rng.uniform_usize(31) as u32;
             for id in 1..=neighbors {
@@ -758,9 +717,8 @@ mod tests {
     fn ranking_of_sparse_empty_and_nan_neighbourhoods_scores_everyone_eligible() {
         let mut rng = SimRng::new(0x5BA25E);
         for case in 0..200u32 {
-            let mut h = Harness::new(0, 0.0);
-            h.location
-                .set(NodeId(999), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+            let mut h = eastbound(0, 0.0);
+            h.place(999, VehicleKind::Car, Vec2::new(2_000.0, 0.0), Vec2::ZERO);
             // 0–7 neighbours, some behind (ineligible), against up to 5 places.
             let neighbors = case % 8;
             for id in 1..=neighbors {
@@ -809,7 +767,7 @@ mod tests {
     #[test]
     fn destination_replies_and_source_caches_route() {
         // Destination node 9 receives a ticket and replies.
-        let mut dest = Harness::new(9, 400.0);
+        let mut dest = eastbound(9, 400.0);
         let mut yan_dest = Yan::new();
         let mut ticket = Packet::broadcast(
             NodeId(0),
@@ -840,9 +798,8 @@ mod tests {
         };
 
         // The source receives the reply (after relaying) and caches the route.
-        let mut src = Harness::new(0, 0.0);
-        src.location
-            .set(NodeId(9), Vec2::new(400.0, 0.0), Vec2::ZERO);
+        let mut src = eastbound(0, 0.0);
+        src.place(9, VehicleKind::Car, Vec2::new(400.0, 0.0), Vec2::ZERO);
         src.add_neighbor(1, 150.0, 25.0);
         let mut yan_src = Yan::new();
         // Buffer a data packet first so the reply flushes it.
@@ -865,7 +822,7 @@ mod tests {
 
     #[test]
     fn data_follows_source_route_hop_by_hop() {
-        let mut relay = Harness::new(1, 150.0);
+        let mut relay = eastbound(1, 150.0);
         let mut yan = Yan::new();
         let mut data = Packet::data(NodeId(0), NodeId(9), 64);
         data.source_route = Some(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(9)]);
@@ -881,8 +838,8 @@ mod tests {
 
     #[test]
     fn lost_neighbor_invalidates_routes_through_it() {
-        let mut h = Harness::new(0, 0.0);
-        h.location.set(NodeId(9), Vec2::new(400.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound(0, 0.0);
+        h.place(9, VehicleKind::Car, Vec2::new(400.0, 0.0), Vec2::ZERO);
         let mut yan = Yan::new();
         yan.routes.insert(
             NodeId(9),
@@ -909,9 +866,8 @@ mod tests {
 
     #[test]
     fn no_neighbors_means_no_probe() {
-        let mut h = Harness::new(0, 0.0);
-        h.location
-            .set(NodeId(9), Vec2::new(2_000.0, 0.0), Vec2::ZERO);
+        let mut h = eastbound(0, 0.0);
+        h.place(9, VehicleKind::Car, Vec2::new(2_000.0, 0.0), Vec2::ZERO);
         let mut yan = Yan::new();
         let actions = {
             let mut ctx = h.ctx(1.0);

@@ -84,7 +84,7 @@ impl RoutingProtocol for Zone {
             ctx.drop_packet(&packet, DropReason::NoRoute);
             return;
         };
-        let Some(dest_pos) = ctx.location.position_of(dest) else {
+        let Some(dest_pos) = ctx.position_of(dest) else {
             ctx.drop_packet(&packet, DropReason::NoRoute);
             return;
         };
@@ -219,47 +219,16 @@ pub fn rover() -> Rover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Action, ActionSink, TableLocationService};
-    use vanet_mobility::{Vec2, VehicleKind, VehicleState};
-    use vanet_net::NeighborTable;
-    use vanet_sim::{NodeId, PacketIdAllocator, SimRng, SimTime};
+    use crate::protocol::Action;
+    use crate::testkit::Harness;
+    use vanet_mobility::{Vec2, VehicleKind};
+    use vanet_sim::NodeId;
 
-    struct Harness {
-        state: VehicleState,
-        neighbors: NeighborTable,
-        location: TableLocationService,
-        rng: SimRng,
-        ids: PacketIdAllocator,
-        sink: ActionSink,
-    }
-
-    impl Harness {
-        fn new(id: u32, pos: Vec2) -> Self {
-            Harness {
-                state: VehicleState::stationary(NodeId(id), VehicleKind::Car, pos),
-                neighbors: NeighborTable::new(),
-                location: TableLocationService::new(),
-                rng: SimRng::new(1),
-                ids: PacketIdAllocator::new(),
-                sink: ActionSink::new(),
-            }
-        }
-
-        fn ctx(&mut self, now: f64) -> ProtocolContext<'_> {
-            ProtocolContext {
-                node: self.state.id,
-                now: SimTime::from_secs(now),
-                state: &self.state,
-                neighbors: (&self.neighbors).into(),
-                range_m: 250.0,
-                rsu_ids: &[],
-                bus_ids: &[],
-                location: &self.location,
-                rng: &mut self.rng,
-                packet_ids: &mut self.ids,
-                actions: &mut self.sink,
-            }
-        }
+    /// Car `id` standing at `position`.
+    fn car_at(id: u32, position: Vec2) -> Harness {
+        let mut h = Harness::new(id);
+        h.place(id, VehicleKind::Car, position, Vec2::ZERO);
+        h
     }
 
     #[test]
@@ -298,9 +267,8 @@ mod tests {
 
     #[test]
     fn zone_originate_attaches_destination_zone() {
-        let mut h = Harness::new(0, Vec2::ZERO);
-        h.location
-            .set(NodeId(9), Vec2::new(1_500.0, 0.0), Vec2::ZERO);
+        let mut h = Harness::new(0);
+        h.place(9, VehicleKind::Car, Vec2::new(1_500.0, 0.0), Vec2::ZERO);
         let mut proto = Zone::new();
         let actions = {
             let mut ctx = h.ctx(1.0);
@@ -327,7 +295,7 @@ mod tests {
         packet.sender_position = Some(Vec2::ZERO);
 
         // A node on the corridor relays.
-        let mut on_path = Harness::new(3, Vec2::new(800.0, 100.0));
+        let mut on_path = car_at(3, Vec2::new(800.0, 100.0));
         let mut proto_a = Zone::new();
         let relayed = {
             let mut ctx = on_path.ctx(1.0);
@@ -337,7 +305,7 @@ mod tests {
         assert!(matches!(relayed[0], Action::Transmit(_)));
 
         // A node far off the corridor drops.
-        let mut off_path = Harness::new(4, Vec2::new(800.0, 3_000.0));
+        let mut off_path = car_at(4, Vec2::new(800.0, 3_000.0));
         let mut proto_b = Zone::new();
         let dropped = {
             let mut ctx = off_path.ctx(1.0);
@@ -355,7 +323,7 @@ mod tests {
 
     #[test]
     fn zone_delivers_and_deduplicates() {
-        let mut h = Harness::new(9, Vec2::new(2_000.0, 0.0));
+        let mut h = car_at(9, Vec2::new(2_000.0, 0.0));
         let mut proto = Zone::new();
         let mut packet = Packet::data(NodeId(0), NodeId(9), 64);
         packet.geo = Some(GeoAddress {
@@ -386,7 +354,7 @@ mod tests {
     #[test]
     fn rover_policy_filters_by_corridor() {
         let policy = RoverPolicy::default();
-        let mut inside = Harness::new(1, Vec2::new(900.0, 100.0));
+        let mut inside = car_at(1, Vec2::new(900.0, 100.0));
         let mut rreq = Packet::broadcast(
             NodeId(0),
             PacketKind::RouteRequest {
@@ -407,7 +375,7 @@ mod tests {
             let ctx = inside.ctx(1.0);
             assert!(policy.should_forward_request(&ctx, &rreq));
         }
-        let mut outside = Harness::new(2, Vec2::new(900.0, 4_000.0));
+        let mut outside = car_at(2, Vec2::new(900.0, 4_000.0));
         {
             let ctx = outside.ctx(1.0);
             assert!(!policy.should_forward_request(&ctx, &rreq));

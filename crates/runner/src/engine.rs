@@ -5,7 +5,7 @@
 //! Execution proceeds in rounds: the plan's initial jobs first, then — for
 //! cells with a `ConfidenceWidth` replication policy — an adaptive batch of
 //! extra seeds per still-too-wide cell per round (sized from the observed
-//! variance, see [`next_adaptive_round`]), until every cell's 95% CI is
+//! variance, see `next_adaptive_round`), until every cell's 95% CI is
 //! narrow enough or its cap is reached.
 //!
 //! Determinism contract: every job is seeded at expansion time

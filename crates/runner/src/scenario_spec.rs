@@ -162,7 +162,7 @@ fn parse_fault(spec: &str, value: &str, plan: FaultPlan) -> Result<FaultPlan, Sc
 ///   the Spray-and-Wait ticket budget); they only affect protocols 18–21;
 /// * `fault=<fault>` schedules a deterministic disruption (repeatable), e.g.
 ///   `fault=node:10..20s`, `fault=rsu:1`, `fault=jam:5:0.9:10..30s`,
-///   `fault=burst:0.5:2..4s`, `fault=panic:1s` — see [`parse_fault`] for the
+///   `fault=burst:0.5:2..4s`, `fault=panic:1s` — see `parse_fault` for the
 ///   grammar; the assembled [`FaultPlan`] is validated as a whole, rejecting
 ///   inverted/empty windows and overlapping windows for one target.
 ///

@@ -2,7 +2,7 @@
 //!
 //! When a campaign runs with the telemetry tap enabled, the
 //! [`Runner`](crate::Runner) flushes each job's sealed
-//! [`WindowedTap`](vanet_core::WindowedTap) as one line of
+//! [`WindowedTap`] as one line of
 //! `telemetry.jsonl` next to the campaign journal. The format is columnar
 //! — a `"cols"` object mapping column names to arrays with one element per
 //! window (plus three `region_*` columns with one element per spatial

@@ -127,7 +127,7 @@ impl SimRng {
         (m >> 64) as usize
     }
 
-    /// Bernoulli trial returning `true` with probability `p` (clamped to [0,1]).
+    /// Bernoulli trial returning `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false

@@ -247,6 +247,6 @@ fn highway_neighbour_counts_scale_with_density() {
     // NodeId sanity for the generated vehicles.
     let mut rng = SimRng::new(5);
     let hw = HighwayBuilder::new().vehicles(10).build(&mut rng);
-    assert!(hw.state(NodeId(0)).is_some());
+    assert_eq!(hw.states()[0].id, NodeId(0));
     let _ = SimDuration::from_secs(1.0);
 }
