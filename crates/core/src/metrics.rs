@@ -70,12 +70,18 @@ impl Metrics {
         self.outstanding.insert(id, (now, source));
     }
 
-    /// Records a delivery; duplicates are counted separately.
+    /// Records a delivery; duplicates are counted separately. A delivery
+    /// must name a packet [`Metrics::record_origination`] saw, or
+    /// `data_delivered` could pass `data_originated`.
     pub fn record_delivery(&mut self, id: PacketId, hops: u32, now: SimTime) {
         if self.delivered_ids.contains(&id) {
             self.duplicate_deliveries.incr();
             return;
         }
+        debug_assert!(
+            self.outstanding.contains_key(&id),
+            "delivery of {id:?}, which was never originated"
+        );
         self.delivered_ids.insert(id);
         self.data_delivered.incr();
         self.hops.record(f64::from(hops));
@@ -376,6 +382,15 @@ mod tests {
         assert!((m.delivery_ratio() - 0.5).abs() < 1e-12);
         assert!((m.delays.mean() - 0.5).abs() < 1e-12);
         assert_eq!(m.hops.mean(), 3.0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "never originated")]
+    fn delivering_a_packet_never_originated_panics() {
+        let mut m = Metrics::new();
+        m.record_origination(PacketId(1), NodeId(0), SimTime::ZERO);
+        m.record_delivery(PacketId(2), 1, SimTime::from_secs(0.5));
     }
 
     #[test]

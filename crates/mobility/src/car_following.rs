@@ -36,18 +36,6 @@ impl Default for IdmParams {
 }
 
 impl IdmParams {
-    /// Parameters for an aggressive driver (shorter headway, harder braking).
-    #[must_use]
-    pub fn aggressive() -> Self {
-        IdmParams {
-            max_acceleration: 2.0,
-            comfortable_deceleration: 3.0,
-            min_gap: 1.5,
-            time_headway: 1.0,
-            ..Self::default()
-        }
-    }
-
     /// Parameters for a heavy vehicle such as a bus.
     #[must_use]
     pub fn bus() -> Self {
@@ -163,7 +151,6 @@ mod tests {
 
     #[test]
     fn profiles_differ() {
-        assert!(IdmParams::aggressive().time_headway < IdmParams::default().time_headway);
         assert!(IdmParams::bus().vehicle_length > IdmParams::default().vehicle_length);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The survey's probability-model-based protocols assume speed and
 //! acceleration are normally distributed and inter-vehicle spacing is
-//! exponentially / gamma / log-normally distributed (Sec. VII-A). Rather than
-//! pulling in an extra dependency we implement the handful of samplers and
-//! density functions needed, and test them against their analytic moments.
+//! exponentially distributed (Sec. VII-A). Rather than pulling in an extra
+//! dependency we implement the handful of samplers and density functions
+//! needed, and test them against their analytic moments.
 
 use vanet_sim::SimRng;
 
@@ -159,43 +159,6 @@ impl Sampler for TruncatedNormal {
     }
 }
 
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-///
-/// Used for shadow-fading of the received signal strength (REAR model).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    log_mu: f64,
-    log_sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal whose *logarithm* has mean `log_mu` and standard
-    /// deviation `log_sigma`.
-    #[must_use]
-    pub fn new(log_mu: f64, log_sigma: f64) -> Self {
-        assert!(
-            log_sigma.is_finite() && log_sigma >= 0.0,
-            "sigma must be >= 0"
-        );
-        LogNormal { log_mu, log_sigma }
-    }
-}
-
-impl Sampler for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        Normal::new(self.log_mu, self.log_sigma).sample(rng).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.log_mu + 0.5 * self.log_sigma * self.log_sigma).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let s2 = self.log_sigma * self.log_sigma;
-        (s2.exp() - 1.0) * (2.0 * self.log_mu + s2).exp()
-    }
-}
-
 /// Exponential distribution with rate `lambda`.
 ///
 /// Inter-vehicle headways in free-flowing traffic are commonly modelled as
@@ -305,64 +268,6 @@ impl Sampler for Poisson {
     }
 }
 
-/// Gamma distribution with shape `k` and scale `theta` (Marsaglia–Tsang).
-///
-/// One of the inter-vehicle spacing models mentioned in Sec. VII-A.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-}
-
-impl Gamma {
-    /// Creates a gamma distribution with shape `k` and scale `theta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is not positive.
-    #[must_use]
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(
-            shape > 0.0 && scale > 0.0,
-            "gamma parameters must be positive"
-        );
-        Gamma { shape, scale }
-    }
-}
-
-impl Sampler for Gamma {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Marsaglia & Tsang (2000). For shape < 1 use the boost trick.
-        if self.shape < 1.0 {
-            let u = rng.uniform().max(f64::MIN_POSITIVE);
-            let g = Gamma::new(self.shape + 1.0, self.scale);
-            return g.sample(rng) * u.powf(1.0 / self.shape);
-        }
-        let d = self.shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        let std_normal = Normal::new(0.0, 1.0);
-        loop {
-            let x = std_normal.sample(rng);
-            let v = (1.0 + c * x).powi(3);
-            if v <= 0.0 {
-                continue;
-            }
-            let u = rng.uniform().max(f64::MIN_POSITIVE);
-            if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-                return d * v * self.scale;
-            }
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.shape * self.scale
-    }
-
-    fn variance(&self) -> f64 {
-        self.shape * self.scale * self.scale
-    }
-}
-
 /// The error function, via the Abramowitz–Stegun 7.1.26 rational approximation
 /// (absolute error < 1.5e-7, ample for reception-probability curves).
 #[must_use]
@@ -445,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_moments() {
-        let d = LogNormal::new(0.0, 0.5);
-        let (m, _) = sample_stats(&d, 60_000, 5);
-        assert!((m - d.mean()).abs() < 0.03, "mean {m} vs {}", d.mean());
-        assert!(d.variance() > 0.0);
-    }
-
-    #[test]
     fn poisson_moments() {
         let d = Poisson::new(4.0);
         let (m, v) = sample_stats(&d, 30_000, 6);
@@ -461,17 +358,6 @@ mod tests {
         let big = Poisson::new(200.0);
         let (m, _) = sample_stats(&big, 10_000, 7);
         assert!((m - 200.0).abs() < 1.5, "large-lambda mean {m}");
-    }
-
-    #[test]
-    fn gamma_moments() {
-        let d = Gamma::new(2.0, 10.0);
-        let (m, v) = sample_stats(&d, 40_000, 8);
-        assert!((m - 20.0).abs() < 0.5, "mean {m}");
-        assert!((v - 200.0).abs() < 20.0, "variance {v}");
-        let small_shape = Gamma::new(0.5, 1.0);
-        let (m, _) = sample_stats(&small_shape, 40_000, 9);
-        assert!((m - 0.5).abs() < 0.03, "mean {m}");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! provides the mobility substrate the paper's routing analysis rests on:
 //!
 //! * 2-D geometry primitives ([`Position`], [`Velocity`], [`Vec2`]);
-//! * in-house probability distributions (normal, truncated normal, log-normal,
-//!   exponential, Poisson, gamma) used for speeds, headways and arrivals;
-//! * a road model ([`RoadNetwork`], [`RoadSegment`], [`Lane`]);
+//! * in-house probability distributions (normal, truncated normal,
+//!   exponential, Poisson) used for speeds, headways and arrivals;
 //! * vehicle state and kinds ([`VehicleState`], [`VehicleKind`]);
 //! * scenario generators: a multi-lane bidirectional [`highway`] and a
 //!   Manhattan-grid [`urban`] network, with IDM-style car-following so that
@@ -37,15 +36,13 @@ pub mod distributions;
 pub mod geometry;
 pub mod highway;
 pub mod model;
-pub mod road;
 pub mod urban;
 pub mod vehicle;
 
 pub use car_following::IdmParams;
-pub use distributions::{Exponential, Gamma, LogNormal, Normal, Poisson, TruncatedNormal};
+pub use distributions::{Exponential, Normal, Poisson, TruncatedNormal};
 pub use geometry::{Heading, Position, Vec2, Velocity};
 pub use highway::{HighwayBuilder, HighwayModel};
 pub use model::{MobilityModel, RegionBounds};
-pub use road::{Lane, RoadDirection, RoadNetwork, RoadSegment};
 pub use urban::{UrbanGridBuilder, UrbanGridModel};
 pub use vehicle::{VehicleKind, VehicleState};

@@ -9,7 +9,6 @@
 use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
 use crate::model::{MobilityModel, RegionBounds};
-use crate::road::RoadNetwork;
 use crate::vehicle::{VehicleKind, VehicleState};
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
@@ -129,19 +128,6 @@ impl UrbanGridBuilder {
     #[must_use]
     pub fn height_m(&self) -> f64 {
         self.blocks_y as f64 * self.block_m
-    }
-
-    /// The road network corresponding to this grid (for map-aware protocols).
-    #[must_use]
-    pub fn road_network(&self) -> RoadNetwork {
-        RoadNetwork::manhattan_grid(
-            self.blocks_x + 1,
-            self.blocks_y + 1,
-            self.block_m,
-            1,
-            3.5,
-            self.speed_limit_mps,
-        )
     }
 
     /// Builds the urban model, placing vehicles at random street positions.
@@ -291,12 +277,6 @@ impl UrbanGridModel {
                 desired_speed: v.desired_speed,
             })
             .collect();
-    }
-
-    /// The road network underlying this scenario.
-    #[must_use]
-    pub fn road_network(&self) -> RoadNetwork {
-        self.config.road_network()
     }
 }
 
@@ -461,15 +441,6 @@ mod tests {
             b.step(SimDuration::from_secs(0.5), &mut rb);
         }
         assert_eq!(a.states(), b.states());
-    }
-
-    #[test]
-    fn road_network_matches_grid() {
-        let b = UrbanGridBuilder::new().blocks(4, 4).block_m(250.0);
-        let net = b.road_network();
-        assert!(!net.is_empty());
-        assert_eq!(b.width_m(), 1000.0);
-        assert_eq!(b.height_m(), 1000.0);
     }
 
     #[test]

@@ -14,21 +14,12 @@ use vanet_sim::SimDuration;
 /// The AODV discovery policy: shortest path (fewest hops), fixed route
 /// lifetime, HELLO-based link sensing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AodvPolicy {
-    /// Active-route timeout.
-    pub route_lifetime: SimDuration,
-    /// HELLO interval used for link sensing.
-    pub hello_interval: SimDuration,
-}
+pub struct AodvPolicy;
 
-impl Default for AodvPolicy {
-    fn default() -> Self {
-        AodvPolicy {
-            route_lifetime: SimDuration::from_secs(10.0),
-            hello_interval: SimDuration::from_secs(1.0),
-        }
-    }
-}
+/// Active-route timeout, seconds.
+const ROUTE_LIFETIME_S: f64 = 10.0;
+/// HELLO interval used for link sensing, seconds.
+const HELLO_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for AodvPolicy {
     fn name(&self) -> &'static str {
@@ -40,7 +31,7 @@ impl DiscoveryPolicy for AodvPolicy {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.hello_interval)
+        Some(SimDuration::from_secs(HELLO_INTERVAL_S))
     }
 
     fn link_metric(&self, _ctx: &ProtocolContext<'_>, _packet: &Packet) -> f64 {
@@ -58,17 +49,17 @@ impl DiscoveryPolicy for AodvPolicy {
     }
 
     fn route_lifetime(&self, _metric: f64) -> SimDuration {
-        self.route_lifetime
+        SimDuration::from_secs(ROUTE_LIFETIME_S)
     }
 }
 
 /// The AODV protocol type.
 pub type Aodv = OnDemandRouting<AodvPolicy>;
 
-/// Creates an AODV instance with default parameters.
+/// Creates an AODV instance.
 #[must_use]
 pub fn aodv() -> Aodv {
-    Aodv::new(AodvPolicy::default())
+    Aodv::new(AodvPolicy)
 }
 
 #[cfg(test)]
@@ -78,7 +69,7 @@ mod tests {
 
     #[test]
     fn policy_prefers_fewer_hops() {
-        let p = AodvPolicy::default();
+        let p = AodvPolicy;
         let two_hops = p.combine(p.combine(p.initial_metric(), -1.0), -1.0);
         let three_hops = p.combine(two_hops, -1.0);
         assert!(p.better(two_hops, three_hops));
@@ -95,7 +86,7 @@ mod tests {
 
     #[test]
     fn route_lifetime_is_fixed() {
-        let p = AodvPolicy::default();
+        let p = AodvPolicy;
         assert_eq!(p.route_lifetime(-3.0), SimDuration::from_secs(10.0));
         assert_eq!(p.route_lifetime(-30.0), SimDuration::from_secs(10.0));
         assert!(!p.preemptive_rebuild());

@@ -11,45 +11,24 @@ use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
 use vanet_net::{Packet, PacketKind};
 use vanet_sim::{NodeId, SeqNo, SimDuration, SimTime};
 
-/// Configuration of the DSDV protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DsdvConfig {
-    /// Interval between periodic full-table broadcasts.
-    pub update_interval: SimDuration,
-    /// Lifetime of a learned route without refresh.
-    pub route_lifetime: SimDuration,
-}
-
-impl Default for DsdvConfig {
-    fn default() -> Self {
-        DsdvConfig {
-            update_interval: SimDuration::from_secs(2.0),
-            route_lifetime: SimDuration::from_secs(6.0),
-        }
-    }
-}
+/// Interval between periodic full-table broadcasts, seconds.
+const UPDATE_INTERVAL_S: f64 = 2.0;
+/// Lifetime of a learned route without refresh, seconds.
+const ROUTE_LIFETIME_S: f64 = 6.0;
 
 /// The DSDV protocol.
 #[derive(Debug)]
 pub struct Dsdv {
-    config: DsdvConfig,
     table: RoutingTable,
     my_seq: SeqNo,
     last_update: Option<SimTime>,
 }
 
 impl Dsdv {
-    /// Creates a DSDV instance with default parameters.
+    /// Creates a DSDV instance.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(DsdvConfig::default())
-    }
-
-    /// Creates a DSDV instance with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: DsdvConfig) -> Self {
         Dsdv {
-            config,
             table: RoutingTable::new(),
             my_seq: SeqNo(0),
             last_update: None,
@@ -138,7 +117,7 @@ impl RoutingProtocol for Dsdv {
                         hops: hops + 1,
                         seq,
                         metric: -f64::from(hops + 1),
-                        expires_at: ctx.now + self.config.route_lifetime,
+                        expires_at: ctx.now + SimDuration::from_secs(ROUTE_LIFETIME_S),
                     });
                 }
             }
@@ -149,7 +128,7 @@ impl RoutingProtocol for Dsdv {
     fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
         let due = match self.last_update {
             None => true,
-            Some(t) => ctx.now.saturating_since(t) >= self.config.update_interval,
+            Some(t) => ctx.now.saturating_since(t) >= SimDuration::from_secs(UPDATE_INTERVAL_S),
         };
         if !due {
             return;

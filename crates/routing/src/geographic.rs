@@ -36,33 +36,19 @@ pub trait NextHopScorer: Debug + Send {
     ) -> Option<f64>;
 }
 
-/// Configuration shared by all position-based protocols.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeoConfig {
-    /// Beacon interval (position awareness is mandatory for this family).
-    pub beacon_interval: SimDuration,
-    /// How long a packet may be carried at a local maximum before it is
-    /// dropped (store–carry–forward grace period).
-    pub carry_timeout: SimDuration,
-    /// Maximum number of packets carried while waiting for a neighbour.
-    pub carry_capacity: usize,
-}
-
-impl Default for GeoConfig {
-    fn default() -> Self {
-        GeoConfig {
-            beacon_interval: SimDuration::from_secs(1.0),
-            carry_timeout: SimDuration::from_secs(5.0),
-            carry_capacity: 32,
-        }
-    }
-}
+/// Beacon interval, seconds (position awareness is mandatory for this
+/// family).
+const BEACON_INTERVAL_S: f64 = 1.0;
+/// How long a packet may be carried at a local maximum before it is dropped
+/// (store–carry–forward grace period), seconds.
+const CARRY_TIMEOUT_S: f64 = 5.0;
+/// Maximum number of packets carried while waiting for a neighbour.
+const CARRY_CAPACITY: usize = 32;
 
 /// Generic position-based forwarding protocol, parameterised by the scorer.
 #[derive(Debug)]
 pub struct GeoRouting<S: NextHopScorer> {
     scorer: S,
-    config: GeoConfig,
     carried: VecDeque<(SimTime, Packet)>,
 }
 
@@ -70,23 +56,10 @@ impl<S: NextHopScorer> GeoRouting<S> {
     /// Creates a position-based protocol around `scorer`.
     #[must_use]
     pub fn new(scorer: S) -> Self {
-        Self::with_config(scorer, GeoConfig::default())
-    }
-
-    /// Creates a position-based protocol with explicit configuration.
-    #[must_use]
-    pub fn with_config(scorer: S, config: GeoConfig) -> Self {
         GeoRouting {
             scorer,
-            config,
             carried: VecDeque::new(),
         }
-    }
-
-    /// The scorer in use.
-    #[must_use]
-    pub fn scorer(&self) -> &S {
-        &self.scorer
     }
 
     /// Number of packets currently carried while waiting for a next hop.
@@ -149,7 +122,7 @@ impl<S: NextHopScorer> GeoRouting<S> {
             }
             None => {
                 // Local maximum: carry the packet briefly.
-                if self.carried.len() >= self.config.carry_capacity {
+                if self.carried.len() >= CARRY_CAPACITY {
                     ctx.drop_packet(&packet, DropReason::BufferOverflow);
                     return;
                 }
@@ -169,7 +142,7 @@ impl<S: NextHopScorer> RoutingProtocol for GeoRouting<S> {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.config.beacon_interval)
+        Some(SimDuration::from_secs(BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -194,9 +167,10 @@ impl<S: NextHopScorer> RoutingProtocol for GeoRouting<S> {
         if self.carried.is_empty() {
             return;
         }
+        let carry_timeout = SimDuration::from_secs(CARRY_TIMEOUT_S);
         let carried: Vec<(SimTime, Packet)> = self.carried.drain(..).collect();
         for (since, packet) in carried {
-            if ctx.now.saturating_since(since) > self.config.carry_timeout {
+            if ctx.now.saturating_since(since) > carry_timeout {
                 ctx.drop_packet(&packet, DropReason::LocalMaximum);
             } else {
                 // `forward` may re-buffer the packet; whatever actions
@@ -211,18 +185,10 @@ impl<S: NextHopScorer> RoutingProtocol for GeoRouting<S> {
 /// forward to the neighbour closest to the destination among those that make
 /// progress, with a bonus for neighbours moving *towards* the destination.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GreedyScorer {
-    /// Bonus weight for neighbours whose velocity points at the destination.
-    pub direction_bonus: f64,
-}
+pub struct GreedyScorer;
 
-impl Default for GreedyScorer {
-    fn default() -> Self {
-        GreedyScorer {
-            direction_bonus: 0.2,
-        }
-    }
-}
+/// Bonus weight for neighbours whose velocity points at the destination.
+const DIRECTION_BONUS: f64 = 0.2;
 
 impl NextHopScorer for GreedyScorer {
     fn name(&self) -> &'static str {
@@ -250,7 +216,7 @@ impl NextHopScorer for GreedyScorer {
             if to_dest.norm() == 0.0 || neighbor.velocity.norm() == 0.0 {
                 0.0
             } else if neighbor.velocity.dot(to_dest) > 0.0 {
-                self.direction_bonus
+                DIRECTION_BONUS
             } else {
                 0.0
             }
@@ -262,21 +228,12 @@ impl NextHopScorer for GreedyScorer {
 /// REAR: the next hop is the progressing neighbour with the highest *receipt
 /// probability*, computed from the log-normal shadowing signal-strength model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RearScorer {
-    /// Path-loss exponent assumed by the receipt-probability model.
-    pub path_loss_exponent: f64,
-    /// Shadow-fading standard deviation in dB.
-    pub shadowing_sigma_db: f64,
-}
+pub struct RearScorer;
 
-impl Default for RearScorer {
-    fn default() -> Self {
-        RearScorer {
-            path_loss_exponent: 2.7,
-            shadowing_sigma_db: 4.0,
-        }
-    }
-}
+/// Path-loss exponent assumed by the receipt-probability model.
+const REAR_PATH_LOSS_EXPONENT: f64 = 2.7;
+/// Shadow-fading standard deviation in dB.
+const REAR_SHADOWING_SIGMA_DB: f64 = 4.0;
 
 impl NextHopScorer for RearScorer {
     fn name(&self) -> &'static str {
@@ -302,8 +259,8 @@ impl NextHopScorer for RearScorer {
         let receipt = receipt_probability(
             link_distance,
             ctx.range_m,
-            self.path_loss_exponent,
-            self.shadowing_sigma_db,
+            REAR_PATH_LOSS_EXPONENT,
+            REAR_SHADOWING_SIGMA_DB,
         );
         // Weight the receipt probability by the (normalised) progress so that
         // among equally reliable neighbours the one closer to the target wins.
@@ -315,18 +272,10 @@ impl NextHopScorer for RearScorer {
 /// that the road ahead (towards the destination) is actually connected,
 /// estimated from the locally observed vehicle density.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CarScorer {
-    /// Length of the road stretch whose connectivity is evaluated, metres.
-    pub lookahead_m: f64,
-}
+pub struct CarScorer;
 
-impl Default for CarScorer {
-    fn default() -> Self {
-        CarScorer {
-            lookahead_m: 1_000.0,
-        }
-    }
-}
+/// Length of the road stretch whose connectivity is evaluated, metres.
+const CAR_LOOKAHEAD_M: f64 = 1_000.0;
 
 impl NextHopScorer for CarScorer {
     fn name(&self) -> &'static str {
@@ -351,7 +300,7 @@ impl NextHopScorer for CarScorer {
         // Local density estimate: neighbours per metre of road covered by the
         // radio range (a 2r stretch of road is observable).
         let density_per_m = (ctx.neighbors.len() as f64 + 1.0) / (2.0 * ctx.range_m);
-        let remaining = theirs.min(self.lookahead_m);
+        let remaining = theirs.min(CAR_LOOKAHEAD_M);
         let connectivity =
             segment_connectivity_probability(density_per_m, remaining.max(1.0), ctx.range_m);
         let progress = (own - theirs) / ctx.range_m;
@@ -364,30 +313,20 @@ impl NextHopScorer for CarScorer {
 /// destination and their link is predicted to stay available for the time the
 /// packet needs to cross a cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GvGridScorer {
-    /// Grid cell edge length, metres (defaults to 250 m, the radio range).
-    pub cell_m: f64,
-    /// Relative-speed standard deviation assumed by the availability model.
-    pub speed_std: f64,
-    /// Horizon (seconds) over which the link must stay available.
-    pub horizon_s: f64,
-}
+pub struct GvGridScorer;
 
-impl Default for GvGridScorer {
-    fn default() -> Self {
-        GvGridScorer {
-            cell_m: 250.0,
-            speed_std: 5.0,
-            horizon_s: 5.0,
-        }
-    }
-}
+/// Grid cell edge length, metres (250 m, the radio range).
+const GVGRID_CELL_M: f64 = 250.0;
+/// Relative-speed standard deviation assumed by the availability model.
+const GVGRID_SPEED_STD: f64 = 5.0;
+/// Horizon (seconds) over which the link must stay available.
+const GVGRID_HORIZON_S: f64 = 5.0;
 
 impl GvGridScorer {
-    fn cell_of(&self, p: Position) -> (i64, i64) {
+    fn cell_of(p: Position) -> (i64, i64) {
         (
-            (p.x / self.cell_m).floor() as i64,
-            (p.y / self.cell_m).floor() as i64,
+            (p.x / GVGRID_CELL_M).floor() as i64,
+            (p.y / GVGRID_CELL_M).floor() as i64,
         )
     }
 }
@@ -417,12 +356,12 @@ impl NextHopScorer for GvGridScorer {
         let availability = link_availability(
             separation.min(ctx.range_m),
             relative_speed,
-            self.speed_std,
+            GVGRID_SPEED_STD,
             ctx.range_m,
-            self.horizon_s,
+            GVGRID_HORIZON_S,
         );
-        let my_cell = self.cell_of(ctx.position());
-        let their_cell = self.cell_of(neighbor.position);
+        let my_cell = Self::cell_of(ctx.position());
+        let their_cell = Self::cell_of(neighbor.position);
         let cell_bonus = if their_cell != my_cell { 0.5 } else { 0.0 };
         let progress = (own - theirs) / ctx.range_m;
         Some(availability * (progress + cell_bonus))
@@ -441,25 +380,25 @@ pub type GvGrid = GeoRouting<GvGridScorer>;
 /// Creates a Greedy (predictive directional greedy) instance.
 #[must_use]
 pub fn greedy() -> Greedy {
-    Greedy::new(GreedyScorer::default())
+    Greedy::new(GreedyScorer)
 }
 
 /// Creates a REAR instance.
 #[must_use]
 pub fn rear() -> Rear {
-    Rear::new(RearScorer::default())
+    Rear::new(RearScorer)
 }
 
 /// Creates a CAR instance.
 #[must_use]
 pub fn car() -> Car {
-    Car::new(CarScorer::default())
+    Car::new(CarScorer)
 }
 
 /// Creates a GVGrid instance.
 #[must_use]
 pub fn gvgrid() -> GvGrid {
-    GvGrid::new(GvGridScorer::default())
+    GvGrid::new(GvGridScorer)
 }
 
 #[cfg(test)]
@@ -613,7 +552,7 @@ mod tests {
         // A close reliable neighbour and a distant marginal one.
         h.add_neighbor(1, 120.0, 20.0);
         h.add_neighbor(2, 245.0, 20.0);
-        let scorer = RearScorer::default();
+        let scorer = RearScorer;
         let (s1, s2) = {
             let ctx = h.ctx(1.0);
             let n1 = *ctx.neighbors.get(NodeId(1)).unwrap();
@@ -631,7 +570,7 @@ mod tests {
 
     #[test]
     fn car_score_grows_with_density() {
-        let scorer = CarScorer::default();
+        let scorer = CarScorer;
         let dest = Vec2::new(3_000.0, 0.0);
         // Sparse neighbourhood.
         let mut sparse = eastbound();
@@ -661,7 +600,7 @@ mod tests {
 
     #[test]
     fn gvgrid_penalises_unstable_links() {
-        let scorer = GvGridScorer::default();
+        let scorer = GvGridScorer;
         let dest = Vec2::new(3_000.0, 0.0);
         let mut h = eastbound();
         h.place(9, VehicleKind::Car, dest, Vec2::ZERO);

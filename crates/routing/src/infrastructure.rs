@@ -15,48 +15,27 @@ use vanet_mobility::geometry::distance;
 use vanet_net::{Packet, PacketKind};
 use vanet_sim::{NodeId, SimDuration, SimTime};
 
-/// Configuration for the DRR protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DrrConfig {
-    /// Beacon interval (vehicles must know which RSUs/neighbours are around).
-    pub beacon_interval: SimDuration,
-    /// How long an RSU buffers a packet waiting for its destination.
-    pub rsu_buffer_timeout: SimDuration,
-    /// RSU buffer capacity (packets).
-    pub rsu_buffer_capacity: usize,
-}
-
-impl Default for DrrConfig {
-    fn default() -> Self {
-        DrrConfig {
-            beacon_interval: SimDuration::from_secs(1.0),
-            rsu_buffer_timeout: SimDuration::from_secs(60.0),
-            rsu_buffer_capacity: 256,
-        }
-    }
-}
+/// DRR beacon interval, seconds (vehicles must know which RSUs/neighbours
+/// are around).
+const DRR_BEACON_INTERVAL_S: f64 = 1.0;
+/// How long an RSU buffers a packet waiting for its destination, seconds.
+const RSU_BUFFER_TIMEOUT_S: f64 = 60.0;
+/// RSU buffer capacity (packets).
+const RSU_BUFFER_CAPACITY: usize = 256;
 
 /// DRR: differentiated reliable routing over road-side units.
 #[derive(Debug)]
 pub struct Drr {
-    config: DrrConfig,
     /// Packets buffered at this node (used on RSUs as the VEN buffer and on
     /// vehicles while waiting to meet an RSU).
     buffer: VecDeque<(SimTime, Packet)>,
 }
 
 impl Drr {
-    /// Creates a DRR instance with default parameters.
+    /// Creates a DRR instance.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(DrrConfig::default())
-    }
-
-    /// Creates a DRR instance with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: DrrConfig) -> Self {
         Drr {
-            config,
             buffer: VecDeque::new(),
         }
     }
@@ -119,7 +98,7 @@ impl Drr {
         }
         // We are the best-placed RSU but the destination is out of range:
         // buffer and retry on subsequent ticks (the VEN behaviour).
-        if self.buffer.len() >= self.config.rsu_buffer_capacity {
+        if self.buffer.len() >= RSU_BUFFER_CAPACITY {
             ctx.drop_packet(packet, DropReason::BufferOverflow);
             return;
         }
@@ -156,7 +135,7 @@ impl Drr {
             }
         }
         // Nobody to hand the packet to: carry it for a while.
-        if self.buffer.len() >= self.config.rsu_buffer_capacity {
+        if self.buffer.len() >= RSU_BUFFER_CAPACITY {
             ctx.drop_packet(packet, DropReason::BufferOverflow);
             return;
         }
@@ -196,7 +175,7 @@ impl RoutingProtocol for Drr {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.config.beacon_interval)
+        Some(SimDuration::from_secs(DRR_BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -223,7 +202,7 @@ impl RoutingProtocol for Drr {
         }
         let buffered: Vec<(SimTime, Packet)> = self.buffer.drain(..).collect();
         for (since, packet) in buffered {
-            if ctx.now.saturating_since(since) > self.config.rsu_buffer_timeout {
+            if ctx.now.saturating_since(since) > SimDuration::from_secs(RSU_BUFFER_TIMEOUT_S) {
                 ctx.drop_packet(&packet, DropReason::Expired);
             } else {
                 self.process(ctx, &packet);
@@ -232,49 +211,27 @@ impl RoutingProtocol for Drr {
     }
 }
 
-/// Configuration for the bus-ferry protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BusFerryConfig {
-    /// Beacon interval.
-    pub beacon_interval: SimDuration,
-    /// Bus buffer timeout (buses have large storage, so this is generous).
-    pub bus_buffer_timeout: SimDuration,
-    /// Buffer capacity on buses.
-    pub bus_buffer_capacity: usize,
-    /// Buffer capacity on ordinary cars waiting to meet a bus.
-    pub car_buffer_capacity: usize,
-}
-
-impl Default for BusFerryConfig {
-    fn default() -> Self {
-        BusFerryConfig {
-            beacon_interval: SimDuration::from_secs(1.0),
-            bus_buffer_timeout: SimDuration::from_secs(300.0),
-            bus_buffer_capacity: 4_096,
-            car_buffer_capacity: 32,
-        }
-    }
-}
+/// Bus-ferry beacon interval, seconds.
+const BUS_BEACON_INTERVAL_S: f64 = 1.0;
+/// Bus buffer timeout, seconds (buses have large storage, so this is
+/// generous).
+const BUS_BUFFER_TIMEOUT_S: f64 = 300.0;
+/// Buffer capacity on buses.
+const BUS_BUFFER_CAPACITY: usize = 4_096;
+/// Buffer capacity on ordinary cars waiting to meet a bus.
+const CAR_BUFFER_CAPACITY: usize = 32;
 
 /// Bus message ferrying: store–carry–forward over buses on regular routes.
 #[derive(Debug)]
 pub struct BusFerry {
-    config: BusFerryConfig,
     buffer: VecDeque<(SimTime, Packet)>,
 }
 
 impl BusFerry {
-    /// Creates a bus-ferry instance with default parameters.
+    /// Creates a bus-ferry instance.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(BusFerryConfig::default())
-    }
-
-    /// Creates a bus-ferry instance with explicit configuration.
-    #[must_use]
-    pub fn with_config(config: BusFerryConfig) -> Self {
         BusFerry {
-            config,
             buffer: VecDeque::new(),
         }
     }
@@ -285,11 +242,11 @@ impl BusFerry {
         self.buffer.len()
     }
 
-    fn capacity(&self, ctx: &ProtocolContext<'_>) -> usize {
+    fn capacity(ctx: &ProtocolContext<'_>) -> usize {
         if ctx.is_bus() {
-            self.config.bus_buffer_capacity
+            BUS_BUFFER_CAPACITY
         } else {
-            self.config.car_buffer_capacity
+            CAR_BUFFER_CAPACITY
         }
     }
 
@@ -327,7 +284,7 @@ impl BusFerry {
             }
         }
         // Otherwise carry.
-        if self.buffer.len() >= self.capacity(ctx) {
+        if self.buffer.len() >= Self::capacity(ctx) {
             ctx.drop_packet(packet, DropReason::BufferOverflow);
             return;
         }
@@ -351,7 +308,7 @@ impl RoutingProtocol for BusFerry {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.config.beacon_interval)
+        Some(SimDuration::from_secs(BUS_BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -378,7 +335,7 @@ impl RoutingProtocol for BusFerry {
         }
         let buffered: Vec<(SimTime, Packet)> = self.buffer.drain(..).collect();
         for (since, packet) in buffered {
-            if ctx.now.saturating_since(since) > self.config.bus_buffer_timeout {
+            if ctx.now.saturating_since(since) > SimDuration::from_secs(BUS_BUFFER_TIMEOUT_S) {
                 ctx.drop_packet(&packet, DropReason::Expired);
             } else {
                 self.process(ctx, &packet);
@@ -534,15 +491,12 @@ mod tests {
     #[test]
     fn car_without_bus_carries_up_to_capacity() {
         let mut car = Harness::new(0);
-        let mut proto = BusFerry::with_config(BusFerryConfig {
-            car_buffer_capacity: 2,
-            ..BusFerryConfig::default()
-        });
-        for i in 0..3 {
-            let mut ctx = car.ctx(1.0 + f64::from(i));
+        let mut proto = BusFerry::new();
+        for i in 0..=CAR_BUFFER_CAPACITY {
+            let mut ctx = car.ctx(1.0 + i as f64);
             proto.originate(&mut ctx, Packet::data(NodeId(0), NodeId(9), 64));
             let actions = ctx.take_actions();
-            if i < 2 {
+            if i < CAR_BUFFER_CAPACITY {
                 assert!(actions.is_empty());
             } else {
                 assert!(matches!(
@@ -554,7 +508,7 @@ mod tests {
                 ));
             }
         }
-        assert_eq!(proto.buffered_packets(), 2);
+        assert_eq!(proto.buffered_packets(), CAR_BUFFER_CAPACITY);
     }
 
     #[test]

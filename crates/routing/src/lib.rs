@@ -46,17 +46,17 @@ pub mod zone;
 
 pub use aodv::{aodv, Aodv, AodvPolicy};
 pub use common::{PendingBuffer, RouteEntry, RoutingTable, SeenCache};
-pub use dsdv::{Dsdv, DsdvConfig};
+pub use dsdv::Dsdv;
 pub use dtn::{
     Bundle, BundleBuffer, BundleKey, DropPolicy, DtnParams, Epidemic, InsertOutcome, ProbFlood,
     Prophet, SprayAndWait,
 };
 pub use flooding::{Biswas, Flooding};
 pub use geographic::{
-    car, greedy, gvgrid, rear, Car, CarScorer, GeoConfig, GeoRouting, Greedy, GreedyScorer, GvGrid,
+    car, greedy, gvgrid, rear, Car, CarScorer, GeoRouting, Greedy, GreedyScorer, GvGrid,
     GvGridScorer, NextHopScorer, Rear, RearScorer,
 };
-pub use infrastructure::{BusFerry, BusFerryConfig, Drr, DrrConfig};
+pub use infrastructure::{BusFerry, Drr};
 pub use mobility_protocols::{
     abedi, pbr, taleb, Abedi, AbediPolicy, Pbr, PbrPolicy, Taleb, TalebPolicy,
 };

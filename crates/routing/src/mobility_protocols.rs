@@ -43,22 +43,13 @@ fn predicted_link_lifetime(ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
 
 /// PBR: prediction-based routing on predicted link lifetimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PbrPolicy {
-    /// Cap applied to predicted route lifetimes (routes are refreshed at
-    /// least this often even if the prediction says "forever").
-    pub max_route_lifetime: SimDuration,
-    /// Beacon interval for neighbour mobility awareness.
-    pub beacon_interval: SimDuration,
-}
+pub struct PbrPolicy;
 
-impl Default for PbrPolicy {
-    fn default() -> Self {
-        PbrPolicy {
-            max_route_lifetime: SimDuration::from_secs(60.0),
-            beacon_interval: SimDuration::from_secs(1.0),
-        }
-    }
-}
+/// Cap applied to predicted PBR route lifetimes, seconds (routes are
+/// refreshed at least this often even if the prediction says "forever").
+const PBR_MAX_ROUTE_LIFETIME_S: f64 = 60.0;
+/// PBR beacon interval for neighbour mobility awareness, seconds.
+const PBR_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for PbrPolicy {
     fn name(&self) -> &'static str {
@@ -70,7 +61,7 @@ impl DiscoveryPolicy for PbrPolicy {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.beacon_interval)
+        Some(SimDuration::from_secs(PBR_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -79,7 +70,8 @@ impl DiscoveryPolicy for PbrPolicy {
 
     fn route_lifetime(&self, metric: f64) -> SimDuration {
         // The route is valid for its predicted path lifetime (bounded).
-        SimDuration::from_secs_saturating(metric).min(self.max_route_lifetime)
+        SimDuration::from_secs_saturating(metric)
+            .min(SimDuration::from_secs(PBR_MAX_ROUTE_LIFETIME_S))
     }
 
     fn preemptive_rebuild(&self) -> bool {
@@ -90,33 +82,23 @@ impl DiscoveryPolicy for PbrPolicy {
 /// The PBR protocol type.
 pub type Pbr = OnDemandRouting<PbrPolicy>;
 
-/// Creates a PBR instance with default parameters.
+/// Creates a PBR instance.
 #[must_use]
 pub fn pbr() -> Pbr {
-    Pbr::new(PbrPolicy::default())
+    Pbr::new(PbrPolicy)
 }
 
 /// Taleb et al.: velocity-vector grouping.
+///
+/// Cross-group relaying is never permitted: the strict grouping of the
+/// original proposal.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TalebPolicy {
-    /// Route lifetime cap.
-    pub max_route_lifetime: SimDuration,
-    /// Beacon interval.
-    pub beacon_interval: SimDuration,
-    /// Whether cross-group relaying is permitted when unavoidable
-    /// (`false` reproduces the strict grouping of the original proposal).
-    pub allow_cross_group: bool,
-}
+pub struct TalebPolicy;
 
-impl Default for TalebPolicy {
-    fn default() -> Self {
-        TalebPolicy {
-            max_route_lifetime: SimDuration::from_secs(30.0),
-            beacon_interval: SimDuration::from_secs(1.0),
-            allow_cross_group: false,
-        }
-    }
-}
+/// Taleb route lifetime cap, seconds.
+const TALEB_MAX_ROUTE_LIFETIME_S: f64 = 30.0;
+/// Taleb beacon interval, seconds.
+const TALEB_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for TalebPolicy {
     fn name(&self) -> &'static str {
@@ -128,7 +110,7 @@ impl DiscoveryPolicy for TalebPolicy {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.beacon_interval)
+        Some(SimDuration::from_secs(TALEB_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -148,9 +130,6 @@ impl DiscoveryPolicy for TalebPolicy {
     }
 
     fn should_forward_request(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> bool {
-        if self.allow_cross_group {
-            return true;
-        }
         match packet.sender_velocity {
             Some(v) => DirectionGroup::same_group(v, ctx.velocity()),
             None => true,
@@ -158,7 +137,8 @@ impl DiscoveryPolicy for TalebPolicy {
     }
 
     fn route_lifetime(&self, metric: f64) -> SimDuration {
-        SimDuration::from_secs_saturating(metric).min(self.max_route_lifetime)
+        SimDuration::from_secs_saturating(metric)
+            .min(SimDuration::from_secs(TALEB_MAX_ROUTE_LIFETIME_S))
     }
 
     fn preemptive_rebuild(&self) -> bool {
@@ -169,39 +149,27 @@ impl DiscoveryPolicy for TalebPolicy {
 /// The Taleb protocol type.
 pub type Taleb = OnDemandRouting<TalebPolicy>;
 
-/// Creates a Taleb instance with default parameters.
+/// Creates a Taleb instance.
 #[must_use]
 pub fn taleb() -> Taleb {
-    Taleb::new(TalebPolicy::default())
+    Taleb::new(TalebPolicy)
 }
 
 /// Abedi et al.: AODV with mobility-parameter next-hop scoring
 /// (direction > position > speed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AbediPolicy {
-    /// Fixed route lifetime (as in AODV).
-    pub route_lifetime: SimDuration,
-    /// Beacon interval.
-    pub beacon_interval: SimDuration,
-    /// Weight of the direction term.
-    pub direction_weight: f64,
-    /// Weight of the position (progress) term.
-    pub position_weight: f64,
-    /// Weight of the speed-similarity term.
-    pub speed_weight: f64,
-}
+pub struct AbediPolicy;
 
-impl Default for AbediPolicy {
-    fn default() -> Self {
-        AbediPolicy {
-            route_lifetime: SimDuration::from_secs(10.0),
-            beacon_interval: SimDuration::from_secs(1.0),
-            direction_weight: 100.0,
-            position_weight: 10.0,
-            speed_weight: 1.0,
-        }
-    }
-}
+/// Abedi's fixed route lifetime (as in AODV), seconds.
+const ABEDI_ROUTE_LIFETIME_S: f64 = 10.0;
+/// Abedi beacon interval, seconds.
+const ABEDI_BEACON_INTERVAL_S: f64 = 1.0;
+/// Weight of Abedi's direction term.
+const ABEDI_DIRECTION_WEIGHT: f64 = 100.0;
+/// Weight of Abedi's position (progress) term.
+const ABEDI_POSITION_WEIGHT: f64 = 10.0;
+/// Weight of Abedi's speed-similarity term.
+const ABEDI_SPEED_WEIGHT: f64 = 1.0;
 
 impl DiscoveryPolicy for AbediPolicy {
     fn name(&self) -> &'static str {
@@ -213,7 +181,7 @@ impl DiscoveryPolicy for AbediPolicy {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.beacon_interval)
+        Some(SimDuration::from_secs(ABEDI_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -221,35 +189,35 @@ impl DiscoveryPolicy for AbediPolicy {
         if let Some(v) = packet.sender_velocity {
             // Direction: most important — same direction as this node.
             if v.dot(ctx.velocity()) > 0.0 || v.norm() == 0.0 || ctx.state().speed() == 0.0 {
-                score += self.direction_weight;
+                score += ABEDI_DIRECTION_WEIGHT;
             }
             // Speed similarity: small relative speed is better.
             let rel = (v - ctx.velocity()).norm();
-            score += self.speed_weight * (30.0 - rel).max(0.0) / 30.0;
+            score += ABEDI_SPEED_WEIGHT * (30.0 - rel).max(0.0) / 30.0;
         }
         // Position: progress towards the destination zone if known.
         if let (Some(sender_pos), Some(geo)) = (packet.sender_position, packet.geo) {
             let before = distance(sender_pos, geo.position);
             let after = distance(ctx.position(), geo.position);
             if after < before {
-                score += self.position_weight * ((before - after) / ctx.range_m).clamp(0.0, 1.0);
+                score += ABEDI_POSITION_WEIGHT * ((before - after) / ctx.range_m).clamp(0.0, 1.0);
             }
         }
         score
     }
 
     fn route_lifetime(&self, _metric: f64) -> SimDuration {
-        self.route_lifetime
+        SimDuration::from_secs(ABEDI_ROUTE_LIFETIME_S)
     }
 }
 
 /// The Abedi protocol type.
 pub type Abedi = OnDemandRouting<AbediPolicy>;
 
-/// Creates an Abedi instance with default parameters.
+/// Creates an Abedi instance.
 #[must_use]
 pub fn abedi() -> Abedi {
-    Abedi::new(AbediPolicy::default())
+    Abedi::new(AbediPolicy)
 }
 
 #[cfg(test)]
@@ -292,7 +260,7 @@ mod tests {
 
     #[test]
     fn pbr_scores_stable_links_higher() {
-        let policy = PbrPolicy::default();
+        let policy = PbrPolicy;
         let mut h = eastbound();
         let ctx = h.ctx(1.0);
         // Same-direction neighbour just behind: long lifetime.
@@ -313,7 +281,7 @@ mod tests {
 
     #[test]
     fn pbr_without_mobility_information_is_pessimistic() {
-        let policy = PbrPolicy::default();
+        let policy = PbrPolicy;
         let mut h = eastbound();
         let ctx = h.ctx(1.0);
         let mut bare = rreq_with_mobility(2, Vec2::ZERO, Vec2::ZERO);
@@ -324,7 +292,7 @@ mod tests {
 
     #[test]
     fn taleb_filters_cross_group_forwarding() {
-        let policy = TalebPolicy::default();
+        let policy = TalebPolicy;
         let mut h = eastbound();
         let ctx = h.ctx(1.0);
         let same_group = rreq_with_mobility(2, Vec2::new(50.0, 0.0), Vec2::new(25.0, 0.0));
@@ -333,17 +301,11 @@ mod tests {
         assert!(!policy.should_forward_request(&ctx, &other_group));
         // Cross-group links are discounted even when relayed.
         assert!(policy.link_metric(&ctx, &same_group) > policy.link_metric(&ctx, &other_group));
-        // Permissive variant forwards everything.
-        let permissive = TalebPolicy {
-            allow_cross_group: true,
-            ..TalebPolicy::default()
-        };
-        assert!(permissive.should_forward_request(&ctx, &other_group));
     }
 
     #[test]
     fn abedi_weights_direction_over_position_over_speed() {
-        let policy = AbediPolicy::default();
+        let policy = AbediPolicy;
         let mut h = eastbound();
         let ctx = h.ctx(1.0);
 
@@ -358,7 +320,7 @@ mod tests {
         let s_same = policy.link_metric(&ctx, &same_dir);
         let s_opp = policy.link_metric(&ctx, &opposite);
         assert!(
-            s_same - s_opp >= policy.direction_weight * 0.9,
+            s_same - s_opp >= ABEDI_DIRECTION_WEIGHT * 0.9,
             "direction term must dominate: {s_same} vs {s_opp}"
         );
     }

@@ -68,21 +68,25 @@ pub trait DiscoveryPolicy: Debug + Send {
     }
 }
 
-/// Configuration knobs common to all on-demand protocols.
+/// Minimum spacing between route discoveries for the same destination,
+/// seconds.
+const DISCOVERY_RETRY_INTERVAL_S: f64 = 2.0;
+/// How many packets may wait per destination during discovery.
+const PENDING_CAPACITY: usize = 16;
+/// Maximum queueing age of a pending packet, seconds.
+const PENDING_MAX_AGE_S: f64 = 8.0;
+/// TTL given to route requests.
+const RREQ_TTL: u8 = 16;
+/// Horizon for remembering seen RREQ ids, seconds.
+const SEEN_HORIZON_S: f64 = 30.0;
+/// How long before route expiry a preemptive rebuild is triggered, seconds.
+const PREEMPTIVE_MARGIN_S: f64 = 2.0;
+
+/// The RERR rate limits of an on-demand protocol. They are settable because
+/// a test sets both to zero to rebuild the unlimited RERR behaviour it
+/// compares the defaults against; every protocol runs with the defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnDemandConfig {
-    /// Minimum spacing between route discoveries for the same destination.
-    pub discovery_retry_interval: SimDuration,
-    /// How many packets may wait per destination during discovery.
-    pub pending_capacity: usize,
-    /// Maximum queueing age of a pending packet.
-    pub pending_max_age: SimDuration,
-    /// TTL given to route requests.
-    pub rreq_ttl: u8,
-    /// Horizon for remembering seen RREQ ids.
-    pub seen_horizon_s: f64,
-    /// How long before route expiry a preemptive rebuild is triggered.
-    pub preemptive_margin: SimDuration,
     /// Minimum spacing between RERRs this node originates about the same
     /// unreachable destination. Under dense-fleet churn every data packet
     /// crossing a stale route used to re-originate a RERR, and the resulting
@@ -99,12 +103,6 @@ pub struct OnDemandConfig {
 impl Default for OnDemandConfig {
     fn default() -> Self {
         OnDemandConfig {
-            discovery_retry_interval: SimDuration::from_secs(2.0),
-            pending_capacity: 16,
-            pending_max_age: SimDuration::from_secs(8.0),
-            rreq_ttl: 16,
-            seen_horizon_s: 30.0,
-            preemptive_margin: SimDuration::from_secs(2.0),
             rerr_interval: SimDuration::from_secs(5.0),
             rerr_seen_horizon_s: 30.0,
         }
@@ -140,16 +138,19 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
         Self::with_config(policy, OnDemandConfig::default())
     }
 
-    /// Creates an on-demand protocol with explicit configuration.
+    /// Creates an on-demand protocol with explicit RERR rate limits.
     #[must_use]
     pub fn with_config(policy: P, config: OnDemandConfig) -> Self {
         OnDemandRouting {
             policy,
             config,
             table: RoutingTable::new(),
-            rreq_seen: SeenCache::new(config.seen_horizon_s),
+            rreq_seen: SeenCache::new(SEEN_HORIZON_S),
             rerr_seen: SeenCache::new(config.rerr_seen_horizon_s),
-            pending: PendingBuffer::new(config.pending_capacity, config.pending_max_age),
+            pending: PendingBuffer::new(
+                PENDING_CAPACITY,
+                SimDuration::from_secs(PENDING_MAX_AGE_S),
+            ),
             my_seq: SeqNo(0),
             next_request_id: 0,
             last_discovery: BTreeMap::new(),
@@ -186,7 +187,8 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
 
     fn start_discovery(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         if let Some(last) = self.last_discovery.get(&dest) {
-            if ctx.now.saturating_since(*last) < self.config.discovery_retry_interval {
+            if ctx.now.saturating_since(*last) < SimDuration::from_secs(DISCOVERY_RETRY_INTERVAL_S)
+            {
                 return;
             }
         }
@@ -202,7 +204,7 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
             metric: self.policy.initial_metric(),
         });
         rreq.destination = Some(dest);
-        rreq.ttl = self.config.rreq_ttl;
+        rreq.ttl = RREQ_TTL;
         if let Some(pos) = ctx.position_of(dest) {
             rreq.geo = Some(GeoAddress {
                 position: pos,
@@ -489,7 +491,7 @@ impl<P: DiscoveryPolicy> RoutingProtocol for OnDemandRouting<P> {
         }
         // Preemptive rebuild of soon-to-expire active routes (PBR).
         if self.policy.preemptive_rebuild() {
-            let margin = self.config.preemptive_margin;
+            let margin = SimDuration::from_secs(PREEMPTIVE_MARGIN_S);
             let active: Vec<NodeId> = self
                 .active_destinations
                 .iter()
@@ -548,10 +550,7 @@ mod tests {
         for (i, &x) in xs.iter().enumerate() {
             h.place(i as u32, VehicleKind::Car, Vec2::new(x, 0.0), Vec2::ZERO);
         }
-        let protos = xs
-            .iter()
-            .map(|_| Aodv::new(AodvPolicy::default()))
-            .collect();
+        let protos = xs.iter().map(|_| Aodv::new(AodvPolicy)).collect();
         (h, protos)
     }
 
@@ -641,7 +640,7 @@ mod tests {
     #[test]
     fn data_with_known_route_is_unicast_immediately() {
         let mut env = Harness::new(0);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         // Learn a reverse route to node 2 from an RREQ it originated.
         let mut rreq_from_dest = Packet::broadcast(
             NodeId(2),
@@ -681,7 +680,7 @@ mod tests {
     #[test]
     fn neighbor_loss_invalidates_routes_and_emits_rerr() {
         let mut env = Harness::new(1);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         // Learn a route to 5 via 3 from an RREQ originated by 5.
         let mut rreq = Packet::broadcast(
             NodeId(5),
@@ -729,7 +728,7 @@ mod tests {
     #[test]
     fn discovery_is_rate_limited() {
         let mut env = Harness::new(0);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         let d1 = Packet::data(NodeId(0), NodeId(7), 10);
         let d2 = Packet::data(NodeId(0), NodeId(7), 10);
         let a1 = {
@@ -752,7 +751,7 @@ mod tests {
     #[test]
     fn rerr_origination_is_rate_limited_per_destination() {
         let mut env = Harness::new(1);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         // An intermediate node with no route: forwarding data it cannot
         // route re-originates a RERR — but only once per destination per
         // rate-limit interval.
@@ -802,7 +801,7 @@ mod tests {
     #[test]
     fn pending_packets_expire_on_tick() {
         let mut env = Harness::new(0);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         let data = Packet::data(NodeId(0), NodeId(7), 10);
         {
             let mut ctx = env.ctx(1.0);
@@ -826,7 +825,7 @@ mod tests {
     #[test]
     fn rerr_at_source_triggers_rediscovery() {
         let mut env = Harness::new(0);
-        let mut proto = Aodv::new(AodvPolicy::default());
+        let mut proto = Aodv::new(AodvPolicy);
         // Originate data (starts a discovery and buffers the packet).
         {
             let mut ctx = env.ctx(1.0);

@@ -28,11 +28,20 @@ pub enum TicketMetric {
     MeanDuration,
 }
 
-/// Configuration of the ticket-based probing protocol.
+/// Number of tickets issued per probing round.
+const TICKETS: u32 = 3;
+/// How long a discovered source route stays valid, seconds.
+const ROUTE_LIFETIME_S: f64 = 30.0;
+/// Beacon interval (mobility awareness is required), seconds.
+const BEACON_INTERVAL_S: f64 = 1.0;
+/// Minimum spacing between probing rounds for the same destination, seconds.
+const PROBE_RETRY_INTERVAL_S: f64 = 2.0;
+
+/// Configuration of the ticket-based probing protocol: the values that differ
+/// between its users. Yan and Yan-TBPSS differ in `metric`, the ranking tests
+/// sweep `max_branches`, and `benchmark/` reads `relative_speed_std`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YanConfig {
-    /// Number of tickets issued per probing round.
-    pub tickets: u32,
     /// Maximum number of neighbours a ticket is split across at each hop.
     pub max_branches: u32,
     /// Which stability metric is optimised.
@@ -40,24 +49,14 @@ pub struct YanConfig {
     /// Standard deviation assumed for the relative-speed distribution (only
     /// used by the expected-duration metric).
     pub relative_speed_std: f64,
-    /// How long a discovered source route stays valid.
-    pub route_lifetime: SimDuration,
-    /// Beacon interval (mobility awareness is required).
-    pub beacon_interval: SimDuration,
-    /// Minimum spacing between probing rounds for the same destination.
-    pub probe_retry_interval: SimDuration,
 }
 
 impl Default for YanConfig {
     fn default() -> Self {
         YanConfig {
-            tickets: 3,
             max_branches: 2,
             metric: TicketMetric::ExpectedDuration,
             relative_speed_std: 3.0,
-            route_lifetime: SimDuration::from_secs(30.0),
-            beacon_interval: SimDuration::from_secs(1.0),
-            probe_retry_interval: SimDuration::from_secs(2.0),
         }
     }
 }
@@ -264,7 +263,7 @@ impl Yan {
 
     fn start_probe(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
         if let Some(last) = self.last_probe.get(&dest) {
-            if ctx.now.saturating_since(*last) < self.config.probe_retry_interval {
+            if ctx.now.saturating_since(*last) < SimDuration::from_secs(PROBE_RETRY_INTERVAL_S) {
                 return;
             }
         }
@@ -277,7 +276,7 @@ impl Yan {
         if self.best.is_empty() {
             return;
         }
-        let share = (self.config.tickets / self.best.len() as u32).max(1);
+        let share = (TICKETS / self.best.len() as u32).max(1);
         for &(next, stability) in &self.best {
             let mut ticket = ctx.new_control_packet(PacketKind::Ticket {
                 target: dest,
@@ -428,7 +427,7 @@ impl Yan {
                     CachedRoute {
                         route: route.clone(),
                         metric,
-                        expires_at: ctx.now + self.config.route_lifetime,
+                        expires_at: ctx.now + SimDuration::from_secs(ROUTE_LIFETIME_S),
                     },
                 );
             }
@@ -463,7 +462,7 @@ impl RoutingProtocol for Yan {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.config.beacon_interval)
+        Some(SimDuration::from_secs(BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {

@@ -32,30 +32,24 @@ pub fn in_corridor(
     detour <= direct + margin + zone_radius
 }
 
+/// Extra corridor width Zone allows around the straight source→destination
+/// line, metres.
+const ZONE_CORRIDOR_MARGIN_M: f64 = 500.0;
+/// Zone beacon interval, seconds.
+const ZONE_BEACON_INTERVAL_S: f64 = 1.0;
+
 /// Zone-restricted flooding.
 #[derive(Debug)]
 pub struct Zone {
     seen: SeenCache,
-    /// Extra corridor width allowed around the straight source→destination
-    /// line, metres.
-    corridor_margin_m: f64,
-    beacon_interval: SimDuration,
 }
 
 impl Zone {
     /// Creates a zone-flooding instance with a 500 m corridor margin.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_margin(500.0)
-    }
-
-    /// Creates a zone-flooding instance with an explicit corridor margin.
-    #[must_use]
-    pub fn with_margin(corridor_margin_m: f64) -> Self {
         Zone {
             seen: SeenCache::new(60.0),
-            corridor_margin_m,
-            beacon_interval: SimDuration::from_secs(1.0),
         }
     }
 }
@@ -76,7 +70,7 @@ impl RoutingProtocol for Zone {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.beacon_interval)
+        Some(SimDuration::from_secs(ZONE_BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, mut packet: Packet) {
@@ -125,7 +119,7 @@ impl RoutingProtocol for Zone {
                 sender,
                 geo.position,
                 geo.zone_radius,
-                self.corridor_margin_m,
+                ZONE_CORRIDOR_MARGIN_M,
             ),
             (Some(geo), None) => distance(ctx.position(), geo.position) <= geo.zone_radius * 4.0,
             _ => true,
@@ -144,24 +138,14 @@ impl RoutingProtocol for Zone {
 /// The ROVER discovery policy: hop-count metric (like AODV) but route
 /// requests are relayed only inside the zone/corridor towards the destination.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoverPolicy {
-    /// Route lifetime.
-    pub route_lifetime: SimDuration,
-    /// Corridor margin around the straight line, metres.
-    pub corridor_margin_m: f64,
-    /// Beacon interval.
-    pub beacon_interval: SimDuration,
-}
+pub struct RoverPolicy;
 
-impl Default for RoverPolicy {
-    fn default() -> Self {
-        RoverPolicy {
-            route_lifetime: SimDuration::from_secs(10.0),
-            corridor_margin_m: 500.0,
-            beacon_interval: SimDuration::from_secs(1.0),
-        }
-    }
-}
+/// ROVER route lifetime, seconds.
+const ROVER_ROUTE_LIFETIME_S: f64 = 10.0;
+/// ROVER corridor margin around the straight line, metres.
+const ROVER_CORRIDOR_MARGIN_M: f64 = 500.0;
+/// ROVER beacon interval, seconds.
+const ROVER_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for RoverPolicy {
     fn name(&self) -> &'static str {
@@ -173,7 +157,7 @@ impl DiscoveryPolicy for RoverPolicy {
     }
 
     fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(self.beacon_interval)
+        Some(SimDuration::from_secs(ROVER_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, _ctx: &ProtocolContext<'_>, _packet: &Packet) -> f64 {
@@ -195,7 +179,7 @@ impl DiscoveryPolicy for RoverPolicy {
                 sender,
                 geo.position,
                 geo.zone_radius,
-                self.corridor_margin_m,
+                ROVER_CORRIDOR_MARGIN_M,
             ),
             // Without a known destination zone ROVER degenerates to AODV.
             _ => true,
@@ -203,17 +187,17 @@ impl DiscoveryPolicy for RoverPolicy {
     }
 
     fn route_lifetime(&self, _metric: f64) -> SimDuration {
-        self.route_lifetime
+        SimDuration::from_secs(ROVER_ROUTE_LIFETIME_S)
     }
 }
 
 /// The ROVER protocol type.
 pub type Rover = OnDemandRouting<RoverPolicy>;
 
-/// Creates a ROVER instance with default parameters.
+/// Creates a ROVER instance.
 #[must_use]
 pub fn rover() -> Rover {
-    Rover::new(RoverPolicy::default())
+    Rover::new(RoverPolicy)
 }
 
 #[cfg(test)]
@@ -353,7 +337,7 @@ mod tests {
 
     #[test]
     fn rover_policy_filters_by_corridor() {
-        let policy = RoverPolicy::default();
+        let policy = RoverPolicy;
         let mut inside = car_at(1, Vec2::new(900.0, 100.0));
         let mut rreq = Packet::broadcast(
             NodeId(0),

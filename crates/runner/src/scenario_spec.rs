@@ -237,7 +237,15 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
                     }
                     scenario = scenario.with_dtn_ttl(SimDuration::from_secs(secs));
                 }
-                "copies" => scenario = scenario.with_dtn_copies(integer("copies")? as u32),
+                "copies" => {
+                    let copies = u32::try_from(integer("copies")?).map_err(|_| {
+                        error(
+                            spec,
+                            format!("option copies={value} exceeds the limit of {}", u32::MAX),
+                        )
+                    })?;
+                    scenario = scenario.with_dtn_copies(copies);
+                }
                 "fault" => faults = parse_fault(spec, value, faults)?,
                 other => {
                     return Err(error(
@@ -250,6 +258,28 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
                 }
             }
         }
+    }
+    // Node ids (vehicles, then RSUs) and flow ids are `u32`s.
+    let id_limit = u32::MAX as usize + 1;
+    let nodes = scenario.vehicle_count().checked_add(scenario.rsu_count);
+    if nodes.map_or(true, |n| n > id_limit) {
+        return Err(error(
+            spec,
+            format!(
+                "{} vehicles plus rsus={} exceed the limit of {id_limit} nodes",
+                scenario.vehicle_count(),
+                scenario.rsu_count
+            ),
+        ));
+    }
+    if scenario.flows > id_limit {
+        return Err(error(
+            spec,
+            format!(
+                "option flows={} exceeds the limit of {id_limit}",
+                scenario.flows
+            ),
+        ));
     }
     if !faults.is_empty() {
         faults
@@ -320,6 +350,27 @@ mod tests {
         assert!(err.message.contains("positive"), "{err}");
         let err = parse("highway-20:buffer=lots").unwrap_err();
         assert!(err.message.contains("buffer"), "{err}");
+    }
+
+    #[test]
+    fn counts_beyond_u32_ids_are_rejected() {
+        let err = parse("disrupted-20:copies=4294967297").unwrap_err();
+        assert!(err.message.contains("copies"), "{err}");
+        assert!(err.message.contains("4294967295"), "{err}");
+        let err = parse("highway-4294967297").unwrap_err();
+        assert!(err.message.contains("rsus"), "{err}");
+        assert!(err.message.contains("4294967296 nodes"), "{err}");
+        let err = parse("highway-4294967296:rsus=1").unwrap_err();
+        assert!(err.message.contains("4294967296 nodes"), "{err}");
+        let err = parse("highway-20:flows=4294967297").unwrap_err();
+        assert!(err.message.contains("flows"), "{err}");
+        assert!(err.message.contains("4294967296"), "{err}");
+        // The largest counts whose ids fit still parse.
+        assert_eq!(
+            parse("disrupted-20:copies=4294967295").unwrap().dtn.copies,
+            u32::MAX
+        );
+        assert!(parse("highway-20:flows=4294967296").is_ok());
     }
 
     #[test]

@@ -202,11 +202,10 @@ fn aodv_rerr_rate_limit_bounds_churn() {
     let limited = run_scenario(scenario.clone(), ProtocolKind::Aodv);
     let unlimited = Simulation::with_factory(scenario, &|| {
         Box::new(Aodv::with_config(
-            AodvPolicy::default(),
+            AodvPolicy,
             OnDemandConfig {
                 rerr_interval: SimDuration::from_secs(0.0),
                 rerr_seen_horizon_s: 0.0,
-                ..OnDemandConfig::default()
             },
         ))
     })
