@@ -10,8 +10,9 @@ use crate::telemetry::{NoTelemetry, Telemetry};
 use std::sync::Arc;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
-    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, InterferenceCounts, LogNormalShadowing,
-    Medium, MediumConfig, NeighborArena, Packet, PacketKind, SpatialGrid, UnitDisk,
+    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, GridOccupancy, InterferenceCounts,
+    LogNormalShadowing, Medium, MediumConfig, NeighborArena, Packet, PacketKind, SpatialGrid,
+    UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
@@ -472,8 +473,9 @@ impl<T: Telemetry> Simulation<T> {
 
     /// Builds the spatial index from the current node positions — once, at
     /// start-up; mobility steps keep it current via [`SpatialGrid::update`].
-    /// Node ids ascend in `nodes` order, so grid queries (which sort by id)
-    /// candidate nodes in exactly the order the old exhaustive scan visited
+    /// Node ids ascend in `states` order, so the build appends every id to
+    /// its vertex lists without a sort, and each grid query yields the
+    /// candidate nodes in exactly the order the exhaustive scan visits
     /// them.
     fn build_grid(&mut self) {
         let positions: Vec<(NodeId, Position)> =
@@ -563,6 +565,15 @@ impl<T: Telemetry> Simulation<T> {
     pub fn neighbor_occupancy(&self) -> (ArenaOccupancy, usize) {
         let held = self.nodes.iter().map(|n| n.neighbors.len()).sum();
         (self.neighbor_arena.occupancy(), held)
+    }
+
+    /// How full the spatial grid's vertex lists are
+    /// ([`SpatialGrid::occupancy`]): every node sits in four of them, so
+    /// `entries` is four times [`Simulation::node_count`] while the grid's
+    /// books balance.
+    #[must_use]
+    pub fn grid_occupancy(&self) -> GridOccupancy {
+        self.grid.occupancy()
     }
 
     /// How the medium reached its collision decisions

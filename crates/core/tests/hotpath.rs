@@ -61,6 +61,11 @@ fn megacity_10k_smoke_is_deterministic_and_bounded() {
         "key-block fill {:.3} outside its band: {occupancy:?}",
         occupancy.key_fill()
     );
+    // The spatial grid's books: every node in the four vertex lists around
+    // its cell, after every mobility step of the run moved it.
+    let grid = sim.grid_occupancy();
+    assert_eq!(grid.entries, 4 * sim.node_count(), "{grid:?}");
+    assert!(grid.longest <= grid.entries && grid.lists > 0, "{grid:?}");
     // Generous bound (debug builds are ~10-20x slower than release); the
     // point is that the stress tier cannot silently become quadratic.
     assert!(

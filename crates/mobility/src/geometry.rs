@@ -200,6 +200,7 @@ impl WithinFilter {
 
     /// Builds a filter deciding `distance(a, b) <= threshold`.
     #[must_use]
+    #[inline]
     pub fn new(threshold: f64) -> Self {
         let t2 = threshold * threshold;
         WithinFilter {
@@ -211,17 +212,22 @@ impl WithinFilter {
 
     /// Whether `a` and `b` are within the threshold — decision-identical to
     /// `distance(a, b) <= threshold`.
+    ///
+    /// Shaped like [`WithinFilter::count`]: both band comparisons are taken
+    /// as values, so a caller that turns the answer into an index step
+    /// (`kept += usize::from(filter.check(..))`) has no data-dependent
+    /// branch outside the band — the one branch left is whether the point
+    /// fell inside it, which almost none do.
     #[must_use]
+    #[inline]
     pub fn check(&self, a: Position, b: Position) -> bool {
         if self.threshold < 0.0 {
             return false;
         }
         let d2 = (a - b).norm_sq();
-        if d2 <= self.accept_below {
-            return true;
-        }
-        if d2 >= self.reject_above {
-            return false;
+        let (accept, reject) = (d2 <= self.accept_below, d2 >= self.reject_above);
+        if accept != reject {
+            return accept;
         }
         distance(a, b) <= self.threshold
     }

@@ -38,7 +38,7 @@ pub mod packet;
 
 pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView};
 pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
-pub use grid::SpatialGrid;
+pub use grid::{GridOccupancy, SpatialGrid};
 pub use mac::MacParams;
 pub use medium::{Delivery, InterferenceCounts, Medium, MediumConfig, MediumStats};
 pub use neighbor::{BeaconConfig, NeighborInfo, NeighborTable};

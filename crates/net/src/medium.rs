@@ -327,11 +327,10 @@ pub struct Medium {
     /// per-receiver interference count is a scan of the (small) in-window
     /// set instead of re-filtering the whole `recent` deque per candidate.
     snapshot: Vec<Position>,
-    /// The last spatial-grid candidate query, kept so the next frame of a
-    /// burst reuses it.
+    /// The last frame's candidate receivers — a spatial-grid query, kept so
+    /// the next frame of a burst reuses it, or the in-range part of the
+    /// slice form's nodes.
     candidates: Vec<(NodeId, Position)>,
-    /// Scratch buffer for the grid query's run merge.
-    candidate_scratch: Vec<(NodeId, Position)>,
     /// Pre-registered fault overlay rectangles, toggled by fault events.
     fault_zones: Vec<FaultZone>,
     /// How many fault zones are currently active — the transmit path's only
@@ -368,8 +367,6 @@ impl Medium {
             snapshot: Vec::new(),
             // lint: allow(P1) — construction, once per simulation.
             candidates: Vec::new(),
-            // lint: allow(P1) — construction, once per simulation.
-            candidate_scratch: Vec::new(),
             // lint: allow(P1) — construction, once per simulation.
             fault_zones: Vec::new(),
             active_fault_zones: 0,
@@ -418,14 +415,13 @@ impl Medium {
     }
 
     /// Pre-sizes the per-transmission scratch buffers — the grid query's
-    /// result and merge scratch, the contention-window snapshot, the burst
-    /// counts — for `expected_candidates` entries each.
+    /// result, the contention-window snapshot, the burst counts — for
+    /// `expected_candidates` entries each.
     /// Purely a capacity hint — the buffers grow on demand regardless — but
     /// reserving up front means a fleet-scale run's first transmissions don't
     /// pay a reallocation ramp while the caches are already cold.
     pub fn reserve_for_neighborhood(&mut self, expected_candidates: usize) {
         self.candidates.reserve(expected_candidates);
-        self.candidate_scratch.reserve(expected_candidates);
         self.snapshot.reserve(expected_candidates);
         self.burst.receiver_counts.reserve(expected_candidates);
     }
@@ -472,6 +468,10 @@ impl Medium {
     /// Transmits `packet` from `sender` at `sender_pos` to every node in
     /// `nodes` (id, position) pairs, excluding the sender itself. Returns the
     /// successful deliveries; losses are recorded in [`MediumStats`].
+    ///
+    /// `nodes` may hold anything: the ones beyond
+    /// [`PropagationModel::max_range`] are dropped first, by the same banded
+    /// test the grid query applies, and touch no counter and no RNG draw.
     pub fn transmit(
         &mut self,
         now: SimTime,
@@ -484,9 +484,27 @@ impl Medium {
         // lint: allow(P1) — convenience form; the engine's warm path owns a
         // delivery buffer and calls the `_into` variants.
         let mut deliveries = Vec::new();
-        // `nodes` is the caller's: nothing computed for it carries over.
+        // `nodes` is the caller's: nothing computed for it carries over, so
+        // the burst's candidate buffer is free to hold its in-range part.
         self.begin_transmission(now, sender_pos, packet, None);
-        self.deliver(now, sender, sender_pos, packet, nodes, rng, &mut deliveries);
+        let in_range = WithinFilter::new(self.propagation.max_range());
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(
+            nodes
+                .iter()
+                .filter(|&&(_, pos)| in_range.check(sender_pos, pos)),
+        );
+        self.deliver(
+            now,
+            sender,
+            sender_pos,
+            packet,
+            &candidates,
+            rng,
+            &mut deliveries,
+        );
+        self.candidates = candidates;
         deliveries
     }
 
@@ -498,9 +516,10 @@ impl Medium {
     /// allocation once the buffer has warmed up.
     ///
     /// The grid must be built with a cell size of at least
-    /// [`PropagationModel::max_range`]. Its query returns exactly the nodes
-    /// in range, in ascending node-id order — the nodes `transmit` keeps and
-    /// the order it sees them in when its `nodes` slice is id-sorted — so
+    /// [`PropagationModel::max_range`]. Its query — one pass over the id-sorted
+    /// list of the grid vertex nearest the sender — returns exactly the nodes
+    /// in range, in ascending node-id order: the nodes `transmit` keeps and
+    /// the order it sees them in when its `nodes` slice is id-sorted. So
     /// both paths draw identically from `rng` and produce identical
     /// deliveries (pinned by `indexed_transmit_matches_the_exhaustive_scan`).
     ///
@@ -535,7 +554,9 @@ impl Medium {
                 sender_pos,
                 self.propagation.max_range(),
                 &mut candidates,
-                &mut self.candidate_scratch,
+                // lint: allow(P1) — `Vec::new` does not allocate, and the
+                // grid leaves its scratch argument untouched.
+                &mut Vec::new(),
             );
         }
         self.deliver(now, sender, sender_pos, packet, &candidates, rng, out);
@@ -596,7 +617,9 @@ impl Medium {
     }
 
     /// Runs the propagation / contention / collision pipeline over the
-    /// candidate receivers, in slice order, appending to `out`.
+    /// candidate receivers, in slice order, appending to `out`. Every
+    /// candidate is within `max_range` of the sender: both callers have
+    /// applied the range test already.
     ///
     /// A receiver's interference count only feeds one `chance` draw on
     /// `(1 − p)^k`, so on a fresh frame whose counts all lie inside a
@@ -642,11 +665,10 @@ impl Medium {
         let backoff = self.config.mac.sample_backoff(contenders, rng);
         let tx_delay = self.config.mac.transmission_delay(packet.size_bytes());
         let processing = vanet_sim::SimDuration::from_secs(self.config.mac.processing_delay_s);
-        let range_filter = WithinFilter::new(self.propagation.max_range());
         // On a channel certain of reception within `max_range`,
-        // `sample_reception` returns true without a draw for every candidate
-        // that passes `range_filter`: it is not called, and the distance is
-        // computed only for delivered copies.
+        // `sample_reception` returns true without a draw for every candidate:
+        // it is not called, and the distance is computed only for delivered
+        // copies.
         let certain = self.propagation.certain_within_max_range();
         let bracket = if frame == 1 && !snapshot_trivial {
             self.survival_bracket(sender_pos)
@@ -657,13 +679,6 @@ impl Medium {
 
         for (at, &(node, pos)) in nodes.iter().enumerate() {
             if node == sender {
-                continue;
-            }
-            // The grid query has already applied this test, so on the
-            // indexed path every candidate passes; the slice form hands in
-            // arbitrary nodes and relies on it. A node that fails it has
-            // touched no counter and no RNG draw.
-            if !range_filter.check(sender_pos, pos) {
                 continue;
             }
             // Unicast frames are only *delivered* to the intended next hop
@@ -767,7 +782,7 @@ impl Medium {
     /// have, or `None` when some count in that range has a survival
     /// probability of 0 or 1, on which `chance` would not draw.
     ///
-    /// The range: a receiver passed the `max_range` filter, so by the
+    /// The range: a receiver is within `max_range` of the sender, so by the
     /// triangle inequality every snapshot entry within
     /// `2·nominal·(1 − 1e-6) − max_range` of the sender (the *core*, this
     /// frame's own entry included) is within `2·nominal·(1 − 1e-6)` of the
@@ -794,9 +809,10 @@ impl Medium {
     }
 
     /// [`Medium::deliver`] as it was before the survival bracket and the
-    /// deferred distance, kept verbatim: every receiver of a fresh frame is
-    /// counted against the whole snapshot, and every candidate's distance
-    /// is computed and sampled. The reference the bracket is pinned against.
+    /// deferred distance, kept verbatim but for the range test its callers
+    /// now apply: every receiver of a fresh frame is counted against the
+    /// whole snapshot, and every candidate's distance is computed and
+    /// sampled. The reference the bracket is pinned against.
     #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn deliver_counting_every_receiver(
@@ -836,17 +852,9 @@ impl Medium {
         let backoff = self.config.mac.sample_backoff(contenders, rng);
         let tx_delay = self.config.mac.transmission_delay(packet.size_bytes());
         let processing = vanet_sim::SimDuration::from_secs(self.config.mac.processing_delay_s);
-        let range_filter = WithinFilter::new(self.propagation.max_range());
 
         for (at, &(node, pos)) in nodes.iter().enumerate() {
             if node == sender {
-                continue;
-            }
-            // The grid query has already applied this test, so on the
-            // indexed path every candidate passes; the slice form hands in
-            // arbitrary nodes and relies on it. A node that fails it has
-            // touched no counter and no RNG draw.
-            if !range_filter.check(sender_pos, pos) {
                 continue;
             }
             let d = distance(sender_pos, pos);
@@ -1470,7 +1478,7 @@ mod tests {
                 sender_pos,
                 m.propagation.max_range(),
                 &mut candidates,
-                &mut m.candidate_scratch,
+                &mut Vec::new(),
             );
         }
         m.deliver_counting_every_receiver(now, sender, sender_pos, packet, &candidates, rng, out);

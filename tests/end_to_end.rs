@@ -219,11 +219,13 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 }
 
 /// The one scale no benchmark workload reaches: the 1,000,000-node build
-/// (neighbour arena, SoA kinematics, calendar tier, pre-sized grid)
+/// (neighbour arena, SoA kinematics, calendar tier, vertex-list grid)
 /// completes and runs. `megacity` grows the city with the fleet, so the
 /// neighbourhood size must stay near the 10k city's (36.2 there, 41.1 here:
-/// less boundary), and the neighbour arena's books must balance at a scale
-/// nothing else exercises: one live payload slot per entry the tables hold.
+/// less boundary), and two sets of books must balance at a scale nothing
+/// else exercises: the neighbour arena's (one live payload slot per entry
+/// the tables hold) and the spatial grid's (four vertex-list entries per
+/// node, beside its 16 MB position table).
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
@@ -238,8 +240,10 @@ fn megacity_1m_builds_and_runs_one_second() {
             occupancy.slots_live, held,
             "{vehicles} nodes: {occupancy:?}"
         );
+        let grid = sim.grid_occupancy();
+        assert_eq!(grid.entries, 4 * sim.node_count(), "{grid:?}");
         println!(
-            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}",
+            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, {grid:?}",
             occupancy.key_fill()
         );
         (sim.processed_events(), report.avg_neighbors)
