@@ -11,8 +11,8 @@ use std::sync::Arc;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
     ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, GridOccupancy, InterferenceCounts,
-    LogNormalShadowing, Medium, MediumConfig, NeighborArena, Packet, PacketKind, SpatialGrid,
-    UnitDisk,
+    LogNormalShadowing, Medium, MediumConfig, NeighborArena, Packet, PacketKind, Reception,
+    SpatialGrid, UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
@@ -69,18 +69,57 @@ struct Hop {
     intended: bool,
 }
 
-/// A transmitted frame and the receptions it still owes, soonest first. The
-/// frame is queued once, under its next reception's key;
-/// [`Simulation::deliver_frame`] hands the packet to receiver after receiver
-/// for as long as the scheduler confirms nothing else is due in between.
-/// Slots are recycled through `free_frames`, `hops` keeping its allocation.
+/// A transmitted frame and the receptions it still owes. The frame is
+/// queued once, under its soonest reception's key. Until that pops, `hops`
+/// are in the medium's delivery (ascending-id) order; at the first pop
+/// [`Simulation::deliver_frame`] either delivers every reception in one pass
+/// or sorts `hops` into key order and delivers hop by hop, re-queuing the
+/// frame under its next reception's key whenever something else is due
+/// first. Slots are recycled through `free_frames`, `hops` keeping its
+/// allocation.
 #[derive(Debug, Default)]
 struct Frame {
     /// `None` while the slot is free.
     packet: Option<Packet>,
     hops: Vec<Hop>,
-    /// Index into `hops` of the next reception.
+    /// Index into `hops` of the reception with the largest key.
+    last: usize,
+    /// Index into the sorted `hops` of the next reception; 0 until the
+    /// first pop, which is when `hops` get sorted.
     next: usize,
+}
+
+/// What one reception of a frame delivered in one pass did, kept for the
+/// tap's key-order replay ([`Simulation::replay_receptions`]).
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    key: EventKey,
+    receiver: NodeId,
+    /// Whether the reception inserted the sender; `None` when the
+    /// receiver's radio was down and the frame was lost.
+    gained: Option<bool>,
+}
+
+/// How the run loop delivered frames ([`Simulation::frame_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FrameCounts {
+    /// Frames whose first reception fired.
+    pub frames: u64,
+    /// Of those, frames whose receptions run no protocol code and that
+    /// nothing interleaved with: delivered in one pass, unsorted.
+    pub one_pass: u64,
+    /// Of those, frames sorted into key order and delivered reception by
+    /// reception; `one_pass + sorted == frames`.
+    pub sorted: u64,
+    /// The most frames ever in flight at once: the frame slab's length.
+    pub slab_peak: usize,
+}
+
+/// Whether a reception of `packet` runs protocol code. A HELLO reception
+/// only refreshes the receiver's neighbour entry for its sender and
+/// schedules nothing, so the receptions of one HELLO frame commute.
+fn runs_protocol_code(packet: &Packet) -> bool {
+    packet.kind != PacketKind::Hello
 }
 
 /// One pre-resolved fault transition (what `Event::Fault` executes).
@@ -99,13 +138,11 @@ enum FaultAction {
 }
 
 /// Per-node control state, at the node's [`NodeId::index`]. Kinematics live
-/// in the simulation's `states` and neighbour entries in the shared
-/// [`NeighborArena`], so this stays a few dozen bytes and the fleet's node
-/// array is cache-dense.
+/// in the simulation's `states`, neighbour handles in its `neighbor_tables`
+/// and neighbour entries in the shared [`NeighborArena`], so this is a
+/// protocol and an RNG and the fleet's node array is cache-dense.
 struct NodeRuntime {
     protocol: Box<dyn RoutingProtocol + Send>,
-    /// Handle into the fleet-shared neighbour arena.
-    neighbors: ArenaTable,
     rng: SimRng,
 }
 
@@ -125,6 +162,10 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     /// a `Vec` per node, so start-up makes two allocations instead of a
     /// million.
     neighbor_arena: NeighborArena,
+    /// Every node's handle into `neighbor_arena`, indexed by
+    /// `NodeId::index()`: one dense column, so a frame's batch observe
+    /// reads its receivers' handles from 16-byte entries.
+    neighbor_tables: Vec<ArenaTable>,
     /// Every node's kinematics — vehicles, then RSUs — indexed by
     /// `NodeId::index()`: the only copy the driver keeps. The mobility step
     /// writes each vehicle's entry once; the medium, grid and telemetry read
@@ -158,6 +199,12 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     frames: Vec<Frame>,
     /// Slots of `frames` whose frame has been fully delivered.
     free_frames: Vec<u32>,
+    /// How frames were delivered; `slab_peak` is read off `frames`.
+    frame_counts: FrameCounts,
+    /// Reusable buffer for a one-pass frame's batch observe.
+    receptions: Vec<Reception>,
+    /// Reusable buffer for a one-pass frame's tap replay.
+    outcomes: Vec<Outcome>,
     /// Reusable buffer for expired-neighbour ids during a maintenance event
     /// (ping-ponged around `dispatch`, so purges allocate nothing).
     lost_scratch: Vec<NodeId>,
@@ -264,7 +311,6 @@ impl<T: Telemetry> Simulation<T> {
             }
             nodes.push(NodeRuntime {
                 protocol: factory(),
-                neighbors: ArenaTable::new(),
                 rng: master.derive_index("node", u64::from(state.id.0)),
             });
             states.push(*state);
@@ -413,6 +459,7 @@ impl<T: Telemetry> Simulation<T> {
             mobility_rng,
             nodes,
             neighbor_arena,
+            neighbor_tables: vec![ArenaTable::new(); node_count],
             states,
             rsu_ids,
             bus_ids,
@@ -429,6 +476,9 @@ impl<T: Telemetry> Simulation<T> {
             delivery_buf: Vec::with_capacity(expected_neighbors as usize + 16),
             frames: Vec::new(),
             free_frames: Vec::new(),
+            frame_counts: FrameCounts::default(),
+            receptions: Vec::with_capacity(expected_neighbors as usize + 16),
+            outcomes: Vec::new(),
             lost_scratch: Vec::with_capacity(64),
             fault_timeline,
             node_down: vec![false; node_count],
@@ -563,7 +613,7 @@ impl<T: Telemetry> Simulation<T> {
     /// balance.
     #[must_use]
     pub fn neighbor_occupancy(&self) -> (ArenaOccupancy, usize) {
-        let held = self.nodes.iter().map(|n| n.neighbors.len()).sum();
+        let held = self.neighbor_tables.iter().map(ArenaTable::len).sum();
         (self.neighbor_arena.occupancy(), held)
     }
 
@@ -582,6 +632,17 @@ impl<T: Telemetry> Simulation<T> {
     #[must_use]
     pub fn interference_counts(&self) -> InterferenceCounts {
         self.medium.interference_counts()
+    }
+
+    /// How the run loop has delivered frames so far: how many it began, how
+    /// many of those went in one pass and how many hop by hop, and the
+    /// frame slab's high-water mark.
+    #[must_use]
+    pub fn frame_counts(&self) -> FrameCounts {
+        FrameCounts {
+            slab_peak: self.frames.len(),
+            ..self.frame_counts
+        }
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -649,11 +710,11 @@ impl<T: Telemetry> Simulation<T> {
                 let mut lost = std::mem::take(&mut self.lost_scratch);
                 lost.clear();
                 self.neighbor_arena
-                    .purge_due(&mut self.nodes[idx].neighbors, now, &mut lost);
+                    .purge_due(&mut self.neighbor_tables[idx], now, &mut lost);
                 if !lost.is_empty() {
                     self.telemetry.on_neighbor_lost(now, lost.len());
                 }
-                let count = self.nodes[idx].neighbors.len();
+                let count = self.neighbor_tables[idx].len();
                 self.metrics.record_neighbor_count(count);
                 for &neighbor in &lost {
                     self.dispatch(idx, now, |p, ctx| p.on_neighbor_lost(ctx, neighbor));
@@ -733,19 +794,39 @@ impl<T: Telemetry> Simulation<T> {
         }
     }
 
-    /// Delivers frame `slot`'s next reception, due `now`, and every later one
-    /// for as long as [`Scheduler::advance_if_next`] confirms it is the next
-    /// event of the whole simulation. When something else is due first — a
-    /// timer, a fault, another frame's reception, an event a handler here
-    /// just scheduled — or the horizon falls in between, the frame goes back
-    /// into the queue under its next reception's own key and resumes when
-    /// that surfaces: the receptions fire in exactly the key order they would
-    /// as individually scheduled events.
+    /// Delivers frame `slot`, whose next reception is due `now`.
+    ///
+    /// At the frame's first pop, a frame whose receptions run no protocol
+    /// code (a HELLO) goes in one pass when [`Scheduler::advance_if_next`]
+    /// confirms that nothing is due before its last reception: nothing a
+    /// reception does can change that, so every reception fires where it
+    /// would have, with no sort ([`Simulation::deliver_in_one_pass`]).
+    /// Otherwise the receptions are sorted into key order, once, and
+    /// delivered one by one for as long as the scheduler confirms each is
+    /// the next event of the whole simulation. When something else is due
+    /// first — a timer, a fault, another frame's reception, an event a
+    /// handler here just scheduled — or the horizon falls in between, the
+    /// frame goes back into the queue under its next reception's own key
+    /// and resumes when that surfaces: the receptions fire in exactly the
+    /// key order they would as individually scheduled events.
     fn deliver_frame(&mut self, mut now: SimTime, slot: u32) {
         // Out of the slab while handlers run: a reception may transmit, and
         // that claims a slot and may grow the slab.
         let mut frame = std::mem::take(&mut self.frames[slot as usize]);
         let packet = frame.packet.take().expect("a queued frame holds a packet");
+        if frame.next == 0 {
+            self.frame_counts.frames += 1;
+            let last = frame.hops[frame.last].key;
+            let rest = frame.hops.len() as u64 - 1;
+            if !runs_protocol_code(&packet) && self.scheduler.advance_if_next(last, rest) {
+                self.frame_counts.one_pass += 1;
+                self.deliver_in_one_pass(&frame.hops, &packet);
+                self.free_frame(slot, frame);
+                return;
+            }
+            self.frame_counts.sorted += 1;
+            frame.hops.sort_unstable_by_key(|hop| hop.key);
+        }
         loop {
             let hop = frame.hops[frame.next];
             frame.next += 1;
@@ -753,7 +834,7 @@ impl<T: Telemetry> Simulation<T> {
             let Some(next) = frame.hops.get(frame.next) else {
                 break;
             };
-            if !self.scheduler.advance_if_next(next.key) {
+            if !self.scheduler.advance_if_next(next.key, 1) {
                 self.scheduler.schedule_keyed(next.key, Event::Frame(slot));
                 frame.packet = Some(packet);
                 self.frames[slot as usize] = frame;
@@ -762,13 +843,92 @@ impl<T: Telemetry> Simulation<T> {
             now = next.key.time();
             self.telemetry.on_event(now, self.medium.stats());
         }
+        self.free_frame(slot, frame);
+    }
+
+    /// Returns a delivered frame's slot to the free list, `hops` keeping
+    /// its allocation.
+    fn free_frame(&mut self, slot: u32, mut frame: Frame) {
         frame.hops.clear();
         frame.next = 0;
         self.frames[slot as usize] = frame;
         self.free_frames.push(slot);
     }
 
-    /// One reception: `packet` finishes arriving at `receiver`.
+    /// Delivers every reception of a frame whose receptions run no protocol
+    /// code, the scheduler having already counted them and advanced the
+    /// clock past the last. A receiver whose radio is down loses the frame,
+    /// as in [`Simulation::receive`]; every other refreshes its entry for
+    /// the sender, all in one [`NeighborArena::observe_batch`] in delivery
+    /// order. Fault state cannot change in between: a fault transition is
+    /// an event, and none was due. A tap then sees the receptions replayed
+    /// in key order ([`Simulation::replay_receptions`]).
+    fn deliver_in_one_pass(&mut self, hops: &[Hop], packet: &Packet) {
+        let mut receptions = std::mem::take(&mut self.receptions);
+        receptions.clear();
+        if let (Some(pos), Some(vel)) = (packet.sender_position, packet.sender_velocity) {
+            receptions.extend(
+                hops.iter()
+                    .filter(|hop| !self.node_is_down(hop.receiver.index()))
+                    .map(|hop| Reception::new(hop.receiver.index(), hop.key.time())),
+            );
+            self.neighbor_arena.observe_batch(
+                &mut self.neighbor_tables,
+                packet.prev_hop,
+                pos,
+                vel,
+                self.beacon_config.lifetime,
+                &mut receptions,
+            );
+        }
+        if T::ENABLED {
+            self.replay_receptions(hops, &receptions);
+        }
+        self.receptions = receptions;
+    }
+
+    /// Raises the hooks of a one-pass frame's receptions exactly as the
+    /// per-hop loop and [`Simulation::receive`] would have: hop by hop in
+    /// key order, `on_event` before every hop but the first (whose event the
+    /// run loop announced), then `on_fault_drop` for a receiver whose radio
+    /// is down, else `on_neighbor_gained` if the reception inserted the
+    /// sender followed by `on_receive`. `receptions` are the batch's, one
+    /// per hop whose receiver is up, in hop order.
+    fn replay_receptions(&mut self, hops: &[Hop], receptions: &[Reception]) {
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        outcomes.clear();
+        let mut observed = receptions.iter();
+        for hop in hops {
+            let up = !self.node_is_down(hop.receiver.index());
+            outcomes.push(Outcome {
+                key: hop.key,
+                receiver: hop.receiver,
+                gained: up.then(|| observed.next().is_some_and(Reception::gained)),
+            });
+        }
+        outcomes.sort_unstable_by_key(|outcome| outcome.key);
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let now = outcome.key.time();
+            if i > 0 {
+                self.telemetry.on_event(now, self.medium.stats());
+            }
+            let position = self.states[outcome.receiver.index()].position;
+            match outcome.gained {
+                None => self.telemetry.on_fault_drop(now, position),
+                Some(gained) => {
+                    if gained {
+                        self.telemetry.on_neighbor_gained(now);
+                    }
+                    self.telemetry.on_receive(now, position);
+                }
+            }
+        }
+        self.outcomes = outcomes;
+    }
+
+    /// One reception: `packet` finishes arriving at `receiver`. The one-pass
+    /// path ([`Simulation::deliver_in_one_pass`]) does what this does, for
+    /// a whole frame whose receptions run no protocol code.
     fn receive(&mut self, now: SimTime, receiver: NodeId, packet: &Packet, intended: bool) {
         let idx = self.node_index(receiver);
         // A frame arriving at a node whose radio a fault disabled is
@@ -784,7 +944,7 @@ impl<T: Telemetry> Simulation<T> {
         if let (Some(pos), Some(vel)) = (packet.sender_position, packet.sender_velocity) {
             let lifetime = self.beacon_config.lifetime;
             let gained = self.neighbor_arena.observe(
-                &mut self.nodes[idx].neighbors,
+                &mut self.neighbor_tables[idx],
                 packet.prev_hop,
                 pos,
                 vel,
@@ -796,10 +956,9 @@ impl<T: Telemetry> Simulation<T> {
             }
         }
         self.telemetry.on_receive(now, self.states[idx].position);
-        if packet.kind == PacketKind::Hello {
-            return;
+        if runs_protocol_code(packet) {
+            self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, packet, !intended));
         }
-        self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, packet, !intended));
     }
 
     /// Runs one protocol callback with the shared [`ActionSink`] in the
@@ -815,7 +974,7 @@ impl<T: Telemetry> Simulation<T> {
             node: NodeId(idx as u32),
             now,
             fleet: &self.states,
-            neighbors: self.neighbor_arena.view(&node.neighbors),
+            neighbors: self.neighbor_arena.view(&self.neighbor_tables[idx]),
             range_m,
             rsu_ids: &self.rsu_ids,
             bus_ids: &self.bus_ids,
@@ -827,6 +986,11 @@ impl<T: Telemetry> Simulation<T> {
         self.process_actions(idx, now);
     }
 
+    /// Hands `packet` from node `sender_idx` to the medium and queues the
+    /// resulting frame, if anyone receives it: one [`Frame`] in the slab,
+    /// its receptions in the medium's delivery order, one queue entry under
+    /// the soonest reception's key. Nothing is sorted here;
+    /// [`Simulation::deliver_frame`] decides at the first pop.
     fn transmit(&mut self, sender_idx: usize, now: SimTime, packet: Packet) {
         // A down radio transmits nothing: the frame vanishes before it
         // reaches the metrics or the medium, exactly as if the hardware
@@ -856,11 +1020,12 @@ impl<T: Telemetry> Simulation<T> {
             &mut deliveries,
         );
         if !deliveries.is_empty() {
-            // One queue entry for the whole frame. Reception `i` (in the
-            // medium's delivery order) keeps the sequence number its own
-            // event would have drawn, and the receptions are walked in key
-            // order — they differ only by propagation delay, under a
-            // microsecond.
+            // One queue entry for the whole frame, under its soonest key.
+            // Reception `i` (in the medium's delivery order) keeps the
+            // sequence number its own event would have drawn; the
+            // receptions differ only by propagation delay, under a
+            // microsecond. They stay in delivery order: `deliver_frame`
+            // sorts them only if it has to deliver hop by hop.
             let first_seq = self.scheduler.reserve_seqs(deliveries.len() as u64);
             let slot = self.free_frames.pop().unwrap_or_else(|| {
                 self.frames.push(Frame::default());
@@ -875,8 +1040,14 @@ impl<T: Telemetry> Simulation<T> {
                     receiver: d.receiver,
                     intended: d.intended,
                 }));
-            frame.hops.sort_unstable_by_key(|hop| hop.key);
-            let head = frame.hops[0].key;
+            let mut head = frame.hops[0].key;
+            frame.last = 0;
+            for (i, hop) in frame.hops.iter().enumerate().skip(1) {
+                head = head.min(hop.key);
+                if hop.key > frame.hops[frame.last].key {
+                    frame.last = i;
+                }
+            }
             debug_assert!(head.time() >= now, "arrival is never in the past");
             self.scheduler.schedule_keyed(head, Event::Frame(slot));
         }

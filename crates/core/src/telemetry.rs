@@ -63,7 +63,17 @@ pub fn drop_reason_index(reason: DropReason) -> usize {
 /// over its tap, so the disabled instantiation ([`NoTelemetry`])
 /// monomorphises each call site to nothing — telemetry is strictly
 /// zero-cost unless a real tap is attached.
+///
+/// A tap sees every reception as if it were an event of its own: the hooks
+/// of a frame's receptions come in key order, each after its `on_event`,
+/// even when the driver delivered them in one pass and replays them
+/// afterwards.
 pub trait Telemetry {
+    /// Whether the tap observes anything. When `false`, the driver skips
+    /// the work that only feeds hooks: the key-order replay of a frame it
+    /// delivered in one pass. Only [`NoTelemetry`] sets it.
+    const ENABLED: bool = true;
+
     /// Called once before the first event: the scenario's spatial bounds
     /// (for region bucketing) and simulated duration (for preallocation).
     #[inline]
@@ -155,7 +165,9 @@ pub trait Telemetry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoTelemetry;
 
-impl Telemetry for NoTelemetry {}
+impl Telemetry for NoTelemetry {
+    const ENABLED: bool = false;
+}
 
 /// One sealed fixed-interval window of counters.
 #[derive(Debug, Clone, Default, PartialEq)]

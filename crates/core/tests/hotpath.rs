@@ -3,7 +3,7 @@
 //! the determinism of the batched-beacon scheduler at scale.
 
 use std::time::Instant;
-use vanet_core::{ProtocolKind, Report, Scenario, Simulation};
+use vanet_core::{FrameCounts, ProtocolKind, Report, Scenario, Simulation};
 use vanet_sim::SimDuration;
 
 fn fingerprint(r: &Report, events: u64) -> String {
@@ -26,14 +26,22 @@ fn fingerprint(r: &Report, events: u64) -> String {
 /// Two simulated seconds of the full 10 000-vehicle megacity. The report pin
 /// makes any nondeterminism (or behaviour change) in the hot path visible,
 /// its event count that every reception is still one scheduler event (the
-/// run is dense enough that frames are re-queued between receptions); the
-/// wall-clock bound keeps the stress tier honest about throughput.
+/// run is dense enough that frames are re-queued between receptions), and
+/// the frame counts how the run loop delivered them: nearly every HELLO
+/// frame in one pass, the rest sorted. The wall-clock bound keeps the
+/// stress tier honest about throughput.
 ///
 /// Regenerate the pin with:
 /// `cargo test -p vanet-core --test hotpath -- --ignored --nocapture`
 #[test]
 fn megacity_10k_smoke_is_deterministic_and_bounded() {
     const PIN: &str = "Greedy|sent=14 dlvd=0 dup=0 pdr=0.0 delay=0.0 hops=0.0 ctrl=20025 dtx=56 drops=0 nbr=38.56545000000036 events=767362";
+    const FRAMES: FrameCounts = FrameCounts {
+        frames: 20_068,
+        one_pass: 19_566,
+        sorted: 502,
+        slab_peak: 25,
+    };
     let started = Instant::now();
     let mut sim = Simulation::new(megacity_second(), ProtocolKind::Greedy);
     assert_eq!(sim.node_count(), 10_000);
@@ -66,6 +74,11 @@ fn megacity_10k_smoke_is_deterministic_and_bounded() {
     let grid = sim.grid_occupancy();
     assert_eq!(grid.entries, 4 * sim.node_count(), "{grid:?}");
     assert!(grid.longest <= grid.entries && grid.lists > 0, "{grid:?}");
+    // The frame books: every frame whose delivery began went one way or the
+    // other, once, however often it was re-queued after sorting.
+    let frames = sim.frame_counts();
+    assert_eq!(frames.one_pass + frames.sorted, frames.frames, "{frames:?}");
+    assert_eq!(frames, FRAMES, "frame delivery diverged from its pin");
     // Generous bound (debug builds are ~10-20x slower than release); the
     // point is that the stress tier cannot silently become quadratic.
     assert!(
@@ -90,4 +103,5 @@ fn regenerate() {
     let mut sim = Simulation::new(megacity_second(), ProtocolKind::Greedy);
     let report = sim.run();
     println!("PIN: {:?}", fingerprint(&report, sim.processed_events()));
+    println!("FRAMES: {:?}", sim.frame_counts());
 }

@@ -10,7 +10,10 @@
 //! reuse. `observe` — the hottest call on the beacon plane — walks a
 //! couple of 264-byte key blocks and then touches one payload: a refresh
 //! overwrites it in place, an insert shifts 4-byte keys and slot indices,
-//! and a split moves no payload at all.
+//! and a split moves no payload at all. [`NeighborArena::observe_batch`]
+//! observes one sender at many receivers over a slice of handles: a first
+//! pass takes the first step of every receiver's walk, so their cache
+//! misses overlap, then a second pass upserts.
 //!
 //! Expiry is *lazy*: a handle carries [`ArenaTable::next_deadline`], a
 //! conservative lower bound on the earliest `expires_at` of any live entry
@@ -133,6 +136,39 @@ impl ArenaTable {
     #[must_use]
     pub fn next_deadline(&self) -> SimTime {
         self.next_deadline
+    }
+}
+
+/// One reception of a sender's beacon, as [`NeighborArena::observe_batch`]
+/// takes it: which table hears the sender and when, and — once the batch
+/// has run — whether that inserted the sender.
+#[derive(Debug, Clone, Copy)]
+pub struct Reception {
+    table: u32,
+    at: SimTime,
+    /// The block the upsert's walk starts from, recorded by the first pass.
+    start: u32,
+    gained: bool,
+}
+
+impl Reception {
+    /// A reception by the table at index `table` of the batch's handle
+    /// slice, at time `at`.
+    #[must_use]
+    pub fn new(table: usize, at: SimTime) -> Self {
+        Reception {
+            table: u32::try_from(table).expect("fewer than 2^32 tables"),
+            at,
+            start: NIL,
+            gained: false,
+        }
+    }
+
+    /// Whether the batch inserted the sender into this table (a link came
+    /// up) rather than refreshing it; `false` before the batch has run.
+    #[must_use]
+    pub fn gained(&self) -> bool {
+        self.gained
     }
 }
 
@@ -282,30 +318,85 @@ impl NeighborArena {
         now: SimTime,
         lifetime: SimDuration,
     ) -> bool {
-        let expires_at = now + lifetime;
         let info = NeighborInfo {
             id,
             position,
             velocity,
             last_heard: now,
-            expires_at,
+            expires_at: now + lifetime,
         };
-        let inserted = self.upsert(table, info);
+        let start = table.head;
+        self.observe_from(table, start, info)
+    }
+
+    /// One sender heard by many receivers: [`NeighborArena::observe`] for
+    /// each of `receptions` in turn, on `tables[reception.table]` at the
+    /// reception's time, with the result left in [`Reception::gained`].
+    ///
+    /// It runs in two passes. The first reads each receiver's handle and
+    /// the last key and link of its head block, and records where the walk
+    /// to `id` starts: the head, or its successor when `id` lies past the
+    /// head's last key. The second upserts from there. The first pass's
+    /// loads do not depend on one another, so the receivers' cache misses
+    /// overlap instead of queueing behind each upsert. A recorded block
+    /// stays valid through the second pass: only a purge unlinks a block,
+    /// a split keeps the original block as its lower half, and block
+    /// indices survive the slab growing. So a table may even appear twice,
+    /// though a frame reaches each receiver once.
+    pub fn observe_batch(
+        &mut self,
+        tables: &mut [ArenaTable],
+        id: NodeId,
+        position: Position,
+        velocity: Velocity,
+        lifetime: SimDuration,
+        receptions: &mut [Reception],
+    ) {
+        for reception in receptions.iter_mut() {
+            let head = tables[reception.table as usize].head;
+            reception.start = head;
+            if head != NIL {
+                let blk = &self.blocks[head as usize];
+                if blk.keys[blk.len as usize - 1] < id && blk.next != NIL {
+                    reception.start = blk.next;
+                }
+            }
+        }
+        for reception in receptions.iter_mut() {
+            let info = NeighborInfo {
+                id,
+                position,
+                velocity,
+                last_heard: reception.at,
+                expires_at: reception.at + lifetime,
+            };
+            let table = &mut tables[reception.table as usize];
+            reception.gained = self.observe_from(table, reception.start, info);
+        }
+    }
+
+    /// Upserts `info` with the walk to its block starting at block `start`
+    /// of the table's chain ([`NIL`]: the head), which must not lie past
+    /// that block, and lowers the deadline bound to its expiry.
+    #[inline]
+    fn observe_from(&mut self, table: &mut ArenaTable, start: u32, info: NeighborInfo) -> bool {
+        let inserted = self.upsert(table, start, info);
         // A refresh can only raise its entry's deadline when observation
         // times are monotone, but one compare keeps the bound a lower bound
         // for out-of-order replays as well.
-        if expires_at < table.next_deadline {
-            table.next_deadline = expires_at;
+        if info.expires_at < table.next_deadline {
+            table.next_deadline = info.expires_at;
         }
         inserted
     }
 
     /// Overwrites the payload of `info.id` if it is live, else stores it in
     /// a new slot and inserts its key keeping the chain sorted ascending by
-    /// id. Full blocks split in half (classic unrolled-list insert); appends
-    /// past a full tail block link a fresh block instead, which keeps the
+    /// id. The walk begins at block `start` ([`NIL`]: the head). Full blocks
+    /// split in half (classic unrolled-list insert); appends past a full
+    /// tail block link a fresh block instead, which keeps the
     /// monotonically-growing case dense.
-    fn upsert(&mut self, table: &mut ArenaTable, info: NeighborInfo) -> bool {
+    fn upsert(&mut self, table: &mut ArenaTable, start: u32, info: NeighborInfo) -> bool {
         let id = info.id;
         if table.head == NIL {
             let nb = self.alloc_block();
@@ -316,7 +407,7 @@ impl NeighborArena {
             return true;
         }
         // Target: the first block whose last key is >= id, else the tail.
-        let mut cur = table.head;
+        let mut cur = if start == NIL { table.head } else { start };
         loop {
             let blk = &self.blocks[cur as usize];
             if blk.keys[blk.len as usize - 1] >= id || blk.next == NIL {
@@ -908,5 +999,160 @@ mod tests {
         let tied = Vec2::new(1_000.0, 500.0);
         assert_eq!(view.closest_to(tied).map(|n| n.id), Some(NodeId(0)));
         assert_eq!(view.closest_to(tied), naive.closest_to(tied));
+    }
+
+    /// How many blocks a table's chain has, and how many steps the walk to
+    /// `id`'s block takes from its head (`None` for an empty table).
+    fn chain_shape(
+        arena: &NeighborArena,
+        table: &ArenaTable,
+        id: NodeId,
+    ) -> (usize, Option<usize>) {
+        let (mut blocks, mut walk) = (0, None);
+        let mut cur = table.head;
+        while cur != NIL {
+            let blk = &arena.blocks[cur as usize];
+            if walk.is_none() && (blk.keys[blk.len as usize - 1] >= id || blk.next == NIL) {
+                walk = Some(blocks);
+            }
+            blocks += 1;
+            cur = blk.next;
+        }
+        (blocks, walk)
+    }
+
+    /// What the batch property exercised, so that it can insist on it.
+    #[derive(Debug, Default)]
+    struct BatchCoverage {
+        empty: usize,
+        /// Walks of zero, one, and two or more steps.
+        steps: [usize; 3],
+        splits: usize,
+        appends: usize,
+        blocks_reused: usize,
+        slots_reused: usize,
+    }
+
+    /// Twin arenas take the same seeded churn: one observes each frame's
+    /// receivers through [`NeighborArena::observe_batch`], the other through
+    /// [`NeighborArena::observe`] one receiver at a time, with lazy purges
+    /// in between. After every frame the gained flags must agree, and after
+    /// every tick the iteration, the deadline bounds and the loss lists; both
+    /// arenas' books must balance.
+    fn batch_observe_matches_sequential_observe(cases: usize) -> BatchCoverage {
+        let mut rng = SimRng::new(0xba7c);
+        let mut cover = BatchCoverage::default();
+        for case in 0..cases {
+            let mut batched = NeighborArena::new();
+            let mut single = NeighborArena::new();
+            let tables = 2 + rng.uniform_usize(7);
+            let mut bt = vec![ArenaTable::new(); tables];
+            let mut st = vec![ArenaTable::new(); tables];
+            let lifetime = SimDuration::from_secs(1.0 + rng.uniform_range(0.0, 3.0));
+            let universe = 4 + rng.uniform_usize(120);
+            // Senders in ascending id order grow chains at their tails,
+            // which is what makes a full tail block take an append.
+            let ascending = rng.chance(0.3);
+            let mut receptions = Vec::new();
+            let (mut lost_b, mut lost_s) = (Vec::new(), Vec::new());
+            for tick in 1..=20u32 {
+                let tick_time = SimTime::from_secs(f64::from(tick));
+                for frame in 0..rng.uniform_usize(3 * universe) {
+                    let id = if ascending {
+                        NodeId((frame % universe) as u32)
+                    } else {
+                        NodeId(rng.uniform_usize(universe) as u32)
+                    };
+                    let pos = Vec2::new(rng.uniform_range(0.0, 500.0), 0.0);
+                    let vel = Vec2::new(rng.uniform_range(-20.0, 20.0), 0.0);
+                    let mut hearers: Vec<usize> = (0..tables).collect();
+                    rng.shuffle(&mut hearers);
+                    hearers.truncate(rng.uniform_usize(tables + 1));
+                    hearers.sort_unstable();
+                    // A frame reaches each receiver once, but the batch
+                    // holds up when a table comes twice.
+                    if !hearers.is_empty() && rng.chance(0.05) {
+                        hearers.push(hearers[rng.uniform_usize(hearers.len())]);
+                    }
+                    receptions.clear();
+                    for &w in &hearers {
+                        let at = f64::from(tick) - rng.uniform_range(0.0, 1.0);
+                        receptions.push(Reception::new(w, SimTime::from_secs(at)));
+                    }
+                    let before = batched.occupancy();
+                    batched.observe_batch(&mut bt, id, pos, vel, lifetime, &mut receptions);
+                    let after = batched.occupancy();
+                    cover.blocks_reused += usize::from(after.blocks_free < before.blocks_free);
+                    cover.slots_reused += usize::from(after.slots_free < before.slots_free);
+                    for r in &receptions {
+                        let w = r.table as usize;
+                        let (blocks, walk) = chain_shape(&single, &st[w], id);
+                        match walk {
+                            None => cover.empty += 1,
+                            Some(steps) => cover.steps[steps.min(2)] += 1,
+                        }
+                        let gained = single.observe(&mut st[w], id, pos, vel, r.at, lifetime);
+                        assert_eq!(
+                            r.gained(),
+                            gained,
+                            "case {case} tick {tick}: gained diverged"
+                        );
+                        if walk.is_some() && chain_shape(&single, &st[w], id).0 > blocks {
+                            let mut tail = st[w].head;
+                            while single.blocks[tail as usize].next != NIL {
+                                tail = single.blocks[tail as usize].next;
+                            }
+                            let tail = &single.blocks[tail as usize];
+                            if tail.len == 1 && tail.keys[0] == id {
+                                cover.appends += 1;
+                            } else {
+                                cover.splits += 1;
+                            }
+                        }
+                    }
+                }
+                for w in 0..tables {
+                    lost_b.clear();
+                    lost_s.clear();
+                    batched.purge_due(&mut bt[w], tick_time, &mut lost_b);
+                    single.purge_due(&mut st[w], tick_time, &mut lost_s);
+                    let at = format!("case {case} tick {tick} table {w}");
+                    assert_eq!(lost_b, lost_s, "{at}: losses diverged");
+                    let eb: Vec<NeighborInfo> = batched.iter(&bt[w]).copied().collect();
+                    let es: Vec<NeighborInfo> = single.iter(&st[w]).copied().collect();
+                    assert_eq!(eb, es, "{at}: entries diverged");
+                    assert_eq!(
+                        bt[w].next_deadline(),
+                        st[w].next_deadline(),
+                        "{at}: deadline"
+                    );
+                }
+                assert_books_balance(&batched, &bt, &format!("case {case} tick {tick}, batched"));
+                assert_books_balance(&single, &st, &format!("case {case} tick {tick}, single"));
+            }
+        }
+        cover
+    }
+
+    #[test]
+    fn batch_observe_matches_sequential_observe_under_randomized_churn() {
+        let cover = batch_observe_matches_sequential_observe(30);
+        assert!(cover.empty > 100, "{cover:?}");
+        assert!(cover.steps.iter().all(|&n| n > 100), "{cover:?}");
+        assert!(cover.splits > 20 && cover.appends > 20, "{cover:?}");
+        assert!(
+            cover.blocks_reused > 20 && cover.slots_reused > 100,
+            "{cover:?}"
+        );
+    }
+
+    /// Ten times the tier-1 cases; CI runs it in its release `--ignored`
+    /// step beside the medium's and the grid's heavy properties.
+    #[test]
+    #[ignore = "heavy: ten times the tier-1 cases; run with --release -- --ignored"]
+    fn batch_observe_matches_sequential_observe_heavy() {
+        let cover = batch_observe_matches_sequential_observe(300);
+        assert!(cover.steps.iter().all(|&n| n > 1_000), "{cover:?}");
+        assert!(cover.splits > 200 && cover.appends > 200, "{cover:?}");
     }
 }

@@ -36,7 +36,7 @@ pub mod medium;
 pub mod neighbor;
 pub mod packet;
 
-pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView};
+pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView, Reception};
 pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
 pub use grid::{GridOccupancy, SpatialGrid};
 pub use mac::MacParams;

@@ -358,3 +358,46 @@ fn analyze_produces_csv_and_significance_verdicts_from_a_real_campaign() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `protocol` on `spec` at seed 1 for `seconds` under a [`WindowedTap`]
+/// with `window`-wide windows.
+fn tapped(spec: &str, protocol: ProtocolKind, seconds: f64, window: f64) -> WindowedTap {
+    let scenario = vanet_runner::parse_scenario(spec)
+        .expect("a valid scenario spec")
+        .with_seed(1)
+        .with_duration(SimDuration::from_secs(seconds));
+    let tap = WindowedTap::new(SimDuration::from_secs(window), 8);
+    let mut sim = Simulation::with_telemetry(scenario, protocol, tap);
+    sim.run();
+    sim.into_telemetry()
+}
+
+/// The tap sees the hooks of a frame's receptions in the order and at the
+/// times individually scheduled receptions would raise them, however the
+/// driver batches them. 1 ms windows on a dense city put window boundaries
+/// between receptions of one frame (`on_event` seals windows), and the
+/// outage makes HELLO frames meet a down receiver (`on_fault_drop` instead
+/// of `on_neighbor_gained` and `on_receive`).
+#[test]
+fn tap_content_is_pinned_across_frame_batching() {
+    let city = tapped("megacity-2000", ProtocolKind::Greedy, 2.0, 0.001);
+    assert_eq!(city.windows().len(), 2_001);
+    assert_eq!(
+        city.content_hash(),
+        0xc007_7d7d_317c_be56,
+        "city tap diverged"
+    );
+    let faulted = tapped(
+        "highway-120:fault=node:3:2..6s",
+        ProtocolKind::Yan,
+        10.0,
+        0.5,
+    );
+    let fault_drops: u64 = faulted.windows().iter().map(|w| w.fault_drops).sum();
+    assert!(fault_drops > 0, "the outage must drop receptions");
+    assert_eq!(
+        faulted.content_hash(),
+        0xa711_73d7_2b14_3235,
+        "faulted highway tap diverged"
+    );
+}

@@ -52,7 +52,9 @@ enum Tier {
 /// the run's smallest key ([`Scheduler::schedule_keyed`]) and, after firing
 /// each member, asks [`Scheduler::advance_if_next`] whether the next
 /// member's key is still ahead of everything pending — continuing inline if
-/// so, re-queuing the entry under that key if not. Either way the members
+/// so, re-queuing the entry under that key if not. Members that schedule
+/// nothing when they fire can be confirmed all at once, by asking about the
+/// run's last key with the number of members left. Either way the members
 /// fire exactly where individually scheduled events would have.
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
@@ -218,24 +220,26 @@ impl<E> Scheduler<E> {
         self.push_near(key, event);
     }
 
-    /// Fires the event keyed `key` in place, without it ever having been
-    /// queued: returns `true` — with the clock advanced to `key.time()` and
-    /// one more event counted as processed, exactly as if
-    /// [`Scheduler::next_event`] had popped it — iff no pending event
-    /// precedes that key and its time lies within the horizon. On `false`
-    /// nothing changed; queue the event with [`Scheduler::schedule_keyed`]
-    /// and it surfaces in its turn.
-    pub fn advance_if_next(&mut self, key: EventKey) -> bool {
-        let time = key.time();
+    /// Fires `count` events in place, the last of them keyed `last`, without
+    /// any of them ever having been queued: returns `true` — with the clock
+    /// advanced to `last.time()` and `count` more events counted as
+    /// processed, exactly as if [`Scheduler::next_event`] had popped each in
+    /// turn — iff no pending event precedes `last` and its time lies within
+    /// the horizon. The caller vouches that the other `count - 1` keys lie
+    /// between the clock and `last`, and that firing them schedules nothing.
+    /// On `false` nothing changed; queue the next event with
+    /// [`Scheduler::schedule_keyed`] and it surfaces in its turn.
+    pub fn advance_if_next(&mut self, last: EventKey, count: u64) -> bool {
+        let time = last.time();
         if self.horizon.is_some_and(|h| time > h) {
             return false;
         }
-        if self.peek_merged().is_some_and(|(head, _)| head < key) {
+        if self.peek_merged().is_some_and(|(head, _)| head < last) {
             return false;
         }
         debug_assert!(time >= self.now, "keyed event lies in the past");
         self.now = time;
-        self.processed += 1;
+        self.processed += count;
         true
     }
 
@@ -675,7 +679,7 @@ mod tests {
                     let Some((next, _)) = following else {
                         break;
                     };
-                    if self.sched.advance_if_next(next) {
+                    if self.sched.advance_if_next(next, 1) {
                         self.inline += 1;
                         time = next.time();
                     } else {
@@ -841,6 +845,93 @@ mod tests {
         assert_same(&reference, &keyed);
         assert_eq!(reference.sched.now(), horizon);
         assert!(keyed.unqueued_members() > 0 && keyed.sched.pending_events() > 0);
+    }
+
+    /// Pops everything a scheduler has left within its horizon.
+    fn drain(mut sched: Scheduler<u32>) -> Vec<(SimTime, u32)> {
+        std::iter::from_fn(|| sched.next_event()).collect()
+    }
+
+    /// `advance_if_next(last, n)` is `n` single advances folded into one:
+    /// it succeeds exactly when `n` single advances over keys ending at
+    /// `last` would all succeed, and then leaves the same clock, event count
+    /// and queue; when it fails, it leaves everything as it was.
+    #[test]
+    fn a_counted_advance_is_its_single_advances_folded() {
+        let mut rng = crate::SimRng::new(0xadd5);
+        let (mut single, mut passed, mut blocked_inside, mut horizon_inside) = (0, 0, 0, 0);
+        let quanta = |rng: &mut crate::SimRng| QUANTUM * rng.uniform_usize(48) as f64;
+        for case in 0..3_000 {
+            let horizon = rng
+                .chance(0.3)
+                .then(|| SimTime::from_secs(QUANTUM * 8.0 + quanta(&mut rng)));
+            let mut sched: Scheduler<u32> =
+                horizon.map_or_else(Scheduler::new, Scheduler::with_horizon);
+            sched.enable_batching(SimDuration::from_secs(QUANTUM * 16.0));
+            sched.enable_calendar(SimDuration::from_secs(QUANTUM * 4.0), 8);
+            let mut payload = 0;
+            let mut pending = |sched: &mut Scheduler<u32>, rng: &mut crate::SimRng| {
+                for _ in 0..rng.uniform_usize(4) {
+                    payload += 1;
+                    let delay = SimDuration::from_secs(QUANTUM * 8.0 + quanta(rng));
+                    if rng.chance(0.3) {
+                        sched.schedule_batched_after(delay, payload);
+                    } else {
+                        sched.schedule_after(delay, payload);
+                    }
+                }
+            };
+            // Something to pop first, so the clock is off zero.
+            sched.schedule_after(SimDuration::from_secs(QUANTUM * 8.0), 0);
+            pending(&mut sched, &mut rng);
+            assert_eq!(sched.next_event().map(|(_, p)| p), Some(0));
+            // The span's keys, in key order: their seqs fall between events
+            // pending ahead of them and after them, so ties at one instant
+            // break both ways.
+            let n = if rng.chance(0.2) {
+                1
+            } else {
+                2 + rng.uniform_usize(8)
+            };
+            let first = sched.reserve_seqs(n as u64);
+            pending(&mut sched, &mut rng);
+            let now = sched.now();
+            let mut keys: Vec<EventKey> = (0..n as u64)
+                .map(|i| EventKey::new(now + SimDuration::from_secs(quanta(&mut rng)), first + i))
+                .collect();
+            keys.sort_unstable();
+            let last = keys[n - 1];
+
+            let mut folded = sched.clone();
+            let mut stepwise = sched.clone();
+            let ok = folded.advance_if_next(last, n as u64);
+            let fails_at = keys.iter().position(|&k| !stepwise.advance_if_next(k, 1));
+            assert_eq!(ok, fails_at.is_none(), "case {case}: verdicts differ");
+            let expected = if ok { stepwise } else { sched };
+            assert_eq!(folded.now(), expected.now(), "case {case}: clock");
+            assert_eq!(
+                folded.processed_events(),
+                expected.processed_events(),
+                "case {case}: events"
+            );
+            assert_eq!(drain(folded), drain(expected), "case {case}: queue");
+
+            match fails_at {
+                None if n == 1 => single += 1,
+                None => passed += 1,
+                Some(0) => {}
+                Some(_) if horizon.is_some_and(|h| last.time() > h) => horizon_inside += 1,
+                Some(_) => blocked_inside += 1,
+            }
+        }
+        assert!(
+            single > 100 && passed > 100,
+            "{single} single, {passed} passed"
+        );
+        assert!(
+            blocked_inside > 100 && horizon_inside > 50,
+            "{blocked_inside} blocked inside the span, {horizon_inside} by the horizon"
+        );
     }
 
     #[test]

@@ -225,7 +225,8 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 /// less boundary), and two sets of books must balance at a scale nothing
 /// else exercises: the neighbour arena's (one live payload slot per entry
 /// the tables hold) and the spatial grid's (four vertex-list entries per
-/// node, beside its 16 MB position table).
+/// node, beside its 16 MB position table). The frame counts are printed
+/// beside the two occupancies.
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
@@ -242,8 +243,10 @@ fn megacity_1m_builds_and_runs_one_second() {
         );
         let grid = sim.grid_occupancy();
         assert_eq!(grid.entries, 4 * sim.node_count(), "{grid:?}");
+        let frames = sim.frame_counts();
+        assert_eq!(frames.one_pass + frames.sorted, frames.frames, "{frames:?}");
         println!(
-            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, {grid:?}",
+            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, {grid:?}, {frames:?}",
             occupancy.key_fill()
         );
         (sim.processed_events(), report.avg_neighbors)
