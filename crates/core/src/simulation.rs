@@ -504,18 +504,6 @@ impl<T: Telemetry> Simulation<T> {
             shortest_beacon.min(sim.scenario.tick_interval)
         });
         sim.scheduler.enable_batching(shortest_rearm * 0.99);
-        // Frames land a MAC processing + contention delay ahead of now
-        // (sub-millisecond to a few tens of milliseconds), far denser than
-        // the wheel's slots: they get the calendar-queue tier — O(1) ring
-        // pushes instead of heap sifts. Anything beyond the 64 ms window
-        // falls back to the heap with ordering unchanged. The bucket width
-        // sits *below* the MAC's fixed processing + minimum backoff delay
-        // (0.5 ms), so a new frame always lands in a not-yet-activated
-        // bucket; only a frame re-queued between two of its own receptions
-        // (under a microsecond apart) splices into the activated bucket,
-        // next to its head.
-        sim.scheduler
-            .enable_calendar(SimDuration::from_secs(0.000_25), 256);
         sim.build_grid();
         sim.schedule_initial_events(&mut traffic_rng);
         sim

@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-mod calendar;
 pub mod error;
 mod event;
 pub mod hash;

@@ -22,7 +22,6 @@
 //! assert_eq!(fired, vec![(1.0, 1), (2.0, 2)]);
 //! ```
 
-use crate::calendar::CalendarQueue;
 use crate::error::SimError;
 use crate::event::{EventEntry, EventKey};
 use crate::time::{SimDuration, SimTime};
@@ -34,17 +33,14 @@ use std::collections::BinaryHeap;
 enum Tier {
     Heap,
     Wheel,
-    Calendar,
 }
 
-/// A discrete-event scheduler combining a clock, an event heap, an optional
-/// batched timer wheel for high-volume periodic events, and an optional
-/// calendar queue for dense near-future events (frames in flight).
+/// A discrete-event scheduler combining a clock, an event heap and an
+/// optional batched timer wheel for high-volume periodic events.
 ///
-/// All three tiers share one sequence counter, and [`Scheduler::next_event`]
-/// pops whichever holds the smallest [`EventKey`] — so enabling
-/// batching or the calendar never changes the order events fire in, only the
-/// cost of scheduling them.
+/// Both tiers share one sequence counter, and [`Scheduler::next_event`]
+/// pops whichever holds the smallest [`EventKey`] — so enabling batching
+/// never changes the order events fire in, only the cost of scheduling them.
 ///
 /// A caller whose one action fans out into a *run* of events (a radio frame
 /// reaching its receivers) need not queue them all: it reserves their
@@ -59,11 +55,10 @@ enum Tier {
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
     now: SimTime,
-    /// Whatever neither the wheel nor the calendar takes.
+    /// Whatever the wheel does not take.
     heap: BinaryHeap<EventEntry<E>>,
     wheel: Option<TimerWheel<E>>,
-    calendar: Option<CalendarQueue<E>>,
-    /// The merged head of the three tiers, when known: filled by
+    /// The merged head of the two tiers, when known: filled by
     /// [`Scheduler::peek_merged`], cleared by every pop and by a push that
     /// lands in front of it (a push behind it cannot change it).
     head: Option<(EventKey, Tier)>,
@@ -86,7 +81,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
             wheel: None,
-            calendar: None,
             head: None,
             seq: 0,
             processed: 0,
@@ -117,9 +111,7 @@ impl<E> Scheduler<E> {
     /// Number of events still pending.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.heap.len()
-            + self.wheel.as_ref().map_or(0, TimerWheel::len)
-            + self.calendar.as_ref().map_or(0, CalendarQueue::len)
+        self.heap.len() + self.wheel.as_ref().map_or(0, TimerWheel::len)
     }
 
     /// Enables the batched timer wheel with `slot`-wide buckets. Call once,
@@ -139,22 +131,11 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Enables the calendar-queue tier with `buckets` ring buckets each
-    /// `bucket` wide. Once enabled, [`Scheduler::schedule_at`] and
-    /// [`Scheduler::schedule_after`] route events landing inside the
-    /// calendar's window (`buckets × bucket` ahead) through the ring instead
-    /// of the heap; anything further out still goes to the heap. Fire order
-    /// is identical either way — the calendar shares the scheduler-wide
-    /// [`EventKey`]s and `next_event` merges all tiers by that key.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bucket` is positive and finite and `buckets > 0`.
-    pub fn enable_calendar(&mut self, bucket: SimDuration, buckets: usize) {
-        if self.calendar.is_none() {
-            self.calendar = Some(CalendarQueue::new(bucket, buckets));
-        }
-    }
+    /// Does nothing. Kept only for the benchmark's scheduler replay
+    /// (`benchmark/src/trace.rs`), which still calls it; ROADMAP item 4's
+    /// measuring PR drops that call and deletes this shim.
+    #[doc(hidden)]
+    pub fn enable_calendar(&mut self, _bucket: SimDuration, _buckets: usize) {}
 
     /// How many batched pushes landed in the wheel's already-activated slot
     /// and were spliced into its sorted remainder; zero without a wheel.
@@ -177,20 +158,6 @@ impl<E> Scheduler<E> {
         if self.head.is_some_and(|(head, _)| key < head) {
             self.head = None;
         }
-    }
-
-    /// Routes `event` to the calendar when it is enabled and the key's time
-    /// is inside its window, to the heap otherwise. The caller has already
-    /// dealt with the cached head.
-    fn push_near(&mut self, key: EventKey, event: E) {
-        if let Some(cal) = &mut self.calendar {
-            cal.reanchor(self.now);
-            if cal.accepts(key.time()) {
-                cal.push(key, event);
-                return;
-            }
-        }
-        self.heap.push(EventEntry { key, event });
     }
 
     /// Reserves `n` consecutive sequence numbers — the ones `n` back-to-back
@@ -217,7 +184,7 @@ impl<E> Scheduler<E> {
         debug_assert!(key.time() >= self.now, "keyed event scheduled in the past");
         debug_assert!(key.seq() < self.seq, "keyed event with an unreserved seq");
         self.forget_head_behind(key);
-        self.push_near(key, event);
+        self.heap.push(EventEntry { key, event });
     }
 
     /// Fires `count` events in place, the last of them keyed `last`, without
@@ -257,14 +224,14 @@ impl<E> Scheduler<E> {
             });
         }
         let key = self.next_key(time);
-        self.push_near(key, event);
+        self.heap.push(EventEntry { key, event });
         Ok(())
     }
 
     /// Schedules an event `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let key = self.next_key(self.now + delay);
-        self.push_near(key, event);
+        self.heap.push(EventEntry { key, event });
     }
 
     /// Schedules an event `delay` after the current time through the batched
@@ -286,10 +253,10 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The key of the next pending event across the heap, the wheel and the
-    /// calendar, plus which tier holds it. Sequence numbers are globally
-    /// unique, so the three-way minimum is unambiguous. The answer is cached
-    /// until something can have changed it.
+    /// The key of the next pending event across the heap and the wheel, plus
+    /// which tier holds it. Sequence numbers are globally unique, so the
+    /// minimum is unambiguous. The answer is cached until something can have
+    /// changed it.
     fn peek_merged(&mut self) -> Option<(EventKey, Tier)> {
         if self.head.is_some() {
             return self.head;
@@ -298,11 +265,6 @@ impl<E> Scheduler<E> {
         if let Some(key) = self.wheel.as_mut().and_then(TimerWheel::peek) {
             if !best.is_some_and(|(b, _)| b <= key) {
                 best = Some((key, Tier::Wheel));
-            }
-        }
-        if let Some(key) = self.calendar.as_mut().and_then(CalendarQueue::peek) {
-            if !best.is_some_and(|(b, _)| b <= key) {
-                best = Some((key, Tier::Calendar));
             }
         }
         self.head = best;
@@ -323,7 +285,6 @@ impl<E> Scheduler<E> {
         self.head = None;
         let (time, event) = match tier {
             Tier::Wheel => self.wheel.as_mut().expect("peek said wheel").pop()?,
-            Tier::Calendar => self.calendar.as_mut().expect("peek said calendar").pop()?,
             Tier::Heap => self.heap.pop().map(|e| (e.key.time(), e.event))?,
         };
         debug_assert!(
@@ -430,57 +391,6 @@ mod tests {
         assert_eq!(plain.processed_events(), wheeled.processed_events());
     }
 
-    #[test]
-    fn calendar_and_heap_events_fire_in_identical_merged_order() {
-        // Randomized mix of near-future "arrivals" (inside the calendar
-        // window), far-future events (heap fallback) and batched "beacons"
-        // (wheel), with coarse timestamps forcing exact ties. The calendar-
-        // enabled scheduler must pop in exactly the pure-heap order,
-        // including same-time tie-breaks by scheduling order.
-        let mut rng = crate::SimRng::new(7);
-        let mut plain: Scheduler<usize> = Scheduler::new();
-        let mut tiered: Scheduler<usize> = Scheduler::new();
-        tiered.enable_batching(SimDuration::from_secs(1.0));
-        tiered.enable_calendar(SimDuration::from_secs(0.001), 64);
-
-        for i in 0..600 {
-            let roll = rng.uniform_range(0.0, 1.0);
-            let t = if roll < 0.6 {
-                // Near-future arrival, quantised to force key collisions.
-                (rng.uniform_range(0.0, 0.050) * 2_000.0).round() / 2_000.0
-            } else {
-                (rng.uniform_range(0.0, 5.0) * 4.0).round() / 4.0
-            };
-            let d = SimDuration::from_secs(t);
-            // Every path consumes exactly one seq per event, so the two
-            // schedulers' keys stay comparable.
-            plain.schedule_after(d, i);
-            if roll >= 0.9 {
-                tiered.schedule_batched_after(d, i);
-            } else {
-                tiered.schedule_after(d, i);
-            }
-        }
-        loop {
-            let a = plain.next_event();
-            let b = tiered.next_event();
-            assert_eq!(a, b, "three-tier merged pop order diverged");
-            if a.is_none() {
-                break;
-            }
-            // Re-schedule a fraction from the current instant to exercise
-            // pushes into the activated calendar bucket and ring wrap.
-            if let Some((_, i)) = a {
-                if i % 5 == 0 && plain.processed_events() < 900 {
-                    let d = SimDuration::from_secs(0.0005);
-                    plain.schedule_after(d, i + 10_000);
-                    tiered.schedule_after(d, i + 10_000);
-                }
-            }
-        }
-        assert_eq!(plain.processed_events(), tiered.processed_events());
-    }
-
     /// What the keyed-run property test queues: a stand-alone event, or (in
     /// the keyed scheduler only) a whole run standing in for its members.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -526,7 +436,6 @@ mod tests {
         fn new(keyed: bool, horizon: Option<SimTime>) -> Self {
             let mut sched = horizon.map_or_else(Scheduler::new, Scheduler::with_horizon);
             sched.enable_batching(SimDuration::from_secs(0.01));
-            sched.enable_calendar(SimDuration::from_secs(0.000_25), 256);
             let mut driver = RunDriver {
                 sched,
                 keyed,
@@ -586,7 +495,7 @@ mod tests {
         }
 
         /// A foreign event at exactly `delay` from now: on the wheel if
-        /// `batched`, on the calendar or the heap by distance otherwise.
+        /// `batched`, on the heap otherwise.
         fn foreign(&mut self, delay: f64, batched: bool) {
             let payload = Fired::Plain(self.payload());
             let delay = SimDuration::from_secs(delay);
@@ -652,7 +561,7 @@ mod tests {
                     self.foreign(0.01 + 0.02 * rng.uniform(), true);
                 }
                 // A timer a few quanta out — the head of the queue more
-                // often than not — on the calendar or the wheel.
+                // often than not — on the heap or the wheel.
                 6 | 7 if spawning => {
                     let delay = QUANTUM * rng.uniform_usize(6) as f64;
                     self.foreign(delay, rng.chance(0.5));
@@ -745,12 +654,9 @@ mod tests {
         // Each structure pops `(time, payload)`; the payload is the seq.
         let rekey = |(time, seq)| EventKey::new(time, seq);
         let mut wheel = TimerWheel::new(SimDuration::from_secs(0.94));
-        let mut calendar = CalendarQueue::new(SimDuration::from_secs(0.01), 2_048);
         let mut heap = BinaryHeap::new();
         for &key in &keys {
             wheel.push(key, key.seq());
-            assert!(calendar.accepts(key.time()));
-            calendar.push(key, key.seq());
             heap.push(EventEntry {
                 key,
                 event: key.seq(),
@@ -758,34 +664,26 @@ mod tests {
         }
         let popped: Vec<EventKey> = std::iter::from_fn(|| wheel.pop()).map(rekey).collect();
         assert_eq!(popped, expected, "timer wheel");
-        let popped: Vec<EventKey> = std::iter::from_fn(|| calendar.pop()).map(rekey).collect();
-        assert_eq!(popped, expected, "calendar queue");
         let popped: Vec<EventKey> = std::iter::from_fn(|| heap.pop())
             .map(|e| rekey((e.key.time(), e.event)))
             .collect();
         assert_eq!(popped, expected, "event heap");
 
-        // Entries spliced into an activated slot or bucket keep the order.
+        // Entries spliced into an activated slot keep the order.
         let (early, late) = keys.split_at(3_000);
         let mut wheel = TimerWheel::new(SimDuration::from_secs(50.0));
-        let mut calendar = CalendarQueue::new(SimDuration::from_secs(50.0), 2);
         for &key in late {
             wheel.push(key, key.seq());
-            calendar.push(key, key.seq());
         }
         let floor = wheel.peek().expect("3,000 entries pending");
-        assert_eq!(calendar.peek(), Some(floor));
         let spliced: Vec<EventKey> = early.iter().copied().filter(|&k| k > floor).collect();
         for &key in &spliced {
             wheel.push(key, key.seq());
-            calendar.push(key, key.seq());
         }
         assert_eq!(wheel.spliced(), spliced.len() as u64);
         let expected = tuple_sorted(late.iter().chain(&spliced).copied().collect());
         let popped: Vec<EventKey> = std::iter::from_fn(|| wheel.pop()).map(rekey).collect();
         assert_eq!(popped, expected, "timer wheel, spliced");
-        let popped: Vec<EventKey> = std::iter::from_fn(|| calendar.pop()).map(rekey).collect();
-        assert_eq!(popped, expected, "calendar queue, spliced");
     }
 
     #[test]
@@ -868,7 +766,6 @@ mod tests {
             let mut sched: Scheduler<u32> =
                 horizon.map_or_else(Scheduler::new, Scheduler::with_horizon);
             sched.enable_batching(SimDuration::from_secs(QUANTUM * 16.0));
-            sched.enable_calendar(SimDuration::from_secs(QUANTUM * 4.0), 8);
             let mut payload = 0;
             let mut pending = |sched: &mut Scheduler<u32>, rng: &mut crate::SimRng| {
                 for _ in 0..rng.uniform_usize(4) {
@@ -932,24 +829,6 @@ mod tests {
             blocked_inside > 100 && horizon_inside > 50,
             "{blocked_inside} blocked inside the span, {horizon_inside} by the horizon"
         );
-    }
-
-    #[test]
-    fn calendar_far_future_events_fall_back_to_heap_and_keep_order() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_calendar(SimDuration::from_secs(0.001), 64);
-        // Beyond the 64 ms window: must ride the heap and still fire in
-        // order against in-window calendar entries.
-        s.schedule_after(SimDuration::from_secs(10.0), 2);
-        s.schedule_after(SimDuration::from_secs(0.005), 1);
-        assert_eq!(s.pending_events(), 2);
-        assert_eq!(s.next_event().unwrap().1, 1);
-        assert_eq!(s.next_event().unwrap().1, 2);
-        // After the idle jump to t=10 the ring must have reanchored so
-        // near-future events are accepted again (pure perf concern; order
-        // would be right either way).
-        s.schedule_after(SimDuration::from_secs(0.001), 3);
-        assert_eq!(s.next_event().unwrap().1, 3);
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 }
 
 /// The one scale no benchmark workload reaches: the 1,000,000-node build
-/// (neighbour arena, SoA kinematics, calendar tier, vertex-list grid)
+/// (neighbour arena, SoA kinematics, event heap, vertex-list grid)
 /// completes and runs. `megacity` grows the city with the fleet, so the
 /// neighbourhood size must stay near the 10k city's (36.2 there, 41.1 here:
 /// less boundary), and two sets of books must balance at a scale nothing

@@ -21,11 +21,11 @@ use vanet::sim::{NodeId, Scheduler, SimDuration, SimRng, SimTime};
 
 const CASES: usize = 128;
 
-/// The scheduler's three tiers merged, seen through the public API: a random
-/// mix of absolute-time events (calendar or heap, by distance) and batched
-/// timers (wheel, or heap when too far out) on a coarse time grid, so that
-/// ties abound. Pops must come in non-decreasing time, and equal times in
-/// scheduling order — the payload is the scheduling index.
+/// The scheduler's two tiers merged, seen through the public API: a random
+/// mix of absolute-time events (heap) and batched timers (wheel, or heap
+/// when too far out) on a coarse time grid, so that ties abound. Pops must
+/// come in non-decreasing time, and equal times in scheduling order — the
+/// payload is the scheduling index.
 #[test]
 fn event_queue_pops_in_nondecreasing_time_order() {
     let mut rng = SimRng::new(0xE0E0);
@@ -33,10 +33,9 @@ fn event_queue_pops_in_nondecreasing_time_order() {
         let count = 1 + rng.uniform_usize(199);
         let mut scheduler = Scheduler::new();
         scheduler.enable_batching(SimDuration::from_secs(0.1));
-        scheduler.enable_calendar(SimDuration::from_secs(0.01), 64);
         for i in 0..count {
-            // Quarter-second steps over 0–1,000 s: near ones land in the
-            // calendar's window, far ones beyond the wheel's.
+            // Quarter-second steps over 0–1,000 s: near ones tie often, far
+            // ones land beyond the wheel's window.
             let steps = if rng.chance(0.5) {
                 rng.uniform_usize(4)
             } else {
