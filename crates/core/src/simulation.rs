@@ -12,7 +12,7 @@ use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
     ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, GridOccupancy, InterferenceCounts,
     LogNormalShadowing, Medium, MediumConfig, NeighborArena, Packet, PacketKind, Reception,
-    SpatialGrid, UnitDisk,
+    SpatialGrid, UnitDisk, WindowCounts,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
@@ -620,6 +620,14 @@ impl<T: Telemetry> Simulation<T> {
     #[must_use]
     pub fn interference_counts(&self) -> InterferenceCounts {
         self.medium.interference_counts()
+    }
+
+    /// How large the medium's contention-window snapshots were
+    /// ([`Medium::window_counts`]): fresh snapshots, and the distinct
+    /// entries and the copies they collected.
+    #[must_use]
+    pub fn window_counts(&self) -> WindowCounts {
+        self.medium.window_counts()
     }
 
     /// How the run loop has delivered frames so far: how many it began, how

@@ -14,7 +14,7 @@
 //! ```
 
 use vanet_core::{ChannelModel, ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
-use vanet_net::InterferenceCounts;
+use vanet_net::{InterferenceCounts, WindowCounts};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -271,6 +271,28 @@ fn the_survival_bracket_decides_most_of_the_congested_aodv_storm() {
         counts.decided as f64 >= 0.7 * counts.receivers as f64,
         "{counts:?}"
     );
+}
+
+/// The medium's run-length contention window on the Epidemic run of
+/// [`disrupted_scenario`], pinned exactly: summary-vector answers are
+/// bursts of frames from one place at one instant, so the fresh snapshots
+/// collect more copies than distinct entries, and a change to how the
+/// window stores or gathers them shows here even while every report stays
+/// byte-identical.
+#[test]
+fn the_run_length_window_compresses_the_epidemic_bursts() {
+    let mut sim = Simulation::new(disrupted_scenario(), ProtocolKind::Epidemic);
+    sim.run();
+    let counts = sim.window_counts();
+    assert_eq!(
+        counts,
+        WindowCounts {
+            snapshots: 6_863,
+            entries: 124_813,
+            copies: 453_578,
+        }
+    );
+    assert!(counts.copies > counts.entries, "{counts:?}");
 }
 
 /// [`congested_scenario`] on the log-normal shadowing channel, cut to one

@@ -258,6 +258,45 @@ impl WithinFilter {
         }
         points.iter().filter(|&&p| self.check(p, center)).count()
     }
+
+    /// [`WithinFilter::count`] over a multiset: `copies[i]` is how many
+    /// times `points[i]` occurs, and the answer is the copies within the
+    /// threshold of `center` — equal to `count` over the slice with every
+    /// point repeated that many times.
+    ///
+    /// The same shape as `count`: the two band comparisons, each weighted
+    /// by the entry's copies, are summed with no data-dependent branch, and
+    /// only when they fall short of the total copies (a point inside the
+    /// band, or a NaN squared distance) is the multiset recounted entry by
+    /// entry with `check`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    #[must_use]
+    pub fn count_weighted(&self, points: &[Position], copies: &[u32], center: Position) -> usize {
+        assert_eq!(points.len(), copies.len(), "one copy count per point");
+        if self.threshold < 0.0 {
+            return 0;
+        }
+        let (mut accepted, mut rejected, mut total) = (0usize, 0usize, 0usize);
+        for (&p, &n) in points.iter().zip(copies) {
+            let d2 = (p - center).norm_sq();
+            let n = n as usize;
+            accepted += usize::from(d2 <= self.accept_below) * n;
+            rejected += usize::from(d2 >= self.reject_above) * n;
+            total += n;
+        }
+        if accepted + rejected == total {
+            return accepted;
+        }
+        points
+            .iter()
+            .zip(copies)
+            .filter(|&(&p, _)| self.check(p, center))
+            .map(|(_, &n)| n as usize)
+            .sum()
+    }
 }
 
 /// A compass-free heading: the direction of travel as a unit vector.
@@ -508,5 +547,103 @@ mod tests {
         assert_eq!(reference(&filter, &with_nan, Vec2::ZERO), 2);
         assert_eq!(filter.count(&with_nan, Vec2::ZERO), 2);
         assert_eq!(filter.count(&cloud, Vec2::new(f64::NAN, 0.0)), 0);
+    }
+
+    /// `count_weighted` is `count` over the multiset spelled out: every
+    /// point repeated by its copy count. Scattered clouds (no point in the
+    /// band), clouds salted with points on and a hair either side of the
+    /// threshold (inside the ±1e-9 band, so only the per-entry recount can
+    /// decide) and with NaN coordinates, and degenerate thresholds.
+    #[test]
+    fn weighted_count_agrees_with_count_over_the_expanded_points() {
+        let expand = |points: &[Vec2], copies: &[u32]| -> Vec<Vec2> {
+            points
+                .iter()
+                .zip(copies)
+                .flat_map(|(&p, &n)| std::iter::repeat(p).take(n as usize))
+                .collect()
+        };
+        // SplitMix64: the guards below draw at irregular strides, which a
+        // Weyl sequence's fixed step would alias with.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        let (mut points, mut copies) = (Vec::new(), Vec::new());
+        let mut recounted = 0;
+        for case in 0..2_000 {
+            let threshold = [120.0, 250.0, 500.0, 751.0][case % 4];
+            let filter = WithinFilter::new(threshold);
+            let center = Vec2::new(next() * 4_000.0 - 2_000.0, next() * 4_000.0 - 2_000.0);
+            points.clear();
+            copies.clear();
+            for _ in 0..(next() * 80.0) as usize {
+                let offset = Vec2::new(next() - 0.5, next() - 0.5) * (threshold * 2.6);
+                let point = match case % 5 {
+                    // On the threshold or a hair either side: in the band.
+                    3 if next() < 0.1 => {
+                        let scale = [1.0, 1.0 - 1e-10, 1.0 + 1e-10][(next() * 3.0) as usize];
+                        center + offset.normalized() * (threshold * scale)
+                    }
+                    4 if next() < 0.05 => Vec2::new(f64::NAN, center.y),
+                    _ => center + offset,
+                };
+                points.push(point);
+                // Mostly single copies, now and then a burst of up to 60.
+                copies.push(if next() < 0.7 {
+                    1
+                } else {
+                    1 + (next() * 60.0) as u32
+                });
+            }
+            let expanded = expand(&points, &copies);
+            let expected = filter.count(&expanded, center);
+            assert_eq!(
+                filter.count_weighted(&points, &copies, center),
+                expected,
+                "case {case}: {} points, {} copies, threshold {threshold}",
+                points.len(),
+                expanded.len()
+            );
+            let fast = points
+                .iter()
+                .zip(&copies)
+                .map(|(&p, &n)| {
+                    let d2 = (p - center).norm_sq();
+                    usize::from(d2 <= filter.accept_below || d2 >= filter.reject_above) * n as usize
+                })
+                .sum::<usize>();
+            recounted += usize::from(fast < expanded.len());
+        }
+        assert!(recounted > 200, "too few band or NaN cases: {recounted}");
+
+        // Exactly on the threshold, in the band, with copies.
+        let filter = WithinFilter::new(5.0);
+        let edge = [Vec2::new(3.0, 4.0), Vec2::new(0.0, 5.0 + 1e-10), Vec2::ZERO];
+        assert_eq!(filter.count_weighted(&edge, &[7, 3, 2], Vec2::ZERO), 9);
+        // Degenerate inputs decide as `count` does.
+        let cloud = [Vec2::ZERO, Vec2::new(1.0, 1.0), Vec2::new(300.0, 0.0)];
+        let many = [4, 2, 9];
+        assert_eq!(
+            WithinFilter::new(-1.0).count_weighted(&cloud, &many, Vec2::ZERO),
+            0
+        );
+        assert_eq!(
+            WithinFilter::new(0.0).count_weighted(&cloud, &many, Vec2::ZERO),
+            4
+        );
+        assert_eq!(
+            WithinFilter::new(250.0).count_weighted(&[], &[], Vec2::ZERO),
+            0
+        );
+        let nan_center = Vec2::new(f64::NAN, 0.0);
+        assert_eq!(
+            WithinFilter::new(250.0).count_weighted(&cloud, &many, nan_center),
+            0
+        );
     }
 }

@@ -40,6 +40,6 @@ pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView, Recepti
 pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
 pub use grid::{GridOccupancy, SpatialGrid};
 pub use mac::MacParams;
-pub use medium::{Delivery, InterferenceCounts, Medium, MediumConfig, MediumStats};
+pub use medium::{Delivery, InterferenceCounts, Medium, MediumConfig, MediumStats, WindowCounts};
 pub use neighbor::{BeaconConfig, NeighborInfo, NeighborTable};
 pub use packet::{GeoAddress, Packet, PacketKind, RouteRecord};

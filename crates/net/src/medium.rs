@@ -128,6 +128,23 @@ pub struct InterferenceCounts {
     pub scanned: u64,
 }
 
+/// How large the contention-window snapshots were
+/// ([`Medium::window_counts`]): an engine self-metric for the run-length
+/// window. Counts accumulate over the medium's lifetime;
+/// [`Medium::reset_stats`] leaves them alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WindowCounts {
+    /// Snapshots taken fresh from the recent-transmission index: one per
+    /// frame that did not continue a burst.
+    pub snapshots: u64,
+    /// Distinct entries those snapshots collected — what the interference
+    /// counts scan.
+    pub entries: u64,
+    /// Transmissions those entries stand for, every copy counted.
+    /// `copies / entries` is how far the run-length window compresses.
+    pub copies: u64,
+}
+
 /// A rectangular extra-loss overlay installed by the fault subsystem: while
 /// active, receivers standing inside `min..=max` lose each frame copy with
 /// probability `loss` (after propagation and collision have been resolved).
@@ -149,15 +166,6 @@ impl FaultZone {
     }
 }
 
-/// Number of `positions` within `range` of `center` (the interference count
-/// against a per-transmission snapshot of the contention window). Uses the
-/// banded squared-distance count — decision-identical to
-/// `distance(p, center) <= range` per entry, without the `hypot` and without
-/// a branch per entry.
-fn count_within(positions: &[Position], center: Position, range: f64) -> usize {
-    WithinFilter::new(range).count(positions, center)
-}
-
 /// A coarse uniform-grid index over recent transmissions.
 ///
 /// The interference pipeline needs "transmissions inside the contention
@@ -171,15 +179,21 @@ fn count_within(positions: &[Position], center: Position, range: f64) -> usize {
 /// therefore every interference *count* derived from it — is identical to
 /// the flat scan's. Only counts ever leave this index, so the cell-by-cell
 /// visit order is unobservable.
+///
+/// Entries are run-length encoded: back-to-back transmissions at one
+/// instant from one position — a summary-vector answer is tens of them —
+/// are one `(time, position, copies)` entry, not one entry per frame. A
+/// run has one time, so front-pop pruning stays exact, and every query
+/// weighs an entry by its copies, so every count is the per-frame one.
 #[derive(Debug, Default)]
 struct RecentIndex {
     cell_m: f64,
     // lint: allow(D1) — cells are read only by keyed 3×3-block lookup and
     // every query re-applies the exact time-window and distance predicates,
-    // so only counts (and predicate-filtered positions, gathered in the
-    // deterministic dx/dy block order) ever leave the map; pinned by
-    // `recent_index_counts_match_a_flat_scan`.
-    cells: CellMap<VecDeque<(SimTime, Position)>>,
+    // so only copy counts (and predicate-filtered positions with their
+    // copies, gathered in the deterministic dx/dy block order) ever leave
+    // the map; pinned by `recent_index_counts_match_a_flat_scan`.
+    cells: CellMap<VecDeque<(SimTime, Position, u32)>>,
 }
 
 impl RecentIndex {
@@ -195,21 +209,27 @@ impl RecentIndex {
     }
 
     /// Records a transmission and prunes that cell's entries older than
-    /// `keep` (entries arrive in time order, so pruning is front-pops).
+    /// `keep` (entries arrive in time order, so pruning is front-pops). A
+    /// transmission at the time and position of the cell's newest entry is
+    /// one more copy of it; a full entry is followed by a fresh one rather
+    /// than wrapping.
     fn push(&mut self, now: SimTime, pos: Position, keep: f64) {
         let cell = self.cells.entry(cell_of(self.cell_m, pos)).or_default();
-        while let Some((t, _)) = cell.front() {
+        while let Some((t, _, _)) = cell.front() {
             if now.saturating_since(*t).as_secs() > keep {
                 cell.pop_front();
             } else {
                 break;
             }
         }
-        cell.push_back((now, pos));
+        match cell.back_mut() {
+            Some((t, p, copies)) if *t == now && *p == pos && *copies < u32::MAX => *copies += 1,
+            _ => cell.push_back((now, pos, 1)),
+        }
     }
 
-    /// Appends to `out` the positions of transmissions within `window`
-    /// seconds before `now` and within `radius` of `center`.
+    /// Appends to `out` the positions, with their copies, of transmissions
+    /// within `window` seconds before `now` and within `radius` of `center`.
     ///
     /// # Panics
     ///
@@ -221,7 +241,7 @@ impl RecentIndex {
         center: Position,
         window: f64,
         radius: f64,
-        out: &mut Vec<Position>,
+        out: &mut Snapshot,
     ) {
         assert!(
             radius <= self.cell_m,
@@ -236,16 +256,82 @@ impl RecentIndex {
                     // Entries are time-ordered: skip the stale prefix, then
                     // everything from the first in-window entry onward is in
                     // the window.
-                    for &(t, p) in cell.iter().rev() {
+                    for &(t, p, copies) in cell.iter().rev() {
                         if now.saturating_since(t).as_secs() > window {
                             break;
                         }
                         if filter.check(p, center) {
-                            out.push(p);
+                            out.push(p, copies);
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// The transmissions inside the contention window at the time of one frame,
+/// as a multiset: distinct entries with their copies. Snapshotted once per
+/// fresh frame so the per-receiver interference count is a scan of the
+/// (small) in-window set instead of re-filtering the recent index per
+/// candidate.
+#[derive(Debug, Default)]
+struct Snapshot {
+    positions: Vec<Position>,
+    /// `copies[i]` transmissions were made from `positions[i]`.
+    copies: Vec<u32>,
+    /// The sum of `copies`: the transmissions in the window.
+    total: usize,
+}
+
+impl Snapshot {
+    /// The transmissions in the window, every copy counted — never the
+    /// number of distinct entries.
+    fn len(&self) -> usize {
+        self.total
+    }
+
+    fn clear(&mut self) {
+        self.positions.clear();
+        self.copies.clear();
+        self.total = 0;
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.positions.reserve(additional);
+        self.copies.reserve(additional);
+    }
+
+    fn push(&mut self, pos: Position, copies: u32) {
+        self.positions.push(pos);
+        self.copies.push(copies);
+        self.total += copies as usize;
+    }
+
+    /// One more transmission from `pos`: a copy of the last entry when it
+    /// stands there (from a burst's second continuation on, it does),
+    /// otherwise a new entry.
+    fn add_copy(&mut self, pos: Position) {
+        match (self.positions.last(), self.copies.last_mut()) {
+            (Some(&last), Some(copies)) if last == pos && *copies < u32::MAX => {
+                *copies += 1;
+                self.total += 1;
+            }
+            _ => self.push(pos, 1),
+        }
+    }
+
+    /// The transmissions within `range` of `center`, every copy counted
+    /// (the interference count). While every entry is a single copy this
+    /// is the plain banded count over the positions; otherwise its
+    /// copy-weighted form. Both decide each entry exactly as
+    /// `distance(p, center) <= range`.
+    fn count_within(&self, center: Position, range: f64) -> usize {
+        let filter = WithinFilter::new(range);
+        if self.total == self.positions.len() {
+            filter.count(&self.positions, center)
+        } else {
+            filter.count_weighted(&self.positions, &self.copies, center)
         }
     }
 }
@@ -322,11 +408,9 @@ pub struct Medium {
     /// Recent transmissions, spatially bucketed, from which each frame's
     /// interference snapshot is taken.
     recent: RecentIndex,
-    /// Positions of the transmissions inside the contention window at the
-    /// time of the current frame — snapshotted once per transmission so the
-    /// per-receiver interference count is a scan of the (small) in-window
-    /// set instead of re-filtering the whole `recent` deque per candidate.
-    snapshot: Vec<Position>,
+    /// The transmissions inside the contention window at the time of the
+    /// current frame.
+    snapshot: Snapshot,
     /// The last frame's candidate receivers — a spatial-grid query, kept so
     /// the next frame of a burst reuses it, or the in-range part of the
     /// slice form's nodes.
@@ -340,6 +424,7 @@ pub struct Medium {
     survival: SurvivalTable,
     stats: MediumStats,
     interference: InterferenceCounts,
+    window: WindowCounts,
 }
 
 impl Medium {
@@ -364,7 +449,7 @@ impl Medium {
             recent,
             // lint: allow(P1) — construction, once per simulation; these
             // buffers grow to steady-state size and are reused thereafter.
-            snapshot: Vec::new(),
+            snapshot: Snapshot::default(),
             // lint: allow(P1) — construction, once per simulation.
             candidates: Vec::new(),
             // lint: allow(P1) — construction, once per simulation.
@@ -374,6 +459,7 @@ impl Medium {
             survival: SurvivalTable::default(),
             stats: MediumStats::default(),
             interference: InterferenceCounts::default(),
+            window: WindowCounts::default(),
         }
     }
 
@@ -458,6 +544,13 @@ impl Medium {
     #[must_use]
     pub fn interference_counts(&self) -> InterferenceCounts {
         self.interference
+    }
+
+    /// How many fresh contention-window snapshots were taken so far, and
+    /// how many distinct entries and copies they collected.
+    #[must_use]
+    pub fn window_counts(&self) -> WindowCounts {
+        self.window
     }
 
     /// Resets the accumulated statistics.
@@ -602,7 +695,7 @@ impl Medium {
         self.stats.transmissions.incr();
         self.stats.bytes_transmitted.add(packet.size_bytes() as u64);
         if key.is_some() && key == self.burst.key {
-            self.snapshot.push(sender_pos);
+            self.snapshot.add_copy(sender_pos);
             self.burst.frames += 1;
             return true;
         }
@@ -613,6 +706,9 @@ impl Medium {
         self.snapshot.clear();
         self.recent
             .collect_window(now, sender_pos, window, relevant, &mut self.snapshot);
+        self.window.snapshots += 1;
+        self.window.entries += self.snapshot.positions.len() as u64;
+        self.window.copies += self.snapshot.len() as u64;
         false
     }
 
@@ -657,7 +753,7 @@ impl Medium {
         } else if snapshot_trivial {
             1
         } else {
-            count_within(&self.snapshot, sender_pos, interference_range)
+            self.snapshot.count_within(sender_pos, interference_range)
         };
         // `begin_transmission` has already pushed this frame into the window
         // (and the snapshot), so discount it when counting contenders.
@@ -708,7 +804,7 @@ impl Medium {
                     u < q_min
                 } else {
                     scanned += 1;
-                    let count = count_within(&self.snapshot, pos, interference_range);
+                    let count = self.snapshot.count_within(pos, interference_range);
                     u < self.survival.get(&self.config.mac, count - 1)
                 }
             } else {
@@ -716,13 +812,15 @@ impl Medium {
                     0
                 } else if frame == 1 {
                     scanned += 1;
-                    count_within(&self.snapshot, pos, interference_range).saturating_sub(1)
+                    self.snapshot
+                        .count_within(pos, interference_range)
+                        .saturating_sub(1)
                 } else {
                     // Counted lazily, here, so only receivers that passed
                     // propagation pay a scan — once per burst.
                     let (counted_at, count) = &mut self.burst.receiver_counts[at];
                     if *counted_at == 0 {
-                        *count = count_within(&self.snapshot, pos, interference_range);
+                        *count = self.snapshot.count_within(pos, interference_range);
                     } else if within(sender_pos, pos, interference_range) {
                         *count += (frame - *counted_at) as usize;
                     }
@@ -805,7 +903,7 @@ impl Medium {
     fn core_count(&self, sender_pos: Position) -> usize {
         let nominal = self.propagation.nominal_range();
         let core_radius = 2.0 * nominal * (1.0 - 1e-6) - self.propagation.max_range();
-        count_within(&self.snapshot, sender_pos, core_radius)
+        self.snapshot.count_within(sender_pos, core_radius)
     }
 
     /// [`Medium::deliver`] as it was before the survival bracket and the
@@ -844,7 +942,7 @@ impl Medium {
         } else if snapshot_trivial {
             1
         } else {
-            count_within(&self.snapshot, sender_pos, interference_range)
+            self.snapshot.count_within(sender_pos, interference_range)
         };
         // `begin_transmission` has already pushed this frame into the window
         // (and the snapshot), so discount it when counting contenders.
@@ -874,13 +972,15 @@ impl Medium {
             let interferers = if snapshot_trivial {
                 0
             } else if frame == 1 {
-                count_within(&self.snapshot, pos, interference_range).saturating_sub(1)
+                self.snapshot
+                    .count_within(pos, interference_range)
+                    .saturating_sub(1)
             } else {
                 // Counted lazily, here, so only receivers that passed
                 // propagation pay a scan — once per burst.
                 let (counted_at, count) = &mut self.burst.receiver_counts[at];
                 if *counted_at == 0 {
-                    *count = count_within(&self.snapshot, pos, interference_range);
+                    *count = self.snapshot.count_within(pos, interference_range);
                 } else if within(sender_pos, pos, interference_range) {
                     *count += (frame - *counted_at) as usize;
                 }
@@ -1186,57 +1286,234 @@ mod tests {
         }
     }
 
-    /// The order-insensitivity property behind the `RecentIndex` D1 allow:
-    /// after a randomised stream of transmissions, the collected window
-    /// positions equal, as a multiset, a brute-force scan over a flat,
-    /// insertion-ordered log — so every count taken over them does too, and
-    /// map order never reaches either.
-    #[test]
-    fn recent_index_counts_match_a_flat_scan() {
-        let by_coordinates =
-            |a: &Position, b: &Position| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y));
+    fn by_coordinates(a: &Position, b: &Position) -> std::cmp::Ordering {
+        a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y))
+    }
+
+    /// The multiset a snapshot stands for: every copy one position, sorted
+    /// by coordinates.
+    fn expanded(snapshot: &Snapshot) -> Vec<Position> {
+        let mut all: Vec<Position> = snapshot
+            .positions
+            .iter()
+            .zip(&snapshot.copies)
+            .flat_map(|(&p, &n)| std::iter::repeat(p).take(n as usize))
+            .collect();
+        all.sort_by(by_coordinates);
+        all
+    }
+
+    /// How long [`recent_index_against_a_flat_scan`]'s index keeps
+    /// entries; its queries span at most this much.
+    const KEEP_S: f64 = 2.0;
+
+    /// One transmission, booked in the index and in the flat log.
+    fn send(
+        index: &mut RecentIndex,
+        flat: &mut Vec<(SimTime, Position)>,
+        now: SimTime,
+        pos: Position,
+    ) {
+        index.push(now, pos, KEEP_S);
+        flat.push((now, pos));
+    }
+
+    /// What [`recent_index_against_a_flat_scan`] saw: the distinct entries
+    /// and the copies its queries collected, and the longest run.
+    struct WindowRun {
+        entries: usize,
+        copies: usize,
+        longest_run: u32,
+    }
+
+    /// Drives a `RecentIndex` and a flat, insertion-ordered log of every
+    /// transmission through `cases` randomised streams of `steps` steps:
+    /// single frames; bursts of 2–`max_burst` copies at one instant and
+    /// position; bursts interleaved with other senders in the same cell,
+    /// some at the same position; time standing still between steps. Every
+    /// so often the window is queried: a random span, or exactly the age of
+    /// a past burst and a hair less, so runs sit on the window's edge. The
+    /// snapshot, expanded by copy count, must equal as a multiset the flat
+    /// log's entries that pass the same predicates — before and after
+    /// burst continuations add copies to it — and no cell may hold two
+    /// back-to-back entries of one run.
+    fn recent_index_against_a_flat_scan(cases: u64, steps: usize, max_burst: usize) -> WindowRun {
         let cell = 250.0;
-        let keep = 2.0;
-        let mut rng = SimRng::new(0x5eed);
-        for case in 0..10 {
+        let mut run = WindowRun {
+            entries: 0,
+            copies: 0,
+            longest_run: 0,
+        };
+        let mut edge_queries = 0;
+        for case in 0..cases {
+            let mut rng = SimRng::new(0x5eed + case);
             let mut index = RecentIndex::default();
             index.reset(cell);
             let mut flat: Vec<(SimTime, Position)> = Vec::new();
+            let mut bursts: Vec<SimTime> = Vec::new();
             let mut now = SimTime::ZERO;
-            for _ in 0..400 {
-                now += vanet_sim::SimDuration::from_secs(rng.uniform_range(0.0, 0.05));
+            for _ in 0..steps {
+                if rng.chance(0.8) {
+                    now += vanet_sim::SimDuration::from_secs(rng.uniform_range(0.0, 0.05));
+                }
                 let pos = Vec2::new(
                     rng.uniform_range(-500.0, 1_500.0),
                     rng.uniform_range(-500.0, 1_500.0),
                 );
-                index.push(now, pos, keep);
-                flat.push((now, pos));
+                let copies = 2 + rng.uniform_usize(max_burst - 1);
+                match rng.uniform_usize(4) {
+                    0 | 1 => send(&mut index, &mut flat, now, pos),
+                    2 => {
+                        bursts.push(now);
+                        for _ in 0..copies {
+                            send(&mut index, &mut flat, now, pos);
+                        }
+                    }
+                    _ => {
+                        // Another sender in the same cell cuts in, from a
+                        // position of its own or from the burst's.
+                        bursts.push(now);
+                        let other = if rng.chance(0.3) {
+                            pos
+                        } else {
+                            let nudged = pos + Vec2::new(rng.uniform_range(-30.0, 30.0), 0.0);
+                            if cell_of(cell, nudged) == cell_of(cell, pos) {
+                                nudged
+                            } else {
+                                pos + Vec2::new(0.0, 1e-3)
+                            }
+                        };
+                        for _ in 0..copies {
+                            send(&mut index, &mut flat, now, pos);
+                            if rng.chance(0.3) {
+                                send(&mut index, &mut flat, now, other);
+                            }
+                        }
+                    }
+                }
+                if !rng.chance(0.1) {
+                    continue;
+                }
+                for _ in 0..3 {
+                    let center = Vec2::new(
+                        rng.uniform_range(-400.0, 1_400.0),
+                        rng.uniform_range(-400.0, 1_400.0),
+                    );
+                    // The age of one of the last twenty bursts, if it is
+                    // still in the index.
+                    let recent = bursts.len().min(20);
+                    let age = (recent > 0)
+                        .then(|| bursts[bursts.len() - 1 - rng.uniform_usize(recent)])
+                        .map(|t| now.saturating_since(t).as_secs())
+                        .filter(|&age| age <= KEEP_S);
+                    let window = match (age, rng.uniform_usize(3)) {
+                        (Some(age), 1) => age,
+                        (Some(age), 2) => age * (1.0 - 1e-12),
+                        _ => rng.uniform_range(0.1, KEEP_S),
+                    };
+                    edge_queries += usize::from(age.is_some_and(|age| window <= age));
+                    let radius = rng.uniform_range(10.0, cell);
+                    let filter = WithinFilter::new(radius);
+                    let mut expected: Vec<Position> = flat
+                        .iter()
+                        .filter(|&&(t, p)| {
+                            now.saturating_since(t).as_secs() <= window && filter.check(p, center)
+                        })
+                        .map(|&(_, p)| p)
+                        .collect();
+                    let mut collected = Snapshot::default();
+                    index.collect_window(now, center, window, radius, &mut collected);
+                    expected.sort_by(by_coordinates);
+                    assert_eq!(
+                        expanded(&collected),
+                        expected,
+                        "case {case}: collected window diverged from the flat scan"
+                    );
+                    assert_eq!(collected.len(), expected.len());
+                    run.entries += collected.positions.len();
+                    run.copies += collected.len();
+                    // A burst continuing from the query's centre.
+                    for _ in 0..rng.uniform_usize(4) {
+                        collected.add_copy(center);
+                        expected.push(center);
+                    }
+                    expected.sort_by(by_coordinates);
+                    assert_eq!(expanded(&collected), expected, "case {case}: continuation");
+                }
             }
-            for _ in 0..30 {
-                let center = Vec2::new(
-                    rng.uniform_range(-400.0, 1_400.0),
-                    rng.uniform_range(-400.0, 1_400.0),
-                );
-                let window = rng.uniform_range(0.1, keep);
-                let radius = rng.uniform_range(10.0, cell);
-                let filter = WithinFilter::new(radius);
-                let mut expected: Vec<Position> = flat
-                    .iter()
-                    .filter(|&&(t, p)| {
-                        now.saturating_since(t).as_secs() <= window && filter.check(p, center)
-                    })
-                    .map(|&(_, p)| p)
-                    .collect();
-                let mut collected = Vec::new();
-                index.collect_window(now, center, window, radius, &mut collected);
-                expected.sort_by(by_coordinates);
-                collected.sort_by(by_coordinates);
-                assert_eq!(
-                    collected, expected,
-                    "case {case}: collected window diverged from the flat scan"
-                );
+            for cell_entries in index.cells.values() {
+                for (&(t0, p0, n0), &(t1, p1, _)) in
+                    cell_entries.iter().zip(cell_entries.iter().skip(1))
+                {
+                    assert!(
+                        (t0, p0) != (t1, p1) || n0 == u32::MAX,
+                        "case {case}: one run in two entries"
+                    );
+                }
+                for &(_, _, n) in cell_entries {
+                    run.longest_run = run.longest_run.max(n);
+                }
             }
         }
+        assert!(edge_queries > 0);
+        run
+    }
+
+    /// The order-insensitivity property behind the `RecentIndex` D1 allow,
+    /// and the run-length window's exactness: see
+    /// [`recent_index_against_a_flat_scan`]. The bursts compress the window
+    /// at least twofold.
+    #[test]
+    fn recent_index_counts_match_a_flat_scan() {
+        let run = recent_index_against_a_flat_scan(10, 400, 50);
+        assert!(
+            run.copies > 2 * run.entries,
+            "{} / {}",
+            run.copies,
+            run.entries
+        );
+        assert!(run.longest_run > 40, "longest run {}", run.longest_run);
+    }
+
+    /// The same property at ten times the cases and bursts of up to 400
+    /// copies; run in release with `cargo test --release -p vanet-net --
+    /// --ignored`.
+    #[test]
+    #[ignore = "heavy: ten times the cases; run in release"]
+    fn recent_index_counts_match_a_flat_scan_heavy() {
+        let run = recent_index_against_a_flat_scan(100, 400, 400);
+        assert!(
+            run.copies > 4 * run.entries,
+            "{} / {}",
+            run.copies,
+            run.entries
+        );
+        assert!(run.longest_run >= 200, "longest run {}", run.longest_run);
+    }
+
+    /// A run that has reached `u32::MAX` copies is followed by a fresh
+    /// entry, in the index and in the snapshot, rather than wrapping.
+    #[test]
+    fn a_full_run_opens_a_fresh_entry() {
+        let (now, pos) = (SimTime::from_secs(1.0), Vec2::new(10.0, 20.0));
+        let mut index = RecentIndex::default();
+        index.reset(250.0);
+        index.push(now, pos, 2.0);
+        let cell = index.cells.get_mut(&cell_of(250.0, pos)).expect("pushed");
+        cell[0].2 = u32::MAX - 1;
+        index.push(now, pos, 2.0);
+        index.push(now, pos, 2.0);
+        let mut snapshot = Snapshot::default();
+        index.collect_window(now, pos, 1.0, 100.0, &mut snapshot);
+        let full = u32::MAX as usize;
+        assert_eq!(snapshot.copies, [1, u32::MAX]);
+        assert_eq!(snapshot.len(), full + 1);
+        let mut snapshot = Snapshot::default();
+        snapshot.push(pos, u32::MAX);
+        snapshot.add_copy(pos);
+        snapshot.add_copy(pos);
+        assert_eq!(snapshot.copies, [u32::MAX, 2]);
+        assert_eq!(snapshot.count_within(pos, 1.0), full + 2);
     }
 
     /// A channel that reaches further than it interferes (`max_range` is
@@ -1694,7 +1971,7 @@ mod tests {
             for &(node, pos) in &receivers {
                 if in_range.check(center, pos) {
                     checked += 1;
-                    let count = count_within(&m.snapshot, pos, 2.0 * range);
+                    let count = m.snapshot.count_within(pos, 2.0 * range);
                     assert!(count >= core, "{node:?}: counts {count} of the {core} core");
                 }
             }

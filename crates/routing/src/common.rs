@@ -123,11 +123,23 @@ impl RoutingTable {
 pub struct SeenCache {
     seen: BTreeMap<(NodeId, u64), SimTime>,
     horizon: f64,
-    /// Lower bound on the oldest timestamp in `seen` (meaningless while it is
-    /// empty). Lowered on insert, left alone when a live key is refreshed,
-    /// tightened to the exact minimum by every sweep: while `now` is within
-    /// the horizon of it, no entry can have expired and no sweep is needed.
+    /// While `expiry` is empty, a lower bound on every stamp in `seen`
+    /// (meaningless while it is empty too): until `now` is past the horizon
+    /// of it, no entry can have expired and nothing needs ordering, so a
+    /// run shorter than the horizon pays for no queue.
     oldest: SimTime,
+    /// Built from `seen` the first time `oldest` falls out of the horizon,
+    /// and kept from then on until it drains: `(stamp, key)` records in
+    /// stamp order, at least one per key in `seen` and none later than its
+    /// stamp there. The front is the oldest, so expiry pops it instead of
+    /// sweeping the map. A key refreshed at or after its record's stamp
+    /// keeps that record, and expiry re-queues it at its latest stamp when
+    /// the record comes up.
+    expiry: VecDeque<(SimTime, (NodeId, u64))>,
+    /// Records examined by expiry so far: each is queued and popped once,
+    /// and each call stops at one record it keeps.
+    #[cfg(test)]
+    visited: u64,
 }
 
 impl SeenCache {
@@ -135,24 +147,42 @@ impl SeenCache {
     #[must_use]
     pub fn new(horizon_s: f64) -> Self {
         SeenCache {
-            seen: BTreeMap::new(),
             horizon: horizon_s.max(0.0),
-            oldest: SimTime::ZERO,
+            ..SeenCache::default()
         }
     }
 
     /// Records `(origin, id)` at `now`; returns `true` if it was *already*
     /// present (i.e. the packet is a duplicate).
     pub fn check_and_insert(&mut self, origin: NodeId, id: u64, now: SimTime) -> bool {
-        if expired(self.horizon, self.oldest, now) {
-            self.evict(now);
+        self.evict(now);
+        let key = (origin, id);
+        if self.expiry.is_empty() {
+            self.oldest = if self.seen.is_empty() {
+                now
+            } else {
+                self.oldest.min(now)
+            };
+            return self.seen.insert(key, now).is_some();
         }
-        self.oldest = if self.seen.is_empty() {
-            now
+        let previous = self.seen.insert(key, now);
+        // A new key needs a record; so does one seen again before its last
+        // stamp (time stepped back), whose records may all be later.
+        if previous.map_or(true, |last| now < last) {
+            self.enqueue(now, key);
+        }
+        previous.is_some()
+    }
+
+    /// Queues a record in stamp order: at the back while time runs
+    /// forward, in place after a step back or a re-queue.
+    fn enqueue(&mut self, stamp: SimTime, key: (NodeId, u64)) {
+        let at = if self.expiry.back().map_or(true, |&(t, _)| t <= stamp) {
+            self.expiry.len()
         } else {
-            self.oldest.min(now)
+            self.expiry.partition_point(|&(t, _)| t <= stamp)
         };
-        self.seen.insert((origin, id), now).is_some()
+        self.expiry.insert(at, (stamp, key));
     }
 
     /// Whether `(origin, id)` has been seen (without inserting).
@@ -161,17 +191,48 @@ impl SeenCache {
         self.seen.contains_key(&(origin, id))
     }
 
+    /// Forgets every entry whose stamp is more than the horizon before
+    /// `now`: exactly the entries a sweep of the whole map would drop.
+    /// Expiry is monotone in the stamp, so the expired records are a prefix
+    /// of the queue, and an expired entry's records, none later than its
+    /// stamp, all lie in it. An entry refreshed since its record is
+    /// re-queued at its stamp, which is not expired, so after the prefix.
     fn evict(&mut self, now: SimTime) {
-        let horizon = self.horizon;
-        let mut oldest = SimTime::MAX;
-        self.seen.retain(|_, t| {
-            let keep = !expired(horizon, *t, now);
-            if keep {
-                oldest = oldest.min(*t);
+        if self.expiry.is_empty() {
+            if !expired(self.horizon, self.oldest, now) {
+                return;
             }
-            keep
-        });
-        self.oldest = oldest;
+            // An entry may have expired: order them all by stamp, once.
+            self.expiry = self
+                .seen
+                .iter()
+                .map(|(&key, &stamp)| (stamp, key))
+                .collect();
+            self.expiry
+                .make_contiguous()
+                .sort_unstable_by_key(|&(stamp, _)| stamp.order_key());
+            #[cfg(test)]
+            {
+                self.visited += self.expiry.len() as u64;
+            }
+        }
+        while let Some(&(stamp, key)) = self.expiry.front() {
+            #[cfg(test)]
+            {
+                self.visited += 1;
+            }
+            if !expired(self.horizon, stamp, now) {
+                break;
+            }
+            self.expiry.pop_front();
+            match self.seen.get(&key) {
+                Some(&last) if expired(self.horizon, last, now) => {
+                    self.seen.remove(&key);
+                }
+                Some(&last) => self.enqueue(last, key),
+                None => {}
+            }
+        }
     }
 
     /// Number of remembered entries.
@@ -189,7 +250,7 @@ impl SeenCache {
 
 /// Whether a [`SeenCache`] entry stamped `seen_at` is forgotten by `now`.
 /// Never `true` for a later stamp when it is `false` for an earlier one,
-/// which is what lets the cache's `oldest` bound stand in for every entry.
+/// which is what lets the cache's expiry stop at the first record it keeps.
 fn expired(horizon: f64, seen_at: SimTime, now: SimTime) -> bool {
     now.saturating_since(seen_at).as_secs() > horizon
 }
@@ -420,6 +481,76 @@ mod tests {
             shrank > 100 && emptied > 20,
             "{shrank} sweeps, {emptied} full"
         );
+    }
+
+    /// Feeds a cache with a `horizon_s` horizon `seconds` of a monotone
+    /// stream, `per_second` inserts a second (fresh flood ids, and every
+    /// tenth call a duplicate of one of the last twenty keys, which
+    /// refreshes it), and checks at every call that it never holds more
+    /// than the keys stamped within the horizon, and one expiry record
+    /// per key. Returns the inserts and the records expiry visited.
+    fn monotone_stream(horizon_s: f64, seconds: f64, per_second: usize) -> (u64, u64) {
+        let mut cache = SeenCache::new(horizon_s);
+        let mut rng = vanet_sim::SimRng::new(0x5ee3);
+        let calls = (seconds * per_second as f64) as u64;
+        let live = (horizon_s * per_second as f64) as u64;
+        let mut recent: VecDeque<(NodeId, u64)> = VecDeque::new();
+        let mut duplicates = 0;
+        for call in 0..calls {
+            let at = SimTime::from_secs(call as f64 / per_second as f64);
+            let (origin, id) = if call >= 20 && rng.uniform_usize(10) == 0 {
+                recent[rng.uniform_usize(recent.len())]
+            } else {
+                recent.push_back((NodeId(rng.uniform_usize(50) as u32), call));
+                if recent.len() > 20 {
+                    recent.pop_front();
+                }
+                recent[recent.len() - 1]
+            };
+            let duplicate = cache.check_and_insert(origin, id, at);
+            assert_eq!(duplicate, id != call, "call {call}");
+            duplicates += usize::from(duplicate);
+            // Entries stamped within the horizon: at most `live + 1` calls,
+            // fewer where duplicates refreshed a key.
+            assert!(cache.len() as u64 <= live + 1, "call {call}");
+            // No queue before the horizon; one record per key after it.
+            assert_eq!(cache.expiry.is_empty(), call <= live, "call {call}");
+            assert!(cache.expiry.is_empty() || cache.expiry.len() == cache.len());
+        }
+        assert!(cache.len() as u64 >= live / 2, "{} of {live}", cache.len());
+        assert!(duplicates as u64 > calls / 20, "{duplicates} refreshes");
+        (calls, cache.visited)
+    }
+
+    /// Past the horizon the oldest entry expires at almost every insert;
+    /// expiry pops it off the front of the queue instead of sweeping the
+    /// map. The queue is built once, when the horizon is first reached;
+    /// after that each call visits the records it pops, each one once, and
+    /// the one it stops at, and a refreshed key's record is popped once
+    /// more, when it is re-queued.
+    #[test]
+    fn seen_cache_expiry_visits_each_record_a_bounded_number_of_times() {
+        let (inserts, visited) = monotone_stream(2.0, 40.0, 500);
+        assert!(
+            visited <= 2 * inserts,
+            "{visited} visits for {inserts} inserts"
+        );
+        // The horizon was passed: most records were popped.
+        assert!(visited > inserts + inserts / 2, "{visited} of {inserts}");
+    }
+
+    /// The same at the paper's 120 s of simulated time against the 30 s
+    /// horizon Yan's probes use, at a broadcast-storm rate; run in release
+    /// with `cargo test --release -p vanet-routing -- --ignored`.
+    #[test]
+    #[ignore = "heavy: a 120 s stream; run in release"]
+    fn seen_cache_expiry_visits_each_record_a_bounded_number_of_times_heavy() {
+        let (inserts, visited) = monotone_stream(30.0, 120.0, 4_000);
+        assert!(
+            visited <= 2 * inserts,
+            "{visited} visits for {inserts} inserts"
+        );
+        assert!(visited > inserts + inserts / 2, "{visited} of {inserts}");
     }
 
     #[test]
