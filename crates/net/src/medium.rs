@@ -325,7 +325,9 @@ impl Snapshot {
     /// (the interference count). While every entry is a single copy this
     /// is the plain banded count over the positions; otherwise its
     /// copy-weighted form. Both decide each entry exactly as
-    /// `distance(p, center) <= range`.
+    /// `distance(p, center) <= range`. The plain count stays for windows
+    /// that do not compress, such as an RREQ storm's: the weighted form
+    /// alone made `highway-aodv` 6–18 % slower end to end.
     fn count_within(&self, center: Position, range: f64) -> usize {
         let filter = WithinFilter::new(range);
         if self.total == self.positions.len() {
