@@ -61,9 +61,15 @@ fn megacity_10k_smoke_is_deterministic_and_bounded() {
     // nodes' tables hold. Key blocks split in half and take inserts in
     // random id order, so they settle near the B-tree fill of ln 2 (0.682
     // here: 408,495 entries in 18,715 blocks); far outside it, splits or
-    // frees have gone wrong.
+    // frees have gone wrong. The slabs have grown into 264 bytes per key
+    // block and 40 per payload slot.
     let (occupancy, held) = sim.neighbor_occupancy();
     assert_eq!(occupancy.slots_live, held, "{occupancy:?}");
+    assert_eq!(
+        occupancy.slab_bytes(),
+        18_715 * 264 + 408_495 * 40,
+        "{occupancy:?}"
+    );
     assert!(
         (0.6..0.8).contains(&occupancy.key_fill()),
         "key-block fill {:.3} outside its band: {occupancy:?}",

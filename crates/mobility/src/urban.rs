@@ -262,11 +262,12 @@ impl UrbanGridModel {
         }
     }
 
+    /// Rewrites the state snapshot in place, so a step allocates nothing
+    /// and never holds an old and a new snapshot at once.
     fn refresh_states(&mut self) {
-        self.states = self
-            .vehicles
-            .iter()
-            .map(|v| VehicleState {
+        self.states.clear();
+        self.states
+            .extend(self.vehicles.iter().map(|v| VehicleState {
                 id: v.id,
                 kind: v.kind,
                 position: v.position,
@@ -275,8 +276,7 @@ impl UrbanGridModel {
                 heading: v.heading,
                 lane: 0,
                 desired_speed: v.desired_speed,
-            })
-            .collect();
+            }));
     }
 }
 

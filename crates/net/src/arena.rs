@@ -4,16 +4,18 @@
 //! contiguous slabs**. Small *key blocks* carry a node's neighbour ids
 //! (index-linked, ascending by [`NodeId`] across the node's chain), and
 //! beside each id the index of its entry in one dense *payload slab* that
-//! holds exactly one [`NeighborInfo`] per live neighbour. A node holds a
-//! 16-byte [`ArenaTable`] handle instead of owning storage, and key blocks
-//! and payload slots freed by neighbour churn go on free lists for O(1)
-//! reuse. `observe` — the hottest call on the beacon plane — walks a
-//! couple of 264-byte key blocks and then touches one payload: a refresh
-//! overwrites it in place, an insert shifts 4-byte keys and slot indices,
-//! and a split moves no payload at all. [`NeighborArena::observe_batch`]
-//! observes one sender at many receivers over a slice of handles: a first
-//! pass takes the first step of every receiver's walk, so their cache
-//! misses overlap, then a second pass upserts.
+//! holds exactly one 40-byte `Entry` per live neighbour: position, velocity
+//! and expiry, and not the id, which the key beside its slot index already
+//! is. A node holds a 16-byte [`ArenaTable`] handle instead of owning
+//! storage, and key blocks and payload slots freed by neighbour churn go on
+//! free lists for O(1) reuse. `observe` — the hottest call on the beacon
+//! plane — walks a couple of 264-byte key blocks and then touches one
+//! payload: a refresh overwrites it in place, an insert shifts 4-byte keys
+//! and slot indices, and a split moves no payload at all.
+//! [`NeighborArena::observe_batch`] observes one sender at many receivers
+//! over a slice of handles: a first pass takes the first step of every
+//! receiver's walk, so their cache misses overlap, then a second pass
+//! upserts.
 //!
 //! Expiry is *lazy*: a handle carries [`ArenaTable::next_deadline`], a
 //! conservative lower bound on the earliest `expires_at` of any live entry
@@ -26,7 +28,8 @@
 //! Protocols never mutate neighbour state, so they read through
 //! [`NeighborView`], a copyable handle-plus-arena pair with the read API
 //! (`contains` / `get` / `iter` / `closest_to` / `greedy_next_hop`) in the
-//! ascending-id iteration order the deterministic driver depends on.
+//! ascending-id iteration order the deterministic driver depends on. It
+//! hands out [`NeighborInfo`]s by value, each an entry joined to its key.
 //!
 //! This is the only implementation. What it is checked against is a
 //! test-only naive model at the bottom of this file (a `BTreeMap` per node,
@@ -54,7 +57,7 @@ const BLOCK_KEYS: usize = 32;
 const NIL: u32 = u32::MAX;
 
 /// One key block: up to [`BLOCK_KEYS`] ids ascending, each paired with the
-/// payload slot of its entry.
+/// payload slot of its [`Entry`].
 #[derive(Debug, Clone)]
 struct KeyBlock {
     /// Occupied key count (≥ 1 for every block linked into a chain).
@@ -66,6 +69,39 @@ struct KeyBlock {
     keys: [NodeId; BLOCK_KEYS],
     /// `slot[i]` indexes the payload of `keys[i]`.
     slot: [u32; BLOCK_KEYS],
+}
+
+/// One live neighbour's payload. Its id is the key that indexes it. A slot
+/// on the free list holds the index of the next free slot in `expires_at`
+/// instead, as whole seconds: every `u32` is exact in an `f64`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    position: Position,
+    velocity: Velocity,
+    expires_at: SimTime,
+}
+
+// The layout the slabs are sized by: what `ArenaOccupancy::slab_bytes`
+// counts, and what a view builds per neighbour it hands out.
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<KeyBlock>() == 264);
+const _: () = assert!(std::mem::size_of::<NeighborInfo>() == 48);
+
+impl Entry {
+    /// The entry joined to its key, as the views hand it out.
+    fn info(self, id: NodeId) -> NeighborInfo {
+        NeighborInfo {
+            id,
+            position: self.position,
+            velocity: self.velocity,
+            expires_at: self.expires_at,
+        }
+    }
+
+    /// The next free slot after this free one.
+    fn link(self) -> u32 {
+        self.expires_at.as_secs() as u32
+    }
 }
 
 impl KeyBlock {
@@ -188,6 +224,15 @@ pub struct ArenaOccupancy {
 }
 
 impl ArenaOccupancy {
+    /// Bytes the two slabs have grown into, live and free alike: key blocks
+    /// at 264 bytes and payload slots at 40. Reserved but untouched capacity
+    /// is not counted.
+    #[must_use]
+    pub fn slab_bytes(&self) -> usize {
+        (self.blocks_live + self.blocks_free) * std::mem::size_of::<KeyBlock>()
+            + (self.slots_live + self.slots_free) * std::mem::size_of::<Entry>()
+    }
+
     /// Live entries per live key-block position (0 for an empty arena): how
     /// much of the key slab the chains actually use.
     #[must_use]
@@ -200,16 +245,16 @@ impl ArenaOccupancy {
 }
 
 /// The shared neighbour-state slabs: one `Vec<KeyBlock>` and one
-/// `Vec<NeighborInfo>` for the whole fleet, each with an intrusive free list
+/// `Vec<Entry>` for the whole fleet, each with an intrusive free list
 /// recycling what churn vacates.
 #[derive(Debug, Clone)]
 pub struct NeighborArena {
     blocks: Vec<KeyBlock>,
     free_block: u32,
     free_blocks: usize,
-    payload: Vec<NeighborInfo>,
+    payload: Vec<Entry>,
     /// Head of the free payload slots. A freed slot is never observable, so
-    /// its `id` field holds the link to the next one.
+    /// its `expires_at` holds the link to the next one ([`Entry::link`]).
     free_slot: u32,
     free_slots: usize,
 }
@@ -287,20 +332,20 @@ impl NeighborArena {
         }
     }
 
-    /// Stores `info` in a free payload slot (the most recently freed, else
+    /// Stores `entry` in a free payload slot (the most recently freed, else
     /// a new one at the end of the slab) and returns its index.
-    fn alloc_slot(&mut self, info: NeighborInfo) -> u32 {
+    fn alloc_slot(&mut self, entry: Entry) -> u32 {
         if self.free_slot != NIL {
             let idx = self.free_slot;
-            let entry = &mut self.payload[idx as usize];
-            self.free_slot = entry.id.0;
+            let slot = &mut self.payload[idx as usize];
+            self.free_slot = slot.link();
             self.free_slots -= 1;
-            *entry = info;
+            *slot = entry;
             idx
         } else {
             let idx = u32::try_from(self.payload.len()).expect("payload slab outgrew u32 indices");
             assert!(idx != NIL, "payload slab outgrew u32 indices");
-            self.payload.push(info);
+            self.payload.push(entry);
             idx
         }
     }
@@ -318,15 +363,13 @@ impl NeighborArena {
         now: SimTime,
         lifetime: SimDuration,
     ) -> bool {
-        let info = NeighborInfo {
-            id,
+        let entry = Entry {
             position,
             velocity,
-            last_heard: now,
             expires_at: now + lifetime,
         };
         let start = table.head;
-        self.observe_from(table, start, info)
+        self.observe_from(table, start, id, entry)
     }
 
     /// One sender heard by many receivers: [`NeighborArena::observe`] for
@@ -363,44 +406,47 @@ impl NeighborArena {
             }
         }
         for reception in receptions.iter_mut() {
-            let info = NeighborInfo {
-                id,
+            let entry = Entry {
                 position,
                 velocity,
-                last_heard: reception.at,
                 expires_at: reception.at + lifetime,
             };
             let table = &mut tables[reception.table as usize];
-            reception.gained = self.observe_from(table, reception.start, info);
+            reception.gained = self.observe_from(table, reception.start, id, entry);
         }
     }
 
-    /// Upserts `info` with the walk to its block starting at block `start`
-    /// of the table's chain ([`NIL`]: the head), which must not lie past
-    /// that block, and lowers the deadline bound to its expiry.
+    /// Upserts `id`'s `entry` with the walk to its block starting at block
+    /// `start` of the table's chain ([`NIL`]: the head), which must not lie
+    /// past that block, and lowers the deadline bound to its expiry.
     #[inline]
-    fn observe_from(&mut self, table: &mut ArenaTable, start: u32, info: NeighborInfo) -> bool {
-        let inserted = self.upsert(table, start, info);
+    fn observe_from(
+        &mut self,
+        table: &mut ArenaTable,
+        start: u32,
+        id: NodeId,
+        entry: Entry,
+    ) -> bool {
+        let inserted = self.upsert(table, start, id, entry);
         // A refresh can only raise its entry's deadline when observation
         // times are monotone, but one compare keeps the bound a lower bound
         // for out-of-order replays as well.
-        if info.expires_at < table.next_deadline {
-            table.next_deadline = info.expires_at;
+        if entry.expires_at < table.next_deadline {
+            table.next_deadline = entry.expires_at;
         }
         inserted
     }
 
-    /// Overwrites the payload of `info.id` if it is live, else stores it in
+    /// Overwrites the payload of `id` if it is live, else stores `entry` in
     /// a new slot and inserts its key keeping the chain sorted ascending by
     /// id. The walk begins at block `start` ([`NIL`]: the head). Full blocks
     /// split in half (classic unrolled-list insert); appends past a full
     /// tail block link a fresh block instead, which keeps the
     /// monotonically-growing case dense.
-    fn upsert(&mut self, table: &mut ArenaTable, start: u32, info: NeighborInfo) -> bool {
-        let id = info.id;
+    fn upsert(&mut self, table: &mut ArenaTable, start: u32, id: NodeId, entry: Entry) -> bool {
         if table.head == NIL {
             let nb = self.alloc_block();
-            let slot = self.alloc_slot(info);
+            let slot = self.alloc_slot(entry);
             self.blocks[nb as usize].put(0, id, slot);
             table.head = nb;
             table.len = 1;
@@ -420,11 +466,11 @@ impl NeighborArena {
         let pos = blk.keys[..n].iter().position(|&k| k >= id).unwrap_or(n);
         if pos < n && blk.keys[pos] == id {
             let slot = blk.slot[pos];
-            self.payload[slot as usize] = info;
+            self.payload[slot as usize] = entry;
             return false;
         }
         table.len += 1;
-        let slot = self.alloc_slot(info);
+        let slot = self.alloc_slot(entry);
         if n < BLOCK_KEYS {
             self.blocks[cur as usize].put(pos, id, slot);
             return true;
@@ -483,8 +529,8 @@ impl NeighborArena {
                 let slot = blk.slot[read];
                 let entry = &mut self.payload[slot as usize];
                 if entry.expires_at < now {
-                    out.push(entry.id);
-                    entry.id = NodeId(self.free_slot);
+                    out.push(blk.keys[read]);
+                    entry.expires_at = SimTime::from_secs(f64::from(self.free_slot));
                     self.free_slot = slot;
                     self.free_slots += 1;
                 } else {
@@ -516,9 +562,8 @@ impl NeighborArena {
         table.next_deadline = earliest;
     }
 
-    /// Looks up a neighbour.
-    #[must_use]
-    pub(crate) fn get<'a>(&'a self, table: &ArenaTable, id: NodeId) -> Option<&'a NeighborInfo> {
+    /// The payload slot of neighbour `id`, if it is one.
+    fn slot_of(&self, table: &ArenaTable, id: NodeId) -> Option<u32> {
         let mut cur = table.head;
         while cur != NIL {
             let blk = &self.blocks[cur as usize];
@@ -527,17 +572,24 @@ impl NeighborArena {
                 return blk.keys[..n]
                     .iter()
                     .position(|&k| k == id)
-                    .map(|i| &self.payload[blk.slot[i] as usize]);
+                    .map(|i| blk.slot[i]);
             }
             cur = blk.next;
         }
         None
     }
 
+    /// Looks up a neighbour.
+    #[must_use]
+    pub(crate) fn get(&self, table: &ArenaTable, id: NodeId) -> Option<NeighborInfo> {
+        self.slot_of(table, id)
+            .map(|slot| self.payload[slot as usize].info(id))
+    }
+
     /// Whether `id` is currently a neighbour.
     #[must_use]
     pub(crate) fn contains(&self, table: &ArenaTable, id: NodeId) -> bool {
-        self.get(table, id).is_some()
+        self.slot_of(table, id).is_some()
     }
 
     /// All of the node's neighbours, ascending by id.
@@ -567,13 +619,13 @@ pub struct ArenaIter<'a> {
 }
 
 impl<'a> Iterator for ArenaIter<'a> {
-    type Item = &'a NeighborInfo;
+    type Item = NeighborInfo;
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.block != NIL {
             let blk = &self.arena.blocks[self.block as usize];
             if self.pos < blk.len as usize {
-                let item = &self.arena.payload[blk.slot[self.pos] as usize];
+                let item = self.arena.payload[blk.slot[self.pos] as usize].info(blk.keys[self.pos]);
                 self.pos += 1;
                 return Some(item);
             }
@@ -615,7 +667,7 @@ impl<'a> NeighborView<'a> {
 
     /// Looks up a neighbour.
     #[must_use]
-    pub fn get(&self, id: NodeId) -> Option<&'a NeighborInfo> {
+    pub fn get(&self, id: NodeId) -> Option<NeighborInfo> {
         self.arena.get(self.table, id)
     }
 
@@ -628,7 +680,7 @@ impl<'a> NeighborView<'a> {
     /// The neighbour geographically closest to `target`, if any — the greedy
     /// forwarding primitive. Of several equally close, the lowest id.
     #[must_use]
-    pub fn closest_to(&self, target: Position) -> Option<&'a NeighborInfo> {
+    pub fn closest_to(&self, target: Position) -> Option<NeighborInfo> {
         self.iter()
             .min_by(|a, b| distance(a.position, target).total_cmp(&distance(b.position, target)))
     }
@@ -636,7 +688,7 @@ impl<'a> NeighborView<'a> {
     /// The neighbour closest to `target` that is strictly closer to it than
     /// `own_distance` (greedy forwarding with the local-maximum check).
     #[must_use]
-    pub fn greedy_next_hop(&self, target: Position, own_distance: f64) -> Option<&'a NeighborInfo> {
+    pub fn greedy_next_hop(&self, target: Position, own_distance: f64) -> Option<NeighborInfo> {
         self.closest_to(target)
             .filter(|n| distance(n.position, target) < own_distance)
     }
@@ -677,7 +729,6 @@ pub(crate) mod naive {
                 id,
                 position,
                 velocity,
-                last_heard: now,
                 expires_at: now + lifetime,
             };
             self.next_deadline = self.next_deadline.min(info.expires_at);
@@ -714,12 +765,12 @@ pub(crate) mod naive {
 
         /// Closest entry to `target`; a later id wins only when strictly
         /// closer, so ties go to the lowest id.
-        pub(crate) fn closest_to(&self, target: Position) -> Option<&NeighborInfo> {
-            let mut best: Option<&NeighborInfo> = None;
+        pub(crate) fn closest_to(&self, target: Position) -> Option<NeighborInfo> {
+            let mut best: Option<NeighborInfo> = None;
             for e in self.entries.values() {
                 match best {
                     Some(b) if distance(b.position, target) <= distance(e.position, target) => {}
-                    _ => best = Some(e),
+                    _ => best = Some(*e),
                 }
             }
             best
@@ -729,7 +780,7 @@ pub(crate) mod naive {
             &self,
             target: Position,
             own_distance: f64,
-        ) -> Option<&NeighborInfo> {
+        ) -> Option<NeighborInfo> {
             self.closest_to(target)
                 .filter(|n| distance(n.position, target) < own_distance)
         }
@@ -796,7 +847,7 @@ mod tests {
         while cur != NIL {
             slot_refs[cur as usize] += 1;
             free_slots += 1;
-            cur = arena.payload[cur as usize].id.0;
+            cur = arena.payload[cur as usize].link();
         }
         assert!(
             block_refs.iter().all(|&r| r == 1),
@@ -898,6 +949,82 @@ mod tests {
         assert_books_balance(&arena, &[a, b], "after the reuse");
     }
 
+    /// A purged slot holds its free-list link in `expires_at`. Recycled, it
+    /// must read back through every read path as exactly its new entry, and
+    /// the slots still free must chain through their links — the last one
+    /// through [`NIL`].
+    #[test]
+    fn recycled_slots_read_their_new_entries_never_a_link() {
+        let mut arena = NeighborArena::new();
+        let (mut a, mut b) = (ArenaTable::new(), ArenaTable::new());
+        for id in 0..12 {
+            obs(&mut arena, &mut a, id, f64::from(id), 0.0, 1.0);
+            obs(&mut arena, &mut b, id, f64::from(id), 0.0, 9.0);
+        }
+        let mut lost = Vec::new();
+        arena.purge_due(&mut a, SimTime::from_secs(2.0), &mut lost);
+        assert_eq!(lost, (0..12).map(NodeId).collect::<Vec<_>>());
+        assert_books_balance(&arena, &[a, b], "after the purge");
+        let mut naive = NaiveTable::new();
+        let (at, life) = (SimTime::from_secs(2.5), SimDuration::from_secs(3.0));
+        for id in [40, 7, 23, 15, 31] {
+            let pos = Vec2::new(100.0 + f64::from(id), 50.0);
+            let vel = Vec2::new(-f64::from(id), 1.0);
+            assert!(arena.observe(&mut a, NodeId(id), pos, vel, at, life));
+            naive.observe(NodeId(id), pos, vel, at, life);
+        }
+        assert_eq!(arena.payload.len(), 24, "the inserts must recycle slots");
+        let occupancy = arena.occupancy();
+        assert_eq!((occupancy.slots_live, occupancy.slots_free), (17, 7));
+        assert_books_balance(&arena, &[a, b], "after the reuse");
+
+        let view = arena.view(&a);
+        let expect: Vec<NeighborInfo> = naive.entries.values().copied().collect();
+        assert_eq!(view.iter().collect::<Vec<_>>(), expect);
+        assert!(view.iter().all(|n| n.expires_at == at + life));
+        for id in 0..48 {
+            let id = NodeId(id);
+            assert_eq!(view.get(id), naive.entries.get(&id).copied(), "{id:?}");
+        }
+        for target in [Vec2::ZERO, Vec2::new(140.0, 50.0), Vec2::new(500.0, 0.0)] {
+            assert_eq!(view.closest_to(target), naive.closest_to(target));
+            for own in [1.0, 1_000.0] {
+                assert_eq!(
+                    view.greedy_next_hop(target, own),
+                    naive.greedy_next_hop(target, own)
+                );
+            }
+        }
+        let hop = view.greedy_next_hop(Vec2::new(140.0, 50.0), 1_000.0);
+        assert_eq!(hop.map(|n| n.id), Some(NodeId(40)));
+        // The other table's entries never left their slots.
+        let kept = arena.view(&b);
+        assert!(kept
+            .iter()
+            .all(|n| n.position.x == f64::from(n.id.0) && n.expires_at == SimTime::from_secs(9.0)));
+
+        arena.purge_due(&mut a, SimTime::from_secs(10.0), &mut lost);
+        arena.purge_due(&mut b, SimTime::from_secs(10.0), &mut lost);
+        let drained = arena.occupancy();
+        assert_eq!((drained.slots_live, drained.slots_free), (0, 24));
+        assert_books_balance(&arena, &[a, b], "after draining both");
+    }
+
+    #[test]
+    fn slab_bytes_count_both_slabs_live_and_free() {
+        let mut arena = NeighborArena::new();
+        let mut t = ArenaTable::new();
+        assert_eq!(arena.occupancy().slab_bytes(), 0);
+        for id in 0..(BLOCK_KEYS as u32 + 1) {
+            obs(&mut arena, &mut t, id, 0.0, 0.0, 1.0);
+        }
+        let full = arena.occupancy();
+        assert_eq!(full.blocks_live, 2);
+        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * 40);
+        arena.purge_due(&mut t, SimTime::from_secs(5.0), &mut Vec::new());
+        assert_eq!(arena.occupancy().slab_bytes(), full.slab_bytes());
+    }
+
     /// Randomised churn (observes and lazy purges) drives the arena and the
     /// naive model in lockstep; observe results, loss observations,
     /// iteration order and the deadline bound must stay identical. Several
@@ -937,7 +1064,7 @@ mod tests {
                         scratch_a, scratch_r,
                         "case {case} tick {tick}: losses diverged"
                     );
-                    let ea: Vec<NeighborInfo> = arena.iter(&handles[w]).copied().collect();
+                    let ea: Vec<NeighborInfo> = arena.iter(&handles[w]).collect();
                     let er: Vec<NeighborInfo> = refs[w].entries.values().copied().collect();
                     assert_eq!(ea, er, "case {case} tick {tick}: entries diverged");
                     assert_eq!(
@@ -983,9 +1110,12 @@ mod tests {
                 view.contains(NodeId(id)),
                 naive.entries.contains_key(&NodeId(id))
             );
-            assert_eq!(view.get(NodeId(id)), naive.entries.get(&NodeId(id)));
+            assert_eq!(
+                view.get(NodeId(id)),
+                naive.entries.get(&NodeId(id)).copied()
+            );
         }
-        let seen: Vec<NeighborInfo> = view.iter().copied().collect();
+        let seen: Vec<NeighborInfo> = view.iter().collect();
         let expect: Vec<NeighborInfo> = naive.entries.values().copied().collect();
         assert_eq!(seen, expect);
         let target = Vec2::new(200.0, 200.0);
@@ -1118,8 +1248,8 @@ mod tests {
                     single.purge_due(&mut st[w], tick_time, &mut lost_s);
                     let at = format!("case {case} tick {tick} table {w}");
                     assert_eq!(lost_b, lost_s, "{at}: losses diverged");
-                    let eb: Vec<NeighborInfo> = batched.iter(&bt[w]).copied().collect();
-                    let es: Vec<NeighborInfo> = single.iter(&st[w]).copied().collect();
+                    let eb: Vec<NeighborInfo> = batched.iter(&bt[w]).collect();
+                    let es: Vec<NeighborInfo> = single.iter(&st[w]).collect();
                     assert_eq!(eb, es, "{at}: entries diverged");
                     assert_eq!(
                         bt[w].next_deadline(),

@@ -8,7 +8,8 @@
 //!
 //! The table itself is [`NeighborArena`]: one slab for the whole fleet, a
 //! handle per node, lazily expired (see `arena.rs`). This module holds what
-//! a table entry is ([`NeighborInfo`]), how often it is refreshed
+//! a protocol reads of a table entry ([`NeighborInfo`]), how often it is
+//! refreshed
 //! ([`BeaconConfig`]) and [`NeighborTable`], the owning one-node form for
 //! code that has no fleet.
 
@@ -38,7 +39,9 @@ impl Default for BeaconConfig {
     }
 }
 
-/// What a node knows about one of its neighbours.
+/// What a node knows about one of its neighbours, as a [`NeighborView`]
+/// hands it out: by value, built from the arena's key (the id) and its
+/// 40-byte payload (the rest), which is all the arena stores.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborInfo {
     /// The neighbour's id.
@@ -47,20 +50,8 @@ pub struct NeighborInfo {
     pub position: Position,
     /// Last advertised velocity.
     pub velocity: Velocity,
-    /// When the last beacon (or overheard packet) from it arrived.
-    pub last_heard: SimTime,
     /// When the entry expires if no further beacon arrives.
     pub expires_at: SimTime,
-}
-
-impl NeighborInfo {
-    /// Predicted position of the neighbour at `time`, extrapolating its last
-    /// advertised velocity (dead reckoning).
-    #[must_use]
-    pub fn predicted_position(&self, time: SimTime) -> Position {
-        let dt = time.saturating_since(self.last_heard).as_secs();
-        self.position + self.velocity * dt
-    }
 }
 
 /// One node's neighbour table with a slab of its own: what a protocol unit
@@ -238,7 +229,7 @@ mod tests {
                         .map(|id| (id, tick)),
                 );
                 assert!(
-                    lazy.view().iter().eq(eager.entries.values()),
+                    lazy.view().iter().eq(eager.entries.values().copied()),
                     "case {case} diverged at tick {tick}"
                 );
             }
@@ -319,14 +310,6 @@ mod tests {
         let empty = NeighborTable::new();
         assert!(empty.view().closest_to(target).is_none());
         assert!(empty.view().greedy_next_hop(target, 120.0).is_none());
-    }
-
-    #[test]
-    fn dead_reckoning_prediction() {
-        let t = table_with_three();
-        let n = t.view().get(NodeId(1)).unwrap();
-        let predicted = n.predicted_position(SimTime::from_secs(2.0));
-        assert_eq!(predicted, Vec2::new(120.0, 0.0));
     }
 
     #[test]

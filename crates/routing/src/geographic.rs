@@ -108,7 +108,7 @@ impl<S: NextHopScorer> GeoRouting<S> {
             if n.id == packet.prev_hop {
                 continue;
             }
-            if let Some(score) = self.scorer.score(ctx, n, dest_pos) {
+            if let Some(score) = self.scorer.score(ctx, &n, dest_pos) {
                 match best {
                     Some((s, _)) if s >= score => {}
                     _ => best = Some((score, n.id)),
@@ -555,8 +555,8 @@ mod tests {
         let scorer = RearScorer;
         let (s1, s2) = {
             let ctx = h.ctx(1.0);
-            let n1 = *ctx.neighbors.get(NodeId(1)).unwrap();
-            let n2 = *ctx.neighbors.get(NodeId(2)).unwrap();
+            let n1 = ctx.neighbors.get(NodeId(1)).unwrap();
+            let n2 = ctx.neighbors.get(NodeId(2)).unwrap();
             (
                 scorer.score(&ctx, &n1, Vec2::new(2_000.0, 0.0)).unwrap(),
                 scorer.score(&ctx, &n2, Vec2::new(2_000.0, 0.0)).unwrap(),
@@ -578,7 +578,7 @@ mod tests {
         sparse.add_neighbor(1, 200.0, 20.0);
         let sparse_score = {
             let ctx = sparse.ctx(1.0);
-            let n = *ctx.neighbors.get(NodeId(1)).unwrap();
+            let n = ctx.neighbors.get(NodeId(1)).unwrap();
             scorer.score(&ctx, &n, dest).unwrap()
         };
         // Dense neighbourhood.
@@ -589,7 +589,7 @@ mod tests {
         }
         let dense_score = {
             let ctx = dense.ctx(1.0);
-            let n = *ctx.neighbors.get(NodeId(20)).unwrap();
+            let n = ctx.neighbors.get(NodeId(20)).unwrap();
             scorer.score(&ctx, &n, dest).unwrap()
         };
         assert!(
@@ -608,8 +608,8 @@ mod tests {
         h.add_neighbor(2, 200.0, -20.0); // opposite direction
         let (stable, unstable) = {
             let ctx = h.ctx(1.0);
-            let n1 = *ctx.neighbors.get(NodeId(1)).unwrap();
-            let n2 = *ctx.neighbors.get(NodeId(2)).unwrap();
+            let n1 = ctx.neighbors.get(NodeId(1)).unwrap();
+            let n2 = ctx.neighbors.get(NodeId(2)).unwrap();
             (
                 scorer.score(&ctx, &n1, dest).unwrap(),
                 scorer.score(&ctx, &n2, dest).unwrap(),

@@ -228,7 +228,7 @@ impl Yan {
         let own_progress = goal.map(|p| distance(ctx.position(), p));
         // Each eligible neighbour with the upper bound on its stability. Not
         // kept on `self`: every vehicle has a `Yan` and few of them rank.
-        let mut eligible: Vec<(&NeighborInfo, f64)> = ctx
+        let mut eligible: Vec<(NeighborInfo, f64)> = ctx
             .neighbors
             .iter()
             .filter(|n| !path.contains(&n.id) && n.id != ctx.node)
@@ -257,7 +257,7 @@ impl Yan {
                 continue;
             }
             *integrated += 1;
-            Self::keep_best(best, limit, n.id, Self::link_stability(config, ctx, n));
+            Self::keep_best(best, limit, n.id, Self::link_stability(config, ctx, &n));
         }
     }
 
@@ -605,7 +605,7 @@ mod tests {
                 (Some(p), Some(own)) => n.id == dest || distance(n.position, p) < own,
                 _ => true,
             })
-            .map(|n| (n.id, score(n)))
+            .map(|n| (n.id, score(&n)))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         scored.truncate(limit as usize);

@@ -226,7 +226,8 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 /// else exercises: the neighbour arena's (one live payload slot per entry
 /// the tables hold) and the spatial grid's (four vertex-list entries per
 /// node, beside its 16 MB position table). The frame counts are printed
-/// beside the two occupancies.
+/// beside the two occupancies, and so are the bytes the arena's two slabs
+/// have grown into.
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
@@ -246,8 +247,9 @@ fn megacity_1m_builds_and_runs_one_second() {
         let frames = sim.frame_counts();
         assert_eq!(frames.one_pass + frames.sorted, frames.frames, "{frames:?}");
         println!(
-            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, {grid:?}, {frames:?}",
-            occupancy.key_fill()
+            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, slab bytes {}, {grid:?}, {frames:?}",
+            occupancy.key_fill(),
+            occupancy.slab_bytes()
         );
         (sim.processed_events(), report.avg_neighbors)
     };
