@@ -167,9 +167,11 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     /// reads its receivers' handles from 16-byte entries.
     neighbor_tables: Vec<ArenaTable>,
     /// Every node's kinematics — vehicles, then RSUs — indexed by
-    /// `NodeId::index()`: the only copy the driver keeps. The mobility step
-    /// writes each vehicle's entry once; the medium, grid and telemetry read
-    /// positions from it, and protocols see it as `ProtocolContext::fleet`.
+    /// `NodeId::index()`: the fleet's only copy, since the mobility model
+    /// keeps no snapshot and computes each vehicle's state when asked. The
+    /// mobility step writes each vehicle's entry once; the medium, grid and
+    /// telemetry read positions from it, and protocols see it as
+    /// `ProtocolContext::fleet`.
     states: Vec<VehicleState>,
     rsu_ids: Vec<NodeId>,
     bus_ids: Vec<NodeId>,
@@ -271,39 +273,39 @@ impl<T: Telemetry> Simulation<T> {
         let mut traffic_rng = master.derive("traffic");
 
         let mobility = scenario.build_mobility(&mut mobility_rng);
-        let vehicle_states: Vec<VehicleState> = mobility.states().to_vec();
+        let bounds = mobility.bounds();
+        telemetry.on_start(bounds.min, bounds.max, scenario.duration);
+
         // `states`, `nodes` and every per-node table are indexed by id, and
         // RSUs are numbered after the vehicles.
-        for (i, state) in vehicle_states.iter().enumerate() {
+        let vehicle_count = mobility.len();
+        let node_count = vehicle_count + scenario.rsu_count;
+        let mut states = Vec::with_capacity(node_count);
+        for i in 0..vehicle_count {
+            let state = mobility.state(i);
             assert!(
                 state.id.index() == i,
                 "scenario '{}': vehicle {i} has id {}; vehicle ids must run 0, 1, 2, ...",
                 scenario.name,
                 state.id.0
             );
+            states.push(state);
         }
-        let bounds = mobility.bounds();
-        telemetry.on_start(bounds.min, bounds.max, scenario.duration);
-
         // Road-side units are placed evenly along the scenario's x extent.
-        let vehicle_count = vehicle_states.len();
-        let mut rsu_states = Vec::new();
         for i in 0..scenario.rsu_count {
             let frac = (i as f64 + 0.5) / scenario.rsu_count as f64;
             let pos = Position::new(bounds.min.x + frac * bounds.width(), bounds.center().y);
-            rsu_states.push(VehicleState::stationary(
+            states.push(VehicleState::stationary(
                 NodeId((vehicle_count + i) as u32),
                 VehicleKind::RoadSideUnit,
                 pos,
             ));
         }
 
-        let node_count = vehicle_count + rsu_states.len();
         let mut nodes = Vec::with_capacity(node_count);
-        let mut states = Vec::with_capacity(node_count);
         let mut rsu_ids = Vec::new();
         let mut bus_ids = Vec::new();
-        for state in vehicle_states.iter().chain(rsu_states.iter()) {
+        for state in &states {
             match state.kind {
                 VehicleKind::RoadSideUnit => rsu_ids.push(state.id),
                 VehicleKind::Bus => bus_ids.push(state.id),
@@ -313,7 +315,6 @@ impl<T: Telemetry> Simulation<T> {
                 protocol: factory(),
                 rng: master.derive_index("node", u64::from(state.id.0)),
             });
-            states.push(*state);
         }
         let protocol_name = nodes
             .first()
@@ -686,12 +687,13 @@ impl<T: Telemetry> Simulation<T> {
                 // Position deltas feed the spatial index directly — no
                 // per-step position collect, no rebuild. RSUs are not part
                 // of the mobility model and simply stay in their cells.
-                for state in self.mobility.states() {
+                for i in 0..self.mobility.len() {
+                    let state = self.mobility.state(i);
                     let slot = &mut self.states[state.id.index()];
                     if slot.position != state.position {
                         self.grid.update(state.id, slot.position, state.position);
                     }
-                    *slot = *state;
+                    *slot = state;
                 }
                 self.scheduler
                     .schedule_after(self.scenario.mobility_step, Event::MobilityStep);

@@ -212,16 +212,13 @@ impl HighwayBuilder {
                 idm,
             });
         }
-        let mut model = HighwayModel {
+        HighwayModel {
             config: self,
             vehicles,
-            states: Vec::new(),
             lane_count,
             lane_order: Vec::new(),
             accels: Vec::new(),
-        };
-        model.refresh_states();
-        model
+        }
     }
 }
 
@@ -251,7 +248,6 @@ struct HighwayVehicle {
 pub struct HighwayModel {
     config: HighwayBuilder,
     vehicles: Vec<HighwayVehicle>,
-    states: Vec<VehicleState>,
     lane_count: usize,
     /// Scratch of [`MobilityModel::step`], rebuilt at its top: per lane, the
     /// indices of the vehicles in it, sorted by `(s, index)`. Stale between
@@ -267,27 +263,13 @@ impl PartialEq for HighwayModel {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.vehicles == other.vehicles
-            && self.states == other.states
             && self.lane_count == other.lane_count
     }
 }
 
 impl HighwayModel {
-    /// The builder/configuration this model was constructed from.
-    #[must_use]
-    pub fn config(&self) -> &HighwayBuilder {
-        &self.config
-    }
-
-    /// Length of the highway ring in metres.
-    #[must_use]
-    pub fn length_m(&self) -> f64 {
-        self.config.length_m
-    }
-
     /// Whether a lane index belongs to the eastbound (forward) carriageway.
-    #[must_use]
-    pub fn lane_is_eastbound(&self, lane: usize) -> bool {
+    fn lane_is_eastbound(&self, lane: usize) -> bool {
         lane < self.config.lanes_per_direction
     }
 
@@ -478,34 +460,6 @@ impl HighwayModel {
             self.vehicles[idx].lane = lane;
         }
     }
-
-    fn refresh_states(&mut self) {
-        let mut states = std::mem::take(&mut self.states);
-        states.clear();
-        states.extend(self.vehicles.iter().map(|v| {
-            let heading = self.heading_of_lane(v.lane);
-            VehicleState {
-                id: v.id,
-                kind: v.kind,
-                position: Vec2::new(v.s, self.lane_y(v.lane)),
-                velocity: heading.unit() * v.speed,
-                acceleration: v.acceleration,
-                heading,
-                lane: v.lane,
-                desired_speed: v.desired_speed,
-            }
-        }));
-        self.states = states;
-    }
-
-    /// Mean speed over all vehicles, m/s.
-    #[must_use]
-    pub fn mean_speed(&self) -> f64 {
-        if self.vehicles.is_empty() {
-            return 0.0;
-        }
-        self.vehicles.iter().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
-    }
 }
 
 impl MobilityModel for HighwayModel {
@@ -546,11 +500,21 @@ impl MobilityModel for HighwayModel {
             }
         }
         self.accels = accels;
-        self.refresh_states();
     }
 
-    fn states(&self) -> &[VehicleState] {
-        &self.states
+    fn state(&self, index: usize) -> VehicleState {
+        let v = &self.vehicles[index];
+        VehicleState {
+            id: v.id,
+            kind: v.kind,
+            position: Vec2::new(v.s, self.lane_y(v.lane)),
+            velocity: self.heading_of_lane(v.lane).unit() * v.speed,
+            acceleration: v.acceleration,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.vehicles.len()
     }
 
     fn bounds(&self) -> RegionBounds {
@@ -583,9 +547,9 @@ mod tests {
         assert!(!hw.is_empty());
         for s in hw.states() {
             assert!(s.position.x >= 0.0 && s.position.x < 2_000.0);
-            assert!(s.desired_speed <= 36.0);
             assert!(s.speed() > 0.0);
         }
+        assert!(hw.vehicles.iter().all(|v| v.desired_speed <= 36.0));
     }
 
     #[test]
@@ -677,6 +641,11 @@ mod tests {
         assert!(hw.states().iter().all(|s| s.velocity.x > 0.0));
     }
 
+    /// Mean speed over all vehicles, m/s.
+    fn mean_speed(hw: &HighwayModel) -> f64 {
+        hw.vehicles.iter().map(|v| v.speed).sum::<f64>() / hw.vehicles.len() as f64
+    }
+
     #[test]
     fn dense_traffic_is_slower_than_sparse() {
         let mut rng = SimRng::new(5);
@@ -700,11 +669,10 @@ mod tests {
             sparse.step(SimDuration::from_secs(0.5), &mut r1);
             dense.step(SimDuration::from_secs(0.5), &mut r2);
         }
+        let (dense, sparse) = (mean_speed(&dense), mean_speed(&sparse));
         assert!(
-            dense.mean_speed() < sparse.mean_speed() * 0.8,
-            "congestion should reduce mean speed: dense {} vs sparse {}",
-            dense.mean_speed(),
-            sparse.mean_speed()
+            dense < sparse * 0.8,
+            "congestion should reduce mean speed: dense {dense} vs sparse {sparse}"
         );
     }
 
@@ -891,7 +859,6 @@ mod tests {
                 }
             }
         }
-        hw.refresh_states();
     }
 
     #[test]
@@ -961,7 +928,7 @@ mod tests {
 
     #[test]
     fn state_lookup_by_id() {
-        // Ids run from 0 by default, so a vehicle's id is its snapshot index.
+        // Ids run from 0 by default, so a vehicle's id is its index.
         let hw = build(10, 10);
         for (i, s) in hw.states().iter().enumerate() {
             assert_eq!(s.id.index(), i);

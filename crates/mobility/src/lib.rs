@@ -26,7 +26,10 @@
 //!     .vehicles(40)
 //!     .build(&mut rng);
 //! highway.step(SimDuration::from_secs(1.0), &mut rng);
-//! assert_eq!(highway.states().len(), 40);
+//! assert_eq!(highway.len(), 40);
+//! // The model keeps no snapshot: a vehicle's state is computed when asked.
+//! let first = highway.state(0);
+//! assert!(highway.bounds().contains(first.position));
 //! ```
 
 #![warn(missing_docs)]

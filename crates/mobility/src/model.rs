@@ -50,21 +50,34 @@ impl RegionBounds {
 
 /// A mobility model: owns vehicle kinematics and advances them in time.
 ///
+/// A model keeps only its own per-vehicle record and keeps no
+/// [`VehicleState`] snapshot: [`state`](MobilityModel::state) computes one
+/// vehicle's state on demand, so a caller that stores states holds the
+/// fleet's only copy of them.
+///
 /// Implementations must be deterministic given the same RNG stream so that
 /// simulation runs are reproducible.
 pub trait MobilityModel {
     /// Advances all vehicles by `dt`.
     fn step(&mut self, dt: SimDuration, rng: &mut SimRng);
 
-    /// Snapshot of every vehicle's current state.
-    fn states(&self) -> &[VehicleState];
+    /// The current state of the vehicle at `index` (in `0..len()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    fn state(&self, index: usize) -> VehicleState;
+
+    /// Number of vehicles managed by the model.
+    fn len(&self) -> usize;
 
     /// Bounding box of the simulated region.
     fn bounds(&self) -> RegionBounds;
 
-    /// Number of vehicles managed by the model.
-    fn len(&self) -> usize {
-        self.states().len()
+    /// Every vehicle's current state, in index order, collected into a new
+    /// vector.
+    fn states(&self) -> Vec<VehicleState> {
+        (0..self.len()).map(|i| self.state(i)).collect()
     }
 
     /// Whether the model manages no vehicles.

@@ -162,7 +162,7 @@ impl UrbanGridBuilder {
                 let street = rng.uniform_usize(self.blocks_x + 1) as f64 * self.block_m;
                 Vec2::new(street, rng.uniform_range(0.0, self.height_m()))
             };
-            let desired = match kind {
+            let speed = match kind {
                 VehicleKind::Bus => self.speed_mean_mps * 0.8,
                 _ => speed_dist.sample(rng),
             };
@@ -171,17 +171,13 @@ impl UrbanGridBuilder {
                 kind,
                 position,
                 heading,
-                speed: desired,
-                desired_speed: desired,
+                speed,
             });
         }
-        let mut model = UrbanGridModel {
+        UrbanGridModel {
             config: self,
             vehicles,
-            states: Vec::new(),
-        };
-        model.refresh_states();
-        model
+        }
     }
 }
 
@@ -192,7 +188,6 @@ struct UrbanVehicle {
     position: Position,
     heading: Heading,
     speed: f64,
-    desired_speed: f64,
 }
 
 /// Vehicles moving on a Manhattan street grid with random turns.
@@ -200,16 +195,9 @@ struct UrbanVehicle {
 pub struct UrbanGridModel {
     config: UrbanGridBuilder,
     vehicles: Vec<UrbanVehicle>,
-    states: Vec<VehicleState>,
 }
 
 impl UrbanGridModel {
-    /// The builder/configuration this model was constructed from.
-    #[must_use]
-    pub fn config(&self) -> &UrbanGridBuilder {
-        &self.config
-    }
-
     fn wrap(&self, mut p: Position) -> Position {
         let w = self.config.width_m();
         let h = self.config.height_m();
@@ -260,23 +248,6 @@ impl UrbanGridModel {
         } else {
             right
         }
-    }
-
-    /// Rewrites the state snapshot in place, so a step allocates nothing
-    /// and never holds an old and a new snapshot at once.
-    fn refresh_states(&mut self) {
-        self.states.clear();
-        self.states
-            .extend(self.vehicles.iter().map(|v| VehicleState {
-                id: v.id,
-                kind: v.kind,
-                position: v.position,
-                velocity: v.heading.unit() * v.speed,
-                acceleration: 0.0,
-                heading: v.heading,
-                lane: 0,
-                desired_speed: v.desired_speed,
-            }));
     }
 }
 
@@ -331,11 +302,21 @@ impl MobilityModel for UrbanGridModel {
             let wrapped = self.wrap(self.vehicles[idx].position);
             self.vehicles[idx].position = wrapped;
         }
-        self.refresh_states();
     }
 
-    fn states(&self) -> &[VehicleState] {
-        &self.states
+    fn state(&self, index: usize) -> VehicleState {
+        let v = &self.vehicles[index];
+        VehicleState {
+            id: v.id,
+            kind: v.kind,
+            position: v.position,
+            velocity: v.heading.unit() * v.speed,
+            acceleration: 0.0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.vehicles.len()
     }
 
     fn bounds(&self) -> RegionBounds {
@@ -413,16 +394,16 @@ mod tests {
     #[test]
     fn headings_change_over_time() {
         let mut m = build(30, 6);
-        let before: Vec<Heading> = m.states().iter().map(|s| s.heading).collect();
+        let before: Vec<Heading> = m.vehicles.iter().map(|v| v.heading).collect();
         let mut rng = SimRng::new(7);
         for _ in 0..120 {
             m.step(SimDuration::from_secs(1.0), &mut rng);
         }
         let changed = m
-            .states()
+            .vehicles
             .iter()
             .zip(&before)
-            .filter(|(s, b)| s.heading != **b)
+            .filter(|(v, b)| v.heading != **b)
             .count();
         assert!(
             changed > 5,

@@ -1,6 +1,6 @@
 //! Vehicle state: the kinematic snapshot every other subsystem consumes.
 
-use crate::geometry::{Heading, Position, Velocity};
+use crate::geometry::{Position, Velocity};
 use vanet_sim::NodeId;
 
 /// The kind of a mobile (or fixed) node in the scenario.
@@ -18,7 +18,8 @@ pub enum VehicleKind {
     RoadSideUnit,
 }
 
-/// Kinematic state of one vehicle at the current simulation instant.
+/// Kinematic state of one vehicle at the current simulation instant: the
+/// position, velocity and acceleration the link models (Eq. 1–4) read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleState {
     /// The node this state belongs to.
@@ -29,15 +30,13 @@ pub struct VehicleState {
     pub position: Position,
     /// Velocity vector in metres per second.
     pub velocity: Velocity,
-    /// Signed acceleration along the heading, in m/s².
+    /// Signed acceleration along the direction of travel, in m/s².
     pub acceleration: f64,
-    /// Direction of travel.
-    pub heading: Heading,
-    /// The lane index the vehicle currently occupies (dense per-model index).
-    pub lane: usize,
-    /// The speed the driver would like to travel at, in m/s.
-    pub desired_speed: f64,
 }
+
+// The fleet's one kinematics store holds one of these per node; a field
+// added back fails the build here.
+const _: () = assert!(std::mem::size_of::<VehicleState>() == 48);
 
 impl VehicleState {
     /// Creates a stationary vehicle at `position`.
@@ -49,9 +48,6 @@ impl VehicleState {
             position,
             velocity: Velocity::ZERO,
             acceleration: 0.0,
-            heading: Heading::EAST,
-            lane: 0,
-            desired_speed: 0.0,
         }
     }
 
@@ -59,12 +55,6 @@ impl VehicleState {
     #[must_use]
     pub fn speed(&self) -> f64 {
         self.velocity.norm()
-    }
-
-    /// Relative speed magnitude |v_i − v_j| in m/s.
-    #[must_use]
-    pub fn relative_speed(&self, other: &VehicleState) -> f64 {
-        (self.velocity - other.velocity).norm()
     }
 }
 
@@ -80,9 +70,6 @@ mod tests {
             position: Vec2::new(pos.0, pos.1),
             velocity: Vec2::new(vel.0, vel.1),
             acceleration: 0.0,
-            heading: Heading::from_vec(Vec2::new(vel.0, vel.1)),
-            lane: 0,
-            desired_speed: 30.0,
         }
     }
 
@@ -92,7 +79,6 @@ mod tests {
         let b = car(2, (30.0, 40.0), (0.0, 0.0));
         assert_eq!(a.speed(), 5.0);
         assert_eq!(crate::geometry::distance(a.position, b.position), 50.0);
-        assert_eq!(a.relative_speed(&b), 5.0);
     }
 
     #[test]

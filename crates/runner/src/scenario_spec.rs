@@ -5,7 +5,7 @@
 //! returns a [`ScenarioParseError`] naming the field that was wrong, which
 //! the CLI prints verbatim.
 
-use vanet_core::{FaultPlan, Scenario, TrafficRegime};
+use vanet_core::{FaultKind, FaultPlan, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// A failed scenario-specifier parse: which specifier, and which part of it
@@ -38,12 +38,13 @@ fn error(spec: &str, message: impl Into<String>) -> ScenarioParseError {
 }
 
 fn count(spec: &str, family: &str, raw: &str) -> Result<usize, ScenarioParseError> {
-    raw.parse().map_err(|_| {
-        error(
+    match raw.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(error(
             spec,
             format!("{family} vehicle count {raw:?} is not a positive integer"),
-        )
-    })
+        )),
+    }
 }
 
 /// Parses one fault-injection option (`fault=...`) into `plan`.
@@ -164,12 +165,14 @@ fn parse_fault(spec: &str, value: &str, plan: FaultPlan) -> Result<FaultPlan, Sc
 ///   `fault=node:10..20s`, `fault=rsu:1`, `fault=jam:5:0.9:10..30s`,
 ///   `fault=burst:0.5:2..4s`, `fault=panic:1s` — see `parse_fault` for the
 ///   grammar; the assembled [`FaultPlan`] is validated as a whole, rejecting
-///   inverted/empty windows and overlapping windows for one target.
+///   inverted/empty windows, overlapping windows for one target, and outages
+///   of a vehicle or RSU the scenario does not have.
 ///
 /// # Errors
 ///
 /// Returns a [`ScenarioParseError`] naming the bad field: the scenario
-/// family, the vehicle count, or the offending option key/value.
+/// family, the vehicle count (which must be positive), or the offending
+/// option key/value.
 pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
     let (base, options) = match spec.split_once(':') {
         Some((b, o)) => (b, Some(o)),
@@ -285,6 +288,24 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
         faults
             .validate()
             .map_err(|fault_error| error(spec, format!("invalid fault plan: {fault_error}")))?;
+        // An outage of a node the scenario does not have would be dropped
+        // at build and the run would go as if the fault were absent.
+        for fault in &faults.faults {
+            let (target, limit, unit) = match fault.kind {
+                FaultKind::NodeOutage { node } => (node, scenario.vehicle_count(), "vehicles"),
+                FaultKind::RsuOutage { rsu } => (rsu, scenario.rsu_count, "rsus"),
+                _ => continue,
+            };
+            if target as usize >= limit {
+                return Err(error(
+                    spec,
+                    format!(
+                        "fault {} is outside the scenario's {limit} {unit} (valid ids: 0..{limit})",
+                        fault.kind.target_desc()
+                    ),
+                ));
+            }
+        }
         scenario = scenario.with_faults(faults);
     }
     Ok(scenario)
@@ -400,7 +421,8 @@ mod tests {
         assert_eq!(s.faults.faults[0].start_s, 10.0);
         assert_eq!(s.faults.faults[0].end_s, 20.0);
 
-        let s = parse("highway-20:fault=node:3:5s..,fault=rsu:1,fault=jam:5:0.9:10..30s").unwrap();
+        let s = parse("highway-20:rsus=2,fault=node:3:5s..,fault=rsu:1,fault=jam:5:0.9:10..30s")
+            .unwrap();
         assert_eq!(s.faults.faults.len(), 3);
         assert_eq!(s.faults.faults[0].kind, FaultKind::NodeOutage { node: 3 });
         assert_eq!(s.faults.faults[0].start_s, 5.0);
@@ -443,5 +465,28 @@ mod tests {
         assert!(err.message.contains("invalid fault plan"), "{err}");
         let err = parse("highway-20:fault=burst:1.5").unwrap_err();
         assert!(err.message.contains("invalid fault plan"), "{err}");
+    }
+
+    #[test]
+    fn empty_fleets_and_absent_fault_targets_are_rejected() {
+        for family in ["highway", "urban", "megacity", "disrupted"] {
+            let err = parse(&format!("{family}-0")).unwrap_err();
+            assert!(
+                err.message.contains(&format!(
+                    "{family} vehicle count \"0\" is not a positive integer"
+                )),
+                "{err}"
+            );
+        }
+        let err = parse("highway-5:fault=node:999").unwrap_err();
+        assert!(err.message.contains("fault node 999"), "{err}");
+        assert!(err.message.contains("5 vehicles"), "{err}");
+        let err = parse("highway-5:rsus=2,fault=rsu:7").unwrap_err();
+        assert!(err.message.contains("fault rsu 7"), "{err}");
+        assert!(err.message.contains("2 rsus"), "{err}");
+        // Without rsus= the scenario has none, so any RSU outage is absent.
+        assert!(parse("highway-5:fault=rsu:0").is_err());
+        // The last id of each kind is still a target.
+        assert!(parse("highway-5:rsus=2,fault=node:4,fault=rsu:1").is_ok());
     }
 }

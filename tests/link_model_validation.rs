@@ -233,7 +233,7 @@ fn highway_neighbour_counts_scale_with_density() {
             .build(&mut rng);
         let states = hw.states();
         let mut total = 0usize;
-        for a in states {
+        for a in &states {
             total += states
                 .iter()
                 .filter(|b| b.id != a.id && distance(a.position, b.position) <= 250.0)
