@@ -372,8 +372,8 @@ impl<T: Telemetry> Simulation<T> {
         let expected_candidates = (expected_neighbors * 3.0) as usize + 16;
         medium.reserve_for_neighborhood(expected_candidates);
         // Room for a spill block per node on top of its expected chain, each
-        // block with a payload slot per key: neither slab doubles mid-run,
-        // and reserving first-touches nothing.
+        // block with a payload slot per key and two adverts: no slab
+        // doubles mid-run, and reserving first-touches nothing.
         let neighbor_arena = NeighborArena::with_block_capacity(NeighborArena::blocks_for(
             node_count,
             expected_neighbors,

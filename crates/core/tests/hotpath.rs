@@ -62,12 +62,14 @@ fn megacity_10k_smoke_is_deterministic_and_bounded() {
     // random id order, so they settle near the B-tree fill of ln 2 (0.682
     // here: 408,495 entries in 18,715 blocks); far outside it, splits or
     // frees have gone wrong. The slabs have grown into 264 bytes per key
-    // block and 40 per payload slot.
+    // block, 16 per payload slot and 40 per advert: 18,715 × 264 +
+    // 408,495 × 16 + 19,383 × 40 = 12,252,000 bytes. The 19,383 adverts
+    // are the beacons some table still holds, ~21 entries naming each.
     let (occupancy, held) = sim.neighbor_occupancy();
     assert_eq!(occupancy.slots_live, held, "{occupancy:?}");
     assert_eq!(
         occupancy.slab_bytes(),
-        18_715 * 264 + 408_495 * 40,
+        18_715 * 264 + 408_495 * 16 + 19_383 * 40,
         "{occupancy:?}"
     );
     assert!(

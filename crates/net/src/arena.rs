@@ -1,21 +1,25 @@
-//! The neighbour store: two slabs for the whole fleet.
+//! The neighbour store: three slabs for the whole fleet.
 //!
-//! [`NeighborArena`] holds every node's neighbour entries in **two
+//! [`NeighborArena`] holds every node's neighbour entries in **three
 //! contiguous slabs**. Small *key blocks* carry a node's neighbour ids
 //! (index-linked, ascending by [`NodeId`] across the node's chain), and
-//! beside each id the index of its entry in one dense *payload slab* that
-//! holds exactly one 40-byte `Entry` per live neighbour: position, velocity
-//! and expiry, and not the id, which the key beside its slot index already
-//! is. A node holds a 16-byte [`ArenaTable`] handle instead of owning
-//! storage, and key blocks and payload slots freed by neighbour churn go on
-//! free lists for O(1) reuse. `observe` — the hottest call on the beacon
-//! plane — walks a couple of 264-byte key blocks and then touches one
-//! payload: a refresh overwrites it in place, an insert shifts 4-byte keys
-//! and slot indices, and a split moves no payload at all.
-//! [`NeighborArena::observe_batch`] observes one sender at many receivers
-//! over a slice of handles: a first pass takes the first step of every
-//! receiver's walk, so their cache misses overlap, then a second pass
-//! upserts.
+//! beside each id the index of its entry in a dense *payload slab* that
+//! holds one 16-byte `Entry` per live neighbour: its expiry and the index
+//! of an `Advert` in the *advert slab*. An advert is one beacon's
+//! kinematics — the sender's position and velocity, 40 bytes with the
+//! sender and a reference count — stored once however many receivers hold
+//! it: every reception of one frame names the same advert, and so does a
+//! repeat beacon with bit-identical kinematics. A node holds a 16-byte
+//! [`ArenaTable`] handle instead of owning storage, and key blocks, payload
+//! slots and adverts freed by neighbour churn go on free lists for O(1)
+//! reuse (an advert when the last entry naming it lets go). `observe` — the
+//! hottest call on the beacon plane — walks a couple of 264-byte key blocks
+//! and then touches one payload: a refresh overwrites it in place, an
+//! insert shifts 4-byte keys and slot indices, and a split moves no payload
+//! at all. [`NeighborArena::observe_batch`] observes one sender at many
+//! receivers over a slice of handles, with one advert for the lot: a first
+//! pass takes the first step of every receiver's walk, so their cache
+//! misses overlap, then a second pass upserts.
 //!
 //! Expiry is *lazy*: a handle carries [`ArenaTable::next_deadline`], a
 //! conservative lower bound on the earliest `expires_at` of any live entry
@@ -29,20 +33,22 @@
 //! [`NeighborView`], a copyable handle-plus-arena pair with the read API
 //! (`contains` / `get` / `iter` / `closest_to` / `greedy_next_hop`) in the
 //! ascending-id iteration order the deterministic driver depends on. It
-//! hands out [`NeighborInfo`]s by value, each an entry joined to its key.
+//! hands out [`NeighborInfo`]s by value, each an entry joined to its key
+//! and its advert.
 //!
 //! This is the only implementation. What it is checked against is a
 //! test-only naive model at the bottom of this file (a `BTreeMap` per node,
 //! sharing no code with the slabs): the property tests here and in
 //! `neighbor.rs` drive both through randomised churn and pin identical
 //! observe results, iteration order, loss observations and deadline
-//! evolution, and check after every tick that both slabs' books balance.
+//! evolution, and check after every tick that all three slabs' books
+//! balance, advert reference counts included.
 
 // lint: hot-path
 
 use crate::neighbor::NeighborInfo;
 use vanet_mobility::geometry::distance;
-use vanet_mobility::{Position, Velocity};
+use vanet_mobility::{Position, Vec2, Velocity};
 use vanet_sim::{NodeId, SimDuration, SimTime};
 
 /// Keys per block. An urban neighbourhood (~40 neighbours) is a two-block
@@ -52,8 +58,8 @@ use vanet_sim::{NodeId, SimDuration, SimTime};
 /// first touch) read 0.99× and 1.13×, with 24 MiB more at 100k nodes.
 const BLOCK_KEYS: usize = 32;
 
-/// Null index for both slabs (each can therefore hold up to `u32::MAX - 1`
-/// elements, far beyond any fleet this simulates).
+/// Null index for all three slabs (each can therefore hold up to
+/// `u32::MAX - 1` elements, far beyond any fleet this simulates).
 const NIL: u32 = u32::MAX;
 
 /// One key block: up to [`BLOCK_KEYS`] ids ascending, each paired with the
@@ -71,36 +77,113 @@ struct KeyBlock {
     slot: [u32; BLOCK_KEYS],
 }
 
-/// One live neighbour's payload. Its id is the key that indexes it. A slot
-/// on the free list holds the index of the next free slot in `expires_at`
-/// instead, as whole seconds: every `u32` is exact in an `f64`.
+/// One live neighbour's payload. Its id is the key that indexes it, and
+/// what the neighbour last advertised is the advert it names. A slot on the
+/// free list holds the index of the next free slot in `advert` instead.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    expires_at: SimTime,
+    advert: u32,
+}
+
+/// One beacon's kinematics, shared by every entry that names it.
+#[derive(Debug, Clone, Copy)]
+struct Advert {
     position: Position,
     velocity: Velocity,
-    expires_at: SimTime,
+    /// The advertiser. An advert on the free list holds the index of the
+    /// next free advert here instead.
+    sender: NodeId,
+    /// How many live entries name this advert; 0 exactly when it is free.
+    refs: u32,
 }
 
 // The layout the slabs are sized by: what `ArenaOccupancy::slab_bytes`
 // counts, and what a view builds per neighbour it hands out.
-const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+const _: () = assert!(std::mem::size_of::<Advert>() == 40);
 const _: () = assert!(std::mem::size_of::<KeyBlock>() == 264);
 const _: () = assert!(std::mem::size_of::<NeighborInfo>() == 48);
 
-impl Entry {
-    /// The entry joined to its key, as the views hand it out.
-    fn info(self, id: NodeId) -> NeighborInfo {
-        NeighborInfo {
-            id,
-            position: self.position,
-            velocity: self.velocity,
-            expires_at: self.expires_at,
+/// Whether two vectors are the same bits: `-0.0` is not `0.0`, so a reused
+/// advert reads back exactly what the beacon carried.
+fn same_bits(a: Vec2, b: Vec2) -> bool {
+    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
+}
+
+/// The advert slab: each advertised `(position, velocity)` once, reference
+/// counted by the entries that name it, with a free list, and per sender
+/// the advert its latest beacon minted.
+#[derive(Debug, Clone)]
+struct Adverts {
+    slab: Vec<Advert>,
+    /// Head of the free adverts, linked through [`Advert::sender`].
+    free: u32,
+    free_count: usize,
+    /// `latest[s]` is the advert last minted for sender `s`, or [`NIL`]. It
+    /// may since have been freed or recycled for another sender, so it is
+    /// only a hint that [`Adverts::intern`] checks.
+    latest: Vec<u32>,
+}
+
+impl Adverts {
+    /// The advert for `sender` advertising `(position, velocity)`: the
+    /// sender's latest if it is live, still the sender's, and
+    /// bit-identical, else a fresh one with no references yet, which the
+    /// caller's upsert must name at once.
+    fn intern(&mut self, sender: NodeId, position: Position, velocity: Velocity) -> u32 {
+        let s = sender.index();
+        if s >= self.latest.len() {
+            self.latest.resize(s + 1, NIL);
         }
+        let latest = self.latest[s];
+        if latest != NIL {
+            let a = &self.slab[latest as usize];
+            if a.refs > 0
+                && a.sender == sender
+                && same_bits(a.position, position)
+                && same_bits(a.velocity, velocity)
+            {
+                return latest;
+            }
+        }
+        let advert = Advert {
+            position,
+            velocity,
+            sender,
+            refs: 0,
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            let slot = &mut self.slab[idx as usize];
+            self.free = slot.sender.0;
+            self.free_count -= 1;
+            *slot = advert;
+            idx
+        } else {
+            let idx = u32::try_from(self.slab.len()).expect("advert slab outgrew u32 indices");
+            assert!(idx != NIL, "advert slab outgrew u32 indices");
+            self.slab.push(advert);
+            idx
+        };
+        self.latest[s] = idx;
+        idx
     }
 
-    /// The next free slot after this free one.
-    fn link(self) -> u32 {
-        self.expires_at.as_secs() as u32
+    /// One more entry names `idx`.
+    fn retain(&mut self, idx: u32) {
+        self.slab[idx as usize].refs += 1;
+    }
+
+    /// One entry fewer names `idx`; the last one frees it.
+    fn release(&mut self, idx: u32) {
+        let advert = &mut self.slab[idx as usize];
+        advert.refs -= 1;
+        if advert.refs == 0 {
+            advert.sender = NodeId(self.free);
+            self.free = idx;
+            self.free_count += 1;
+        }
     }
 }
 
@@ -208,8 +291,8 @@ impl Reception {
     }
 }
 
-/// How full the arena's two slabs are ([`NeighborArena::occupancy`]). Live
-/// plus free is each slab's length.
+/// How full the arena's three slabs are ([`NeighborArena::occupancy`]).
+/// Live plus free is each slab's length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaOccupancy {
     /// Key blocks linked into some node's chain.
@@ -221,16 +304,21 @@ pub struct ArenaOccupancy {
     pub slots_live: usize,
     /// Payload slots parked on the free list.
     pub slots_free: usize,
+    /// Adverts named by at least one live entry.
+    pub adverts_live: usize,
+    /// Adverts parked on the free list.
+    pub adverts_free: usize,
 }
 
 impl ArenaOccupancy {
-    /// Bytes the two slabs have grown into, live and free alike: key blocks
-    /// at 264 bytes and payload slots at 40. Reserved but untouched capacity
-    /// is not counted.
+    /// Bytes the three slabs have grown into, live and free alike: key
+    /// blocks at 264 bytes, payload slots at 16 and adverts at 40. Reserved
+    /// but untouched capacity is not counted.
     #[must_use]
     pub fn slab_bytes(&self) -> usize {
         (self.blocks_live + self.blocks_free) * std::mem::size_of::<KeyBlock>()
             + (self.slots_live + self.slots_free) * std::mem::size_of::<Entry>()
+            + (self.adverts_live + self.adverts_free) * std::mem::size_of::<Advert>()
     }
 
     /// Live entries per live key-block position (0 for an empty arena): how
@@ -244,9 +332,17 @@ impl ArenaOccupancy {
     }
 }
 
-/// The shared neighbour-state slabs: one `Vec<KeyBlock>` and one
-/// `Vec<Entry>` for the whole fleet, each with an intrusive free list
-/// recycling what churn vacates.
+/// An empty slab with room for `n` elements. Only
+/// [`NeighborArena::with_block_capacity`] calls it.
+fn reserve<T>(n: usize) -> Vec<T> {
+    // lint: allow(P1) — pre-sizing at scenario setup (nothing for `new`):
+    // each slab's one allocation, so the steady state never reallocates.
+    Vec::with_capacity(n)
+}
+
+/// The shared neighbour-state slabs: one `Vec<KeyBlock>`, one `Vec<Entry>`
+/// and one `Vec<Advert>` for the whole fleet, each with an intrusive free
+/// list recycling what churn vacates.
 #[derive(Debug, Clone)]
 pub struct NeighborArena {
     blocks: Vec<KeyBlock>,
@@ -254,9 +350,10 @@ pub struct NeighborArena {
     free_blocks: usize,
     payload: Vec<Entry>,
     /// Head of the free payload slots. A freed slot is never observable, so
-    /// its `expires_at` holds the link to the next one ([`Entry::link`]).
+    /// its `advert` holds the link to the next one.
     free_slot: u32,
     free_slots: usize,
+    adverts: Adverts,
 }
 
 impl Default for NeighborArena {
@@ -274,24 +371,29 @@ impl NeighborArena {
     }
 
     /// Creates an arena with room for `blocks` full key blocks — that many
-    /// blocks, and a payload slot for each of their keys — before either
-    /// slab has to reallocate. Sized from the scenario's node count and
-    /// expected neighbour density, so neither slab doubles mid-run (a
-    /// doubling briefly holds both buffers). Reserving touches nothing: a
-    /// slab's pages are first touched as it grows into them.
+    /// blocks, a payload slot for each of their keys, two adverts and a
+    /// sender's `latest` slot per block — before any slab has to
+    /// reallocate. Sized from the scenario's node count and expected
+    /// neighbour density ([`NeighborArena::blocks_for`], at least a block a
+    /// node), so no slab doubles mid-run (a doubling briefly holds both
+    /// buffers); on the benchmark's simulation workloads the advert slab
+    /// grows to 0.26–1.4 adverts per reserved block. Reserving touches
+    /// nothing: a slab's pages are first touched as it grows into them.
     #[must_use]
     pub fn with_block_capacity(blocks: usize) -> Self {
-        let slots = blocks.saturating_mul(BLOCK_KEYS);
-        // lint: allow(P1) — pre-sizing at scenario setup (nothing for `new`):
-        // each slab's one allocation, so the steady state never reallocates.
-        let (key_blocks, payload) = (Vec::with_capacity(blocks), Vec::with_capacity(slots));
         NeighborArena {
-            blocks: key_blocks,
+            blocks: reserve(blocks),
             free_block: NIL,
             free_blocks: 0,
-            payload,
+            payload: reserve(blocks.saturating_mul(BLOCK_KEYS)),
             free_slot: NIL,
             free_slots: 0,
+            adverts: Adverts {
+                slab: reserve(blocks.saturating_mul(2)),
+                free: NIL,
+                free_count: 0,
+                latest: reserve(blocks),
+            },
         }
     }
 
@@ -304,7 +406,7 @@ impl NeighborArena {
         nodes.saturating_mul(per_node)
     }
 
-    /// Live and free key blocks and payload slots.
+    /// Live and free key blocks, payload slots and adverts.
     #[must_use]
     pub fn occupancy(&self) -> ArenaOccupancy {
         ArenaOccupancy {
@@ -312,6 +414,8 @@ impl NeighborArena {
             blocks_free: self.free_blocks,
             slots_live: self.payload.len() - self.free_slots,
             slots_free: self.free_slots,
+            adverts_live: self.adverts.slab.len() - self.adverts.free_count,
+            adverts_free: self.adverts.free_count,
         }
     }
 
@@ -333,12 +437,14 @@ impl NeighborArena {
     }
 
     /// Stores `entry` in a free payload slot (the most recently freed, else
-    /// a new one at the end of the slab) and returns its index.
+    /// a new one at the end of the slab), counts it among its advert's
+    /// references, and returns its index.
     fn alloc_slot(&mut self, entry: Entry) -> u32 {
+        self.adverts.retain(entry.advert);
         if self.free_slot != NIL {
             let idx = self.free_slot;
             let slot = &mut self.payload[idx as usize];
-            self.free_slot = slot.link();
+            self.free_slot = slot.advert;
             self.free_slots -= 1;
             *slot = entry;
             idx
@@ -364,9 +470,8 @@ impl NeighborArena {
         lifetime: SimDuration,
     ) -> bool {
         let entry = Entry {
-            position,
-            velocity,
             expires_at: now + lifetime,
+            advert: self.adverts.intern(id, position, velocity),
         };
         let start = table.head;
         self.observe_from(table, start, id, entry)
@@ -375,6 +480,8 @@ impl NeighborArena {
     /// One sender heard by many receivers: [`NeighborArena::observe`] for
     /// each of `receptions` in turn, on `tables[reception.table]` at the
     /// reception's time, with the result left in [`Reception::gained`].
+    /// Every reception names one advert; none is minted when there are no
+    /// receptions.
     ///
     /// It runs in two passes. The first reads each receiver's handle and
     /// the last key and link of its head block, and records where the walk
@@ -395,6 +502,10 @@ impl NeighborArena {
         lifetime: SimDuration,
         receptions: &mut [Reception],
     ) {
+        if receptions.is_empty() {
+            return;
+        }
+        let advert = self.adverts.intern(id, position, velocity);
         for reception in receptions.iter_mut() {
             let head = tables[reception.table as usize].head;
             reception.start = head;
@@ -407,9 +518,8 @@ impl NeighborArena {
         }
         for reception in receptions.iter_mut() {
             let entry = Entry {
-                position,
-                velocity,
                 expires_at: reception.at + lifetime,
+                advert,
             };
             let table = &mut tables[reception.table as usize];
             reception.gained = self.observe_from(table, reception.start, id, entry);
@@ -442,7 +552,9 @@ impl NeighborArena {
     /// id. The walk begins at block `start` ([`NIL`]: the head). Full blocks
     /// split in half (classic unrolled-list insert); appends past a full
     /// tail block link a fresh block instead, which keeps the
-    /// monotonically-growing case dense.
+    /// monotonically-growing case dense. Either way the entry's advert
+    /// gains a reference, unless the refreshed payload already named it;
+    /// the advert a refresh replaces loses one.
     fn upsert(&mut self, table: &mut ArenaTable, start: u32, id: NodeId, entry: Entry) -> bool {
         if table.head == NIL {
             let nb = self.alloc_block();
@@ -465,8 +577,12 @@ impl NeighborArena {
         let n = blk.len as usize;
         let pos = blk.keys[..n].iter().position(|&k| k >= id).unwrap_or(n);
         if pos < n && blk.keys[pos] == id {
-            let slot = blk.slot[pos];
-            self.payload[slot as usize] = entry;
+            let payload = &mut self.payload[blk.slot[pos] as usize];
+            let replaced = std::mem::replace(payload, entry).advert;
+            if replaced != entry.advert {
+                self.adverts.retain(entry.advert);
+                self.adverts.release(replaced);
+            }
             return false;
         }
         table.len += 1;
@@ -506,8 +622,9 @@ impl NeighborArena {
     /// Lazy purge: removes entries with `expires_at < now` and appends their
     /// ids (ascending) to `out`. O(1) while [`ArenaTable::next_deadline`]
     /// has not fallen due; otherwise one chain scan that frees expired
-    /// payload slots and emptied key blocks to their free lists and tightens
-    /// the bound to the exact earliest `expires_at` of the survivors.
+    /// payload slots, emptied key blocks and adverts no entry names any more
+    /// to their free lists and tightens the bound to the exact earliest
+    /// `expires_at` of the survivors.
     pub fn purge_due(&mut self, table: &mut ArenaTable, now: SimTime, out: &mut Vec<NodeId>) {
         if table.next_deadline >= now {
             return;
@@ -530,7 +647,8 @@ impl NeighborArena {
                 let entry = &mut self.payload[slot as usize];
                 if entry.expires_at < now {
                     out.push(blk.keys[read]);
-                    entry.expires_at = SimTime::from_secs(f64::from(self.free_slot));
+                    self.adverts.release(entry.advert);
+                    entry.advert = self.free_slot;
                     self.free_slot = slot;
                     self.free_slots += 1;
                 } else {
@@ -579,11 +697,23 @@ impl NeighborArena {
         None
     }
 
+    /// The entry in payload slot `slot` joined to its key `id` and its
+    /// advert, as the views hand it out.
+    fn info(&self, slot: u32, id: NodeId) -> NeighborInfo {
+        let entry = self.payload[slot as usize];
+        let advert = &self.adverts.slab[entry.advert as usize];
+        NeighborInfo {
+            id,
+            position: advert.position,
+            velocity: advert.velocity,
+            expires_at: entry.expires_at,
+        }
+    }
+
     /// Looks up a neighbour.
     #[must_use]
     pub(crate) fn get(&self, table: &ArenaTable, id: NodeId) -> Option<NeighborInfo> {
-        self.slot_of(table, id)
-            .map(|slot| self.payload[slot as usize].info(id))
+        self.slot_of(table, id).map(|slot| self.info(slot, id))
     }
 
     /// Whether `id` is currently a neighbour.
@@ -625,7 +755,7 @@ impl<'a> Iterator for ArenaIter<'a> {
         while self.block != NIL {
             let blk = &self.arena.blocks[self.block as usize];
             if self.pos < blk.len as usize {
-                let item = self.arena.payload[blk.slot[self.pos] as usize].info(blk.keys[self.pos]);
+                let item = self.arena.info(blk.slot[self.pos], blk.keys[self.pos]);
                 self.pos += 1;
                 return Some(item);
             }
@@ -691,6 +821,100 @@ impl<'a> NeighborView<'a> {
     pub fn greedy_next_hop(&self, target: Position, own_distance: f64) -> Option<NeighborInfo> {
         self.closest_to(target)
             .filter(|n| distance(n.position, target) < own_distance)
+    }
+}
+
+#[cfg(test)]
+impl NeighborArena {
+    /// The books law of all three slabs, with `handles` the arena's every
+    /// live handle: each key block is on the free list or on exactly one
+    /// live chain; each payload slot is on the free list or referenced by
+    /// exactly one key; a handle's cached length is what a walk of its chain
+    /// yields; the referenced slots number the handles' lengths summed,
+    /// which is what `occupancy` reports as live; every live entry names a
+    /// live advert of its own key's sender; each live advert's count is the
+    /// number of live entries naming it; and each free advert, its count 0,
+    /// is on the free list exactly once.
+    pub(crate) fn assert_books_balance(&self, handles: &[ArenaTable], at: &str) {
+        let mut block_refs = vec![0u32; self.blocks.len()];
+        let mut slot_refs = vec![0u32; self.payload.len()];
+        let mut advert_refs = vec![0u32; self.adverts.slab.len()];
+        let mut held = 0;
+        for t in handles {
+            let mut walked = 0;
+            let mut cur = t.head;
+            while cur != NIL {
+                let blk = &self.blocks[cur as usize];
+                block_refs[cur as usize] += 1;
+                for (&key, &slot) in blk.keys.iter().zip(&blk.slot).take(blk.len as usize) {
+                    slot_refs[slot as usize] += 1;
+                    let advert = self.payload[slot as usize].advert;
+                    advert_refs[advert as usize] += 1;
+                    assert_eq!(
+                        self.adverts.slab[advert as usize].sender, key,
+                        "{at}: an entry names another sender's advert"
+                    );
+                }
+                walked += blk.len as usize;
+                cur = blk.next;
+            }
+            assert_eq!(t.len(), walked, "{at}: cached length is not the chain's");
+            held += walked;
+        }
+        let (mut free_blocks, mut cur) = (0, self.free_block);
+        while cur != NIL {
+            block_refs[cur as usize] += 1;
+            free_blocks += 1;
+            cur = self.blocks[cur as usize].next;
+        }
+        let (mut free_slots, mut cur) = (0, self.free_slot);
+        while cur != NIL {
+            slot_refs[cur as usize] += 1;
+            free_slots += 1;
+            cur = self.payload[cur as usize].advert;
+        }
+        let mut on_free_list = vec![0u32; self.adverts.slab.len()];
+        let (mut free_adverts, mut cur) = (0, self.adverts.free);
+        while cur != NIL && on_free_list[cur as usize] == 0 {
+            on_free_list[cur as usize] += 1;
+            free_adverts += 1;
+            cur = self.adverts.slab[cur as usize].sender.0;
+        }
+        assert_eq!(cur, NIL, "{at}: the free advert list runs into a cycle");
+        assert!(
+            block_refs.iter().all(|&r| r == 1),
+            "{at}: a key block is not on exactly one chain or the free list"
+        );
+        assert!(
+            slot_refs.iter().all(|&r| r == 1),
+            "{at}: a payload slot is not under exactly one key or on the free list"
+        );
+        for (i, advert) in self.adverts.slab.iter().enumerate() {
+            if on_free_list[i] == 1 {
+                assert_eq!(
+                    (advert.refs, advert_refs[i]),
+                    (0, 0),
+                    "{at}: advert {i} is free but counted or named"
+                );
+            } else {
+                assert!(advert.refs > 0, "{at}: advert {i} is unnamed but not free");
+                assert_eq!(
+                    advert.refs, advert_refs[i],
+                    "{at}: advert {i}'s count is not the entries naming it"
+                );
+            }
+        }
+        let occupancy = self.occupancy();
+        assert_eq!(
+            (
+                occupancy.blocks_free,
+                occupancy.slots_free,
+                occupancy.adverts_free
+            ),
+            (free_blocks, free_slots, free_adverts),
+            "{at}: free-list counts diverged from the lists"
+        );
+        assert_eq!(occupancy.slots_live, held, "{at}: live slots ≠ Σ lengths");
     }
 }
 
@@ -812,60 +1036,6 @@ mod tests {
         )
     }
 
-    /// The books law of both slabs, with `handles` the arena's every live
-    /// handle: each key block is on the free list or on exactly one live
-    /// chain; each payload slot is on the free list or referenced by exactly
-    /// one key; a handle's cached length is what a walk of its chain yields;
-    /// and the referenced slots number the handles' lengths summed, which is
-    /// what `occupancy` reports as live.
-    fn assert_books_balance(arena: &NeighborArena, handles: &[ArenaTable], at: &str) {
-        let mut block_refs = vec![0u32; arena.blocks.len()];
-        let mut slot_refs = vec![0u32; arena.payload.len()];
-        let mut held = 0;
-        for t in handles {
-            let mut walked = 0;
-            let mut cur = t.head;
-            while cur != NIL {
-                let blk = &arena.blocks[cur as usize];
-                block_refs[cur as usize] += 1;
-                for &slot in &blk.slot[..blk.len as usize] {
-                    slot_refs[slot as usize] += 1;
-                }
-                walked += blk.len as usize;
-                cur = blk.next;
-            }
-            assert_eq!(t.len(), walked, "{at}: cached length is not the chain's");
-            held += walked;
-        }
-        let (mut free_blocks, mut cur) = (0, arena.free_block);
-        while cur != NIL {
-            block_refs[cur as usize] += 1;
-            free_blocks += 1;
-            cur = arena.blocks[cur as usize].next;
-        }
-        let (mut free_slots, mut cur) = (0, arena.free_slot);
-        while cur != NIL {
-            slot_refs[cur as usize] += 1;
-            free_slots += 1;
-            cur = arena.payload[cur as usize].link();
-        }
-        assert!(
-            block_refs.iter().all(|&r| r == 1),
-            "{at}: a key block is not on exactly one chain or the free list"
-        );
-        assert!(
-            slot_refs.iter().all(|&r| r == 1),
-            "{at}: a payload slot is not under exactly one key or on the free list"
-        );
-        let occupancy = arena.occupancy();
-        assert_eq!(
-            (occupancy.blocks_free, occupancy.slots_free),
-            (free_blocks, free_slots),
-            "{at}: free-list counts diverged from the lists"
-        );
-        assert_eq!(occupancy.slots_live, held, "{at}: live slots ≠ Σ lengths");
-    }
-
     #[test]
     fn observe_insert_refresh_and_lookup() {
         let mut arena = NeighborArena::new();
@@ -891,6 +1061,7 @@ mod tests {
         let one = ArenaOccupancy {
             blocks_live: 1,
             slots_live: 1,
+            adverts_live: 1,
             ..ArenaOccupancy::default()
         };
         assert_eq!(arena.occupancy(), one);
@@ -913,7 +1084,7 @@ mod tests {
         let expect: Vec<u32> = (0..(3 * BLOCK_KEYS as u32)).collect();
         assert_eq!(seen, expect);
         assert_eq!(t.len(), expect.len());
-        assert_books_balance(&arena, &[t], "after the spills");
+        arena.assert_books_balance(&[t], "after the spills");
     }
 
     /// Churn reuses freed key blocks *and* payload slots: neither slab grows.
@@ -946,10 +1117,10 @@ mod tests {
             "churn must reuse freed key blocks and payload slots"
         );
         assert_eq!(arena.occupancy().slots_free, 0);
-        assert_books_balance(&arena, &[a, b], "after the reuse");
+        arena.assert_books_balance(&[a, b], "after the reuse");
     }
 
-    /// A purged slot holds its free-list link in `expires_at`. Recycled, it
+    /// A purged slot holds its free-list link in `advert`. Recycled, it
     /// must read back through every read path as exactly its new entry, and
     /// the slots still free must chain through their links — the last one
     /// through [`NIL`].
@@ -964,7 +1135,7 @@ mod tests {
         let mut lost = Vec::new();
         arena.purge_due(&mut a, SimTime::from_secs(2.0), &mut lost);
         assert_eq!(lost, (0..12).map(NodeId).collect::<Vec<_>>());
-        assert_books_balance(&arena, &[a, b], "after the purge");
+        arena.assert_books_balance(&[a, b], "after the purge");
         let mut naive = NaiveTable::new();
         let (at, life) = (SimTime::from_secs(2.5), SimDuration::from_secs(3.0));
         for id in [40, 7, 23, 15, 31] {
@@ -976,7 +1147,7 @@ mod tests {
         assert_eq!(arena.payload.len(), 24, "the inserts must recycle slots");
         let occupancy = arena.occupancy();
         assert_eq!((occupancy.slots_live, occupancy.slots_free), (17, 7));
-        assert_books_balance(&arena, &[a, b], "after the reuse");
+        arena.assert_books_balance(&[a, b], "after the reuse");
 
         let view = arena.view(&a);
         let expect: Vec<NeighborInfo> = naive.entries.values().copied().collect();
@@ -1007,7 +1178,7 @@ mod tests {
         arena.purge_due(&mut b, SimTime::from_secs(10.0), &mut lost);
         let drained = arena.occupancy();
         assert_eq!((drained.slots_live, drained.slots_free), (0, 24));
-        assert_books_balance(&arena, &[a, b], "after draining both");
+        arena.assert_books_balance(&[a, b], "after draining both");
     }
 
     #[test]
@@ -1018,11 +1189,164 @@ mod tests {
         for id in 0..(BLOCK_KEYS as u32 + 1) {
             obs(&mut arena, &mut t, id, 0.0, 0.0, 1.0);
         }
+        // Two key blocks, and a 16-byte payload slot and a 40-byte advert
+        // for each of the 33 senders.
         let full = arena.occupancy();
         assert_eq!(full.blocks_live, 2);
-        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * 40);
+        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * (16 + 40));
         arena.purge_due(&mut t, SimTime::from_secs(5.0), &mut Vec::new());
         assert_eq!(arena.occupancy().slab_bytes(), full.slab_bytes());
+    }
+
+    /// One frame heard by many receivers is one advert, whatever the mix of
+    /// inserts and refreshes; an empty batch mints none.
+    #[test]
+    fn one_batch_of_receptions_mints_one_advert() {
+        let mut arena = NeighborArena::new();
+        let mut tables = vec![ArenaTable::new(); 8];
+        let (pos, vel) = (Vec2::new(10.0, 20.0), Vec2::new(-3.0, 0.5));
+        let life = SimDuration::from_secs(3.0);
+        arena.observe_batch(&mut tables, NodeId(99), pos, vel, life, &mut []);
+        assert_eq!(arena.occupancy(), ArenaOccupancy::default());
+        // Half the tables have heard the sender before, at other kinematics.
+        for t in tables.iter_mut().step_by(2) {
+            arena.observe(t, NodeId(99), Vec2::ZERO, Vec2::ZERO, SimTime::ZERO, life);
+        }
+        let at = SimTime::from_secs(1.0);
+        let mut receptions: Vec<Reception> = (0..8).map(|w| Reception::new(w, at)).collect();
+        arena.observe_batch(&mut tables, NodeId(99), pos, vel, life, &mut receptions);
+        let gained = receptions.iter().filter(|r| r.gained()).count();
+        assert_eq!(gained, 4);
+        let occupancy = arena.occupancy();
+        assert_eq!((occupancy.adverts_live, occupancy.adverts_free), (1, 1));
+        assert_eq!(occupancy.slots_live, 8);
+        arena.assert_books_balance(&tables, "after the batch");
+        for t in &tables {
+            let n = arena.get(t, NodeId(99)).unwrap();
+            assert_eq!((n.position, n.velocity), (pos, vel));
+        }
+    }
+
+    /// A repeat beacon with bit-identical kinematics (a parked car, an RSU)
+    /// names the advert it named before, at every receiver; any other bits
+    /// mint a fresh one, `-0.0` against `0.0` included.
+    #[test]
+    fn repeat_beacons_reuse_only_bit_identical_adverts() {
+        let mut arena = NeighborArena::new();
+        let (mut a, mut b) = (ArenaTable::new(), ArenaTable::new());
+        let life = SimDuration::from_secs(3.0);
+        let pos = Vec2::new(5.0, 5.0);
+        let live = |arena: &NeighborArena| arena.occupancy().adverts_live;
+        arena.observe(&mut a, NodeId(3), pos, Vec2::ZERO, SimTime::ZERO, life);
+        arena.observe(&mut b, NodeId(3), pos, Vec2::ZERO, SimTime::ZERO, life);
+        let at = SimTime::from_secs(1.0);
+        arena.observe(&mut a, NodeId(3), pos, Vec2::ZERO, at, life);
+        arena.observe(&mut b, NodeId(3), pos, Vec2::ZERO, at, life);
+        assert_eq!(live(&arena), 1, "a bit-identical repeat is the same advert");
+        assert_eq!(arena.adverts.slab.len(), 1, "and minted nothing");
+        let minus_zero = Vec2::new(-0.0, 0.0);
+        arena.observe(&mut a, NodeId(3), pos, minus_zero, at, life);
+        assert_eq!(live(&arena), 2, "-0.0 is not 0.0");
+        let read = arena.get(&a, NodeId(3)).unwrap().velocity;
+        assert!(
+            read.x.is_sign_negative(),
+            "the entry reads back the bits it heard"
+        );
+        assert!(arena
+            .get(&b, NodeId(3))
+            .unwrap()
+            .velocity
+            .x
+            .is_sign_positive());
+        arena.observe(&mut b, NodeId(3), pos, minus_zero, at, life);
+        assert_eq!(
+            live(&arena),
+            1,
+            "the last entry naming the old advert let go"
+        );
+        arena.assert_books_balance(&[a, b], "after the repeats");
+    }
+
+    /// A purge that drains every table frees every advert, and the slab
+    /// recycles them.
+    #[test]
+    fn draining_every_table_frees_every_advert() {
+        let mut arena = NeighborArena::new();
+        let mut tables = vec![ArenaTable::new(); 4];
+        let life = SimDuration::from_secs(2.0);
+        for id in 0..40u32 {
+            let at = SimTime::from_secs(f64::from(id % 3));
+            let x = f64::from(id);
+            for (w, t) in tables.iter_mut().enumerate() {
+                if (id as usize + w) % 3 != 0 {
+                    arena.observe(t, NodeId(id % 10), Vec2::new(x, 0.0), Vec2::ZERO, at, life);
+                }
+            }
+        }
+        let grown = arena.occupancy();
+        assert!(grown.adverts_live > 10, "{grown:?}");
+        arena.assert_books_balance(&tables, "before the drain");
+        let mut lost = Vec::new();
+        for t in &mut tables {
+            arena.purge_due(t, SimTime::from_secs(10.0), &mut lost);
+        }
+        let drained = arena.occupancy();
+        assert_eq!(drained.adverts_live, 0, "{drained:?}");
+        assert_eq!(drained.adverts_free, arena.adverts.slab.len());
+        arena.assert_books_balance(&tables, "after the drain");
+        for id in 0..5 {
+            obs(&mut arena, &mut tables[0], id, 1.0, 11.0, 1.0);
+        }
+        assert_eq!(arena.adverts.slab.len(), drained.adverts_free, "recycled");
+        arena.assert_books_balance(&tables, "after the reuse");
+    }
+
+    /// A sender's `latest` hint can outlive its advert: freed, the advert
+    /// may be recycled for another sender with the very same kinematics,
+    /// or still sit on the free list. Either way the hint must miss, or the
+    /// sender's entries would name another sender's advert or a free one.
+    #[test]
+    fn a_recycled_latest_advert_is_never_matched() {
+        let mut arena = NeighborArena::new();
+        let (mut a, mut b) = (ArenaTable::new(), ArenaTable::new());
+        let (pos, vel) = (Vec2::new(7.0, 7.0), Vec2::new(1.0, 0.0));
+        let life = SimDuration::from_secs(1.0);
+        arena.observe(&mut a, NodeId(5), pos, vel, SimTime::ZERO, life);
+        let freed = arena.adverts.latest[5];
+        arena.purge_due(&mut a, SimTime::from_secs(2.0), &mut Vec::new());
+        assert_eq!(arena.occupancy().adverts_free, 1);
+        // Node 7 advertises the same kinematics and takes the freed advert.
+        let at = SimTime::from_secs(2.5);
+        arena.observe(&mut b, NodeId(7), pos, vel, at, life);
+        assert_eq!(
+            arena.adverts.latest[7], freed,
+            "the free advert is recycled"
+        );
+        assert_eq!(
+            arena.adverts.latest[5], freed,
+            "and node 5's hint still names it"
+        );
+        arena.observe(&mut a, NodeId(5), pos, vel, at, life);
+        assert_ne!(arena.adverts.latest[5], freed);
+        assert_eq!(arena.occupancy().adverts_live, 2);
+        arena.assert_books_balance(&[a, b], "after node 5 re-advertised");
+        // A hint whose advert is still free misses as well, even when the
+        // free-list link in its `sender` reads as the hinted sender's id.
+        let mut arena = NeighborArena::new();
+        let (mut a, mut b) = (ArenaTable::new(), ArenaTable::new());
+        arena.observe(&mut a, NodeId(9), pos, vel, SimTime::ZERO, life);
+        arena.observe(&mut b, NodeId(0), pos, vel, SimTime::ZERO, life);
+        arena.purge_due(&mut a, SimTime::from_secs(2.0), &mut Vec::new());
+        arena.purge_due(&mut b, SimTime::from_secs(2.0), &mut Vec::new());
+        assert_eq!(arena.adverts.latest[0], 1);
+        assert_eq!(
+            arena.adverts.slab[1].sender,
+            NodeId(0),
+            "linked to advert 0"
+        );
+        arena.observe(&mut a, NodeId(0), pos, vel, SimTime::from_secs(2.0), life);
+        assert_eq!(arena.occupancy().adverts_live, 1);
+        arena.assert_books_balance(&[a, b], "after a free hint");
     }
 
     /// Randomised churn (observes and lazy purges) drives the arena and the
@@ -1030,7 +1354,8 @@ mod tests {
     /// iteration order and the deadline bound must stay identical. Several
     /// handles share one arena so chain interleaving and free-list reuse are
     /// exercised the way the fleet driver exercises them. After every tick
-    /// both slabs' books must balance ([`assert_books_balance`]).
+    /// all three slabs' books must balance
+    /// ([`NeighborArena::assert_books_balance`]).
     #[test]
     fn arena_matches_reference_table_under_randomized_churn() {
         let mut rng = SimRng::new(0xa7e4a);
@@ -1073,7 +1398,7 @@ mod tests {
                         "case {case} tick {tick}: deadline bound diverged"
                     );
                 }
-                assert_books_balance(&arena, &handles, &format!("case {case} tick {tick}"));
+                arena.assert_books_balance(&handles, &format!("case {case} tick {tick}"));
             }
         }
     }
@@ -1257,8 +1582,8 @@ mod tests {
                         "{at}: deadline"
                     );
                 }
-                assert_books_balance(&batched, &bt, &format!("case {case} tick {tick}, batched"));
-                assert_books_balance(&single, &st, &format!("case {case} tick {tick}, single"));
+                batched.assert_books_balance(&bt, &format!("case {case} tick {tick}, batched"));
+                single.assert_books_balance(&st, &format!("case {case} tick {tick}, single"));
             }
         }
         cover

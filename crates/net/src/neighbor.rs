@@ -6,8 +6,8 @@
 //! communication overhead Table I charges to those categories; the beacon
 //! packets are counted by the metrics layer like any other control packet.
 //!
-//! The table itself is [`NeighborArena`]: one slab for the whole fleet, a
-//! handle per node, lazily expired (see `arena.rs`). This module holds what
+//! The table itself is [`NeighborArena`]: slabs shared by the whole fleet,
+//! a handle per node, lazily expired (see `arena.rs`). This module holds what
 //! a protocol reads of a table entry ([`NeighborInfo`]), how often it is
 //! refreshed
 //! ([`BeaconConfig`]) and [`NeighborTable`], the owning one-node form for
@@ -40,8 +40,10 @@ impl Default for BeaconConfig {
 }
 
 /// What a node knows about one of its neighbours, as a [`NeighborView`]
-/// hands it out: by value, built from the arena's key (the id) and its
-/// 40-byte payload (the rest), which is all the arena stores.
+/// hands it out: by value, built from the arena's key (the id), its 16-byte
+/// payload (the expiry) and the advert that payload names (the position
+/// and velocity, stored once for every receiver of the beacon), which is
+/// all the arena stores.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborInfo {
     /// The neighbour's id.
@@ -198,7 +200,9 @@ mod tests {
 
     /// On a randomised beacon schedule, the lazy `purge_due` path observes
     /// exactly the same (neighbour, tick) loss events as the naive model's
-    /// eager per-tick sweep.
+    /// eager per-tick sweep, and the arena's books balance after every tick.
+    /// Every beacon here advertises the same kinematics, so each sender's
+    /// entry keeps naming one advert across refreshes.
     #[test]
     fn lazy_and_eager_purges_observe_identical_losses() {
         let mut rng = SimRng::new(0xbeac0);
@@ -232,6 +236,8 @@ mod tests {
                     lazy.view().iter().eq(eager.entries.values().copied()),
                     "case {case} diverged at tick {tick}"
                 );
+                lazy.arena
+                    .assert_books_balance(&[lazy.table], &format!("case {case} tick {tick}"));
             }
             assert_eq!(
                 lazy_losses, eager_losses,

@@ -164,9 +164,12 @@ fn parse_fault(spec: &str, value: &str, plan: FaultPlan) -> Result<FaultPlan, Sc
 /// * `fault=<fault>` schedules a deterministic disruption (repeatable), e.g.
 ///   `fault=node:10..20s`, `fault=rsu:1`, `fault=jam:5:0.9:10..30s`,
 ///   `fault=burst:0.5:2..4s`, `fault=panic:1s` — see `parse_fault` for the
-///   grammar; the assembled [`FaultPlan`] is validated as a whole, rejecting
-///   inverted/empty windows, overlapping windows for one target, and outages
-///   of a vehicle or RSU the scenario does not have.
+///   grammar. It adds to the scenario's own faults (the disrupted family's
+///   two outages). The assembled [`FaultPlan`] is validated as a whole,
+///   rejecting inverted/empty windows, overlapping windows for one target,
+///   and outages of a vehicle or RSU the scenario does not have — so
+///   `disrupted-1` and `disrupted-2`, whose own outages hit vehicles 1 and
+///   2, are rejected too.
 ///
 /// # Errors
 ///
@@ -203,7 +206,9 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
         };
         Scenario::highway_regime(regime)
     };
-    let mut faults = FaultPlan::new();
+    // `fault=` options add to the scenario's own plan (the disrupted
+    // highway's outages).
+    let mut faults = scenario.faults.clone();
     if let Some(options) = options {
         for option in options.split(',') {
             let Some((key, value)) = option.split_once('=') else {
@@ -288,8 +293,9 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
         faults
             .validate()
             .map_err(|fault_error| error(spec, format!("invalid fault plan: {fault_error}")))?;
-        // An outage of a node the scenario does not have would be dropped
-        // at build and the run would go as if the fault were absent.
+        // An outage of a node the scenario does not have, whether an option
+        // or the scenario itself scheduled it, would be dropped at build and
+        // the run would go as if the fault were absent.
         for fault in &faults.faults {
             let (target, limit, unit) = match fault.kind {
                 FaultKind::NodeOutage { node } => (node, scenario.vehicle_count(), "vehicles"),
@@ -346,6 +352,36 @@ mod tests {
             .map(|j| j.scenario.seed)
             .collect();
         assert_eq!(seeds, vec![u64::MAX, 0]);
+    }
+
+    /// A `fault=` option joins the disrupted highway's own two outages;
+    /// without one, the parsed scenario is the built-in one, hash and all.
+    #[test]
+    fn fault_options_add_to_the_scenarios_own_plan() {
+        let s = parse("disrupted-16:fault=burst:0.5").unwrap();
+        assert_eq!(s.faults.faults.len(), 3);
+        assert_eq!(
+            s.faults.faults[..2],
+            parse("disrupted-16").unwrap().faults.faults
+        );
+        assert_eq!(s.faults.faults[2].kind, FaultKind::BurstLoss { loss: 0.5 });
+        // The `dtn-epidemic` benchmark spec names no `fault=`: its plan and
+        // hash are the built-in scenario's.
+        let dtn = parse("disrupted-60:flows=8,ttl=20").unwrap();
+        assert_eq!(dtn.faults.faults.len(), 2);
+        assert_eq!(dtn.content_hash(), 0x0ced_8af4_c840_84ac);
+    }
+
+    /// The disrupted family's own outages target vehicles 1 and 2, which a
+    /// fleet of one or two does not have.
+    #[test]
+    fn disrupted_fleets_too_small_for_their_outages_are_rejected() {
+        let err = parse("disrupted-2").unwrap_err();
+        assert!(err.message.contains("fault node 2"), "{err}");
+        assert!(err.message.contains("2 vehicles"), "{err}");
+        let err = parse("disrupted-1").unwrap_err();
+        assert!(err.message.contains("fault node 1"), "{err}");
+        assert!(parse("disrupted-3").is_ok());
     }
 
     #[test]

@@ -226,8 +226,8 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 /// else exercises: the neighbour arena's (one live payload slot per entry
 /// the tables hold) and the spatial grid's (four vertex-list entries per
 /// node, beside its 16 MB position table). The frame counts are printed
-/// beside the two occupancies, and so are the bytes the arena's two slabs
-/// have grown into.
+/// beside the two occupancies (the arena's counts its adverts too), and so
+/// are the bytes the arena's three slabs have grown into.
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
