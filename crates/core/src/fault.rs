@@ -281,6 +281,28 @@ impl FaultPlan {
         }
         Ok(())
     }
+
+    /// Checks that every outage names a node a scenario of `vehicles`
+    /// vehicles and `rsus` road-side units has: an outage of an absent node
+    /// would leave the run as if the fault were not there.
+    pub fn validate_targets(&self, vehicles: usize, rsus: usize) -> Result<(), FaultPlanError> {
+        for fault in &self.faults {
+            let (target, limit, unit) = match fault.kind {
+                FaultKind::NodeOutage { node } => (node, vehicles, "vehicles"),
+                FaultKind::RsuOutage { rsu } => (rsu, rsus, "rsus"),
+                _ => continue,
+            };
+            if target as usize >= limit {
+                return Err(FaultPlanError {
+                    message: format!(
+                        "fault {} is outside the scenario's {limit} {unit} (valid ids: 0..{limit})",
+                        fault.kind.target_desc()
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

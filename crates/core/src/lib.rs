@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod fault;
 pub mod metrics;
 pub mod plan;
@@ -30,11 +31,12 @@ pub mod simulation;
 pub mod taxonomy;
 pub mod telemetry;
 
+pub use counters::EngineCounters;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultPlanError};
 pub use metrics::{Metrics, Report, ReportField};
 pub use plan::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};
 pub use scenario::{ChannelModel, RoadLayout, Scenario, TrafficRegime};
-pub use simulation::{run_scenario, Flow, FrameCounts, Simulation};
+pub use simulation::{run_scenario, Flow, Simulation};
 pub use taxonomy::{taxonomy_lines, ProtocolKind};
 pub use telemetry::{
     drop_reason_index, NoTelemetry, RegionRecord, Telemetry, WindowRecord, WindowedTap,

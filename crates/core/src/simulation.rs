@@ -2,6 +2,7 @@
 //! service, application traffic and one routing-protocol instance per node,
 //! and collects the metrics every experiment is built from.
 
+use crate::counters::EngineCounters;
 use crate::fault::FaultKind;
 use crate::metrics::{Metrics, Report};
 use crate::scenario::{ChannelModel, Scenario};
@@ -10,9 +11,8 @@ use crate::telemetry::{NoTelemetry, Telemetry};
 use std::sync::Arc;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
-    ArenaOccupancy, ArenaTable, BeaconConfig, Delivery, GridOccupancy, InterferenceCounts,
-    LogNormalShadowing, Medium, MediumConfig, NeighborArena, Packet, PacketKind, Reception,
-    SpatialGrid, UnitDisk, WindowCounts,
+    ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig, NeighborArena,
+    Packet, PacketKind, Reception, SpatialGrid, UnitDisk,
 };
 use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
@@ -98,21 +98,6 @@ struct Outcome {
     /// Whether the reception inserted the sender; `None` when the
     /// receiver's radio was down and the frame was lost.
     gained: Option<bool>,
-}
-
-/// How the run loop delivered frames ([`Simulation::frame_counts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrameCounts {
-    /// Frames whose first reception fired.
-    pub frames: u64,
-    /// Of those, frames whose receptions run no protocol code and that
-    /// nothing interleaved with: delivered in one pass, unsorted.
-    pub one_pass: u64,
-    /// Of those, frames sorted into key order and delivered reception by
-    /// reception; `one_pass + sorted == frames`.
-    pub sorted: u64,
-    /// The most frames ever in flight at once: the frame slab's length.
-    pub slab_peak: usize,
 }
 
 /// Whether a reception of `packet` runs protocol code. A HELLO reception
@@ -201,8 +186,10 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     frames: Vec<Frame>,
     /// Slots of `frames` whose frame has been fully delivered.
     free_frames: Vec<u32>,
-    /// How frames were delivered; `slab_peak` is read off `frames`.
-    frame_counts: FrameCounts,
+    /// The counters the run loop keeps itself: frames begun, in one pass
+    /// and sorted. [`Simulation::counters`] reads every other field off the
+    /// layers.
+    loop_counts: EngineCounters,
     /// Reusable buffer for a one-pass frame's batch observe.
     receptions: Vec<Reception>,
     /// Reusable buffer for a one-pass frame's tap replay.
@@ -381,38 +368,34 @@ impl<T: Telemetry> Simulation<T> {
 
         // Resolve the fault plan into a concrete timeline: node ids for
         // outages, pre-registered medium overlay zones for jams and burst
-        // loss. Out-of-range targets and transitions at/after the horizon
-        // are dropped here, so the run loop never re-checks them. An empty
-        // plan builds nothing — the engine is byte-identical to one without
-        // fault support.
+        // loss. Transitions at/after the horizon are dropped here, so the
+        // run loop never re-checks them. An empty plan builds nothing — the
+        // engine is byte-identical to one without fault support.
         let faults_enabled = !scenario.faults.is_empty();
         let mut fault_timeline: Vec<(SimTime, FaultAction)> = Vec::new();
         if faults_enabled {
             scenario
                 .faults
                 .validate()
+                .and_then(|()| {
+                    scenario
+                        .faults
+                        .validate_targets(vehicle_count, scenario.rsu_count)
+                })
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
             let horizon = SimTime::ZERO + scenario.duration;
             let regions = scenario.faults.regions_per_axis;
             let cell_w = bounds.width() / regions as f64;
             let cell_h = bounds.height() / regions as f64;
             for fault in &scenario.faults.faults {
-                let transition = match fault.kind {
+                let (down, up) = match fault.kind {
                     FaultKind::NodeOutage { node } => {
-                        if (node as usize) < vehicle_count {
-                            let id = NodeId(node);
-                            Some((FaultAction::NodeDown(id), FaultAction::NodeUp(id)))
-                        } else {
-                            None
-                        }
+                        let id = NodeId(node);
+                        (FaultAction::NodeDown(id), FaultAction::NodeUp(id))
                     }
                     FaultKind::RsuOutage { rsu } => {
-                        if (rsu as usize) < scenario.rsu_count {
-                            let id = NodeId((vehicle_count + rsu as usize) as u32);
-                            Some((FaultAction::NodeDown(id), FaultAction::NodeUp(id)))
-                        } else {
-                            None
-                        }
+                        let id = NodeId((vehicle_count + rsu as usize) as u32);
+                        (FaultAction::NodeDown(id), FaultAction::NodeUp(id))
                     }
                     FaultKind::Jam { region, loss } => {
                         let rx = region as usize % regions;
@@ -423,7 +406,7 @@ impl<T: Telemetry> Simulation<T> {
                         );
                         let max = Position::new(min.x + cell_w, min.y + cell_h);
                         let slot = medium.add_fault_zone(min, max, loss);
-                        Some((FaultAction::ZoneOn(slot), FaultAction::ZoneOff(slot)))
+                        (FaultAction::ZoneOn(slot), FaultAction::ZoneOff(slot))
                     }
                     FaultKind::BurstLoss { loss } => {
                         let everywhere = f64::INFINITY;
@@ -432,21 +415,19 @@ impl<T: Telemetry> Simulation<T> {
                             Position::new(everywhere, everywhere),
                             loss,
                         );
-                        Some((FaultAction::ZoneOn(slot), FaultAction::ZoneOff(slot)))
+                        (FaultAction::ZoneOn(slot), FaultAction::ZoneOff(slot))
                     }
                     // A poison never recovers, so the up action is never
                     // scheduled (its window end is infinite by construction).
-                    FaultKind::Poison => Some((FaultAction::Poison, FaultAction::Poison)),
+                    FaultKind::Poison => (FaultAction::Poison, FaultAction::Poison),
                 };
-                if let Some((down, up)) = transition {
-                    let start = SimTime::ZERO + SimDuration::from_secs(fault.start_s);
-                    if start < horizon {
-                        fault_timeline.push((start, down));
-                        if fault.end_s.is_finite() {
-                            let end = SimTime::ZERO + SimDuration::from_secs(fault.end_s);
-                            if end < horizon {
-                                fault_timeline.push((end, up));
-                            }
+                let start = SimTime::ZERO + SimDuration::from_secs(fault.start_s);
+                if start < horizon {
+                    fault_timeline.push((start, down));
+                    if fault.end_s.is_finite() {
+                        let end = SimTime::ZERO + SimDuration::from_secs(fault.end_s);
+                        if end < horizon {
+                            fault_timeline.push((end, up));
                         }
                     }
                 }
@@ -477,7 +458,7 @@ impl<T: Telemetry> Simulation<T> {
             delivery_buf: Vec::with_capacity(expected_neighbors as usize + 16),
             frames: Vec::new(),
             free_frames: Vec::new(),
-            frame_counts: FrameCounts::default(),
+            loop_counts: EngineCounters::default(),
             receptions: Vec::with_capacity(expected_neighbors as usize + 16),
             outcomes: Vec::new(),
             lost_scratch: Vec::with_capacity(64),
@@ -494,8 +475,8 @@ impl<T: Telemetry> Simulation<T> {
         // protocol, so the first one's interval is the fleet's). A slot just
         // narrower than that means a timer fired from the activated, already
         // sorted slot always re-arms into a later one — an append, never a
-        // splice into a fleet-sized vector (`Simulation::wheel_splices` stays
-        // 0). Just narrower, not half: the fleet's first beacons then fill
+        // splice into a fleet-sized vector (the `wheel_splices` counter
+        // stays 0). Just narrower, not half: the fleet's first beacons then fill
         // one slot front to back, where two half-width slots growing in turn
         // make every doubling of either a copy (set-up 7–15 % slower at
         // 10k–100k nodes, the run no faster).
@@ -581,64 +562,49 @@ impl<T: Telemetry> Simulation<T> {
         self.nodes.len()
     }
 
-    /// Number of scheduler events processed so far. Every reception of a
-    /// frame is one event, however few queue entries carried them.
+    /// Number of scheduler events processed so far:
+    /// [`EngineCounters::events`]. Kept only because the repo benchmark
+    /// (`benchmark/src/child.rs`, `benchmark/src/trace.rs`) calls it; it goes
+    /// when the benchmark reads [`Simulation::counters`] instead.
     #[must_use]
     pub fn processed_events(&self) -> u64 {
-        self.scheduler.processed_events()
+        self.counters().events
     }
 
-    /// How many beacon or maintenance timers had to be spliced into the
-    /// timer wheel's already-sorted slot (see
-    /// [`Scheduler::wheel_splices`]); 0 when the slot width fits the run.
+    /// The engine's self-metrics so far: scheduler, neighbour arena, grid,
+    /// medium and run-loop counts in one record.
     #[must_use]
-    pub fn wheel_splices(&self) -> u64 {
-        self.scheduler.wheel_splices()
-    }
-
-    /// The neighbour arena's live and free key blocks and payload slots
-    /// ([`NeighborArena::occupancy`]), and the entries the nodes' tables
-    /// hold between them — equal to the live slots while the arena's books
-    /// balance.
-    #[must_use]
-    pub fn neighbor_occupancy(&self) -> (ArenaOccupancy, usize) {
-        let held = self.neighbor_tables.iter().map(ArenaTable::len).sum();
-        (self.neighbor_arena.occupancy(), held)
-    }
-
-    /// How full the spatial grid's vertex lists are
-    /// ([`SpatialGrid::occupancy`]): every node sits in four of them, so
-    /// `entries` is four times [`Simulation::node_count`] while the grid's
-    /// books balance.
-    #[must_use]
-    pub fn grid_occupancy(&self) -> GridOccupancy {
-        self.grid.occupancy()
-    }
-
-    /// How the medium reached its collision decisions
-    /// ([`Medium::interference_counts`]): burst frames, and the receivers
-    /// the survival bracket decided without counting their window.
-    #[must_use]
-    pub fn interference_counts(&self) -> InterferenceCounts {
-        self.medium.interference_counts()
-    }
-
-    /// How large the medium's contention-window snapshots were
-    /// ([`Medium::window_counts`]): fresh snapshots, and the distinct
-    /// entries and the copies they collected.
-    #[must_use]
-    pub fn window_counts(&self) -> WindowCounts {
-        self.medium.window_counts()
-    }
-
-    /// How the run loop has delivered frames so far: how many it began, how
-    /// many of those went in one pass and how many hop by hop, and the
-    /// frame slab's high-water mark.
-    #[must_use]
-    pub fn frame_counts(&self) -> FrameCounts {
-        FrameCounts {
-            slab_peak: self.frames.len(),
-            ..self.frame_counts
+    pub fn counters(&self) -> EngineCounters {
+        let arena = self.neighbor_arena.occupancy();
+        let grid = self.grid.occupancy();
+        let interference = self.medium.interference_counts();
+        let window = self.medium.window_counts();
+        let held: usize = self.neighbor_tables.iter().map(ArenaTable::len).sum();
+        EngineCounters {
+            events: self.scheduler.processed_events(),
+            wheel_splices: self.scheduler.wheel_splices(),
+            entries_held: held as u64,
+            blocks_live: arena.blocks_live as u64,
+            blocks_free: arena.blocks_free as u64,
+            slots_live: arena.slots_live as u64,
+            slots_free: arena.slots_free as u64,
+            adverts_live: arena.adverts_live as u64,
+            adverts_free: arena.adverts_free as u64,
+            slab_bytes: arena.slab_bytes() as u64,
+            grid_lists: grid.lists as u64,
+            grid_entries: grid.entries as u64,
+            grid_longest: grid.longest as u64,
+            medium_frames: interference.frames,
+            continued: interference.continued,
+            receivers: interference.receivers,
+            bracketed: interference.bracketed,
+            decided: interference.decided,
+            scanned: interference.scanned,
+            snapshots: window.snapshots,
+            window_entries: window.entries,
+            copies: window.copies,
+            slab_peak: self.frames.len() as u64,
+            ..self.loop_counts
         }
     }
 
@@ -813,16 +779,16 @@ impl<T: Telemetry> Simulation<T> {
         let mut frame = std::mem::take(&mut self.frames[slot as usize]);
         let packet = frame.packet.take().expect("a queued frame holds a packet");
         if frame.next == 0 {
-            self.frame_counts.frames += 1;
+            self.loop_counts.frames += 1;
             let last = frame.hops[frame.last].key;
             let rest = frame.hops.len() as u64 - 1;
             if !runs_protocol_code(&packet) && self.scheduler.advance_if_next(last, rest) {
-                self.frame_counts.one_pass += 1;
+                self.loop_counts.one_pass += 1;
                 self.deliver_in_one_pass(&frame.hops, &packet);
                 self.free_frame(slot, frame);
                 return;
             }
-            self.frame_counts.sorted += 1;
+            self.loop_counts.sorted += 1;
             frame.hops.sort_unstable_by_key(|hop| hop.key);
         }
         loop {
@@ -1203,6 +1169,14 @@ mod tests {
                 .first_node_id(5),
         );
         let _ = run_scenario(scenario, ProtocolKind::Greedy);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault node 99 is outside the scenario's 10 vehicles")]
+    fn an_outage_of_an_absent_vehicle_is_rejected() {
+        let scenario =
+            quick_scenario(10, 1).with_faults(crate::FaultPlan::new().node_outage(99, 1.0, 2.0));
+        let _ = Simulation::new(scenario, ProtocolKind::Greedy);
     }
 
     #[test]

@@ -92,11 +92,13 @@ fn faulted_runs_match_their_pinned_reports_and_event_counts() {
     for (kind, pin) in FAULTY_KINDS.into_iter().zip(FAULTY_PINS) {
         let mut sim = Simulation::new(faulty_scenario(), kind);
         let report = sim.run();
+        let counters = sim.counters();
         assert_eq!(
-            fingerprint(&report, sim.processed_events()),
+            fingerprint(&report, counters.events),
             pin,
             "{kind:?} under the fault plan diverged from its pin"
         );
+        assert_eq!(counters.check_books(sim.node_count()), Ok(()), "{kind:?}");
     }
 }
 

@@ -13,8 +13,11 @@
 //! cargo test -p vanet-core --test golden_reports -- --ignored --nocapture regenerate
 //! ```
 
-use vanet_core::{ChannelModel, ProtocolKind, Report, Scenario, Simulation, TrafficRegime};
-use vanet_net::{InterferenceCounts, WindowCounts};
+mod counters;
+
+use vanet_core::{
+    ChannelModel, EngineCounters, ProtocolKind, Report, Scenario, Simulation, TrafficRegime,
+};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -78,30 +81,38 @@ const PINS: &[&str] = &[
     "ProbFlood|sent=75 dlvd=7 dup=0 pdr=0.09333333333333334 delay=3.668832132403559 maxdelay=17.10116248617009 hops=5.7142857142857135 ctrl=957 ctrlB=30624 dtx=1265 rerr=0 drops=1835 nbr=3.8187499999999943",
 ];
 
-/// Runs `scenario` under `kind`; returns the report and the number of
-/// scheduler events the run processed.
-fn run_counted(scenario: Scenario, kind: ProtocolKind) -> (Report, u64) {
+/// Runs `scenario` under `kind`; returns the report and the engine's
+/// counters, after checking that their books balance.
+fn run_counted(scenario: Scenario, kind: ProtocolKind) -> (Report, EngineCounters) {
     let mut sim = Simulation::new(scenario, kind);
     let report = sim.run();
-    (report, sim.processed_events())
+    let counters = sim.counters();
+    assert_eq!(counters.check_books(sim.node_count()), Ok(()), "{kind:?}");
+    (report, counters)
 }
 
 /// Runs `scenario` under each of `kinds` and panics, naming `what`, with
-/// every fingerprint that differs from its pin.
+/// every fingerprint that differs from its pin; then checks the run that
+/// `row` names against its row of the engine-counter table.
 fn assert_pinned(
     what: &str,
     kinds: &[ProtocolKind],
     pins: &[&str],
     scenario: impl Fn() -> Scenario,
     fingerprint: impl Fn(&Report, u64) -> String,
+    row: Option<(ProtocolKind, &str)>,
 ) {
     assert_eq!(pins.len(), kinds.len(), "pin list out of sync — regenerate");
     let mut failures = Vec::new();
+    let mut row_counters = None;
     for (&kind, pin) in kinds.iter().zip(pins) {
-        let (report, events) = run_counted(scenario(), kind);
-        let got = fingerprint(&report, events);
+        let (report, counters) = run_counted(scenario(), kind);
+        let got = fingerprint(&report, counters.events);
         if got != *pin {
             failures.push(format!("{kind:?}:\n  pinned: {pin}\n  got:    {got}"));
+        }
+        if row.is_some_and(|(row_kind, _)| row_kind == kind) {
+            row_counters = Some(counters);
         }
     }
     assert!(
@@ -110,6 +121,10 @@ fn assert_pinned(
         failures.len(),
         failures.join("\n")
     );
+    if let Some((kind, label)) = row {
+        let got = row_counters.unwrap_or_else(|| panic!("{kind:?} is not among {kinds:?}"));
+        counters::assert_row(label, &got);
+    }
 }
 
 #[test]
@@ -120,6 +135,7 @@ fn every_protocol_matches_its_pinned_report() {
         PINS,
         golden_scenario,
         |r, _| fingerprint(r),
+        None,
     );
 }
 
@@ -134,6 +150,7 @@ fn empty_fault_plan_is_byte_identical_for_every_protocol() {
         PINS,
         || golden_scenario().with_faults(vanet_core::FaultPlan::new()),
         |r, _| fingerprint(r),
+        None,
     );
 }
 
@@ -165,6 +182,9 @@ fn dtn_fingerprint(r: &Report) -> String {
     )
 }
 
+/// The [`disrupted_scenario`] run the engine-counter table pins, and its row.
+const DISRUPTED_ROW: (ProtocolKind, &str) = (ProtocolKind::Epidemic, "disrupted Epidemic");
+
 const DTN_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Epidemic,
     ProtocolKind::Prophet,
@@ -190,6 +210,7 @@ fn dtn_protocols_match_their_pins_on_the_disrupted_highway() {
         DTN_PINS,
         disrupted_scenario,
         |r, _| dtn_fingerprint(r),
+        Some(DISRUPTED_ROW),
     );
 }
 
@@ -215,6 +236,9 @@ fn congested_scenario() -> Scenario {
 fn congested_fingerprint(r: &Report, events: u64) -> String {
     format!("{} events={events}", fingerprint(r))
 }
+
+/// The [`congested_scenario`] run the engine-counter table pins, and its row.
+const CONGESTED_ROW: (ProtocolKind, &str) = (ProtocolKind::Aodv, "congested AODV");
 
 const CONGESTED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::Yan,
@@ -243,56 +267,8 @@ fn yan_aodv_and_flooding_match_their_pins_on_the_congested_highway() {
         CONGESTED_PINS,
         congested_scenario,
         congested_fingerprint,
+        Some(CONGESTED_ROW),
     );
-}
-
-/// The medium's collision self-metric on the AODV storm of
-/// [`congested_scenario`], pinned exactly: the survival bracket decides most
-/// receivers' collision draws without counting their contention window, and
-/// a change to when it applies or falls back shows here even while every
-/// report stays byte-identical.
-#[test]
-fn the_survival_bracket_decides_most_of_the_congested_aodv_storm() {
-    let mut sim = Simulation::new(congested_scenario(), ProtocolKind::Aodv);
-    sim.run();
-    let counts = sim.interference_counts();
-    assert_eq!(
-        counts,
-        InterferenceCounts {
-            frames: 26_936,
-            continued: 2,
-            receivers: 1_559_047,
-            bracketed: 1_458_126,
-            decided: 1_182_335,
-            scanned: 340_229,
-        }
-    );
-    assert!(
-        counts.decided as f64 >= 0.7 * counts.receivers as f64,
-        "{counts:?}"
-    );
-}
-
-/// The medium's run-length contention window on the Epidemic run of
-/// [`disrupted_scenario`], pinned exactly: summary-vector answers are
-/// bursts of frames from one place at one instant, so the fresh snapshots
-/// collect more copies than distinct entries, and a change to how the
-/// window stores or gathers them shows here even while every report stays
-/// byte-identical.
-#[test]
-fn the_run_length_window_compresses_the_epidemic_bursts() {
-    let mut sim = Simulation::new(disrupted_scenario(), ProtocolKind::Epidemic);
-    sim.run();
-    let counts = sim.window_counts();
-    assert_eq!(
-        counts,
-        WindowCounts {
-            snapshots: 6_863,
-            entries: 124_813,
-            copies: 453_578,
-        }
-    );
-    assert!(counts.copies > counts.entries, "{counts:?}");
 }
 
 /// [`congested_scenario`] on the log-normal shadowing channel, cut to one
@@ -326,11 +302,13 @@ fn yan_and_aodv_match_their_pins_on_the_shadowed_congested_highway() {
         SHADOWED_PINS,
         shadowed_scenario,
         congested_fingerprint,
+        None,
     );
 }
 
 /// Prints the pin lists for pasting into `PINS`, `DTN_PINS`,
-/// `CONGESTED_PINS` and `SHADOWED_PINS`.
+/// `CONGESTED_PINS` and `SHADOWED_PINS`, then the engine-counter table's
+/// rows for the disrupted Epidemic and congested AODV runs.
 /// Run with `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
@@ -340,18 +318,29 @@ fn regenerate() {
         println!("    {:?},", fingerprint(&report));
     }
     println!();
+    let mut rows = Vec::new();
     for kind in DTN_KINDS {
-        let (report, _) = run_counted(disrupted_scenario(), kind);
+        let (report, counters) = run_counted(disrupted_scenario(), kind);
         println!("    {:?},", dtn_fingerprint(&report));
+        if kind == DISRUPTED_ROW.0 {
+            rows.push((DISRUPTED_ROW.1, counters));
+        }
     }
     println!();
     for kind in CONGESTED_KINDS {
-        let (report, events) = run_counted(congested_scenario(), kind);
-        println!("    {:?},", congested_fingerprint(&report, events));
+        let (report, counters) = run_counted(congested_scenario(), kind);
+        println!("    {:?},", congested_fingerprint(&report, counters.events));
+        if kind == CONGESTED_ROW.0 {
+            rows.push((CONGESTED_ROW.1, counters));
+        }
     }
     println!();
     for kind in SHADOWED_KINDS {
-        let (report, events) = run_counted(shadowed_scenario(), kind);
-        println!("    {:?},", congested_fingerprint(&report, events));
+        let (report, counters) = run_counted(shadowed_scenario(), kind);
+        println!("    {:?},", congested_fingerprint(&report, counters.events));
+    }
+    println!();
+    for (label, counters) in rows {
+        counters::print_row(label, &counters);
     }
 }

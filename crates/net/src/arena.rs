@@ -320,16 +320,6 @@ impl ArenaOccupancy {
             + (self.slots_live + self.slots_free) * std::mem::size_of::<Entry>()
             + (self.adverts_live + self.adverts_free) * std::mem::size_of::<Advert>()
     }
-
-    /// Live entries per live key-block position (0 for an empty arena): how
-    /// much of the key slab the chains actually use.
-    #[must_use]
-    pub fn key_fill(&self) -> f64 {
-        if self.blocks_live == 0 {
-            return 0.0;
-        }
-        self.slots_live as f64 / (self.blocks_live * BLOCK_KEYS) as f64
-    }
 }
 
 /// An empty slab with room for `n` elements. Only

@@ -106,7 +106,7 @@ impl MediumStats {
 /// How the medium reached its collision decisions
 /// ([`Medium::interference_counts`]): an engine self-metric for the burst
 /// path and the survival bracket. Counts accumulate over the medium's
-/// lifetime; [`Medium::reset_stats`] leaves them alone.
+/// lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InterferenceCounts {
     /// Frames through the delivery pipeline.
@@ -130,8 +130,7 @@ pub struct InterferenceCounts {
 
 /// How large the contention-window snapshots were
 /// ([`Medium::window_counts`]): an engine self-metric for the run-length
-/// window. Counts accumulate over the medium's lifetime;
-/// [`Medium::reset_stats`] leaves them alone.
+/// window. Counts accumulate over the medium's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowCounts {
     /// Snapshots taken fresh from the recent-transmission index: one per
@@ -497,8 +496,8 @@ impl Medium {
     }
 
     /// Number of currently active fault zones.
-    #[must_use]
-    pub fn active_fault_zone_count(&self) -> usize {
+    #[cfg(test)]
+    fn active_fault_zone_count(&self) -> usize {
         self.active_fault_zones
     }
 
@@ -553,11 +552,6 @@ impl Medium {
     #[must_use]
     pub fn window_counts(&self) -> WindowCounts {
         self.window
-    }
-
-    /// Resets the accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = MediumStats::default();
     }
 
     /// Transmits `packet` from `sender` at `sender_pos` to every node in
@@ -2101,17 +2095,5 @@ mod tests {
         );
         assert_eq!(m.burst.frames, 1);
         assert_eq!(out.len(), 2, "the full candidate list, not the slice");
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let mut m = medium_unit_disk(250.0);
-        let nodes = nodes_on_a_line(2, 100.0);
-        let pkt = Packet::broadcast(NodeId(0), PacketKind::Hello, 0);
-        let mut rng = SimRng::new(9);
-        m.transmit(SimTime::ZERO, NodeId(0), Vec2::ZERO, &pkt, &nodes, &mut rng);
-        assert!(m.stats().transmissions.value() > 0);
-        m.reset_stats();
-        assert_eq!(m.stats().transmissions.value(), 0);
     }
 }

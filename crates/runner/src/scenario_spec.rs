@@ -5,7 +5,7 @@
 //! returns a [`ScenarioParseError`] naming the field that was wrong, which
 //! the CLI prints verbatim.
 
-use vanet_core::{FaultKind, FaultPlan, Scenario, TrafficRegime};
+use vanet_core::{FaultPlan, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// A failed scenario-specifier parse: which specifier, and which part of it
@@ -293,25 +293,10 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
         faults
             .validate()
             .map_err(|fault_error| error(spec, format!("invalid fault plan: {fault_error}")))?;
-        // An outage of a node the scenario does not have, whether an option
-        // or the scenario itself scheduled it, would be dropped at build and
-        // the run would go as if the fault were absent.
-        for fault in &faults.faults {
-            let (target, limit, unit) = match fault.kind {
-                FaultKind::NodeOutage { node } => (node, scenario.vehicle_count(), "vehicles"),
-                FaultKind::RsuOutage { rsu } => (rsu, scenario.rsu_count, "rsus"),
-                _ => continue,
-            };
-            if target as usize >= limit {
-                return Err(error(
-                    spec,
-                    format!(
-                        "fault {} is outside the scenario's {limit} {unit} (valid ids: 0..{limit})",
-                        fault.kind.target_desc()
-                    ),
-                ));
-            }
-        }
+        // Whether an option or the scenario itself scheduled it.
+        faults
+            .validate_targets(scenario.vehicle_count(), scenario.rsu_count)
+            .map_err(|fault_error| error(spec, fault_error.message))?;
         scenario = scenario.with_faults(faults);
     }
     Ok(scenario)
@@ -320,6 +305,7 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vanet_core::FaultKind;
 
     #[test]
     fn parses_the_scenario_families() {
@@ -450,7 +436,6 @@ mod tests {
 
     #[test]
     fn parses_fault_options() {
-        use vanet_core::FaultKind;
         let s = parse("highway-20:fault=node:10..20s").unwrap();
         assert_eq!(s.faults.faults.len(), 1);
         assert_eq!(s.faults.faults[0].kind, FaultKind::NodeOutage { node: 0 });

@@ -109,8 +109,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Number of events still pending.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
+    #[cfg(test)]
+    fn pending_events(&self) -> usize {
         self.heap.len() + self.wheel.as_ref().map_or(0, TimerWheel::len)
     }
 

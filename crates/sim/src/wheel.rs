@@ -92,7 +92,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Number of pending entries.
-    #[must_use]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
     }

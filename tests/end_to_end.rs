@@ -2,6 +2,7 @@
 //! well-connected scenario, runs are deterministic, infrastructure rescues
 //! sparse traffic, and the broadcast storm is visible at high density.
 
+use vanet::core::EngineCounters;
 use vanet::prelude::*;
 
 fn dense_highway(seed: u64) -> Scenario {
@@ -222,12 +223,12 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 /// (neighbour arena, SoA kinematics, event heap, vertex-list grid)
 /// completes and runs. `megacity` grows the city with the fleet, so the
 /// neighbourhood size must stay near the 10k city's (36.2 there, 41.1 here:
-/// less boundary), and two sets of books must balance at a scale nothing
-/// else exercises: the neighbour arena's (one live payload slot per entry
-/// the tables hold) and the spatial grid's (four vertex-list entries per
-/// node, beside its 16 MB position table). The frame counts are printed
-/// beside the two occupancies (the arena's counts its adverts too), and so
-/// are the bytes the arena's three slabs have grown into.
+/// less boundary), and the engine's books must balance at a scale nothing
+/// else exercises ([`EngineCounters::check_books`]): among them the
+/// neighbour arena's (one live payload slot per entry the tables hold) and
+/// the spatial grid's (four vertex-list entries per node, beside its 16 MB
+/// position table). Every engine counter is printed, the bytes the arena's
+/// three slabs have grown into among them.
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
@@ -237,21 +238,13 @@ fn megacity_1m_builds_and_runs_one_second() {
         let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(1.0));
         let mut sim = Simulation::new(scenario, ProtocolKind::Greedy);
         let report = sim.run();
-        let (occupancy, held) = sim.neighbor_occupancy();
-        assert_eq!(
-            occupancy.slots_live, held,
-            "{vehicles} nodes: {occupancy:?}"
-        );
-        let grid = sim.grid_occupancy();
-        assert_eq!(grid.entries, 4 * sim.node_count(), "{grid:?}");
-        let frames = sim.frame_counts();
-        assert_eq!(frames.one_pass + frames.sorted, frames.frames, "{frames:?}");
-        println!(
-            "{vehicles} nodes: {occupancy:?}, key-block fill {:.3}, slab bytes {}, {grid:?}, {frames:?}",
-            occupancy.key_fill(),
-            occupancy.slab_bytes()
-        );
-        (sim.processed_events(), report.avg_neighbors)
+        let counters = sim.counters();
+        assert_eq!(counters.check_books(sim.node_count()), Ok(()));
+        println!("{vehicles} nodes:");
+        for (name, get) in EngineCounters::FIELDS {
+            println!("  {name} {}", get(&counters));
+        }
+        (counters.events, report.avg_neighbors)
     };
     let (_, reference) = run(10_000);
     let (events, avg_neighbors) = run(1_000_000);
