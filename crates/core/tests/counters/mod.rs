@@ -1,9 +1,9 @@
 //! The engine-counter table: the whole [`EngineCounters`] record of three
-//! runs, pinned exactly, each checked where its run already happens (the
-//! 10k megacity in `hotpath.rs`, the congested AODV storm and the disrupted
-//! Epidemic highway in `golden_reports.rs`). A counter can move while every
-//! report byte stays the same, and then it names the structure whose
-//! occupancy or fast path changed.
+//! runs, pinned exactly, each checked by one test (the 10k megacity in
+//! `hotpath.rs`; the congested AODV storm and the disrupted Epidemic highway
+//! in `golden_reports.rs`'s survival-bracket and run-length-window tests).
+//! A counter can move while every report byte stays the same, and then it
+//! names the structure whose occupancy or fast path changed.
 
 use vanet_core::EngineCounters;
 
