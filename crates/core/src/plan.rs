@@ -256,8 +256,8 @@ impl PlanJob {
     }
 
     /// The key rendered as fixed-width hex (the journal's on-disk form).
-    #[must_use]
-    pub fn key_hex(&self) -> String {
+    #[cfg(test)]
+    fn key_hex(&self) -> String {
         format!("{:016x}", self.key())
     }
 }

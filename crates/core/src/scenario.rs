@@ -315,8 +315,9 @@ impl Scenario {
     }
 
     /// Sets the radio range.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_radio_range(mut self, range_m: f64) -> Self {
+    fn with_radio_range(mut self, range_m: f64) -> Self {
         self.radio_range_m = range_m;
         self
     }

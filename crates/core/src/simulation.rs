@@ -8,7 +8,7 @@ use crate::metrics::{Metrics, Report};
 use crate::scenario::{ChannelModel, Scenario};
 use crate::taxonomy::ProtocolKind;
 use crate::telemetry::{NoTelemetry, Telemetry};
-use std::sync::Arc;
+use std::collections::VecDeque;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
 use vanet_net::{
     ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig, NeighborArena,
@@ -31,8 +31,9 @@ pub struct Flow {
 }
 
 /// Scheduler payload. Packets never ride in it — a frame in flight is an
-/// index into the slab, a backbone packet sits behind an `Arc` — so queue
-/// entries stay 16 bytes of payload.
+/// index into the slab, a backbone packet waits in the backbone FIFO — so
+/// every variant carries at most a `u32` and a queue entry is its 16-byte
+/// [`EventKey`] plus 8 bytes of payload.
 #[derive(Debug)]
 enum Event {
     MobilityStep,
@@ -41,22 +42,24 @@ enum Event {
     /// the batched timer wheel like beacons do.
     Maintain(NodeId),
     Beacon(NodeId),
-    FlowSend(usize),
+    /// The next packet of a flow: index into `flows`.
+    FlowSend(u32),
     /// A transmitted frame reaching its receivers: index into the in-flight
     /// slab (see [`Frame`]). One queued entry stands for every reception
     /// still to come; each reception is still one processed event, at
     /// exactly its own [`EventKey`].
     Frame(u32),
-    BackboneArrival {
-        receiver: NodeId,
-        packet: Arc<Packet>,
-    },
+    /// A backbone packet reaching the named RSU: the front of
+    /// `Simulation::backbone`, which holds the packet.
+    BackboneArrival(NodeId),
     /// A scheduled fault transition: index into the pre-built fault
     /// timeline. Fault transitions are first-class events riding the same
     /// `(time, seq)` discipline as everything else, so runs with a fault
     /// plan are deterministic across runs, workers and shards.
-    Fault(usize),
+    Fault(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
 
 /// One reception of an in-flight frame.
 #[derive(Debug, Clone, Copy)]
@@ -186,6 +189,13 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     frames: Vec<Frame>,
     /// Slots of `frames` whose frame has been fully delivered.
     free_frames: Vec<u32>,
+    /// Backbone packets in flight, in send order, each with its receiving
+    /// RSU; `Event::BackboneArrival` pops the front. Send order is arrival
+    /// order: the backbone latency is one constant per run and sends happen
+    /// at non-decreasing times, so arrival keys ascend in send order (ties
+    /// by sequence number, drawn in send order too). Arrivals past the
+    /// horizon never fire, and they are always a suffix of the queue.
+    backbone: VecDeque<(NodeId, Packet)>,
     /// The counters the run loop keeps itself: frames begun, in one pass
     /// and sorted. [`Simulation::counters`] reads every other field off the
     /// layers.
@@ -458,6 +468,7 @@ impl<T: Telemetry> Simulation<T> {
             delivery_buf: Vec::with_capacity(expected_neighbors as usize + 16),
             frames: Vec::new(),
             free_frames: Vec::new(),
+            backbone: VecDeque::new(),
             loop_counts: EngineCounters::default(),
             receptions: Vec::with_capacity(expected_neighbors as usize + 16),
             outcomes: Vec::new(),
@@ -525,13 +536,14 @@ impl<T: Telemetry> Simulation<T> {
         for (i, _flow) in self.flows.iter().enumerate() {
             let offset = self.scenario.warmup
                 + self.scenario.packet_interval * traffic_rng.uniform_range(0.0, 1.0);
+            let i = u32::try_from(i).expect("flow count fits u32");
             self.scheduler.schedule_after(offset, Event::FlowSend(i));
         }
         // Fault transitions are scheduled last, and only for a non-empty
         // plan, so the sequence numbers of every other initial event — and
         // with them the entire fault-free event order — are unchanged.
-        for index in 0..self.fault_timeline.len() {
-            let (time, _) = self.fault_timeline[index];
+        for (index, &(time, _)) in self.fault_timeline.iter().enumerate() {
+            let index = u32::try_from(index).expect("fault timeline fits u32");
             self.scheduler
                 .schedule_at(time, Event::Fault(index))
                 .expect("fault times are validated non-negative");
@@ -563,12 +575,13 @@ impl<T: Telemetry> Simulation<T> {
     }
 
     /// Number of scheduler events processed so far:
-    /// [`EngineCounters::events`]. Kept only because the repo benchmark
+    /// [`EngineCounters::events`], read without building the rest of the
+    /// record. Kept only because the repo benchmark
     /// (`benchmark/src/child.rs`, `benchmark/src/trace.rs`) calls it; it goes
     /// when the benchmark reads [`Simulation::counters`] instead.
     #[must_use]
     pub fn processed_events(&self) -> u64 {
-        self.counters().events
+        self.scheduler.processed_events()
     }
 
     /// The engine's self-metrics so far: scheduler, neighbour arena, grid,
@@ -705,7 +718,7 @@ impl<T: Telemetry> Simulation<T> {
                     .schedule_batched_after(interval * jitter, Event::Beacon(node_id));
             }
             Event::FlowSend(flow_idx) => {
-                let flow = self.flows[flow_idx];
+                let flow = self.flows[flow_idx as usize];
                 let mut packet =
                     Packet::data(flow.source, flow.destination, self.scenario.payload_bytes);
                 packet.id = self.packet_ids.allocate();
@@ -719,7 +732,12 @@ impl<T: Telemetry> Simulation<T> {
                     .schedule_after(self.scenario.packet_interval, Event::FlowSend(flow_idx));
             }
             Event::Frame(slot) => self.deliver_frame(now, slot),
-            Event::BackboneArrival { receiver, packet } => {
+            Event::BackboneArrival(receiver) => {
+                let (to, packet) = self
+                    .backbone
+                    .pop_front()
+                    .expect("a backbone arrival has its packet queued");
+                debug_assert_eq!(to, receiver, "backbone arrivals fire in send order");
                 let idx = self.node_index(receiver);
                 if self.node_is_down(idx) {
                     self.telemetry.on_fault_drop(now, self.states[idx].position);
@@ -728,7 +746,7 @@ impl<T: Telemetry> Simulation<T> {
                 self.dispatch(idx, now, |p, ctx| p.on_packet(ctx, &packet, false));
             }
             Event::Fault(index) => {
-                let (_, action) = self.fault_timeline[index];
+                let (_, action) = self.fault_timeline[index as usize];
                 match action {
                     FaultAction::NodeDown(id) => {
                         self.node_down[id.index()] = true;
@@ -1071,12 +1089,10 @@ impl<T: Telemetry> Simulation<T> {
                     if backbone_ok {
                         self.metrics
                             .record_transmission("ISYNC", packet.size_bytes(), true);
+                        self.backbone.push_back((to, packet));
                         self.scheduler.schedule_after(
                             self.scenario.backbone_latency,
-                            Event::BackboneArrival {
-                                receiver: to,
-                                packet: Arc::new(packet),
-                            },
+                            Event::BackboneArrival(to),
                         );
                     } else {
                         self.metrics.record_drop(vanet_routing::DropReason::NoRoute);

@@ -4,7 +4,7 @@
 //! contiguous slabs**. Small *key blocks* carry a node's neighbour ids
 //! (index-linked, ascending by [`NodeId`] across the node's chain), and
 //! beside each id the index of its entry in a dense *payload slab* that
-//! holds one 16-byte `Entry` per live neighbour: its expiry and the index
+//! holds one 12-byte `Entry` per live neighbour: its expiry and the index
 //! of an `Advert` in the *advert slab*. An advert is one beacon's
 //! kinematics — the sender's position and velocity, 40 bytes with the
 //! sender and a reference count — stored once however many receivers hold
@@ -80,7 +80,12 @@ struct KeyBlock {
 /// One live neighbour's payload. Its id is the key that indexes it, and
 /// what the neighbour last advertised is the advert it names. A slot on the
 /// free list holds the index of the next free slot in `advert` instead.
+///
+/// Packed to 4-byte alignment, so the arena's largest slab carries no
+/// padding: 12 bytes a slot. A packed field cannot be borrowed, so
+/// `expires_at` is read into a local before it is compared.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Entry {
     expires_at: SimTime,
     advert: u32,
@@ -100,7 +105,7 @@ struct Advert {
 
 // The layout the slabs are sized by: what `ArenaOccupancy::slab_bytes`
 // counts, and what a view builds per neighbour it hands out.
-const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
 const _: () = assert!(std::mem::size_of::<Advert>() == 40);
 const _: () = assert!(std::mem::size_of::<KeyBlock>() == 264);
 const _: () = assert!(std::mem::size_of::<NeighborInfo>() == 48);
@@ -312,7 +317,7 @@ pub struct ArenaOccupancy {
 
 impl ArenaOccupancy {
     /// Bytes the three slabs have grown into, live and free alike: key
-    /// blocks at 264 bytes, payload slots at 16 and adverts at 40. Reserved
+    /// blocks at 264 bytes, payload slots at 12 and adverts at 40. Reserved
     /// but untouched capacity is not counted.
     #[must_use]
     pub fn slab_bytes(&self) -> usize {
@@ -531,8 +536,9 @@ impl NeighborArena {
         // A refresh can only raise its entry's deadline when observation
         // times are monotone, but one compare keeps the bound a lower bound
         // for out-of-order replays as well.
-        if entry.expires_at < table.next_deadline {
-            table.next_deadline = entry.expires_at;
+        let expires_at = entry.expires_at;
+        if expires_at < table.next_deadline {
+            table.next_deadline = expires_at;
         }
         inserted
     }
@@ -635,15 +641,16 @@ impl NeighborArena {
             for read in 0..n {
                 let slot = blk.slot[read];
                 let entry = &mut self.payload[slot as usize];
-                if entry.expires_at < now {
+                let expires_at = entry.expires_at;
+                if expires_at < now {
                     out.push(blk.keys[read]);
                     self.adverts.release(entry.advert);
                     entry.advert = self.free_slot;
                     self.free_slot = slot;
                     self.free_slots += 1;
                 } else {
-                    if entry.expires_at < earliest {
-                        earliest = entry.expires_at;
+                    if expires_at < earliest {
+                        earliest = expires_at;
                     }
                     blk.keys[write] = blk.keys[read];
                     blk.slot[write] = slot;
@@ -1179,11 +1186,11 @@ mod tests {
         for id in 0..(BLOCK_KEYS as u32 + 1) {
             obs(&mut arena, &mut t, id, 0.0, 0.0, 1.0);
         }
-        // Two key blocks, and a 16-byte payload slot and a 40-byte advert
+        // Two key blocks, and a 12-byte payload slot and a 40-byte advert
         // for each of the 33 senders.
         let full = arena.occupancy();
         assert_eq!(full.blocks_live, 2);
-        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * (16 + 40));
+        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * (12 + 40));
         arena.purge_due(&mut t, SimTime::from_secs(5.0), &mut Vec::new());
         assert_eq!(arena.occupancy().slab_bytes(), full.slab_bytes());
     }

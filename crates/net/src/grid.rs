@@ -322,16 +322,13 @@ impl SpatialGrid {
     }
 
     /// Exactly the indexed nodes `within(center, position, radius_m)`, sorted
-    /// by node id. Allocates its buffer: the form for tests and one-off
-    /// queries.
+    /// by node id, in a fresh buffer: the form the tests compare.
     ///
     /// # Panics
     ///
     /// Panics if `radius_m` exceeds the grid's cell size.
-    #[must_use]
-    pub fn candidates_within(&self, center: Position, radius_m: f64) -> Vec<(NodeId, Position)> {
-        // lint: allow(P1) — convenience form; the transmit path owns its
-        // buffer and calls `candidates_within_scratch`.
+    #[cfg(test)]
+    fn candidates_within(&self, center: Position, radius_m: f64) -> Vec<(NodeId, Position)> {
         let (mut out, mut unused) = (Vec::new(), Vec::new());
         self.candidates_within_scratch(center, radius_m, &mut out, &mut unused);
         out

@@ -123,8 +123,8 @@ impl Yan {
     }
 
     /// The number of cached source routes.
-    #[must_use]
-    pub fn cached_routes(&self) -> usize {
+    #[cfg(test)]
+    fn cached_routes(&self) -> usize {
         self.routes.len()
     }
 

@@ -45,8 +45,6 @@ pub struct TimerWheel<E> {
     /// The activated slot, sorted *descending* by key so the next entry to
     /// fire pops off the back in O(1).
     current: Vec<Entry<E>>,
-    /// Pending entries across `slots` and `current`.
-    len: usize,
     /// Pushes that had to splice into the already-sorted activated slot.
     spliced: u64,
 }
@@ -69,7 +67,6 @@ impl<E> TimerWheel<E> {
             base: 0,
             slots: VecDeque::new(),
             current: Vec::new(),
-            len: 0,
             spliced: 0,
         }
     }
@@ -91,10 +88,10 @@ impl<E> TimerWheel<E> {
         self.slot_index(time) - self.base < Self::MAX_SLOTS_AHEAD
     }
 
-    /// Number of pending entries.
+    /// Number of pending entries, counted across `current` and `slots`.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.len
+        self.current.len() + self.slots.iter().map(Vec::len).sum::<usize>()
     }
 
     /// How many pushes landed in the already-activated slot and were spliced
@@ -107,7 +104,6 @@ impl<E> TimerWheel<E> {
 
     /// Schedules `event` under `key`, at `key.time()`.
     pub fn push(&mut self, key: EventKey, event: E) {
-        self.len += 1;
         let entry = Entry { key, event };
         let idx = self.slot_index(key.time());
         if idx < self.base {
@@ -151,7 +147,6 @@ impl<E> TimerWheel<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.advance();
         let entry = self.current.pop()?;
-        self.len -= 1;
         Some((entry.key.time(), entry.event))
     }
 }
