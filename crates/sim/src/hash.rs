@@ -37,7 +37,7 @@ impl StableHasher {
     }
 
     /// Folds raw bytes into the state.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -58,7 +58,8 @@ impl StableHasher {
 
     /// Folds an `f64` in by its IEEE-754 bit pattern (so `-0.0` and `0.0`
     /// hash differently, and NaN payloads are preserved).
-    pub fn write_f64(&mut self, value: f64) {
+    #[cfg(test)]
+    fn write_f64(&mut self, value: f64) {
         self.write_u64(value.to_bits());
     }
 

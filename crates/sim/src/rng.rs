@@ -84,11 +84,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit output (upper half of [`SimRng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 random mantissa bits give every representable double in [0, 1).

@@ -41,7 +41,8 @@ impl RunningStats {
     }
 
     /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {
             return;
         }

@@ -166,12 +166,6 @@ impl SimDuration {
         self.0 * 1_000.0
     }
 
-    /// Whether this duration is zero.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// Whether this duration is infinite (or `MAX`).
     #[must_use]
     pub fn is_infinite(self) -> bool {

@@ -50,13 +50,14 @@ impl WindowClock {
 
     /// The window index a time falls into (`t / width`, floored).
     #[must_use]
-    pub fn index_of(&self, t: SimTime) -> usize {
+    fn index_of(&self, t: SimTime) -> usize {
         (t.as_secs() / self.width_s) as usize
     }
 
     /// Index of the earliest window not yet sealed.
+    #[cfg(test)]
     #[must_use]
-    pub fn open_index(&self) -> usize {
+    fn open_index(&self) -> usize {
         self.open
     }
 
