@@ -39,12 +39,6 @@ impl Normal {
         Normal { mu, sigma }
     }
 
-    /// The mean parameter.
-    #[must_use]
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
     /// The standard-deviation parameter.
     #[must_use]
     pub fn sigma(&self) -> f64 {
@@ -62,8 +56,9 @@ impl Normal {
     }
 
     /// Cumulative distribution function at `x`.
+    #[cfg(test)]
     #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
+    fn cdf(&self, x: f64) -> f64 {
         if self.sigma == 0.0 {
             return if x >= self.mu { 1.0 } else { 0.0 };
         }
@@ -181,14 +176,16 @@ impl Exponential {
     }
 
     /// The rate parameter.
+    #[cfg(test)]
     #[must_use]
-    pub fn lambda(&self) -> f64 {
+    fn lambda(&self) -> f64 {
         self.lambda
     }
 
     /// Cumulative distribution function at `x`.
+    #[cfg(test)]
     #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
+    fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
         } else {
@@ -233,7 +230,7 @@ impl Poisson {
 
     /// Draws an integer sample.
     #[must_use]
-    pub fn sample_count(&self, rng: &mut SimRng) -> u64 {
+    fn sample_count(&self, rng: &mut SimRng) -> u64 {
         if self.lambda < 30.0 {
             // Knuth's inversion method.
             let l = (-self.lambda).exp();
@@ -271,7 +268,7 @@ impl Sampler for Poisson {
 /// The error function, via the Abramowitz–Stegun 7.1.26 rational approximation
 /// (absolute error < 1.5e-7, ample for reception-probability curves).
 #[must_use]
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let a1 = 0.254_829_592;

@@ -50,8 +50,9 @@ impl Vec2 {
     }
 
     /// Z component of the cross product (signed area).
+    #[cfg(test)]
     #[must_use]
-    pub fn cross(self, other: Vec2) -> f64 {
+    fn cross(self, other: Vec2) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
@@ -84,8 +85,9 @@ impl Vec2 {
     /// Projects `self` onto the direction of `onto` (scalar projection).
     ///
     /// Returns 0 if `onto` is the zero vector.
+    #[cfg(test)]
     #[must_use]
-    pub fn scalar_projection_onto(self, onto: Vec2) -> f64 {
+    fn scalar_projection_onto(self, onto: Vec2) -> f64 {
         let n = onto.norm();
         if n == 0.0 {
             0.0
@@ -339,8 +341,9 @@ impl Heading {
     }
 
     /// Angle between two headings, in radians, in `[0, π]`.
+    #[cfg(test)]
     #[must_use]
-    pub fn angle_to(self, other: Heading) -> f64 {
+    fn angle_to(self, other: Heading) -> f64 {
         self.0.dot(other.0).clamp(-1.0, 1.0).acos()
     }
 

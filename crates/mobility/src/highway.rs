@@ -73,8 +73,9 @@ impl HighwayBuilder {
     }
 
     /// Sets the number of lanes per direction.
+    #[cfg(test)]
     #[must_use]
-    pub fn lanes_per_direction(mut self, lanes: usize) -> Self {
+    fn lanes_per_direction(mut self, lanes: usize) -> Self {
         self.lanes_per_direction = lanes.max(1);
         self
     }
@@ -121,8 +122,9 @@ impl HighwayBuilder {
     }
 
     /// Enables or disables the opposite carriageway.
+    #[cfg(test)]
     #[must_use]
-    pub fn bidirectional(mut self, yes: bool) -> Self {
+    fn bidirectional(mut self, yes: bool) -> Self {
         self.bidirectional = yes;
         self
     }

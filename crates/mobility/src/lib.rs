@@ -22,7 +22,6 @@
 //! let mut rng = SimRng::new(1);
 //! let mut highway = HighwayBuilder::new()
 //!     .length_m(2_000.0)
-//!     .lanes_per_direction(2)
 //!     .vehicles(40)
 //!     .build(&mut rng);
 //! highway.step(SimDuration::from_secs(1.0), &mut rng);

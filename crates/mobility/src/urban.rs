@@ -100,14 +100,6 @@ impl UrbanGridBuilder {
         self
     }
 
-    /// Sets the probability of turning (rather than continuing straight) at an
-    /// intersection.
-    #[must_use]
-    pub fn turn_probability(mut self, p: f64) -> Self {
-        self.turn_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Sets the node id assigned to the first vehicle (subsequent vehicles get
     /// consecutive ids). `vanet-core`'s simulation indexes every node by id
     /// and numbers RSUs after the vehicles, so it rejects anything but the
@@ -120,13 +112,13 @@ impl UrbanGridBuilder {
 
     /// Side length of the simulated area along x, metres.
     #[must_use]
-    pub fn width_m(&self) -> f64 {
+    fn width_m(&self) -> f64 {
         self.blocks_x as f64 * self.block_m
     }
 
     /// Side length of the simulated area along y, metres.
     #[must_use]
-    pub fn height_m(&self) -> f64 {
+    fn height_m(&self) -> f64 {
         self.blocks_y as f64 * self.block_m
     }
 
