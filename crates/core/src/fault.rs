@@ -53,7 +53,7 @@ impl FaultKind {
     /// Human-readable description of the fault's target, used in validation
     /// messages ("node 10", "rsu 1", "jam region 3", "burst loss").
     #[must_use]
-    pub fn target_desc(&self) -> String {
+    fn target_desc(&self) -> String {
         match self {
             FaultKind::NodeOutage { node } => format!("node {node}"),
             FaultKind::RsuOutage { rsu } => format!("rsu {rsu}"),
@@ -155,8 +155,9 @@ impl FaultPlan {
     }
 
     /// Sets the jam-region grid resolution.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_regions_per_axis(mut self, regions_per_axis: usize) -> Self {
+    fn with_regions_per_axis(mut self, regions_per_axis: usize) -> Self {
         self.regions_per_axis = regions_per_axis;
         self
     }

@@ -39,8 +39,8 @@ pub use scenario::{ChannelModel, RoadLayout, Scenario, TrafficRegime};
 pub use simulation::{run_scenario, Flow, Simulation};
 pub use taxonomy::{taxonomy_lines, ProtocolKind};
 pub use telemetry::{
-    drop_reason_index, NoTelemetry, RegionRecord, Telemetry, WindowRecord, WindowedTap,
-    DROP_REASON_COUNT, DROP_REASON_NAMES,
+    NoTelemetry, RegionRecord, Telemetry, WindowRecord, WindowedTap, DROP_REASON_COUNT,
+    DROP_REASON_NAMES,
 };
 // The telemetry trait's hook signatures mention these types, so downstream
 // crates (the runner) can name them without depending on the layer crates.

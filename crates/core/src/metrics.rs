@@ -1,8 +1,8 @@
 //! Metrics collected by a simulation run and the report derived from them.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use vanet_routing::{BundleOp, DropReason};
-use vanet_sim::{Counter, NodeId, PacketId, RunningStats, SimTime};
+use std::collections::BTreeMap;
+use vanet_routing::BundleOp;
+use vanet_sim::{Counter, PacketId, RunningStats, SimTime};
 
 /// Raw per-run metric accumulators (filled in by the simulation driver).
 #[derive(Debug, Default, Clone)]
@@ -13,21 +13,16 @@ pub struct Metrics {
     pub data_delivered: Counter,
     /// Additional (duplicate) deliveries of already-delivered packets.
     pub duplicate_deliveries: Counter,
-    /// Control packets transmitted, by packet-kind name. A `BTreeMap` so
-    /// every iteration (totals, exports, renders) is in kind-name order by
-    /// type, not by caller discipline.
-    pub control_packets: BTreeMap<&'static str, u64>,
+    /// Control packets transmitted, of every kind.
+    pub control_packets: Counter,
     /// Total control bytes transmitted.
     pub control_bytes: Counter,
     /// Data-packet transmissions (including every forwarding hop).
     pub data_transmissions: Counter,
-    /// Data bytes transmitted.
-    pub data_bytes: Counter,
     /// Route-error packets transmitted (a proxy for route breaks).
     pub route_errors: Counter,
-    /// Packet drops by reason. A `BTreeMap` so any breakdown iterates in
-    /// [`DropReason`] declaration order deterministically.
-    pub drops: BTreeMap<DropReason, u64>,
+    /// Packet drops at the routing layer, of every reason.
+    pub drops: Counter,
     /// End-to-end delay of delivered packets, seconds.
     pub delays: RunningStats,
     /// Hop counts of delivered packets.
@@ -46,15 +41,9 @@ pub struct Metrics {
     pub custody_transfers: Counter,
     /// Highest bundle-buffer occupancy observed at any node.
     pub buffer_peak: usize,
-    /// Send time and source of every originated packet (for delay/PDR).
-    // lint: allow(D1) — lookup-only (`insert`/`get` by PacketId); never
-    // iterated, so map order cannot reach a Report (metrics tests pin every
-    // derived value).
-    pub(crate) outstanding: HashMap<PacketId, (SimTime, NodeId)>,
-    /// Packets already counted as delivered.
-    // lint: allow(D1) — membership-only (`insert`/`contains`); never
-    // iterated, so set order cannot reach a Report.
-    pub(crate) delivered_ids: HashSet<PacketId>,
+    /// Send time of every originated packet, and whether it has been
+    /// delivered yet (for delay, PDR and duplicates).
+    outstanding: BTreeMap<PacketId, (SimTime, bool)>,
 }
 
 impl Metrics {
@@ -65,48 +54,51 @@ impl Metrics {
     }
 
     /// Records the origination of a data packet.
-    pub fn record_origination(&mut self, id: PacketId, source: NodeId, now: SimTime) {
+    pub fn record_origination(&mut self, id: PacketId, now: SimTime) {
         self.data_originated.incr();
-        self.outstanding.insert(id, (now, source));
+        self.outstanding.insert(id, (now, false));
     }
 
     /// Records a delivery; duplicates are counted separately. A delivery
-    /// must name a packet [`Metrics::record_origination`] saw, or
-    /// `data_delivered` could pass `data_originated`.
+    /// must name a packet [`Metrics::record_origination`] saw: debug builds
+    /// panic on any other, release builds ignore it, so `data_delivered`
+    /// never passes `data_originated`.
     pub fn record_delivery(&mut self, id: PacketId, hops: u32, now: SimTime) {
-        if self.delivered_ids.contains(&id) {
+        let entry = self.outstanding.get_mut(&id);
+        debug_assert!(
+            entry.is_some(),
+            "delivery of {id:?}, which was never originated"
+        );
+        let Some((sent, delivered)) = entry else {
+            return;
+        };
+        if *delivered {
             self.duplicate_deliveries.incr();
             return;
         }
-        debug_assert!(
-            self.outstanding.contains_key(&id),
-            "delivery of {id:?}, which was never originated"
-        );
-        self.delivered_ids.insert(id);
+        *delivered = true;
         self.data_delivered.incr();
         self.hops.record(f64::from(hops));
-        if let Some((sent, _)) = self.outstanding.get(&id) {
-            self.delays.record(now.saturating_since(*sent).as_secs());
-        }
+        self.delays.record(now.saturating_since(*sent).as_secs());
     }
 
-    /// Records the transmission of a packet (control or data).
-    pub fn record_transmission(&mut self, kind_name: &'static str, bytes: usize, is_control: bool) {
+    /// Records one transmission: a control packet of `bytes` (a route error
+    /// when `is_route_error`) or one hop of a data packet.
+    pub fn record_transmission(&mut self, bytes: usize, is_control: bool, is_route_error: bool) {
         if is_control {
-            *self.control_packets.entry(kind_name).or_insert(0) += 1;
+            self.control_packets.incr();
             self.control_bytes.add(bytes as u64);
-            if kind_name == "RERR" {
+            if is_route_error {
                 self.route_errors.incr();
             }
         } else {
             self.data_transmissions.incr();
-            self.data_bytes.add(bytes as u64);
         }
     }
 
     /// Records a drop.
-    pub fn record_drop(&mut self, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
+    pub fn record_drop(&mut self) {
+        self.drops.incr();
     }
 
     /// Records a neighbour-count sample.
@@ -126,12 +118,6 @@ impl Metrics {
             BundleOp::Custody => self.custody_transfers.incr(),
         }
         self.buffer_peak = self.buffer_peak.max(occupancy);
-    }
-
-    /// Total control packets of all kinds.
-    #[must_use]
-    pub fn total_control_packets(&self) -> u64 {
-        self.control_packets.values().sum()
     }
 
     /// Packet delivery ratio in `[0, 1]`.
@@ -158,15 +144,15 @@ impl Metrics {
             avg_delay_s: self.delays.mean(),
             max_delay_s: self.delays.max(),
             avg_hops: self.hops.mean(),
-            control_packets: self.total_control_packets(),
+            control_packets: self.control_packets.value(),
             control_bytes: self.control_bytes.value(),
             data_transmissions: self.data_transmissions.value(),
-            control_per_delivered: self.total_control_packets() as f64 / delivered as f64,
-            transmissions_per_delivered: (self.total_control_packets()
+            control_per_delivered: self.control_packets.value() as f64 / delivered as f64,
+            transmissions_per_delivered: (self.control_packets.value()
                 + self.data_transmissions.value()) as f64
                 / delivered as f64,
             route_errors: self.route_errors.value(),
-            drops: self.drops.values().sum(),
+            drops: self.drops.value(),
             avg_neighbors: self.neighbor_counts.mean(),
             bundles_stored: self.bundles_stored.value(),
             bundles_forwarded: self.bundles_forwarded.value(),
@@ -329,41 +315,6 @@ impl Report {
             self.route_errors
         )
     }
-
-    /// CSV header matching [`Report::csv_row`].
-    #[must_use]
-    pub fn csv_header() -> String {
-        "protocol,scenario,sent,delivered,duplicates,pdr,avg_delay_s,avg_hops,control_packets,control_bytes,data_transmissions,control_per_delivered,route_errors,drops,avg_neighbors,bundles_stored,bundles_forwarded,bundles_expired,bundles_evicted,custody_transfers,buffer_peak".to_owned()
-    }
-
-    /// One CSV row.
-    #[must_use]
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{:.4},{:.4},{:.2},{},{},{},{:.2},{},{},{:.2},{},{},{},{},{},{}",
-            self.protocol,
-            self.scenario,
-            self.data_sent,
-            self.data_delivered,
-            self.duplicate_deliveries,
-            self.delivery_ratio,
-            self.avg_delay_s,
-            self.avg_hops,
-            self.control_packets,
-            self.control_bytes,
-            self.data_transmissions,
-            self.control_per_delivered,
-            self.route_errors,
-            self.drops,
-            self.avg_neighbors,
-            self.bundles_stored,
-            self.bundles_forwarded,
-            self.bundles_expired,
-            self.bundles_evicted,
-            self.custody_transfers,
-            self.buffer_peak
-        )
-    }
 }
 
 #[cfg(test)]
@@ -373,8 +324,8 @@ mod tests {
     #[test]
     fn delivery_and_duplicates() {
         let mut m = Metrics::new();
-        m.record_origination(PacketId(1), NodeId(0), SimTime::ZERO);
-        m.record_origination(PacketId(2), NodeId(0), SimTime::ZERO);
+        m.record_origination(PacketId(1), SimTime::ZERO);
+        m.record_origination(PacketId(2), SimTime::ZERO);
         m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.5));
         m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.6));
         assert_eq!(m.data_delivered.value(), 1);
@@ -389,18 +340,18 @@ mod tests {
     #[should_panic(expected = "never originated")]
     fn delivering_a_packet_never_originated_panics() {
         let mut m = Metrics::new();
-        m.record_origination(PacketId(1), NodeId(0), SimTime::ZERO);
+        m.record_origination(PacketId(1), SimTime::ZERO);
         m.record_delivery(PacketId(2), 1, SimTime::from_secs(0.5));
     }
 
     #[test]
     fn transmissions_split_control_and_data() {
         let mut m = Metrics::new();
-        m.record_transmission("RREQ", 24, true);
-        m.record_transmission("RREQ", 24, true);
-        m.record_transmission("RERR", 12, true);
-        m.record_transmission("DATA", 532, false);
-        assert_eq!(m.total_control_packets(), 3);
+        m.record_transmission(24, true, false);
+        m.record_transmission(24, true, false);
+        m.record_transmission(12, true, true);
+        m.record_transmission(532, false, false);
+        assert_eq!(m.control_packets.value(), 3);
         assert_eq!(m.control_bytes.value(), 60);
         assert_eq!(m.data_transmissions.value(), 1);
         assert_eq!(m.route_errors.value(), 1);
@@ -410,15 +361,15 @@ mod tests {
     fn report_normalisations() {
         let mut m = Metrics::new();
         for i in 0..10 {
-            m.record_origination(PacketId(i), NodeId(0), SimTime::ZERO);
+            m.record_origination(PacketId(i), SimTime::ZERO);
         }
         for i in 0..5 {
             m.record_delivery(PacketId(i), 2, SimTime::from_secs(0.2));
         }
         for _ in 0..20 {
-            m.record_transmission("RREQ", 24, true);
+            m.record_transmission(24, true, false);
         }
-        m.record_drop(DropReason::NoRoute);
+        m.record_drop();
         m.record_neighbor_count(7);
         let r = m.report("AODV", "highway");
         assert_eq!(r.data_sent, 10);
@@ -430,7 +381,6 @@ mod tests {
         // Rendering helpers produce non-empty, aligned output.
         assert!(!Report::table_header().is_empty());
         assert!(r.table_row().contains("AODV"));
-        assert!(Report::csv_header().split(',').count() == r.csv_row().split(',').count());
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl ReplicationPolicy {
 
     /// Replications to schedule before any adaptive decision.
     #[must_use]
-    pub fn initial_replications(&self) -> usize {
+    fn initial_replications(&self) -> usize {
         match self {
             ReplicationPolicy::Fixed(n) => (*n).max(1),
             ReplicationPolicy::ConfidenceWidth { min, .. } => (*min).max(2),
@@ -185,8 +185,9 @@ impl CampaignPlan {
     }
 
     /// Whether any cell uses an adaptive replication policy.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_adaptive(&self) -> bool {
+    fn is_adaptive(&self) -> bool {
         self.cells
             .iter()
             .any(|c| matches!(c.replication, ReplicationPolicy::ConfidenceWidth { .. }))

@@ -556,12 +556,6 @@ impl<T: Telemetry> Simulation<T> {
         &self.flows
     }
 
-    /// The metrics accumulated so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// The ids of the road-side units.
     #[must_use]
     pub fn rsu_ids(&self) -> &[NodeId] {
@@ -724,7 +718,7 @@ impl<T: Telemetry> Simulation<T> {
                 packet.id = self.packet_ids.allocate();
                 packet.created_at = now;
                 packet.flow = Some(flow.id);
-                self.metrics.record_origination(packet.id, flow.source, now);
+                self.metrics.record_origination(packet.id, now);
                 self.telemetry.on_origination(now);
                 let idx = self.node_index(flow.source);
                 self.dispatch(idx, now, |p, ctx| p.originate(ctx, packet));
@@ -982,15 +976,15 @@ impl<T: Telemetry> Simulation<T> {
                 .on_fault_drop(now, self.states[sender_idx].position);
             return;
         }
-        self.metrics.record_transmission(
-            packet.kind.name(),
+        self.record_send(
+            now,
+            sender_idx,
             packet.size_bytes(),
             packet.is_control(),
+            matches!(packet.kind, PacketKind::RouteError { .. }),
         );
         let sender_id = NodeId(sender_idx as u32);
         let sender_pos = self.states[sender_idx].position;
-        self.telemetry
-            .on_transmit(now, sender_pos, packet.size_bytes(), packet.is_control());
         let mut deliveries = std::mem::take(&mut self.delivery_buf);
         self.medium.transmit_indexed_into(
             now,
@@ -1037,6 +1031,24 @@ impl<T: Telemetry> Simulation<T> {
         self.delivery_buf = deliveries;
     }
 
+    /// Counts one send by node `sender_idx` in the metrics and raises
+    /// [`Telemetry::on_transmit`] for it. The radio and the wired backbone
+    /// both send through here, so a tap's transmissions and the report's
+    /// cannot disagree.
+    fn record_send(
+        &mut self,
+        now: SimTime,
+        sender_idx: usize,
+        bytes: usize,
+        is_control: bool,
+        is_route_error: bool,
+    ) {
+        self.metrics
+            .record_transmission(bytes, is_control, is_route_error);
+        self.telemetry
+            .on_transmit(now, self.states[sender_idx].position, bytes, is_control);
+    }
+
     /// Whether `id` is a road-side unit; an id outside the fleet is not.
     fn is_rsu(&self, id: NodeId) -> bool {
         self.states
@@ -1067,7 +1079,7 @@ impl<T: Telemetry> Simulation<T> {
                     self.telemetry.on_delivery(now, delay_s);
                 }
                 Action::Drop { reason, .. } => {
-                    self.metrics.record_drop(reason);
+                    self.metrics.record_drop();
                     self.telemetry
                         .on_drop(now, self.states[node_idx].position, reason);
                 }
@@ -1087,15 +1099,16 @@ impl<T: Telemetry> Simulation<T> {
                         && !self.node_is_down(node_idx)
                         && !self.node_is_down(self.node_index(to));
                     if backbone_ok {
-                        self.metrics
-                            .record_transmission("ISYNC", packet.size_bytes(), true);
+                        // A backbone send is a control transmission (it
+                        // syncs the RSUs), never a route error.
+                        self.record_send(now, node_idx, packet.size_bytes(), true, false);
                         self.backbone.push_back((to, packet));
                         self.scheduler.schedule_after(
                             self.scenario.backbone_latency,
                             Event::BackboneArrival(to),
                         );
                     } else {
-                        self.metrics.record_drop(vanet_routing::DropReason::NoRoute);
+                        self.metrics.record_drop();
                         self.telemetry.on_drop(
                             now,
                             self.states[node_idx].position,

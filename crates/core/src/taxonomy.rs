@@ -174,7 +174,7 @@ impl ProtocolKind {
 
     /// All protocols belonging to `category`.
     #[must_use]
-    pub fn in_category(category: Category) -> Vec<ProtocolKind> {
+    fn in_category(category: Category) -> Vec<ProtocolKind> {
         Self::ALL
             .into_iter()
             .filter(|p| p.category() == category)

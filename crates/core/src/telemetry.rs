@@ -28,8 +28,8 @@ use vanet_sim::{SimDuration, SimTime, StableHasher, WindowClock};
 /// Number of distinct [`DropReason`] variants a tap tracks.
 pub const DROP_REASON_COUNT: usize = 8;
 
-/// Column names for the per-reason drop counters, in
-/// [`drop_reason_index`] order.
+/// Column names for the per-reason drop counters, one per [`DropReason`]
+/// variant in declaration order.
 pub const DROP_REASON_NAMES: [&str; DROP_REASON_COUNT] = [
     "ttl_expired",
     "no_route",
@@ -44,7 +44,7 @@ pub const DROP_REASON_NAMES: [&str; DROP_REASON_COUNT] = [
 /// The fixed index of a drop reason in [`WindowRecord::drops`] (matches
 /// [`DROP_REASON_NAMES`]).
 #[must_use]
-pub fn drop_reason_index(reason: DropReason) -> usize {
+fn drop_reason_index(reason: DropReason) -> usize {
     match reason {
         DropReason::TtlExpired => 0,
         DropReason::NoRoute => 1,
@@ -94,7 +94,8 @@ pub trait Telemetry {
         let _ = now;
     }
 
-    /// A frame was handed to the medium at `pos`.
+    /// A packet was sent from `pos`: a frame handed to the medium, or a
+    /// control packet on the wired RSU backbone.
     #[inline]
     fn on_transmit(&mut self, now: SimTime, pos: Position, bytes: usize, is_control: bool) {
         let _ = (now, pos, bytes, is_control);
@@ -187,7 +188,7 @@ pub struct WindowRecord {
     pub bytes_sent: u64,
     /// Frames that arrived at some node (every receiver counts).
     pub received: u64,
-    /// Drops by reason, indexed by [`drop_reason_index`].
+    /// Drops by reason, in [`DROP_REASON_NAMES`] order.
     pub drops: [u64; DROP_REASON_COUNT],
     /// Neighbour leases expired (links down).
     pub neighbors_lost: u64,

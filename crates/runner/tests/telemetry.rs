@@ -84,12 +84,19 @@ fn sorted_lines(text: &str) -> Vec<String> {
 
 #[test]
 fn tap_totals_agree_with_the_untapped_report() {
-    for protocol in [
-        ProtocolKind::Greedy,
-        ProtocolKind::Flooding,
-        ProtocolKind::Aodv,
+    // Drr on RSUs also sends over the wired backbone, which must reach the
+    // tap as a control transmission just as it reaches the report.
+    let rsus = Scenario::highway(30)
+        .with_rsus(4)
+        .with_seed(7)
+        .with_flows(4)
+        .with_duration(SimDuration::from_secs(20.0));
+    for (scenario, protocol) in [
+        (tiny(16, 7), ProtocolKind::Greedy),
+        (tiny(16, 7), ProtocolKind::Flooding),
+        (tiny(16, 7), ProtocolKind::Aodv),
+        (rsus, ProtocolKind::Drr),
     ] {
-        let scenario = tiny(16, 7);
         let reference = run_scenario(scenario.clone(), protocol);
 
         let tap = WindowedTap::new(SimDuration::from_secs(2.0), 4);
@@ -124,6 +131,16 @@ fn tap_totals_agree_with_the_untapped_report() {
         let region_sent: u64 = tap.regions().iter().map(|r| r.sent).sum();
         let window_sent: u64 = windows.iter().map(|w| w.sent_data + w.sent_control).sum();
         assert_eq!(region_sent, window_sent, "{protocol}: region/window sent");
+        let sent_data: u64 = windows.iter().map(|w| w.sent_data).sum();
+        let sent_control: u64 = windows.iter().map(|w| w.sent_control).sum();
+        assert_eq!(
+            sent_data, report.data_transmissions,
+            "{protocol}: data sent"
+        );
+        assert_eq!(
+            sent_control, report.control_packets,
+            "{protocol}: control sent"
+        );
         assert_eq!(DROP_REASON_COUNT, 8);
     }
 }

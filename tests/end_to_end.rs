@@ -149,18 +149,19 @@ fn zone_flooding_cuts_redundant_transmissions() {
 
 #[test]
 fn reports_render_as_table_and_csv() {
-    let report = run_scenario(
-        Scenario::highway(25)
-            .with_seed(2)
-            .with_flows(2)
-            .with_duration(SimDuration::from_secs(15.0)),
-        ProtocolKind::Greedy,
-    );
+    let scenario = Scenario::highway(25)
+        .with_seed(2)
+        .with_flows(2)
+        .with_duration(SimDuration::from_secs(15.0));
+    let report = run_scenario(scenario.clone(), ProtocolKind::Greedy);
     assert!(report.table_row().contains("Greedy"));
-    assert_eq!(
-        Report::csv_header().split(',').count(),
-        report.csv_row().split(',').count()
-    );
+    // The one CSV of a run is the campaign export, one row per cell.
+    let plan = vanet::core::CampaignPlan::new("render").cell("hw", scenario, ProtocolKind::Greedy);
+    let csv = vanet_runner::render_csv(&vanet_runner::Runner::new().run_plan(&plan));
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 2, "{csv}");
+    assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
+    assert!(lines[1].contains("Greedy"));
 }
 
 #[test]
