@@ -125,14 +125,14 @@ impl FreeSpacePathLoss {
 
     /// Received power in dBm at `distance_m` (reference: −50 dBm at 1 m).
     #[must_use]
-    pub fn received_power_dbm(&self, distance_m: f64) -> f64 {
+    fn received_power_dbm(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(1.0);
         self.tx_power_dbm - 50.0 - 10.0 * self.path_loss_exponent * d.log10()
     }
 
     /// The reception threshold in dBm (received power at the nominal range).
     #[must_use]
-    pub fn threshold_dbm(&self) -> f64 {
+    fn threshold_dbm(&self) -> f64 {
         self.received_power_dbm(self.nominal_range_m)
     }
 }
@@ -188,12 +188,6 @@ impl LogNormalShadowing {
     #[must_use]
     pub fn sigma_db(&self) -> f64 {
         self.sigma_db
-    }
-
-    /// Mean received power in dBm at `distance_m`.
-    #[must_use]
-    pub fn mean_received_power_dbm(&self, distance_m: f64) -> f64 {
-        self.mean.received_power_dbm(distance_m)
     }
 }
 

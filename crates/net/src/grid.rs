@@ -304,12 +304,6 @@ impl SpatialGrid {
         self.len == 0
     }
 
-    /// The largest query radius the grid was built for, metres.
-    #[must_use]
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_m
-    }
-
     /// How many vertex lists the grid holds, how many ids they hold between
     /// them — `4 × len()` while the books balance — and the longest.
     #[must_use]

@@ -94,16 +94,18 @@ impl MacParams {
 
     /// Samples whether a frame survives collisions from `interferers`
     /// overlapping transmissions.
+    #[cfg(test)]
     #[must_use]
-    pub fn sample_collision_survival(&self, interferers: usize, rng: &mut SimRng) -> bool {
+    fn sample_collision_survival(&self, interferers: usize, rng: &mut SimRng) -> bool {
         rng.chance(self.survival_probability(interferers))
     }
 
     /// End-to-end single-hop latency (processing + backoff upper bound +
     /// serialisation + propagation) used by protocols when they estimate
     /// per-hop delay without sampling.
+    #[cfg(test)]
     #[must_use]
-    pub fn nominal_hop_delay(&self, bytes: usize, distance_m: f64) -> SimDuration {
+    fn nominal_hop_delay(&self, bytes: usize, distance_m: f64) -> SimDuration {
         SimDuration::from_secs(self.processing_delay_s + self.min_backoff_s)
             + self.transmission_delay(bytes)
             + self.propagation_delay(distance_m)

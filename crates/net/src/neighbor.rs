@@ -40,7 +40,7 @@ impl Default for BeaconConfig {
 }
 
 /// What a node knows about one of its neighbours, as a [`NeighborView`]
-/// hands it out: by value, built from the arena's key (the id), its 16-byte
+/// hands it out: by value, built from the arena's key (the id), its 12-byte
 /// payload (the expiry) and the advert that payload names (the position
 /// and velocity, stored once for every receiver of the beacon), which is
 /// all the arena stores.

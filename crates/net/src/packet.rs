@@ -125,28 +125,10 @@ impl PacketKind {
         !matches!(self, PacketKind::Data)
     }
 
-    /// A short name for metrics/debug output.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            PacketKind::Data => "DATA",
-            PacketKind::Hello => "HELLO",
-            PacketKind::RouteRequest { .. } => "RREQ",
-            PacketKind::RouteReply { .. } => "RREP",
-            PacketKind::RouteError { .. } => "RERR",
-            PacketKind::Ticket { .. } => "TICKET",
-            PacketKind::Ack { .. } => "ACK",
-            PacketKind::TopologyUpdate { .. } => "TUPD",
-            PacketKind::InfrastructureSync { .. } => "ISYNC",
-            PacketKind::SummaryVector { .. } => "SVEC",
-            PacketKind::CustodyAck { .. } => "CACK",
-        }
-    }
-
     /// Nominal header size in bytes for this packet kind (used for overhead
     /// accounting in bytes; sizes follow typical AODV/DSR field layouts).
     #[must_use]
-    pub fn header_bytes(&self) -> usize {
+    fn header_bytes(&self) -> usize {
         match self {
             PacketKind::Data => 20,
             PacketKind::Hello => 32,
@@ -311,8 +293,6 @@ mod tests {
         assert!(!PacketKind::Data.is_control());
         assert!(PacketKind::Hello.is_control());
         assert!(PacketKind::Ack { of: PacketId(1) }.is_control());
-        assert_eq!(PacketKind::Data.name(), "DATA");
-        assert_eq!(PacketKind::Hello.name(), "HELLO");
     }
 
     #[test]
