@@ -73,11 +73,6 @@ impl RoutingTable {
         }
     }
 
-    /// Unconditionally replaces the entry for its destination.
-    pub fn force_insert(&mut self, entry: RouteEntry) {
-        self.entries.insert(entry.destination, entry);
-    }
-
     /// Removes the route to `dest`.
     pub fn remove(&mut self, dest: NodeId) -> Option<RouteEntry> {
         self.entries.remove(&dest)

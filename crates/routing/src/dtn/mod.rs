@@ -126,12 +126,6 @@ impl DtnCore {
         }
     }
 
-    /// Whether `key` is known to have reached its destination.
-    #[must_use]
-    pub fn is_delivered(&self, key: BundleKey) -> bool {
-        self.delivered.contains(&key)
-    }
-
     /// Buffers `packet` as a bundle, resolving capacity pressure through the
     /// drop policy and reporting every lifecycle event. Returns `true` when
     /// the packet is now buffered.
@@ -251,7 +245,7 @@ impl DtnCore {
     }
 
     /// Unicasts a custody acknowledgement for `key` to `to`.
-    pub fn send_custody_ack(&self, ctx: &mut ProtocolContext<'_>, key: BundleKey, to: NodeId) {
+    fn send_custody_ack(&self, ctx: &mut ProtocolContext<'_>, key: BundleKey, to: NodeId) {
         let mut ack = ctx.new_control_packet(PacketKind::CustodyAck {
             origin: key.origin,
             bundle_id: key.id,

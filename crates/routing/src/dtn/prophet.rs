@@ -62,7 +62,7 @@ impl Prophet {
 
     /// This node's delivery predictability for `destination`.
     #[must_use]
-    pub fn predictability(&self, destination: NodeId) -> f64 {
+    fn predictability(&self, destination: NodeId) -> f64 {
         self.preds.get(&destination).copied().unwrap_or(0.0)
     }
 

@@ -102,8 +102,9 @@ impl Biswas {
     }
 
     /// Number of packets currently awaiting an implicit acknowledgement.
+    #[cfg(test)]
     #[must_use]
-    pub fn pending_acks(&self) -> usize {
+    fn pending_acks(&self) -> usize {
         self.awaiting_ack.len()
     }
 

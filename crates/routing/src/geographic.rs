@@ -63,8 +63,9 @@ impl<S: NextHopScorer> GeoRouting<S> {
     }
 
     /// Number of packets currently carried while waiting for a next hop.
+    #[cfg(test)]
     #[must_use]
-    pub fn carried_packets(&self) -> usize {
+    fn carried_packets(&self) -> usize {
         self.carried.len()
     }
 

@@ -41,8 +41,9 @@ impl Drr {
     }
 
     /// Number of packets currently buffered at this node.
+    #[cfg(test)]
     #[must_use]
-    pub fn buffered_packets(&self) -> usize {
+    fn buffered_packets(&self) -> usize {
         self.buffer.len()
     }
 
@@ -237,8 +238,9 @@ impl BusFerry {
     }
 
     /// Number of packets currently carried by this node.
+    #[cfg(test)]
     #[must_use]
-    pub fn buffered_packets(&self) -> usize {
+    fn buffered_packets(&self) -> usize {
         self.buffer.len()
     }
 

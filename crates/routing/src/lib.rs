@@ -65,4 +65,4 @@ pub use protocol::{
     Action, ActionSink, BundleOp, Category, DropReason, ProtocolContext, RoutingProtocol,
 };
 pub use yan::{TicketMetric, Yan, YanConfig};
-pub use zone::{in_corridor, rover, Rover, RoverPolicy, Zone};
+pub use zone::{rover, Rover, RoverPolicy, Zone};

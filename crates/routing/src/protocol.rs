@@ -228,7 +228,7 @@ impl ActionSink {
 
     /// Removes and returns all queued actions (convenient in tests; drivers
     /// on the hot path should prefer [`ActionSink::swap_into`]).
-    pub fn take_all(&mut self) -> Vec<Action> {
+    fn take_all(&mut self) -> Vec<Action> {
         std::mem::take(&mut self.actions)
     }
 

@@ -132,8 +132,9 @@ impl Yan {
     /// rankings have compared so far, and for how many of them the stability
     /// itself was computed — the rest were ruled out by a bracket that could
     /// not reach the `max_branches` best.
+    #[cfg(test)]
     #[must_use]
-    pub fn scoring_counts(&self) -> (u64, u64) {
+    fn scoring_counts(&self) -> (u64, u64) {
         (self.scored, self.integrated)
     }
 

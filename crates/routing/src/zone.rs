@@ -20,7 +20,7 @@ use vanet_sim::SimDuration;
 /// corridor is the set of points whose detour over the straight line is at
 /// most `margin` metres (an ellipse with foci `from` and `dest`).
 #[must_use]
-pub fn in_corridor(
+fn in_corridor(
     candidate: Position,
     from: Position,
     dest: Position,
