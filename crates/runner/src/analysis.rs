@@ -36,7 +36,7 @@ pub struct AnalyzeReport {
 
 /// Reads one of [`METRIC_NAMES`] off a single report.
 #[must_use]
-pub fn metric_value(report: &Report, name: &str) -> Option<f64> {
+fn metric_value(report: &Report, name: &str) -> Option<f64> {
     let field = Report::FIELDS.iter().find(|field| field.name() == name)?;
     Some(field.value(report))
 }
@@ -57,7 +57,7 @@ pub struct WelchResult {
 /// sample has fewer than two values (no variance estimate) or when both
 /// variances are zero with equal means (no test to run).
 #[must_use]
-pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<WelchResult> {
+fn welch_t_test(a: &[f64], b: &[f64]) -> Option<WelchResult> {
     if a.len() < 2 || b.len() < 2 {
         return None;
     }

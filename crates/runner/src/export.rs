@@ -119,7 +119,7 @@ pub fn render_table(results: &CampaignResults) -> String {
 
 /// The CSV header matching [`render_csv`].
 #[must_use]
-pub fn csv_header() -> String {
+fn csv_header() -> String {
     let mut cols = vec![
         "campaign".to_owned(),
         "label".to_owned(),

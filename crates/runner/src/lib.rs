@@ -75,7 +75,7 @@ pub mod scenario_spec;
 pub mod summary;
 pub mod telemetry;
 
-pub use analysis::{metric_value, run_analyze, welch_t_test, AnalyzeReport, WelchResult};
+pub use analysis::{run_analyze, AnalyzeReport, WelchResult};
 pub use campaign::{protocol_by_name, CampaignSpec};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};

@@ -40,7 +40,7 @@ pub struct ManifestEntry {
 /// job keys are derived from, so "hash unchanged" means "every cached key
 /// of this cell is still reachable".
 #[must_use]
-pub fn cell_hash(cell: &PlanCell) -> u64 {
+fn cell_hash(cell: &PlanCell) -> u64 {
     let mut hasher = StableHasher::new();
     hasher.write_str("cell/v1");
     hasher.write_u64(cell.scenario.content_hash());
@@ -93,7 +93,7 @@ pub fn parse_entry(line: &str) -> Result<ManifestEntry, String> {
 
 /// The manifest file's path inside a journal directory.
 #[must_use]
-pub fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
+fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(MANIFEST_FILE)
 }
 

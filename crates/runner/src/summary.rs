@@ -80,12 +80,6 @@ impl SummaryStat {
             ci95,
         })
     }
-
-    /// Renders the stat as `mean ± ci95`.
-    #[must_use]
-    pub fn pm(&self) -> String {
-        format!("{:.3} ±{:.3}", self.mean, self.ci95)
-    }
 }
 
 /// Names of the metrics a [`Summary`] carries, in export order: the names
