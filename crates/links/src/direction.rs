@@ -28,7 +28,7 @@ impl ProjectedVelocities {
     /// `tolerance` are treated as zero and ignored (a vehicle moving exactly
     /// along the axis has no meaningful vertical component).
     #[must_use]
-    pub fn same_direction_with_tolerance(&self, tolerance: f64) -> bool {
+    fn same_direction_with_tolerance(&self, tolerance: f64) -> bool {
         let horiz_ok =
             if self.a_horizontal.abs() <= tolerance || self.b_horizontal.abs() <= tolerance {
                 true

@@ -49,7 +49,7 @@ pub struct LinkLifetime {
 impl LinkLifetime {
     /// A link that never breaks.
     #[must_use]
-    pub fn never() -> Self {
+    fn never() -> Self {
         LinkLifetime {
             duration_s: f64::INFINITY,
             side: LinkBreakSide::Never,
@@ -210,7 +210,8 @@ pub fn link_lifetime_with_speed_limit(
 /// (Eq. 1 integrated with the trapezoidal rule at step `dt_s`), searched up
 /// to `t_max_s`.
 ///
-/// Returns [`LinkLifetime::never`] if the link survives the whole horizon.
+/// Returns an infinite lifetime on side [`LinkBreakSide::Never`] if the link
+/// survives the whole horizon.
 ///
 /// # Panics
 ///
@@ -278,8 +279,9 @@ pub fn indicator(separation: f64) -> i8 {
 /// `vel_j` are more than `range` metres apart, i.e. the positive root of
 /// `|Δp + Δv·t| = r`.
 ///
-/// Returns 0 if they are already out of range and [`LinkLifetime::never`] if
-/// the relative velocity keeps them within range forever. The break side is
+/// Returns 0 if they are already out of range and an infinite lifetime (side
+/// [`LinkBreakSide::Never`]) if the relative velocity keeps them within range
+/// forever. The break side is
 /// reported relative to the direction of relative motion (`Ahead` when the
 /// separation is growing along the relative-velocity axis at break time).
 #[must_use]

@@ -33,8 +33,9 @@ impl PathMetrics {
 
     /// Whether this path dominates `other`: at least as good on both lifetime
     /// and reliability with no more hops.
+    #[cfg(test)]
     #[must_use]
-    pub fn dominates(&self, other: &PathMetrics) -> bool {
+    fn dominates(&self, other: &PathMetrics) -> bool {
         self.lifetime_s >= other.lifetime_s
             && self.reliability >= other.reliability
             && self.hops <= other.hops
