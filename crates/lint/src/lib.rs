@@ -15,12 +15,14 @@
 //! | D5   | no `println!`/`eprintln!`/`dbg!` in library crates |
 //! | P1   | no allocation in `// lint: hot-path` files |
 //! | F1   | no force-unwrapped `partial_cmp` float comparisons |
+//! | S1   | no `pub fn` in a library crate that no other workspace file names |
 //! | A0   | every `lint:` directive is well-formed and justified |
 //!
 //! The pass is deliberately self-contained — a lightweight scrubber/lexer
 //! (comments, strings, raw strings, char literals) plus per-file scope
-//! tracking, no `syn` — because the build environment is offline. Findings
-//! can be suppressed only by an *audited* annotation naming its reason:
+//! tracking and, for S1, one workspace-wide name index; no `syn` — because
+//! the build environment is offline. Findings can be suppressed only by an
+//! *audited* annotation naming its reason:
 //!
 //! ```text
 //! // lint: allow(D1) — only counts leave this map; pinned by <test name>
@@ -28,6 +30,7 @@
 
 mod rules;
 mod scrub;
+mod surface;
 
 pub use rules::{explain, is_known_rule, scan_source, Finding, RULES};
 pub use scrub::{scrub, Scrubbed};
@@ -45,11 +48,17 @@ const SKIP_DIRS: [&str; 7] = [
 /// Collects every lintable `.rs` file under `root`'s `crates/` and `src/`
 /// trees, in deterministic (sorted) order, as workspace-relative paths.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+    collect(root, &["crates", "src"], &SKIP_DIRS)
+}
+
+/// Every `.rs` file under the `tops` trees of `root`, skipping directories
+/// named in `skip`, sorted, as workspace-relative paths.
+fn collect(root: &Path, tops: &[&str], skip: &[&str]) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
-            walk(&dir, &mut files)?;
+            walk(&dir, skip, &mut files)?;
         }
     }
     let mut rel: Vec<PathBuf> = files
@@ -60,7 +69,7 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(rel)
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(Result::ok)
         .map(|e| e.path())
@@ -69,10 +78,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for path in entries {
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if SKIP_DIRS.contains(&name) {
+            if skip.contains(&name) {
                 continue;
             }
-            walk(&path, out)?;
+            walk(&path, skip, out)?;
         } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
             out.push(path);
         }
@@ -80,20 +89,33 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Scans the whole workspace under `root`; findings come back sorted by
-/// (file, line, rule).
+/// Scans the whole workspace under `root`: the per-file rules over
+/// [`collect_sources`], then S1 over every caller file. Findings come back
+/// sorted by (file, line, rule).
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
-    for rel in collect_sources(root)? {
-        let source = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel
-            .to_str()
-            .map(|s| s.replace('\\', "/"))
-            .unwrap_or_default();
-        findings.extend(scan_source(&rel_str, &source));
+    for (rel, source) in read_all(root, collect_sources(root)?)? {
+        findings.extend(scan_source(&rel, &source));
     }
+    let callers = collect(root, &surface::CALLER_TREES, &surface::CALLER_SKIP)?;
+    findings.extend(surface::check_s1(&read_all(root, callers)?));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
+}
+
+/// Reads each of `rels` under `root`, pairing it with its path in forward
+/// slashes.
+fn read_all(root: &Path, rels: Vec<PathBuf>) -> io::Result<Vec<(String, String)>> {
+    rels.into_iter()
+        .map(|rel| {
+            let source = fs::read_to_string(root.join(&rel))?;
+            let rel = rel
+                .to_str()
+                .map(|s| s.replace('\\', "/"))
+                .unwrap_or_default();
+            Ok((rel, source))
+        })
+        .collect()
 }
 
 #[cfg(test)]

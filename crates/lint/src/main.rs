@@ -1,4 +1,5 @@
-//! `vanet-lint` CLI: walk `crates/` + `src/`, enforce the invariant rules,
+//! `vanet-lint` CLI: walk `crates/` + `src/` (and, for S1's callers,
+//! `tests/`, `examples/` and `benchmark/src/`), enforce the invariant rules,
 //! exit nonzero on findings. See `--explain <rule>` for the catalog.
 
 use std::path::PathBuf;

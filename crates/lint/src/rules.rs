@@ -2,8 +2,10 @@
 //!
 //! Every rule encodes one of the repo's written-down invariants (see the
 //! README "Static analysis" section): determinism rules D1–D5, the
-//! zero-allocation hot-path rule P1, and the float-total-order rule F1.
-//! Findings carry the rule code, the 1-based line, and a message; audited
+//! zero-allocation hot-path rule P1, the float-total-order rule F1, and the
+//! unused-surface rule S1 (the one cross-file rule, run by
+//! [`crate::scan_workspace`] from [`crate::surface`]). Findings carry the
+//! rule code, the 1-based line, and a message; audited
 //! `// lint: allow(<rule>) — <reason>` annotations suppress them (the
 //! reason is mandatory — a bare allow is itself an A0 finding).
 
@@ -62,7 +64,7 @@ fn escape_json(s: &str) -> String {
 }
 
 /// Every rule code, in catalog order.
-pub const RULES: [&str; 8] = ["D1", "D2", "D3", "D4", "D5", "P1", "F1", "A0"];
+pub const RULES: [&str; 9] = ["D1", "D2", "D3", "D4", "D5", "P1", "F1", "S1", "A0"];
 
 /// Whether `code` names a rule in the catalog.
 #[must_use]
@@ -140,6 +142,18 @@ pub fn explain(code: &str) -> Option<&'static str> {
              annotate the wrapper's own impl with `// lint: allow(F1) — <why\n\
              NaN is impossible>`.",
         ),
+        "S1" => Some(
+            "S1 — public surface no caller uses.\n\
+             A `pub fn` (free or associated, outside `#[cfg(test)]` code) in a\n\
+             library file under `crates/*/src` (binaries excluded) whose name no\n\
+             other file of `crates/`, `src/`, `tests/`, `examples/` or\n\
+             `benchmark/src/` names in code. Comments and strings do not count,\n\
+             nor does a name inside a `pub use` re-export; fixture directories\n\
+             are not read. The check is lexical, so two items sharing a name hide\n\
+             each other: a collision can hide a finding, never invent one. Fix:\n\
+             delete the item, or make it private — and `#[cfg(test)]` when only\n\
+             its own file's tests call it.",
+        ),
         "A0" => Some(
             "A0 — malformed lint directive.\n\
              Every `// lint: allow(<rule>)` must name a known rule and carry a\n\
@@ -169,12 +183,12 @@ const POOL_FILE: &str = "crates/sim/src/pool.rs";
 
 /// One token of scrubbed source: an identifier or a single punctuation char.
 #[derive(Debug, Clone, Copy)]
-struct Tok<'a> {
-    text: &'a str,
-    line: usize,
+pub(crate) struct Tok<'a> {
+    pub(crate) text: &'a str,
+    pub(crate) line: usize,
 }
 
-fn tokenize(code: &str) -> Vec<Tok<'_>> {
+pub(crate) fn tokenize(code: &str) -> Vec<Tok<'_>> {
     let mut toks = Vec::new();
     let bytes = code.as_bytes();
     let mut line = 1usize;
@@ -225,7 +239,7 @@ fn tokenize(code: &str) -> Vec<Tok<'_>> {
 
 /// Per-line mask of `#[cfg(test)]`-gated spans: rule passes skip findings on
 /// masked lines (test code is not sim-visible).
-fn test_line_mask(code: &str) -> Vec<bool> {
+pub(crate) fn test_line_mask(code: &str) -> Vec<bool> {
     let toks = tokenize(code);
     let total_lines = code.lines().count() + 1;
     let mut mask = vec![false; total_lines + 2];
@@ -299,7 +313,6 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
 
     let sim_visible = SIM_VISIBLE.iter().any(|c| path.starts_with(c));
     let clock_exempt = CLOCK_EXEMPT.iter().any(|c| path.starts_with(c));
-    let is_binary = path.contains("/bin/") || path.ends_with("main.rs");
 
     if sim_visible {
         check_d1(path, &toks, &scrubbed, &in_tests, &mut findings);
@@ -311,7 +324,7 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
     if path != POOL_FILE {
         check_d4(path, &toks, &scrubbed, &in_tests, &mut findings);
     }
-    if !is_binary {
+    if !is_binary(path) {
         check_d5(path, &toks, &scrubbed, &in_tests, &mut findings);
     }
     if scrubbed.hot_path {
@@ -321,6 +334,11 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
 
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
+}
+
+/// Whether `path` is a binary's source (`src/bin/` or a `main.rs`).
+pub(crate) fn is_binary(path: &str) -> bool {
+    path.contains("/bin/") || path.ends_with("main.rs")
 }
 
 fn push_unless_allowed(
@@ -510,7 +528,7 @@ fn check_d1(
     }
 }
 
-fn is_ident(s: &str) -> bool {
+pub(crate) fn is_ident(s: &str) -> bool {
     s.chars()
         .next()
         .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')

@@ -1,0 +1,16 @@
+//! Calls `named_in_a_comment()` only in this comment.
+
+/// True positive: named only here and in the crate root's `pub use`.
+pub fn only_reexported() -> &'static str {
+    crate::called_by_inner();
+    describe()
+}
+
+fn describe() -> &'static str {
+    "named_in_a_string"
+}
+
+#[test]
+fn reexport_is_called_here() {
+    assert_eq!(only_reexported(), "named_in_a_string");
+}
