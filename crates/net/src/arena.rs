@@ -4,30 +4,40 @@
 //! contiguous slabs**. Small *key blocks* carry a node's neighbour ids
 //! (index-linked, ascending by [`NodeId`] across the node's chain), and
 //! beside each id the index of its entry in a dense *payload slab* that
-//! holds one 12-byte `Entry` per live neighbour: its expiry and the index
-//! of an `Advert` in the *advert slab*. An advert is one beacon's
-//! kinematics — the sender's position and velocity, 40 bytes with the
-//! sender and a reference count — stored once however many receivers hold
-//! it: every reception of one frame names the same advert, and so does a
-//! repeat beacon with bit-identical kinematics. A node holds a 16-byte
-//! [`ArenaTable`] handle instead of owning storage, and key blocks, payload
-//! slots and adverts freed by neighbour churn go on free lists for O(1)
-//! reuse (an advert when the last entry naming it lets go). `observe` — the
-//! hottest call on the beacon plane — walks a couple of 264-byte key blocks
-//! and then touches one payload: a refresh overwrites it in place, an
-//! insert shifts 4-byte keys and slot indices, and a split moves no payload
-//! at all. [`NeighborArena::observe_batch`] observes one sender at many
-//! receivers over a slice of handles, with one advert for the lot: a first
-//! pass takes the first step of every receiver's walk, so their cache
-//! misses overlap, then a second pass upserts.
+//! holds one 8-byte `Entry` per live neighbour: the index of an `Advert` in
+//! the *advert slab* and the entry's expiry as an offset from that advert's
+//! base. An advert is one frame: the sender's position and velocity, the
+//! `f64` bits of the smallest expiry it was minted for (its base, which no
+//! expiry naming it lies below), the sender and a reference count, 48 bytes stored once however many receivers hold
+//! it. An entry's expiry is rebuilt exactly as `f64::from_bits(base + off)`.
+//! Every reception of one frame names the same advert, and so does a repeat
+//! beacon whose kinematics are bit-identical while its expiry still lies
+//! within a `u32` offset of the advert's base (2^32 ulps: 1.9 µs for an
+//! expiry in [2 s, 4 s), twice that per further power of two, so a beacon
+//! a second later does not fit and takes an advert of its own). A
+//! reception whose offset does not fit — out-of-order times, a spread too
+//! wide, a sign change — gets an advert of its own, so every expiry is
+//! stored exactly whatever the lease, range or clock. A node holds a
+//! 16-byte [`ArenaTable`] handle instead of owning storage, and key blocks,
+//! payload slots and adverts freed by neighbour churn go on free lists for
+//! O(1) reuse (an advert when the last entry naming it lets go). `observe`
+//! — the hottest call on the beacon plane — walks a couple of 264-byte key
+//! blocks and then touches one payload: a refresh overwrites it in place,
+//! an insert shifts 4-byte keys and slot indices, and a split moves no
+//! payload at all. [`NeighborArena::observe_batch`] observes one sender at
+//! many receivers over a slice of handles, with one advert for the lot: a
+//! first pass takes the first step of every receiver's walk, so their cache
+//! misses overlap, and the span of their expiries, which the advert's base
+//! must cover; then a second pass upserts.
 //!
 //! Expiry is *lazy*: a handle carries [`ArenaTable::next_deadline`], a
-//! conservative lower bound on the earliest `expires_at` of any live entry
+//! conservative lower bound on the earliest expiry of any live entry
 //! (refreshing an entry raises its real deadline but leaves the bound
 //! untouched, so the bound only ever errs towards checking early).
 //! [`NeighborArena::purge_due`] is an O(1) no-op until the bound falls due
-//! and only then scans — steady-state maintenance cost tracks actual expiry
-//! activity, not fleet size.
+//! and only then scans, reading each scanned entry's advert for its base —
+//! steady-state maintenance cost tracks actual expiry activity, not fleet
+//! size.
 //!
 //! Protocols never mutate neighbour state, so they read through
 //! [`NeighborView`], a copyable handle-plus-arena pair with the read API
@@ -42,7 +52,7 @@
 //! `neighbor.rs` drive both through randomised churn and pin identical
 //! observe results, iteration order, loss observations and deadline
 //! evolution, and check after every tick that all three slabs' books
-//! balance, advert reference counts included.
+//! balance, advert reference counts and expiry bases included.
 
 // lint: hot-path
 
@@ -78,24 +88,27 @@ struct KeyBlock {
 }
 
 /// One live neighbour's payload. Its id is the key that indexes it, and
-/// what the neighbour last advertised is the advert it names. A slot on the
-/// free list holds the index of the next free slot in `advert` instead.
-///
-/// Packed to 4-byte alignment, so the arena's largest slab carries no
-/// padding: 12 bytes a slot. A packed field cannot be borrowed, so
-/// `expires_at` is read into a local before it is compared.
+/// what the neighbour last advertised is the advert it names. Its expiry is
+/// the `f64` whose bits are the advert's [`Advert::base`] plus `off`. A slot
+/// on the free list holds the index of the next free slot in `advert`
+/// instead.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
 struct Entry {
-    expires_at: SimTime,
+    off: u32,
     advert: u32,
 }
 
-/// One beacon's kinematics, shared by every entry that names it.
+/// One frame's kinematics, shared by every entry that names it.
 #[derive(Debug, Clone, Copy)]
 struct Advert {
     position: Position,
     velocity: Velocity,
+    /// The `f64` bits of the smallest expiry (by bits) the advert was
+    /// minted for; each entry naming it holds the expiry whose bits are
+    /// `base` plus its [`Entry::off`], so none lies below it. For
+    /// non-negative times bits order as the times do, so no entry naming
+    /// the advert expires before `base`.
+    base: u64,
     /// The advertiser. An advert on the free list holds the index of the
     /// next free advert here instead.
     sender: NodeId,
@@ -103,12 +116,30 @@ struct Advert {
     refs: u32,
 }
 
+impl Advert {
+    /// The expiry of an entry naming this advert at offset `off`.
+    fn expiry(&self, off: u32) -> SimTime {
+        SimTime::from_secs(f64::from_bits(self.base + u64::from(off)))
+    }
+}
+
 // The layout the slabs are sized by: what `ArenaOccupancy::slab_bytes`
 // counts, and what a view builds per neighbour it hands out.
-const _: () = assert!(std::mem::size_of::<Entry>() == 12);
-const _: () = assert!(std::mem::size_of::<Advert>() == 40);
+const _: () = assert!(std::mem::size_of::<Entry>() == 8);
+const _: () = assert!(std::mem::size_of::<Advert>() == 48);
 const _: () = assert!(std::mem::size_of::<KeyBlock>() == 264);
 const _: () = assert!(std::mem::size_of::<NeighborInfo>() == 48);
+
+/// The bits an expiry is stored by.
+fn expiry_bits(expires_at: SimTime) -> u64 {
+    expires_at.as_secs().to_bits()
+}
+
+/// The offset of expiry bits `bits` from an advert's `base`, if an entry
+/// can hold it: `bits` at or above `base` and less than 2^32 above it.
+fn offset(base: u64, bits: u64) -> Option<u32> {
+    bits.checked_sub(base).and_then(|d| u32::try_from(d).ok())
+}
 
 /// Whether two vectors are the same bits: `-0.0` is not `0.0`, so a reused
 /// advert reads back exactly what the beacon carried.
@@ -116,9 +147,9 @@ fn same_bits(a: Vec2, b: Vec2) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-/// The advert slab: each advertised `(position, velocity)` once, reference
+/// The advert slab: each frame's `(position, velocity)` once, reference
 /// counted by the entries that name it, with a free list, and per sender
-/// the advert its latest beacon minted.
+/// the advert its latest frame minted.
 #[derive(Debug, Clone)]
 struct Adverts {
     slab: Vec<Advert>,
@@ -132,11 +163,20 @@ struct Adverts {
 }
 
 impl Adverts {
-    /// The advert for `sender` advertising `(position, velocity)`: the
-    /// sender's latest if it is live, still the sender's, and
-    /// bit-identical, else a fresh one with no references yet, which the
-    /// caller's upsert must name at once.
-    fn intern(&mut self, sender: NodeId, position: Position, velocity: Velocity) -> u32 {
+    /// The entry for `sender` advertising `(position, velocity)` with the
+    /// expiry whose bits are `least`, in a frame whose expiries' bits span
+    /// `least..=most`. It names the sender's latest advert if that is live,
+    /// still the sender's, bit-identical, and the whole span lies within an
+    /// offset of its base; else a fresh advert based at `least` with no
+    /// references yet, which the caller's upsert must name at once.
+    fn intern(
+        &mut self,
+        sender: NodeId,
+        position: Position,
+        velocity: Velocity,
+        least: u64,
+        most: u64,
+    ) -> Entry {
         let s = sender.index();
         if s >= self.latest.len() {
             self.latest.resize(s + 1, NIL);
@@ -148,13 +188,20 @@ impl Adverts {
                 && a.sender == sender
                 && same_bits(a.position, position)
                 && same_bits(a.velocity, velocity)
+                && offset(a.base, most).is_some()
             {
-                return latest;
+                if let Some(off) = offset(a.base, least) {
+                    return Entry {
+                        off,
+                        advert: latest,
+                    };
+                }
             }
         }
         let advert = Advert {
             position,
             velocity,
+            base: least,
             sender,
             refs: 0,
         };
@@ -172,7 +219,10 @@ impl Adverts {
             idx
         };
         self.latest[s] = idx;
-        idx
+        Entry {
+            off: 0,
+            advert: idx,
+        }
     }
 
     /// One more entry names `idx`.
@@ -317,7 +367,7 @@ pub struct ArenaOccupancy {
 
 impl ArenaOccupancy {
     /// Bytes the three slabs have grown into, live and free alike: key
-    /// blocks at 264 bytes, payload slots at 12 and adverts at 40. Reserved
+    /// blocks at 264 bytes, payload slots at 8 and adverts at 48. Reserved
     /// but untouched capacity is not counted.
     #[must_use]
     pub fn slab_bytes(&self) -> usize {
@@ -371,8 +421,9 @@ impl NeighborArena {
     /// reallocate. Sized from the scenario's node count and expected
     /// neighbour density ([`NeighborArena::blocks_for`], at least a block a
     /// node), so no slab doubles mid-run (a doubling briefly holds both
-    /// buffers); on the benchmark's simulation workloads the advert slab
-    /// grows to 0.26–1.4 adverts per reserved block. Reserving touches
+    /// buffers); on the benchmark's simulation workloads at seed 1 the
+    /// advert slab, one advert a frame, grows to 0.07–1.8 adverts per
+    /// reserved block (the most on `dtn-epidemic`). Reserving touches
     /// nothing: a slab's pages are first touched as it grows into them.
     #[must_use]
     pub fn with_block_capacity(blocks: usize) -> Self {
@@ -464,26 +515,30 @@ impl NeighborArena {
         now: SimTime,
         lifetime: SimDuration,
     ) -> bool {
-        let entry = Entry {
-            expires_at: now + lifetime,
-            advert: self.adverts.intern(id, position, velocity),
-        };
+        let expires_at = now + lifetime;
+        let bits = expiry_bits(expires_at);
+        let entry = self.adverts.intern(id, position, velocity, bits, bits);
         let start = table.head;
-        self.observe_from(table, start, id, entry)
+        self.observe_from(table, start, id, entry, expires_at)
     }
 
     /// One sender heard by many receivers: [`NeighborArena::observe`] for
     /// each of `receptions` in turn, on `tables[reception.table]` at the
     /// reception's time, with the result left in [`Reception::gained`].
-    /// Every reception names one advert; none is minted when there are no
-    /// receptions.
+    /// The receptions name one advert — the sender's latest if its base
+    /// covers all their expiries, else a fresh one based at their smallest
+    /// expiry bits — except those whose expiry lies 2^32 or more ulps above
+    /// that base, each of which gets an advert of its own; none is minted
+    /// when there are no receptions.
     ///
     /// It runs in two passes. The first reads each receiver's handle and
     /// the last key and link of its head block, and records where the walk
     /// to `id` starts: the head, or its successor when `id` lies past the
-    /// head's last key. The second upserts from there. The first pass's
-    /// loads do not depend on one another, so the receivers' cache misses
-    /// overlap instead of queueing behind each upsert. A recorded block
+    /// head's last key; it also takes the smallest and largest expiry bits,
+    /// which the advert is interned with. The second upserts from there.
+    /// The first pass's loads do not depend on one another, so the
+    /// receivers' cache misses overlap instead of queueing behind each
+    /// upsert. A recorded block
     /// stays valid through the second pass: only a purge unlinks a block,
     /// a split keeps the original block as its lower half, and block
     /// indices survive the slab growing. So a table may even appear twice,
@@ -500,8 +555,11 @@ impl NeighborArena {
         if receptions.is_empty() {
             return;
         }
-        let advert = self.adverts.intern(id, position, velocity);
+        let (mut least, mut most) = (u64::MAX, 0);
         for reception in receptions.iter_mut() {
+            let bits = expiry_bits(reception.at + lifetime);
+            least = least.min(bits);
+            most = most.max(bits);
             let head = tables[reception.table as usize].head;
             reception.start = head;
             if head != NIL {
@@ -511,19 +569,24 @@ impl NeighborArena {
                 }
             }
         }
+        let first = self.adverts.intern(id, position, velocity, least, most);
+        let (advert, base) = (first.advert, least - u64::from(first.off));
         for reception in receptions.iter_mut() {
-            let entry = Entry {
-                expires_at: reception.at + lifetime,
-                advert,
+            let expires_at = reception.at + lifetime;
+            let bits = expiry_bits(expires_at);
+            let entry = match offset(base, bits) {
+                Some(off) => Entry { off, advert },
+                None => self.adverts.intern(id, position, velocity, bits, bits),
             };
             let table = &mut tables[reception.table as usize];
-            reception.gained = self.observe_from(table, reception.start, id, entry);
+            reception.gained = self.observe_from(table, reception.start, id, entry, expires_at);
         }
     }
 
-    /// Upserts `id`'s `entry` with the walk to its block starting at block
-    /// `start` of the table's chain ([`NIL`]: the head), which must not lie
-    /// past that block, and lowers the deadline bound to its expiry.
+    /// Upserts `id`'s `entry`, which holds `expires_at`, with the walk to
+    /// its block starting at block `start` of the table's chain ([`NIL`]:
+    /// the head), which must not lie past that block, and lowers the
+    /// deadline bound to its expiry.
     #[inline]
     fn observe_from(
         &mut self,
@@ -531,12 +594,12 @@ impl NeighborArena {
         start: u32,
         id: NodeId,
         entry: Entry,
+        expires_at: SimTime,
     ) -> bool {
         let inserted = self.upsert(table, start, id, entry);
         // A refresh can only raise its entry's deadline when observation
         // times are monotone, but one compare keeps the bound a lower bound
         // for out-of-order replays as well.
-        let expires_at = entry.expires_at;
         if expires_at < table.next_deadline {
             table.next_deadline = expires_at;
         }
@@ -615,12 +678,13 @@ impl NeighborArena {
         true
     }
 
-    /// Lazy purge: removes entries with `expires_at < now` and appends their
-    /// ids (ascending) to `out`. O(1) while [`ArenaTable::next_deadline`]
-    /// has not fallen due; otherwise one chain scan that frees expired
-    /// payload slots, emptied key blocks and adverts no entry names any more
-    /// to their free lists and tightens the bound to the exact earliest
-    /// `expires_at` of the survivors.
+    /// Lazy purge: removes entries that expire before `now` and appends
+    /// their ids (ascending) to `out`. O(1) while
+    /// [`ArenaTable::next_deadline`] has not fallen due; otherwise one chain
+    /// scan, reading each entry's advert for its expiry's base, that frees
+    /// expired payload slots, emptied key blocks and adverts no entry names
+    /// any more to their free lists and tightens the bound to the exact
+    /// earliest expiry of the survivors.
     pub fn purge_due(&mut self, table: &mut ArenaTable, now: SimTime, out: &mut Vec<NodeId>) {
         if table.next_deadline >= now {
             return;
@@ -641,7 +705,7 @@ impl NeighborArena {
             for read in 0..n {
                 let slot = blk.slot[read];
                 let entry = &mut self.payload[slot as usize];
-                let expires_at = entry.expires_at;
+                let expires_at = self.adverts.slab[entry.advert as usize].expiry(entry.off);
                 if expires_at < now {
                     out.push(blk.keys[read]);
                     self.adverts.release(entry.advert);
@@ -703,7 +767,7 @@ impl NeighborArena {
             id,
             position: advert.position,
             velocity: advert.velocity,
-            expires_at: entry.expires_at,
+            expires_at: advert.expiry(entry.off),
         }
     }
 
@@ -829,9 +893,10 @@ impl NeighborArena {
     /// exactly one key; a handle's cached length is what a walk of its chain
     /// yields; the referenced slots number the handles' lengths summed,
     /// which is what `occupancy` reports as live; every live entry names a
-    /// live advert of its own key's sender; each live advert's count is the
-    /// number of live entries naming it; and each free advert, its count 0,
-    /// is on the free list exactly once.
+    /// live advert of its own key's sender, and its rebuilt expiry is at
+    /// or past that advert's base (no less far from 0, on the same side);
+    /// each live advert's count is the number of live entries naming it;
+    /// and each free advert, its count 0, is on the free list exactly once.
     pub(crate) fn assert_books_balance(&self, handles: &[ArenaTable], at: &str) {
         let mut block_refs = vec![0u32; self.blocks.len()];
         let mut slot_refs = vec![0u32; self.payload.len()];
@@ -845,11 +910,22 @@ impl NeighborArena {
                 block_refs[cur as usize] += 1;
                 for (&key, &slot) in blk.keys.iter().zip(&blk.slot).take(blk.len as usize) {
                     slot_refs[slot as usize] += 1;
-                    let advert = self.payload[slot as usize].advert;
-                    advert_refs[advert as usize] += 1;
+                    let entry = self.payload[slot as usize];
+                    advert_refs[entry.advert as usize] += 1;
+                    let advert = &self.adverts.slab[entry.advert as usize];
                     assert_eq!(
-                        self.adverts.slab[advert as usize].sender, key,
+                        advert.sender, key,
                         "{at}: an entry names another sender's advert"
+                    );
+                    let rebuilt = advert
+                        .base
+                        .checked_add(u64::from(entry.off))
+                        .map(f64::from_bits);
+                    let base = f64::from_bits(advert.base);
+                    assert!(
+                        rebuilt.is_some_and(|e| e.is_sign_negative() == base.is_sign_negative()
+                            && e.abs() >= base.abs()),
+                        "{at}: {key:?}'s expiry {rebuilt:?} lies before its advert's base {base}"
                     );
                 }
                 walked += blk.len as usize;
@@ -1186,11 +1262,11 @@ mod tests {
         for id in 0..(BLOCK_KEYS as u32 + 1) {
             obs(&mut arena, &mut t, id, 0.0, 0.0, 1.0);
         }
-        // Two key blocks, and a 12-byte payload slot and a 40-byte advert
-        // for each of the 33 senders.
+        // Two key blocks, and an 8-byte payload slot and a 48-byte advert
+        // for each of the 33 senders: 2 × 264 + 33 × 56 = 2,376 bytes.
         let full = arena.occupancy();
         assert_eq!(full.blocks_live, 2);
-        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * (12 + 40));
+        assert_eq!(full.slab_bytes(), 2 * 264 + (BLOCK_KEYS + 1) * (8 + 48));
         arena.purge_due(&mut t, SimTime::from_secs(5.0), &mut Vec::new());
         assert_eq!(arena.occupancy().slab_bytes(), full.slab_bytes());
     }
@@ -1224,44 +1300,67 @@ mod tests {
         }
     }
 
-    /// A repeat beacon with bit-identical kinematics (a parked car, an RSU)
-    /// names the advert it named before, at every receiver; any other bits
-    /// mint a fresh one, `-0.0` against `0.0` included.
+    /// Receptions of one frame share an advert. A sender's next frame
+    /// names its latest advert only if the kinematics are bit-identical
+    /// (a parked car, an RSU) and the expiry lies within an offset of the
+    /// advert's base: a beacon a second later does not, so it takes an
+    /// advert of its own — recycled once the frame before last has let go
+    /// — and one advert stays live. A repeat within the offset names the
+    /// same advert; any other bits mint a fresh one, `-0.0` against `0.0`
+    /// included.
     #[test]
     fn repeat_beacons_reuse_only_bit_identical_adverts() {
         let mut arena = NeighborArena::new();
-        let (mut a, mut b) = (ArenaTable::new(), ArenaTable::new());
+        let mut tables = vec![ArenaTable::new(); 2];
         let life = SimDuration::from_secs(3.0);
         let pos = Vec2::new(5.0, 5.0);
         let live = |arena: &NeighborArena| arena.occupancy().adverts_live;
-        arena.observe(&mut a, NodeId(3), pos, Vec2::ZERO, SimTime::ZERO, life);
-        arena.observe(&mut b, NodeId(3), pos, Vec2::ZERO, SimTime::ZERO, life);
-        let at = SimTime::from_secs(1.0);
-        arena.observe(&mut a, NodeId(3), pos, Vec2::ZERO, at, life);
-        arena.observe(&mut b, NodeId(3), pos, Vec2::ZERO, at, life);
+        let frame = |arena: &mut NeighborArena, tables: &mut [ArenaTable], at: f64| {
+            let at = SimTime::from_secs(at);
+            let mut receptions = [Reception::new(0, at), Reception::new(1, at)];
+            arena.observe_batch(tables, NodeId(3), pos, Vec2::ZERO, life, &mut receptions);
+        };
+        frame(&mut arena, &mut tables, 0.0);
+        assert_eq!(live(&arena), 1, "a frame's receptions share an advert");
+        assert_eq!(arena.adverts.slab.len(), 1);
+        frame(&mut arena, &mut tables, 1.0);
+        assert_eq!(live(&arena), 1, "the frame before let go of its advert");
+        assert_eq!(
+            arena.adverts.slab.len(),
+            2,
+            "a beacon later is a new advert"
+        );
+        frame(&mut arena, &mut tables, 2.0);
+        assert_eq!(live(&arena), 1);
+        assert_eq!(arena.adverts.slab.len(), 2, "the next takes a recycled one");
+        let at = SimTime::from_secs(2.0);
+        arena.observe(&mut tables[0], NodeId(3), pos, Vec2::ZERO, at, life);
         assert_eq!(live(&arena), 1, "a bit-identical repeat is the same advert");
-        assert_eq!(arena.adverts.slab.len(), 1, "and minted nothing");
+        assert_eq!(arena.adverts.slab.len(), 2, "and minted nothing");
         let minus_zero = Vec2::new(-0.0, 0.0);
-        arena.observe(&mut a, NodeId(3), pos, minus_zero, at, life);
+        arena.observe(&mut tables[0], NodeId(3), pos, minus_zero, at, life);
         assert_eq!(live(&arena), 2, "-0.0 is not 0.0");
-        let read = arena.get(&a, NodeId(3)).unwrap().velocity;
+        let read = arena.get(&tables[0], NodeId(3)).unwrap().velocity;
         assert!(
             read.x.is_sign_negative(),
             "the entry reads back the bits it heard"
         );
         assert!(arena
-            .get(&b, NodeId(3))
+            .get(&tables[1], NodeId(3))
             .unwrap()
             .velocity
             .x
             .is_sign_positive());
-        arena.observe(&mut b, NodeId(3), pos, minus_zero, at, life);
+        arena.observe(&mut tables[1], NodeId(3), pos, minus_zero, at, life);
         assert_eq!(
             live(&arena),
             1,
             "the last entry naming the old advert let go"
         );
-        arena.assert_books_balance(&[a, b], "after the repeats");
+        for t in &tables {
+            assert_eq!(arena.get(t, NodeId(3)).unwrap().expires_at, at + life);
+        }
+        arena.assert_books_balance(&tables, "after the repeats");
     }
 
     /// A purge that drains every table frees every advert, and the slab
@@ -1606,5 +1705,183 @@ mod tests {
         let cover = batch_observe_matches_sequential_observe(300);
         assert!(cover.steps.iter().all(|&n| n > 1_000), "{cover:?}");
         assert!(cover.splits > 200 && cover.appends > 200, "{cover:?}");
+    }
+
+    /// What the expiry property exercised, so that it can insist on it.
+    #[derive(Debug, Default)]
+    struct ExpiryCoverage {
+        /// Batches of two or more receptions within one offset of their
+        /// smallest expiry, and so on one advert.
+        shared: usize,
+        /// Batches wider than one offset, and so on two adverts or more.
+        wide: usize,
+        /// Batches with a negative expiry among them, and batches with
+        /// expiries on both sides of 0.
+        negative: usize,
+        sign_changes: usize,
+        /// Frames whose smallest expiry named the advert the sender's
+        /// previous frame did, still live when the frame came.
+        reused: usize,
+        purged: usize,
+    }
+
+    /// The expiry an entry holds is its advert's base plus an offset, so it
+    /// must read back as exactly the bits of `now + lifetime` it was
+    /// observed with, whatever the clock's origin (0, large, negative, or
+    /// crossing 0 mid-case), the lease, the sender's kinematics, and the
+    /// spread of a frame's reception times: identical, a few ulps, or wider
+    /// than one offset. The arena runs each frame through
+    /// [`NeighborArena::observe_batch`] against a [`NaiveTable`] per
+    /// receiver. After every frame its receivers must name one advert
+    /// exactly when the frame's expiries fit one offset of the smallest;
+    /// after every tick every `get` and `iter` expiry, every loss and every
+    /// deadline bound must match the model bit for bit, and the books must
+    /// balance.
+    fn expiries_rebuild_exactly(cases: usize) -> ExpiryCoverage {
+        let mut rng = SimRng::new(0xe8b1);
+        let mut cover = ExpiryCoverage::default();
+        for case in 0..cases {
+            let lifetime = if rng.chance(0.2) {
+                SimDuration::from_secs(rng.uniform_range(1e-9, 1e-3))
+            } else {
+                SimDuration::from_secs(rng.uniform_range(0.5, 5.0))
+            };
+            let origin = match rng.uniform_usize(5) {
+                0 => 0.0,
+                1 => rng.uniform_range(1e5, 1e7),
+                2 => rng.uniform_range(1e9, 4e9),
+                3 => -rng.uniform_range(30.0, 1e4),
+                // Expiries cross 0 about halfway through the case.
+                _ => -10.0 - lifetime.as_secs(),
+            };
+            let tables = 2 + rng.uniform_usize(5);
+            let universe = 2 + rng.uniform_usize(12);
+            let parked = rng.chance(0.5);
+            let mut arena = NeighborArena::new();
+            let mut handles = vec![ArenaTable::new(); tables];
+            let mut refs: Vec<NaiveTable> = (0..tables).map(|_| NaiveTable::new()).collect();
+            let mut previous = vec![NIL; universe];
+            let (mut lost_a, mut lost_r) = (Vec::new(), Vec::new());
+            let mut receptions = Vec::new();
+            for tick in 1..=20u32 {
+                let tick_time = SimTime::from_secs(origin + f64::from(tick));
+                for _ in 0..rng.uniform_usize(2 * universe) {
+                    let sender = rng.uniform_usize(universe);
+                    let id = NodeId(sender as u32);
+                    let (pos, vel) = if parked {
+                        (Vec2::new(f64::from(id.0), 1.0), Vec2::ZERO)
+                    } else {
+                        let x = rng.uniform_range(0.0, 500.0);
+                        (
+                            Vec2::new(x, 0.0),
+                            Vec2::new(rng.uniform_range(-20.0, 20.0), 0.0),
+                        )
+                    };
+                    let sent = origin + f64::from(tick) - rng.uniform_range(0.0, 1.0);
+                    let spread = rng.uniform_usize(4);
+                    let mut hearers: Vec<usize> = (0..tables).collect();
+                    rng.shuffle(&mut hearers);
+                    hearers.truncate(1 + rng.uniform_usize(tables));
+                    receptions.clear();
+                    for &w in &hearers {
+                        let at = match spread {
+                            0 => sent,
+                            1 => f64::from_bits(sent.to_bits() + rng.uniform_usize(1_000) as u64),
+                            2 => sent + rng.uniform_range(0.0, 1e-3),
+                            _ => sent + rng.uniform_range(0.0, 2.0),
+                        };
+                        receptions.push(Reception::new(w, SimTime::from_secs(at)));
+                    }
+                    let before = previous[sender];
+                    let was_live = before != NIL && arena.adverts.slab[before as usize].refs > 0;
+                    arena.observe_batch(&mut handles, id, pos, vel, lifetime, &mut receptions);
+                    let mut expiries: Vec<u64> = Vec::new();
+                    let mut named: Vec<u32> = Vec::new();
+                    for r in &receptions {
+                        let w = r.table as usize;
+                        let gained = refs[w].observe(id, pos, vel, r.at, lifetime);
+                        assert_eq!(r.gained(), gained, "case {case} tick {tick}: gained");
+                        expiries.push(expiry_bits(r.at + lifetime));
+                        let slot = arena.slot_of(&handles[w], id).expect("just observed");
+                        named.push(arena.payload[slot as usize].advert);
+                    }
+                    let least = *expiries.iter().min().expect("one reception or more");
+                    let fits = expiries.iter().all(|&e| offset(least, e).is_some());
+                    let least_named = named[expiries.iter().position(|&e| e == least).unwrap()];
+                    named.sort_unstable();
+                    named.dedup();
+                    assert_eq!(
+                        named.len() == 1,
+                        fits,
+                        "case {case} tick {tick}: {} adverts for a frame that fits: {fits}",
+                        named.len()
+                    );
+                    let signs = expiries.iter().filter(|&&e| e >> 63 == 1).count();
+                    cover.negative += usize::from(signs > 0);
+                    cover.sign_changes += usize::from(signs > 0 && signs < expiries.len());
+                    if receptions.len() > 1 {
+                        cover.shared += usize::from(fits);
+                        cover.wide += usize::from(!fits);
+                    }
+                    cover.reused += usize::from(was_live && least_named == before);
+                    previous[sender] = least_named;
+                }
+                for w in 0..tables {
+                    lost_a.clear();
+                    lost_r.clear();
+                    arena.purge_due(&mut handles[w], tick_time, &mut lost_a);
+                    refs[w].purge_due(tick_time, &mut lost_r);
+                    let at = format!("case {case} tick {tick} table {w}");
+                    assert_eq!(lost_a, lost_r, "{at}: losses diverged");
+                    cover.purged += lost_a.len();
+                    let got: Vec<(NodeId, u64)> = arena
+                        .iter(&handles[w])
+                        .map(|n| (n.id, expiry_bits(n.expires_at)))
+                        .collect();
+                    let want: Vec<(NodeId, u64)> = refs[w]
+                        .entries
+                        .values()
+                        .map(|n| (n.id, expiry_bits(n.expires_at)))
+                        .collect();
+                    assert_eq!(got, want, "{at}: iterated expiries diverged");
+                    for (id, n) in &refs[w].entries {
+                        let read = arena.get(&handles[w], *id).expect("a live neighbour");
+                        assert_eq!(
+                            expiry_bits(read.expires_at),
+                            expiry_bits(n.expires_at),
+                            "{at}: get"
+                        );
+                    }
+                    assert_eq!(
+                        expiry_bits(handles[w].next_deadline()),
+                        expiry_bits(refs[w].next_deadline),
+                        "{at}: deadline bound diverged"
+                    );
+                }
+                arena.assert_books_balance(&handles, &format!("case {case} tick {tick}"));
+            }
+        }
+        cover
+    }
+
+    #[test]
+    fn expiries_rebuild_exactly_from_advert_bases() {
+        let cover = expiries_rebuild_exactly(40);
+        assert!(cover.shared > 1_000 && cover.wide > 500, "{cover:?}");
+        assert!(cover.negative > 500 && cover.sign_changes > 5, "{cover:?}");
+        assert!(cover.reused > 200 && cover.purged > 1_000, "{cover:?}");
+    }
+
+    /// Ten times the tier-1 cases, in CI's release `--ignored` step.
+    #[test]
+    #[ignore = "heavy: ten times the tier-1 cases; run with --release -- --ignored"]
+    fn expiries_rebuild_exactly_from_advert_bases_heavy() {
+        let cover = expiries_rebuild_exactly(400);
+        assert!(cover.shared > 10_000 && cover.wide > 5_000, "{cover:?}");
+        assert!(
+            cover.negative > 5_000 && cover.sign_changes > 50,
+            "{cover:?}"
+        );
+        assert!(cover.reused > 2_000 && cover.purged > 10_000, "{cover:?}");
     }
 }

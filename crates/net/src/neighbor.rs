@@ -40,10 +40,11 @@ impl Default for BeaconConfig {
 }
 
 /// What a node knows about one of its neighbours, as a [`NeighborView`]
-/// hands it out: by value, built from the arena's key (the id), its 12-byte
-/// payload (the expiry) and the advert that payload names (the position
-/// and velocity, stored once for every receiver of the beacon), which is
-/// all the arena stores.
+/// hands it out: by value, built from the arena's key (the id), its 8-byte
+/// payload and the 48-byte advert that payload names (the position and
+/// velocity, stored once for every receiver of the frame; the expiry is the
+/// advert's base plus the payload's offset), which is all the arena
+/// stores.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborInfo {
     /// The neighbour's id.
