@@ -209,62 +209,6 @@ impl Sampler for Exponential {
     }
 }
 
-/// Poisson distribution with mean `lambda`, sampled by inversion (small
-/// lambda) or normal approximation (large lambda).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson distribution with mean `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda <= 0`.
-    #[must_use]
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0, "lambda must be positive");
-        Poisson { lambda }
-    }
-
-    /// Draws an integer sample.
-    #[must_use]
-    fn sample_count(&self, rng: &mut SimRng) -> u64 {
-        if self.lambda < 30.0 {
-            // Knuth's inversion method.
-            let l = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.uniform();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            // Normal approximation with continuity correction.
-            let n = Normal::new(self.lambda, self.lambda.sqrt());
-            n.sample(rng).round().max(0.0) as u64
-        }
-    }
-}
-
-impl Sampler for Poisson {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_count(rng) as f64
-    }
-
-    fn mean(&self) -> f64 {
-        self.lambda
-    }
-
-    fn variance(&self) -> f64 {
-        self.lambda
-    }
-}
-
 /// The error function, via the Abramowitz–Stegun 7.1.26 rational approximation
 /// (absolute error < 1.5e-7, ample for reception-probability curves).
 #[must_use]
@@ -344,17 +288,6 @@ mod tests {
         assert_eq!(d.cdf(0.0), 0.0);
         assert!((d.cdf(20.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
         assert_eq!(d.lambda(), 0.05);
-    }
-
-    #[test]
-    fn poisson_moments() {
-        let d = Poisson::new(4.0);
-        let (m, v) = sample_stats(&d, 30_000, 6);
-        assert!((m - 4.0).abs() < 0.1, "mean {m}");
-        assert!((v - 4.0).abs() < 0.25, "variance {v}");
-        let big = Poisson::new(200.0);
-        let (m, _) = sample_stats(&big, 10_000, 7);
-        assert!((m - 200.0).abs() < 1.5, "large-lambda mean {m}");
     }
 
     #[test]

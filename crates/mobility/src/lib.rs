@@ -7,7 +7,7 @@
 //!
 //! * 2-D geometry primitives ([`Position`], [`Velocity`], [`Vec2`]);
 //! * in-house probability distributions (normal, truncated normal,
-//!   exponential, Poisson) used for speeds, headways and arrivals;
+//!   exponential) used for speeds, headways and arrivals;
 //! * vehicle state and kinds ([`VehicleState`], [`VehicleKind`]);
 //! * scenario generators: a multi-lane bidirectional [`highway`] and a
 //!   Manhattan-grid [`urban`] network, with IDM-style car-following so that
@@ -42,7 +42,7 @@ pub mod urban;
 pub mod vehicle;
 
 pub use car_following::IdmParams;
-pub use distributions::{Exponential, Normal, Poisson, TruncatedNormal};
+pub use distributions::{Exponential, Normal, TruncatedNormal};
 pub use geometry::{Heading, Position, Vec2, Velocity};
 pub use highway::{HighwayBuilder, HighwayModel};
 pub use model::{MobilityModel, RegionBounds};

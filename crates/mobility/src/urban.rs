@@ -12,6 +12,10 @@ use crate::model::{MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
+/// The chance that a vehicle turns, left or right alike, at an
+/// intersection; otherwise it goes straight.
+const TURN_PROBABILITY: f64 = 0.4;
+
 /// Configuration and builder for an [`UrbanGridModel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UrbanGridBuilder {
@@ -23,7 +27,6 @@ pub struct UrbanGridBuilder {
     speed_limit_mps: f64,
     speed_mean_mps: f64,
     speed_std_mps: f64,
-    turn_probability: f64,
     first_node_id: u32,
 }
 
@@ -38,7 +41,6 @@ impl Default for UrbanGridBuilder {
             speed_limit_mps: 14.0, // ~50 km/h
             speed_mean_mps: 11.0,
             speed_std_mps: 2.0,
-            turn_probability: 0.4,
             first_node_id: 0,
         }
     }
@@ -227,8 +229,8 @@ impl UrbanGridModel {
         }
     }
 
-    fn turn(&self, heading: Heading, rng: &mut SimRng) -> Heading {
-        if !rng.chance(self.config.turn_probability) {
+    fn turn(heading: Heading, rng: &mut SimRng) -> Heading {
+        if !rng.chance(TURN_PROBABILITY) {
             return heading;
         }
         // Turn left or right with equal probability.
@@ -274,7 +276,7 @@ impl MobilityModel for UrbanGridModel {
                     (at_intersection.y / block).round() * block,
                 );
                 let new_heading = {
-                    let candidate = self.turn(self.vehicles[idx].heading, rng);
+                    let candidate = Self::turn(self.vehicles[idx].heading, rng);
                     // Do not head straight off the grid: reverse instead.
                     let probe = snapped + candidate.unit() * (block * 0.5);
                     if probe.x < -1.0
