@@ -48,5 +48,5 @@ pub use lifetime::{
 pub use path::{path_lifetime, path_reliability, PathMetrics};
 pub use probability::{
     expected_link_duration, link_availability, mean_link_duration, receipt_probability,
-    segment_connectivity_probability, LinkDurationModel,
+    segment_connectivity_probability,
 };

@@ -19,70 +19,6 @@
 use std::sync::OnceLock;
 use vanet_mobility::distributions::std_normal_cdf;
 
-/// A probabilistic model of one link's remaining duration, built from the
-/// mobility information a node has about a neighbour (relative speed mean and
-/// standard deviation, current gap to the range boundary).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkDurationModel {
-    /// Mean relative speed along the link axis, m/s (signed: positive means
-    /// the vehicles are separating towards the break boundary).
-    pub relative_speed_mean: f64,
-    /// Standard deviation of the relative speed, m/s.
-    pub relative_speed_std: f64,
-    /// Current separation `d_0`, metres (signed, |d_0| ≤ range).
-    pub separation: f64,
-    /// Communication range `r`, metres.
-    pub range: f64,
-}
-
-impl LinkDurationModel {
-    /// Creates a model; the separation is clamped into `[-range, range]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range <= 0` or `relative_speed_std < 0`.
-    #[must_use]
-    pub fn new(
-        relative_speed_mean: f64,
-        relative_speed_std: f64,
-        separation: f64,
-        range: f64,
-    ) -> Self {
-        assert!(range > 0.0, "range must be positive");
-        assert!(relative_speed_std >= 0.0, "std must be non-negative");
-        LinkDurationModel {
-            relative_speed_mean,
-            relative_speed_std,
-            separation: separation.clamp(-range, range),
-            range,
-        }
-    }
-
-    /// Expected link duration under this model (see [`expected_link_duration`]).
-    #[must_use]
-    pub fn expected_duration(&self) -> f64 {
-        expected_link_duration(
-            self.separation,
-            self.relative_speed_mean,
-            self.relative_speed_std,
-            self.range,
-        )
-    }
-
-    /// Probability the link is still alive after `t` seconds
-    /// (see [`link_availability`]).
-    #[must_use]
-    pub fn availability(&self, t: f64) -> f64 {
-        link_availability(
-            self.separation,
-            self.relative_speed_mean,
-            self.relative_speed_std,
-            self.range,
-            t,
-        )
-    }
-}
-
 /// Lifetimes are capped here, seconds: a link whose relative speed is
 /// (almost) zero is effectively unbounded.
 const CAP: f64 = 3_600.0;
@@ -836,16 +772,6 @@ mod tests {
             assert!(p <= last + 1e-12);
             last = p;
         }
-    }
-
-    #[test]
-    fn model_struct_wraps_functions() {
-        let m = LinkDurationModel::new(5.0, 2.0, -50.0, R);
-        assert!(m.expected_duration() > 0.0);
-        assert!(m.availability(5.0) > m.availability(60.0));
-        // Separation clamping.
-        let clamped = LinkDurationModel::new(5.0, 2.0, 500.0, R);
-        assert_eq!(clamped.separation, R);
     }
 
     #[test]

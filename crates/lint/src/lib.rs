@@ -9,7 +9,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | D1   | no unordered (HashMap/HashSet) containers in sim-visible crates |
-//! | D2   | no wall-clock reads outside runner/bench/tests |
+//! | D2   | no wall-clock reads outside runner/tests |
 //! | D3   | no ambient randomness (everything derives from the seed via SimRng) |
 //! | D4   | no thread creation outside `vanet_sim::pool` |
 //! | D5   | no `println!`/`eprintln!`/`dbg!` in library crates |

@@ -92,11 +92,11 @@ pub fn explain(code: &str) -> Option<&'static str> {
              property test that pins it.",
         ),
         "D2" => Some(
-            "D2 — wall-clock reads outside runner/bench/tests.\n\
+            "D2 — wall-clock reads outside runner/tests.\n\
              `std::time::Instant` / `SystemTime` values differ run to run, so any\n\
              sim-visible use breaks replay determinism. Only the campaign runner\n\
-             and the bench harness may measure wall time (for throughput\n\
-             reporting); simulation code must use `SimTime` exclusively.",
+             may measure wall time (for throughput reporting); simulation code\n\
+             must use `SimTime` exclusively.",
         ),
         "D3" => Some(
             "D3 — ambient randomness.\n\
@@ -175,8 +175,8 @@ const SIM_VISIBLE: [&str; 6] = [
     "crates/links/",
 ];
 
-/// Crates allowed to read the wall clock (throughput measurement).
-const CLOCK_EXEMPT: [&str; 2] = ["crates/runner/", "crates/bench/"];
+/// The one crate allowed to read the wall clock (throughput measurement).
+const CLOCK_EXEMPT: &str = "crates/runner/";
 
 /// The one module allowed to create threads.
 const POOL_FILE: &str = "crates/sim/src/pool.rs";
@@ -312,7 +312,7 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Finding> {
     }
 
     let sim_visible = SIM_VISIBLE.iter().any(|c| path.starts_with(c));
-    let clock_exempt = CLOCK_EXEMPT.iter().any(|c| path.starts_with(c));
+    let clock_exempt = path.starts_with(CLOCK_EXEMPT);
 
     if sim_visible {
         check_d1(path, &toks, &scrubbed, &in_tests, &mut findings);
@@ -549,7 +549,7 @@ fn statement_starts_with_use(toks: &[Tok<'_>], i: usize) -> bool {
             && toks.get(j + 1).map(|t| t.text) == Some("use"))
 }
 
-/// D2: wall-clock types outside runner/bench/tests.
+/// D2: wall-clock types outside runner/tests.
 fn check_d2(
     path: &str,
     toks: &[Tok<'_>],
@@ -567,7 +567,7 @@ fn check_d2(
                 tok.line,
                 "D2",
                 format!(
-                    "wall-clock type `{}` outside runner/bench — sim code must use SimTime",
+                    "wall-clock type `{}` outside runner — sim code must use SimTime",
                     tok.text
                 ),
             );

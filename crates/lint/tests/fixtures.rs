@@ -65,7 +65,7 @@ fn d2_tricky_false_positives_clean() {
 #[test]
 fn d2_exempts_runner_and_bench() {
     assert!(scan_fixture("d2_true.rs", "crates/runner/src/fixture.rs").is_empty());
-    assert!(scan_fixture("d2_true.rs", "crates/bench/src/fixture.rs").is_empty());
+    assert!(scan_fixture("d2_true.rs", "crates/runner/src/bin/fixture.rs").is_empty());
 }
 
 #[test]

@@ -143,7 +143,8 @@ impl Yan {
     /// speed. Both are unsigned — the speed is the magnitude of the relative
     /// velocity — so every neighbour is scored as if it were separating at
     /// that speed towards the range boundary, whether or not it is in fact
-    /// closing in (ROADMAP item 3(b)).
+    /// closing in (ROADMAP, "Paper fidelity": signing it along the link axis
+    /// is open work).
     fn link_kinematics(ctx: &ProtocolContext<'_>, neighbor: &NeighborInfo) -> (f64, f64) {
         let separation = distance(ctx.position(), neighbor.position).min(ctx.range_m);
         let relative = (ctx.velocity() - neighbor.velocity).norm();

@@ -1,16 +1,21 @@
 //! Named, ready-to-run campaigns for the paper's evaluation matrix.
 //!
 //! The catalog gives the `vanet-campaign` CLI (and tests) one-word access to
-//! the standard sweeps. Every campaign comes in a quick variant (CI-sized)
-//! and a full variant (paper-scale densities and durations).
+//! the standard sweeps: every simulated figure and table of the paper is
+//! `vanet-campaign NAME [--full] [--seeds N]`. Every campaign comes in a quick
+//! variant (CI-sized) and a full variant (paper-scale densities and
+//! durations).
 
 use crate::campaign::CampaignSpec;
-use crate::scenario_spec;
 use vanet_core::{ProtocolKind, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
 
+/// Parses a scenario specifier used by the CLI's `--scenarios` flag (see
+/// [`crate::scenario_spec`]).
+pub use crate::scenario_spec::parse as parse_scenario;
+
 /// Names of the campaigns [`campaign_by_name`] knows, with one-line blurbs.
-pub const CATALOG: [(&str, &str); 5] = [
+pub const CATALOG: [(&str, &str); 6] = [
     (
         "quick",
         "2 scenarios x 3 protocols x 3 seeds smoke campaign",
@@ -20,6 +25,7 @@ pub const CATALOG: [(&str, &str); 5] = [
         "Table I: one representative protocol per category, three traffic regimes",
     ),
     ("fig2", "Fig. 2: AODV discovery cost vs network size"),
+    ("fig5", "Fig. 5: AODV vs RSU-assisted DRR in sparse traffic"),
     ("fig6", "Fig. 6: geographic/zone routing on the urban grid"),
     (
         "density",
@@ -40,7 +46,7 @@ fn regime_scenario(regime: TrafficRegime, full: bool) -> Scenario {
         Scenario::highway_regime(regime)
     } else {
         // Scaled-down populations that keep the sparse < normal < congested
-        // ordering while staying CI-fast (mirrors vanet-bench's quick effort).
+        // ordering while staying CI-fast.
         let vehicles = match regime {
             TrafficRegime::Sparse => 10,
             TrafficRegime::Normal => 40,
@@ -112,6 +118,24 @@ pub fn campaign_by_name(name: &str, full: bool) -> Option<CampaignSpec> {
             }
             spec
         }
+        "fig5" => {
+            let rsu_counts: &[usize] = if full { &[0, 2, 4, 8] } else { &[0, 4] };
+            let mut spec = CampaignSpec::new("fig5")
+                .protocols([ProtocolKind::Aodv, ProtocolKind::Drr])
+                .replications(seeds);
+            for &rsus in rsu_counts {
+                spec = spec.scenario(
+                    format!("fig5-{rsus}-rsus"),
+                    Scenario::highway_regime(TrafficRegime::Sparse)
+                        .with_name(format!("fig5-{rsus}-rsus"))
+                        .with_seed(5)
+                        .with_flows(5)
+                        .with_rsus(rsus)
+                        .with_duration(duration),
+                );
+            }
+            spec
+        }
         "fig6" => CampaignSpec::new("fig6")
             .scenario(
                 "fig6-urban",
@@ -145,17 +169,6 @@ pub fn campaign_by_name(name: &str, full: bool) -> Option<CampaignSpec> {
     Some(spec)
 }
 
-/// Parses a scenario specifier used by the CLI's `--scenarios` flag:
-/// `highway-<N>`, `urban-<N>`, `megacity-<N>`, or a traffic-regime name
-/// (`sparse`/`normal`/`congested`), with `:key=value` options.
-///
-/// # Errors
-///
-/// Returns a [`crate::ScenarioParseError`] naming the bad field.
-pub fn parse_scenario(spec: &str) -> Result<Scenario, crate::ScenarioParseError> {
-    scenario_spec::parse(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,5 +194,34 @@ mod tests {
         assert!(spec.scenarios.len() >= 2);
         assert!(spec.protocols.len() >= 3);
         assert_eq!(spec.replications, 3);
+    }
+
+    #[test]
+    fn table1_crosses_three_regimes_with_six_categories() {
+        for full in [false, true] {
+            let spec = campaign_by_name("table1", full).unwrap();
+            assert_eq!(spec.scenarios.len(), TrafficRegime::ALL.len());
+            let plan = spec.to_plan();
+            assert_eq!(plan.cells.len(), 18);
+            let mut categories: Vec<_> = plan.cells.iter().map(|c| c.protocol.category()).collect();
+            categories.sort();
+            categories.dedup();
+            assert_eq!(categories.len(), 6, "one representative per category");
+        }
+    }
+
+    #[test]
+    fn fig5_crosses_rsu_counts_with_aodv_and_drr() {
+        for (full, rsus) in [(false, &[0, 4][..]), (true, &[0, 2, 4, 8][..])] {
+            let spec = campaign_by_name("fig5", full).unwrap();
+            assert_eq!(spec.protocols, [ProtocolKind::Aodv, ProtocolKind::Drr]);
+            let shape: Vec<_> = spec
+                .scenarios
+                .iter()
+                .map(|(_, s)| (s.rsu_count, s.seed, s.flows))
+                .collect();
+            let expected: Vec<_> = rsus.iter().map(|&n| (n, 5, 5)).collect();
+            assert_eq!(shape, expected);
+        }
     }
 }

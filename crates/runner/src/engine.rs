@@ -68,15 +68,6 @@ pub struct CellSummary {
     pub summary: Summary,
 }
 
-impl CellSummary {
-    /// Collapses the cell to a mean-only [`Report`] ([`Summary::mean_report`]).
-    #[must_use]
-    pub fn mean_report(&self) -> Report {
-        self.summary
-            .mean_report(self.protocol.name(), &self.scenario)
-    }
-}
-
 /// A job the campaign gave up on: every allowed attempt panicked (or a
 /// previous run's quarantine was replayed from the journal).
 #[derive(Debug, Clone, PartialEq)]

@@ -1,10 +1,11 @@
 //! Campaign result exports: fixed-width tables, CSV and JSONL.
 //!
-//! CSV and JSONL are written *and* parsed here; a JSONL line is one cell,
-//! read and written through [`crate::record`]. Render → parse is lossless
-//! for every statistic: floats are formatted with Rust's shortest-round-trip
-//! `Display`, so `parse(render(r))` reproduces the exact same bits — the
-//! round-trip integration tests rely on that.
+//! All three are rendered here; JSONL, the lossless format, is parsed back
+//! too. A JSONL line is one cell, read and written through [`crate::record`].
+//! Render → parse is lossless for every statistic: floats are formatted with
+//! Rust's shortest-round-trip `Display`, so `parse_jsonl(render_jsonl(r))`
+//! reproduces the exact same bits — the round-trip integration tests rely on
+//! that. CSV is for spreadsheets and diffs only.
 
 use crate::campaign::protocol_by_name;
 use crate::engine::{CampaignResults, CellSummary};
@@ -20,7 +21,7 @@ pub struct ParsedCampaign {
     pub cells: Vec<CellSummary>,
 }
 
-/// Errors produced when parsing a CSV or JSONL export.
+/// Errors produced when parsing a JSONL export.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExportError {
     /// The input was empty or had no data rows.
@@ -145,31 +146,6 @@ pub(crate) fn csv_quote(field: &str) -> String {
     }
 }
 
-/// Splits one CSV line into fields, honouring RFC 4180 quoting.
-fn csv_split(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    current.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' if current.is_empty() => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut current)),
-            c => current.push(c),
-        }
-    }
-    fields.push(current);
-    fields
-}
-
 /// Renders every cell as one CSV row (header included). Names containing
 /// commas or quotes are RFC 4180-quoted.
 #[must_use]
@@ -195,68 +171,6 @@ pub fn render_csv(results: &CampaignResults) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Parses a CSV export produced by [`render_csv`].
-pub fn parse_csv(input: &str) -> Result<ParsedCampaign, ExportError> {
-    let mut lines = input.lines().enumerate();
-    let (_, header) = lines.next().ok_or(ExportError::Empty)?;
-    if header != csv_header() {
-        return Err(malformed(1, "unrecognised CSV header"));
-    }
-    let mut campaign = None;
-    let mut cells = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = csv_split(line);
-        let expected = 5 + METRIC_NAMES.len() * 5;
-        if fields.len() != expected {
-            return Err(malformed(
-                lineno,
-                format!("expected {expected} fields, found {}", fields.len()),
-            ));
-        }
-        campaign.get_or_insert_with(|| fields[0].to_owned());
-        let protocol = protocol_by_name(&fields[3])
-            .ok_or_else(|| malformed(lineno, format!("unknown protocol {:?}", fields[3])))?;
-        let replications: usize = fields[4]
-            .parse()
-            .map_err(|_| malformed(lineno, "bad replication count"))?;
-        let mut summary = Summary {
-            replications,
-            ..Summary::default()
-        };
-        for (m, metric) in METRIC_NAMES.iter().enumerate() {
-            let base = 5 + m * 5;
-            let parse = |i: usize| -> Result<f64, ExportError> {
-                fields[i]
-                    .parse()
-                    .map_err(|_| malformed(lineno, format!("bad number {:?}", fields[i])))
-            };
-            *summary
-                .metric_mut(metric)
-                .expect("METRIC_NAMES is exhaustive") = SummaryStat {
-                mean: parse(base)?,
-                std_dev: parse(base + 1)?,
-                min: parse(base + 2)?,
-                max: parse(base + 3)?,
-                ci95: parse(base + 4)?,
-            };
-        }
-        cells.push(CellSummary {
-            label: fields[1].to_owned(),
-            scenario: fields[2].to_owned(),
-            protocol,
-            summary,
-        });
-    }
-    Ok(ParsedCampaign {
-        campaign: campaign.ok_or(ExportError::Empty)?,
-        cells,
-    })
 }
 
 // ---------------------------------------------------------------- jsonl --
@@ -391,14 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_exactly() {
-        let results = fake_results();
-        let parsed = parse_csv(&render_csv(&results)).unwrap();
-        assert_eq!(parsed.campaign, "fake");
-        assert_eq!(parsed.cells, results.cells);
-    }
-
-    #[test]
     fn jsonl_round_trips_exactly() {
         let results = fake_results();
         let parsed = parse_jsonl(&render_jsonl(&results)).unwrap();
@@ -432,9 +338,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported_with_lines() {
-        assert_eq!(parse_csv(""), Err(ExportError::Empty));
-        let err = parse_csv("not,a,header\n").unwrap_err();
-        assert!(matches!(err, ExportError::Malformed { line: 1, .. }));
+        assert_eq!(parse_jsonl(""), Err(ExportError::Empty));
         let err = parse_jsonl("{\"campaign\":\"x\"}\n").unwrap_err();
         assert!(matches!(err, ExportError::Malformed { line: 1, .. }));
         let err = parse_jsonl("{oops\n").unwrap_err();
@@ -450,12 +354,15 @@ mod tests {
     }
 
     #[test]
-    fn csv_quoting_survives_round_trip() {
+    fn csv_quotes_names_with_commas_and_quotes() {
         let mut results = fake_results();
         results.campaign = "sweep, with \"quotes\"".to_owned();
         results.cells[0].label = "highway, dense".to_owned();
-        let parsed = parse_csv(&render_csv(&results)).unwrap();
-        assert_eq!(parsed.campaign, results.campaign);
-        assert_eq!(parsed.cells, results.cells);
+        let csv = render_csv(&results);
+        let row = csv.lines().nth(1).expect("a data row");
+        assert!(
+            row.starts_with("\"sweep, with \"\"quotes\"\"\",\"highway, dense\",highway-30,AODV,3,"),
+            "{row}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //!   [`CampaignPlan::cross_product`] (or the [`CampaignSpec`] builder the
 //!   catalog is written in) covering uniform sweeps;
 //! * [`Runner::run_plan`] is the one way a campaign runs — the CLI, the
-//!   figure generators and the examples all execute their plans there — on
+//!   examples and the tests all execute their plans there — on
 //!   a work-stealing `std::thread` pool sized to the available cores,
 //!   streaming progress to stderr; with
 //!   [`Runner::with_journal`] every completed job is persisted to a
@@ -23,8 +23,8 @@
 //! * every cell is reduced to a [`Summary`] carrying mean, std-dev, min/max
 //!   and 95% confidence intervals per metric;
 //! * results export as fixed-width tables, CSV and JSONL
-//!   ([`render_table`], [`render_csv`], [`render_jsonl`]) and parse back
-//!   losslessly ([`parse_csv`], [`parse_jsonl`]);
+//!   ([`render_table`], [`render_csv`], [`render_jsonl`]); JSONL parses back
+//!   losslessly ([`parse_jsonl`]);
 //! * [`record`] is the one JSONL codec and append-log under the journal, the
 //!   telemetry log, the manifest and the JSONL export — strict on read, so a
 //!   corrupt line is skipped and re-run, never replayed;
@@ -80,7 +80,7 @@ pub use campaign::{protocol_by_name, CampaignSpec};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
 pub use export::{
-    parse_csv, parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,
+    parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,
 };
 pub use journal::{Journal, JournalEntry, QuarantineEntry, JOURNAL_FILE};
 pub use manifest::{ManifestEntry, MANIFEST_FILE};

@@ -4,10 +4,9 @@
 //! every metric it carries the sample mean, sample standard deviation,
 //! minimum, maximum and the half-width of the 95% confidence interval of the
 //! mean (Student's t for small replication counts), which is what the
-//! paper-style evaluation tables need. [`Summary::mean_report`] collapses it
-//! back to a typical-run [`Report`] for callers that want the mean alone.
+//! paper-style evaluation tables need.
 
-use vanet_core::{Report, ReportField};
+use vanet_core::Report;
 
 /// Five-number statistical summary of one metric over the replications.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -145,8 +144,8 @@ impl Summary {
     /// Collapses the summary back to a mean-only [`Report`]: real metrics
     /// are the plain mean, count metrics the mean rounded to the nearest
     /// integer (half away from zero), so the result reads as a typical run.
-    #[must_use]
-    pub fn mean_report(&self, protocol: impl Into<String>, scenario: impl Into<String>) -> Report {
+    #[cfg(test)]
+    fn mean_report(&self, protocol: impl Into<String>, scenario: impl Into<String>) -> Report {
         let mut report = Report {
             protocol: protocol.into(),
             scenario: scenario.into(),
@@ -154,8 +153,10 @@ impl Summary {
         };
         for (stat, field) in self.stats.iter().zip(&Report::FIELDS) {
             match field {
-                ReportField::Count(_, _, set) => set(&mut report, stat.mean.round() as u64),
-                ReportField::Real(_, _, set) => set(&mut report, stat.mean),
+                vanet_core::ReportField::Count(_, _, set) => {
+                    set(&mut report, stat.mean.round() as u64)
+                }
+                vanet_core::ReportField::Real(_, _, set) => set(&mut report, stat.mean),
             }
         }
         report
@@ -165,6 +166,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vanet_core::ReportField;
 
     #[test]
     fn stat_of_known_sample() {
@@ -206,7 +208,7 @@ mod tests {
     fn metric_lookup_covers_all_names() {
         // One name per `Report::FIELDS` row, and `metric()`, `metric_mut()`,
         // `metrics()`, `from_reports()` and `mean_report()` all address the
-        // same slot for it — the export parsers write through `metric_mut`,
+        // same slot for it — the JSONL parser writes through `metric_mut`,
         // so a gap here would silently zero a parsed metric.
         let mut report = Report::default();
         for (i, field) in Report::FIELDS.iter().enumerate() {

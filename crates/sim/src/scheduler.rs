@@ -132,8 +132,9 @@ impl<E> Scheduler<E> {
     }
 
     /// Does nothing. Kept only for the benchmark's scheduler replay
-    /// (`benchmark/src/trace.rs`), which still calls it; ROADMAP item 4's
-    /// measuring PR drops that call and deletes this shim.
+    /// (`benchmark/src/trace.rs`), which still calls it; the benchmark's
+    /// next measuring change (ROADMAP, "Benchmark epoch 2") drops that call
+    /// and deletes this shim.
     #[doc(hidden)]
     pub fn enable_calendar(&mut self, _bucket: SimDuration, _buckets: usize) {}
 

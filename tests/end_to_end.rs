@@ -131,6 +131,29 @@ fn broadcast_storm_grows_superlinearly_with_density() {
 }
 
 #[test]
+fn aodv_discovery_cost_grows_with_fleet_size() {
+    // Fig. 2: the RREQ flood behind a discovery reaches every vehicle, so
+    // the catalog's larger fleet pays more control packets.
+    let plan = vanet_runner::campaign_by_name("fig2", false)
+        .expect("fig2 is a catalog campaign")
+        .replications(1)
+        .to_plan();
+    let results = vanet_runner::Runner::new().run_plan(&plan);
+    let control: Vec<f64> = results
+        .cells
+        .iter()
+        .map(|cell| {
+            cell.summary
+                .metric("control_packets")
+                .expect("a metric")
+                .mean
+        })
+        .collect();
+    assert!(control.len() >= 2);
+    assert!(control[control.len() - 1] > control[0], "{control:?}");
+}
+
+#[test]
 fn zone_flooding_cuts_redundant_transmissions() {
     let scenario = Scenario::urban(60)
         .with_seed(9)

@@ -8,8 +8,8 @@ use vanet::links::lifetime::{
 };
 use vanet::links::path::select_most_stable;
 use vanet::links::probability::{link_availability, segment_connectivity_probability};
+use vanet::links::{expected_link_duration, PathMetrics};
 use vanet::links::{path_lifetime, same_direction, velocity_projection};
-use vanet::links::{LinkDurationModel, PathMetrics};
 use vanet::mobility::geometry::distance;
 use vanet::mobility::{HighwayBuilder, MobilityModel, Vec2};
 use vanet::sim::{NodeId, SimDuration, SimRng};
@@ -389,7 +389,7 @@ fn expected_duration_matches_monte_carlo_lifetimes() {
     use vanet::mobility::distributions::{Normal, Sampler};
     let mut rng = SimRng::new(61);
     for (mean, std, d0) in [(10.0, 2.0, 50.0), (-8.0, 1.5, -30.0)] {
-        let analytic = LinkDurationModel::new(mean, std, d0, 250.0).expected_duration();
+        let analytic = expected_link_duration(d0, mean, std, 250.0);
         let dist = Normal::new(mean, std);
         let n = 40_000;
         let total: f64 = (0..n)
