@@ -23,9 +23,16 @@ pub struct RouteEntry {
 }
 
 /// A destination-indexed routing table with expiry.
+///
+/// The routes sit in one `Vec` of 40-byte [`RouteEntry`]s kept sorted by
+/// destination, at most one per destination: a lookup is a binary search, a
+/// refresh overwrites its entry in place, an insert or a removal shifts the
+/// tail, and iteration runs in ascending destination order (DSDV's dumps and
+/// RERR generation read it in that order). A `BTreeMap` here allocated a
+/// 525-byte leaf for eleven routes even when the table held one.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
-    entries: BTreeMap<NodeId, RouteEntry>,
+    entries: Vec<RouteEntry>,
 }
 
 impl RoutingTable {
@@ -35,24 +42,31 @@ impl RoutingTable {
         Self::default()
     }
 
+    /// Where the route to `dest` is, or where it would be inserted.
+    fn find(&self, dest: NodeId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&dest, |e| e.destination)
+    }
+
     /// Returns the valid (non-expired) route to `dest`, if any.
     #[must_use]
     pub fn route(&self, dest: NodeId, now: SimTime) -> Option<&RouteEntry> {
-        self.entries.get(&dest).filter(|e| e.expires_at >= now)
+        self.route_even_expired(dest)
+            .filter(|e| e.expires_at >= now)
     }
 
     /// Returns the route regardless of expiry.
     #[must_use]
     pub fn route_even_expired(&self, dest: NodeId) -> Option<&RouteEntry> {
-        self.entries.get(&dest)
+        self.find(dest).ok().map(|i| &self.entries[i])
     }
 
     /// Inserts `entry` if it is fresher (higher seq) or equally fresh with a
     /// better metric / fewer hops than the existing one. Returns whether the
     /// table changed.
     pub fn upsert(&mut self, entry: RouteEntry) -> bool {
-        match self.entries.get(&entry.destination) {
-            Some(existing) => {
+        match self.find(entry.destination) {
+            Ok(i) => {
+                let existing = &self.entries[i];
                 let fresher = entry.seq.is_fresher_than(existing.seq);
                 let same_seq_better = entry.seq == existing.seq
                     && (entry.metric > existing.metric
@@ -60,14 +74,14 @@ impl RoutingTable {
                 let expired =
                     existing.expires_at < entry.expires_at && existing.expires_at == SimTime::ZERO;
                 if fresher || same_seq_better || expired {
-                    self.entries.insert(entry.destination, entry);
+                    self.entries[i] = entry;
                     true
                 } else {
                     false
                 }
             }
-            None => {
-                self.entries.insert(entry.destination, entry);
+            Err(i) => {
+                self.entries.insert(i, entry);
                 true
             }
         }
@@ -75,21 +89,19 @@ impl RoutingTable {
 
     /// Removes the route to `dest`.
     pub fn remove(&mut self, dest: NodeId) -> Option<RouteEntry> {
-        self.entries.remove(&dest)
+        self.find(dest).ok().map(|i| self.entries.remove(i))
     }
 
     /// Removes every route whose next hop is `neighbor`, returning the
-    /// affected destinations (for RERR generation).
+    /// affected destinations in ascending order (for RERR generation).
     pub fn invalidate_next_hop(&mut self, neighbor: NodeId) -> Vec<NodeId> {
-        let affected: Vec<NodeId> = self
-            .entries
-            .values()
-            .filter(|e| e.next_hop == neighbor)
-            .map(|e| e.destination)
-            .collect();
-        for d in &affected {
-            self.entries.remove(d);
-        }
+        let mut affected = Vec::new();
+        self.entries.retain(|e| {
+            if e.next_hop == neighbor {
+                affected.push(e.destination);
+            }
+            e.next_hop != neighbor
+        });
         affected
     }
 
@@ -105,29 +117,38 @@ impl RoutingTable {
         self.entries.is_empty()
     }
 
-    /// Iterates over all entries.
+    /// Iterates over all entries in ascending destination order.
     pub fn iter(&self) -> impl Iterator<Item = &RouteEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 }
 
 /// A duplicate-suppression cache keyed by `(originator, identifier)` pairs,
-/// with time-based eviction. Used for RREQ ids, flooded packet ids and probe
-/// ids.
+/// with time-based eviction. Used for RREQ ids, RERR ids, flooded packet ids
+/// and probe ids.
+///
+/// The entries sit in one `Vec` of 24-byte `((id, origin), stamp)` records
+/// kept sorted by `(id, origin)`: a lookup is a binary search, a repeat of a
+/// key overwrites its stamp in place, and a new key is inserted at its index.
+/// The id leads because the simulation allocates packet ids in increasing
+/// order, so a flood cache's new key is nearly always its largest and the
+/// insert an append. No answer depends on the order. A `BTreeMap` here kept
+/// each cache in leaves of eleven keys that ran a third to half full, at
+/// about 290 bytes a leaf.
 ///
 /// An entry is forgotten once its stamp is more than the horizon before the
-/// latest call, whether or not the map still holds it: every answer reads
-/// the stamp, so the answers are those of a sweep at every call. The map is
-/// swept only when it has doubled since the last sweep, so each sweep
+/// latest call, whether or not the vector still holds it: every answer reads
+/// the stamp, so the answers are those of a sweep at every call. The vector
+/// is swept only when it has doubled since the last sweep, so each sweep
 /// visits at most twice the keys inserted since the one before, where a
-/// sweep at every call would visit the whole map each time.
+/// sweep at every call would visit the whole cache each time.
 #[derive(Debug, Clone, Default)]
 pub struct SeenCache {
-    seen: BTreeMap<(NodeId, u64), SimTime>,
+    seen: Vec<((u64, NodeId), SimTime)>,
     horizon: f64,
     /// The time of the latest call.
     now: SimTime,
-    /// Entries the map held after the last sweep.
+    /// Entries the vector held after the last sweep.
     swept_len: usize,
     /// Entries examined by sweeps so far.
     #[cfg(test)]
@@ -144,6 +165,11 @@ impl SeenCache {
         }
     }
 
+    /// Where `key` is, or where it would be inserted.
+    fn find(&self, key: (u64, NodeId)) -> Result<usize, usize> {
+        self.seen.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     /// Records `(origin, id)` at `now`; returns `true` if it was *already*
     /// present (i.e. the packet is a duplicate).
     pub fn check_and_insert(&mut self, origin: NodeId, id: u64, now: SimTime) -> bool {
@@ -153,7 +179,13 @@ impl SeenCache {
             self.sweep();
         }
         self.now = now;
-        let previous = self.seen.insert((origin, id), now);
+        let previous = match self.find((id, origin)) {
+            Ok(i) => Some(std::mem::replace(&mut self.seen[i].1, now)),
+            Err(i) => {
+                self.seen.insert(i, ((id, origin), now));
+                None
+            }
+        };
         if self.seen.len() > 2 * self.swept_len {
             self.sweep();
         }
@@ -163,9 +195,8 @@ impl SeenCache {
     /// Whether `(origin, id)` has been seen (without inserting).
     #[must_use]
     pub fn contains(&self, origin: NodeId, id: u64) -> bool {
-        self.seen
-            .get(&(origin, id))
-            .is_some_and(|&seen_at| !expired(self.horizon, seen_at, self.now))
+        self.find((id, origin))
+            .is_ok_and(|i| !expired(self.horizon, self.seen[i].1, self.now))
     }
 
     /// Drops the entries forgotten at the latest call.
@@ -176,7 +207,7 @@ impl SeenCache {
         }
         let (horizon, now) = (self.horizon, self.now);
         self.seen
-            .retain(|_, &mut seen_at| !expired(horizon, seen_at, now));
+            .retain(|&(_, seen_at)| !expired(horizon, seen_at, now));
         self.swept_len = self.seen.len();
     }
 
@@ -184,8 +215,8 @@ impl SeenCache {
     #[must_use]
     pub fn len(&self) -> usize {
         self.seen
-            .values()
-            .filter(|&&seen_at| !expired(self.horizon, seen_at, self.now))
+            .iter()
+            .filter(|&&(_, seen_at)| !expired(self.horizon, seen_at, self.now))
             .count()
     }
 
@@ -362,6 +393,139 @@ mod tests {
     }
 
     #[test]
+    fn flat_entries_are_24_and_40_bytes() {
+        assert_eq!(std::mem::size_of::<((u64, NodeId), SimTime)>(), 24);
+        assert_eq!(std::mem::size_of::<RouteEntry>(), 40);
+    }
+
+    /// `RoutingTable` as it was: a `BTreeMap` from destination to route.
+    #[derive(Default)]
+    struct BTreeTable {
+        entries: BTreeMap<NodeId, RouteEntry>,
+    }
+
+    impl BTreeTable {
+        fn upsert(&mut self, entry: RouteEntry) -> bool {
+            match self.entries.get(&entry.destination) {
+                Some(existing) => {
+                    let fresher = entry.seq.is_fresher_than(existing.seq);
+                    let same_seq_better = entry.seq == existing.seq
+                        && (entry.metric > existing.metric
+                            || (entry.metric == existing.metric && entry.hops < existing.hops));
+                    let expired = existing.expires_at < entry.expires_at
+                        && existing.expires_at == SimTime::ZERO;
+                    if fresher || same_seq_better || expired {
+                        self.entries.insert(entry.destination, entry);
+                        true
+                    } else {
+                        false
+                    }
+                }
+                None => {
+                    self.entries.insert(entry.destination, entry);
+                    true
+                }
+            }
+        }
+
+        fn invalidate_next_hop(&mut self, neighbor: NodeId) -> Vec<NodeId> {
+            let affected: Vec<NodeId> = self
+                .entries
+                .values()
+                .filter(|e| e.next_hop == neighbor)
+                .map(|e| e.destination)
+                .collect();
+            for d in &affected {
+                self.entries.remove(d);
+            }
+            affected
+        }
+    }
+
+    /// Drives `ops` seeded random operations through a `RoutingTable` and
+    /// the `BTreeMap` reference, comparing every answer and, after each
+    /// operation, the whole table in iteration order. Few destinations, seqs,
+    /// metrics and hop counts, so equal-seq ties are common, and a fifth of
+    /// the routes carry `expires_at == SimTime::ZERO`, so the replacement arm
+    /// for a zero expiry fires. Returns how often an upsert replaced a route,
+    /// was refused, and how many routes `invalidate_next_hop` removed.
+    fn routing_table_stream(seed: u64, ops: usize) -> (usize, usize, usize) {
+        let mut rng = vanet_sim::SimRng::new(seed);
+        let mut table = RoutingTable::new();
+        let mut reference = BTreeTable::default();
+        let (mut replaced, mut refused, mut invalidated) = (0, 0, 0);
+        for op in 0..ops {
+            let dest = NodeId(rng.uniform_usize(24) as u32);
+            let hop = NodeId(rng.uniform_usize(6) as u32);
+            let now = SimTime::from_secs(rng.uniform_range(0.0, 12.0));
+            match rng.uniform_usize(10) {
+                0..=5 => {
+                    let expires_at = if rng.chance(0.2) {
+                        SimTime::ZERO
+                    } else {
+                        SimTime::from_secs(rng.uniform_usize(12) as f64)
+                    };
+                    let e = RouteEntry {
+                        destination: dest,
+                        next_hop: hop,
+                        hops: 1 + rng.uniform_usize(4) as u32,
+                        seq: SeqNo(rng.uniform_usize(4) as u64),
+                        metric: rng.uniform_usize(3) as f64,
+                        expires_at,
+                    };
+                    let existed = reference.entries.contains_key(&dest);
+                    let changed = reference.upsert(e);
+                    assert_eq!(table.upsert(e), changed, "op {op}: upsert {e:?}");
+                    replaced += usize::from(existed && changed);
+                    refused += usize::from(!changed);
+                }
+                6 => {
+                    let removed = reference.entries.remove(&dest);
+                    assert_eq!(table.remove(dest), removed, "op {op}: remove");
+                }
+                7 => {
+                    let affected = reference.invalidate_next_hop(hop);
+                    assert_eq!(table.invalidate_next_hop(hop), affected, "op {op}");
+                    invalidated += affected.len();
+                }
+                _ => {
+                    let valid = reference.entries.get(&dest).filter(|e| e.expires_at >= now);
+                    assert_eq!(table.route(dest, now), valid, "op {op}: route");
+                    let any = reference.entries.get(&dest);
+                    assert_eq!(table.route_even_expired(dest), any, "op {op}");
+                }
+            }
+            assert!(table.iter().eq(reference.entries.values()), "op {op}");
+            assert_eq!(table.len(), reference.entries.len(), "op {op}");
+            assert_eq!(table.is_empty(), reference.entries.is_empty());
+        }
+        (replaced, refused, invalidated)
+    }
+
+    #[test]
+    fn routing_table_matches_a_btreemap_reference() {
+        let (replaced, refused, invalidated) = routing_table_stream(0x7ab1e, 20_000);
+        assert!(
+            replaced > 2_000 && refused > 2_000 && invalidated > 2_000,
+            "{replaced} replaced, {refused} refused, {invalidated} invalidated"
+        );
+    }
+
+    /// The same over more seeds and fifty times the operations; run in
+    /// release with `cargo test --release -p vanet-routing -- --ignored`.
+    #[test]
+    #[ignore = "heavy: a million operations; run in release"]
+    fn routing_table_matches_a_btreemap_reference_heavy() {
+        for seed in 0..50 {
+            let (replaced, refused, invalidated) = routing_table_stream(seed, 20_000);
+            assert!(
+                replaced > 2_000 && refused > 2_000 && invalidated > 2_000,
+                "seed {seed}: {replaced} replaced, {refused} refused, {invalidated} invalidated"
+            );
+        }
+    }
+
+    #[test]
     fn seen_cache_detects_duplicates_and_evicts() {
         let mut c = SeenCache::new(5.0);
         assert!(!c.check_and_insert(NodeId(1), 10, SimTime::ZERO));
@@ -389,28 +553,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seen_cache_sweeping_lazily_answers_as_sweeping_on_every_call() {
-        let mut rng = vanet_sim::SimRng::new(0x5ee2);
+    /// Drives `calls` seeded calls through a `SeenCache` and the eager
+    /// reference, comparing every answer, the remembered count and
+    /// membership. `now` is not monotone: it mostly advances in small steps
+    /// (bursts of one flood), sometimes jumps past the horizon, and steps
+    /// back by less or by more than the horizon. One call in ten repeats the
+    /// previous key, at the same instant or a little later. Returns the
+    /// duplicates, the calls at which the reference shrank and emptied, the
+    /// steps back past the horizon and the same-instant refreshes.
+    fn seen_cache_against_eager(seed: u64, calls: usize) -> [usize; 5] {
+        let mut rng = vanet_sim::SimRng::new(seed);
         let mut lazy = SeenCache::new(2.0);
         let mut eager = EagerSeenCache {
             seen: BTreeMap::new(),
             horizon: 2.0,
         };
         let mut now = 0.0_f64;
-        let (mut duplicates, mut shrank, mut emptied) = (0, 0, 0);
-        for call in 0..10_000 {
-            // Mostly small steps (bursts of one flood), some long silences
-            // that forget everything, and the odd step back in time.
-            now = match rng.uniform_usize(40) {
-                0 => now + rng.uniform_range(2.0, 6.0),
-                1 => (now - rng.uniform_range(0.0, 1.0)).max(0.0),
-                _ => now + rng.uniform_range(0.0, 0.05),
+        let mut key = (NodeId(0), 0);
+        let [mut duplicates, mut shrank, mut emptied, mut back, mut same_instant] = [0; 5];
+        for call in 0..calls {
+            let repeat = rng.uniform_usize(10) == 0;
+            now = if repeat && rng.chance(0.5) {
+                now
+            } else {
+                match rng.uniform_usize(40) {
+                    0 => now + rng.uniform_range(2.0, 6.0),
+                    1 => (now - rng.uniform_range(0.0, 1.0)).max(0.0),
+                    2 => {
+                        back += usize::from(now > 2.0);
+                        (now - rng.uniform_range(2.0, 5.0)).max(0.0)
+                    }
+                    _ => now + rng.uniform_range(0.0, 0.05),
+                }
             };
-            // Few enough keys that live ones are refreshed all the time.
-            let origin = NodeId(rng.uniform_usize(12) as u32);
-            let id = rng.uniform_usize(6) as u64;
+            if !repeat {
+                // Few enough keys that live ones are refreshed all the time.
+                key = (
+                    NodeId(rng.uniform_usize(12) as u32),
+                    rng.uniform_usize(6) as u64,
+                );
+            }
+            let (origin, id) = key;
             let at = SimTime::from_secs(now);
+            same_instant += usize::from(repeat && at == lazy.now);
             let before = eager.seen.len();
             let expected = eager.check_and_insert(origin, id, at);
             assert_eq!(
@@ -420,15 +605,50 @@ mod tests {
             );
             assert_eq!(lazy.len(), eager.seen.len(), "call {call}");
             assert!(eager.seen.keys().all(|&(o, i)| lazy.contains(o, i)));
+            let (o, i) = (
+                NodeId(rng.uniform_usize(12) as u32),
+                rng.uniform_usize(6) as u64,
+            );
+            assert_eq!(lazy.contains(o, i), eager.seen.contains_key(&(o, i)));
             duplicates += usize::from(expected);
             shrank += usize::from(eager.seen.len() < before);
             emptied += usize::from(eager.seen.len() == 1 && before > 1);
         }
-        assert!(duplicates > 1_000, "refreshes of a live key: {duplicates}");
+        [duplicates, shrank, emptied, back, same_instant]
+    }
+
+    #[test]
+    fn seen_cache_sweeping_lazily_answers_as_sweeping_on_every_call() {
+        let [duplicates, shrank, emptied, back, same_instant] =
+            seen_cache_against_eager(0x5ee2, 10_000);
+        assert!(duplicates > 3_000, "refreshes of a live key: {duplicates}");
         assert!(
-            shrank > 100 && emptied > 20,
+            shrank > 200 && emptied > 40,
             "{shrank} sweeps, {emptied} full"
         );
+        assert!(
+            back > 150 && same_instant > 350,
+            "{back} steps back past the horizon, {same_instant} same-instant refreshes"
+        );
+    }
+
+    /// The same over more seeds and twenty times the calls; run in release
+    /// with `cargo test --release -p vanet-routing -- --ignored`.
+    #[test]
+    #[ignore = "heavy: a million calls; run in release"]
+    fn seen_cache_sweeping_lazily_answers_as_sweeping_on_every_call_heavy() {
+        for seed in 0..50 {
+            let [duplicates, shrank, emptied, back, same_instant] =
+                seen_cache_against_eager(seed, 20_000);
+            assert!(
+                duplicates > 6_000 && shrank > 400 && emptied > 80,
+                "seed {seed}: {duplicates} duplicates, {shrank} sweeps, {emptied} full"
+            );
+            assert!(
+                back > 300 && same_instant > 700,
+                "seed {seed}: {back} steps back, {same_instant} same-instant refreshes"
+            );
+        }
     }
 
     /// Feeds a cache with a `horizon_s` horizon `seconds` of a monotone
@@ -436,7 +656,7 @@ mod tests {
     /// tenth call a duplicate of one of the last twenty keys, which
     /// refreshes it). It checks that the cache never remembers more than
     /// the keys stamped within the horizon (every 1,009th call, as `len`
-    /// scans the map) and that the map never holds more than twice that
+    /// scans the vector) and that the vector never holds more than twice that
     /// (every call). Returns the inserts and the entries sweeps visited.
     fn monotone_stream(horizon_s: f64, seconds: f64, per_second: usize) -> (u64, u64) {
         let mut cache = SeenCache::new(horizon_s);
@@ -460,7 +680,7 @@ mod tests {
             assert_eq!(duplicate, id != call, "call {call}");
             duplicates += usize::from(duplicate);
             // Entries stamped within the horizon: at most `live + 1` calls,
-            // fewer where duplicates refreshed a key. The map holds at most
+            // fewer where duplicates refreshed a key. The vector holds at most
             // twice what the last sweep left, and one more.
             if call % 1_009 == 0 {
                 assert!(cache.len() as u64 <= live + 1, "call {call}");
@@ -473,7 +693,7 @@ mod tests {
     }
 
     /// Past the horizon an entry expires at almost every insert; the cache
-    /// sweeps only when its map has doubled since the last sweep, so each
+    /// sweeps only when its vector has doubled since the last sweep, so each
     /// sweep visits at most twice the keys inserted since the one before.
     #[test]
     fn seen_cache_expiry_visits_each_record_a_bounded_number_of_times() {

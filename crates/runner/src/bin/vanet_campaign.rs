@@ -14,7 +14,7 @@
 //!                         via fault=, e.g. highway-40:fault=node:10..20s or
 //!                         fault=jam:5:0.9:30..60s — see scenario_spec)
 //!   --protocols P1,P2,..  protocols for a parameterised campaign
-//!                         (default: the five Table-I representatives)
+//!                         (default: the six Table-I representatives)
 //!   --seeds N             replications per cell (default 3)
 //!   --resume DIR          journal completed jobs in DIR/journal.jsonl and
 //!                         skip jobs already recorded there (resumable,

@@ -29,7 +29,7 @@ pub const CATALOG: [(&str, &str); 6] = [
     ("fig6", "Fig. 6: geographic/zone routing on the urban grid"),
     (
         "density",
-        "highway density sweep over all five representatives",
+        "highway density sweep over all six representatives",
     ),
 ];
 
