@@ -36,7 +36,7 @@ pub use fault::{Fault, FaultKind, FaultPlan, FaultPlanError};
 pub use metrics::{Metrics, Report, ReportField};
 pub use plan::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};
 pub use scenario::{ChannelModel, RoadLayout, Scenario, TrafficRegime};
-pub use simulation::{run_scenario, Flow, Simulation};
+pub use simulation::{run_scenario, Simulation};
 pub use taxonomy::{taxonomy_lines, ProtocolKind};
 pub use telemetry::{
     NoTelemetry, RegionRecord, Telemetry, WindowRecord, WindowedTap, DROP_REASON_COUNT,

@@ -2,45 +2,20 @@
 
 use std::collections::BTreeMap;
 use vanet_routing::BundleOp;
-use vanet_sim::{Counter, PacketId, RunningStats, SimTime};
+use vanet_sim::{PacketId, RunningStats, SimTime};
 
 /// Raw per-run metric accumulators (filled in by the simulation driver).
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    /// Data packets handed to the routing layer by the application.
-    pub data_originated: Counter,
-    /// Unique data packets delivered to their destination.
-    pub data_delivered: Counter,
-    /// Additional (duplicate) deliveries of already-delivered packets.
-    pub duplicate_deliveries: Counter,
-    /// Control packets transmitted, of every kind.
-    pub control_packets: Counter,
-    /// Total control bytes transmitted.
-    pub control_bytes: Counter,
-    /// Data-packet transmissions (including every forwarding hop).
-    pub data_transmissions: Counter,
-    /// Route-error packets transmitted (a proxy for route breaks).
-    pub route_errors: Counter,
-    /// Packet drops at the routing layer, of every reason.
-    pub drops: Counter,
+    /// The report's counts, tallied as they happen; [`Metrics::report`]
+    /// fills in the derived fields.
+    totals: Report,
     /// End-to-end delay of delivered packets, seconds.
-    pub delays: RunningStats,
+    delays: RunningStats,
     /// Hop counts of delivered packets.
-    pub hops: RunningStats,
+    hops: RunningStats,
     /// Number of neighbours sampled over time and nodes.
-    pub neighbor_counts: RunningStats,
-    /// Bundles stored into DTN buffers (store-carry-forward protocols).
-    pub bundles_stored: Counter,
-    /// Bundle copies forwarded to contacted neighbours.
-    pub bundles_forwarded: Counter,
-    /// Bundles discarded because their TTL ran out.
-    pub bundles_expired: Counter,
-    /// Bundles evicted under buffer pressure.
-    pub bundles_evicted: Counter,
-    /// Custody hand-overs (custody released at the acknowledged node).
-    pub custody_transfers: Counter,
-    /// Highest bundle-buffer occupancy observed at any node.
-    pub buffer_peak: usize,
+    neighbor_counts: RunningStats,
     /// Send time of every originated packet, and whether it has been
     /// delivered yet (for delay, PDR and duplicates).
     outstanding: BTreeMap<PacketId, (SimTime, bool)>,
@@ -55,14 +30,14 @@ impl Metrics {
 
     /// Records the origination of a data packet.
     pub fn record_origination(&mut self, id: PacketId, now: SimTime) {
-        self.data_originated.incr();
+        self.totals.data_sent += 1;
         self.outstanding.insert(id, (now, false));
     }
 
     /// Records a delivery; duplicates are counted separately. A delivery
     /// must name a packet [`Metrics::record_origination`] saw: debug builds
     /// panic on any other, release builds ignore it, so `data_delivered`
-    /// never passes `data_originated`.
+    /// never passes `data_sent`.
     pub fn record_delivery(&mut self, id: PacketId, hops: u32, now: SimTime) {
         let entry = self.outstanding.get_mut(&id);
         debug_assert!(
@@ -73,11 +48,11 @@ impl Metrics {
             return;
         };
         if *delivered {
-            self.duplicate_deliveries.incr();
+            self.totals.duplicate_deliveries += 1;
             return;
         }
         *delivered = true;
-        self.data_delivered.incr();
+        self.totals.data_delivered += 1;
         self.hops.record(f64::from(hops));
         self.delays.record(now.saturating_since(*sent).as_secs());
     }
@@ -85,20 +60,19 @@ impl Metrics {
     /// Records one transmission: a control packet of `bytes` (a route error
     /// when `is_route_error`) or one hop of a data packet.
     pub fn record_transmission(&mut self, bytes: usize, is_control: bool, is_route_error: bool) {
+        let t = &mut self.totals;
         if is_control {
-            self.control_packets.incr();
-            self.control_bytes.add(bytes as u64);
-            if is_route_error {
-                self.route_errors.incr();
-            }
+            t.control_packets += 1;
+            t.control_bytes += bytes as u64;
+            t.route_errors += u64::from(is_route_error);
         } else {
-            self.data_transmissions.incr();
+            t.data_transmissions += 1;
         }
     }
 
     /// Records a drop.
     pub fn record_drop(&mut self) {
-        self.drops.incr();
+        self.totals.drops += 1;
     }
 
     /// Records a neighbour-count sample.
@@ -110,56 +84,37 @@ impl Metrics {
     /// protocols); `occupancy` is the reporting node's buffer fill after
     /// the event and feeds the fleet-wide occupancy peak.
     pub fn record_bundle(&mut self, op: BundleOp, occupancy: usize) {
-        match op {
-            BundleOp::Stored => self.bundles_stored.incr(),
-            BundleOp::Forwarded => self.bundles_forwarded.incr(),
-            BundleOp::Expired => self.bundles_expired.incr(),
-            BundleOp::Evicted => self.bundles_evicted.incr(),
-            BundleOp::Custody => self.custody_transfers.incr(),
-        }
-        self.buffer_peak = self.buffer_peak.max(occupancy);
-    }
-
-    /// Packet delivery ratio in `[0, 1]`.
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.data_originated.value() == 0 {
-            0.0
-        } else {
-            self.data_delivered.value() as f64 / self.data_originated.value() as f64
-        }
+        let t = &mut self.totals;
+        *match op {
+            BundleOp::Stored => &mut t.bundles_stored,
+            BundleOp::Forwarded => &mut t.bundles_forwarded,
+            BundleOp::Expired => &mut t.bundles_expired,
+            BundleOp::Evicted => &mut t.bundles_evicted,
+            BundleOp::Custody => &mut t.custody_transfers,
+        } += 1;
+        t.buffer_peak = t.buffer_peak.max(occupancy as u64);
     }
 
     /// Produces the final report for a run of `protocol` on `scenario`.
     #[must_use]
     pub fn report(&self, protocol: impl Into<String>, scenario: impl Into<String>) -> Report {
-        let delivered = self.data_delivered.value().max(1);
+        let t = &self.totals;
+        let per_delivered = |n: u64| n as f64 / t.data_delivered.max(1) as f64;
         Report {
             protocol: protocol.into(),
             scenario: scenario.into(),
-            data_sent: self.data_originated.value(),
-            data_delivered: self.data_delivered.value(),
-            duplicate_deliveries: self.duplicate_deliveries.value(),
-            delivery_ratio: self.delivery_ratio(),
+            delivery_ratio: if t.data_sent == 0 {
+                0.0
+            } else {
+                t.data_delivered as f64 / t.data_sent as f64
+            },
             avg_delay_s: self.delays.mean(),
             max_delay_s: self.delays.max(),
             avg_hops: self.hops.mean(),
-            control_packets: self.control_packets.value(),
-            control_bytes: self.control_bytes.value(),
-            data_transmissions: self.data_transmissions.value(),
-            control_per_delivered: self.control_packets.value() as f64 / delivered as f64,
-            transmissions_per_delivered: (self.control_packets.value()
-                + self.data_transmissions.value()) as f64
-                / delivered as f64,
-            route_errors: self.route_errors.value(),
-            drops: self.drops.value(),
+            control_per_delivered: per_delivered(t.control_packets),
+            transmissions_per_delivered: per_delivered(t.control_packets + t.data_transmissions),
             avg_neighbors: self.neighbor_counts.mean(),
-            bundles_stored: self.bundles_stored.value(),
-            bundles_forwarded: self.bundles_forwarded.value(),
-            bundles_expired: self.bundles_expired.value(),
-            bundles_evicted: self.bundles_evicted.value(),
-            custody_transfers: self.custody_transfers.value(),
-            buffer_peak: self.buffer_peak as u64,
+            ..t.clone()
         }
     }
 }
@@ -328,9 +283,9 @@ mod tests {
         m.record_origination(PacketId(2), SimTime::ZERO);
         m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.5));
         m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.6));
-        assert_eq!(m.data_delivered.value(), 1);
-        assert_eq!(m.duplicate_deliveries.value(), 1);
-        assert!((m.delivery_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(m.totals.data_delivered, 1);
+        assert_eq!(m.totals.duplicate_deliveries, 1);
+        assert!((m.report("X", "Y").delivery_ratio - 0.5).abs() < 1e-12);
         assert!((m.delays.mean() - 0.5).abs() < 1e-12);
         assert_eq!(m.hops.mean(), 3.0);
     }
@@ -351,10 +306,10 @@ mod tests {
         m.record_transmission(24, true, false);
         m.record_transmission(12, true, true);
         m.record_transmission(532, false, false);
-        assert_eq!(m.control_packets.value(), 3);
-        assert_eq!(m.control_bytes.value(), 60);
-        assert_eq!(m.data_transmissions.value(), 1);
-        assert_eq!(m.route_errors.value(), 1);
+        assert_eq!(m.totals.control_packets, 3);
+        assert_eq!(m.totals.control_bytes, 60);
+        assert_eq!(m.totals.data_transmissions, 1);
+        assert_eq!(m.totals.route_errors, 1);
     }
 
     #[test]

@@ -21,13 +21,10 @@ use vanet_sim::{
 
 /// One constant-bit-rate application flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Flow {
-    /// Flow identifier.
-    pub id: FlowId,
-    /// Source vehicle.
-    pub source: NodeId,
-    /// Destination vehicle.
-    pub destination: NodeId,
+struct Flow {
+    id: FlowId,
+    source: NodeId,
+    destination: NodeId,
 }
 
 /// Scheduler payload. Packets never ride in it — a frame in flight is an
@@ -548,18 +545,6 @@ impl<T: Telemetry> Simulation<T> {
                 .schedule_at(time, Event::Fault(index))
                 .expect("fault times are validated non-negative");
         }
-    }
-
-    /// The application flows generated for this run.
-    #[must_use]
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
-    }
-
-    /// The ids of the road-side units.
-    #[must_use]
-    pub fn rsu_ids(&self) -> &[NodeId] {
-        &self.rsu_ids
     }
 
     /// Total number of nodes (vehicles + RSUs).
@@ -1181,8 +1166,8 @@ mod tests {
     fn rsus_are_added_as_nodes() {
         let sim = Simulation::new(quick_scenario(20, 5).with_rsus(4), ProtocolKind::Drr);
         assert_eq!(sim.node_count(), 24);
-        assert_eq!(sim.rsu_ids().len(), 4);
-        assert_eq!(sim.flows().len(), 3);
+        assert_eq!(sim.rsu_ids.len(), 4);
+        assert_eq!(sim.flows.len(), 3);
     }
 
     #[test]

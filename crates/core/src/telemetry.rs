@@ -217,19 +217,6 @@ pub struct WindowRecord {
     pub medium: MediumStats,
 }
 
-impl WindowRecord {
-    /// Delivery ratio of the traffic originated in this window's span
-    /// (deliveries over originations; 0 when nothing was originated).
-    #[must_use]
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.originations == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.originations as f64
-        }
-    }
-}
-
 /// Whole-run aggregates for one spatial region (an R×R bucket of the
 /// scenario area).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

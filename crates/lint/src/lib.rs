@@ -15,7 +15,7 @@
 //! | D5   | no `println!`/`eprintln!`/`dbg!` in library crates |
 //! | P1   | no allocation in `// lint: hot-path` files |
 //! | F1   | no force-unwrapped `partial_cmp` float comparisons |
-//! | S1   | no `pub fn` in a library crate that no other workspace file names |
+//! | S1   | no `pub fn` in a library crate that no other workspace file calls or imports |
 //! | A0   | every `lint:` directive is well-formed and justified |
 //!
 //! The pass is deliberately self-contained — a lightweight scrubber/lexer

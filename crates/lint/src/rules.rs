@@ -145,14 +145,20 @@ pub fn explain(code: &str) -> Option<&'static str> {
         "S1" => Some(
             "S1 — public surface no caller uses.\n\
              A `pub fn` (free or associated, outside `#[cfg(test)]` code) in a\n\
-             library file under `crates/*/src` (binaries excluded) whose name no\n\
-             other file of `crates/`, `src/`, `tests/`, `examples/` or\n\
-             `benchmark/src/` names in code. Comments and strings do not count,\n\
-             nor does a name inside a `pub use` re-export; fixture directories\n\
-             are not read. The check is lexical, so two items sharing a name hide\n\
-             each other: a collision can hide a finding, never invent one. Fix:\n\
-             delete the item, or make it private — and `#[cfg(test)]` when only\n\
-             its own file's tests call it.",
+             library file under `crates/*/src` (binaries excluded) that no other\n\
+             file of `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src/`\n\
+             calls or imports. A use is a call (`name(`, `.name(`, `name::<`) that\n\
+             is not an `fn` definition, a path segment after `::` (`Type::name`\n\
+             passed as a value too), or a name in a private `use` item. A field,\n\
+             a binding or struct shorthand of the same name is no use, nor is a\n\
+             `pub use` re-export, a comment or a string; the defining file's own\n\
+             calls do not count, and fixture directories are not read. The check\n\
+             is lexical: two functions sharing a name hide each other, so a\n\
+             collision can hide a finding. A bare function value brought in by\n\
+             a glob import (`use a::*;` then `map(name)`) is not seen as a use,\n\
+             so a function used only that way would be reported; import it by\n\
+             name. Fix: delete the item, or make it private — and `#[cfg(test)]`\n\
+             when only its own file's tests call it.",
         ),
         "A0" => Some(
             "A0 — malformed lint directive.\n\

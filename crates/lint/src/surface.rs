@@ -2,12 +2,18 @@
 //!
 //! The rules in [`crate::rules`] read one file at a time; S1 reads the whole
 //! workspace. Every caller file is scrubbed (comments and strings blanked)
-//! and tokenised once, and the identifiers it names outside `pub use` items
-//! are recorded: a re-export is not a caller. A `pub fn` — free or
-//! associated, outside `#[cfg(test)]` code, in a `crates/*/src` file that is
-//! not a binary — whose name no other file records is a finding. The rule is
-//! lexical: two items that share a name hide each other, so a collision can
-//! only hide a finding, never invent one.
+//! and tokenised once, and the identifiers it uses in a call-shaped place
+//! are recorded: after `::` (a path, or a value such as `Type::name`),
+//! anywhere in a private `use` item, or right before `(` or `::<` (a call,
+//! a method call or a turbofish) when not defined there by `fn`. A field, a
+//! binding or struct shorthand that shares the name is no use, nor is a
+//! `pub use` re-export. A `pub fn` — free or associated, outside
+//! `#[cfg(test)]` code, in a `crates/*/src` file that is not a binary — that
+//! no other file uses is a finding. The rule is lexical: two functions that
+//! share a name hide each other, so a collision can hide a finding. A bare
+//! function value brought in by a glob import (`use a::*;` then `map(name)`)
+//! is not seen as a use, so a function used only that way would be reported;
+//! the tree has none.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,22 +31,26 @@ pub(crate) const CALLER_SKIP: [&str; 4] = ["target", "fixtures", ".git", ".githu
 pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
     let scrubbed: Vec<_> = files.iter().map(|(_, source)| scrub(source)).collect();
     let toks: Vec<Vec<Tok<'_>>> = scrubbed.iter().map(|s| tokenize(&s.code)).collect();
-    // Per identifier, the number of files that name it outside `pub use`.
-    let mut named_in: BTreeMap<&str, usize> = BTreeMap::new();
-    for file_toks in &toks {
-        for name in names_outside_pub_use(file_toks) {
-            *named_in.entry(name).or_default() += 1;
-        }
+    let used: Vec<BTreeSet<&str>> = toks.iter().map(|t| used_names(t)).collect();
+    // Per identifier, the number of files that use it.
+    let mut used_in: BTreeMap<&str, usize> = BTreeMap::new();
+    for name in used.iter().flatten() {
+        *used_in.entry(name).or_default() += 1;
     }
     let mut findings = Vec::new();
-    for (((path, _), scrubbed), file_toks) in files.iter().zip(&scrubbed).zip(&toks) {
+    for ((((path, _), scrubbed), file_toks), own) in
+        files.iter().zip(&scrubbed).zip(&toks).zip(&used)
+    {
         if !is_library_file(path) {
             continue;
         }
         let test_mask = test_line_mask(&scrubbed.code);
         for tok in pub_fn_names(file_toks) {
-            // The definition names the item in its own file: one count is its own.
-            if named_in.get(tok.text).copied().unwrap_or(0) > 1
+            // The defining file's own calls do not count.
+            let others = used_in
+                .get(tok.text)
+                .map_or(0, |n| n - usize::from(own.contains(tok.text)));
+            if others > 0
                 || test_mask.get(tok.line).copied().unwrap_or(false)
                 || scrubbed.allowed("S1", tok.line)
             {
@@ -51,8 +61,8 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
                 line: tok.line,
                 rule: "S1",
                 message: format!(
-                    "`pub fn {}` is named by no other workspace file — delete it, or make it \
-                     private (and `#[cfg(test)]` when only its own file's tests call it)",
+                    "`pub fn {}` is called or imported by no other workspace file — delete it, or \
+                     make it private (and `#[cfg(test)]` when only its own file's tests call it)",
                     tok.text
                 ),
             });
@@ -71,20 +81,26 @@ fn is_library_file(path: &str) -> bool {
         && !is_binary(path)
 }
 
-/// The distinct identifiers of one file, leaving out every one inside a
-/// `pub use` (or `pub(..) use`) item.
-fn names_outside_pub_use<'a>(toks: &[Tok<'a>]) -> BTreeSet<&'a str> {
+/// The distinct identifiers one file uses in a call-shaped place (see the
+/// module docs), leaving out every `pub use` (or `pub(..) use`) item.
+fn used_names<'a>(toks: &[Tok<'a>]) -> BTreeSet<&'a str> {
     let mut names = BTreeSet::new();
-    let mut in_pub_use = false;
+    // Inside a `use` item, which runs to its `;`: whether it is a re-export
+    // (`use` right after `pub`, or after the `)` of `pub(..)`).
+    let mut in_use: Option<bool> = None;
     for (i, tok) in toks.iter().enumerate() {
-        // A `use` right after `pub` or after the `)` of `pub(..)` opens a
-        // re-export, which runs to its `;` (the braces inside hold none).
-        if tok.text == "use" && i > 0 && matches!(toks[i - 1].text, "pub" | ")") {
-            in_pub_use = true;
+        let prev = |k: usize| i.checked_sub(k).map_or("", |j| toks[j].text);
+        let next = |k: usize| toks.get(i + k).map_or("", |t| t.text);
+        if tok.text == "use" {
+            in_use = Some(matches!(prev(1), "pub" | ")"));
         } else if tok.text == ";" {
-            in_pub_use = false;
-        } else if !in_pub_use && is_ident(tok.text) {
-            names.insert(tok.text);
+            in_use = None;
+        } else if is_ident(tok.text) && in_use != Some(true) {
+            let after_path = prev(1) == ":" && prev(2) == ":";
+            let called = next(1) == "(" || (next(1) == ":" && next(2) == ":" && next(3) == "<");
+            if in_use.is_some() || after_path || (called && prev(1) != "fn") {
+                names.insert(tok.text);
+            }
         }
     }
     names

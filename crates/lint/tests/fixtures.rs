@@ -166,9 +166,12 @@ fn a0_tricky_false_positives_clean() {
 
 /// S1 over the mini-workspace under `tests/fixtures/s1`: exactly its true
 /// positives — a `pub fn` named elsewhere only in a `pub use`, a comment or
-/// a string, and one behind a qualifier — and none of its tricky negatives
-/// (callers only under `tests/`, `examples/` or `benchmark/src/`, a caller
-/// in another library file, `pub(crate)`, `#[cfg(test)]` code, a binary).
+/// a string, one behind a qualifier, and a setter whose name other files use
+/// only as a field, a binding and another type's `fn` — and none of its
+/// tricky negatives (callers only under `tests/`, `examples/` or
+/// `benchmark/src/`, a caller in another library file, `pub(crate)`,
+/// `#[cfg(test)]` code, a binary, `Type::name` passed as a value, a
+/// turbofish call, `use a::name;` then `name(..)`, a method call).
 #[test]
 fn s1_finds_exactly_the_true_positives_of_its_fixture_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/s1");
@@ -183,6 +186,7 @@ fn s1_finds_exactly_the_true_positives_of_its_fixture_workspace() {
         (lib, 8),
         (lib, 11),
         (lib, 14),
+        (lib, 44),
     ];
     let expected: Vec<(String, usize, &str)> = expected
         .iter()
@@ -214,7 +218,7 @@ fn workspace_is_lint_clean() {
 /// an old one or be designed away.
 #[test]
 fn audited_allow_sites_only_fall() {
-    const CEILING: usize = 15;
+    const CEILING: usize = 14;
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let sites: usize = collect_sources(&root)
         .expect("walk repo")

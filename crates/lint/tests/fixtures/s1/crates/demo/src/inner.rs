@@ -6,6 +6,12 @@ pub fn only_reexported() -> &'static str {
     describe()
 }
 
+/// Names `top_speed` as a field and as a binding, neither a call.
+pub(crate) fn read(builder: &crate::Builder) -> f64 {
+    let top_speed = builder.top_speed;
+    top_speed
+}
+
 fn describe() -> &'static str {
     "named_in_a_string"
 }

@@ -32,6 +32,37 @@ pub(crate) fn restricted() {}
 #[cfg(test)]
 pub fn only_under_test() {}
 
+/// A builder whose methods other files reach in every call-shaped way.
+#[derive(Default)]
+pub struct Builder {
+    top_speed: f64,
+}
+
+impl Builder {
+    /// True positive: other files use its name only as a field, as a
+    /// binding and as another type's `fn`.
+    pub fn top_speed(mut self, mps: f64) -> Self {
+        self.top_speed = mps;
+        self
+    }
+
+    /// Tricky negative: another file passes `Builder::passed_as_value`.
+    pub fn passed_as_value(mps: f64) -> f64 {
+        mps
+    }
+
+    /// Tricky negative: another file calls it as a method.
+    pub fn method_called(&self) -> f64 {
+        self.top_speed
+    }
+}
+
+/// Tricky negative: another file calls it with a turbofish only.
+pub fn turbofished<T>() {}
+
+/// Tricky negative: another file imports it by `use` and calls it bare.
+pub fn imported_then_called() {}
+
 #[cfg(test)]
 mod tests {
     pub fn helper_in_tests() {}

@@ -39,12 +39,6 @@ impl Normal {
         Normal { mu, sigma }
     }
 
-    /// The standard-deviation parameter.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Probability density function at `x`.
     #[must_use]
     pub fn pdf(&self, x: f64) -> f64 {
@@ -114,18 +108,6 @@ impl TruncatedNormal {
             low,
             high,
         }
-    }
-
-    /// Lower truncation bound.
-    #[must_use]
-    pub fn low(&self) -> f64 {
-        self.low
-    }
-
-    /// Upper truncation bound.
-    #[must_use]
-    pub fn high(&self) -> f64 {
-        self.high
     }
 }
 
@@ -275,8 +257,7 @@ mod tests {
             let x = d.sample(&mut rng);
             assert!((0.0..=36.0).contains(&x), "sample {x} out of bounds");
         }
-        assert_eq!(d.low(), 0.0);
-        assert_eq!(d.high(), 36.0);
+        assert_eq!((d.low, d.high), (0.0, 36.0));
     }
 
     #[test]

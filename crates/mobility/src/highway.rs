@@ -100,13 +100,6 @@ impl HighwayBuilder {
         self
     }
 
-    /// Sets the legal speed limit `v_m` in m/s.
-    #[must_use]
-    pub fn speed_limit_mps(mut self, v: f64) -> Self {
-        self.speed_limit_mps = v;
-        self
-    }
-
     /// Sets the mean desired speed in m/s.
     #[must_use]
     pub fn speed_mean_mps(mut self, v: f64) -> Self {
@@ -137,13 +130,6 @@ impl HighwayBuilder {
     #[must_use]
     pub fn counterflow(mut self, yes: bool) -> Self {
         self.counterflow = yes;
-        self
-    }
-
-    /// Overrides the car-following parameters.
-    #[must_use]
-    pub fn idm(mut self, idm: IdmParams) -> Self {
-        self.idm = idm;
         self
     }
 

@@ -88,13 +88,6 @@ impl UrbanGridBuilder {
         self
     }
 
-    /// Sets the urban speed limit in m/s.
-    #[must_use]
-    pub fn speed_limit_mps(mut self, v: f64) -> Self {
-        self.speed_limit_mps = v;
-        self
-    }
-
     /// Sets the mean desired speed in m/s.
     #[must_use]
     pub fn speed_mean_mps(mut self, v: f64) -> Self {

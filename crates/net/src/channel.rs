@@ -3,11 +3,10 @@
 //! The probability-model-based family (Sec. VII) builds directly on the
 //! "wireless signal strength attenuation model": received power is assumed
 //! log-normally distributed around a deterministic path-loss mean, and the
-//! reception probability as a function of distance follows. We provide three
-//! models with increasing fidelity:
+//! reception probability as a function of distance follows. We provide two
+//! models:
 //!
 //! * [`UnitDisk`] — deterministic range `r`: exactly Eq. (4)'s break distance.
-//! * [`FreeSpacePathLoss`] — deterministic SNR threshold on a power-law decay.
 //! * [`LogNormalShadowing`] — power-law decay plus log-normal fading, yielding
 //!   a smooth reception-probability curve (the REAR receipt-probability model).
 
@@ -91,123 +90,76 @@ impl PropagationModel for UnitDisk {
     }
 }
 
-/// Free-space (power-law) path loss with a hard SNR threshold.
-///
-/// Received power decays as `d^-alpha`; reception succeeds whenever the
-/// received power is above the threshold corresponding to `nominal_range`.
-/// With no fading this behaves like a unit disk, but it exposes the received
-/// power for the REAR-style signal-strength heuristics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FreeSpacePathLoss {
-    nominal_range_m: f64,
-    path_loss_exponent: f64,
-    tx_power_dbm: f64,
-}
-
-impl FreeSpacePathLoss {
-    /// Creates a free-space model whose threshold corresponds to
-    /// `nominal_range_m` with path-loss exponent `alpha` (2 for free space,
-    /// 2.7–4 for ground reflection / urban).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range or exponent is not positive.
-    #[must_use]
-    pub fn new(nominal_range_m: f64, alpha: f64) -> Self {
-        assert!(nominal_range_m > 0.0, "range must be positive");
-        assert!(alpha > 0.0, "path-loss exponent must be positive");
-        FreeSpacePathLoss {
-            nominal_range_m,
-            path_loss_exponent: alpha,
-            tx_power_dbm: 20.0,
-        }
-    }
-
-    /// Received power in dBm at `distance_m` (reference: −50 dBm at 1 m).
-    #[must_use]
-    fn received_power_dbm(&self, distance_m: f64) -> f64 {
-        let d = distance_m.max(1.0);
-        self.tx_power_dbm - 50.0 - 10.0 * self.path_loss_exponent * d.log10()
-    }
-
-    /// The reception threshold in dBm (received power at the nominal range).
-    #[must_use]
-    fn threshold_dbm(&self) -> f64 {
-        self.received_power_dbm(self.nominal_range_m)
-    }
-}
-
-impl PropagationModel for FreeSpacePathLoss {
-    fn reception_probability(&self, distance_m: f64) -> f64 {
-        if self.received_power_dbm(distance_m) >= self.threshold_dbm() {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn nominal_range(&self) -> f64 {
-        self.nominal_range_m
-    }
-
-    fn max_range(&self) -> f64 {
-        self.nominal_range_m
-    }
-}
-
 /// Log-normal shadowing: power-law mean path loss plus Gaussian (in dB)
 /// shadow fading with standard deviation `sigma_db`.
 ///
 /// The reception probability at distance `d` is
 /// `P[X > Pth]` where `X ~ N(P(d), sigma²)`, i.e.
 /// `Q((Pth − P(d)) / sigma)` — the standard log-normal link model the REAR
-/// protocol computes its receipt probability from.
+/// protocol computes its receipt probability from. The threshold `Pth` is the
+/// mean received power at the nominal range, so with `sigma = 0` the model is
+/// a hard SNR threshold on the power-law decay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalShadowing {
-    mean: FreeSpacePathLoss,
+    nominal_range_m: f64,
+    path_loss_exponent: f64,
     sigma_db: f64,
 }
 
 impl LogNormalShadowing {
-    /// Creates a shadowing model around a free-space mean with `sigma_db`
-    /// dB of shadow fading.
+    /// Creates a shadowing model whose mean threshold corresponds to
+    /// `nominal_range_m` with path-loss exponent `alpha` (2 for free space,
+    /// 2.7–4 for ground reflection / urban), with `sigma_db` dB of shadow
+    /// fading.
     ///
     /// # Panics
     ///
-    /// Panics if `sigma_db` is negative.
+    /// Panics if the range or exponent is not positive, or `sigma_db` is
+    /// negative.
     #[must_use]
     pub fn new(nominal_range_m: f64, alpha: f64, sigma_db: f64) -> Self {
+        assert!(nominal_range_m > 0.0, "range must be positive");
+        assert!(alpha > 0.0, "path-loss exponent must be positive");
         assert!(sigma_db >= 0.0, "sigma must be non-negative");
         LogNormalShadowing {
-            mean: FreeSpacePathLoss::new(nominal_range_m, alpha),
+            nominal_range_m,
+            path_loss_exponent: alpha,
             sigma_db,
         }
     }
 
-    /// The shadow-fading standard deviation in dB.
-    #[must_use]
-    pub fn sigma_db(&self) -> f64 {
-        self.sigma_db
+    /// Mean received power in dBm at `distance_m` (20 dBm transmitted,
+    /// reference: −50 dBm of loss at 1 m).
+    fn received_power_dbm(&self, distance_m: f64) -> f64 {
+        const TX_POWER_DBM: f64 = 20.0;
+        let d = distance_m.max(1.0);
+        TX_POWER_DBM - 50.0 - 10.0 * self.path_loss_exponent * d.log10()
+    }
+
+    /// The reception threshold in dBm (mean received power at the nominal
+    /// range).
+    fn threshold_dbm(&self) -> f64 {
+        self.received_power_dbm(self.nominal_range_m)
     }
 }
 
 impl PropagationModel for LogNormalShadowing {
     fn reception_probability(&self, distance_m: f64) -> f64 {
+        let margin_db = self.received_power_dbm(distance_m) - self.threshold_dbm();
         if self.sigma_db == 0.0 {
-            return self.mean.reception_probability(distance_m);
+            return if margin_db >= 0.0 { 1.0 } else { 0.0 };
         }
-        let margin_db = self.mean.received_power_dbm(distance_m) - self.mean.threshold_dbm();
         std_normal_cdf(margin_db / self.sigma_db)
     }
 
     fn nominal_range(&self) -> f64 {
-        self.mean.nominal_range()
+        self.nominal_range_m
     }
 
     fn max_range(&self) -> f64 {
         // Beyond ~2× the nominal range the reception probability is
         // negligible for the sigma values used in the scenarios.
-        self.mean.nominal_range() * 2.0
+        self.nominal_range_m * 2.0
     }
 }
 
@@ -238,13 +190,13 @@ mod tests {
             assert!(disk.sample_reception(d, &mut rng));
         }
         assert_eq!(rng.next_u64(), twin.next_u64());
-        assert!(!FreeSpacePathLoss::new(250.0, 2.7).certain_within_max_range());
         assert!(!LogNormalShadowing::new(250.0, 2.7, 4.0).certain_within_max_range());
     }
 
+    /// Without fading, the power-law mean is a hard threshold at the range.
     #[test]
     fn free_space_threshold_matches_range() {
-        let m = FreeSpacePathLoss::new(300.0, 2.7);
+        let m = LogNormalShadowing::new(300.0, 2.7, 0.0);
         assert_eq!(m.reception_probability(299.0), 1.0);
         assert_eq!(m.reception_probability(301.0), 0.0);
         assert!(m.received_power_dbm(10.0) > m.received_power_dbm(100.0));

@@ -1,12 +1,12 @@
 //! A uniform-grid spatial index over node positions.
 //!
-//! [`Medium::transmit`](crate::Medium::transmit) scans *every* node it is
-//! handed for each frame, so its per-transmission cost grows with total
-//! fleet size even though a frame can only reach nodes within the
-//! propagation model's maximum range. [`SpatialGrid`] answers "every node
-//! within `r` of this point, in ascending id order" from one precomputed
-//! list, so the cost is proportional to the local node density instead of
-//! the global population.
+//! A frame can only reach nodes within the propagation model's maximum
+//! range, but a scan of *every* node per frame costs in proportion to the
+//! total fleet size. [`SpatialGrid`] answers "every node within `r` of this
+//! point, in ascending id order" from one precomputed list, so
+//! [`Medium::transmit_indexed_into`](crate::Medium::transmit_indexed_into)
+//! pays in proportion to the local node density instead of the global
+//! population.
 //!
 //! The grid's square cells have a side a little over twice the largest
 //! query radius `cell_m` (`SIDE_PER_CELL`). Each *vertex* of the grid

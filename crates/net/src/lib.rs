@@ -14,15 +14,23 @@
 //! # Example
 //!
 //! ```
-//! use vanet_net::{Medium, MediumConfig, Packet, PacketKind, UnitDisk};
+//! use vanet_net::{Medium, MediumConfig, Packet, PacketKind, SpatialGrid, UnitDisk};
 //! use vanet_mobility::Vec2;
 //! use vanet_sim::{NodeId, SimRng, SimTime};
 //!
 //! let mut medium = Medium::new(MediumConfig::default(), Box::new(UnitDisk::new(250.0)));
 //! let packet = Packet::broadcast(NodeId(0), PacketKind::Hello, 64);
-//! let nodes = vec![(NodeId(1), Vec2::new(100.0, 0.0)), (NodeId(2), Vec2::new(500.0, 0.0))];
-//! let mut rng = SimRng::new(7);
-//! let deliveries = medium.transmit(SimTime::ZERO, NodeId(0), Vec2::ZERO, &packet, &nodes, &mut rng);
+//! let nodes = [
+//!     (NodeId(0), Vec2::ZERO),
+//!     (NodeId(1), Vec2::new(100.0, 0.0)),
+//!     (NodeId(2), Vec2::new(500.0, 0.0)),
+//! ];
+//! // The grid's cell size must cover the channel's maximum range.
+//! let grid = SpatialGrid::build(250.0, &nodes);
+//! let (mut rng, mut deliveries) = (SimRng::new(7), Vec::new());
+//! medium.transmit_indexed_into(
+//!     SimTime::ZERO, NodeId(0), Vec2::ZERO, &packet, &grid, &mut rng, &mut deliveries,
+//! );
 //! assert_eq!(deliveries.len(), 1, "only the node within 250 m receives the frame");
 //! ```
 
@@ -37,7 +45,7 @@ pub mod neighbor;
 pub mod packet;
 
 pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView, Reception};
-pub use channel::{FreeSpacePathLoss, LogNormalShadowing, PropagationModel, UnitDisk};
+pub use channel::{LogNormalShadowing, PropagationModel, UnitDisk};
 pub use grid::{GridOccupancy, SpatialGrid};
 pub use mac::MacParams;
 pub use medium::{Delivery, InterferenceCounts, Medium, MediumConfig, MediumStats, WindowCounts};

@@ -1,10 +1,11 @@
 //! The shared wireless medium.
 //!
-//! [`Medium::transmit`] is the single entry point through which every frame in
-//! the simulation travels. Given the sender, its position, the packet and the
-//! current positions of all nodes, it decides who receives a copy and when,
-//! applying the propagation model, the contention/collision model and — for
-//! unicast frames — the intended-receiver filter.
+//! [`Medium::transmit_indexed_into`] is the single entry point through which
+//! every frame in the simulation travels. Given the sender, its position, the
+//! packet and a spatial index of the current positions of all nodes, it
+//! decides who receives a copy and when, applying the propagation model, the
+//! contention/collision model and — for unicast frames — the
+//! intended-receiver filter.
 
 // lint: hot-path
 
@@ -37,7 +38,7 @@ impl Default for MediumConfig {
     }
 }
 
-/// One frame delivery produced by [`Medium::transmit`].
+/// One frame delivery produced by [`Medium::transmit_indexed_into`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Delivery {
     /// The node receiving the frame.
@@ -528,12 +529,6 @@ impl Medium {
         self.propagation.as_ref()
     }
 
-    /// The medium configuration.
-    #[must_use]
-    pub fn config(&self) -> &MediumConfig {
-        &self.config
-    }
-
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &MediumStats {
@@ -561,7 +556,10 @@ impl Medium {
     /// `nodes` may hold anything: the ones beyond
     /// [`PropagationModel::max_range`] are dropped first, by the same banded
     /// test the grid query applies, and touch no counter and no RNG draw.
-    pub fn transmit(
+    /// The exhaustive reference [`Medium::transmit_indexed_into`] is pinned
+    /// against.
+    #[cfg(test)]
+    fn transmit(
         &mut self,
         now: SimTime,
         sender: NodeId,
@@ -570,8 +568,6 @@ impl Medium {
         nodes: &[(NodeId, Position)],
         rng: &mut SimRng,
     ) -> Vec<Delivery> {
-        // lint: allow(P1) — convenience form; the engine's warm path owns a
-        // delivery buffer and calls the `_into` variants.
         let mut deliveries = Vec::new();
         // `nodes` is the caller's: nothing computed for it carries over, so
         // the burst's candidate buffer is free to hold its in-range part.
@@ -597,20 +593,20 @@ impl Medium {
         deliveries
     }
 
-    /// Like [`Medium::transmit`], but takes the candidate receivers from a
-    /// [`SpatialGrid`](crate::SpatialGrid) instead of scanning every node, so
-    /// the cost scales with local density rather than total fleet size.
-    /// Clears `out` and fills it with this frame's deliveries: a driver that
-    /// owns `out` and reuses it across calls pays no per-transmission heap
-    /// allocation once the buffer has warmed up.
+    /// Transmits `packet` from `sender` at `sender_pos` to every node of
+    /// `grid` within [`PropagationModel::max_range`], excluding the sender
+    /// itself; the cost scales with local density rather than total fleet
+    /// size. Clears `out` and fills it with this frame's deliveries; losses
+    /// are recorded in [`MediumStats`]. A driver that owns `out` and reuses
+    /// it across calls pays no per-transmission heap allocation once the
+    /// buffer has warmed up.
     ///
     /// The grid must be built with a cell size of at least
     /// [`PropagationModel::max_range`]. Its query — one pass over the id-sorted
     /// list of the grid vertex nearest the sender — returns exactly the nodes
-    /// in range, in ascending node-id order: the nodes `transmit` keeps and
-    /// the order it sees them in when its `nodes` slice is id-sorted. So
-    /// both paths draw identically from `rng` and produce identical
-    /// deliveries (pinned by `indexed_transmit_matches_the_exhaustive_scan`).
+    /// in range, in ascending node-id order, so the deliveries and the draws
+    /// from `rng` are those of an exhaustive scan of every node in id order
+    /// (pinned by `indexed_transmit_matches_the_exhaustive_scan`).
     ///
     /// Calls that repeat `now` and `sender_pos` back to back, with no
     /// [`SpatialGrid::update`](crate::SpatialGrid::update) in between, are
@@ -1015,19 +1011,12 @@ impl Medium {
             });
         }
     }
-
-    /// Whether two positions are within nominal communication range: the
-    /// connectivity predicate used by protocols when they reason about links.
-    #[must_use]
-    pub fn in_range(&self, a: Position, b: Position) -> bool {
-        within(a, b, self.propagation.nominal_range())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{FreeSpacePathLoss, LogNormalShadowing, UnitDisk};
+    use crate::channel::{LogNormalShadowing, UnitDisk};
     use crate::packet::{Packet, PacketKind};
     use vanet_mobility::Vec2;
 
@@ -1180,13 +1169,6 @@ mod tests {
             "delivery frequency at nominal range should be ~0.5, got {freq}"
         );
         assert!(m.stats().propagation_losses.value() > 0);
-    }
-
-    #[test]
-    fn in_range_uses_nominal_range() {
-        let m = medium_unit_disk(250.0);
-        assert!(m.in_range(Vec2::ZERO, Vec2::new(200.0, 0.0)));
-        assert!(!m.in_range(Vec2::ZERO, Vec2::new(300.0, 0.0)));
     }
 
     #[test]
@@ -1537,6 +1519,30 @@ mod tests {
         }
     }
 
+    /// A hard SNR threshold on a power-law decay: received iff within the
+    /// nominal range, like a unit disk, but without claiming certain
+    /// reception, so the medium samples every copy.
+    #[derive(Debug)]
+    struct FreeSpacePathLoss;
+
+    impl PropagationModel for FreeSpacePathLoss {
+        fn reception_probability(&self, distance_m: f64) -> f64 {
+            if distance_m <= 250.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+
+        fn nominal_range(&self) -> f64 {
+            250.0
+        }
+
+        fn max_range(&self) -> f64 {
+            250.0
+        }
+    }
+
     /// Property: carrying the snapshot, the candidate list and the integer
     /// interference counts across the frames of a burst changes nothing.
     /// Two media on the same seeds see the same randomized mix — bursts of
@@ -1792,7 +1798,7 @@ mod tests {
                     let propagation: Box<dyn PropagationModel + Send> = match channel {
                         0 => Box::new(UnitDisk::new(250.0)),
                         1 => Box::new(LogNormalShadowing::new(250.0, 2.7, 4.0)),
-                        2 => Box::new(FreeSpacePathLoss::new(250.0, 2.7)),
+                        2 => Box::new(FreeSpacePathLoss),
                         _ => Box::new(LongReach),
                     };
                     let mac = MacParams {

@@ -195,7 +195,7 @@ pub struct Packet {
 }
 
 /// Default time-to-live for network-layer packets.
-pub const DEFAULT_TTL: u8 = 32;
+const DEFAULT_TTL: u8 = 32;
 
 impl Packet {
     /// Creates a link-layer broadcast packet with no final destination.

@@ -157,12 +157,6 @@ impl BundleBuffer {
         self.len == 0
     }
 
-    /// The configured drop policy.
-    #[must_use]
-    pub fn policy(&self) -> DropPolicy {
-        self.policy
-    }
-
     /// Whether a bundle with `key` is buffered.
     #[must_use]
     pub fn contains(&self, key: BundleKey) -> bool {

@@ -86,17 +86,6 @@ impl DtnParams {
     }
 }
 
-/// What [`DtnCore::receive_data`] did with an incoming data packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receive {
-    /// The packet reached its destination here and was delivered.
-    Delivered,
-    /// The packet was stored for carrying.
-    Stored,
-    /// The packet was a duplicate or could not be stored.
-    Refused,
-}
-
 /// The buffer-and-custody machinery shared by [`Epidemic`], [`Prophet`] and
 /// [`SprayAndWait`] (and, minus the custody handshake, [`ProbFlood`]).
 #[derive(Debug)]
@@ -214,12 +203,7 @@ impl DtnCore {
     /// delivers it at the destination (acking so the sender learns of the
     /// delivery), otherwise takes custody by storing it and acking the
     /// previous hop.
-    pub fn receive_data(
-        &mut self,
-        ctx: &mut ProtocolContext<'_>,
-        packet: &Packet,
-        copies: u32,
-    ) -> Receive {
+    pub fn receive_data(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, copies: u32) {
         let key = BundleKey::of(packet);
         if packet.destination == Some(ctx.node) {
             if self.delivered.insert(key) {
@@ -230,17 +214,10 @@ impl DtnCore {
             // Ack in both cases: the sender either releases custody or
             // learns (again) that the bundle is done.
             self.send_custody_ack(ctx, key, packet.prev_hop);
-            return Receive::Delivered;
-        }
-        if self.delivered.contains(&key) || self.buffer.contains(key) {
+        } else if self.delivered.contains(&key) || self.buffer.contains(key) {
             ctx.drop_packet(packet, DropReason::Duplicate);
-            return Receive::Refused;
-        }
-        if self.store(ctx, packet.clone(), true, copies) {
+        } else if self.store(ctx, packet.clone(), true, copies) {
             self.send_custody_ack(ctx, key, packet.prev_hop);
-            Receive::Stored
-        } else {
-            Receive::Refused
         }
     }
 

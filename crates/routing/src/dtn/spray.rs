@@ -39,8 +39,8 @@ impl SprayAndWait {
     }
 
     /// Remaining copy tickets for the bundle keyed `(origin, id)`, if held.
-    #[must_use]
-    pub fn tickets(&self, origin: NodeId, id: u64) -> Option<u32> {
+    #[cfg(test)]
+    fn tickets(&self, origin: NodeId, id: u64) -> Option<u32> {
         self.core
             .buffer
             .get(super::BundleKey { origin, id })

@@ -166,12 +166,6 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
         &self.table
     }
 
-    /// The policy driving this instance.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
     /// Whether this node may originate a RERR about `dest` now; claims the
     /// rate-limit slot when it may. Forwarded RERRs are never gated — only
     /// fresh originations, so an error still propagates to its source.

@@ -220,12 +220,6 @@ impl ActionSink {
         self.actions.capacity()
     }
 
-    /// The queued actions, in push order.
-    #[must_use]
-    pub fn actions(&self) -> &[Action] {
-        &self.actions
-    }
-
     /// Removes and returns all queued actions (convenient in tests; drivers
     /// on the hot path should prefer [`ActionSink::swap_into`]).
     fn take_all(&mut self) -> Vec<Action> {

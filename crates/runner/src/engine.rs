@@ -234,12 +234,6 @@ impl Runner {
         self
     }
 
-    /// The configured worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs every cell of `plan` and aggregates per-cell summaries.
     ///
     /// Worker panics never abort the campaign: each job runs behind

@@ -16,7 +16,7 @@
 //! cache hit when *both* its report and its telemetry line survived.
 
 use crate::record::{self, AppendLog, Line};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::path::Path;
 use vanet_core::{RegionRecord, WindowRecord, WindowedTap, DROP_REASON_NAMES};
 
@@ -212,58 +212,31 @@ pub fn parse_entry(line: &str) -> Result<TelemetryEntry, String> {
     })
 }
 
-/// An open telemetry log: entries loaded from disk (file order, last write
-/// per key wins) plus an append handle for streaming new completions.
+/// An open telemetry log: the keys of the entries loaded from disk plus an
+/// append handle for streaming new completions.
 #[derive(Debug)]
 pub struct TelemetryLog {
-    entries: Vec<TelemetryEntry>,
-    index: HashMap<u64, usize>,
+    keys: HashSet<u64>,
     log: AppendLog,
 }
 
 impl TelemetryLog {
-    /// Opens (creating if needed) the telemetry log in `dir`, loading every
-    /// parseable line of an existing `telemetry.jsonl`. Unparseable lines
-    /// are counted and skipped — the matching job re-runs, like a truncated
-    /// journal line.
+    /// Opens (creating if needed) the telemetry log in `dir`, loading the key
+    /// of every parseable line of an existing `telemetry.jsonl`. Unparseable
+    /// lines are counted and skipped — the matching job re-runs, like a
+    /// truncated journal line.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<TelemetryLog> {
-        let (log, loaded) = AppendLog::open(dir.as_ref(), TELEMETRY_FILE, |text| {
-            record::records(text, parse_entry)
+        let (log, keys) = AppendLog::open(dir.as_ref(), TELEMETRY_FILE, |text| {
+            let (keys, skipped) = record::records(text, |line| parse_entry(line).map(|e| e.key));
+            (keys.into_iter().collect(), skipped)
         })?;
-        let mut entries: Vec<TelemetryEntry> = Vec::new();
-        let mut index = HashMap::new();
-        for entry in loaded {
-            match index.get(&entry.key) {
-                Some(&at) => entries[at] = entry,
-                None => {
-                    index.insert(entry.key, entries.len());
-                    entries.push(entry);
-                }
-            }
-        }
-        Ok(TelemetryLog {
-            entries,
-            index,
-            log,
-        })
+        Ok(TelemetryLog { keys, log })
     }
 
     /// The telemetry file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
         self.log.path()
-    }
-
-    /// Number of entries loaded at open time.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log loaded empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Number of unparseable lines skipped at open time.
@@ -275,14 +248,7 @@ impl TelemetryLog {
     /// Whether a job's telemetry line survived (the resume check).
     #[must_use]
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
-    }
-
-    /// Looks an entry up by its content key.
-    #[cfg(test)]
-    #[must_use]
-    pub fn get(&self, key: u64) -> Option<&TelemetryEntry> {
-        self.index.get(&key).map(|&at| &self.entries[at])
+        self.keys.contains(&key)
     }
 
     /// Appends one entry under the journal's crash- and shard-safety
@@ -368,11 +334,18 @@ mod tests {
         assert!(parse_entry(truncated).is_err());
     }
 
+    /// The entries `dir`'s telemetry file holds, in file order, and the
+    /// number of its lines that do not parse.
+    fn entries_on_disk(dir: &Path) -> (Vec<TelemetryEntry>, usize) {
+        let text = std::fs::read_to_string(dir.join(TELEMETRY_FILE)).unwrap();
+        record::records(&text, parse_entry)
+    }
+
     #[test]
     fn log_persists_and_recovers_like_the_journal() {
         let dir = temp_dir("basic");
         let log = TelemetryLog::open(&dir).unwrap();
-        assert!(log.is_empty());
+        assert!(!log.contains(entry().key));
         log.record(&entry()).unwrap();
         let mut second = entry();
         second.key = 7;
@@ -380,10 +353,10 @@ mod tests {
         drop(log);
 
         let reopened = TelemetryLog::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.skipped_lines(), 0);
         assert!(reopened.contains(entry().key) && reopened.contains(7));
-        assert_eq!(reopened.get(entry().key), Some(&entry()));
+        assert!(!reopened.contains(8));
+        assert_eq!(entries_on_disk(&dir), (vec![entry(), second], 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -399,15 +372,14 @@ mod tests {
         std::fs::write(&path, format!("{full}{half}")).unwrap();
 
         let reopened = TelemetryLog::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 1);
+        assert!(reopened.contains(entry().key));
         assert_eq!(reopened.skipped_lines(), 1);
-        assert!(!reopened.path().to_string_lossy().is_empty());
         // Appending after the repair starts on a fresh line.
         reopened.record(&entry()).unwrap();
         drop(reopened);
         let again = TelemetryLog::open(&dir).unwrap();
-        assert_eq!(again.len(), 1);
         assert_eq!(again.skipped_lines(), 1);
+        assert_eq!(entries_on_disk(&dir), (vec![entry(), entry()], 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

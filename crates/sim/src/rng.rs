@@ -41,12 +41,6 @@ impl SimRng {
         SimRng { seed, state }
     }
 
-    /// The seed this generator was created from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent stream identified by `label`.
     ///
     /// Streams derived with the same `(seed, label)` pair are identical;

@@ -87,12 +87,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation, or 0 if empty.
     #[must_use]
     pub fn min(&self) -> f64 {
@@ -168,7 +162,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-9);
