@@ -22,14 +22,14 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
-pub mod fault;
-pub mod metrics;
-pub mod plan;
-pub mod scenario;
-pub mod simulation;
-pub mod taxonomy;
-pub mod telemetry;
+mod counters;
+mod fault;
+mod metrics;
+mod plan;
+mod scenario;
+mod simulation;
+mod taxonomy;
+mod telemetry;
 
 pub use counters::EngineCounters;
 pub use fault::{Fault, FaultKind, FaultPlan, FaultPlanError};
@@ -46,4 +46,4 @@ pub use telemetry::{
 // crates (the runner) can name them without depending on the layer crates.
 pub use vanet_mobility::Position;
 pub use vanet_net::MediumStats;
-pub use vanet_routing::{BundleOp, DropReason, DtnParams};
+pub use vanet_routing::BundleOp;

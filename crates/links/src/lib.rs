@@ -40,7 +40,7 @@ pub mod lifetime;
 pub mod path;
 pub mod probability;
 
-pub use direction::{same_direction, velocity_projection, DirectionGroup, ProjectedVelocities};
+pub use direction::{same_direction, velocity_projection, DirectionGroup};
 pub use lifetime::{
     link_lifetime_constant_acceleration, link_lifetime_constant_speed, link_lifetime_numeric,
     link_lifetime_planar, link_lifetime_with_speed_limit, LinkBreakSide, LinkLifetime,

@@ -15,7 +15,7 @@
 //! | D5   | no `println!`/`eprintln!`/`dbg!` in library crates |
 //! | P1   | no allocation in `// lint: hot-path` files |
 //! | F1   | no force-unwrapped `partial_cmp` float comparisons |
-//! | S1   | no `pub fn` in a library crate that no other workspace file calls or imports |
+//! | S1   | no `pub fn` in a library crate that no other workspace file calls or imports, and no crate-root `pub mod` no other crate paths through |
 //! | A0   | every `lint:` directive is well-formed and justified |
 //!
 //! The pass is deliberately self-contained — a lightweight scrubber/lexer
@@ -32,8 +32,7 @@ mod rules;
 mod scrub;
 mod surface;
 
-pub use rules::{explain, is_known_rule, scan_source, Finding, RULES};
-pub use scrub::{scrub, Scrubbed};
+pub use rules::{explain, scan_source, Finding, RULES};
 
 use std::fs;
 use std::io;

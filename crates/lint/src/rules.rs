@@ -158,7 +158,15 @@ pub fn explain(code: &str) -> Option<&'static str> {
              a glob import (`use a::*;` then `map(name)`) is not seen as a use,\n\
              so a function used only that way would be reported; import it by\n\
              name. Fix: delete the item, or make it private — and `#[cfg(test)]`\n\
-             when only its own file's tests call it.",
+             when only its own file's tests call it.\n\
+             Second clause: a `pub mod` in a crate root (`crates/<name>/src/lib.rs`)\n\
+             through which no file outside that crate's `src/` names a path:\n\
+             `vanet_<name>::m::…`, `vanet::<name>::m::…` (the facade's alias) or\n\
+             `m::…` at the top level of a `use vanet_<name>::{…}` group. Fix: make\n\
+             the module private and re-export from the crate root the names other\n\
+             crates use; rustc's `dead_code` then covers everything else in it,\n\
+             and `unnameable_types` keeps every type of an exported signature\n\
+             nameable.",
         ),
         "A0" => Some(
             "A0 — malformed lint directive.\n\

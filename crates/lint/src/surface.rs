@@ -14,6 +14,13 @@
 //! function value brought in by a glob import (`use a::*;` then `map(name)`)
 //! is not seen as a use, so a function used only that way would be reported;
 //! the tree has none.
+//!
+//! S1's second clause keeps modules private by default: a `pub mod` in a
+//! crate root (`crates/<name>/src/lib.rs`) is a finding unless a file outside
+//! that crate's `src/` names a path through it — `vanet_<name>::m::…`,
+//! `vanet::<name>::m::…` (the facade's alias) or `m::…` at the top level of a
+//! `use vanet_<name>::{…}` group. Importing the module itself
+//! (`use vanet_<name>::m;`) is no path through it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,6 +39,7 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
     let scrubbed: Vec<_> = files.iter().map(|(_, source)| scrub(source)).collect();
     let toks: Vec<Vec<Tok<'_>>> = scrubbed.iter().map(|s| tokenize(&s.code)).collect();
     let used: Vec<BTreeSet<&str>> = toks.iter().map(|t| used_names(t)).collect();
+    let pathed: Vec<BTreeSet<(&str, &str)>> = toks.iter().map(|t| module_paths(t)).collect();
     // Per identifier, the number of files that use it.
     let mut used_in: BTreeMap<&str, usize> = BTreeMap::new();
     for name in used.iter().flatten() {
@@ -67,8 +75,44 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
                 ),
             });
         }
+        let Some(krate) = crate_root(path) else {
+            continue;
+        };
+        let src_dir = format!("crates/{krate}/src/");
+        for tok in pub_mod_names(file_toks) {
+            let named = files
+                .iter()
+                .zip(&pathed)
+                .any(|((caller, _), pairs)| {
+                    !caller.starts_with(&src_dir) && pairs.contains(&(krate, tok.text))
+                });
+            if named
+                || test_mask.get(tok.line).copied().unwrap_or(false)
+                || scrubbed.allowed("S1", tok.line)
+            {
+                continue;
+            }
+            findings.push(Finding {
+                file: path.clone(),
+                line: tok.line,
+                rule: "S1",
+                message: format!(
+                    "`pub mod {}`: no file outside `{src_dir}` names a path through it — make it \
+                     private, and re-export from the crate root what other crates use",
+                    tok.text
+                ),
+            });
+        }
     }
     findings
+}
+
+/// The crate directory name when `path` is a library crate root,
+/// `crates/<name>/src/lib.rs`.
+fn crate_root(path: &str) -> Option<&str> {
+    path.strip_prefix("crates/")?
+        .strip_suffix("/src/lib.rs")
+        .filter(|name| !name.contains('/'))
 }
 
 /// Whether `path` is a library source file: under `crates/<name>/src/` and
@@ -125,4 +169,57 @@ fn pub_fn_names<'t, 'a>(toks: &'t [Tok<'a>]) -> impl Iterator<Item = Tok<'a>> + 
             .flatten()
             .filter(|t| is_ident(t.text))
     })
+}
+
+/// The name token of every `pub mod` in one file.
+fn pub_mod_names<'t, 'a>(toks: &'t [Tok<'a>]) -> impl Iterator<Item = Tok<'a>> + 't {
+    toks.windows(3)
+        .filter(|w| w[0].text == "pub" && w[1].text == "mod" && is_ident(w[2].text))
+        .map(|w| w[2])
+}
+
+/// The `(crate, module)` pairs one file names a path through: `m` in
+/// `vanet_<crate>::m::`, in `vanet::<crate>::m::`, or followed by `::` at
+/// the top level of a `vanet_<crate>::{…}` (or `vanet::<crate>::{…}`) group.
+fn module_paths<'a>(toks: &[Tok<'a>]) -> BTreeSet<(&'a str, &'a str)> {
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text);
+    let path_sep = |k: usize| text(k) == ":" && text(k + 1) == ":";
+    let mut pairs = BTreeSet::new();
+    for i in 0..toks.len() {
+        // The crate a path starts at, and the index of the `::` after it.
+        let (krate, sep) = if let Some(krate) = text(i).strip_prefix("vanet_") {
+            (krate, i + 1)
+        } else if text(i) == "vanet" && path_sep(i + 1) && is_ident(text(i + 3)) {
+            (text(i + 3), i + 4)
+        } else {
+            continue;
+        };
+        let first = sep + 2;
+        if !path_sep(sep) {
+            continue;
+        }
+        if is_ident(text(first)) && path_sep(first + 1) {
+            pairs.insert((krate, text(first)));
+        } else if text(first) == "{" {
+            let mut depth = 0usize;
+            for k in first..toks.len() {
+                match text(k) {
+                    "{" => depth += 1,
+                    "}" => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                if depth == 1
+                    && matches!(text(k), "{" | ",")
+                    && is_ident(text(k + 1))
+                    && path_sep(k + 2)
+                {
+                    pairs.insert((krate, text(k + 1)));
+                }
+            }
+        }
+    }
+    pairs
 }

@@ -1,3 +1,6 @@
+use vanet_demo::{called_by_benchmark, grouped::Marker};
+
 fn main() {
-    demo::called_by_benchmark();
+    called_by_benchmark();
+    let _ = Marker;
 }

@@ -12,6 +12,11 @@ pub(crate) fn read(builder: &crate::Builder) -> f64 {
     top_speed
 }
 
+/// Names a path through `unreached`, which counts only outside this crate.
+pub(crate) fn marker() -> crate::unreached::Marker {
+    crate::unreached::Marker
+}
+
 fn describe() -> &'static str {
     "named_in_a_string"
 }

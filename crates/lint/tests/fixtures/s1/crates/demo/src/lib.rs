@@ -2,6 +2,20 @@
 
 mod inner;
 
+/// True positive: no file outside this crate names a path through it.
+pub mod unreached;
+
+/// Tricky negative: a test names `vanet_demo::pathed::…`.
+pub mod pathed;
+
+/// Tricky negative: an example names `vanet::demo::aliased::…`, through
+/// the facade's alias.
+pub mod aliased;
+
+/// Tricky negative: the benchmark names `grouped::…` inside a
+/// `use vanet_demo::{…}` group.
+pub mod grouped;
+
 pub use inner::only_reexported;
 
 /// True positive: another file names it only inside a comment.

@@ -1,4 +1,4 @@
-use demo::*;
+use vanet_demo::*;
 
 /// Another type's `top_speed`: a definition is no call.
 struct Car;
@@ -11,6 +11,7 @@ impl Car {
 }
 
 fn main() {
-    demo::called_by_examples();
+    vanet_demo::called_by_examples();
     turbofished::<u8>();
+    let _ = vanet::demo::aliased::Marker;
 }

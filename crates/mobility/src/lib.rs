@@ -9,8 +9,8 @@
 //! * in-house probability distributions (normal, truncated normal,
 //!   exponential) used for speeds, headways and arrivals;
 //! * vehicle state and kinds ([`VehicleState`], [`VehicleKind`]);
-//! * scenario generators: a multi-lane bidirectional [`highway`] and a
-//!   Manhattan-grid [`urban`] network, with IDM-style car-following so that
+//! * scenario generators: a multi-lane bidirectional highway
+//!   ([`HighwayBuilder`]) and a Manhattan-grid network ([`UrbanGridBuilder`]), with IDM-style car-following so that
 //!   congestion emerges from density rather than being scripted.
 //!
 //! # Example
@@ -33,17 +33,16 @@
 
 #![warn(missing_docs)]
 
-pub mod car_following;
+mod car_following;
 pub mod distributions;
 pub mod geometry;
-pub mod highway;
-pub mod model;
-pub mod urban;
-pub mod vehicle;
+mod highway;
+mod model;
+mod urban;
+mod vehicle;
 
-pub use car_following::IdmParams;
-pub use distributions::{Exponential, Normal, TruncatedNormal};
-pub use geometry::{Heading, Position, Vec2, Velocity};
+pub use distributions::{Exponential, Normal};
+pub use geometry::{Position, Vec2, Velocity};
 pub use highway::{HighwayBuilder, HighwayModel};
 pub use model::{MobilityModel, RegionBounds};
 pub use urban::{UrbanGridBuilder, UrbanGridModel};

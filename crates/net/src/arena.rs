@@ -803,7 +803,7 @@ impl NeighborArena {
 
 /// Iterator over one node's chain, ascending by id.
 #[derive(Debug, Clone)]
-pub struct ArenaIter<'a> {
+pub(crate) struct ArenaIter<'a> {
     arena: &'a NeighborArena,
     block: u32,
     pos: usize,
@@ -863,8 +863,7 @@ impl<'a> NeighborView<'a> {
     }
 
     /// All current neighbours, ascending by id.
-    #[must_use]
-    pub fn iter(&self) -> ArenaIter<'a> {
+    pub fn iter(&self) -> impl Iterator<Item = NeighborInfo> + 'a {
         self.arena.iter(self.table)
     }
 

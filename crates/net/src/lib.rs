@@ -36,13 +36,13 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod channel;
-pub mod grid;
-pub mod mac;
-pub mod medium;
-pub mod neighbor;
-pub mod packet;
+mod arena;
+mod channel;
+mod grid;
+mod mac;
+mod medium;
+mod neighbor;
+mod packet;
 
 pub use arena::{ArenaOccupancy, ArenaTable, NeighborArena, NeighborView, Reception};
 pub use channel::{LogNormalShadowing, PropagationModel, UnitDisk};

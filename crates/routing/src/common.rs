@@ -193,8 +193,9 @@ impl SeenCache {
     }
 
     /// Whether `(origin, id)` has been seen (without inserting).
+    #[cfg(test)]
     #[must_use]
-    pub fn contains(&self, origin: NodeId, id: u64) -> bool {
+    fn contains(&self, origin: NodeId, id: u64) -> bool {
         self.find((id, origin))
             .is_ok_and(|i| !expired(self.horizon, self.seen[i].1, self.now))
     }
@@ -212,18 +213,13 @@ impl SeenCache {
     }
 
     /// Number of remembered entries.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.seen
             .iter()
             .filter(|&&(_, seen_at)| !expired(self.horizon, seen_at, self.now))
             .count()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -303,14 +299,16 @@ impl PendingBuffer {
     }
 
     /// Total number of buffered packets.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.queues.values().map(VecDeque::len).sum()
     }
 
     /// Whether nothing is buffered.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -29,27 +29,26 @@
 
 #![warn(missing_docs)]
 
-pub mod aodv;
-pub mod common;
-pub mod dsdv;
+mod aodv;
+mod common;
+mod dsdv;
 pub mod dtn;
-pub mod flooding;
-pub mod geographic;
-pub mod infrastructure;
-pub mod mobility_protocols;
-pub mod ondemand;
-pub mod protocol;
+mod flooding;
+mod geographic;
+mod infrastructure;
+mod mobility_protocols;
+mod ondemand;
+mod protocol;
 #[cfg(test)]
 pub(crate) mod testkit;
-pub mod yan;
-pub mod zone;
+mod yan;
+mod zone;
 
 pub use aodv::{aodv, Aodv, AodvPolicy};
-pub use common::{PendingBuffer, RouteEntry, RoutingTable, SeenCache};
+pub use common::{RouteEntry, RoutingTable};
 pub use dsdv::Dsdv;
 pub use dtn::{
-    Bundle, BundleBuffer, BundleKey, DropPolicy, DtnParams, Epidemic, InsertOutcome, ProbFlood,
-    Prophet, SprayAndWait,
+    Bundle, BundleBuffer, DropPolicy, DtnParams, Epidemic, ProbFlood, Prophet, SprayAndWait,
 };
 pub use flooding::{Biswas, Flooding};
 pub use geographic::{

@@ -11,7 +11,7 @@ use vanet_core::{ProtocolKind, Scenario, TrafficRegime};
 use vanet_sim::SimDuration;
 
 /// Parses a scenario specifier used by the CLI's `--scenarios` flag (see
-/// [`crate::scenario_spec`]).
+/// `scenario_spec.rs`).
 pub use crate::scenario_spec::parse as parse_scenario;
 
 /// Names of the campaigns [`campaign_by_name`] knows, with one-line blurbs.

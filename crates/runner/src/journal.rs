@@ -6,7 +6,7 @@
 //! [`PlanJob::key`](vanet_core::PlanJob::key), a hash of the fully seeded
 //! scenario and the protocol), a little bookkeeping, and the complete
 //! [`Report`] — every [`Report::FIELDS`] metric, bit-exact through
-//! [`crate::record`], so resumed campaigns stay byte-identical to cold runs.
+//! the crate's `record` codec, so resumed campaigns stay byte-identical to cold runs.
 //!
 //! On open, every parseable line becomes a cache entry keyed by the content
 //! hash. Jobs whose key is already present are not re-executed; because keys
@@ -262,7 +262,7 @@ impl Journal {
         self.quarantine.get(&key)
     }
 
-    /// Appends a completed job; see [`AppendLog::append`] for the crash- and
+    /// Appends a completed job; see `AppendLog::append` for the crash- and
     /// shard-safety of the write.
     pub fn record(&self, entry: &JournalEntry) -> std::io::Result<()> {
         self.log.append(render_entry(entry))

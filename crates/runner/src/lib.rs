@@ -25,10 +25,10 @@
 //! * results export as fixed-width tables, CSV and JSONL
 //!   ([`render_table`], [`render_csv`], [`render_jsonl`]); JSONL parses back
 //!   losslessly ([`parse_jsonl`]);
-//! * [`record`] is the one JSONL codec and append-log under the journal, the
+//! * the `record` module is the one JSONL codec and append-log under the journal, the
 //!   telemetry log, the manifest and the JSONL export — strict on read, so a
 //!   corrupt line is skipped and re-run, never replayed;
-//! * [`catalog`] names the standard campaigns, and the `vanet-campaign`
+//! * [`CATALOG`] names the standard campaigns, and the `vanet-campaign`
 //!   binary runs named or parameterised campaigns from the command line
 //!   (`--resume DIR` for journals, `--ci-target` for adaptive replication).
 //!
@@ -62,20 +62,20 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod campaign;
-pub mod catalog;
-pub mod engine;
-pub mod export;
+mod analysis;
+mod campaign;
+mod catalog;
+mod engine;
+mod export;
 pub mod journal;
 pub mod manifest;
-pub mod record;
+mod record;
 mod rss;
-pub mod scenario_spec;
-pub mod summary;
+mod scenario_spec;
+mod summary;
 pub mod telemetry;
 
-pub use analysis::{run_analyze, AnalyzeReport, WelchResult};
+pub use analysis::{run_analyze, AnalyzeReport};
 pub use campaign::{protocol_by_name, CampaignSpec};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
@@ -83,11 +83,11 @@ pub use export::{
     parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,
 };
 pub use journal::{Journal, JournalEntry, QuarantineEntry, JOURNAL_FILE};
-pub use manifest::{ManifestEntry, MANIFEST_FILE};
+pub use manifest::ManifestEntry;
 pub use rss::peak_rss_bytes;
 pub use scenario_spec::ScenarioParseError;
-pub use summary::{t_critical_95, Summary, SummaryStat, METRIC_NAMES};
+pub use summary::{Summary, SummaryStat, METRIC_NAMES};
 pub use telemetry::{TelemetryEntry, TelemetryLog, TELEMETRY_FILE};
 // The plan types live in vanet-core (beside the scenarios they bind) but are
 // part of this crate's primary API.
-pub use vanet_core::{CampaignPlan, PlanCell, PlanJob, ReplicationPolicy};
+pub use vanet_core::{CampaignPlan, ReplicationPolicy};

@@ -10,7 +10,7 @@
 //! any column without touching the rest.
 //!
 //! The file follows the journal's persistence contract exactly — keyed by
-//! the job's stable content hash, one [`AppendLog`] line per record,
+//! the job's stable content hash, one `AppendLog` line per record,
 //! unreadable lines skipped and counted at open so the affected job simply
 //! re-runs. [`TelemetryLog::contains`] is the resume check: a job is only a
 //! cache hit when *both* its report and its telemetry line survived.
@@ -252,7 +252,7 @@ impl TelemetryLog {
     }
 
     /// Appends one entry under the journal's crash- and shard-safety
-    /// contract ([`AppendLog::append`]).
+    /// contract (`AppendLog::append`).
     pub fn record(&self, entry: &TelemetryEntry) -> std::io::Result<()> {
         self.log.append(render_entry(entry))
     }

@@ -24,17 +24,17 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
+mod error;
 mod event;
-pub mod hash;
-pub mod ids;
+mod hash;
+mod ids;
 pub mod pool;
-pub mod rng;
-pub mod scheduler;
-pub mod stats;
-pub mod time;
+mod rng;
+mod scheduler;
+mod stats;
+mod time;
 mod wheel;
-pub mod window;
+mod window;
 
 pub use error::SimError;
 pub use event::EventKey;
