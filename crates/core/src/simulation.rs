@@ -1171,21 +1171,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "scenario 'offset': vehicle 0 has id 5; vehicle ids must run 0, 1, 2"
-    )]
-    fn vehicle_ids_that_do_not_start_at_zero_are_rejected() {
-        let mut scenario = quick_scenario(10, 1);
-        scenario.name = "offset".into();
-        scenario.layout = crate::scenario::RoadLayout::Highway(
-            vanet_mobility::HighwayBuilder::new()
-                .vehicles(10)
-                .first_node_id(5),
-        );
-        let _ = run_scenario(scenario, ProtocolKind::Greedy);
-    }
-
-    #[test]
     #[should_panic(expected = "fault node 99 is outside the scenario's 10 vehicles")]
     fn an_outage_of_an_absent_vehicle_is_rejected() {
         let scenario =

@@ -42,11 +42,8 @@ pub mod probability;
 
 pub use direction::{same_direction, velocity_projection, DirectionGroup};
 pub use lifetime::{
-    link_lifetime_constant_acceleration, link_lifetime_constant_speed, link_lifetime_numeric,
-    link_lifetime_planar, link_lifetime_with_speed_limit, LinkBreakSide, LinkLifetime,
+    link_lifetime_constant_acceleration, link_lifetime_constant_speed, link_lifetime_planar,
+    LinkLifetime,
 };
 pub use path::{path_lifetime, path_reliability, PathMetrics};
-pub use probability::{
-    expected_link_duration, link_availability, mean_link_duration, receipt_probability,
-    segment_connectivity_probability,
-};
+pub use probability::expected_link_duration;

@@ -80,8 +80,8 @@ fn quadrature_weights() -> &'static ([f64; STEPS + 1], f64) {
 /// from a process-wide table; the normalising constant `1/(σ√2π)` is common
 /// to the weighted sum and the weight total and cancels in their quotient.
 /// A call is therefore one division per sample and no transcendental. The
-/// result agrees with the previous formulation — `Normal::pdf` evaluated at
-/// each `v_k` — to ≤ 1e-12 relative (that one took `exp` of the *rounded*
+/// result agrees with the previous formulation — the normal density
+/// evaluated at each `v_k` — to ≤ 1e-12 relative (that one took `exp` of the *rounded*
 /// `(v_k − mean)/σ`), and is a pure function of its arguments.
 ///
 /// Returns the constant-speed lifetime at `mean` when `std == 0`.
@@ -410,13 +410,12 @@ pub fn receipt_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vanet_mobility::distributions::Normal;
     use vanet_sim::SimRng;
 
     const R: f64 = 250.0;
 
     /// The formulation [`expected_link_duration`] replaced, kept verbatim as
-    /// the oracle: `Normal::pdf` — one `exp`, one division — at every sample
+    /// the oracle: the normal density — one `exp`, one division — at every sample
     /// of the same grid, and its own copy of the lifetime rule. Returns the
     /// expectation and the weight sum it normalised by.
     fn reference_expected_link_duration(
@@ -435,7 +434,10 @@ mod tests {
                 ((range + d0) / -v).min(3_600.0)
             }
         };
-        let dist = Normal::new(mean, std);
+        let pdf = |v: f64| {
+            let z = (v - mean) / std;
+            (-0.5 * z * z).exp() / (std * (2.0 * std::f64::consts::PI).sqrt())
+        };
         let lo = mean - 6.0 * std;
         let hi = mean + 6.0 * std;
         let steps = 2_000;
@@ -444,7 +446,7 @@ mod tests {
         let mut weight = 0.0;
         for k in 0..=steps {
             let v = lo + k as f64 * h;
-            let w = dist.pdf(v) * if k == 0 || k == steps { 0.5 } else { 1.0 };
+            let w = pdf(v) * if k == 0 || k == steps { 0.5 } else { 1.0 };
             acc += w * lifetime(v);
             weight += w;
         }

@@ -80,12 +80,9 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
         };
         let src_dir = format!("crates/{krate}/src/");
         for tok in pub_mod_names(file_toks) {
-            let named = files
-                .iter()
-                .zip(&pathed)
-                .any(|((caller, _), pairs)| {
-                    !caller.starts_with(&src_dir) && pairs.contains(&(krate, tok.text))
-                });
+            let named = files.iter().zip(&pathed).any(|((caller, _), pairs)| {
+                !caller.starts_with(&src_dir) && pairs.contains(&(krate, tok.text))
+            });
             if named
                 || test_mask.get(tok.line).copied().unwrap_or(false)
                 || scrubbed.allowed("S1", tok.line)

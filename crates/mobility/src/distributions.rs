@@ -1,24 +1,12 @@
 //! In-house probability distributions.
 //!
 //! The survey's probability-model-based protocols assume speed and
-//! acceleration are normally distributed and inter-vehicle spacing is
-//! exponentially distributed (Sec. VII-A). Rather than pulling in an extra
-//! dependency we implement the handful of samplers and density functions
-//! needed, and test them against their analytic moments.
+//! acceleration are normally distributed (Sec. VII-A). Rather than pulling
+//! in an extra dependency we implement the normal sampler the mobility
+//! models draw speeds from and the standard normal CDF the link models
+//! read, and test them against their analytic values.
 
 use vanet_sim::SimRng;
-
-/// A sampler that draws `f64` values from a distribution.
-pub trait Sampler {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut SimRng) -> f64;
-
-    /// Mean of the distribution.
-    fn mean(&self) -> f64;
-
-    /// Variance of the distribution.
-    fn variance(&self) -> f64;
-}
 
 /// Normal (Gaussian) distribution, sampled with the Box–Muller transform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,16 +27,6 @@ impl Normal {
         Normal { mu, sigma }
     }
 
-    /// Probability density function at `x`.
-    #[must_use]
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.sigma == 0.0 {
-            return if x == self.mu { f64::INFINITY } else { 0.0 };
-        }
-        let z = (x - self.mu) / self.sigma;
-        (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function at `x`.
     #[cfg(test)]
     #[must_use]
@@ -59,10 +37,9 @@ impl Normal {
         let z = (x - self.mu) / (self.sigma * std::f64::consts::SQRT_2);
         0.5 * (1.0 + erf(z))
     }
-}
 
-impl Sampler for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         if self.sigma == 0.0 {
             return self.mu;
         }
@@ -72,14 +49,6 @@ impl Sampler for Normal {
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.mu + self.sigma * r * theta.cos()
-    }
-
-    fn mean(&self) -> f64 {
-        self.mu
-    }
-
-    fn variance(&self) -> f64 {
-        self.sigma * self.sigma
     }
 }
 
@@ -109,10 +78,9 @@ impl TruncatedNormal {
             high,
         }
     }
-}
 
-impl Sampler for TruncatedNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         // Rejection sampling with a clamped fallback: for the parameters used
         // in the scenarios (mu well inside the range) rejection terminates in
         // a couple of iterations; the fallback guarantees termination.
@@ -123,71 +91,6 @@ impl Sampler for TruncatedNormal {
             }
         }
         self.inner.sample(rng).clamp(self.low, self.high)
-    }
-
-    fn mean(&self) -> f64 {
-        // Approximation: for the truncation ranges used in scenarios the mean
-        // is close to the untruncated mean clamped into the interval.
-        self.inner.mean().clamp(self.low, self.high)
-    }
-
-    fn variance(&self) -> f64 {
-        self.inner.variance()
-    }
-}
-
-/// Exponential distribution with rate `lambda`.
-///
-/// Inter-vehicle headways in free-flowing traffic are commonly modelled as
-/// exponential; this drives the CAR segment-connectivity model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda` (events per unit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda <= 0`.
-    #[must_use]
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0, "lambda must be positive");
-        Exponential { lambda }
-    }
-
-    /// The rate parameter.
-    #[cfg(test)]
-    #[must_use]
-    fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Cumulative distribution function at `x`.
-    #[cfg(test)]
-    #[must_use]
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.lambda * x).exp()
-        }
-    }
-}
-
-impl Sampler for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = rng.uniform().max(f64::MIN_POSITIVE);
-        -u.ln() / self.lambda
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-
-    fn variance(&self) -> f64 {
-        1.0 / (self.lambda * self.lambda)
     }
 }
 
@@ -218,7 +121,7 @@ pub fn std_normal_cdf(z: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn sample_stats(s: &impl Sampler, n: usize, seed: u64) -> (f64, f64) {
+    fn sample_stats(s: &Normal, n: usize, seed: u64) -> (f64, f64) {
         let mut rng = SimRng::new(seed);
         let mut stats = vanet_sim::RunningStats::new();
         for _ in 0..n {
@@ -240,7 +143,6 @@ mod tests {
         let d = Normal::new(0.0, 1.0);
         assert!((d.cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((d.cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((d.pdf(0.0) - 0.398_942).abs() < 1e-5);
         assert!(d.cdf(5.0) > d.cdf(-5.0));
         let degenerate = Normal::new(2.0, 0.0);
         assert_eq!(degenerate.cdf(1.9), 0.0);
@@ -261,17 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_moments_and_cdf() {
-        let d = Exponential::new(0.05);
-        let (m, v) = sample_stats(&d, 40_000, 4);
-        assert!((m - 20.0).abs() < 0.5, "mean {m}");
-        assert!((v - 400.0).abs() < 30.0, "variance {v}");
-        assert_eq!(d.cdf(0.0), 0.0);
-        assert!((d.cdf(20.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
-        assert_eq!(d.lambda(), 0.05);
-    }
-
-    #[test]
     fn erf_reference_values() {
         assert!((erf(0.0)).abs() < 1e-6);
         assert!((erf(1.0) - 0.842_700_79).abs() < 1e-5);
@@ -279,12 +170,6 @@ mod tests {
         assert!((erf(3.0) - 0.999_977_9).abs() < 1e-5);
         assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-6);
         assert!((std_normal_cdf(1.644_85) - 0.95).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn exponential_rejects_zero_rate() {
-        let _ = Exponential::new(0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! produces genuine congestion.
 
 use crate::car_following::{IdmParams, LeaderInfo};
-use crate::distributions::{Sampler, TruncatedNormal};
+use crate::distributions::TruncatedNormal;
 use crate::geometry::{Heading, Position, Vec2};
 use crate::model::{MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
@@ -35,6 +35,9 @@ pub struct HighwayBuilder {
     counterflow: bool,
     idm: IdmParams,
     lane_change_enabled: bool,
+    /// Always 0, the id the simulation requires of the first vehicle; kept
+    /// so `Debug` renderings and content hashes stay as they are until the
+    /// ROADMAP 5(c) epoch drops it.
     first_node_id: u32,
 }
 
@@ -137,16 +140,6 @@ impl HighwayBuilder {
     #[must_use]
     pub fn lane_changes(mut self, yes: bool) -> Self {
         self.lane_change_enabled = yes;
-        self
-    }
-
-    /// Sets the node id assigned to the first vehicle (subsequent vehicles get
-    /// consecutive ids). `vanet-core`'s simulation indexes every node by id
-    /// and numbers RSUs after the vehicles, so it rejects anything but the
-    /// default, 0.
-    #[must_use]
-    pub fn first_node_id(mut self, id: u32) -> Self {
-        self.first_node_id = id;
         self
     }
 
@@ -921,17 +914,6 @@ mod tests {
         for (i, s) in hw.states().iter().enumerate() {
             assert_eq!(s.id.index(), i);
         }
-    }
-
-    #[test]
-    fn first_node_id_offsets_ids() {
-        let mut rng = SimRng::new(11);
-        let hw = HighwayBuilder::new()
-            .vehicles(5)
-            .first_node_id(100)
-            .build(&mut rng);
-        let ids: Vec<u32> = hw.states().iter().map(|s| s.id.0).collect();
-        assert_eq!(ids, vec![100, 101, 102, 103, 104]);
     }
 
     #[test]

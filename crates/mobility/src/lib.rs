@@ -6,8 +6,7 @@
 //! provides the mobility substrate the paper's routing analysis rests on:
 //!
 //! * 2-D geometry primitives ([`Position`], [`Velocity`], [`Vec2`]);
-//! * in-house probability distributions (normal, truncated normal,
-//!   exponential) used for speeds, headways and arrivals;
+//! * in-house normal and truncated-normal distributions, used for speeds;
 //! * vehicle state and kinds ([`VehicleState`], [`VehicleKind`]);
 //! * scenario generators: a multi-lane bidirectional highway
 //!   ([`HighwayBuilder`]) and a Manhattan-grid network ([`UrbanGridBuilder`]), with IDM-style car-following so that
@@ -41,7 +40,6 @@ mod model;
 mod urban;
 mod vehicle;
 
-pub use distributions::{Exponential, Normal};
 pub use geometry::{Position, Vec2, Velocity};
 pub use highway::{HighwayBuilder, HighwayModel};
 pub use model::{MobilityModel, RegionBounds};

@@ -6,7 +6,7 @@
 //! scenario is what exercises the geographic/zone protocols (Fig. 6) and the
 //! RSU deployments of the infrastructure experiments (Fig. 5).
 
-use crate::distributions::{Sampler, TruncatedNormal};
+use crate::distributions::TruncatedNormal;
 use crate::geometry::{Heading, Position, Vec2};
 use crate::model::{MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
@@ -27,6 +27,9 @@ pub struct UrbanGridBuilder {
     speed_limit_mps: f64,
     speed_mean_mps: f64,
     speed_std_mps: f64,
+    /// Always 0, the id the simulation requires of the first vehicle; kept
+    /// so `Debug` renderings and content hashes stay as they are until the
+    /// ROADMAP 5(c) epoch drops it.
     first_node_id: u32,
 }
 
@@ -92,16 +95,6 @@ impl UrbanGridBuilder {
     #[must_use]
     pub fn speed_mean_mps(mut self, v: f64) -> Self {
         self.speed_mean_mps = v;
-        self
-    }
-
-    /// Sets the node id assigned to the first vehicle (subsequent vehicles get
-    /// consecutive ids). `vanet-core`'s simulation indexes every node by id
-    /// and numbers RSUs after the vehicles, so it rejects anything but the
-    /// default, 0.
-    #[must_use]
-    pub fn first_node_id(mut self, id: u32) -> Self {
-        self.first_node_id = id;
         self
     }
 
@@ -417,7 +410,6 @@ mod tests {
         let m = UrbanGridBuilder::new()
             .vehicles(10)
             .buses(2)
-            .first_node_id(50)
             .build(&mut rng);
         assert_eq!(
             m.states()
@@ -426,6 +418,5 @@ mod tests {
                 .count(),
             2
         );
-        assert_eq!(m.states()[0].id, NodeId(50));
     }
 }

@@ -1,6 +1,7 @@
-//! Machinery shared by several protocols: routing tables, duplicate caches
-//! and pending-packet buffers.
+//! Machinery shared by several protocols: routing tables, duplicate caches,
+//! pending-packet buffers and the store–carry–forward queue.
 
+use crate::protocol::{DropReason, ProtocolContext};
 use std::collections::{BTreeMap, VecDeque};
 use vanet_net::Packet;
 use vanet_sim::{NodeId, SeqNo, SimDuration, SimTime};
@@ -320,6 +321,52 @@ impl PendingBuffer {
             .filter(|(_, q)| !q.is_empty())
             .map(|(d, _)| *d)
             .collect()
+    }
+}
+
+/// Packets carried while nobody can take them (store–carry–forward), each
+/// stamped with the time it was last queued.
+#[derive(Debug, Default)]
+pub(crate) struct CarryQueue {
+    packets: VecDeque<(SimTime, Packet)>,
+}
+
+impl CarryQueue {
+    /// Carries `packet` from `ctx.now`, or drops it as
+    /// [`DropReason::BufferOverflow`] when `capacity` packets are carried
+    /// already.
+    pub(crate) fn carry(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet, capacity: usize) {
+        if self.packets.len() >= capacity {
+            ctx.drop_packet(&packet, DropReason::BufferOverflow);
+            return;
+        }
+        self.packets.push_back((ctx.now, packet));
+    }
+
+    /// Empties the queue in carry order: a packet carried longer than
+    /// `timeout` is dropped as `reason`, any other goes to `retry`, which may
+    /// carry it again. A packet carried again is stamped anew, so with ticks
+    /// shorter than `timeout` none ever reaches it (ROADMAP 5(b)).
+    pub(crate) fn retry(
+        self,
+        ctx: &mut ProtocolContext<'_>,
+        timeout: SimDuration,
+        reason: DropReason,
+        mut retry: impl FnMut(&mut ProtocolContext<'_>, Packet),
+    ) {
+        for (since, packet) in self.packets {
+            if ctx.now.saturating_since(since) > timeout {
+                ctx.drop_packet(&packet, reason);
+            } else {
+                retry(ctx, packet);
+            }
+        }
+    }
+
+    /// Number of packets carried.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.packets.len()
     }
 }
 

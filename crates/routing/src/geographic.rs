@@ -7,8 +7,8 @@
 //! briefly when no neighbour qualifies (local maximum) — and differ only in
 //! the scoring function, captured by [`NextHopScorer`].
 
+use crate::common::CarryQueue;
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
-use std::collections::VecDeque;
 use std::fmt::Debug;
 use vanet_links::probability::{
     link_availability, receipt_probability, segment_connectivity_probability,
@@ -16,7 +16,7 @@ use vanet_links::probability::{
 use vanet_mobility::geometry::distance;
 use vanet_mobility::Position;
 use vanet_net::{GeoAddress, NeighborInfo, Packet, PacketKind};
-use vanet_sim::{SimDuration, SimTime};
+use vanet_sim::SimDuration;
 
 /// Scores candidate next hops for position-based forwarding.
 pub trait NextHopScorer: Debug + Send {
@@ -49,7 +49,7 @@ const CARRY_CAPACITY: usize = 32;
 #[derive(Debug)]
 pub struct GeoRouting<S: NextHopScorer> {
     scorer: S,
-    carried: VecDeque<(SimTime, Packet)>,
+    carried: CarryQueue,
 }
 
 impl<S: NextHopScorer> GeoRouting<S> {
@@ -58,7 +58,7 @@ impl<S: NextHopScorer> GeoRouting<S> {
     pub fn new(scorer: S) -> Self {
         GeoRouting {
             scorer,
-            carried: VecDeque::new(),
+            carried: CarryQueue::default(),
         }
     }
 
@@ -123,11 +123,7 @@ impl<S: NextHopScorer> GeoRouting<S> {
             }
             None => {
                 // Local maximum: carry the packet briefly.
-                if self.carried.len() >= CARRY_CAPACITY {
-                    ctx.drop_packet(&packet, DropReason::BufferOverflow);
-                    return;
-                }
-                self.carried.push_back((ctx.now, packet));
+                self.carried.carry(ctx, packet, CARRY_CAPACITY);
             }
         }
     }
@@ -165,20 +161,12 @@ impl<S: NextHopScorer> RoutingProtocol for GeoRouting<S> {
     }
 
     fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
-        if self.carried.is_empty() {
-            return;
-        }
-        let carry_timeout = SimDuration::from_secs(CARRY_TIMEOUT_S);
-        let carried: Vec<(SimTime, Packet)> = self.carried.drain(..).collect();
-        for (since, packet) in carried {
-            if ctx.now.saturating_since(since) > carry_timeout {
-                ctx.drop_packet(&packet, DropReason::LocalMaximum);
-            } else {
-                // `forward` may re-buffer the packet; whatever actions
-                // (transmit/deliver/drop) it pushes stay in the sink.
-                self.forward(ctx, packet);
-            }
-        }
+        std::mem::take(&mut self.carried).retry(
+            ctx,
+            SimDuration::from_secs(CARRY_TIMEOUT_S),
+            DropReason::LocalMaximum,
+            |ctx, packet| self.forward(ctx, packet),
+        );
     }
 }
 

@@ -9,11 +9,11 @@
 //! * **Bus** (Kitani et al.): buses on regular routes carry packets across
 //!   connectivity gaps (store–carry–forward) thanks to their large storage.
 
+use crate::common::CarryQueue;
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
-use std::collections::VecDeque;
 use vanet_mobility::geometry::distance;
 use vanet_net::{Packet, PacketKind};
-use vanet_sim::{NodeId, SimDuration, SimTime};
+use vanet_sim::{NodeId, SimDuration};
 
 /// DRR beacon interval, seconds (vehicles must know which RSUs/neighbours
 /// are around).
@@ -28,7 +28,7 @@ const RSU_BUFFER_CAPACITY: usize = 256;
 pub struct Drr {
     /// Packets buffered at this node (used on RSUs as the VEN buffer and on
     /// vehicles while waiting to meet an RSU).
-    buffer: VecDeque<(SimTime, Packet)>,
+    buffer: CarryQueue,
 }
 
 impl Drr {
@@ -36,7 +36,7 @@ impl Drr {
     #[must_use]
     pub fn new() -> Self {
         Drr {
-            buffer: VecDeque::new(),
+            buffer: CarryQueue::default(),
         }
     }
 
@@ -99,11 +99,7 @@ impl Drr {
         }
         // We are the best-placed RSU but the destination is out of range:
         // buffer and retry on subsequent ticks (the VEN behaviour).
-        if self.buffer.len() >= RSU_BUFFER_CAPACITY {
-            ctx.drop_packet(packet, DropReason::BufferOverflow);
-            return;
-        }
-        self.buffer.push_back((ctx.now, packet.clone()));
+        self.buffer.carry(ctx, packet.clone(), RSU_BUFFER_CAPACITY);
     }
 
     fn handle_as_vehicle(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet) {
@@ -136,11 +132,7 @@ impl Drr {
             }
         }
         // Nobody to hand the packet to: carry it for a while.
-        if self.buffer.len() >= RSU_BUFFER_CAPACITY {
-            ctx.drop_packet(packet, DropReason::BufferOverflow);
-            return;
-        }
-        self.buffer.push_back((ctx.now, packet.clone()));
+        self.buffer.carry(ctx, packet.clone(), RSU_BUFFER_CAPACITY);
     }
 
     fn process(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet) {
@@ -198,17 +190,12 @@ impl RoutingProtocol for Drr {
     }
 
     fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let buffered: Vec<(SimTime, Packet)> = self.buffer.drain(..).collect();
-        for (since, packet) in buffered {
-            if ctx.now.saturating_since(since) > SimDuration::from_secs(RSU_BUFFER_TIMEOUT_S) {
-                ctx.drop_packet(&packet, DropReason::Expired);
-            } else {
-                self.process(ctx, &packet);
-            }
-        }
+        std::mem::take(&mut self.buffer).retry(
+            ctx,
+            SimDuration::from_secs(RSU_BUFFER_TIMEOUT_S),
+            DropReason::Expired,
+            |ctx, packet| self.process(ctx, &packet),
+        );
     }
 }
 
@@ -225,7 +212,7 @@ const CAR_BUFFER_CAPACITY: usize = 32;
 /// Bus message ferrying: store–carry–forward over buses on regular routes.
 #[derive(Debug)]
 pub struct BusFerry {
-    buffer: VecDeque<(SimTime, Packet)>,
+    buffer: CarryQueue,
 }
 
 impl BusFerry {
@@ -233,7 +220,7 @@ impl BusFerry {
     #[must_use]
     pub fn new() -> Self {
         BusFerry {
-            buffer: VecDeque::new(),
+            buffer: CarryQueue::default(),
         }
     }
 
@@ -286,11 +273,8 @@ impl BusFerry {
             }
         }
         // Otherwise carry.
-        if self.buffer.len() >= Self::capacity(ctx) {
-            ctx.drop_packet(packet, DropReason::BufferOverflow);
-            return;
-        }
-        self.buffer.push_back((ctx.now, packet.clone()));
+        let capacity = Self::capacity(ctx);
+        self.buffer.carry(ctx, packet.clone(), capacity);
     }
 }
 
@@ -332,17 +316,12 @@ impl RoutingProtocol for BusFerry {
     }
 
     fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let buffered: Vec<(SimTime, Packet)> = self.buffer.drain(..).collect();
-        for (since, packet) in buffered {
-            if ctx.now.saturating_since(since) > SimDuration::from_secs(BUS_BUFFER_TIMEOUT_S) {
-                ctx.drop_packet(&packet, DropReason::Expired);
-            } else {
-                self.process(ctx, &packet);
-            }
-        }
+        std::mem::take(&mut self.buffer).retry(
+            ctx,
+            SimDuration::from_secs(BUS_BUFFER_TIMEOUT_S),
+            DropReason::Expired,
+            |ctx, packet| self.process(ctx, &packet),
+        );
     }
 }
 
@@ -352,6 +331,7 @@ mod tests {
     use crate::protocol::Action;
     use crate::testkit::Harness;
     use vanet_mobility::{Vec2, VehicleKind};
+    use vanet_sim::SimTime;
 
     #[test]
     fn vehicle_hands_packets_to_rsu_in_range() {

@@ -47,9 +47,7 @@ mod zone;
 pub use aodv::{aodv, Aodv, AodvPolicy};
 pub use common::{RouteEntry, RoutingTable};
 pub use dsdv::Dsdv;
-pub use dtn::{
-    Bundle, BundleBuffer, DropPolicy, DtnParams, Epidemic, ProbFlood, Prophet, SprayAndWait,
-};
+pub use dtn::{DtnParams, Epidemic, ProbFlood, Prophet, SprayAndWait};
 pub use flooding::{Biswas, Flooding};
 pub use geographic::{
     car, greedy, gvgrid, rear, Car, CarScorer, GeoRouting, Greedy, GreedyScorer, GvGrid,

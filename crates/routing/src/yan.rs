@@ -504,7 +504,7 @@ mod tests {
     use super::*;
     use crate::protocol::Action;
     use crate::testkit::Harness;
-    use vanet_mobility::{Normal, Vec2, VehicleKind};
+    use vanet_mobility::{Vec2, VehicleKind};
     use vanet_sim::SimRng;
 
     /// Car `id` at `x` on the x axis, driving east at 25 m/s.
@@ -563,8 +563,9 @@ mod tests {
     }
 
     /// `expected_link_duration` as it was before the fixed-abscissa table:
-    /// `Normal::pdf` at each of the 2,001 samples. `vanet-links` keeps the
-    /// same oracle private to its own tests, hence the copy.
+    /// the normal density, one `exp` and one division, at each of the 2,001
+    /// samples. `vanet-links` keeps the same oracle private to its own
+    /// tests, hence the copy.
     fn per_sample_pdf_duration(separation: f64, mean: f64, std: f64, range: f64) -> f64 {
         let lifetime = |v: f64| -> f64 {
             if v.abs() < 1e-3 {
@@ -575,13 +576,16 @@ mod tests {
                 ((range + separation) / -v).min(3_600.0)
             }
         };
-        let dist = Normal::new(mean, std);
+        let pdf = |v: f64| {
+            let z = (v - mean) / std;
+            (-0.5 * z * z).exp() / (std * (2.0 * std::f64::consts::PI).sqrt())
+        };
         let lo = mean - 6.0 * std;
         let h = (mean + 6.0 * std - lo) / 2_000.0;
         let (mut acc, mut weight) = (0.0, 0.0);
         for k in 0..=2_000 {
             let v = lo + k as f64 * h;
-            let w = dist.pdf(v) * if k == 0 || k == 2_000 { 0.5 } else { 1.0 };
+            let w = pdf(v) * if k == 0 || k == 2_000 { 0.5 } else { 1.0 };
             acc += w * lifetime(v);
             weight += w;
         }

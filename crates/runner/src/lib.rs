@@ -82,12 +82,12 @@ pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, Telemetry
 pub use export::{
     parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,
 };
-pub use journal::{Journal, JournalEntry, QuarantineEntry, JOURNAL_FILE};
-pub use manifest::ManifestEntry;
+pub use journal::{Journal, JournalEntry, JOURNAL_FILE};
+
 pub use rss::peak_rss_bytes;
 pub use scenario_spec::ScenarioParseError;
 pub use summary::{Summary, SummaryStat, METRIC_NAMES};
-pub use telemetry::{TelemetryEntry, TelemetryLog, TELEMETRY_FILE};
+pub use telemetry::TELEMETRY_FILE;
 // The plan types live in vanet-core (beside the scenarios they bind) but are
 // part of this crate's primary API.
 pub use vanet_core::{CampaignPlan, ReplicationPolicy};

@@ -40,7 +40,7 @@ pub use error::SimError;
 pub use event::EventKey;
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
-pub use pool::{available_workers, parallel_map_with_progress};
+
 pub use rng::SimRng;
 pub use scheduler::Scheduler;
 pub use stats::{Counter, RunningStats};

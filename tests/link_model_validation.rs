@@ -165,7 +165,7 @@ fn availability_model_tracks_empirical_survival_frequency() {
     // Empirically: draw relative speeds from the assumed normal distribution,
     // check the fraction of links still alive at horizon T, compare with the
     // analytic availability.
-    use vanet::mobility::distributions::{Normal, Sampler};
+    use vanet::mobility::distributions::Normal;
     let range = 250.0;
     let (mean, std, d0, horizon) = (4.0, 3.0, 50.0, 20.0);
     let analytic = link_availability(d0, mean, std, range, horizon);
@@ -187,25 +187,28 @@ fn availability_model_tracks_empirical_survival_frequency() {
     );
 }
 
+/// One draw of an exponential gap with rate `lambda`, by inversion.
+fn exponential(rng: &mut SimRng, lambda: f64) -> f64 {
+    -rng.uniform().max(f64::MIN_POSITIVE).ln() / lambda
+}
+
 #[test]
 fn segment_connectivity_tracks_empirical_gap_statistics() {
     // Place Poisson traffic on a segment and measure how often all gaps are
     // below the radio range; the analytic formula should be in the right
     // ballpark (it uses the expected vehicle count).
-    use vanet::mobility::distributions::{Exponential, Sampler};
     let mut rng = SimRng::new(44);
     let density = 0.012; // vehicles per metre
     let length = 2_000.0;
     let range = 250.0;
     let analytic = segment_connectivity_probability(density, length, range);
-    let gaps = Exponential::new(density);
     let trials = 4_000;
     let mut connected = 0;
     for _ in 0..trials {
         let mut pos = 0.0;
         let mut ok = true;
         loop {
-            let gap = gaps.sample(&mut rng);
+            let gap = exponential(&mut rng, density);
             if pos + gap > length {
                 break;
             }
@@ -386,7 +389,7 @@ fn most_stable_path_is_the_one_that_survives_longest() {
 fn expected_duration_matches_monte_carlo_lifetimes() {
     // Sec. VII: E[T] under a normally distributed relative speed is the mean
     // of the constant-speed lifetimes over sampled speeds.
-    use vanet::mobility::distributions::{Normal, Sampler};
+    use vanet::mobility::distributions::Normal;
     let mut rng = SimRng::new(61);
     for (mean, std, d0) in [(10.0, 2.0, 50.0), (-8.0, 1.5, -30.0)] {
         let analytic = expected_link_duration(d0, mean, std, 250.0);
