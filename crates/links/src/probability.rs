@@ -81,8 +81,9 @@ fn quadrature_weights() -> &'static ([f64; STEPS + 1], f64) {
 /// to the weighted sum and the weight total and cancels in their quotient.
 /// A call is therefore one division per sample and no transcendental. The
 /// result agrees with the previous formulation — the normal density
-/// evaluated at each `v_k` — to ≤ 1e-12 relative (that one took `exp` of the *rounded*
-/// `(v_k − mean)/σ`), and is a pure function of its arguments.
+/// evaluated at each `v_k` — to ≤ 1e-12 relative (that one took `exp` of
+/// the *rounded* `(v_k − mean)/σ`), and is a pure function of its
+/// arguments.
 ///
 /// Returns the constant-speed lifetime at `mean` when `std == 0`.
 ///
@@ -415,9 +416,9 @@ mod tests {
     const R: f64 = 250.0;
 
     /// The formulation [`expected_link_duration`] replaced, kept verbatim as
-    /// the oracle: the normal density — one `exp`, one division — at every sample
-    /// of the same grid, and its own copy of the lifetime rule. Returns the
-    /// expectation and the weight sum it normalised by.
+    /// the oracle: the normal density — one `exp`, one division — at every
+    /// sample of the same grid, and its own copy of the lifetime rule.
+    /// Returns the expectation and the weight sum it normalised by.
     fn reference_expected_link_duration(
         separation: f64,
         mean: f64,

@@ -75,7 +75,11 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
                 ),
             });
         }
-        let Some(krate) = crate_root(path) else {
+        // A crate root, `crates/<krate>/src/lib.rs`, also declares modules.
+        let Some(krate) = path
+            .strip_prefix("crates/")
+            .and_then(|p| p.strip_suffix("/src/lib.rs"))
+        else {
             continue;
         };
         let src_dir = format!("crates/{krate}/src/");
@@ -102,14 +106,6 @@ pub(crate) fn check_s1(files: &[(String, String)]) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// The crate directory name when `path` is a library crate root,
-/// `crates/<name>/src/lib.rs`.
-fn crate_root(path: &str) -> Option<&str> {
-    path.strip_prefix("crates/")?
-        .strip_suffix("/src/lib.rs")
-        .filter(|name| !name.contains('/'))
 }
 
 /// Whether `path` is a library source file: under `crates/<name>/src/` and
@@ -191,10 +187,10 @@ fn module_paths<'a>(toks: &[Tok<'a>]) -> BTreeSet<(&'a str, &'a str)> {
         } else {
             continue;
         };
-        let first = sep + 2;
         if !path_sep(sep) {
             continue;
         }
+        let first = sep + 2;
         if is_ident(text(first)) && path_sep(first + 1) {
             pairs.insert((krate, text(first)));
         } else if text(first) == "{" {
