@@ -57,7 +57,7 @@ impl Normal {
 /// Used for vehicle speeds: a speed is normally distributed around the lane's
 /// cruise speed but physically bounded by 0 and the speed limit `v_m`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruncatedNormal {
+pub(crate) struct TruncatedNormal {
     inner: Normal,
     low: f64,
     high: f64,

@@ -303,7 +303,7 @@ impl WithinFilter {
 
 /// A compass-free heading: the direction of travel as a unit vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Heading(Vec2);
+pub(crate) struct Heading(Vec2);
 
 impl Heading {
     /// East (+x).
@@ -348,8 +348,9 @@ impl Heading {
     }
 
     /// Whether two headings point in broadly the same direction (angle < 90°).
+    #[cfg(test)]
     #[must_use]
-    pub fn same_direction(self, other: Heading) -> bool {
+    fn same_direction(self, other: Heading) -> bool {
         self.0.dot(other.0) > 0.0
     }
 }

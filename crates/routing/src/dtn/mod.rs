@@ -89,7 +89,7 @@ impl DtnParams {
 /// The buffer-and-custody machinery shared by [`Epidemic`], [`Prophet`] and
 /// [`SprayAndWait`] (and, minus the custody handshake, [`ProbFlood`]).
 #[derive(Debug)]
-pub struct DtnCore {
+pub(crate) struct DtnCore {
     /// The bounded bundle store.
     pub buffer: BundleBuffer,
     /// Bundle lifetime from creation.
@@ -271,6 +271,6 @@ impl DtnCore {
 /// Summary vectors are sorted by [`DtnCore::broadcast_summary`] before
 /// transmission, so membership is a binary search.
 #[must_use]
-pub fn summary_contains(have: &[(NodeId, u64)], key: BundleKey) -> bool {
+pub(crate) fn summary_contains(have: &[(NodeId, u64)], key: BundleKey) -> bool {
     have.binary_search(&(key.origin, key.id)).is_ok()
 }

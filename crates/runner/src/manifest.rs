@@ -17,7 +17,7 @@ use vanet_core::{CampaignPlan, PlanCell};
 use vanet_sim::StableHasher;
 
 /// Name of the plan manifest inside a journal directory.
-pub const MANIFEST_FILE: &str = "campaign.jsonl";
+const MANIFEST_FILE: &str = "campaign.jsonl";
 
 /// One plan cell as persisted in the manifest.
 #[derive(Debug, Clone, PartialEq)]
