@@ -219,6 +219,7 @@ mod tests {
 
     #[test]
     fn built_protocols_report_consistent_identity() {
+        let mut beaconing = 0;
         for kind in ProtocolKind::ALL {
             let proto = kind.build();
             assert_eq!(proto.name(), kind.name(), "name mismatch for {kind:?}");
@@ -227,7 +228,16 @@ mod tests {
                 kind.category(),
                 "category mismatch for {kind:?}"
             );
+            // Only the two floods and DSDV run without position beacons;
+            // every other protocol beacons once a second.
+            let beacon = match kind {
+                ProtocolKind::Flooding | ProtocolKind::Biswas | ProtocolKind::Dsdv => None,
+                _ => Some(vanet_sim::SimDuration::from_secs(1.0)),
+            };
+            assert_eq!(proto.beacon_interval(), beacon, "beacon for {kind:?}");
+            beaconing += usize::from(beacon.is_some());
         }
+        assert_eq!(beaconing, 18);
     }
 
     #[test]

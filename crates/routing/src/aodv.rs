@@ -18,8 +18,6 @@ pub struct AodvPolicy;
 
 /// Active-route timeout, seconds.
 const ROUTE_LIFETIME_S: f64 = 10.0;
-/// HELLO interval used for link sensing, seconds.
-const HELLO_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for AodvPolicy {
     fn name(&self) -> &'static str {
@@ -28,10 +26,6 @@ impl DiscoveryPolicy for AodvPolicy {
 
     fn category(&self) -> Category {
         Category::Connectivity
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(HELLO_INTERVAL_S))
     }
 
     fn link_metric(&self, _ctx: &ProtocolContext<'_>, _packet: &Packet) -> f64 {
@@ -72,8 +66,7 @@ mod tests {
         let p = AodvPolicy;
         let two_hops = p.combine(p.combine(p.initial_metric(), -1.0), -1.0);
         let three_hops = p.combine(two_hops, -1.0);
-        assert!(p.better(two_hops, three_hops));
-        assert!(!p.better(three_hops, two_hops));
+        assert!(two_hops > three_hops);
     }
 
     #[test]
@@ -81,7 +74,6 @@ mod tests {
         let proto = aodv();
         assert_eq!(proto.name(), "AODV");
         assert_eq!(proto.category(), Category::Connectivity);
-        assert_eq!(proto.beacon_interval(), Some(SimDuration::from_secs(1.0)));
     }
 
     #[test]

@@ -1,10 +1,23 @@
 //! Machinery shared by several protocols: routing tables, duplicate caches,
-//! pending-packet buffers and the store–carry–forward queue.
+//! pending-packet buffers, the store–carry–forward queue, the route
+//! discovery timers and the flood family's originate and receive rules.
 
 use crate::protocol::{DropReason, ProtocolContext};
 use std::collections::{BTreeMap, VecDeque};
 use vanet_net::Packet;
 use vanet_sim::{NodeId, SeqNo, SimDuration, SimTime};
+
+/// Minimum spacing between route discoveries (AODV's request floods, Yan's
+/// probing rounds) for the same destination, seconds.
+const DISCOVERY_RETRY_INTERVAL_S: f64 = 2.0;
+/// How long a discovering node remembers a request or probe id, seconds.
+pub(crate) const DISCOVERY_SEEN_HORIZON_S: f64 = 30.0;
+/// How many packets may wait per destination during discovery.
+const PENDING_CAPACITY: usize = 16;
+/// Maximum queueing age of a packet waiting for discovery, seconds.
+const PENDING_MAX_AGE_S: f64 = 8.0;
+/// How long Flooding, Biswas and Zone remember a flooded packet, seconds.
+pub(crate) const FLOOD_SEEN_HORIZON_S: f64 = 60.0;
 
 /// One routing-table entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,6 +264,13 @@ impl PendingBuffer {
         }
     }
 
+    /// Creates the buffer a source keeps while it discovers a route: 16
+    /// packets per destination, each for at most 8 s.
+    #[must_use]
+    pub(crate) fn for_discovery() -> Self {
+        Self::new(PENDING_CAPACITY, SimDuration::from_secs(PENDING_MAX_AGE_S))
+    }
+
     /// Buffers a packet for `dest`. Returns the packet that had to be evicted
     /// if the queue was full (the oldest one).
     pub fn push(&mut self, dest: NodeId, packet: Packet, now: SimTime) -> Option<Packet> {
@@ -368,6 +388,63 @@ impl CarryQueue {
     pub(crate) fn len(&self) -> usize {
         self.packets.len()
     }
+}
+
+/// Whether a route discovery for `dest` may start at `now`: none started in
+/// the last [`DISCOVERY_RETRY_INTERVAL_S`] by the times in `started`. When it
+/// may, `now` becomes the latest start.
+pub(crate) fn claim_discovery(
+    started: &mut BTreeMap<NodeId, SimTime>,
+    dest: NodeId,
+    now: SimTime,
+) -> bool {
+    let retry = SimDuration::from_secs(DISCOVERY_RETRY_INTERVAL_S);
+    if started
+        .get(&dest)
+        .is_some_and(|&last| now.saturating_since(last) < retry)
+    {
+        return false;
+    }
+    started.insert(dest, now);
+    true
+}
+
+/// Originates `packet` as a flood: records it in `seen`, so its own echo is
+/// a duplicate, and returns the stamped link-broadcast copy to transmit.
+pub(crate) fn flood_originate(
+    seen: &mut SeenCache,
+    ctx: &ProtocolContext<'_>,
+    packet: Packet,
+) -> Packet {
+    seen.check_and_insert(packet.source, packet.id.value(), ctx.now);
+    let mut copy = ctx.stamp(packet);
+    copy.next_hop = None;
+    copy
+}
+
+/// The flood family's receive rule: a packet already in `seen` is dropped
+/// as [`DropReason::Duplicate`], one addressed to this node is delivered,
+/// and one whose TTL is spent is dropped as [`DropReason::TtlExpired`].
+/// Returns whether the packet may be relayed; the caller decides whether
+/// and how it is.
+pub(crate) fn flood_receive(
+    seen: &mut SeenCache,
+    ctx: &mut ProtocolContext<'_>,
+    packet: &Packet,
+) -> bool {
+    if seen.check_and_insert(packet.source, packet.id.value(), ctx.now) {
+        ctx.drop_packet(packet, DropReason::Duplicate);
+        return false;
+    }
+    if packet.destination == Some(ctx.node) {
+        ctx.deliver(packet);
+        return false;
+    }
+    if !packet.ttl_allows_forwarding() {
+        ctx.drop_packet(packet, DropReason::TtlExpired);
+        return false;
+    }
+    true
 }
 
 #[cfg(test)]

@@ -89,6 +89,10 @@ impl RoutingProtocol for Dsdv {
         Category::Connectivity
     }
 
+    fn beacon_interval(&self) -> Option<SimDuration> {
+        None
+    }
+
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
         self.forward_data(ctx, &packet);
     }
@@ -301,6 +305,5 @@ mod tests {
         let d = Dsdv::new();
         assert_eq!(d.name(), "DSDV");
         assert_eq!(d.category(), Category::Connectivity);
-        assert!(d.beacon_interval().is_none());
     }
 }

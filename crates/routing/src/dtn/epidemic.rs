@@ -7,7 +7,7 @@
 use super::{summary_contains, DropPolicy, DtnCore, DtnParams};
 use crate::protocol::{BundleOp, Category, ProtocolContext, RoutingProtocol};
 use vanet_net::{Packet, PacketKind};
-use vanet_sim::{NodeId, SimDuration};
+use vanet_sim::NodeId;
 
 /// Epidemic store-carry-forward routing (protocol 18).
 ///
@@ -70,12 +70,6 @@ impl RoutingProtocol for Epidemic {
 
     fn category(&self) -> Category {
         Category::Dtn
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        // Contact discovery rides the deterministic beacon/neighbour
-        // machinery; without beacons a DTN node would never meet anyone.
-        Some(SimDuration::from_secs(1.0))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -330,6 +324,5 @@ mod tests {
         let proto = Epidemic::default();
         assert_eq!(proto.name(), "Epidemic");
         assert_eq!(proto.category(), Category::Dtn);
-        assert_eq!(proto.beacon_interval(), Some(SimDuration::from_secs(1.0)));
     }
 }

@@ -6,11 +6,11 @@
 //! DTN-style carrying.
 
 use super::{DropPolicy, DtnCore, DtnParams};
-use crate::common::SeenCache;
-use crate::protocol::{BundleOp, Category, DropReason, ProtocolContext, RoutingProtocol};
+use crate::common::{flood_originate, flood_receive, SeenCache};
+use crate::protocol::{BundleOp, Category, ProtocolContext, RoutingProtocol};
 use std::collections::BTreeSet;
 use vanet_net::{Packet, PacketKind};
-use vanet_sim::{NodeId, SimDuration};
+use vanet_sim::NodeId;
 
 /// Within this many hops of the source every node rebroadcasts; beyond it
 /// the rebroadcast is probabilistic.
@@ -92,38 +92,16 @@ impl RoutingProtocol for ProbFlood {
         Category::Dtn
     }
 
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(1.0))
-    }
-
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
-        self.seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now);
         // Broadcast immediately (hop 0 always passes the gate) and keep a
         // copy to re-offer at future contacts.
-        let mut copy = ctx.stamp(packet.clone());
-        copy.next_hop = None;
+        let copy = flood_originate(&mut self.seen, ctx, packet.clone());
         ctx.transmit(copy);
         self.core.store(ctx, packet, false, 0);
     }
 
     fn on_packet(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, _overheard: bool) {
-        if packet.kind != PacketKind::Data {
-            return;
-        }
-        if self
-            .seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now)
-        {
-            ctx.drop_packet(packet, DropReason::Duplicate);
-            return;
-        }
-        if packet.destination == Some(ctx.node) {
-            ctx.deliver(packet);
-            return;
-        }
-        if !packet.ttl_allows_forwarding() {
-            ctx.drop_packet(packet, DropReason::TtlExpired);
+        if packet.kind != PacketKind::Data || !flood_receive(&mut self.seen, ctx, packet) {
             return;
         }
         if Self::gate(packet.hops, ctx) {
@@ -155,7 +133,7 @@ impl RoutingProtocol for ProbFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Action;
+    use crate::protocol::{Action, DropReason};
     use crate::testkit::Harness;
     use vanet_sim::PacketId;
 
@@ -286,6 +264,5 @@ mod tests {
         let proto = ProbFlood::default();
         assert_eq!(proto.name(), "ProbFlood");
         assert_eq!(proto.category(), Category::Dtn);
-        assert_eq!(proto.beacon_interval(), Some(SimDuration::from_secs(1.0)));
     }
 }

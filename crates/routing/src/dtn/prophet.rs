@@ -9,7 +9,7 @@ use super::{summary_contains, DropPolicy, DtnCore, DtnParams};
 use crate::protocol::{BundleOp, Category, ProtocolContext, RoutingProtocol};
 use std::collections::{BTreeMap, BTreeSet};
 use vanet_net::{Packet, PacketKind};
-use vanet_sim::{NodeId, SimDuration, SimTime};
+use vanet_sim::{NodeId, SimTime};
 
 /// Predictability gained on a direct encounter.
 const P_INIT: f64 = 0.75;
@@ -167,10 +167,6 @@ impl RoutingProtocol for Prophet {
 
     fn category(&self) -> Category {
         Category::Dtn
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(1.0))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -397,6 +393,5 @@ mod tests {
         let proto = Prophet::default();
         assert_eq!(proto.name(), "PRoPHET");
         assert_eq!(proto.category(), Category::Dtn);
-        assert_eq!(proto.beacon_interval(), Some(SimDuration::from_secs(1.0)));
     }
 }

@@ -7,7 +7,7 @@
 use super::{summary_contains, DropPolicy, DtnCore, DtnParams};
 use crate::protocol::{BundleOp, Category, ProtocolContext, RoutingProtocol};
 use vanet_net::{Packet, PacketKind};
-use vanet_sim::{NodeId, SimDuration};
+use vanet_sim::NodeId;
 
 /// Spray-and-Wait store-carry-forward routing (protocol 20).
 ///
@@ -96,10 +96,6 @@ impl RoutingProtocol for SprayAndWait {
 
     fn category(&self) -> Category {
         Category::Dtn
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(1.0))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -253,6 +249,5 @@ mod tests {
         let proto = SprayAndWait::default();
         assert_eq!(proto.name(), "SprayWait");
         assert_eq!(proto.category(), Category::Dtn);
-        assert_eq!(proto.beacon_interval(), Some(SimDuration::from_secs(1.0)));
     }
 }

@@ -1,11 +1,17 @@
 //! Connectivity-based routing: pure flooding and Biswas-style flooding with
 //! implicit acknowledgements (Sec. III).
 
-use crate::common::SeenCache;
-use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
+use crate::common::{flood_originate, flood_receive, SeenCache, FLOOD_SEEN_HORIZON_S};
+use crate::protocol::{Category, ProtocolContext, RoutingProtocol};
 use std::collections::BTreeMap;
 use vanet_net::Packet;
 use vanet_sim::{PacketId, SimDuration, SimTime};
+
+/// How long Biswas waits for an implicit acknowledgement before it
+/// rebroadcasts, seconds.
+const RETRY_INTERVAL_S: f64 = 1.0;
+/// How many times Biswas rebroadcasts an unacknowledged packet.
+const MAX_RETRIES: u8 = 3;
 
 /// Pure flooding: every node rebroadcasts every packet it has not seen before
 /// until the destination is reached (or every node holds a copy).
@@ -23,7 +29,7 @@ impl Flooding {
     #[must_use]
     pub fn new() -> Self {
         Flooding {
-            seen: SeenCache::new(60.0),
+            seen: SeenCache::new(FLOOD_SEEN_HORIZON_S),
         }
     }
 }
@@ -43,32 +49,20 @@ impl RoutingProtocol for Flooding {
         Category::Connectivity
     }
 
+    fn beacon_interval(&self) -> Option<SimDuration> {
+        None
+    }
+
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
-        self.seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now);
-        let mut copy = ctx.stamp(packet);
-        copy.next_hop = None;
+        let copy = flood_originate(&mut self.seen, ctx, packet);
         ctx.transmit(copy);
     }
 
     fn on_packet(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, _overheard: bool) {
-        if self
-            .seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now)
-        {
-            ctx.drop_packet(packet, DropReason::Duplicate);
-            return;
+        if flood_receive(&mut self.seen, ctx, packet) {
+            let fwd = ctx.stamp(packet.forwarded_by(ctx.node, None));
+            ctx.transmit(fwd);
         }
-        if packet.destination == Some(ctx.node) {
-            ctx.deliver(packet);
-            return;
-        }
-        if !packet.ttl_allows_forwarding() {
-            ctx.drop_packet(packet, DropReason::TtlExpired);
-            return;
-        }
-        let fwd = ctx.stamp(packet.forwarded_by(ctx.node, None));
-        ctx.transmit(fwd);
     }
 
     fn on_tick(&mut self, _ctx: &mut ProtocolContext<'_>) {}
@@ -84,20 +78,15 @@ pub struct Biswas {
     seen: SeenCache,
     /// Packets awaiting implicit acknowledgement: id → (packet, deadline, retries left).
     awaiting_ack: BTreeMap<PacketId, (Packet, SimTime, u8)>,
-    retry_interval: SimDuration,
-    max_retries: u8,
 }
 
 impl Biswas {
-    /// Creates a Biswas flooding instance with the default retry policy
-    /// (1 s retry interval, 3 retries).
+    /// Creates a Biswas flooding instance (1 s retry interval, 3 retries).
     #[must_use]
     pub fn new() -> Self {
         Biswas {
-            seen: SeenCache::new(60.0),
+            seen: SeenCache::new(FLOOD_SEEN_HORIZON_S),
             awaiting_ack: BTreeMap::new(),
-            retry_interval: SimDuration::from_secs(1.0),
-            max_retries: 3,
         }
     }
 
@@ -108,13 +97,12 @@ impl Biswas {
         self.awaiting_ack.len()
     }
 
-    fn rebroadcast_and_track(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet) {
-        let fwd = ctx.stamp(packet.forwarded_by(ctx.node, None));
-        self.awaiting_ack.insert(
-            fwd.id,
-            (fwd.clone(), ctx.now + self.retry_interval, self.max_retries),
-        );
-        ctx.transmit(fwd);
+    /// Transmits `copy` and awaits its implicit acknowledgement.
+    fn transmit_and_track(&mut self, ctx: &mut ProtocolContext<'_>, copy: Packet) {
+        let deadline = ctx.now + SimDuration::from_secs(RETRY_INTERVAL_S);
+        self.awaiting_ack
+            .insert(copy.id, (copy.clone(), deadline, MAX_RETRIES));
+        ctx.transmit(copy);
     }
 }
 
@@ -133,20 +121,13 @@ impl RoutingProtocol for Biswas {
         Category::Connectivity
     }
 
+    fn beacon_interval(&self) -> Option<SimDuration> {
+        None
+    }
+
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
-        self.seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now);
-        let mut copy = ctx.stamp(packet);
-        copy.next_hop = None;
-        self.awaiting_ack.insert(
-            copy.id,
-            (
-                copy.clone(),
-                ctx.now + self.retry_interval,
-                self.max_retries,
-            ),
-        );
-        ctx.transmit(copy);
+        let copy = flood_originate(&mut self.seen, ctx, packet);
+        self.transmit_and_track(ctx, copy);
     }
 
     fn on_packet(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, _overheard: bool) {
@@ -155,27 +136,15 @@ impl RoutingProtocol for Biswas {
         if packet.prev_hop != ctx.node {
             self.awaiting_ack.remove(&packet.id);
         }
-        if self
-            .seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now)
-        {
-            ctx.drop_packet(packet, DropReason::Duplicate);
-            return;
+        if flood_receive(&mut self.seen, ctx, packet) {
+            let fwd = ctx.stamp(packet.forwarded_by(ctx.node, None));
+            self.transmit_and_track(ctx, fwd);
         }
-        if packet.destination == Some(ctx.node) {
-            ctx.deliver(packet);
-            return;
-        }
-        if !packet.ttl_allows_forwarding() {
-            ctx.drop_packet(packet, DropReason::TtlExpired);
-            return;
-        }
-        self.rebroadcast_and_track(ctx, packet);
     }
 
     fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
         let now = ctx.now;
-        let retry_interval = self.retry_interval;
+        let retry_interval = SimDuration::from_secs(RETRY_INTERVAL_S);
         let mut to_retry = Vec::new();
         let mut to_drop = Vec::new();
         for (id, (packet, deadline, retries)) in &mut self.awaiting_ack {
@@ -202,7 +171,7 @@ impl RoutingProtocol for Biswas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Action;
+    use crate::protocol::{Action, DropReason};
     use crate::testkit::Harness;
     use vanet_net::PacketKind;
     use vanet_sim::NodeId;
@@ -338,7 +307,7 @@ mod tests {
             proto.on_tick(&mut ctx);
             transmissions += ctx.take_actions().len();
         }
-        assert_eq!(transmissions, 3, "exactly max_retries retransmissions");
+        assert_eq!(transmissions, 3, "exactly MAX_RETRIES retransmissions");
         assert_eq!(proto.pending_acks(), 0);
     }
 
@@ -348,6 +317,5 @@ mod tests {
         assert_eq!(Flooding::new().category(), Category::Connectivity);
         assert_eq!(Biswas::new().name(), "Biswas");
         assert_eq!(Biswas::new().category(), Category::Connectivity);
-        assert!(Flooding::new().beacon_interval().is_none());
     }
 }

@@ -36,9 +36,6 @@ pub trait NextHopScorer: Debug + Send {
     ) -> Option<f64>;
 }
 
-/// Beacon interval, seconds (position awareness is mandatory for this
-/// family).
-const BEACON_INTERVAL_S: f64 = 1.0;
 /// How long a packet may be carried at a local maximum before it is dropped
 /// (store–carry–forward grace period), seconds.
 const CARRY_TIMEOUT_S: f64 = 5.0;
@@ -136,10 +133,6 @@ impl<S: NextHopScorer> RoutingProtocol for GeoRouting<S> {
 
     fn category(&self) -> Category {
         self.scorer.category()
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -620,6 +613,5 @@ mod tests {
         assert_eq!(car().category(), Category::Probability);
         assert_eq!(gvgrid().name(), "GVGrid");
         assert_eq!(gvgrid().category(), Category::Probability);
-        assert!(greedy().beacon_interval().is_some());
     }
 }

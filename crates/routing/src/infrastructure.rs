@@ -15,9 +15,6 @@ use vanet_mobility::geometry::distance;
 use vanet_net::{Packet, PacketKind};
 use vanet_sim::{NodeId, SimDuration};
 
-/// DRR beacon interval, seconds (vehicles must know which RSUs/neighbours
-/// are around).
-const DRR_BEACON_INTERVAL_S: f64 = 1.0;
 /// How long an RSU buffers a packet waiting for its destination, seconds.
 const RSU_BUFFER_TIMEOUT_S: f64 = 60.0;
 /// RSU buffer capacity (packets).
@@ -167,10 +164,6 @@ impl RoutingProtocol for Drr {
         Category::Infrastructure
     }
 
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(DRR_BEACON_INTERVAL_S))
-    }
-
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
         self.process(ctx, &packet);
     }
@@ -199,8 +192,6 @@ impl RoutingProtocol for Drr {
     }
 }
 
-/// Bus-ferry beacon interval, seconds.
-const BUS_BEACON_INTERVAL_S: f64 = 1.0;
 /// Bus buffer timeout, seconds (buses have large storage, so this is
 /// generous).
 const BUS_BUFFER_TIMEOUT_S: f64 = 300.0;
@@ -291,10 +282,6 @@ impl RoutingProtocol for BusFerry {
 
     fn category(&self) -> Category {
         Category::Infrastructure
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(BUS_BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
@@ -499,7 +486,5 @@ mod tests {
         assert_eq!(Drr::new().category(), Category::Infrastructure);
         assert_eq!(BusFerry::new().name(), "Bus");
         assert_eq!(BusFerry::new().category(), Category::Infrastructure);
-        assert!(Drr::new().beacon_interval().is_some());
-        assert!(BusFerry::new().beacon_interval().is_some());
     }
 }

@@ -15,7 +15,19 @@
 //! | Store-carry-forward (DTN) | [`Epidemic`], [`Prophet`], [`SprayAndWait`], [`ProbFlood`] |
 //!
 //! Every protocol implements the event-driven [`RoutingProtocol`] trait and is
-//! driven by the simulation layer in `vanet-core`.
+//! driven by the simulation layer in `vanet-core`. Most are one of three
+//! shared skeletons plus what sets them apart:
+//!
+//! * on-demand discovery, [`OnDemandRouting`]: AODV, PBR, Taleb, Abedi and
+//!   ROVER, each a [`DiscoveryPolicy`];
+//! * position-based forwarding, [`GeoRouting`]: Greedy, CAR, REAR and
+//!   GVGrid, each a [`NextHopScorer`];
+//! * the flood rule (drop a duplicate, deliver at the destination, drop a
+//!   spent TTL, else relay): Flooding, Biswas, Zone and ProbFlood.
+//!
+//! Every protocol beacons its position once a second
+//! ([`RoutingProtocol::beacon_interval`]'s default) except Flooding, Biswas
+//! and DSDV, which never read a neighbour table.
 //!
 //! # Example
 //!

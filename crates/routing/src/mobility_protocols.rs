@@ -15,6 +15,7 @@
 //! * **Abedi** et al.: AODV enhanced with mobility parameters — next hops are
 //!   scored by direction first, position second and speed third.
 
+use crate::aodv::AodvPolicy;
 use crate::ondemand::{DiscoveryPolicy, OnDemandRouting};
 use crate::protocol::{Category, ProtocolContext};
 use vanet_links::direction::DirectionGroup;
@@ -48,8 +49,6 @@ pub struct PbrPolicy;
 /// Cap applied to predicted PBR route lifetimes, seconds (routes are
 /// refreshed at least this often even if the prediction says "forever").
 const PBR_MAX_ROUTE_LIFETIME_S: f64 = 60.0;
-/// PBR beacon interval for neighbour mobility awareness, seconds.
-const PBR_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for PbrPolicy {
     fn name(&self) -> &'static str {
@@ -58,10 +57,6 @@ impl DiscoveryPolicy for PbrPolicy {
 
     fn category(&self) -> Category {
         Category::Mobility
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(PBR_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -97,8 +92,6 @@ pub struct TalebPolicy;
 
 /// Taleb route lifetime cap, seconds.
 const TALEB_MAX_ROUTE_LIFETIME_S: f64 = 30.0;
-/// Taleb beacon interval, seconds.
-const TALEB_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for TalebPolicy {
     fn name(&self) -> &'static str {
@@ -107,10 +100,6 @@ impl DiscoveryPolicy for TalebPolicy {
 
     fn category(&self) -> Category {
         Category::Mobility
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(TALEB_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -160,10 +149,6 @@ pub fn taleb() -> Taleb {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbediPolicy;
 
-/// Abedi's fixed route lifetime (as in AODV), seconds.
-const ABEDI_ROUTE_LIFETIME_S: f64 = 10.0;
-/// Abedi beacon interval, seconds.
-const ABEDI_BEACON_INTERVAL_S: f64 = 1.0;
 /// Weight of Abedi's direction term.
 const ABEDI_DIRECTION_WEIGHT: f64 = 100.0;
 /// Weight of Abedi's position (progress) term.
@@ -178,10 +163,6 @@ impl DiscoveryPolicy for AbediPolicy {
 
     fn category(&self) -> Category {
         Category::Mobility
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(ABEDI_BEACON_INTERVAL_S))
     }
 
     fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
@@ -206,8 +187,8 @@ impl DiscoveryPolicy for AbediPolicy {
         score
     }
 
-    fn route_lifetime(&self, _metric: f64) -> SimDuration {
-        SimDuration::from_secs(ABEDI_ROUTE_LIFETIME_S)
+    fn route_lifetime(&self, metric: f64) -> SimDuration {
+        AodvPolicy.route_lifetime(metric)
     }
 }
 
@@ -333,8 +314,5 @@ mod tests {
         assert_eq!(taleb().category(), Category::Mobility);
         assert_eq!(abedi().name(), "Abedi");
         assert_eq!(abedi().category(), Category::Mobility);
-        assert!(pbr().beacon_interval().is_some());
-        assert!(taleb().beacon_interval().is_some());
-        assert!(abedi().beacon_interval().is_some());
     }
 }

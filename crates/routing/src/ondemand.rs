@@ -6,10 +6,16 @@
 //! hop and repair on link breakage. They differ only in *which paths they
 //! prefer* and *which nodes take part in the flood*. [`OnDemandRouting`]
 //! implements the skeleton once; a [`DiscoveryPolicy`] supplies the
-//! differences (per-link metric, metric combination, forwarding filter and
-//! route lifetime).
+//! differences: the per-link metric, how it combines into a path metric and
+//! the metric an empty path starts with, the forwarding filter, the route
+//! lifetime and whether to rebuild a route before it expires. What every
+//! policy shares stays in the skeleton: a higher path metric is better, the
+//! discovery timers are those of `common.rs`, and the beacon interval is the
+//! [`RoutingProtocol`] default.
 
-use crate::common::{PendingBuffer, RouteEntry, RoutingTable, SeenCache};
+use crate::common::{
+    claim_discovery, PendingBuffer, RouteEntry, RoutingTable, SeenCache, DISCOVERY_SEEN_HORIZON_S,
+};
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -23,12 +29,6 @@ pub trait DiscoveryPolicy: Debug + Send {
 
     /// Taxonomy category.
     fn category(&self) -> Category;
-
-    /// Beacon interval required by the policy (position/velocity awareness),
-    /// or `None` when the protocol does not need beacons.
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        None
-    }
 
     /// Quality of the link over which this RREQ just arrived: from the
     /// transmitting node (position/velocity piggybacked in the packet) to the
@@ -47,11 +47,6 @@ pub trait DiscoveryPolicy: Debug + Send {
         f64::INFINITY
     }
 
-    /// Whether `a` is a strictly better path metric than `b`.
-    fn better(&self, a: f64, b: f64) -> bool {
-        a > b
-    }
-
     /// Whether this node should take part in forwarding the request
     /// (directional / zonal filters). The default forwards everywhere.
     fn should_forward_request(&self, _ctx: &ProtocolContext<'_>, _packet: &Packet) -> bool {
@@ -68,17 +63,8 @@ pub trait DiscoveryPolicy: Debug + Send {
     }
 }
 
-/// Minimum spacing between route discoveries for the same destination,
-/// seconds.
-const DISCOVERY_RETRY_INTERVAL_S: f64 = 2.0;
-/// How many packets may wait per destination during discovery.
-const PENDING_CAPACITY: usize = 16;
-/// Maximum queueing age of a pending packet, seconds.
-const PENDING_MAX_AGE_S: f64 = 8.0;
 /// TTL given to route requests.
 const RREQ_TTL: u8 = 16;
-/// Horizon for remembering seen RREQ ids, seconds.
-const SEEN_HORIZON_S: f64 = 30.0;
 /// How long before route expiry a preemptive rebuild is triggered, seconds.
 const PREEMPTIVE_MARGIN_S: f64 = 2.0;
 
@@ -145,12 +131,9 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
             policy,
             config,
             table: RoutingTable::new(),
-            rreq_seen: SeenCache::new(SEEN_HORIZON_S),
+            rreq_seen: SeenCache::new(DISCOVERY_SEEN_HORIZON_S),
             rerr_seen: SeenCache::new(config.rerr_seen_horizon_s),
-            pending: PendingBuffer::new(
-                PENDING_CAPACITY,
-                SimDuration::from_secs(PENDING_MAX_AGE_S),
-            ),
+            pending: PendingBuffer::for_discovery(),
             my_seq: SeqNo(0),
             next_request_id: 0,
             last_discovery: BTreeMap::new(),
@@ -180,13 +163,9 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
     }
 
     fn start_discovery(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
-        if let Some(last) = self.last_discovery.get(&dest) {
-            if ctx.now.saturating_since(*last) < SimDuration::from_secs(DISCOVERY_RETRY_INTERVAL_S)
-            {
-                return;
-            }
+        if !claim_discovery(&mut self.last_discovery, dest, ctx.now) {
+            return;
         }
-        self.last_discovery.insert(dest, ctx.now);
         self.my_seq = self.my_seq.next();
         let request_id = self.next_request_id;
         self.next_request_id += 1;
@@ -288,7 +267,7 @@ impl<P: DiscoveryPolicy> OnDemandRouting<P> {
             let key = (origin, request_id);
             let should_reply = match self.replied.get(&key) {
                 None => true,
-                Some(prev) => self.policy.better(new_metric, *prev),
+                Some(prev) => new_metric > *prev,
             };
             if !should_reply {
                 return;
@@ -438,10 +417,6 @@ impl<P: DiscoveryPolicy> RoutingProtocol for OnDemandRouting<P> {
 
     fn category(&self) -> Category {
         self.policy.category()
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        self.policy.beacon_interval()
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {

@@ -371,9 +371,12 @@ pub trait RoutingProtocol: fmt::Debug {
     fn category(&self) -> Category;
 
     /// Interval at which this protocol needs HELLO position beacons, if any.
-    /// Protocols that return `None` incur no beaconing overhead.
+    /// Neighbour tables, link-break notices and DTN contacts all ride the
+    /// beacons, and every protocol sends them once a second (the default)
+    /// except Flooding, Biswas and DSDV, which return `None` and incur no
+    /// beaconing overhead.
     fn beacon_interval(&self) -> Option<SimDuration> {
-        None
+        Some(SimDuration::from_secs(1.0))
     }
 
     /// The local application wants to send `packet` (a data packet with

@@ -9,7 +9,7 @@
 //! reach the destination return the discovered path; the source picks the
 //! path whose bottleneck stability is highest and source-routes data along it.
 
-use crate::common::{PendingBuffer, SeenCache};
+use crate::common::{claim_discovery, PendingBuffer, SeenCache, DISCOVERY_SEEN_HORIZON_S};
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
 use std::collections::BTreeMap;
 use vanet_links::probability::{
@@ -32,10 +32,6 @@ pub enum TicketMetric {
 const TICKETS: u32 = 3;
 /// How long a discovered source route stays valid, seconds.
 const ROUTE_LIFETIME_S: f64 = 30.0;
-/// Beacon interval (mobility awareness is required), seconds.
-const BEACON_INTERVAL_S: f64 = 1.0;
-/// Minimum spacing between probing rounds for the same destination, seconds.
-const PROBE_RETRY_INTERVAL_S: f64 = 2.0;
 
 /// Configuration of the ticket-based probing protocol: the values that differ
 /// between its users. Yan and Yan-TBPSS differ in `metric`, the ranking tests
@@ -111,8 +107,8 @@ impl Yan {
         Yan {
             config,
             routes: BTreeMap::new(),
-            pending: PendingBuffer::new(16, SimDuration::from_secs(8.0)),
-            probes_seen: SeenCache::new(30.0),
+            pending: PendingBuffer::for_discovery(),
+            probes_seen: SeenCache::new(DISCOVERY_SEEN_HORIZON_S),
             next_probe_id: 0,
             last_probe: BTreeMap::new(),
             my_seq: SeqNo(0),
@@ -264,12 +260,9 @@ impl Yan {
     }
 
     fn start_probe(&mut self, ctx: &mut ProtocolContext<'_>, dest: NodeId) {
-        if let Some(last) = self.last_probe.get(&dest) {
-            if ctx.now.saturating_since(*last) < SimDuration::from_secs(PROBE_RETRY_INTERVAL_S) {
-                return;
-            }
+        if !claim_discovery(&mut self.last_probe, dest, ctx.now) {
+            return;
         }
-        self.last_probe.insert(dest, ctx.now);
         let probe_id = self.next_probe_id;
         self.next_probe_id += 1;
         self.probes_seen
@@ -461,10 +454,6 @@ impl RoutingProtocol for Yan {
 
     fn category(&self) -> Category {
         Category::Probability
-    }
-
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(BEACON_INTERVAL_S))
     }
 
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {

@@ -7,7 +7,8 @@
 //! with the same corridor as its forwarding filter (control packets are
 //! broadcast inside the zone, data is then unicast along the found route).
 
-use crate::common::SeenCache;
+use crate::aodv::AodvPolicy;
+use crate::common::{flood_originate, flood_receive, SeenCache, FLOOD_SEEN_HORIZON_S};
 use crate::ondemand::{DiscoveryPolicy, OnDemandRouting};
 use crate::protocol::{Category, DropReason, ProtocolContext, RoutingProtocol};
 use vanet_mobility::geometry::distance;
@@ -15,28 +16,21 @@ use vanet_mobility::Position;
 use vanet_net::{GeoAddress, Packet, PacketKind};
 use vanet_sim::SimDuration;
 
+/// Extra corridor width Zone and ROVER allow around the straight line to the
+/// destination zone, metres.
+const CORRIDOR_MARGIN_M: f64 = 500.0;
+
 /// Whether `candidate` lies inside the forwarding corridor between `from` and
 /// the destination zone centred at `dest` with radius `zone_radius`: the
 /// corridor is the set of points whose detour over the straight line is at
-/// most `margin` metres (an ellipse with foci `from` and `dest`).
+/// most [`CORRIDOR_MARGIN_M`] plus `zone_radius` (an ellipse with foci `from`
+/// and `dest`).
 #[must_use]
-fn in_corridor(
-    candidate: Position,
-    from: Position,
-    dest: Position,
-    zone_radius: f64,
-    margin: f64,
-) -> bool {
+fn in_corridor(candidate: Position, from: Position, dest: Position, zone_radius: f64) -> bool {
     let direct = distance(from, dest);
     let detour = distance(from, candidate) + distance(candidate, dest);
-    detour <= direct + margin + zone_radius
+    detour <= direct + CORRIDOR_MARGIN_M + zone_radius
 }
-
-/// Extra corridor width Zone allows around the straight source→destination
-/// line, metres.
-const ZONE_CORRIDOR_MARGIN_M: f64 = 500.0;
-/// Zone beacon interval, seconds.
-const ZONE_BEACON_INTERVAL_S: f64 = 1.0;
 
 /// Zone-restricted flooding.
 #[derive(Debug)]
@@ -49,7 +43,7 @@ impl Zone {
     #[must_use]
     pub fn new() -> Self {
         Zone {
-            seen: SeenCache::new(60.0),
+            seen: SeenCache::new(FLOOD_SEEN_HORIZON_S),
         }
     }
 }
@@ -69,10 +63,6 @@ impl RoutingProtocol for Zone {
         Category::Geographic
     }
 
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(ZONE_BEACON_INTERVAL_S))
-    }
-
     fn originate(&mut self, ctx: &mut ProtocolContext<'_>, mut packet: Packet) {
         let Some(dest) = packet.destination else {
             ctx.drop_packet(&packet, DropReason::NoRoute);
@@ -86,41 +76,19 @@ impl RoutingProtocol for Zone {
             position: dest_pos,
             zone_radius: ctx.range_m,
         });
-        self.seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now);
-        let mut copy = ctx.stamp(packet);
-        copy.next_hop = None;
+        let copy = flood_originate(&mut self.seen, ctx, packet);
         ctx.transmit(copy);
     }
 
     fn on_packet(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, _overheard: bool) {
-        if packet.kind != PacketKind::Data {
-            return;
-        }
-        if self
-            .seen
-            .check_and_insert(packet.source, packet.id.value(), ctx.now)
-        {
-            ctx.drop_packet(packet, DropReason::Duplicate);
-            return;
-        }
-        if packet.destination == Some(ctx.node) {
-            ctx.deliver(packet);
-            return;
-        }
-        if !packet.ttl_allows_forwarding() {
-            ctx.drop_packet(packet, DropReason::TtlExpired);
+        if packet.kind != PacketKind::Data || !flood_receive(&mut self.seen, ctx, packet) {
             return;
         }
         // Only nodes inside the corridor towards the destination zone relay.
         let inside = match (packet.geo, packet.sender_position) {
-            (Some(geo), Some(sender)) => in_corridor(
-                ctx.position(),
-                sender,
-                geo.position,
-                geo.zone_radius,
-                ZONE_CORRIDOR_MARGIN_M,
-            ),
+            (Some(geo), Some(sender)) => {
+                in_corridor(ctx.position(), sender, geo.position, geo.zone_radius)
+            }
             (Some(geo), None) => distance(ctx.position(), geo.position) <= geo.zone_radius * 4.0,
             _ => true,
         };
@@ -135,17 +103,11 @@ impl RoutingProtocol for Zone {
     fn on_tick(&mut self, _ctx: &mut ProtocolContext<'_>) {}
 }
 
-/// The ROVER discovery policy: hop-count metric (like AODV) but route
-/// requests are relayed only inside the zone/corridor towards the destination.
+/// The ROVER discovery policy: AODV's hop-count metric and route lifetime,
+/// but route requests are relayed only inside the zone/corridor towards the
+/// destination.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoverPolicy;
-
-/// ROVER route lifetime, seconds.
-const ROVER_ROUTE_LIFETIME_S: f64 = 10.0;
-/// ROVER corridor margin around the straight line, metres.
-const ROVER_CORRIDOR_MARGIN_M: f64 = 500.0;
-/// ROVER beacon interval, seconds.
-const ROVER_BEACON_INTERVAL_S: f64 = 1.0;
 
 impl DiscoveryPolicy for RoverPolicy {
     fn name(&self) -> &'static str {
@@ -156,38 +118,30 @@ impl DiscoveryPolicy for RoverPolicy {
         Category::Geographic
     }
 
-    fn beacon_interval(&self) -> Option<SimDuration> {
-        Some(SimDuration::from_secs(ROVER_BEACON_INTERVAL_S))
-    }
-
-    fn link_metric(&self, _ctx: &ProtocolContext<'_>, _packet: &Packet) -> f64 {
-        -1.0
+    fn link_metric(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> f64 {
+        AodvPolicy.link_metric(ctx, packet)
     }
 
     fn combine(&self, path_metric: f64, link_metric: f64) -> f64 {
-        path_metric + link_metric
+        AodvPolicy.combine(path_metric, link_metric)
     }
 
     fn initial_metric(&self) -> f64 {
-        0.0
+        AodvPolicy.initial_metric()
     }
 
     fn should_forward_request(&self, ctx: &ProtocolContext<'_>, packet: &Packet) -> bool {
         match (packet.geo, packet.sender_position) {
-            (Some(geo), Some(sender)) => in_corridor(
-                ctx.position(),
-                sender,
-                geo.position,
-                geo.zone_radius,
-                ROVER_CORRIDOR_MARGIN_M,
-            ),
+            (Some(geo), Some(sender)) => {
+                in_corridor(ctx.position(), sender, geo.position, geo.zone_radius)
+            }
             // Without a known destination zone ROVER degenerates to AODV.
             _ => true,
         }
     }
 
-    fn route_lifetime(&self, _metric: f64) -> SimDuration {
-        SimDuration::from_secs(ROVER_ROUTE_LIFETIME_S)
+    fn route_lifetime(&self, metric: f64) -> SimDuration {
+        AodvPolicy.route_lifetime(metric)
     }
 }
 
@@ -219,34 +173,10 @@ mod tests {
     fn corridor_membership() {
         let from = Vec2::new(0.0, 0.0);
         let dest = Vec2::new(2_000.0, 0.0);
-        assert!(in_corridor(
-            Vec2::new(1_000.0, 0.0),
-            from,
-            dest,
-            250.0,
-            500.0
-        ));
-        assert!(in_corridor(
-            Vec2::new(1_000.0, 300.0),
-            from,
-            dest,
-            250.0,
-            500.0
-        ));
-        assert!(!in_corridor(
-            Vec2::new(1_000.0, 2_000.0),
-            from,
-            dest,
-            250.0,
-            500.0
-        ));
-        assert!(!in_corridor(
-            Vec2::new(-1_500.0, 0.0),
-            from,
-            dest,
-            250.0,
-            500.0
-        ));
+        assert!(in_corridor(Vec2::new(1_000.0, 0.0), from, dest, 250.0));
+        assert!(in_corridor(Vec2::new(1_000.0, 300.0), from, dest, 250.0));
+        assert!(!in_corridor(Vec2::new(1_000.0, 2_000.0), from, dest, 250.0));
+        assert!(!in_corridor(Vec2::new(-1_500.0, 0.0), from, dest, 250.0));
     }
 
     #[test]

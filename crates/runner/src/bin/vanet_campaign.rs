@@ -8,10 +8,11 @@
 //! Options:
 //!   --list                list catalog campaigns and exit
 //!   --scenarios S1,S2,..  parameterised campaign over these scenarios
-//!                         (highway-<N>, urban-<N>, megacity-<N>, sparse,
-//!                         normal, congested; options e.g.
-//!                         sparse:rsus=4,flows=5; deterministic disruptions
-//!                         via fault=, e.g. highway-40:fault=node:10..20s or
+//!                         (highway-<N>, urban-<N>, megacity-<N>,
+//!                         disrupted-<N>, sparse, normal, congested;
+//!                         options e.g. sparse:rsus=4,flows=5; deterministic
+//!                         disruptions via fault=, e.g.
+//!                         highway-40:fault=node:10..20s or
 //!                         fault=jam:5:0.9:30..60s — see scenario_spec)
 //!   --protocols P1,P2,..  protocols for a parameterised campaign
 //!                         (default: the six Table-I representatives)
@@ -53,7 +54,8 @@ use std::process::ExitCode;
 use vanet_core::ProtocolKind;
 use vanet_runner::{
     campaign_by_name, parse_scenario, protocol_by_name, render_csv, render_jsonl, render_table,
-    run_analyze, CampaignPlan, CampaignSpec, ReplicationPolicy, Runner, TelemetrySettings, CATALOG,
+    run_analyze, split_scenarios, CampaignPlan, CampaignSpec, ReplicationPolicy, Runner,
+    TelemetrySettings, CATALOG,
 };
 
 #[derive(Debug, PartialEq)]
@@ -109,33 +111,6 @@ fn usage() -> String {
 
 /// Internal marker distinguishing a help request from a parse error.
 const HELP_SENTINEL: &str = "\u{0}help";
-
-/// Splits a `--scenarios` value into specifiers. Commas separate scenarios,
-/// but they also separate *options inside* one specifier
-/// (`highway-40:fault=node:10..20s,fault=burst:0.5`), so a piece that does
-/// not begin a new scenario family is a continuation of the previous one.
-fn split_scenarios(raw: &str) -> Vec<String> {
-    let starts_family = |piece: &str| {
-        ["highway-", "urban-", "megacity-"]
-            .iter()
-            .any(|family| piece.starts_with(family))
-            || matches!(
-                piece.split(':').next(),
-                Some("sparse" | "normal" | "congested")
-            )
-    };
-    let mut specs: Vec<String> = Vec::new();
-    for piece in raw.split(',') {
-        match specs.last_mut() {
-            Some(last) if !starts_family(piece) => {
-                last.push(',');
-                last.push_str(piece);
-            }
-            _ => specs.push(piece.to_owned()),
-        }
-    }
-    specs
-}
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {

@@ -13,6 +13,8 @@ use vanet_sim::SimDuration;
 /// Parses a scenario specifier used by the CLI's `--scenarios` flag (see
 /// `scenario_spec.rs`).
 pub use crate::scenario_spec::parse as parse_scenario;
+/// Splits the CLI's `--scenarios` value into scenario specifiers.
+pub use crate::scenario_spec::split as split_scenarios;
 
 /// Names of the campaigns [`campaign_by_name`] knows, with one-line blurbs.
 pub const CATALOG: [(&str, &str); 6] = [

@@ -77,7 +77,7 @@ pub mod telemetry;
 
 pub use analysis::{run_analyze, AnalyzeReport};
 pub use campaign::{protocol_by_name, CampaignSpec};
-pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
+pub use catalog::{campaign_by_name, parse_scenario, split_scenarios, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
 pub use export::{
     parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,

@@ -147,6 +147,61 @@ fn parse_fault(spec: &str, value: &str, plan: FaultPlan) -> Result<FaultPlan, Sc
     })
 }
 
+/// How a scenario family builds its scenario.
+#[derive(Clone, Copy)]
+enum Family {
+    /// `<name>-<N>`: a scenario of N vehicles.
+    Counted(fn(usize) -> Scenario),
+    /// `<name>`: a Table-I highway traffic regime.
+    Regime(TrafficRegime),
+}
+
+/// Every scenario family [`parse`] accepts, in the order its error message
+/// lists them. [`split`] reads the same list, so a family parses exactly
+/// when it also starts a new specifier.
+const FAMILIES: [(&str, Family); 7] = [
+    ("highway", Family::Counted(Scenario::highway)),
+    ("urban", Family::Counted(Scenario::urban)),
+    ("megacity", Family::Counted(Scenario::megacity)),
+    ("disrupted", Family::Counted(Scenario::disrupted_highway)),
+    ("sparse", Family::Regime(TrafficRegime::Sparse)),
+    ("normal", Family::Regime(TrafficRegime::Normal)),
+    ("congested", Family::Regime(TrafficRegime::Congested)),
+];
+
+/// The family `base` (a specifier up to its first `:`) names: its name, how
+/// it builds, and the vehicle count text after `<name>-` (empty for a
+/// regime).
+fn family(base: &str) -> Option<(&'static str, Family, &str)> {
+    FAMILIES.iter().find_map(|&(name, family)| match family {
+        Family::Counted(_) => base
+            .strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix('-'))
+            .map(|raw| (name, family, raw)),
+        Family::Regime(_) => (base == name).then_some((name, family, "")),
+    })
+}
+
+/// Splits a `--scenarios` value into specifiers. Commas separate scenarios,
+/// but they also separate *options inside* one specifier
+/// (`highway-40:fault=node:10..20s,fault=burst:0.5`), so a piece that does
+/// not begin with a scenario family is a continuation of the previous one.
+#[must_use]
+pub fn split(raw: &str) -> Vec<String> {
+    let mut specs: Vec<String> = Vec::new();
+    for piece in raw.split(',') {
+        let base = piece.split(':').next().unwrap_or(piece);
+        match specs.last_mut() {
+            Some(last) if family(base).is_none() => {
+                last.push(',');
+                last.push_str(piece);
+            }
+            _ => specs.push(piece.to_owned()),
+        }
+    }
+    specs
+}
+
 /// Parses one scenario specifier:
 ///
 /// * `highway-<N>` — an N-vehicle highway;
@@ -181,30 +236,26 @@ pub fn parse(spec: &str) -> Result<Scenario, ScenarioParseError> {
         Some((b, o)) => (b, Some(o)),
         None => (spec, None),
     };
-    let mut scenario = if let Some(raw) = base.strip_prefix("highway-") {
-        Scenario::highway(count(spec, "highway", raw)?)
-    } else if let Some(raw) = base.strip_prefix("urban-") {
-        Scenario::urban(count(spec, "urban", raw)?)
-    } else if let Some(raw) = base.strip_prefix("megacity-") {
-        Scenario::megacity(count(spec, "megacity", raw)?)
-    } else if let Some(raw) = base.strip_prefix("disrupted-") {
-        Scenario::disrupted_highway(count(spec, "disrupted", raw)?)
-    } else {
-        let regime = match base {
-            "sparse" => TrafficRegime::Sparse,
-            "normal" => TrafficRegime::Normal,
-            "congested" => TrafficRegime::Congested,
-            other => {
-                return Err(error(
-                    spec,
-                    format!(
-                        "unknown scenario family {other:?} (expected highway-<N>, urban-<N>, \
-                         megacity-<N>, disrupted-<N>, sparse, normal or congested)"
-                    ),
-                ))
-            }
-        };
-        Scenario::highway_regime(regime)
+    let mut scenario = match family(base) {
+        Some((name, Family::Counted(build), raw)) => build(count(spec, name, raw)?),
+        Some((_, Family::Regime(regime), _)) => Scenario::highway_regime(regime),
+        None => {
+            let names: Vec<String> = FAMILIES
+                .iter()
+                .map(|(name, family)| match family {
+                    Family::Counted(_) => format!("{name}-<N>"),
+                    Family::Regime(_) => (*name).to_owned(),
+                })
+                .collect();
+            let (last, rest) = names.split_last().expect("FAMILIES is not empty");
+            return Err(error(
+                spec,
+                format!(
+                    "unknown scenario family {base:?} (expected {} or {last})",
+                    rest.join(", ")
+                ),
+            ));
+        }
     };
     // `fault=` options add to the scenario's own plan (the disrupted
     // highway's outages).
@@ -315,6 +366,19 @@ mod tests {
         assert_eq!(parse("megacity-50").unwrap().name, "megacity-50");
         assert!(parse("sparse").unwrap().name.contains("sparse"));
         assert!(parse("congested").is_ok());
+    }
+
+    #[test]
+    fn every_family_parse_accepts_starts_a_new_spec() {
+        for (name, family) in FAMILIES {
+            let spec = match family {
+                Family::Counted(_) => format!("{name}-60"),
+                Family::Regime(_) => name.to_owned(),
+            };
+            assert!(parse(&spec).is_ok(), "{spec}");
+            assert_eq!(split(&format!("sparse,{spec}")), ["sparse", spec.as_str()]);
+            assert_eq!(split(&format!("{spec},sparse")), [spec.as_str(), "sparse"]);
+        }
     }
 
     #[test]
