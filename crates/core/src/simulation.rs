@@ -1,12 +1,16 @@
 //! The simulation driver: wires mobility, the wireless medium, the beaconing
 //! service, application traffic and one routing-protocol instance per node,
 //! and collects the metrics every experiment is built from.
+//!
+//! The fleet is stored by column, every column indexed by
+//! [`NodeId::index`]: kinematics (`states`), protocols (one [`ProtocolSlab`]),
+//! RNG streams (`rngs`) and neighbour-arena handles (`neighbor_tables`).
 
 use crate::counters::EngineCounters;
 use crate::fault::FaultKind;
 use crate::metrics::{Metrics, Report};
 use crate::scenario::{ChannelModel, Scenario};
-use crate::taxonomy::ProtocolKind;
+use crate::taxonomy::{BuildProtocol, ProtocolKind};
 use crate::telemetry::{NoTelemetry, Telemetry};
 use std::collections::VecDeque;
 use vanet_mobility::{MobilityModel, Position, VehicleKind, VehicleState};
@@ -14,7 +18,7 @@ use vanet_net::{
     ArenaTable, BeaconConfig, Delivery, LogNormalShadowing, Medium, MediumConfig, NeighborArena,
     Packet, PacketKind, Reception, SpatialGrid, UnitDisk,
 };
-use vanet_routing::{Action, ActionSink, ProtocolContext, RoutingProtocol};
+use vanet_routing::{Action, ActionSink, DtnParams, ProtocolContext, RoutingProtocol};
 use vanet_sim::{
     EventKey, FlowId, NodeId, PacketIdAllocator, Scheduler, SimDuration, SimRng, SimTime,
 };
@@ -122,13 +126,45 @@ enum FaultAction {
     Poison,
 }
 
-/// Per-node control state, at the node's [`NodeId::index`]. Kinematics live
-/// in the simulation's `states`, neighbour handles in its `neighbor_tables`
-/// and neighbour entries in the shared [`NeighborArena`], so this is a
-/// protocol and an RNG and the fleet's node array is cache-dense.
-struct NodeRuntime {
-    protocol: Box<dyn RoutingProtocol + Send>,
-    rng: SimRng,
+/// The fleet's protocols, node `i`'s at index `i`, as one contiguous
+/// `Vec<P>` of the run's protocol type `P`: a fleet builds in one
+/// allocation, and the run loop reaches every `P` through this one trait
+/// object, its single dispatch path. [`Simulation::with_factory`] builds a
+/// `Vec<Box<dyn RoutingProtocol + Send>>`, a `P` like any other through the
+/// box's forwarding impl.
+trait ProtocolSlab: Send {
+    fn len(&self) -> usize;
+    fn get(&self, idx: usize) -> &dyn RoutingProtocol;
+    fn get_mut(&mut self, idx: usize) -> &mut dyn RoutingProtocol;
+}
+
+impl<P: RoutingProtocol + Send> ProtocolSlab for Vec<P> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn get(&self, idx: usize) -> &dyn RoutingProtocol {
+        &self[idx]
+    }
+
+    fn get_mut(&mut self, idx: usize) -> &mut dyn RoutingProtocol {
+        &mut self[idx]
+    }
+}
+
+/// A [`ProtocolSlab`] of `nodes` fresh instances of `kind`. Not generic,
+/// so the 21 slab types, and through their vtables every protocol's code,
+/// are compiled once, here, and not again in each crate that instantiates
+/// [`Simulation`] with a tap of its own.
+fn protocol_slab(kind: ProtocolKind, dtn: DtnParams, nodes: usize) -> Box<dyn ProtocolSlab> {
+    struct Fleet(usize);
+    impl BuildProtocol for Fleet {
+        type Output = Box<dyn ProtocolSlab>;
+        fn build<P: RoutingProtocol + Send + 'static>(self, make: impl Fn() -> P) -> Self::Output {
+            Box::new((0..self.0).map(|_| make()).collect::<Vec<P>>())
+        }
+    }
+    kind.build_as(dtn, Fleet(nodes))
 }
 
 /// A complete, runnable simulation of one scenario with one protocol.
@@ -141,7 +177,10 @@ pub struct Simulation<T: Telemetry = NoTelemetry> {
     scenario: Scenario,
     mobility: Box<dyn MobilityModel + Send>,
     mobility_rng: SimRng,
-    nodes: Vec<NodeRuntime>,
+    /// Every node's protocol instance.
+    protocols: Box<dyn ProtocolSlab>,
+    /// Every node's private random stream, indexed by `NodeId::index()`.
+    rngs: Vec<SimRng>,
     /// Fleet-shared neighbour storage: every node's entries live in two
     /// slabs (index-linked key blocks, one payload per neighbour) instead of
     /// a `Vec` per node, so start-up makes two allocations instead of a
@@ -221,7 +260,7 @@ impl<T: Telemetry> std::fmt::Debug for Simulation<T> {
         f.debug_struct("Simulation")
             .field("scenario", &self.scenario.name)
             .field("protocol", &self.protocol_name)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.protocols.len())
             .field("flows", &self.flows.len())
             .finish()
     }
@@ -232,8 +271,7 @@ impl Simulation {
     /// instance of `kind`.
     #[must_use]
     pub fn new(scenario: Scenario, kind: ProtocolKind) -> Self {
-        let dtn = scenario.dtn;
-        Self::with_factory(scenario, &move || kind.build_with(dtn))
+        Self::with_telemetry(scenario, kind, NoTelemetry)
     }
 
     /// Builds a simulation with a custom protocol factory (one call per node).
@@ -242,7 +280,11 @@ impl Simulation {
         scenario: Scenario,
         factory: &dyn Fn() -> Box<dyn RoutingProtocol + Send>,
     ) -> Self {
-        Self::build(scenario, &|| factory(), NoTelemetry)
+        Self::build(
+            scenario,
+            &|nodes| Box::new((0..nodes).map(|_| factory()).collect::<Vec<_>>()),
+            NoTelemetry,
+        )
     }
 }
 
@@ -253,12 +295,18 @@ impl<T: Telemetry> Simulation<T> {
     #[must_use]
     pub fn with_telemetry(scenario: Scenario, kind: ProtocolKind, telemetry: T) -> Self {
         let dtn = scenario.dtn;
-        Self::build(scenario, &move || kind.build_with(dtn), telemetry)
+        Self::build(
+            scenario,
+            &|nodes| protocol_slab(kind, dtn, nodes),
+            telemetry,
+        )
     }
 
+    /// Builds the simulation; `fleet` makes the protocol slab for the
+    /// node count it is given.
     fn build(
         scenario: Scenario,
-        factory: &dyn Fn() -> Box<dyn RoutingProtocol + Send>,
+        fleet: &dyn Fn(usize) -> Box<dyn ProtocolSlab>,
         mut telemetry: T,
     ) -> Self {
         let master = SimRng::new(scenario.seed);
@@ -270,8 +318,8 @@ impl<T: Telemetry> Simulation<T> {
         let bounds = mobility.bounds();
         telemetry.on_start(bounds.min, bounds.max, scenario.duration);
 
-        // `states`, `nodes` and every per-node table are indexed by id, and
-        // RSUs are numbered after the vehicles.
+        // `states`, `protocols`, `rngs` and every per-node table are indexed
+        // by id, and RSUs are numbered after the vehicles.
         let vehicle_count = mobility.len();
         let node_count = vehicle_count + scenario.rsu_count;
         let mut states = Vec::with_capacity(node_count);
@@ -296,7 +344,6 @@ impl<T: Telemetry> Simulation<T> {
             ));
         }
 
-        let mut nodes = Vec::with_capacity(node_count);
         let mut rsu_ids = Vec::new();
         let mut bus_ids = Vec::new();
         for state in &states {
@@ -305,15 +352,16 @@ impl<T: Telemetry> Simulation<T> {
                 VehicleKind::Bus => bus_ids.push(state.id),
                 VehicleKind::Car => {}
             }
-            nodes.push(NodeRuntime {
-                protocol: factory(),
-                rng: master.derive_index("node", u64::from(state.id.0)),
-            });
         }
-        let protocol_name = nodes
-            .first()
-            .map(|n| n.protocol.name().to_owned())
-            .unwrap_or_else(|| "none".to_owned());
+        let protocols = fleet(node_count);
+        let rngs = (0..node_count as u64)
+            .map(|i| master.derive_index("node", i))
+            .collect();
+        // Every node runs the same protocol, so the first one's name and
+        // beacon interval are the fleet's.
+        let first = (node_count > 0).then(|| protocols.get(0));
+        let protocol_name = first.map_or("none", |p| p.name()).to_owned();
+        let beacon_interval = first.and_then(|p| p.beacon_interval());
 
         let propagation: Box<dyn vanet_net::PropagationModel + Send> = match scenario.channel {
             ChannelModel::UnitDisk => Box::new(UnitDisk::new(scenario.radio_range_m)),
@@ -446,7 +494,8 @@ impl<T: Telemetry> Simulation<T> {
             scenario,
             mobility,
             mobility_rng,
-            nodes,
+            protocols,
+            rngs,
             neighbor_arena,
             neighbor_tables: vec![ArenaTable::new(); node_count],
             states,
@@ -479,16 +528,14 @@ impl<T: Telemetry> Simulation<T> {
         // scheduler's timer wheel: a slot push instead of one heap entry per
         // node. The shortest delay a timer on it re-arms with is a tick for
         // a maintenance deadline and, for a beacon, its interval jittered
-        // down by half the jitter fraction (every node runs the same
-        // protocol, so the first one's interval is the fleet's). A slot just
-        // narrower than that means a timer fired from the activated, already
-        // sorted slot always re-arms into a later one — an append, never a
-        // splice into a fleet-sized vector (the `wheel_splices` counter
-        // stays 0). Just narrower, not half: the fleet's first beacons then fill
-        // one slot front to back, where two half-width slots growing in turn
+        // down by half the jitter fraction. A slot just narrower than that
+        // means a timer fired from the activated, already sorted slot always
+        // re-arms into a later one — an append, never a splice into a
+        // fleet-sized vector (the `wheel_splices` counter stays 0). Just
+        // narrower, not half: the fleet's first beacons then fill one slot
+        // front to back, where two half-width slots growing in turn
         // make every doubling of either a copy (set-up 7–15 % slower at
         // 10k–100k nodes, the run no faster).
-        let beacon_interval = sim.nodes.first().and_then(|n| n.protocol.beacon_interval());
         let shortest_rearm = beacon_interval.map_or(sim.scenario.tick_interval, |interval| {
             let shortest_beacon = interval * (1.0 - sim.beacon_config.jitter_fraction / 2.0);
             shortest_beacon.min(sim.scenario.tick_interval)
@@ -517,13 +564,13 @@ impl<T: Telemetry> Simulation<T> {
         // One maintenance deadline per node, scheduled in ascending node
         // order so same-timestamp wheel entries fire in exactly the order
         // the old fleet-wide `Tick` loop visited the nodes.
-        for i in 0..self.nodes.len() {
+        for i in 0..self.node_count() {
             let id = NodeId(i as u32);
             self.scheduler
                 .schedule_batched_after(self.scenario.tick_interval, Event::Maintain(id));
         }
-        for i in 0..self.nodes.len() {
-            if let Some(interval) = self.nodes[i].protocol.beacon_interval() {
+        for i in 0..self.node_count() {
+            if let Some(interval) = self.protocols.get(i).beacon_interval() {
                 let jitter = interval * traffic_rng.uniform_range(0.0, 1.0);
                 let id = NodeId(i as u32);
                 self.scheduler
@@ -550,7 +597,7 @@ impl<T: Telemetry> Simulation<T> {
     /// Total number of nodes (vehicles + RSUs).
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.protocols.len()
     }
 
     /// Number of scheduler events processed so far:
@@ -682,7 +729,7 @@ impl<T: Telemetry> Simulation<T> {
             }
             Event::Beacon(node_id) => {
                 let idx = self.node_index(node_id);
-                let Some(interval) = self.nodes[idx].protocol.beacon_interval() else {
+                let Some(interval) = self.protocols.get(idx).beacon_interval() else {
                     return;
                 };
                 let mut hello = Packet::broadcast(node_id, PacketKind::Hello, 0);
@@ -691,8 +738,8 @@ impl<T: Telemetry> Simulation<T> {
                 hello.sender_position = Some(self.states[idx].position);
                 hello.sender_velocity = Some(self.states[idx].velocity);
                 self.transmit(idx, now, hello);
-                let jitter = 1.0
-                    + self.beacon_config.jitter_fraction * (self.nodes[idx].rng.uniform() - 0.5);
+                let jitter =
+                    1.0 + self.beacon_config.jitter_fraction * (self.rngs[idx].uniform() - 0.5);
                 self.scheduler
                     .schedule_batched_after(interval * jitter, Event::Beacon(node_id));
             }
@@ -926,11 +973,10 @@ impl<T: Telemetry> Simulation<T> {
     /// context, then carries out whatever the callback queued.
     fn dispatch<F>(&mut self, idx: usize, now: SimTime, f: F)
     where
-        F: FnOnce(&mut (dyn RoutingProtocol + Send), &mut ProtocolContext<'_>),
+        F: FnOnce(&mut dyn RoutingProtocol, &mut ProtocolContext<'_>),
     {
         debug_assert!(self.sink.is_empty(), "sink drained after every callback");
         let range_m = self.scenario.radio_range_m;
-        let node = &mut self.nodes[idx];
         let mut ctx = ProtocolContext {
             node: NodeId(idx as u32),
             now,
@@ -939,11 +985,11 @@ impl<T: Telemetry> Simulation<T> {
             range_m,
             rsu_ids: &self.rsu_ids,
             bus_ids: &self.bus_ids,
-            rng: &mut node.rng,
+            rng: &mut self.rngs[idx],
             packet_ids: &mut self.packet_ids,
             actions: &mut self.sink,
         };
-        f(node.protocol.as_mut(), &mut ctx);
+        f(self.protocols.get_mut(idx), &mut ctx);
         self.process_actions(idx, now);
     }
 
@@ -1176,6 +1222,32 @@ mod tests {
         let scenario =
             quick_scenario(10, 1).with_faults(crate::FaultPlan::new().node_outage(99, 1.0, 2.0));
         let _ = Simulation::new(scenario, ProtocolKind::Greedy);
+    }
+
+    /// `new` builds a slab of the kind's own type, `with_factory` a slab of
+    /// boxes behind the forwarding impl: for every kind, on a highway with
+    /// RSUs and buses and on a faulted counterflow DTN highway, the two
+    /// fleets run the same events to the same report.
+    #[test]
+    fn both_fleet_constructors_agree_for_every_kind() {
+        let highway = quick_scenario(24, 3)
+            .with_rsus(2)
+            .with_buses(3)
+            .with_duration(SimDuration::from_secs(20.0));
+        let dtn = Scenario::disrupted_highway(30)
+            .with_dtn_buffer(16)
+            .with_duration(SimDuration::from_secs(60.0));
+        for scenario in [highway, dtn] {
+            let params = scenario.dtn;
+            for kind in ProtocolKind::ALL {
+                let mut slab = Simulation::new(scenario.clone(), kind);
+                let mut boxed =
+                    Simulation::with_factory(scenario.clone(), &|| kind.build_with(params));
+                let name = &scenario.name;
+                assert_eq!(slab.run(), boxed.run(), "{kind} on {name}");
+                assert_eq!(slab.counters(), boxed.counters(), "{kind} on {name}");
+            }
+        }
     }
 
     #[test]

@@ -134,30 +134,47 @@ impl ProtocolKind {
     /// store-carry-forward knobs for the DTN family.
     #[must_use]
     pub fn build_with(self, dtn: DtnParams) -> Box<dyn RoutingProtocol + Send> {
-        match self {
-            ProtocolKind::Flooding => Box::new(Flooding::new()),
-            ProtocolKind::Biswas => Box::new(Biswas::new()),
-            ProtocolKind::Aodv => Box::new(aodv()),
-            ProtocolKind::Dsdv => Box::new(Dsdv::new()),
-            ProtocolKind::Pbr => Box::new(pbr()),
-            ProtocolKind::Taleb => Box::new(taleb()),
-            ProtocolKind::Abedi => Box::new(abedi()),
-            ProtocolKind::Drr => Box::new(Drr::new()),
-            ProtocolKind::Bus => Box::new(BusFerry::new()),
-            ProtocolKind::Greedy => Box::new(greedy()),
-            ProtocolKind::Zone => Box::new(Zone::new()),
-            ProtocolKind::Rover => Box::new(rover()),
-            ProtocolKind::Yan => Box::new(Yan::new()),
-            ProtocolKind::YanTbpss => {
-                Box::new(Yan::with_config(YanConfig::stability_constrained()))
+        struct One;
+        impl BuildProtocol for One {
+            type Output = Box<dyn RoutingProtocol + Send>;
+            fn build<P: RoutingProtocol + Send + 'static>(
+                self,
+                make: impl Fn() -> P,
+            ) -> Self::Output {
+                Box::new(make())
             }
-            ProtocolKind::Car => Box::new(car()),
-            ProtocolKind::Rear => Box::new(rear()),
-            ProtocolKind::GvGrid => Box::new(gvgrid()),
-            ProtocolKind::Epidemic => Box::new(Epidemic::new(dtn)),
-            ProtocolKind::Prophet => Box::new(Prophet::new(dtn)),
-            ProtocolKind::SprayWait => Box::new(SprayAndWait::new(dtn)),
-            ProtocolKind::ProbFlood => Box::new(ProbFlood::new(dtn)),
+        }
+        self.build_as(dtn, One)
+    }
+
+    /// Hands `builder` this kind's concrete protocol type and its
+    /// constructor, with the scenario's store-carry-forward knobs for the
+    /// DTN family: the one place a kind names its type.
+    pub(crate) fn build_as<B: BuildProtocol>(self, dtn: DtnParams, builder: B) -> B::Output {
+        match self {
+            ProtocolKind::Flooding => builder.build(Flooding::new),
+            ProtocolKind::Biswas => builder.build(Biswas::new),
+            ProtocolKind::Aodv => builder.build(aodv),
+            ProtocolKind::Dsdv => builder.build(Dsdv::new),
+            ProtocolKind::Pbr => builder.build(pbr),
+            ProtocolKind::Taleb => builder.build(taleb),
+            ProtocolKind::Abedi => builder.build(abedi),
+            ProtocolKind::Drr => builder.build(Drr::new),
+            ProtocolKind::Bus => builder.build(BusFerry::new),
+            ProtocolKind::Greedy => builder.build(greedy),
+            ProtocolKind::Zone => builder.build(Zone::new),
+            ProtocolKind::Rover => builder.build(rover),
+            ProtocolKind::Yan => builder.build(Yan::new),
+            ProtocolKind::YanTbpss => {
+                builder.build(|| Yan::with_config(YanConfig::stability_constrained()))
+            }
+            ProtocolKind::Car => builder.build(car),
+            ProtocolKind::Rear => builder.build(rear),
+            ProtocolKind::GvGrid => builder.build(gvgrid),
+            ProtocolKind::Epidemic => builder.build(move || Epidemic::new(dtn)),
+            ProtocolKind::Prophet => builder.build(move || Prophet::new(dtn)),
+            ProtocolKind::SprayWait => builder.build(move || SprayAndWait::new(dtn)),
+            ProtocolKind::ProbFlood => builder.build(move || ProbFlood::new(dtn)),
         }
     }
 
@@ -180,6 +197,16 @@ impl ProtocolKind {
             .filter(|p| p.category() == category)
             .collect()
     }
+}
+
+/// What to make of a protocol kind once [`ProtocolKind::build_as`] has
+/// resolved it to its concrete type `P`: one boxed instance
+/// ([`ProtocolKind::build_with`]) or a whole fleet's slab.
+pub(crate) trait BuildProtocol {
+    /// What the builder makes.
+    type Output;
+    /// Makes it from `make`, which returns a fresh instance per call.
+    fn build<P: RoutingProtocol + Send + 'static>(self, make: impl Fn() -> P) -> Self::Output;
 }
 
 impl std::fmt::Display for ProtocolKind {

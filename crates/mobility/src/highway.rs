@@ -150,6 +150,24 @@ impl HighwayBuilder {
         self.vehicles as f64 / directions / (self.length_m / 1_000.0)
     }
 
+    /// Vehicle `index`'s kind: the first `buses` vehicles are buses.
+    fn kind_of(&self, index: usize) -> VehicleKind {
+        if index < self.buses {
+            VehicleKind::Bus
+        } else {
+            VehicleKind::Car
+        }
+    }
+
+    /// Vehicle `index`'s car-following parameters: a bus's, or the
+    /// configured ones.
+    fn idm_of(&self, index: usize) -> IdmParams {
+        match self.kind_of(index) {
+            VehicleKind::Bus => IdmParams::bus(),
+            _ => self.idm,
+        }
+    }
+
     /// Builds the highway, placing vehicles uniformly along the ring with
     /// per-vehicle desired speeds drawn from a truncated normal distribution.
     #[must_use]
@@ -167,30 +185,19 @@ impl HighwayBuilder {
         );
         let mut vehicles = Vec::with_capacity(self.vehicles);
         for i in 0..self.vehicles {
-            let kind = if i < self.buses {
-                VehicleKind::Bus
-            } else {
-                VehicleKind::Car
-            };
+            let kind = self.kind_of(i);
             let lane = rng.uniform_usize(lane_count.max(1));
             let s = rng.uniform_range(0.0, self.length_m.max(1.0));
             let desired = match kind {
                 VehicleKind::Bus => (self.speed_mean_mps * 0.7).min(self.speed_limit_mps),
                 _ => speed_dist.sample(rng),
             };
-            let idm = match kind {
-                VehicleKind::Bus => IdmParams::bus(),
-                _ => self.idm,
-            };
             vehicles.push(HighwayVehicle {
-                id: NodeId(self.first_node_id + i as u32),
-                kind,
                 lane,
                 s,
                 speed: desired * rng.uniform_range(0.85, 1.0),
                 desired_speed: desired,
                 acceleration: 0.0,
-                idm,
             });
         }
         HighwayModel {
@@ -211,18 +218,20 @@ fn lane_cmp(vehicles: &[HighwayVehicle], a: usize, b: usize) -> Ordering {
         .then_with(|| a.cmp(&b))
 }
 
+/// One vehicle's kinematics. Its id, kind and car-following parameters
+/// follow from its index ([`HighwayBuilder::kind_of`]), so they are not
+/// stored.
 #[derive(Debug, Clone, PartialEq)]
 struct HighwayVehicle {
-    id: NodeId,
-    kind: VehicleKind,
     lane: usize,
     /// Longitudinal position along the ring, metres in `[0, length)`.
     s: f64,
     speed: f64,
     desired_speed: f64,
     acceleration: f64,
-    idm: IdmParams,
 }
+
+const _: () = assert!(std::mem::size_of::<HighwayVehicle>() == 40);
 
 /// A multi-lane (optionally bidirectional) ring highway.
 #[derive(Debug, Clone)]
@@ -378,7 +387,7 @@ impl HighwayModel {
     fn leader_of(&self, idx: usize, lane: usize) -> Option<LeaderInfo> {
         let me = &self.vehicles[idx];
         self.nearest_ahead(idx, lane).map(|(gap, j)| LeaderInfo {
-            gap: (gap - self.vehicles[j].idm.vehicle_length).max(0.01),
+            gap: (gap - self.config.idm_of(j).vehicle_length).max(0.01),
             approach_rate: me.speed - self.vehicles[j].speed,
         })
     }
@@ -460,7 +469,9 @@ impl MobilityModel for HighwayModel {
         accels.clear();
         accels.extend(self.vehicles.iter().enumerate().map(|(idx, v)| {
             let leader = self.leader_of(idx, v.lane);
-            v.idm.acceleration(v.speed, v.desired_speed, leader)
+            self.config
+                .idm_of(idx)
+                .acceleration(v.speed, v.desired_speed, leader)
         }));
         let length = self.config.length_m;
         let counterflow = self.config.counterflow;
@@ -486,8 +497,8 @@ impl MobilityModel for HighwayModel {
     fn state(&self, index: usize) -> VehicleState {
         let v = &self.vehicles[index];
         VehicleState {
-            id: v.id,
-            kind: v.kind,
+            id: NodeId(self.config.first_node_id + index as u32),
+            kind: self.config.kind_of(index),
             position: Vec2::new(v.s, self.lane_y(v.lane)),
             velocity: self.heading_of_lane(v.lane).unit() * v.speed,
             acceleration: v.acceleration,
@@ -780,7 +791,7 @@ mod tests {
     /// `leader_of` as it was before lane order.
     fn leader_by_scan(hw: &HighwayModel, idx: usize, lane: usize) -> Option<LeaderInfo> {
         hw.nearest_ahead_scan(idx, lane).map(|(gap, j)| LeaderInfo {
-            gap: (gap - hw.vehicles[j].idm.vehicle_length).max(0.01),
+            gap: (gap - hw.config.idm_of(j).vehicle_length).max(0.01),
             approach_rate: hw.vehicles[idx].speed - hw.vehicles[j].speed,
         })
     }
@@ -820,8 +831,11 @@ mod tests {
         let accels: Vec<f64> = (0..hw.vehicles.len())
             .map(|idx| {
                 let v = &hw.vehicles[idx];
-                v.idm
-                    .acceleration(v.speed, v.desired_speed, leader_by_scan(hw, idx, v.lane))
+                hw.config.idm_of(idx).acceleration(
+                    v.speed,
+                    v.desired_speed,
+                    leader_by_scan(hw, idx, v.lane),
+                )
             })
             .collect();
         let length = hw.config.length_m;
@@ -861,7 +875,7 @@ mod tests {
                 let lanes: Vec<usize> = by_scan.vehicles.iter().map(|v| v.lane).collect();
                 by_order.step(SimDuration::from_secs(0.5), &mut rng_order);
                 step_by_scan(&mut by_scan, 0.5, &mut rng_scan);
-                for (a, b) in by_order.vehicles.iter().zip(&by_scan.vehicles) {
+                for (i, (a, b)) in by_order.vehicles.iter().zip(&by_scan.vehicles).enumerate() {
                     let state = |v: &HighwayVehicle| {
                         (
                             v.lane,
@@ -870,7 +884,7 @@ mod tests {
                             v.acceleration.to_bits(),
                         )
                     };
-                    assert_eq!(state(a), state(b), "step {step}, vehicle {}", a.id);
+                    assert_eq!(state(a), state(b), "step {step}, vehicle {i}");
                 }
                 assert_eq!(by_order, by_scan, "step {step}");
                 assert_eq!(rng_order.next_u64(), rng_scan.next_u64(), "step {step}");

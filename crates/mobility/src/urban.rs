@@ -110,6 +110,15 @@ impl UrbanGridBuilder {
         self.blocks_y as f64 * self.block_m
     }
 
+    /// Vehicle `index`'s kind: the first `buses` vehicles are buses.
+    fn kind_of(&self, index: usize) -> VehicleKind {
+        if index < self.buses {
+            VehicleKind::Bus
+        } else {
+            VehicleKind::Car
+        }
+    }
+
     /// Builds the urban model, placing vehicles at random street positions.
     #[must_use]
     pub fn build(self, rng: &mut SimRng) -> UrbanGridModel {
@@ -121,11 +130,7 @@ impl UrbanGridBuilder {
         );
         let mut vehicles = Vec::with_capacity(self.vehicles);
         for i in 0..self.vehicles {
-            let kind = if i < self.buses {
-                VehicleKind::Bus
-            } else {
-                VehicleKind::Car
-            };
+            let kind = self.kind_of(i);
             // Choose a random street (horizontal or vertical) and a position on it.
             let heading = match rng.uniform_usize(4) {
                 0 => Heading::EAST,
@@ -147,8 +152,6 @@ impl UrbanGridBuilder {
                 _ => speed_dist.sample(rng),
             };
             vehicles.push(UrbanVehicle {
-                id: NodeId(self.first_node_id + i as u32),
-                kind,
                 position,
                 heading,
                 speed,
@@ -161,14 +164,16 @@ impl UrbanGridBuilder {
     }
 }
 
+/// One vehicle's kinematics. Its id and kind follow from its index
+/// ([`MobilityModel::state`]), so they are not stored.
 #[derive(Debug, Clone, PartialEq)]
 struct UrbanVehicle {
-    id: NodeId,
-    kind: VehicleKind,
     position: Position,
     heading: Heading,
     speed: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<UrbanVehicle>() == 40);
 
 /// Vehicles moving on a Manhattan street grid with random turns.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,8 +292,8 @@ impl MobilityModel for UrbanGridModel {
     fn state(&self, index: usize) -> VehicleState {
         let v = &self.vehicles[index];
         VehicleState {
-            id: v.id,
-            kind: v.kind,
+            id: NodeId(self.config.first_node_id + index as u32),
+            kind: self.config.kind_of(index),
             position: v.position,
             velocity: v.heading.unit() * v.speed,
             acceleration: 0.0,

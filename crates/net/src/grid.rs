@@ -37,14 +37,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use vanet_mobility::geometry::WithinFilter;
 use vanet_mobility::Position;
-use vanet_sim::NodeId;
+use vanet_sim::{floor_i64, NodeId};
 
 /// The cell of a `cell_m`-sized uniform grid that `pos` falls in.
 pub(crate) fn cell_of(cell_m: f64, pos: Position) -> (i64, i64) {
-    (
-        (pos.x / cell_m).floor() as i64,
-        (pos.y / cell_m).floor() as i64,
-    )
+    (floor_i64(pos.x / cell_m), floor_i64(pos.y / cell_m))
 }
 
 /// A map keyed by grid cell: the storage behind [`SpatialGrid`] and the
@@ -360,8 +357,8 @@ impl SpatialGrid {
         );
         out.clear();
         let vertex = (
-            (center.x / self.side + 0.5).floor() as i64,
-            (center.y / self.side + 0.5).floor() as i64,
+            floor_i64(center.x / self.side + 0.5),
+            floor_i64(center.y / self.side + 0.5),
         );
         let Some(&list) = self.vertices.get(&vertex) else {
             return;

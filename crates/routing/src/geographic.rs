@@ -16,7 +16,7 @@ use vanet_links::probability::{
 use vanet_mobility::geometry::distance;
 use vanet_mobility::Position;
 use vanet_net::{GeoAddress, NeighborInfo, Packet, PacketKind};
-use vanet_sim::SimDuration;
+use vanet_sim::{floor_i64, SimDuration};
 
 /// Scores candidate next hops for position-based forwarding.
 pub trait NextHopScorer: Debug + Send {
@@ -307,8 +307,8 @@ const GVGRID_HORIZON_S: f64 = 5.0;
 impl GvGridScorer {
     fn cell_of(p: Position) -> (i64, i64) {
         (
-            (p.x / GVGRID_CELL_M).floor() as i64,
-            (p.y / GVGRID_CELL_M).floor() as i64,
+            floor_i64(p.x / GVGRID_CELL_M),
+            floor_i64(p.y / GVGRID_CELL_M),
         )
     }
 }

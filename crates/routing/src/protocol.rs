@@ -395,6 +395,39 @@ pub trait RoutingProtocol: fmt::Debug {
     fn on_neighbor_lost(&mut self, _ctx: &mut ProtocolContext<'_>, _neighbor: NodeId) {}
 }
 
+/// A boxed protocol forwards every method, defaults included, to the one it
+/// holds, so a fleet of boxes from a per-node factory is a fleet of one
+/// protocol type like any other.
+impl RoutingProtocol for Box<dyn RoutingProtocol + Send> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn category(&self) -> Category {
+        (**self).category()
+    }
+
+    fn beacon_interval(&self) -> Option<SimDuration> {
+        (**self).beacon_interval()
+    }
+
+    fn originate(&mut self, ctx: &mut ProtocolContext<'_>, packet: Packet) {
+        (**self).originate(ctx, packet);
+    }
+
+    fn on_packet(&mut self, ctx: &mut ProtocolContext<'_>, packet: &Packet, overheard: bool) {
+        (**self).on_packet(ctx, packet, overheard);
+    }
+
+    fn on_tick(&mut self, ctx: &mut ProtocolContext<'_>) {
+        (**self).on_tick(ctx);
+    }
+
+    fn on_neighbor_lost(&mut self, ctx: &mut ProtocolContext<'_>, neighbor: NodeId) {
+        (**self).on_neighbor_lost(ctx, neighbor);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

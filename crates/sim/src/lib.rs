@@ -26,6 +26,7 @@
 
 mod error;
 mod event;
+mod floor;
 mod hash;
 mod ids;
 pub mod pool;
@@ -38,6 +39,7 @@ mod window;
 
 pub use error::SimError;
 pub use event::EventKey;
+pub use floor::floor_i64;
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
 

@@ -23,6 +23,7 @@
 //! identical, including same-timestamp tie-breaks.
 
 use crate::event::EventKey;
+use crate::floor::floor_i64;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -78,7 +79,7 @@ impl<E> TimerWheel<E> {
     pub const MAX_SLOTS_AHEAD: i64 = 4_096;
 
     fn slot_index(&self, time: SimTime) -> i64 {
-        (time.as_secs() / self.slot_s).floor() as i64
+        floor_i64(time.as_secs() / self.slot_s)
     }
 
     /// Whether `time` is near enough for the wheel to bucket it without

@@ -252,7 +252,9 @@ fn aodv_rerr_rate_limit_bounds_churn() {
 /// neighbour arena's (one live payload slot per entry the tables hold) and
 /// the spatial grid's (four vertex-list entries per node, beside its 16 MB
 /// position table). Every engine counter is printed, the bytes the arena's
-/// three slabs have grown into among them.
+/// three slabs have grown into among them, and after each run the process's
+/// peak RSS and that peak per node (the 1M peak is the larger, so its share
+/// is the per-node footprint of the 1M build and run).
 /// Two minutes of host time in release, so opt-in:
 /// `cargo test --release --test end_to_end -- --ignored --nocapture`.
 #[test]
@@ -268,6 +270,12 @@ fn megacity_1m_builds_and_runs_one_second() {
         for (name, get) in EngineCounters::FIELDS {
             println!("  {name} {}", get(&counters));
         }
+        let peak = vanet_runner::peak_rss_bytes();
+        println!("  peak_rss_bytes {peak}");
+        println!(
+            "  peak_rss_bytes_per_node {}",
+            peak / sim.node_count() as u64
+        );
         (counters.events, report.avg_neighbors)
     };
     let (_, reference) = run(10_000);
