@@ -14,20 +14,20 @@
 //! produced [`CampaignResults`] are identical for any worker count, with or
 //! without a journal, resumed or cold — the integration tests pin this down.
 //!
-//! With [`Runner::with_journal`], every completed job streams into a
-//! [`Journal`] keyed by its content hash; jobs already present are replayed
-//! from the cache instead of executed, which is both crash-resume and
-//! cell-level caching (see `crate::journal`).
+//! With [`Runner::with_journal`], one [`Store`] holds the campaign directory:
+//! it opens the journal, plan manifest and telemetry log, each degrading to
+//! one warning; resolves each job of a round as cached, a replayed
+//! quarantine or to run ([`Store::resolve`]); and records each outcome, a
+//! telemetry line only once its journal line is on disk, so without a
+//! journal the tap stays off. That is crash-resume and cell-level caching.
 
 use crate::journal::{Journal, JournalEntry, QuarantineEntry};
 use crate::manifest;
 use crate::summary::{t_critical_95, Summary};
 use crate::telemetry::{TelemetryEntry, TelemetryLog};
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 use vanet_core::{
     run_scenario, CampaignPlan, PlanJob, ProtocolKind, ReplicationPolicy, Report, Simulation,
@@ -197,6 +197,10 @@ impl Runner {
     /// persists beside the journal; `run_plan` panics otherwise). Reports
     /// are byte-identical with and without the tap — it only observes.
     ///
+    /// Telemetry is off when the journal cannot open (the warning says so):
+    /// a job's telemetry line is appended only once its journal line is on
+    /// disk, so a rerun never appends it twice.
+    ///
     /// Resume composes: a job is only treated as cached when both its
     /// journal line *and* its telemetry line survived, so a truncated
     /// `telemetry.jsonl` re-runs exactly the affected jobs.
@@ -246,10 +250,112 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if the plan has no cells or if a `ConfidenceWidth` policy
-    /// names an unknown metric.
+    /// Panics if the plan has no cells, if a `ConfidenceWidth` policy names
+    /// an unknown metric, or if telemetry is on without a journal.
     #[must_use]
     pub fn run_plan(&self, plan: &CampaignPlan) -> CampaignResults {
+        self.validate(plan);
+        let store = self.journal_dir.as_deref();
+        let store = store.and_then(|dir| Store::open(dir, plan, self.telemetry));
+        let store = store.as_ref();
+        let allowed_attempts = self.max_retries.saturating_add(1);
+        let in_shard = |cell: usize| self.shard.map_or(true, |(i, n)| cell % n == i);
+        let kept: Vec<usize> = (0..plan.cells.len()).filter(|&c| in_shard(c)).collect();
+        let shard = self.shard.map(|(i, n)| format!(" (shard {i}/{n})"));
+        self.progress_line(format_args!(
+            "campaign '{}': {} cells, {} initial jobs on {} workers{}{}",
+            plan.name,
+            kept.len(),
+            plan.initial_job_count(),
+            self.workers,
+            shard.unwrap_or_default(),
+            store.map_or(String::new(), Store::describe),
+        ));
+        let started = Instant::now();
+        let (mut executed, mut cached) = (0, 0);
+        let mut reports: Vec<Vec<Report>> = vec![Vec::new(); plan.cells.len()];
+        let mut quarantined: Vec<QuarantinedJob> = Vec::new();
+        // Cells with a quarantined job are frozen out of adaptive rounds:
+        // their replicate count can no longer grow deterministically, and
+        // re-deriving the missing seed would just re-run the same panic.
+        let mut frozen = vec![false; plan.cells.len()];
+        let mut round = plan.initial_jobs();
+        round.retain(|job| in_shard(job.cell));
+        while !round.is_empty() {
+            let resolved: Vec<Resolved> = round
+                .iter()
+                .map(|job| store.map_or(Resolved::Run, |s| s.resolve(job.key(), allowed_attempts)))
+                .collect();
+            let to_run: Vec<&PlanJob> = round
+                .iter()
+                .zip(&resolved)
+                .filter_map(|(job, r)| matches!(r, Resolved::Run).then_some(job))
+                .collect();
+            executed += to_run.len();
+            cached += resolved
+                .iter()
+                .filter(|r| matches!(r, Resolved::Cached(_)))
+                .count();
+            let fresh = parallel_map_with_progress(
+                to_run.len(),
+                self.workers,
+                |i| run_job(plan, to_run[i], store, allowed_attempts),
+                |i, done, n| {
+                    let job = to_run[i];
+                    self.progress_line(format_args!(
+                        "{done}/{n} {} on {} (seed {})",
+                        job.protocol, plan.cells[job.cell].label, job.scenario.seed
+                    ));
+                },
+            );
+            for (job, outcome) in to_run.iter().zip(&fresh) {
+                if let Err(entry) = outcome {
+                    quarantine(store, job, entry);
+                }
+            }
+            // Jobs are cell-major within a round, so pushing in round order
+            // keeps every cell's reports in replicate order.
+            let mut fresh = fresh.into_iter();
+            for (job, resolution) in round.iter().zip(resolved) {
+                let outcome = match resolution {
+                    Resolved::Cached(report) => Ok(report.clone()),
+                    Resolved::Quarantined(entry) => Err(entry.clone()),
+                    Resolved::Run => fresh.next().expect("one outcome per job run"),
+                };
+                match outcome {
+                    Ok(report) => reports[job.cell].push(report),
+                    Err(entry) => {
+                        frozen[job.cell] = true;
+                        quarantined.push(QuarantinedJob::new(plan, job, entry));
+                    }
+                }
+            }
+            round = next_adaptive_round(plan, &kept, &reports, &frozen);
+        }
+        let elapsed = started.elapsed();
+        let quarantine_note = match quarantined.len() {
+            0 => String::new(),
+            n => format!(", {n} quarantined"),
+        };
+        self.progress_line(format_args!(
+            "campaign '{}' finished: {executed} jobs executed, {cached} cached{quarantine_note}, {:.2}s",
+            plan.name,
+            elapsed.as_secs_f64()
+        ));
+        CampaignResults {
+            campaign: plan.name.clone(),
+            workers: self.workers,
+            elapsed,
+            executed_jobs: executed,
+            cached_jobs: cached,
+            cells: summarize(plan, &kept, &reports),
+            quarantined,
+        }
+    }
+
+    /// Rejects a plan without cells, an adaptive cell watching a metric no
+    /// summary has, and a tap with nowhere to persist.
+    fn validate(&self, plan: &CampaignPlan) {
         assert!(
             !plan.cells.is_empty(),
             "campaign '{}' has no cells",
@@ -265,375 +371,265 @@ impl Runner {
                 );
             }
         }
-        // IO problems anywhere in the persistence layer degrade instead of
-        // aborting: an unopenable journal disables resume, an unopenable
-        // telemetry log disables the tap (reports are byte-identical either
-        // way), and write failures mid-run are warned about once and then
-        // muted — the campaign's in-memory results always complete.
-        let journal = self
-            .journal_dir
-            .as_ref()
-            .and_then(|dir| match Journal::open(dir) {
-                Ok(journal) => Some(journal),
-                Err(error) => {
-                    report_line(format_args!(
-                        "warning: cannot open journal in {dir:?}: {error}; \
-                     continuing without resume or caching"
-                    ));
-                    None
-                }
-            });
-        if let (Some(dir), Some(journal)) = (self.journal_dir.as_ref(), journal.as_ref()) {
-            // Plan-drift check: if this journal directory already holds
-            // results and a manifest, report every cell whose content
-            // changed since — a "resume" of an edited plan is a different
-            // experiment, and that should never be silent.
-            if !journal.is_empty() || journal.quarantined_len() > 0 {
-                match manifest::load(dir) {
-                    Ok(Some(previous)) => {
-                        for warning in manifest::diff(&previous, &manifest::manifest_entries(plan))
-                        {
-                            report_line(format_args!("warning: {warning}"));
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(error) => report_line(format_args!(
-                        "warning: cannot read manifest in {dir:?}: {error}; \
-                         skipping plan-drift check"
-                    )),
-                }
-            }
-            if let Err(error) = manifest::write(dir, plan) {
-                report_line(format_args!(
-                    "warning: cannot write manifest in {dir:?}: {error}"
-                ));
-            }
-        }
-        let telemetry_log = self.telemetry.and_then(|_| {
-            let dir = self.journal_dir.as_ref().expect(
-                "telemetry requires a journal directory (Runner::with_journal) to persist into",
-            );
-            match TelemetryLog::open(dir) {
-                Ok(log) => Some(log),
-                Err(error) => {
-                    report_line(format_args!(
-                        "warning: cannot open telemetry log in {dir:?}: {error}; \
-                         continuing without the tap"
-                    ));
-                    None
-                }
-            }
-        });
-        // The tap only runs when its log opened; reports are identical
-        // either way, so this degradation never changes results.
-        let telemetry_settings = if telemetry_log.is_some() {
-            self.telemetry
-        } else {
-            None
-        };
-        let journal_writable = AtomicBool::new(true);
-        let telemetry_writable = AtomicBool::new(true);
-        let allowed_attempts = self.max_retries.saturating_add(1);
+        assert!(
+            self.telemetry.is_none() || self.journal_dir.is_some(),
+            "telemetry requires a journal directory (Runner::with_journal) to persist into"
+        );
+    }
 
-        let in_shard = |cell: usize| match self.shard {
-            None => true,
-            Some((index, count)) => cell % count == index,
-        };
-        // Per-kept-cell report accumulators, in plan-cell order.
-        let kept: Vec<usize> = (0..plan.cells.len()).filter(|&c| in_shard(c)).collect();
-        let mut reports: Vec<Vec<Report>> = vec![Vec::new(); plan.cells.len()];
-
+    /// Says a progress line, unless the runner is silent.
+    fn progress_line(&self, message: std::fmt::Arguments<'_>) {
         if self.progress {
-            let shard_note = match self.shard {
-                None => String::new(),
-                Some((index, count)) => format!(" (shard {index}/{count})"),
-            };
-            // Lines a resume could not read mean jobs that silently re-run;
-            // say so, but only then.
-            let skipped_note = |what: &str, skipped: usize| match skipped {
-                0 => String::new(),
-                1 => format!(", {what}1 unreadable line skipped"),
-                n => format!(", {what}{n} unreadable lines skipped"),
-            };
-            let journal_note = journal.as_ref().map_or(String::new(), |j| {
-                let skipped = skipped_note("", j.skipped_lines());
-                format!(", journal cache: {} jobs{skipped}", j.len())
-            });
-            let telemetry_note = telemetry_log.as_ref().map_or(String::new(), |log| {
-                skipped_note("telemetry log: ", log.skipped_lines())
-            });
-            report_line(format_args!(
-                "campaign '{}': {} cells, {} initial jobs on {} workers{}{}{}",
-                plan.name,
-                kept.len(),
-                plan.initial_job_count(),
-                self.workers,
-                shard_note,
-                journal_note,
-                telemetry_note
-            ));
-        }
-        let started = Instant::now();
-        // stderr is locked per line so concurrent workers never interleave
-        // within a progress line.
-        let stderr = Mutex::new(std::io::stderr());
-        let mut executed = 0;
-        let mut cached = 0;
-        let mut quarantined: Vec<QuarantinedJob> = Vec::new();
-        // Cells with a quarantined job are frozen out of adaptive rounds:
-        // their replicate count can no longer grow deterministically, and
-        // re-deriving the missing seed would just re-run the same panic.
-        let mut frozen = vec![false; plan.cells.len()];
-
-        let mut round: Vec<PlanJob> = plan
-            .initial_jobs()
-            .into_iter()
-            .filter(|job| in_shard(job.cell))
-            .collect();
-        while !round.is_empty() {
-            // Resolve journal hits first; only the misses go to the pool.
-            // With telemetry on, a hit additionally requires the job's
-            // telemetry line — a truncated `telemetry.jsonl` re-runs the
-            // affected job so the log heals deterministically. A journaled
-            // quarantine is replayed (not re-run) while its recorded attempt
-            // count meets the current allowance; raising --max-retries
-            // re-runs it for a chance to heal.
-            let mut resolved: Vec<Option<Report>> = vec![None; round.len()];
-            let mut replayed_quarantine = vec![false; round.len()];
-            if let Some(j) = &journal {
-                for (i, job) in round.iter().enumerate() {
-                    if let Some(report) = j.lookup(job.key()) {
-                        match &telemetry_log {
-                            Some(tlog) if !tlog.contains(job.key()) => {}
-                            _ => resolved[i] = Some(report.clone()),
-                        }
-                    } else if let Some(q) = j.lookup_quarantine(job.key()) {
-                        if q.attempts >= allowed_attempts {
-                            replayed_quarantine[i] = true;
-                            frozen[job.cell] = true;
-                            quarantined.push(QuarantinedJob {
-                                label: plan.cells[job.cell].label.clone(),
-                                protocol: job.protocol,
-                                seed: job.scenario.seed,
-                                attempts: q.attempts,
-                                error: q.error.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-            cached += resolved.iter().filter(|r| r.is_some()).count();
-            let to_run: Vec<usize> = (0..round.len())
-                .filter(|&i| resolved[i].is_none() && !replayed_quarantine[i])
-                .collect();
-            executed += to_run.len();
-            let fresh = parallel_map_with_progress(
-                to_run.len(),
-                self.workers,
-                |i| -> Result<Report, (Vec<f64>, String)> {
-                    let job = &round[to_run[i]];
-                    let mut backoff_s = Vec::new();
-                    let mut last_error = String::new();
-                    for attempt in 0..allowed_attempts {
-                        // The simulation itself runs behind catch_unwind so a
-                        // poisoned job only loses its own cell, never the
-                        // campaign; the (infallible-by-construction) journal
-                        // and telemetry writes happen outside it.
-                        let outcome = catch_unwind(AssertUnwindSafe(
-                            || -> (Report, Option<TelemetryEntry>) {
-                                match (telemetry_settings, &telemetry_log) {
-                                    (Some(settings), Some(_)) => {
-                                        let tap = WindowedTap::new(
-                                            SimDuration::from_secs(settings.window_s),
-                                            settings.regions_per_axis,
-                                        );
-                                        let mut sim = Simulation::with_telemetry(
-                                            job.scenario.clone(),
-                                            job.protocol,
-                                            tap,
-                                        );
-                                        let report = sim.run();
-                                        let tap = sim.into_telemetry();
-                                        let entry = TelemetryEntry::from_tap(
-                                            job.key(),
-                                            &plan.name,
-                                            &plan.cells[job.cell].label,
-                                            job.scenario.seed,
-                                            &tap,
-                                        );
-                                        (report, Some(entry))
-                                    }
-                                    _ => (run_scenario(job.scenario.clone(), job.protocol), None),
-                                }
-                            },
-                        ));
-                        match outcome {
-                            Ok((report, entry)) => {
-                                if let (Some(tlog), Some(entry)) = (&telemetry_log, entry) {
-                                    if telemetry_writable.load(Ordering::Relaxed) {
-                                        if let Err(error) = tlog.record(&entry) {
-                                            if telemetry_writable.swap(false, Ordering::Relaxed) {
-                                                report_line(format_args!(
-                                                    "warning: cannot append to \
-                                                     telemetry log {:?}: {error}; further \
-                                                     telemetry writes disabled",
-                                                    tlog.path()
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                                // A job can re-run with its journal line
-                                // intact (only its telemetry line was lost);
-                                // re-recording it would duplicate the line
-                                // and break byte-level replay determinism, so
-                                // append only on a true journal miss.
-                                if let Some(j) = &journal {
-                                    if j.lookup(job.key()).is_none()
-                                        && journal_writable.load(Ordering::Relaxed)
-                                    {
-                                        let record = JournalEntry {
-                                            key: job.key(),
-                                            campaign: plan.name.clone(),
-                                            label: plan.cells[job.cell].label.clone(),
-                                            seed: job.scenario.seed,
-                                            report: report.clone(),
-                                        };
-                                        if let Err(error) = j.record(&record) {
-                                            if journal_writable.swap(false, Ordering::Relaxed) {
-                                                report_line(format_args!(
-                                                    "warning: cannot append to \
-                                                     journal {:?}: {error}; further journal \
-                                                     writes disabled",
-                                                    j.path()
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                                return Ok(report);
-                            }
-                            Err(payload) => {
-                                last_error = panic_message(payload.as_ref());
-                                if attempt + 1 < allowed_attempts {
-                                    // Recorded, never slept: resume must not
-                                    // depend on wall-clock waits.
-                                    backoff_s.push(f64::from(1u32 << attempt.min(30)));
-                                }
-                            }
-                        }
-                    }
-                    Err((backoff_s, last_error))
-                },
-                |i, done, n| {
-                    if self.progress {
-                        let job = &round[to_run[i]];
-                        let mut err = stderr.lock().expect("stderr lock poisoned");
-                        let _ = writeln!(
-                            err,
-                            "[vanet-runner] {done}/{n} {} on {} (seed {})",
-                            job.protocol, plan.cells[job.cell].label, job.scenario.seed
-                        );
-                    }
-                },
-            );
-            for (slot, outcome) in to_run.into_iter().zip(fresh) {
-                match outcome {
-                    Ok(report) => resolved[slot] = Some(report),
-                    Err((backoff_s, error)) => {
-                        let job = &round[slot];
-                        frozen[job.cell] = true;
-                        report_line(format_args!(
-                            "warning: quarantined {} on {} (seed {}) after {} \
-                             attempt(s): {error}",
-                            job.protocol,
-                            plan.cells[job.cell].label,
-                            job.scenario.seed,
-                            allowed_attempts
-                        ));
-                        let entry = QuarantineEntry {
-                            key: job.key(),
-                            campaign: plan.name.clone(),
-                            label: plan.cells[job.cell].label.clone(),
-                            seed: job.scenario.seed,
-                            attempts: allowed_attempts,
-                            backoff_s,
-                            error: error.clone(),
-                        };
-                        if let Some(j) = &journal {
-                            if journal_writable.load(Ordering::Relaxed) {
-                                if let Err(io_error) = j.record_quarantine(&entry) {
-                                    if journal_writable.swap(false, Ordering::Relaxed) {
-                                        report_line(format_args!(
-                                            "warning: cannot append to journal \
-                                             {:?}: {io_error}; further journal writes disabled",
-                                            j.path()
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        quarantined.push(QuarantinedJob {
-                            label: plan.cells[job.cell].label.clone(),
-                            protocol: job.protocol,
-                            seed: job.scenario.seed,
-                            attempts: allowed_attempts,
-                            error,
-                        });
-                    }
-                }
-            }
-            // Jobs are cell-major within a round, so pushing in round order
-            // keeps every cell's reports in replicate order. Quarantined
-            // slots simply contribute no report.
-            for (job, report) in round.iter().zip(resolved) {
-                if let Some(report) = report {
-                    reports[job.cell].push(report);
-                }
-            }
-            round = next_adaptive_round(plan, &kept, &reports, &frozen);
-        }
-        let elapsed = started.elapsed();
-
-        let cells: Vec<CellSummary> = kept
-            .iter()
-            .filter_map(|&index| {
-                let cell = &plan.cells[index];
-                // A cell whose every job was quarantined has no reports and
-                // no summary; it is reported via `quarantined` instead.
-                Summary::from_reports(&reports[index]).map(|summary| CellSummary {
-                    label: cell.label.clone(),
-                    scenario: cell.scenario.name.clone(),
-                    protocol: cell.protocol,
-                    summary,
-                })
-            })
-            .collect();
-        if self.progress {
-            let quarantine_note = if quarantined.is_empty() {
-                String::new()
-            } else {
-                format!(", {} quarantined", quarantined.len())
-            };
-            report_line(format_args!(
-                "campaign '{}' finished: {} jobs executed, {} cached{}, {:.2}s",
-                plan.name,
-                executed,
-                cached,
-                quarantine_note,
-                elapsed.as_secs_f64()
-            ));
-        }
-        CampaignResults {
-            campaign: plan.name.clone(),
-            workers: self.workers,
-            elapsed,
-            executed_jobs: executed,
-            cached_jobs: cached,
-            cells,
-            quarantined,
+            report_line(message);
         }
     }
+}
+
+impl QuarantinedJob {
+    /// `job` of `plan`, given up on as `entry` records.
+    fn new(plan: &CampaignPlan, job: &PlanJob, entry: QuarantineEntry) -> Self {
+        QuarantinedJob {
+            label: plan.cells[job.cell].label.clone(),
+            protocol: job.protocol,
+            seed: job.scenario.seed,
+            attempts: entry.attempts,
+            error: entry.error,
+        }
+    }
+}
+
+/// One summary per kept cell, in plan order. A cell whose every job was
+/// quarantined has no reports and no summary; it is reported via
+/// [`CampaignResults::quarantined`] instead.
+fn summarize(plan: &CampaignPlan, kept: &[usize], reports: &[Vec<Report>]) -> Vec<CellSummary> {
+    let summary = |index: usize| {
+        let cell = &plan.cells[index];
+        Summary::from_reports(&reports[index]).map(|summary| CellSummary {
+            label: cell.label.clone(),
+            scenario: cell.scenario.name.clone(),
+            protocol: cell.protocol,
+            summary,
+        })
+    };
+    kept.iter().filter_map(|&index| summary(index)).collect()
+}
+
+/// Warns that `job` was given up on this run and records its quarantine.
+fn quarantine(store: Option<&Store>, job: &PlanJob, entry: &QuarantineEntry) {
+    report_line(format_args!(
+        "warning: quarantined {} on {} (seed {}) after {} attempt(s): {}",
+        job.protocol, entry.label, entry.seed, entry.attempts, entry.error
+    ));
+    if let Some(store) = store {
+        store.record_quarantine(entry);
+    }
+}
+
+/// Runs `job` behind `catch_unwind` up to `allowed_attempts` times, so a
+/// poisoned job only loses its own cell, never the campaign, and records a
+/// success in `store`. A job whose every attempt panicked comes back as its
+/// quarantine record.
+fn run_job(
+    plan: &CampaignPlan,
+    job: &PlanJob,
+    store: Option<&Store>,
+    allowed_attempts: u32,
+) -> Result<Report, QuarantineEntry> {
+    let tap_settings = store.and_then(|store| store.tap.as_ref().map(|&(settings, _)| settings));
+    let mut backoff_s = Vec::new();
+    let mut error = String::new();
+    for attempt in 0..allowed_attempts {
+        let outcome = catch_unwind(AssertUnwindSafe(|| match tap_settings {
+            Some(settings) => {
+                let tap = WindowedTap::new(
+                    SimDuration::from_secs(settings.window_s),
+                    settings.regions_per_axis,
+                );
+                let mut sim = Simulation::with_telemetry(job.scenario.clone(), job.protocol, tap);
+                let report = sim.run();
+                (report, Some(sim.into_telemetry()))
+            }
+            None => (run_scenario(job.scenario.clone(), job.protocol), None),
+        }));
+        match outcome {
+            Ok((report, tap)) => {
+                if let Some(store) = store {
+                    store.record(plan, job, &report, tap.as_ref());
+                }
+                return Ok(report);
+            }
+            Err(payload) => {
+                error = panic_message(payload.as_ref());
+                if attempt + 1 < allowed_attempts {
+                    // Recorded, never slept: resume must not depend on
+                    // wall-clock waits.
+                    backoff_s.push(f64::from(1u32 << attempt.min(30)));
+                }
+            }
+        }
+    }
+    Err(QuarantineEntry {
+        key: job.key(),
+        campaign: plan.name.clone(),
+        label: plan.cells[job.cell].label.clone(),
+        seed: job.scenario.seed,
+        attempts: allowed_attempts,
+        backoff_s,
+        error,
+    })
+}
+
+/// What the campaign directory says about one job.
+enum Resolved<'s> {
+    /// Its report is journaled, and its telemetry line too if the tap is on.
+    Cached(&'s Report),
+    /// Its journaled quarantine used up the current attempt allowance.
+    Quarantined(&'s QuarantineEntry),
+    /// It runs.
+    Run,
+}
+
+/// An open campaign directory. The first failed append to a file warns
+/// once and mutes that file for the rest of the run.
+struct Store {
+    journal: Journal,
+    journal_muted: AtomicBool,
+    /// The tap's settings and its log; `None` while the tap is off.
+    tap: Option<(TelemetrySettings, TelemetryLog)>,
+    telemetry_muted: AtomicBool,
+}
+
+impl Store {
+    /// Opens `dir` for `plan`: the journal, then the plan-drift check and
+    /// the manifest, then the telemetry log if `telemetry` asks for the tap.
+    /// `None` when the journal cannot open.
+    fn open(
+        dir: &Path,
+        plan: &CampaignPlan,
+        telemetry: Option<TelemetrySettings>,
+    ) -> Option<Store> {
+        let without = match telemetry {
+            Some(_) => "continuing without resume, caching or telemetry",
+            None => "continuing without resume or caching",
+        };
+        let journal = degrade(Journal::open(dir), "open journal", dir, without)?;
+        // A "resume" of an edited plan is a different experiment, and that
+        // should never be silent.
+        if !journal.is_empty() || journal.quarantined_len() > 0 {
+            if let Some(previous) = manifest::load(dir) {
+                for warning in manifest::diff(&previous, &manifest::manifest_entries(plan)) {
+                    report_line(format_args!("warning: {warning}"));
+                }
+            }
+        }
+        let drift = "the next resume cannot check this plan for drift";
+        degrade(manifest::write(dir, plan), "write manifest", dir, drift);
+        let tap = telemetry.and_then(|settings| {
+            let log = TelemetryLog::open(dir);
+            degrade(log, "open telemetry log", dir, "continuing without the tap")
+                .map(|log| (settings, log))
+        });
+        Some(Store {
+            journal,
+            journal_muted: AtomicBool::new(false),
+            tap,
+            telemetry_muted: AtomicBool::new(false),
+        })
+    }
+
+    /// What the directory held at open time, for the opening progress line:
+    /// unreadable lines mean jobs that silently re-run.
+    fn describe(&self) -> String {
+        let skipped = |what: &str, skipped: usize| match skipped {
+            0 => String::new(),
+            1 => format!(", {what}1 unreadable line skipped"),
+            n => format!(", {what}{n} unreadable lines skipped"),
+        };
+        let telemetry = self.tap.as_ref().map_or(0, |(_, log)| log.skipped_lines());
+        format!(
+            ", journal cache: {} jobs{}{}",
+            self.journal.len(),
+            skipped("", self.journal.skipped_lines()),
+            skipped("telemetry log: ", telemetry)
+        )
+    }
+
+    /// Resolves the job with content key `key`. It is cached only when both
+    /// its journal line and, with the tap on, its telemetry line survived,
+    /// so a truncated `telemetry.jsonl` re-runs exactly the affected jobs.
+    /// A journaled quarantine is replayed while its recorded attempts meet
+    /// `allowed_attempts`; a raised `--max-retries` re-runs it to heal.
+    fn resolve(&self, key: u64, allowed_attempts: u32) -> Resolved<'_> {
+        let (journal, tap) = (&self.journal, &self.tap);
+        let telemetry_kept = tap.as_ref().map_or(true, |(_, log)| log.contains(key));
+        match (journal.lookup(key), journal.lookup_quarantine(key)) {
+            (Some(report), _) if telemetry_kept => Resolved::Cached(report),
+            (None, Some(q)) if q.attempts >= allowed_attempts => Resolved::Quarantined(q),
+            _ => Resolved::Run,
+        }
+    }
+
+    /// Records a finished job: its journal line unless the journal already
+    /// holds it (the job re-ran only for its telemetry line), then, once
+    /// that line is on disk, its telemetry line from `tap`.
+    fn record(
+        &self,
+        plan: &CampaignPlan,
+        job: &PlanJob,
+        report: &Report,
+        tap: Option<&WindowedTap>,
+    ) {
+        let (key, label) = (job.key(), &plan.cells[job.cell].label);
+        let journaled = self.journal.lookup(key).is_some()
+            || append(&self.journal_muted, self.journal.path(), || {
+                self.journal.record(&JournalEntry {
+                    key,
+                    campaign: plan.name.clone(),
+                    label: label.clone(),
+                    seed: job.scenario.seed,
+                    report: report.clone(),
+                })
+            });
+        if let (true, Some(tap), Some((_, log))) = (journaled, tap, &self.tap) {
+            let entry = TelemetryEntry::from_tap(key, &plan.name, label, job.scenario.seed, tap);
+            append(&self.telemetry_muted, log.path(), || log.record(&entry));
+        }
+    }
+
+    /// Records a job quarantined this run.
+    fn record_quarantine(&self, entry: &QuarantineEntry) {
+        let journal = &self.journal;
+        append(&self.journal_muted, journal.path(), || {
+            journal.record_quarantine(entry)
+        });
+    }
+}
+
+/// On an error, warns that the store cannot `what` in `dir` and goes on
+/// `without` it.
+fn degrade<T>(result: std::io::Result<T>, what: &str, dir: &Path, without: &str) -> Option<T> {
+    let warn = |error| {
+        report_line(format_args!(
+            "warning: cannot {what} in {dir:?}: {error}; {without}"
+        ))
+    };
+    result.map_err(warn).ok()
+}
+
+/// Appends one line to the file at `path` through `write` unless `muted`;
+/// the first failure warns and sets `muted`. Returns whether the line
+/// reached the file.
+fn append(muted: &AtomicBool, path: &Path, write: impl FnOnce() -> std::io::Result<()>) -> bool {
+    if muted.load(Relaxed) {
+        return false;
+    }
+    let Err(error) = write() else { return true };
+    if !muted.swap(true, Relaxed) {
+        report_line(format_args!(
+            "warning: cannot append to {path:?}: {error}; further writes to it disabled"
+        ));
+    }
+    false
 }
 
 /// Every line the engine says to the operator — progress, and warnings when

@@ -221,7 +221,7 @@ impl Journal {
 
     /// The journal file's path.
     #[must_use]
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         self.log.path()
     }
 
@@ -245,7 +245,7 @@ impl Journal {
 
     /// Number of quarantined jobs loaded at open time.
     #[must_use]
-    pub fn quarantined_len(&self) -> usize {
+    pub(crate) fn quarantined_len(&self) -> usize {
         self.quarantine.len()
     }
 
@@ -258,7 +258,7 @@ impl Journal {
     /// Looks a quarantined job up by its content key. A key never appears in
     /// both maps: a successful report heals the quarantine at load time.
     #[must_use]
-    pub fn lookup_quarantine(&self, key: u64) -> Option<&QuarantineEntry> {
+    pub(crate) fn lookup_quarantine(&self, key: u64) -> Option<&QuarantineEntry> {
         self.quarantine.get(&key)
     }
 
@@ -270,7 +270,7 @@ impl Journal {
 
     /// Appends a quarantine record, with the same guarantees as
     /// [`Journal::record`].
-    pub fn record_quarantine(&self, entry: &QuarantineEntry) -> std::io::Result<()> {
+    pub(crate) fn record_quarantine(&self, entry: &QuarantineEntry) -> std::io::Result<()> {
         self.log.append(render_quarantine(entry))
     }
 }

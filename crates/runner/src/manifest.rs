@@ -50,7 +50,7 @@ fn cell_hash(cell: &PlanCell) -> u64 {
 
 /// Projects a plan into its manifest entries.
 #[must_use]
-pub fn manifest_entries(plan: &CampaignPlan) -> Vec<ManifestEntry> {
+pub(crate) fn manifest_entries(plan: &CampaignPlan) -> Vec<ManifestEntry> {
     plan.cells
         .iter()
         .enumerate()
@@ -97,19 +97,16 @@ fn manifest_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(MANIFEST_FILE)
 }
 
-/// Loads the manifest previously written in `dir`, if any. Unreadable
-/// lines are skipped (an interrupted write only costs that line's drift
-/// context, never the run).
-pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Option<Vec<ManifestEntry>>> {
-    let path = manifest_path(dir);
-    let Ok(existing) = std::fs::read_to_string(&path) else {
-        return Ok(None);
-    };
-    Ok(Some(record::records(&existing, parse_entry).0))
+/// Loads the manifest previously written in `dir`, if it can be read.
+/// Unreadable lines are skipped (an interrupted write only costs that
+/// line's drift context, never the run).
+pub(crate) fn load(dir: impl AsRef<Path>) -> Option<Vec<ManifestEntry>> {
+    let existing = std::fs::read_to_string(manifest_path(dir)).ok()?;
+    Some(record::records(&existing, parse_entry).0)
 }
 
 /// Rewrites the manifest in `dir` to describe `plan`.
-pub fn write(dir: impl AsRef<Path>, plan: &CampaignPlan) -> std::io::Result<()> {
+pub(crate) fn write(dir: impl AsRef<Path>, plan: &CampaignPlan) -> std::io::Result<()> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let mut out = String::new();
@@ -125,7 +122,7 @@ pub fn write(dir: impl AsRef<Path>, plan: &CampaignPlan) -> std::io::Result<()> 
 /// is unchanged. Cells are matched positionally — the same way journal
 /// results are folded back into cells.
 #[must_use]
-pub fn diff(previous: &[ManifestEntry], current: &[ManifestEntry]) -> Vec<String> {
+pub(crate) fn diff(previous: &[ManifestEntry], current: &[ManifestEntry]) -> Vec<String> {
     let mut lines = Vec::new();
     for (old, new) in previous.iter().zip(current.iter()) {
         if old.hash != new.hash {
@@ -238,9 +235,9 @@ mod tests {
     #[test]
     fn write_then_load_round_trips() {
         let dir = temp_dir("roundtrip");
-        assert_eq!(load(&dir).unwrap(), None);
+        assert_eq!(load(&dir), None);
         write(&dir, &plan()).unwrap();
-        let loaded = load(&dir).unwrap().expect("manifest exists");
+        let loaded = load(&dir).expect("manifest exists");
         assert_eq!(loaded, manifest_entries(&plan()));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -128,13 +128,13 @@ impl TelemetryEntry {
 
     /// Number of windows the entry spans (length of the per-window columns).
     #[must_use]
-    pub fn window_count(&self) -> usize {
+    pub(crate) fn window_count(&self) -> usize {
         self.cols.first().map_or(0, |(_, v)| v.len())
     }
 
     /// Looks a column up by name.
     #[must_use]
-    pub fn col(&self, name: &str) -> Option<&[f64]> {
+    pub(crate) fn col(&self, name: &str) -> Option<&[f64]> {
         self.cols
             .iter()
             .find(|(n, _)| n == name)
@@ -144,7 +144,7 @@ impl TelemetryEntry {
     /// The per-window column names, in canonical order (excludes the
     /// `region_*` aggregates).
     #[must_use]
-    pub fn window_col_names(&self) -> Vec<&str> {
+    pub(crate) fn window_col_names(&self) -> Vec<&str> {
         self.cols
             .iter()
             .map(|(n, _)| n.as_str())
@@ -235,7 +235,7 @@ impl TelemetryLog {
 
     /// The telemetry file's path.
     #[must_use]
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         self.log.path()
     }
 
@@ -253,7 +253,7 @@ impl TelemetryLog {
 
     /// Appends one entry under the journal's crash- and shard-safety
     /// contract (`AppendLog::append`).
-    pub fn record(&self, entry: &TelemetryEntry) -> std::io::Result<()> {
+    pub(crate) fn record(&self, entry: &TelemetryEntry) -> std::io::Result<()> {
         self.log.append(render_entry(entry))
     }
 }

@@ -1,15 +1,16 @@
 //! Integration tests for the streaming telemetry tap: tap totals agreeing
 //! with the simulation's own report, byte-determinism across shard splits
-//! and resume replays, crash-recovery of a truncated `telemetry.jsonl`,
-//! and the `analyze` pipeline producing verdicts from a real campaign.
+//! and resume replays, crash-recovery of a truncated `telemetry.jsonl`, no
+//! duplicate telemetry lines without a journal, and the `analyze` pipeline
+//! producing verdicts from a real campaign.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use vanet_core::{
     run_scenario, ProtocolKind, Scenario, Simulation, WindowedTap, DROP_REASON_COUNT,
 };
 use vanet_runner::{
-    run_analyze, CampaignPlan, ReplicationPolicy, Runner, TelemetrySettings, JOURNAL_FILE,
-    TELEMETRY_FILE,
+    run_analyze, telemetry, CampaignPlan, ReplicationPolicy, Runner, TelemetrySettings,
+    JOURNAL_FILE, TELEMETRY_FILE,
 };
 use vanet_sim::SimDuration;
 
@@ -252,6 +253,38 @@ fn truncated_telemetry_heals_by_reexecuting_only_that_job() {
         read(&dir.join(JOURNAL_FILE)),
         "the re-run result is deterministic, so the journal keeps its bytes \
          (duplicate keys resolve last-wins on load)"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unopenable_journal_never_duplicates_telemetry_lines() {
+    // A directory where `journal.jsonl` should be: the journal cannot open,
+    // so nothing is cached and every rerun executes every job. A telemetry
+    // line appended on each of those runs would repeat its key; the tap
+    // stays off instead.
+    let plan = plan();
+    let dir = temp_dir("nojournal");
+    std::fs::create_dir_all(dir.join(JOURNAL_FILE)).unwrap();
+    for _ in 0..2 {
+        let results = Runner::new()
+            .with_progress(false)
+            .with_journal(&dir)
+            .with_telemetry(settings())
+            .run_plan(&plan);
+        assert_eq!((results.executed_jobs, results.cached_jobs), (6, 0));
+    }
+    let mut keys: Vec<u64> = read(&dir.join(TELEMETRY_FILE))
+        .lines()
+        .map(|line| telemetry::parse_entry(line).expect("a whole line").key)
+        .collect();
+    let lines = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(
+        keys.len(),
+        lines,
+        "a job's telemetry line was appended twice"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
